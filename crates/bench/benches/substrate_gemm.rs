@@ -3,8 +3,7 @@
 //! the library's own kernels, not modeled GPU numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gcnn_gemm::{cgemm, gemm_flops, sgemm, Transpose};
-use gcnn_tensor::Complex32;
+use gcnn_gemm::{cgemm_split, gemm_flops, sgemm, Transpose};
 use std::hint::black_box;
 
 fn lcg_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -80,28 +79,25 @@ fn bench_sgemm_conv_shape(c: &mut Criterion) {
 
 fn bench_cgemm(c: &mut Criterion) {
     let n = 96usize;
-    let a: Vec<Complex32> = lcg_vec(n * n, 5)
-        .into_iter()
-        .zip(lcg_vec(n * n, 6))
-        .map(|(re, im)| Complex32::new(re, im))
-        .collect();
-    let b = a.clone();
-    let mut out = vec![Complex32::ZERO; n * n];
-    c.bench_function("cgemm_96", |bench| {
+    let (re, im) = (lcg_vec(n * n, 5), lcg_vec(n * n, 6));
+    let mut out_re = vec![0.0f32; n * n];
+    let mut out_im = vec![0.0f32; n * n];
+    c.bench_function("cgemm_split_96", |bench| {
         bench.iter(|| {
-            cgemm(
+            cgemm_split(
                 false,
                 false,
                 n,
                 n,
                 n,
-                Complex32::ONE,
-                black_box(&a),
+                black_box(&re),
+                black_box(&im),
                 n,
-                black_box(&b),
+                black_box(&re),
+                black_box(&im),
                 n,
-                Complex32::ZERO,
-                &mut out,
+                &mut out_re,
+                &mut out_im,
                 n,
             );
         });

@@ -5,7 +5,7 @@
 //! bench_compare --baseline baseline.json [--current results/BENCH_hotpaths.json]
 //!               [--tolerance 0.25] [--trace results/BENCH_trace.json]
 //!               [--simd results/BENCH_simd.json] [--min-speedup 1.2]
-//!               [--fft results/BENCH_fft.json] [--fft-min-speedup 2.0]
+//!               [--fft results/BENCH_fft.json] [--fft-min-speedup 1.2]
 //!               [--layout results/BENCH_layout.json] [--layout-min-speedup 1.15]
 //!               [--serve baseline_serve.json] [--serve-current results/BENCH_serve.json]
 //!               [--serve-tolerance 0.35] [--serve-min-speedup 1.0]
@@ -77,7 +77,7 @@ fn main() {
     let mut simd = None;
     let mut min_speedup = 1.2f64;
     let mut fft = None;
-    let mut fft_min_speedup = 2.0f64;
+    let mut fft_min_speedup = 1.2f64;
     let mut layout = None;
     let mut layout_min_speedup = 1.15f64;
     let mut serve = None;

@@ -155,11 +155,12 @@ fn bench_batched_fft(cfg: &ConvConfig, repeats: Repeats) -> Section {
         1.0,
         13,
     );
-    let mut spectra = vec![gcnn_tensor::Complex32::ZERO; planes * plan.spectrum_len()];
+    let mut sre = vec![0.0f32; planes * plan.spectrum_len()];
+    let mut sim = vec![0.0f32; planes * plan.spectrum_len()];
     let mut back = vec![0.0f32; planes * fft_n * fft_n];
     let samples = time_wall(repeats, || {
-        gcnn_fft::rfft_forward_batch(&plan, data.as_slice(), &mut spectra);
-        gcnn_fft::rfft_inverse_batch(&plan, &spectra, &mut back);
+        gcnn_fft::rfft_forward_batch_split(&plan, data.as_slice(), &mut sre, &mut sim);
+        gcnn_fft::rfft_inverse_batch_split(&plan, &sre, &sim, &mut back);
         std::hint::black_box(&back);
     });
     section(
@@ -224,11 +225,12 @@ fn bench_fft_sweep(repeats: Repeats) -> FftReport {
                 1.0,
                 (n * 131 + batch) as u64,
             );
-            let mut spectra = vec![gcnn_tensor::Complex32::ZERO; batch * plan.spectrum_len()];
+            let mut sre = vec![0.0f32; batch * plan.spectrum_len()];
+            let mut sim = vec![0.0f32; batch * plan.spectrum_len()];
             let mut back = vec![0.0f32; batch * n * n];
             let mut round_trip = || {
-                gcnn_fft::rfft_forward_batch(&plan, data.as_slice(), &mut spectra);
-                gcnn_fft::rfft_inverse_batch(&plan, &spectra, &mut back);
+                gcnn_fft::rfft_forward_batch_split(&plan, data.as_slice(), &mut sre, &mut sim);
+                gcnn_fft::rfft_inverse_batch_split(&plan, &sre, &sim, &mut back);
                 std::hint::black_box(&back);
             };
             // A small-n round-trip runs in a few µs — below clock
@@ -588,7 +590,7 @@ fn main() {
     for strat in [Strategy::Unrolling, Strategy::Fft] {
         let algo = algorithm_for(strat);
         let tag = format!("{strat:?}").to_lowercase();
-        sections.extend(bench_algo(&cfg, algo.as_ref(), &tag, repeats));
+        sections.extend(bench_algo(&cfg, algo, &tag, repeats));
     }
     // Winograd has no `Strategy` slot of its own (it rides the
     // transform-domain family) and F(2x2,3x3) needs k = 3, so it is
@@ -598,7 +600,7 @@ fn main() {
     sections.extend(bench_algo(&wcfg, &winograd, "winograd_3x3", repeats));
     {
         let algo = algorithm_for(Strategy::Direct);
-        sections.extend(bench_algo(&cfg, algo.as_ref(), "direct", direct_repeats));
+        sections.extend(bench_algo(&cfg, algo, "direct", direct_repeats));
     }
 
     let report = Report {

@@ -23,9 +23,10 @@
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy, Unsupported};
-use gcnn_fft::{split_enabled, RfftPlan};
-use gcnn_gemm::batched::{batched_cgemm, batched_cgemm_split};
-use gcnn_tensor::{workspace, Complex32, Shape4, Tensor4};
+use gcnn_fft::RfftPlan;
+use gcnn_gemm::batched_cgemm_split;
+use gcnn_tensor::workspace::{self, Scratch};
+use gcnn_tensor::{Shape4, Tensor4};
 use rayon::prelude::*;
 
 /// The FFT convolution algorithm (stride-1 only, like fbfft and
@@ -40,114 +41,15 @@ impl FftConv {
     }
 }
 
-/// Forward-transform every `h×w` plane of `t`, zero-padded to `n×n`,
-/// into plane-major Hermitian half-spectra:
-/// `out[plane · n·(n/2+1) + bin]` — the storage layout fbfft's R2C
-/// transforms use. Per-plane pad buffers come from the workspace arena.
-fn plane_spectra_into(t: &Tensor4, n: usize, plan: &RfftPlan, out: &mut [Complex32]) {
+/// Forward-transform every `h×w` plane of `t`, zero-padded to the plan's
+/// `n×n`,
+/// into plane-major split-complex Hermitian half-spectra
+/// (`sre/sim[plane · bins + bin]`) — the layout the lane engine emits
+/// and fbfft's R2C transforms store. Per-plane pad buffers come from the
+/// workspace arena.
+fn plane_spectra_into(t: &Tensor4, plan: &RfftPlan, sre: &mut [f32], sim: &mut [f32]) {
     let s = t.shape();
-    let planes = s.n * s.c;
-    let bins = plan.spectrum_len();
-    debug_assert_eq!(out.len(), planes * bins);
-    out.par_chunks_mut(bins).enumerate().for_each(|(p, chunk)| {
-        let (pn, pc) = (p / s.c, p % s.c);
-        let src = t.plane(pn, pc);
-        // Zero-pad the h×w plane into the n×n transform buffer —
-        // copied rows zero only their right margin, the bottom band
-        // is cleared wholesale (halo-only fill on reused scratch).
-        let mut buf = workspace::take_f32(n * n);
-        for h in 0..s.h {
-            buf[h * n..h * n + s.w].copy_from_slice(&src[h * s.w..(h + 1) * s.w]);
-            buf[h * n + s.w..(h + 1) * n].fill(0.0);
-        }
-        buf[s.h * n..].fill(0.0);
-        plan.forward_into(&buf, chunk);
-    });
-}
-
-/// Swap the two plane axes of a plane-major spectrum buffer:
-/// `[d0][d1][bin] → [d1][d0][bin]`. This plus [`gather_bins_into`] is
-/// fbfft's `Transpose` kernel.
-fn swap_planes_into(spec: &[Complex32], d0: usize, d1: usize, bins: usize, out: &mut [Complex32]) {
-    debug_assert_eq!(spec.len(), d0 * d1 * bins);
-    debug_assert_eq!(out.len(), spec.len());
-    for i0 in 0..d0 {
-        for i1 in 0..d1 {
-            let src = &spec[(i0 * d1 + i1) * bins..(i0 * d1 + i1 + 1) * bins];
-            out[(i1 * d0 + i0) * bins..(i1 * d0 + i0 + 1) * bins].copy_from_slice(src);
-        }
-    }
-}
-
-/// Plane-major → bin-major: `out[bin · planes + plane]`.
-fn gather_bins_into(spec: &[Complex32], planes: usize, bins: usize, out: &mut [Complex32]) {
-    debug_assert_eq!(spec.len(), planes * bins);
-    debug_assert_eq!(out.len(), spec.len());
-    out.par_chunks_mut(planes)
-        .enumerate()
-        .for_each(|(bin, chunk)| {
-            for (p, slot) in chunk.iter_mut().enumerate() {
-                *slot = spec[p * bins + bin];
-            }
-        });
-}
-
-/// Bin-major → plane-major (inverse of [`gather_bins_into`]).
-fn scatter_bins_into(binmat: &[Complex32], planes: usize, bins: usize, out: &mut [Complex32]) {
-    debug_assert_eq!(binmat.len(), planes * bins);
-    debug_assert_eq!(out.len(), binmat.len());
-    out.par_chunks_mut(bins).enumerate().for_each(|(p, chunk)| {
-        for (bin, slot) in chunk.iter_mut().enumerate() {
-            *slot = binmat[bin * planes + p];
-        }
-    });
-}
-
-/// Inverse-transform plane-major half-spectra and crop each plane to
-/// `out_h×out_w` at offset `(top, left)`, writing into a fresh tensor of
-/// shape `(d0, d1, out_h, out_w)`.
-#[allow(clippy::too_many_arguments)] // plane geometry is passed unpacked on the hot path
-fn planes_to_tensor(
-    spec: &[Complex32],
-    d0: usize,
-    d1: usize,
-    n: usize,
-    plan: &RfftPlan,
-    out_h: usize,
-    out_w: usize,
-    top: usize,
-    left: usize,
-) -> Tensor4 {
-    let bins = plan.spectrum_len();
-    let mut out = Tensor4::zeros(Shape4::new(d0, d1, out_h, out_w));
-    let plane_len = out_h * out_w;
-    out.as_mut_slice()
-        .par_chunks_mut(plane_len)
-        .enumerate()
-        .for_each(|(p, dst)| {
-            let mut real = workspace::take_f32(n * n);
-            plan.inverse_into(&spec[p * bins..(p + 1) * bins], &mut real);
-            for h in 0..out_h {
-                for w in 0..out_w {
-                    dst[h * out_w + w] = real[(h + top) * n + (w + left)];
-                }
-            }
-        });
-    out
-}
-
-/// Split-complex variant of [`plane_spectra_into`]: forward-transform
-/// every plane straight into separate re/im spectrum planes
-/// (`sre/sim[plane · bins + bin]`) — the layout the batch-major lane
-/// engine emits natively, so no interleaved [`Complex32`] is built.
-fn plane_spectra_split_into(
-    t: &Tensor4,
-    n: usize,
-    plan: &RfftPlan,
-    sre: &mut [f32],
-    sim: &mut [f32],
-) {
-    let s = t.shape();
+    let n = plan.n();
     let bins = plan.spectrum_len();
     debug_assert_eq!(sre.len(), s.n * s.c * bins);
     debug_assert_eq!(sim.len(), sre.len());
@@ -157,6 +59,9 @@ fn plane_spectra_split_into(
         .for_each(|(p, (re, im))| {
             let (pn, pc) = (p / s.c, p % s.c);
             let src = t.plane(pn, pc);
+            // Zero-pad the h×w plane into the n×n transform buffer —
+            // copied rows zero only their right margin, the bottom band
+            // is cleared wholesale (halo-only fill on reused scratch).
             let mut buf = workspace::take_f32(n * n);
             for h in 0..s.h {
                 buf[h * n..h * n + s.w].copy_from_slice(&src[h * s.w..(h + 1) * s.w]);
@@ -167,12 +72,12 @@ fn plane_spectra_split_into(
         });
 }
 
-/// Fused plane-swap + bin gather over one split spectrum plane:
+/// Plane-major → bin-major with the two plane axes swapped on the way:
 /// `out[bin · d0·d1 + i1·d0 + i0] = spec[(i0·d1 + i1) · bins + bin]`.
-/// One pass replaces the interleaved path's `swap_planes_into` +
-/// `gather_bins_into` pair — the intermediate swapped buffer never
-/// materializes. Call once per re/im plane.
-fn gather_bins_swapped_split(spec: &[f32], d0: usize, d1: usize, bins: usize, out: &mut [f32]) {
+/// One pass is fbfft's `Transpose` kernel (BDHW → HWBD); `d0 = 1`
+/// degenerates to the plain gather `out[bin · d1 + p] = spec[p · bins +
+/// bin]`. Call once per re/im plane.
+fn gather_bins(spec: &[f32], d0: usize, d1: usize, bins: usize, out: &mut [f32]) {
     debug_assert_eq!(spec.len(), d0 * d1 * bins);
     debug_assert_eq!(out.len(), spec.len());
     out.par_chunks_mut(d0 * d1)
@@ -186,36 +91,11 @@ fn gather_bins_swapped_split(spec: &[f32], d0: usize, d1: usize, bins: usize, ou
         });
 }
 
-/// Plane-major → bin-major gather over one split spectrum plane (no
-/// axis swap): `out[bin · planes + p] = spec[p · bins + bin]`.
-fn gather_bins_split(spec: &[f32], planes: usize, bins: usize, out: &mut [f32]) {
-    debug_assert_eq!(spec.len(), planes * bins);
-    debug_assert_eq!(out.len(), spec.len());
-    out.par_chunks_mut(planes)
-        .enumerate()
-        .for_each(|(bin, chunk)| {
-            for (p, slot) in chunk.iter_mut().enumerate() {
-                *slot = spec[p * bins + bin];
-            }
-        });
-}
-
-/// Bin-major → plane-major scatter (inverse of [`gather_bins_split`]).
-fn scatter_bins_split(binmat: &[f32], planes: usize, bins: usize, out: &mut [f32]) {
-    debug_assert_eq!(binmat.len(), planes * bins);
-    debug_assert_eq!(out.len(), binmat.len());
-    out.par_chunks_mut(bins).enumerate().for_each(|(p, chunk)| {
-        for (bin, slot) in chunk.iter_mut().enumerate() {
-            *slot = binmat[bin * planes + p];
-        }
-    });
-}
-
-/// Fused bin scatter + plane swap, the inverse-side mirror of
-/// [`gather_bins_swapped_split`]: the bin-major product row `i0·d1 + i1`
-/// lands at plane `i1·d0 + i0`, so
-/// `out[(i1·d0 + i0) · bins + bin] = binmat[bin · d0·d1 + i0·d1 + i1]`.
-fn scatter_bins_swapped_split(binmat: &[f32], d0: usize, d1: usize, bins: usize, out: &mut [f32]) {
+/// Bin-major → plane-major, the inverse-side mirror of [`gather_bins`]:
+/// the bin-major product row `i0·d1 + i1` lands at plane `i1·d0 + i0`,
+/// so `out[(i1·d0 + i0) · bins + bin] = binmat[bin · d0·d1 + i0·d1 + i1]`;
+/// `d1 = 1` degenerates to the plain scatter.
+fn scatter_bins(binmat: &[f32], d0: usize, d1: usize, bins: usize, out: &mut [f32]) {
     debug_assert_eq!(binmat.len(), d0 * d1 * bins);
     debug_assert_eq!(out.len(), binmat.len());
     out.par_chunks_mut(bins).enumerate().for_each(|(q, chunk)| {
@@ -226,245 +106,178 @@ fn scatter_bins_swapped_split(binmat: &[f32], d0: usize, d1: usize, bins: usize,
     });
 }
 
-/// Split-complex variant of [`planes_to_tensor`]: inverse-transform
-/// plane-major split half-spectra and crop. Takes the spectra mutably
-/// and runs [`RfftPlan::inverse_split_inplace`] on each plane — the
-/// callers own the (arena-backed) spectrum scratch and never read it
-/// again, so the in-place column pass saves a defensive spectrum copy
-/// per plane.
-#[allow(clippy::too_many_arguments)] // plane geometry is passed unpacked on the hot path
-fn planes_to_tensor_split(
+/// The `size×size` window, `offset` rows and columns in, that each
+/// inverse-transformed `n×n` plane is cropped to.
+#[derive(Debug, Clone, Copy)]
+struct Crop {
+    size: usize,
+    offset: usize,
+}
+
+/// Inverse-transform plane-major split half-spectra and crop each plane,
+/// writing into a fresh tensor of shape `(d0, d1, size, size)`. Takes
+/// the spectra mutably and runs [`RfftPlan::inverse_split_inplace`] on
+/// each plane — the caller owns the (arena-backed) spectrum scratch and
+/// never reads it again, so the in-place column pass saves a defensive
+/// spectrum copy per plane.
+fn planes_to_tensor(
     sre: &mut [f32],
     sim: &mut [f32],
     d0: usize,
     d1: usize,
-    n: usize,
     plan: &RfftPlan,
-    out_h: usize,
-    out_w: usize,
-    top: usize,
-    left: usize,
+    crop: Crop,
 ) -> Tensor4 {
-    let bins = plan.spectrum_len();
-    let mut out = Tensor4::zeros(Shape4::new(d0, d1, out_h, out_w));
-    let plane_len = out_h * out_w;
+    let (n, bins) = (plan.n(), plan.spectrum_len());
+    let Crop { size, offset } = crop;
+    let mut out = Tensor4::zeros(Shape4::new(d0, d1, size, size));
     out.as_mut_slice()
-        .par_chunks_mut(plane_len)
+        .par_chunks_mut(size * size)
         .zip(sre.par_chunks_mut(bins).zip(sim.par_chunks_mut(bins)))
         .for_each(|(dst, (pre, pim))| {
             let mut real = workspace::take_f32(n * n);
             plan.inverse_split_inplace(pre, pim, &mut real);
-            for h in 0..out_h {
-                for w in 0..out_w {
-                    dst[h * out_w + w] = real[(h + top) * n + (w + left)];
+            for h in 0..size {
+                for w in 0..size {
+                    dst[h * size + w] = real[(h + offset) * n + (w + offset)];
                 }
             }
         });
     out
 }
 
-/// Split-complex forward pipeline (taken whenever SIMD dispatch is
-/// active): batch-major lane transforms → fused swap+gather into
-/// bin-major split planes → split-complex batched CGEMM → fused
-/// scatter+swap → split inverse + crop. Interleaved [`Complex32`] never
-/// materializes between the transforms and the product, and every
-/// intermediate lives in the workspace arena.
-fn forward_split(
-    cfg: &ConvConfig,
-    padded: &Tensor4,
-    filters: &Tensor4,
-    n: usize,
-    plan: &RfftPlan,
-) -> Tensor4 {
-    let _span = gcnn_trace::span("conv.fft.split.forward");
-    let bins = plan.spectrum_len();
-    let (b, c, f) = (cfg.batch, cfg.channels, cfg.filters);
-
-    // 1. Forward transforms straight into split spectrum planes.
-    let mut in_re = workspace::take_f32(b * c * bins); // [n][c][bin]
-    let mut in_im = workspace::take_f32(b * c * bins);
-    plane_spectra_split_into(padded, n, plan, &mut in_re, &mut in_im);
-    let mut ft_re = workspace::take_f32(f * c * bins); // [f][c][bin]
-    let mut ft_im = workspace::take_f32(f * c * bins);
-    plane_spectra_split_into(filters, n, plan, &mut ft_re, &mut ft_im);
-
-    // 2. Fused BDHW → HWBD transpose (swap+gather in one pass).
-    let mut b_re = workspace::take_f32(b * c * bins); // [bin][c×b]
-    let mut b_im = workspace::take_f32(b * c * bins);
-    gather_bins_swapped_split(&in_re, b, c, bins, &mut b_re);
-    gather_bins_swapped_split(&in_im, b, c, bins, &mut b_im);
-    let mut a_re = workspace::take_f32(f * c * bins); // [bin][f×c]
-    let mut a_im = workspace::take_f32(f * c * bins);
-    gather_bins_split(&ft_re, f * c, bins, &mut a_re);
-    gather_bins_split(&ft_im, f * c, bins, &mut a_im);
-
-    // 3. One split-complex [f×c]·[c×b] GEMM per bin (conjugated filters
-    //    → correlation).
-    let mut c_re = workspace::take_f32(bins * f * b);
-    let mut c_im = workspace::take_f32(bins * f * b);
-    batched_cgemm_split(
-        true,
-        false,
-        f,
-        b,
-        c,
-        bins,
-        &a_re,
-        &a_im,
-        f * c,
-        &b_re,
-        &b_im,
-        c * b,
-        &mut c_re,
-        &mut c_im,
-        f * b,
-    );
-
-    // 4. Fused transpose back, 5. split inverse + crop.
-    let mut out_re = workspace::take_f32(bins * f * b); // [b][f][bin]
-    let mut out_im = workspace::take_f32(bins * f * b);
-    scatter_bins_swapped_split(&c_re, f, b, bins, &mut out_re);
-    scatter_bins_swapped_split(&c_im, f, b, bins, &mut out_im);
-    planes_to_tensor_split(
-        &mut out_re,
-        &mut out_im,
-        b,
-        f,
-        n,
-        plan,
-        cfg.output(),
-        cfg.output(),
-        0,
-        0,
-    )
+/// One operand of the per-bin product: the tensor whose planes (axes
+/// `[d0][d1] = [t.n][t.c]`) are transformed, and whether those two axes
+/// are swapped on the way to bin-major.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    t: &'a Tensor4,
+    swap: bool,
 }
 
-/// Split-complex data-gradient pipeline — mirror of [`forward_split`]
-/// with un-conjugated filters (true convolution) and an interior crop
-/// when the forward pass padded.
-fn backward_data_split(
-    cfg: &ConvConfig,
-    grad_out: &Tensor4,
-    filters: &Tensor4,
-    n: usize,
-    plan: &RfftPlan,
-) -> Tensor4 {
-    let _span = gcnn_trace::span("conv.fft.split.backward_data");
-    let bins = plan.spectrum_len();
-    let (b, c, f) = (cfg.batch, cfg.channels, cfg.filters);
-
-    let mut g_re = workspace::take_f32(b * f * bins); // [n][f][bin]
-    let mut g_im = workspace::take_f32(b * f * bins);
-    plane_spectra_split_into(grad_out, n, plan, &mut g_re, &mut g_im);
-    let mut ft_re = workspace::take_f32(f * c * bins); // [f][c][bin]
-    let mut ft_im = workspace::take_f32(f * c * bins);
-    plane_spectra_split_into(filters, n, plan, &mut ft_re, &mut ft_im);
-
-    // gin[c,n] = Σ_f filt[c,f] · gout[f,n] per bin.
-    let mut a_re = workspace::take_f32(f * c * bins); // [bin][c×f]
-    let mut a_im = workspace::take_f32(f * c * bins);
-    gather_bins_swapped_split(&ft_re, f, c, bins, &mut a_re);
-    gather_bins_swapped_split(&ft_im, f, c, bins, &mut a_im);
-    let mut b_re = workspace::take_f32(b * f * bins); // [bin][f×b]
-    let mut b_im = workspace::take_f32(b * f * bins);
-    gather_bins_swapped_split(&g_re, b, f, bins, &mut b_re);
-    gather_bins_swapped_split(&g_im, b, f, bins, &mut b_im);
-
-    let mut c_re = workspace::take_f32(bins * c * b);
-    let mut c_im = workspace::take_f32(bins * c * b);
-    batched_cgemm_split(
-        false,
-        false,
-        c,
-        b,
-        f,
-        bins,
-        &a_re,
-        &a_im,
-        c * f,
-        &b_re,
-        &b_im,
-        f * b,
-        &mut c_re,
-        &mut c_im,
-        c * b,
-    );
-
-    let mut out_re = workspace::take_f32(bins * c * b); // [b][c][bin]
-    let mut out_im = workspace::take_f32(bins * c * b);
-    scatter_bins_swapped_split(&c_re, c, b, bins, &mut out_re);
-    scatter_bins_swapped_split(&c_im, c, b, bins, &mut out_im);
-    planes_to_tensor_split(
-        &mut out_re,
-        &mut out_im,
-        b,
-        c,
-        n,
-        plan,
-        cfg.input,
-        cfg.input,
-        cfg.pad,
-        cfg.pad,
-    )
+/// `t` with its plane axes kept: per-bin matrix `[t.n × t.c]`.
+fn planes(t: &Tensor4) -> Operand<'_> {
+    Operand { t, swap: false }
 }
 
-/// Split-complex filter-gradient pipeline: correlation of the (padded)
-/// input with the output gradient, reduced over the batch axis.
-fn backward_filters_split(
-    cfg: &ConvConfig,
-    padded: &Tensor4,
-    grad_out: &Tensor4,
-    n: usize,
+/// `t` with its plane axes swapped: per-bin matrix `[t.c × t.n]`.
+fn swapped(t: &Tensor4) -> Operand<'_> {
+    Operand { t, swap: true }
+}
+
+impl Operand<'_> {
+    /// `(rows, cols)` of this operand's per-bin matrix.
+    fn dims(&self) -> (usize, usize) {
+        let s = self.t.shape();
+        if self.swap {
+            (s.c, s.n)
+        } else {
+            (s.n, s.c)
+        }
+    }
+
+    /// Transform every plane and lay the spectra out bin-major for the
+    /// per-bin GEMM: `[bin][rows×cols]` of [`Self::dims`]. Returns the
+    /// re/im planes.
+    fn bin_major_spectra(&self, plan: &RfftPlan) -> (Scratch<f32>, Scratch<f32>) {
+        let s = self.t.shape();
+        let bins = plan.spectrum_len();
+        let len = s.n * s.c * bins;
+        let mut sre = workspace::take_f32(len);
+        let mut sim = workspace::take_f32(len);
+        plane_spectra_into(self.t, plan, &mut sre, &mut sim);
+        let (d0, d1) = if self.swap {
+            (s.n, s.c)
+        } else {
+            (1, s.n * s.c)
+        };
+        let mut bre = workspace::take_f32(len);
+        let mut bim = workspace::take_f32(len);
+        gather_bins(&sre, d0, d1, bins, &mut bre);
+        gather_bins(&sim, d0, d1, bins, &mut bim);
+        (bre, bim)
+    }
+}
+
+/// fbfft's pipeline, shared by all three passes: (1) batch-major lane
+/// transforms of both operands into split spectrum planes, (2) the
+/// BDHW → HWBD transpose, (3) one split-complex `[m×k]·[k×n]` GEMM per
+/// bin (`conj_a` turns the circular product into correlation), (4) the
+/// transpose back — with the output plane axes swapped when `swap_out`
+/// — and (5) inverse transform + crop. The passes differ only in
+/// operands, conjugation and crop; every intermediate lives in the
+/// workspace arena.
+fn fft_pass(
+    a: Operand<'_>,
+    conj_a: bool,
+    b: Operand<'_>,
+    swap_out: bool,
+    crop: Crop,
     plan: &RfftPlan,
 ) -> Tensor4 {
-    let _span = gcnn_trace::span("conv.fft.split.backward_filters");
     let bins = plan.spectrum_len();
-    let (b, c, f) = (cfg.batch, cfg.channels, cfg.filters);
+    let ((m, k), (kb, cols)) = (a.dims(), b.dims());
+    debug_assert_eq!(k, kb, "fft_pass: inner dimensions");
 
-    let mut in_re = workspace::take_f32(b * c * bins); // [n][c][bin]
-    let mut in_im = workspace::take_f32(b * c * bins);
-    plane_spectra_split_into(padded, n, plan, &mut in_re, &mut in_im);
-    let mut g_re = workspace::take_f32(b * f * bins); // [n][f][bin]
-    let mut g_im = workspace::take_f32(b * f * bins);
-    plane_spectra_split_into(grad_out, n, plan, &mut g_re, &mut g_im);
+    let (a_re, a_im) = a.bin_major_spectra(plan); // [bin][m×k]
+    let (b_re, b_im) = b.bin_major_spectra(plan); // [bin][k×cols]
 
-    // gw[f,c] = Σ_n conj(gout[f,n]) · in[n,c] per bin.
-    let mut a_re = workspace::take_f32(b * f * bins); // [bin][f×b]
-    let mut a_im = workspace::take_f32(b * f * bins);
-    gather_bins_swapped_split(&g_re, b, f, bins, &mut a_re);
-    gather_bins_swapped_split(&g_im, b, f, bins, &mut a_im);
-    let mut b_re = workspace::take_f32(b * c * bins); // [bin][b×c]
-    let mut b_im = workspace::take_f32(b * c * bins);
-    gather_bins_split(&in_re, b * c, bins, &mut b_re);
-    gather_bins_split(&in_im, b * c, bins, &mut b_im);
-
-    let mut c_re = workspace::take_f32(bins * f * c);
-    let mut c_im = workspace::take_f32(bins * f * c);
+    let mut c_re = workspace::take_f32(bins * m * cols); // [bin][m×cols]
+    let mut c_im = workspace::take_f32(bins * m * cols);
     batched_cgemm_split(
-        true,
+        conj_a,
         false,
-        f,
-        c,
-        b,
+        m,
+        cols,
+        k,
         bins,
         &a_re,
         &a_im,
-        f * b,
+        m * k,
         &b_re,
         &b_im,
-        b * c,
+        k * cols,
         &mut c_re,
         &mut c_im,
-        f * c,
+        m * cols,
     );
 
-    let mut gw_re = workspace::take_f32(bins * f * c); // [f][c][bin]
-    let mut gw_im = workspace::take_f32(bins * f * c);
-    scatter_bins_split(&c_re, f * c, bins, &mut gw_re);
-    scatter_bins_split(&c_im, f * c, bins, &mut gw_im);
-    planes_to_tensor_split(
-        &mut gw_re, &mut gw_im, f, c, n, plan, cfg.kernel, cfg.kernel, 0, 0,
-    )
+    let mut out_re = workspace::take_f32(bins * m * cols);
+    let mut out_im = workspace::take_f32(bins * m * cols);
+    let (g0, g1, d0, d1) = if swap_out {
+        (m, cols, cols, m)
+    } else {
+        (m * cols, 1, m, cols)
+    };
+    scatter_bins(&c_re, g0, g1, bins, &mut out_re);
+    scatter_bins(&c_im, g0, g1, bins, &mut out_im);
+    planes_to_tensor(&mut out_re, &mut out_im, d0, d1, plan, crop)
+}
+
+/// `input` zero-padded by `cfg.pad` on every side, borrowed unchanged
+/// when the layer does not pad.
+fn padded_input<'a>(
+    cfg: &ConvConfig,
+    input: &'a Tensor4,
+    storage: &'a mut Option<Tensor4>,
+) -> &'a Tensor4 {
+    if cfg.pad == 0 {
+        return input;
+    }
+    let s = input.shape();
+    storage.insert(gcnn_tensor::pad::pad_planes(
+        input,
+        s.h + 2 * cfg.pad,
+        s.w + 2 * cfg.pad,
+        cfg.pad,
+        cfg.pad,
+    ))
+}
+
+/// The cached plan for `cfg`'s transform size: the next power of two ≥
+/// the padded input.
+fn plan_for(cfg: &ConvConfig) -> std::sync::Arc<RfftPlan> {
+    RfftPlan::cached((cfg.input + 2 * cfg.pad).next_power_of_two())
 }
 
 impl ConvAlgorithm for FftConv {
@@ -496,72 +309,16 @@ impl ConvAlgorithm for FftConv {
             cfg.filter_shape(),
             "FftConv::forward: filters"
         );
-
-        // Borrow the input directly when no spatial padding is needed —
-        // the previous implementation cloned the whole tensor.
-        let padded_storage;
-        let padded: &Tensor4 = if cfg.pad == 0 {
-            input
-        } else {
-            let s = input.shape();
-            padded_storage = gcnn_tensor::pad::pad_planes(
-                input,
-                s.h + 2 * cfg.pad,
-                s.w + 2 * cfg.pad,
-                cfg.pad,
-                cfg.pad,
-            );
-            &padded_storage
+        let mut storage = None;
+        let padded = padded_input(cfg, input, &mut storage);
+        let plan = plan_for(cfg);
+        // out[f,n] = Σ_c conj(filt[f,c]) · in[c,n] per bin: conjugated
+        // filters → correlation (what CNNs compute).
+        let crop = Crop {
+            size: cfg.output(),
+            offset: 0,
         };
-        let ieff = cfg.input + 2 * cfg.pad;
-        let n = ieff.next_power_of_two();
-        let plan = RfftPlan::cached(n);
-        let bins = plan.spectrum_len();
-        let (b, c, f) = (cfg.batch, cfg.channels, cfg.filters);
-
-        if split_enabled() {
-            return forward_split(cfg, padded, filters, n, &plan);
-        }
-
-        // 1. Forward transforms (fbfft's decimateInFrequency).
-        let mut in_spec = workspace::take_c32(b * c * bins); // [n][c][bin]
-        plane_spectra_into(padded, n, &plan, &mut in_spec);
-        let mut filt_spec = workspace::take_c32(f * c * bins); // [f][c][bin]
-        plane_spectra_into(filters, n, &plan, &mut filt_spec);
-
-        // 2. Transpose BDHW → HWBD.
-        let mut swapped = workspace::take_c32(b * c * bins);
-        swap_planes_into(&in_spec, b, c, bins, &mut swapped);
-        let mut b_bins = workspace::take_c32(b * c * bins); // [bin][c×b]
-        gather_bins_into(&swapped, c * b, bins, &mut b_bins);
-        let mut a_bins = workspace::take_c32(f * c * bins); // [bin][f×c]
-        gather_bins_into(&filt_spec, f * c, bins, &mut a_bins);
-
-        // 3. One [f×c]·[c×b] complex GEMM per bin; conjugated filters
-        //    turn the circular product into correlation (what CNNs
-        //    compute).
-        let mut c_bins = workspace::take_c32(bins * f * b);
-        batched_cgemm(
-            true,
-            false,
-            f,
-            b,
-            c,
-            bins,
-            &a_bins,
-            f * c,
-            &b_bins,
-            c * b,
-            &mut c_bins,
-            f * b,
-        );
-
-        // 4. Transpose back and 5. inverse transform + crop to (o × o).
-        let mut scattered = workspace::take_c32(bins * f * b);
-        scatter_bins_into(&c_bins, f * b, bins, &mut scattered);
-        let mut out_spec = workspace::take_c32(bins * f * b);
-        swap_planes_into(&scattered, f, b, bins, &mut out_spec);
-        planes_to_tensor(&out_spec, b, f, n, &plan, cfg.output(), cfg.output(), 0, 0)
+        fft_pass(planes(filters), true, swapped(padded), true, crop, &plan)
     }
 
     fn backward_data(&self, cfg: &ConvConfig, grad_out: &Tensor4, filters: &Tensor4) -> Tensor4 {
@@ -573,56 +330,21 @@ impl ConvAlgorithm for FftConv {
             cfg.output_shape(),
             "FftConv::backward_data: grad"
         );
-
-        let ieff = cfg.input + 2 * cfg.pad;
-        let n = ieff.next_power_of_two();
-        let plan = RfftPlan::cached(n);
-        let bins = plan.spectrum_len();
-        let (b, c, f) = (cfg.batch, cfg.channels, cfg.filters);
-
-        if split_enabled() {
-            return backward_data_split(cfg, grad_out, filters, n, &plan);
-        }
-
-        let mut gout_spec = workspace::take_c32(b * f * bins); // [n][f][bin]
-        plane_spectra_into(grad_out, n, &plan, &mut gout_spec);
-        let mut filt_spec = workspace::take_c32(f * c * bins); // [f][c][bin]
-        plane_spectra_into(filters, n, &plan, &mut filt_spec);
-
-        // gin_spec[c,n] = Σ_f filt_spec[c,f] · gout_spec[f,n]  (true
-        // convolution — no conjugation).
-        let mut swapped = workspace::take_c32(f * c * bins);
-        swap_planes_into(&filt_spec, f, c, bins, &mut swapped);
-        let mut a_bins = workspace::take_c32(f * c * bins); // [bin][c×f]
-        gather_bins_into(&swapped, c * f, bins, &mut a_bins);
-        let mut gswapped = workspace::take_c32(b * f * bins);
-        swap_planes_into(&gout_spec, b, f, bins, &mut gswapped);
-        let mut b_bins = workspace::take_c32(b * f * bins); // [bin][f×b]
-        gather_bins_into(&gswapped, f * b, bins, &mut b_bins);
-
-        let mut c_bins = workspace::take_c32(bins * c * b);
-        batched_cgemm(
+        let plan = plan_for(cfg);
+        // gin[c,n] = Σ_f filt[c,f] · gout[f,n] per bin (true convolution
+        // — no conjugation); crop the interior when the forward pass
+        // padded the input.
+        let crop = Crop {
+            size: cfg.input,
+            offset: cfg.pad,
+        };
+        fft_pass(
+            swapped(filters),
             false,
-            false,
-            c,
-            b,
-            f,
-            bins,
-            &a_bins,
-            c * f,
-            &b_bins,
-            f * b,
-            &mut c_bins,
-            c * b,
-        );
-
-        let mut scattered = workspace::take_c32(bins * c * b);
-        scatter_bins_into(&c_bins, c * b, bins, &mut scattered);
-        let mut gin_spec = workspace::take_c32(bins * c * b); // [n][c][bin]
-        swap_planes_into(&scattered, c, b, bins, &mut gin_spec);
-        // Crop the interior when the forward pass padded the input.
-        planes_to_tensor(
-            &gin_spec, b, c, n, &plan, cfg.input, cfg.input, cfg.pad, cfg.pad,
+            swapped(grad_out),
+            true,
+            crop,
+            &plan,
         )
     }
 
@@ -630,64 +352,17 @@ impl ConvAlgorithm for FftConv {
         let _span = gcnn_trace::span("conv.fft.backward_filters");
         self.supports(cfg)
             .expect("FftConv::backward_filters: unsupported config");
-
-        let padded_storage;
-        let padded: &Tensor4 = if cfg.pad == 0 {
-            input
-        } else {
-            let s = input.shape();
-            padded_storage = gcnn_tensor::pad::pad_planes(
-                input,
-                s.h + 2 * cfg.pad,
-                s.w + 2 * cfg.pad,
-                cfg.pad,
-                cfg.pad,
-            );
-            &padded_storage
+        let mut storage = None;
+        let padded = padded_input(cfg, input, &mut storage);
+        let plan = plan_for(cfg);
+        // gw[f,c] = Σ_n conj(gout[f,n]) · in[n,c] per bin: correlation of
+        // the (padded) input with the output gradient, reduced over the
+        // batch axis.
+        let crop = Crop {
+            size: cfg.kernel,
+            offset: 0,
         };
-        let ieff = cfg.input + 2 * cfg.pad;
-        let n = ieff.next_power_of_two();
-        let plan = RfftPlan::cached(n);
-        let bins = plan.spectrum_len();
-        let (b, c, f) = (cfg.batch, cfg.channels, cfg.filters);
-
-        if split_enabled() {
-            return backward_filters_split(cfg, padded, grad_out, n, &plan);
-        }
-
-        let mut in_spec = workspace::take_c32(b * c * bins); // [n][c][bin]
-        plane_spectra_into(padded, n, &plan, &mut in_spec);
-        let mut gout_spec = workspace::take_c32(b * f * bins); // [n][f][bin]
-        plane_spectra_into(grad_out, n, &plan, &mut gout_spec);
-
-        // gw_spec[f,c] = Σ_n conj(gout_spec[f,n]) · in_spec[n,c]
-        // (correlation of the input with the output gradient).
-        let mut gswapped = workspace::take_c32(b * f * bins);
-        swap_planes_into(&gout_spec, b, f, bins, &mut gswapped);
-        let mut a_bins = workspace::take_c32(b * f * bins); // [bin][f×b]
-        gather_bins_into(&gswapped, f * b, bins, &mut a_bins);
-        let mut b_bins = workspace::take_c32(b * c * bins); // [bin][b×c]
-        gather_bins_into(&in_spec, b * c, bins, &mut b_bins);
-
-        let mut c_bins = workspace::take_c32(bins * f * c);
-        batched_cgemm(
-            true,
-            false,
-            f,
-            c,
-            b,
-            bins,
-            &a_bins,
-            f * b,
-            &b_bins,
-            b * c,
-            &mut c_bins,
-            f * c,
-        );
-
-        let mut gw_spec = workspace::take_c32(bins * f * c); // [f][c][bin]
-        scatter_bins_into(&c_bins, f * c, bins, &mut gw_spec);
-        planes_to_tensor(&gw_spec, f, c, n, &plan, cfg.kernel, cfg.kernel, 0, 0)
+        fft_pass(swapped(grad_out), true, planes(padded), false, crop, &plan)
     }
 }
 
@@ -775,28 +450,31 @@ mod tests {
     fn gather_scatter_roundtrip() {
         let planes = 6;
         let bins = 16;
-        let spec: Vec<Complex32> = (0..planes * bins)
-            .map(|i| Complex32::new(i as f32, -(i as f32)))
-            .collect();
-        let mut gathered = vec![Complex32::ZERO; spec.len()];
-        gather_bins_into(&spec, planes, bins, &mut gathered);
-        let mut back = vec![Complex32::ZERO; spec.len()];
-        scatter_bins_into(&gathered, planes, bins, &mut back);
+        let spec: Vec<f32> = (0..planes * bins).map(|i| i as f32).collect();
+        let mut gathered = vec![0.0f32; spec.len()];
+        gather_bins(&spec, 1, planes, bins, &mut gathered);
+        let mut back = vec![0.0f32; spec.len()];
+        scatter_bins(&gathered, planes, 1, bins, &mut back);
         assert_eq!(back, spec);
         // Spot-check the layout: bin-major element (bin=3, plane=2).
         assert_eq!(gathered[3 * planes + 2], spec[2 * bins + 3]);
     }
 
+    /// Gathering with the plane axes swapped then scattering with them
+    /// swapped back is the identity, and the gathered rows really are
+    /// `[d1×d0]` per bin.
     #[test]
     fn swap_planes_involution() {
         let (d0, d1, bins) = (3, 4, 8);
-        let spec: Vec<Complex32> = (0..d0 * d1 * bins)
-            .map(|i| Complex32::from_real(i as f32))
-            .collect();
-        let mut swapped = vec![Complex32::ZERO; spec.len()];
-        swap_planes_into(&spec, d0, d1, bins, &mut swapped);
-        let mut back = vec![Complex32::ZERO; spec.len()];
-        swap_planes_into(&swapped, d1, d0, bins, &mut back);
+        let spec: Vec<f32> = (0..d0 * d1 * bins).map(|i| i as f32).collect();
+        let mut gathered = vec![0.0f32; spec.len()];
+        gather_bins(&spec, d0, d1, bins, &mut gathered);
+        assert_eq!(
+            gathered[5 * d0 * d1 + 2 * d0 + 1],
+            spec[(d1 + 2) * bins + 5]
+        );
+        let mut back = vec![0.0f32; spec.len()];
+        scatter_bins(&gathered, d1, d0, bins, &mut back);
         assert_eq!(back, spec);
     }
 }

@@ -25,7 +25,6 @@ pub mod config;
 pub mod direct;
 pub mod fft_conv;
 pub mod gradcheck;
-pub mod grouped;
 pub mod layers;
 pub mod nchwc;
 pub mod reference;
@@ -36,20 +35,18 @@ pub mod winograd;
 pub use config::{table1_configs, ConvConfig, TABLE1_NAMES};
 pub use direct::DirectConv;
 pub use fft_conv::FftConv;
-pub use grouped::GroupedConv;
 pub use strategy::{ConvAlgorithm, Strategy, Unsupported};
 pub use unroll::UnrollConv;
 pub use winograd::WinogradConv;
 
-/// All three strategies behind one constructor, for callers that select
-/// at runtime.
-// AUDIT: cold-path — boxes one algorithm object per layer at model build
-// time; steady-state inference reuses the returned impl.
-pub fn algorithm_for(strategy: Strategy) -> Box<dyn ConvAlgorithm> {
+/// All three strategies behind one selector, for callers that pick at
+/// runtime. The strategies are stateless unit structs, so selection
+/// hands out a `'static` reference and allocates nothing.
+pub fn algorithm_for(strategy: Strategy) -> &'static dyn ConvAlgorithm {
     match strategy {
-        Strategy::Direct => Box::new(DirectConv::new()),
-        Strategy::Unrolling => Box::new(UnrollConv::new()),
-        Strategy::Fft => Box::new(FftConv::new()),
+        Strategy::Direct => &DirectConv,
+        Strategy::Unrolling => &UnrollConv,
+        Strategy::Fft => &FftConv,
     }
 }
 

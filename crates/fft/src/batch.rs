@@ -9,142 +9,15 @@
 //! allocation in steady state regardless of pool width.
 
 use crate::rfft::RfftPlan;
-use gcnn_tensor::Complex32;
 use rayon::prelude::*;
 
-/// Forward-transform `count` contiguous `n×n` real planes into `count`
-/// contiguous half-spectra. `planes.len()` must be `count·n²` and
-/// `spectra.len()` must be `count·spectrum_len`; `count` is inferred.
-pub fn rfft_forward_batch(plan: &RfftPlan, planes: &[f32], spectra: &mut [Complex32]) {
-    let _span = gcnn_trace::span("fft.rfft_forward");
-    let plane_len = plan.n() * plan.n();
-    let spec_len = plan.spectrum_len();
-    assert_eq!(planes.len() % plane_len, 0, "forward_batch: plane size");
-    let count = planes.len() / plane_len;
-    gcnn_trace::counter_add("fft.batch_planes", count as u64);
-    assert_eq!(
-        spectra.len(),
-        count * spec_len,
-        "forward_batch: spectra size for {count} planes"
-    );
-    if count == 1 {
-        // Single plane: skip the rayon fork/join machinery, whose
-        // fixed cost rivals a small transform.
-        return plan.forward_into(planes, spectra);
-    }
-    spectra
-        .par_chunks_mut(spec_len)
-        .zip(planes.par_chunks(plane_len))
-        .for_each(|(spec, plane)| plan.forward_into(plane, spec));
-}
-
-/// Inverse-transform `count` contiguous half-spectra into `count`
-/// contiguous `n×n` real planes. Sizes as in [`rfft_forward_batch`].
-pub fn rfft_inverse_batch(plan: &RfftPlan, spectra: &[Complex32], planes: &mut [f32]) {
-    let _span = gcnn_trace::span("fft.rfft_inverse");
-    let plane_len = plan.n() * plan.n();
-    let spec_len = plan.spectrum_len();
-    assert_eq!(spectra.len() % spec_len, 0, "inverse_batch: spectra size");
-    let count = spectra.len() / spec_len;
-    gcnn_trace::counter_add("fft.batch_planes", count as u64);
-    assert_eq!(
-        planes.len(),
-        count * plane_len,
-        "inverse_batch: planes size for {count} spectra"
-    );
-    if count == 1 {
-        return plan.inverse_into(spectra, planes);
-    }
-    planes
-        .par_chunks_mut(plane_len)
-        .zip(spectra.par_chunks(spec_len))
-        .for_each(|(plane, spec)| plan.inverse_into(spec, plane));
-}
-
-/// Forward-transform `count` `n×n` real planes laid out at a stride:
-/// plane `p` starts at `p·plane_stride`, its spectrum at
-/// `p·spec_stride`. Strides may exceed the dense sizes (non-contiguous
-/// batches — planes embedded in a larger tensor, aligned spectra);
-/// the gap bytes are never read or written.
-pub fn rfft_forward_batch_strided(
-    plan: &RfftPlan,
-    planes: &[f32],
-    plane_stride: usize,
-    spectra: &mut [Complex32],
-    spec_stride: usize,
-    count: usize,
-) {
-    let _span = gcnn_trace::span("fft.rfft_forward");
-    let plane_len = plan.n() * plan.n();
-    let spec_len = plan.spectrum_len();
-    assert!(plane_stride >= plane_len, "forward_strided: plane stride");
-    assert!(spec_stride >= spec_len, "forward_strided: spectrum stride");
-    if count == 0 {
-        return;
-    }
-    assert!(
-        planes.len() >= (count - 1) * plane_stride + plane_len,
-        "forward_strided: planes size for {count} planes"
-    );
-    assert!(
-        spectra.len() >= (count - 1) * spec_stride + spec_len,
-        "forward_strided: spectra size for {count} planes"
-    );
-    gcnn_trace::counter_add("fft.batch_planes", count as u64);
-    if count == 1 {
-        return plan.forward_into(&planes[..plane_len], &mut spectra[..spec_len]);
-    }
-    spectra
-        .par_chunks_mut(spec_stride)
-        .zip(planes.par_chunks(plane_stride))
-        .take(count)
-        .for_each(|(spec, plane)| plan.forward_into(&plane[..plane_len], &mut spec[..spec_len]));
-}
-
-/// Inverse-transform `count` strided half-spectra into strided real
-/// planes. Strides as in [`rfft_forward_batch_strided`].
-pub fn rfft_inverse_batch_strided(
-    plan: &RfftPlan,
-    spectra: &[Complex32],
-    spec_stride: usize,
-    planes: &mut [f32],
-    plane_stride: usize,
-    count: usize,
-) {
-    let _span = gcnn_trace::span("fft.rfft_inverse");
-    let plane_len = plan.n() * plan.n();
-    let spec_len = plan.spectrum_len();
-    assert!(plane_stride >= plane_len, "inverse_strided: plane stride");
-    assert!(spec_stride >= spec_len, "inverse_strided: spectrum stride");
-    if count == 0 {
-        return;
-    }
-    assert!(
-        spectra.len() >= (count - 1) * spec_stride + spec_len,
-        "inverse_strided: spectra size for {count} spectra"
-    );
-    assert!(
-        planes.len() >= (count - 1) * plane_stride + plane_len,
-        "inverse_strided: planes size for {count} spectra"
-    );
-    gcnn_trace::counter_add("fft.batch_planes", count as u64);
-    if count == 1 {
-        return plan.inverse_into(&spectra[..spec_len], &mut planes[..plane_len]);
-    }
-    planes
-        .par_chunks_mut(plane_stride)
-        .zip(spectra.par_chunks(spec_stride))
-        .take(count)
-        .for_each(|(plane, spec)| plan.inverse_into(&spec[..spec_len], &mut plane[..plane_len]));
-}
-
-/// Forward-transform contiguous planes straight into **split-complex**
-/// spectrum planes (`re`/`im` separate, `spectrum_len` floats per
-/// plane) — the batch-major entry point of the fbfft-style pipeline:
-/// no interleaved [`Complex32`] materializes between transform and the
-/// frequency-domain product.
+/// Forward-transform `count` contiguous `n×n` real planes into
+/// split-complex spectrum planes (`re`/`im` separate, `spectrum_len`
+/// floats per plane) — the entry point of the fbfft-style pipeline.
+/// `planes.len()` must be `count·n²` and `sre`/`sim` `count·spectrum_len`
+/// each; `count` is inferred.
 pub fn rfft_forward_batch_split(plan: &RfftPlan, planes: &[f32], sre: &mut [f32], sim: &mut [f32]) {
-    let _span = gcnn_trace::span("fft.split.forward_batch");
+    let _span = gcnn_trace::span("fft.rfft_forward");
     let plane_len = plan.n() * plan.n();
     let spec_len = plan.spectrum_len();
     assert_eq!(planes.len() % plane_len, 0, "forward_split: plane size");
@@ -161,6 +34,8 @@ pub fn rfft_forward_batch_split(plan: &RfftPlan, planes: &[f32], sre: &mut [f32]
         "forward_split: im size for {count} planes"
     );
     if count == 1 {
+        // Single plane: skip the rayon fork/join machinery, whose
+        // fixed cost rivals a small transform.
         return plan.forward_split_into(planes, sre, sim);
     }
     sre.par_chunks_mut(spec_len)
@@ -172,7 +47,7 @@ pub fn rfft_forward_batch_split(plan: &RfftPlan, planes: &[f32], sre: &mut [f32]
 /// Inverse-transform contiguous **split-complex** spectra into real
 /// planes — mirror of [`rfft_forward_batch_split`].
 pub fn rfft_inverse_batch_split(plan: &RfftPlan, sre: &[f32], sim: &[f32], planes: &mut [f32]) {
-    let _span = gcnn_trace::span("fft.split.inverse_batch");
+    let _span = gcnn_trace::span("fft.rfft_inverse");
     let plane_len = plan.n() * plan.n();
     let spec_len = plan.spectrum_len();
     assert_eq!(sre.len() % spec_len, 0, "inverse_split: spectra size");
@@ -209,17 +84,19 @@ mod tests {
         let n = 16;
         let count = 5;
         let plan = RfftPlan::cached(n);
+        let spec_len = plan.spectrum_len();
         let x = planes(count, n);
 
-        let mut spectra = vec![Complex32::ZERO; count * plan.spectrum_len()];
-        rfft_forward_batch(&plan, &x, &mut spectra);
+        let mut sre = vec![0.0f32; count * spec_len];
+        let mut sim = vec![0.0f32; count * spec_len];
+        rfft_forward_batch_split(&plan, &x, &mut sre, &mut sim);
 
         for p in 0..count {
-            let single = plan.forward(&x[p * n * n..(p + 1) * n * n]);
-            let batch = &spectra[p * plan.spectrum_len()..(p + 1) * plan.spectrum_len()];
-            for (a, b) in single.iter().zip(batch) {
-                assert_eq!(a, b, "plane {p}");
-            }
+            let mut re = vec![0.0f32; spec_len];
+            let mut im = vec![0.0f32; spec_len];
+            plan.forward_split_into(&x[p * n * n..(p + 1) * n * n], &mut re, &mut im);
+            assert_eq!(re, sre[p * spec_len..(p + 1) * spec_len], "plane {p} re");
+            assert_eq!(im, sim[p * spec_len..(p + 1) * spec_len], "plane {p} im");
         }
     }
 
@@ -230,101 +107,12 @@ mod tests {
         let plan = RfftPlan::cached(n);
         let x = planes(count, n);
 
-        let mut spectra = vec![Complex32::ZERO; count * plan.spectrum_len()];
-        rfft_forward_batch(&plan, &x, &mut spectra);
-        let mut back = vec![0.0f32; count * n * n];
-        rfft_inverse_batch(&plan, &spectra, &mut back);
-
-        for (a, b) in x.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-        }
-    }
-
-    /// Strided entry points with stride == dense size equal the
-    /// contiguous batch exactly; padded strides leave the gaps intact.
-    #[test]
-    fn strided_matches_contiguous_and_skips_gaps() {
-        let n = 8;
-        let count = 3;
-        let plan = RfftPlan::cached(n);
-        let plane_len = n * n;
-        let spec_len = plan.spectrum_len();
-        let x = planes(count, n);
-
-        let mut dense = vec![Complex32::ZERO; count * spec_len];
-        rfft_forward_batch(&plan, &x, &mut dense);
-
-        // Planes embedded at a +13 stride, spectra at a +7 stride.
-        let (ps, ss) = (plane_len + 13, spec_len + 7);
-        let mut gapped_planes = vec![9.0f32; (count - 1) * ps + plane_len];
-        for p in 0..count {
-            gapped_planes[p * ps..p * ps + plane_len]
-                .copy_from_slice(&x[p * plane_len..(p + 1) * plane_len]);
-        }
-        let sentinel = Complex32::new(-77.0, 77.0);
-        let mut gapped_spectra = vec![sentinel; (count - 1) * ss + spec_len];
-        rfft_forward_batch_strided(&plan, &gapped_planes, ps, &mut gapped_spectra, ss, count);
-        for p in 0..count {
-            for k in 0..spec_len {
-                assert_eq!(
-                    gapped_spectra[p * ss + k],
-                    dense[p * spec_len + k],
-                    "plane {p} bin {k}"
-                );
-            }
-            if p + 1 < count {
-                for g in spec_len..ss {
-                    assert_eq!(gapped_spectra[p * ss + g], sentinel, "gap written at {p}");
-                }
-            }
-        }
-
-        // And back, through the strided inverse.
-        let mut gapped_out = vec![-3.0f32; (count - 1) * ps + plane_len];
-        rfft_inverse_batch_strided(&plan, &gapped_spectra, ss, &mut gapped_out, ps, count);
-        for p in 0..count {
-            for i in 0..plane_len {
-                let a = gapped_out[p * ps + i];
-                let b = x[p * plane_len + i];
-                assert!((a - b).abs() < 1e-3, "plane {p}[{i}]: {a} vs {b}");
-            }
-            if p + 1 < count {
-                for g in plane_len..ps {
-                    assert_eq!(gapped_out[p * ps + g], -3.0, "gap written at {p}");
-                }
-            }
-        }
-    }
-
-    /// The split batch entry points round-trip and agree with the
-    /// interleaved batch bin for bin.
-    #[test]
-    fn split_batch_matches_interleaved_batch() {
-        let n = 16;
-        let count = 4;
-        let plan = RfftPlan::cached(n);
-        let spec_len = plan.spectrum_len();
-        let x = planes(count, n);
-
-        let mut spectra = vec![Complex32::ZERO; count * spec_len];
-        rfft_forward_batch(&plan, &x, &mut spectra);
-
-        let mut sre = vec![0.0f32; count * spec_len];
-        let mut sim = vec![0.0f32; count * spec_len];
+        let mut sre = vec![0.0f32; count * plan.spectrum_len()];
+        let mut sim = vec![0.0f32; count * plan.spectrum_len()];
         rfft_forward_batch_split(&plan, &x, &mut sre, &mut sim);
-        for k in 0..count * spec_len {
-            let z = spectra[k];
-            let tol = 1e-3 * (1.0 + z.abs());
-            assert!(
-                (sre[k] - z.re).abs() < tol && (sim[k] - z.im).abs() < tol,
-                "bin {k}: ({}, {}) vs {z:?}",
-                sre[k],
-                sim[k]
-            );
-        }
-
-        let mut back = vec![0.0f32; x.len()];
+        let mut back = vec![0.0f32; count * n * n];
         rfft_inverse_batch_split(&plan, &sre, &sim, &mut back);
+
         for (a, b) in x.iter().zip(&back) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -336,16 +124,17 @@ mod tests {
         let count = 3;
         let plan = RfftPlan::cached(n);
         let x = planes(count, n);
-        let mut spectra = vec![Complex32::ZERO; count * plan.spectrum_len()];
+        let mut sre = vec![0.0f32; count * plan.spectrum_len()];
+        let mut sim = vec![0.0f32; count * plan.spectrum_len()];
         let mut back = vec![0.0f32; count * n * n];
 
         // Warm the thread-local pools.
-        rfft_forward_batch(&plan, &x, &mut spectra);
-        rfft_inverse_batch(&plan, &spectra, &mut back);
+        rfft_forward_batch_split(&plan, &x, &mut sre, &mut sim);
+        rfft_inverse_batch_split(&plan, &sre, &sim, &mut back);
 
         let (_, misses) = alloc_scope(|| {
-            rfft_forward_batch(&plan, &x, &mut spectra);
-            rfft_inverse_batch(&plan, &spectra, &mut back);
+            rfft_forward_batch_split(&plan, &x, &mut sre, &mut sim);
+            rfft_inverse_batch_split(&plan, &sre, &sim, &mut back);
         });
         assert_eq!(misses, 0, "steady-state batch FFT hit the allocator");
     }

@@ -4,48 +4,38 @@
 //! gcnn workspace.
 //!
 //! The FFT-based convolution strategy (paper §II-B) converts spatial
-//! convolution into a pointwise Fourier-domain product. fbfft implements
-//! the forward transform with a **decimation-in-frequency** (DIF) kernel
-//! (`decimateInFrequency` in the paper's Fig. 4f hotspot profile) and the
-//! inverse with `decimateInFrequencyInverse`. This crate provides:
+//! convolution into a pointwise Fourier-domain product; its transforms
+//! are the `decimateInFrequency` / `decimateInFrequencyInverse` kernels
+//! of the paper's Fig. 4f hotspot profile. This crate has **one**
+//! engine and one oracle:
 //!
-//! * [`plan::FftPlan`] — cached twiddle factors + bit-reversal table for
-//!   one power-of-two size.
-//! * [`dit`] — iterative decimation-in-time transform (used by the
-//!   Theano-fft model, which delegates to a generic cuFFT-style plan).
-//! * [`dif`] — decimation-in-frequency transform (the fbfft path).
-//! * [`split`] — **batch-major split-complex** transforms: separate
-//!   re/im planes, many transforms per pass, broadcast-twiddle FMA
-//!   butterflies with no shuffles. The SIMD-dispatched rfft and FFT
-//!   convolution path run on this engine; the interleaved modules stay
-//!   the scalar reference.
-//! * [`fft2d`] — row-column 2-D transforms over [`Complex32`] planes.
-//! * [`dft`] — the O(n²) reference every fast path is tested against.
+//! * [`plan::FftPlan`] — cached split-complex twiddle planes +
+//!   bit-reversal table for one power-of-two size.
+//! * [`split`] — the engine: **batch-major split-complex** transforms
+//!   in fbfft's layout (separate re/im planes, many transforms per
+//!   pass, broadcast-twiddle FMA butterflies with no shuffles).
+//! * [`simd`] — its three kernels (single stage, fused double stage,
+//!   blocked transpose), each with AVX2+FMA, NEON and scalar bodies; the
+//!   scalar bodies are what runs under `GCNN_FORCE_SCALAR=1`.
+//! * [`rfft`] / [`batch`] — 2-D real transforms with Hermitian
+//!   half-spectra built from two lane passes, and their batched drivers.
+//! * [`dft`] — the O(n²) reference the engine is tested against.
 //!
 //! All transforms are power-of-two only, like fbfft itself — this is the
 //! root cause of the paper's Fig. 5b/5d memory fluctuations, which our
 //! reproduction inherits by construction.
-//!
-//! [`Complex32`]: gcnn_tensor::Complex32
 
 pub mod batch;
 pub mod dft;
-pub mod dif;
-pub mod dit;
-pub mod fft2d;
 pub mod plan;
 pub mod rfft;
 pub mod simd;
 pub mod split;
 
-pub use batch::{
-    rfft_forward_batch, rfft_forward_batch_split, rfft_forward_batch_strided, rfft_inverse_batch,
-    rfft_inverse_batch_split, rfft_inverse_batch_strided,
-};
-pub use fft2d::Fft2dPlan;
+pub use batch::{rfft_forward_batch_split, rfft_inverse_batch_split};
 pub use plan::FftPlan;
 pub use rfft::RfftPlan;
-pub use split::{fft_lanes_inplace, split_enabled};
+pub use split::fft_lanes_inplace;
 
 /// Direction of a transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,27 +12,21 @@ pub const PLAN_CACHE_CAP: usize = 32;
 
 /// Precomputed tables for a radix-2 FFT of one power-of-two size.
 ///
-/// Holds forward twiddles `W_n^k = e^(−2πik/n)` for `k < n/2` in two
-/// layouts generated from a single table pass: interleaved
-/// [`Complex32`] (plus conjugates for the inverse) for the legacy
-/// butterflies, and **split-complex** planes (`re[k]`, `im[k]`) for the
-/// batch-major kernels, where the twiddle multiply is pure FMA with no
-/// per-element shuffle. The inverse split twiddle is derived in the
-/// kernels by negating `im` — no second table. Creating a plan is
-/// `O(n)`; transforms reuse it, the same way cuFFT/fbfft plans are
+/// Holds the forward twiddles `W_n^k = e^(−2πik/n)` for `k < n/2` as
+/// **split-complex** planes (`re[k]`, `im[k]`), the layout the
+/// batch-major lane kernels broadcast from: the twiddle multiply is
+/// pure FMA with no per-element shuffle. The inverse twiddle is derived
+/// in the kernels by negating `im` — no second table. Creating a plan
+/// is `O(n)`; transforms reuse it, the same way cuFFT/fbfft plans are
 /// created once per layer shape.
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
     log2n: u32,
-    /// `twiddles[k] = e^(−2πik/n)`, `k ∈ [0, n/2)`.
-    forward: Vec<Complex32>,
-    /// Conjugate twiddles for the inverse transform.
-    inverse: Vec<Complex32>,
-    /// Split-complex real plane of the forward table: `cos(−2πk/n)`.
+    /// Real plane of the forward table: `cos(−2πk/n)`, `k ∈ [0, n/2)`.
     tw_re: Vec<f32>,
-    /// Split-complex imaginary plane of the forward table:
-    /// `sin(−2πk/n)`. The inverse table is this negated.
+    /// Imaginary plane of the forward table: `sin(−2πk/n)`. The inverse
+    /// table is this negated.
     tw_im: Vec<f32>,
     /// `bitrev[i]` = bit-reversed `i` over `log2n` bits.
     bitrev: Vec<u32>,
@@ -49,17 +43,11 @@ impl FftPlan {
         assert!(n.is_power_of_two(), "FftPlan: size {n} not a power of two");
         let log2n = n.trailing_zeros();
         let half = n / 2;
-        // One generation pass feeds every table: interleaved forward,
-        // conjugate inverse, and the split re/im planes.
-        let mut forward = Vec::with_capacity(half.max(1));
-        let mut inverse = Vec::with_capacity(half.max(1));
         let mut tw_re = Vec::with_capacity(half.max(1));
         let mut tw_im = Vec::with_capacity(half.max(1));
         for k in 0..half.max(1) {
             let theta = -2.0 * std::f32::consts::PI * k as f32 / n as f32;
             let w = Complex32::from_polar_unit(theta);
-            forward.push(w);
-            inverse.push(w.conj());
             tw_re.push(w.re);
             tw_im.push(w.im);
         }
@@ -73,8 +61,6 @@ impl FftPlan {
         FftPlan {
             n,
             log2n,
-            forward,
-            inverse,
             tw_re,
             tw_im,
             bitrev,
@@ -87,10 +73,10 @@ impl FftPlan {
     /// A convolution layer transforms thousands of planes of one size;
     /// cuFFT amortizes that by creating the plan once (`cufftPlan2d`)
     /// and executing it per plane. This is the same split: `cached` is
-    /// the plan-creation step, [`crate::dit::fft_inplace`] the execute
-    /// step. Lock is held only for the map lookup/insert; the `O(n)`
-    /// table build happens outside any per-transform path. Entries are
-    /// LRU-bounded at [`PLAN_CACHE_CAP`].
+    /// the plan-creation step, [`crate::split::fft_lanes_inplace`] the
+    /// execute step. Lock is held only for the map lookup/insert; the
+    /// `O(n)` table build happens outside any per-transform path.
+    /// Entries are LRU-bounded at [`PLAN_CACHE_CAP`].
     pub fn cached(n: usize) -> Arc<FftPlan> {
         static CACHE: OnceLock<Mutex<PlanLru<Arc<FftPlan>>>> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(PlanLru::new(PLAN_CACHE_CAP)));
@@ -129,29 +115,6 @@ impl FftPlan {
         self.log2n
     }
 
-    /// Forward twiddle `W_n^k` for `k < n/2`.
-    #[inline]
-    pub fn w_forward(&self, k: usize) -> Complex32 {
-        self.forward[k]
-    }
-
-    /// Inverse twiddle `W_n^{−k}` for `k < n/2`.
-    #[inline]
-    pub fn w_inverse(&self, k: usize) -> Complex32 {
-        self.inverse[k]
-    }
-
-    /// The whole twiddle table for one direction (`k < n/2`), so stage
-    /// loops and the SIMD butterfly kernels can index it directly
-    /// instead of calling [`Self::w_forward`] per butterfly.
-    #[inline]
-    pub fn table(&self, dir: crate::Direction) -> &[Complex32] {
-        match dir {
-            crate::Direction::Forward => &self.forward,
-            crate::Direction::Inverse => &self.inverse,
-        }
-    }
-
     /// The split-complex **forward** twiddle planes `(re, im)`,
     /// `k < n/2`. Inverse-direction kernels negate `im` on the fly
     /// (a sign flip folds into FMA operands; no second table and no
@@ -161,18 +124,7 @@ impl FftPlan {
         (&self.tw_re, &self.tw_im)
     }
 
-    /// Apply the bit-reversal permutation in place.
-    pub fn bitrev_permute(&self, data: &mut [Complex32]) {
-        debug_assert_eq!(data.len(), self.n, "bitrev_permute: length");
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-    }
-
-    /// The raw bit-reversal table (`bitrev[i]` = reversed `i`), for the
+    /// The bit-reversal table (`bitrev[i]` = reversed `i`), for the
     /// batch-major row permutation in [`crate::split`].
     #[inline]
     pub fn bitrev_table(&self) -> &[u32] {
@@ -255,50 +207,29 @@ mod tests {
     #[test]
     fn twiddles_on_unit_circle() {
         let p = FftPlan::new(16);
+        let (re, im) = p.table_split();
+        assert_eq!((re.len(), im.len()), (8, 8));
         for k in 0..8 {
-            assert!((p.w_forward(k).abs() - 1.0).abs() < 1e-6);
-            // inverse twiddle is the conjugate
-            assert_eq!(p.w_inverse(k), p.w_forward(k).conj());
+            assert!((re[k].hypot(im[k]) - 1.0).abs() < 1e-6);
         }
         // W^0 = 1, W^{n/4} = −i for forward.
-        assert!((p.w_forward(0) - Complex32::ONE).abs() < 1e-6);
-        assert!((p.w_forward(4) - Complex32::new(0.0, -1.0)).abs() < 1e-6);
-    }
-
-    /// The split planes are the same values as the interleaved table —
-    /// one generation pass, two layouts.
-    #[test]
-    fn split_tables_match_interleaved() {
-        let p = FftPlan::new(64);
-        let (re, im) = p.table_split();
-        assert_eq!(re.len(), 32);
-        assert_eq!(im.len(), 32);
-        for k in 0..32 {
-            assert_eq!(re[k], p.w_forward(k).re, "re[{k}]");
-            assert_eq!(im[k], p.w_forward(k).im, "im[{k}]");
-            // Inverse = negated imaginary plane, exactly.
-            assert_eq!(-im[k], p.w_inverse(k).im, "inv im[{k}]");
-        }
+        assert!((re[0] - 1.0).abs() < 1e-6 && im[0].abs() < 1e-6);
+        assert!(re[4].abs() < 1e-6 && (im[4] + 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn bitrev_is_involution() {
         let p = FftPlan::new(32);
-        let orig: Vec<Complex32> = (0..32).map(|i| Complex32::from_real(i as f32)).collect();
-        let mut data = orig.clone();
-        p.bitrev_permute(&mut data);
-        assert_ne!(data, orig);
-        p.bitrev_permute(&mut data);
-        assert_eq!(data, orig);
+        let t = p.bitrev_table();
+        assert!((0..32).any(|i| t[i] as usize != i));
+        for i in 0..32 {
+            assert_eq!(t[t[i] as usize] as usize, i);
+        }
     }
 
     #[test]
     fn bitrev_known_order_8() {
-        let p = FftPlan::new(8);
-        let mut data: Vec<Complex32> = (0..8).map(|i| Complex32::from_real(i as f32)).collect();
-        p.bitrev_permute(&mut data);
-        let got: Vec<f32> = data.iter().map(|z| z.re).collect();
-        assert_eq!(got, vec![0.0, 4.0, 2.0, 6.0, 1.0, 5.0, 3.0, 7.0]);
+        assert_eq!(FftPlan::new(8).bitrev_table(), [0, 4, 2, 6, 1, 5, 3, 7]);
     }
 
     #[test]
@@ -315,9 +246,7 @@ mod tests {
     fn size_one_plan() {
         let p = FftPlan::new(1);
         assert!(p.is_empty());
-        let mut data = [Complex32::ONE];
-        p.bitrev_permute(&mut data);
-        assert_eq!(data[0], Complex32::ONE);
+        assert_eq!(p.bitrev_table(), [0]);
     }
 
     #[test]

@@ -1,384 +1,43 @@
-//! SIMD butterfly kernels for the DIT/DIF stage loops.
+//! SIMD kernels of the batch-major split-complex lane engine.
 //!
-//! A radix-2 stage applies the same twiddle schedule to every block of
-//! `2·span` elements; [`butterflies_dit`] / [`butterflies_dif`] run one
-//! block given its two half-slices. The AVX2+FMA bodies process four
-//! butterflies (eight interleaved `f32` lanes) per iteration using the
-//! classic `addsub(moveldup·x, movehdup·swap(x))` complex multiply; the
-//! scalar bodies are the fallback and the oracle the SIMD paths are
-//! tested against.
+//! The engine ([`crate::split::fft_lanes_inplace`]) stores `lanes`
+//! simultaneous transforms as two f32 planes in bin-major layout, so a
+//! butterfly applies one broadcast twiddle across `lanes` contiguous
+//! floats: pure FMA, no shuffle, vectorized at every stage including
+//! span 1 (the fbfft layout, PAPERS.md arXiv:1412.7580). Three kernels
+//! carry it, each as an AVX2+FMA body, a NEON body and a scalar body:
 //!
-//! The interleaved kernels pay a shuffle per complex multiply and fall
-//! scalar below four butterflies, which is why the rfft path measured
-//! only 1.26× SIMD speedup. The **split-complex** kernel family below
-//! removes both costs (the fbfft layout, PAPERS.md arXiv:1412.7580):
+//! * [`lane_stage_dit`] — one whole radix-2 DIT stage per call.
+//! * [`lane_stage2_dit`] — two consecutive stages fused into one pass
+//!   (the radix-4 data flow); AVX2 fuses, other ISAs run two single
+//!   stages.
+//! * [`transpose_f32`] — the blocked transpose that converts between
+//!   the row and column passes of the 2-D transform (AVX2 8×8
+//!   unpack/shuffle/permute2f128, NEON 4×4 `vtrn1q/vtrn2q`).
 //!
-//! * [`lane_butterflies_dit`] / [`lane_butterflies_dif`] — batch-major
-//!   butterflies: one scalar twiddle broadcast across `lanes`
-//!   contiguous transforms, pure FMA, no shuffle, vectorized at every
-//!   stage including span 1.
-//! * [`butterflies_dit_split`] / [`butterflies_dif_split`] — split-
-//!   layout butterflies across the butterfly index of one transform,
-//!   loading twiddles straight from the plan's split tables
-//!   ([`crate::FftPlan::table_split`]) so the twiddle multiply is pure
-//!   FMA with no per-element re/im extraction.
-//! * [`interleave`] / [`deinterleave`] / [`transpose_f32`] — layout
-//!   conversions (AVX2 shuffle recipes; NEON `vld2q/vst2q` and
-//!   `vtrn1q/vtrn2q` lane shuffles).
-//! * [`cmac_split`] — frequency-domain pointwise multiply-accumulate
-//!   on split planes.
-//!
-//! The split family dispatches on [`Isa`] resolved once per transform,
-//! carries NEON bodies (the interleaved kernels never did), and every
-//! kernel keeps a scalar body that is both the non-SIMD fallback and
-//! the property-test oracle; `GCNN_FORCE_SCALAR=1` routes every
-//! dispatcher to it bit-identically.
-//!
-//! The `wide` flag is resolved once per transform by the caller (one
-//! dispatch-table read per `fft_inplace`, not one per butterfly).
+//! Dispatch is on an [`Isa`] resolved once per transform
+//! ([`split_isa`]). The scalar bodies are the scalar tier of the engine
+//! — what runs on hosts without SIMD and under `GCNN_FORCE_SCALAR=1`,
+//! bit-identically through the dispatchers — and the oracle the SIMD
+//! bodies are tested against.
 
 use gcnn_tensor::simd::Isa;
 use gcnn_tensor::Complex32;
 
-/// Resolve the dispatch decision for a whole transform: true when the
-/// AVX2+FMA butterfly bodies should run.
-#[inline]
-pub fn wide_butterflies() -> bool {
-    matches!(gcnn_tensor::simd::isa(), Isa::Avx2Fma)
-}
-
-/// One DIT block: `a[j], b[j] ← a[j] + w·b[j], a[j] − w·b[j]` with
-/// `w = tw[j·stride]`. `a` and `b` are the two half-slices of the block
-/// (each `span` long).
-#[inline]
-pub fn butterflies_dit(
-    a: &mut [Complex32],
-    b: &mut [Complex32],
-    tw: &[Complex32],
-    stride: usize,
-    wide: bool,
-) {
-    debug_assert_eq!(
-        a.len(),
-        b.len(),
-        "butterflies_dit: half-slice length mismatch"
-    );
-    debug_assert!(
-        a.is_empty() || tw.len() > (a.len() - 1) * stride,
-        "butterflies_dit: twiddle table short"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if wide && a.len() >= 4 {
-        // SAFETY: `wide` is only true after runtime AVX2+FMA detection.
-        unsafe { butterflies_dit_avx2(a, b, tw, stride) };
-        return;
-    }
-    let _ = wide;
-    butterflies_dit_scalar(a, b, tw, stride);
-}
-
-/// Scalar oracle for [`butterflies_dit`].
-#[inline]
-pub fn butterflies_dit_scalar(
-    a: &mut [Complex32],
-    b: &mut [Complex32],
-    tw: &[Complex32],
-    stride: usize,
-) {
-    for (j, (aj, bj)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-        let w = tw[j * stride];
-        let x = *aj;
-        let y = *bj * w;
-        *aj = x + y;
-        *bj = x - y;
-    }
-}
-
-/// One DIF block: `a[j], b[j] ← a[j] + b[j], (a[j] − b[j])·w` with
-/// `w = tw[j·stride]`.
-#[inline]
-pub fn butterflies_dif(
-    a: &mut [Complex32],
-    b: &mut [Complex32],
-    tw: &[Complex32],
-    stride: usize,
-    wide: bool,
-) {
-    debug_assert_eq!(
-        a.len(),
-        b.len(),
-        "butterflies_dif: half-slice length mismatch"
-    );
-    debug_assert!(
-        a.is_empty() || tw.len() > (a.len() - 1) * stride,
-        "butterflies_dif: twiddle table short"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if wide && a.len() >= 4 {
-        // SAFETY: `wide` is only true after runtime AVX2+FMA detection.
-        unsafe { butterflies_dif_avx2(a, b, tw, stride) };
-        return;
-    }
-    let _ = wide;
-    butterflies_dif_scalar(a, b, tw, stride);
-}
-
-/// Scalar oracle for [`butterflies_dif`].
-#[inline]
-pub fn butterflies_dif_scalar(
-    a: &mut [Complex32],
-    b: &mut [Complex32],
-    tw: &[Complex32],
-    stride: usize,
-) {
-    for (j, (aj, bj)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-        let w = tw[j * stride];
-        let x = *aj;
-        let y = *bj;
-        *aj = x + y;
-        *bj = (x - y) * w;
-    }
-}
-
-/// Scale a complex slice by a real factor (the `1/n` of an inverse
-/// transform) through the f32 SIMD table.
-#[inline]
-pub fn scale(data: &mut [Complex32], s: f32) {
-    // SAFETY: Complex32 is `#[repr(C)] { re: f32, im: f32 }` with size
-    // 8 and align 4 (const-asserted next to the type), so `data`'s
-    // allocation holds exactly `2 · len` properly-aligned f32 values;
-    // the view borrows `data` mutably for its whole lifetime, so no
-    // aliasing `&mut [Complex32]` exists while the f32 slice is live.
-    let floats =
-        unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr() as *mut f32, 2 * data.len()) };
-    gcnn_tensor::simd::sscal(s, floats);
-}
-
+/// AVX2+FMA bodies. Split layout means every complex multiply is plain
+/// FMA over two f32 vectors; the only shuffles are inside the transpose.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::Complex32;
     use std::arch::x86_64::*;
 
-    /// `x · w` for four packed complex values per operand:
-    /// `addsub(re(w)·x, im(w)·swap(x))`.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime (guaranteed by
-    /// every caller being itself `avx2,fma` target-feature gated).
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    unsafe fn cmul4(x: __m256, w: __m256) -> __m256 {
-        // Pure register arithmetic: these intrinsics are safe to call
-        // inside an `avx2,fma` target-feature fn; no inner unsafe is
-        // needed.
-        let wre = _mm256_moveldup_ps(w);
-        let wim = _mm256_movehdup_ps(w);
-        let xswap = _mm256_permute_ps(x, 0b1011_0001);
-        _mm256_addsub_ps(_mm256_mul_ps(wre, x), _mm256_mul_ps(wim, xswap))
-    }
-
-    /// Four consecutive twiddles `tw[j·stride..]` as one vector:
-    /// a contiguous load when `stride == 1`, otherwise assembled on the
-    /// stack (strided stages are the short early/late ones).
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime and must pass
-    /// `tw.len() >= (j + 3)·stride + 1`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn load_tw(tw: &[Complex32], j: usize, stride: usize) -> __m256 {
-        debug_assert!(
-            tw.len() > (j + 3) * stride.max(1),
-            "load_tw: twiddle table short"
-        );
-        if stride == 1 {
-            // SAFETY: `tw[j..j+4]` is in bounds (debug-asserted above,
-            // guaranteed by the radix-2 schedule), and the interleaved
-            // f32 view of `repr(C)` Complex32 is sound.
-            unsafe { _mm256_loadu_ps(tw.as_ptr().add(j) as *const f32) }
-        } else {
-            let g = [
-                tw[j * stride],
-                tw[(j + 1) * stride],
-                tw[(j + 2) * stride],
-                tw[(j + 3) * stride],
-            ];
-            // SAFETY: `g` is a live stack array of 4 Complex32 == 8 f32.
-            unsafe { _mm256_loadu_ps(g.as_ptr() as *const f32) }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime and must pass
-    /// a twiddle table covering `(span − 1)·stride` (the radix-2 stage
-    /// schedule guarantees both).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn butterflies_dit_avx2(
-        a: &mut [Complex32],
-        b: &mut [Complex32],
-        tw: &[Complex32],
-        stride: usize,
-    ) {
-        debug_assert_eq!(a.len(), b.len(), "butterflies_dit_avx2: half-slices");
-        let span = a.len().min(b.len());
-        debug_assert!(
-            span == 0 || tw.len() > (span - 1) * stride,
-            "butterflies_dit_avx2: twiddle table short"
-        );
-        // SAFETY: reached only after runtime AVX2+FMA detection. The
-        // interleaved f32 views of `a`/`b` are sound (`repr(C)`
-        // Complex32, const-asserted layout); the 4-butterfly loop
-        // touches f32 offsets `[2j, 2j + 8)` of each half-slice only
-        // while `j + 4 <= span`, and `load_tw`'s reads are covered by
-        // the twiddle-table precondition. The scalar tail re-borrows
-        // `a`/`b` safely after the last raw-pointer access.
-        unsafe {
-            let ap = a.as_mut_ptr() as *mut f32;
-            let bp = b.as_mut_ptr() as *mut f32;
-            let mut j = 0;
-            while j + 4 <= span {
-                let wv = load_tw(tw, j, stride);
-                let av = _mm256_loadu_ps(ap.add(2 * j));
-                let bv = _mm256_loadu_ps(bp.add(2 * j));
-                let bw = cmul4(bv, wv);
-                _mm256_storeu_ps(ap.add(2 * j), _mm256_add_ps(av, bw));
-                _mm256_storeu_ps(bp.add(2 * j), _mm256_sub_ps(av, bw));
-                j += 4;
-            }
-            if j < span {
-                super::butterflies_dit_scalar(
-                    &mut a[j..span],
-                    &mut b[j..span],
-                    &tw[j * stride..],
-                    stride,
-                );
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime and must pass
-    /// a twiddle table covering `(span − 1)·stride` (the radix-2 stage
-    /// schedule guarantees both).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn butterflies_dif_avx2(
-        a: &mut [Complex32],
-        b: &mut [Complex32],
-        tw: &[Complex32],
-        stride: usize,
-    ) {
-        debug_assert_eq!(a.len(), b.len(), "butterflies_dif_avx2: half-slices");
-        let span = a.len().min(b.len());
-        debug_assert!(
-            span == 0 || tw.len() > (span - 1) * stride,
-            "butterflies_dif_avx2: twiddle table short"
-        );
-        // SAFETY: same argument as `butterflies_dit_avx2` — post-
-        // detection execution, sound interleaved views, loop bounded by
-        // `j + 4 <= span`, twiddle reads covered by the precondition.
-        unsafe {
-            let ap = a.as_mut_ptr() as *mut f32;
-            let bp = b.as_mut_ptr() as *mut f32;
-            let mut j = 0;
-            while j + 4 <= span {
-                let wv = load_tw(tw, j, stride);
-                let av = _mm256_loadu_ps(ap.add(2 * j));
-                let bv = _mm256_loadu_ps(bp.add(2 * j));
-                let d = _mm256_sub_ps(av, bv);
-                _mm256_storeu_ps(ap.add(2 * j), _mm256_add_ps(av, bv));
-                _mm256_storeu_ps(bp.add(2 * j), cmul4(d, wv));
-                j += 4;
-            }
-            if j < span {
-                super::butterflies_dif_scalar(
-                    &mut a[j..span],
-                    &mut b[j..span],
-                    &tw[j * stride..],
-                    stride,
-                );
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-use avx2::{butterflies_dif_avx2, butterflies_dit_avx2};
-
-/// AVX2+FMA bodies for the split-complex kernel family. Split layout
-/// means every complex multiply is plain FMA over two f32 vectors —
-/// the only shuffles left in this module are the explicit layout
-/// conversions (`interleave`/`deinterleave`/`transpose`), which is the
-/// point of the rework.
-#[cfg(target_arch = "x86_64")]
-mod avx2_split {
-    use super::Complex32;
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime and pass four
-    /// equal-length planes.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn lane_butterflies_dit_avx2(
-        ar: &mut [f32],
-        ai: &mut [f32],
-        br: &mut [f32],
-        bi: &mut [f32],
-        wre: f32,
-        wim: f32,
-    ) {
-        let n = ar.len();
-        debug_assert!(
-            ai.len() == n && br.len() == n && bi.len() == n,
-            "equal-length planes"
-        );
-        // SAFETY: reached only after runtime AVX2+FMA detection; the
-        // vector loop touches lanes `[l, l + 8)` of each plane only
-        // while `l + 8 <= n` and the planes are equal length (checked
-        // by the dispatching wrapper); the scalar tail re-borrows the
-        // slices after the last raw-pointer access.
-        unsafe {
-            let wr = _mm256_set1_ps(wre);
-            let wi = _mm256_set1_ps(wim);
-            let arp = ar.as_mut_ptr();
-            let aip = ai.as_mut_ptr();
-            let brp = br.as_mut_ptr();
-            let bip = bi.as_mut_ptr();
-            let mut l = 0;
-            while l + 8 <= n {
-                let brv = _mm256_loadu_ps(brp.add(l));
-                let biv = _mm256_loadu_ps(bip.add(l));
-                // y = w·b: yr = br·wr − bi·wi, yi = br·wi + bi·wr.
-                let yr = _mm256_fmsub_ps(brv, wr, _mm256_mul_ps(biv, wi));
-                let yi = _mm256_fmadd_ps(brv, wi, _mm256_mul_ps(biv, wr));
-                let arv = _mm256_loadu_ps(arp.add(l));
-                let aiv = _mm256_loadu_ps(aip.add(l));
-                _mm256_storeu_ps(arp.add(l), _mm256_add_ps(arv, yr));
-                _mm256_storeu_ps(aip.add(l), _mm256_add_ps(aiv, yi));
-                _mm256_storeu_ps(brp.add(l), _mm256_sub_ps(arv, yr));
-                _mm256_storeu_ps(bip.add(l), _mm256_sub_ps(aiv, yi));
-                l += 8;
-            }
-            if l < n {
-                super::lane_butterflies_dit_scalar(
-                    &mut ar[l..],
-                    &mut ai[l..],
-                    &mut br[l..],
-                    &mut bi[l..],
-                    wre,
-                    wim,
-                );
-            }
-        }
-    }
-
     /// One whole radix-2 DIT stage over the bin-major planes: every
     /// `(start, j)` butterfly row pair of the stage schedule runs inside
     /// this single `target_feature` call, so the per-row cost is the
     /// vector loop alone — no dispatch, no call, no pointer-prologue per
-    /// row (the per-row kernel above pays all three, which dominates
-    /// when a row is only `lanes/8` vectors long). The `k == 0` twiddle
-    /// is always `1 + 0i`, so that row skips the complex multiply
-    /// entirely: pure add/sub.
+    /// row (all three would dominate when a row is only `lanes/8`
+    /// vectors long). The `k == 0` twiddle is always `1 + 0i`, so that
+    /// row skips the complex multiply entirely: pure add/sub.
     ///
     /// # Safety
     /// Caller must have verified AVX2 and FMA at runtime, pass planes
@@ -700,301 +359,6 @@ mod avx2_split {
         }
     }
 
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime and pass four
-    /// equal-length planes.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn lane_butterflies_dif_avx2(
-        ar: &mut [f32],
-        ai: &mut [f32],
-        br: &mut [f32],
-        bi: &mut [f32],
-        wre: f32,
-        wim: f32,
-    ) {
-        let n = ar.len();
-        debug_assert!(
-            ai.len() == n && br.len() == n && bi.len() == n,
-            "equal-length planes"
-        );
-        // SAFETY: same argument as `lane_butterflies_dit_avx2`.
-        unsafe {
-            let wr = _mm256_set1_ps(wre);
-            let wi = _mm256_set1_ps(wim);
-            let arp = ar.as_mut_ptr();
-            let aip = ai.as_mut_ptr();
-            let brp = br.as_mut_ptr();
-            let bip = bi.as_mut_ptr();
-            let mut l = 0;
-            while l + 8 <= n {
-                let arv = _mm256_loadu_ps(arp.add(l));
-                let aiv = _mm256_loadu_ps(aip.add(l));
-                let brv = _mm256_loadu_ps(brp.add(l));
-                let biv = _mm256_loadu_ps(bip.add(l));
-                let dr = _mm256_sub_ps(arv, brv);
-                let di = _mm256_sub_ps(aiv, biv);
-                _mm256_storeu_ps(arp.add(l), _mm256_add_ps(arv, brv));
-                _mm256_storeu_ps(aip.add(l), _mm256_add_ps(aiv, biv));
-                // (a − b)·w in split form.
-                _mm256_storeu_ps(brp.add(l), _mm256_fmsub_ps(dr, wr, _mm256_mul_ps(di, wi)));
-                _mm256_storeu_ps(bip.add(l), _mm256_fmadd_ps(dr, wi, _mm256_mul_ps(di, wr)));
-                l += 8;
-            }
-            if l < n {
-                super::lane_butterflies_dif_scalar(
-                    &mut ar[l..],
-                    &mut ai[l..],
-                    &mut br[l..],
-                    &mut bi[l..],
-                    wre,
-                    wim,
-                );
-            }
-        }
-    }
-
-    /// Eight split twiddles starting at `j·stride` as a `(re, im)`
-    /// vector pair: contiguous loads when `stride == 1`, otherwise
-    /// assembled on the stack.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime and pass tables
-    /// covering `(j + 7)·stride`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn load_tw_split(
-        tw_re: &[f32],
-        tw_im: &[f32],
-        j: usize,
-        stride: usize,
-    ) -> (__m256, __m256) {
-        debug_assert!(
-            tw_re.len() > (j + 7) * stride.max(1),
-            "load_tw_split: twiddle table short"
-        );
-        if stride == 1 {
-            // SAFETY: `tw_re[j..j+8]` / `tw_im[j..j+8]` are in bounds
-            // (debug-asserted above, guaranteed by the radix-2
-            // schedule).
-            unsafe {
-                (
-                    _mm256_loadu_ps(tw_re.as_ptr().add(j)),
-                    _mm256_loadu_ps(tw_im.as_ptr().add(j)),
-                )
-            }
-        } else {
-            let mut gr = [0.0f32; 8];
-            let mut gi = [0.0f32; 8];
-            for (t, slot) in gr.iter_mut().enumerate() {
-                *slot = tw_re[(j + t) * stride];
-            }
-            for (t, slot) in gi.iter_mut().enumerate() {
-                *slot = tw_im[(j + t) * stride];
-            }
-            // SAFETY: `gr`/`gi` are live 8-element stack arrays.
-            unsafe { (_mm256_loadu_ps(gr.as_ptr()), _mm256_loadu_ps(gi.as_ptr())) }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime and pass a
-    /// twiddle table covering `(len − 1)·stride`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn butterflies_dit_split_avx2(
-        ar: &mut [f32],
-        ai: &mut [f32],
-        br: &mut [f32],
-        bi: &mut [f32],
-        tw_re: &[f32],
-        tw_im: &[f32],
-        stride: usize,
-        conj_w: bool,
-    ) {
-        let span = ar.len();
-        debug_assert!(
-            ai.len() == span && br.len() == span && bi.len() == span,
-            "equal-length planes"
-        );
-        debug_assert!(
-            span == 0 || (tw_re.len() > (span - 1) * stride && tw_im.len() > (span - 1) * stride),
-            "twiddles cover the span"
-        );
-        // SAFETY: post-detection execution; the vector loop stays in
-        // `[j, j + 8)` while `j + 8 <= span` over equal-length planes,
-        // twiddle reads are covered by the caller's table precondition,
-        // and the scalar tail re-borrows the slices.
-        unsafe {
-            let neg0 = _mm256_set1_ps(-0.0);
-            let arp = ar.as_mut_ptr();
-            let aip = ai.as_mut_ptr();
-            let brp = br.as_mut_ptr();
-            let bip = bi.as_mut_ptr();
-            let mut j = 0;
-            while j + 8 <= span {
-                let (wr, mut wi) = load_tw_split(tw_re, tw_im, j, stride);
-                if conj_w {
-                    // Inverse direction: negate the imaginary twiddle
-                    // plane — a sign-bit xor, not a shuffle.
-                    wi = _mm256_xor_ps(wi, neg0);
-                }
-                let brv = _mm256_loadu_ps(brp.add(j));
-                let biv = _mm256_loadu_ps(bip.add(j));
-                let yr = _mm256_fmsub_ps(brv, wr, _mm256_mul_ps(biv, wi));
-                let yi = _mm256_fmadd_ps(brv, wi, _mm256_mul_ps(biv, wr));
-                let arv = _mm256_loadu_ps(arp.add(j));
-                let aiv = _mm256_loadu_ps(aip.add(j));
-                _mm256_storeu_ps(arp.add(j), _mm256_add_ps(arv, yr));
-                _mm256_storeu_ps(aip.add(j), _mm256_add_ps(aiv, yi));
-                _mm256_storeu_ps(brp.add(j), _mm256_sub_ps(arv, yr));
-                _mm256_storeu_ps(bip.add(j), _mm256_sub_ps(aiv, yi));
-                j += 8;
-            }
-            if j < span {
-                super::butterflies_dit_split_scalar(
-                    &mut ar[j..],
-                    &mut ai[j..],
-                    &mut br[j..],
-                    &mut bi[j..],
-                    &tw_re[j * stride..],
-                    &tw_im[j * stride..],
-                    stride,
-                    conj_w,
-                );
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime and pass a
-    /// twiddle table covering `(len − 1)·stride`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn butterflies_dif_split_avx2(
-        ar: &mut [f32],
-        ai: &mut [f32],
-        br: &mut [f32],
-        bi: &mut [f32],
-        tw_re: &[f32],
-        tw_im: &[f32],
-        stride: usize,
-        conj_w: bool,
-    ) {
-        let span = ar.len();
-        debug_assert!(
-            ai.len() == span && br.len() == span && bi.len() == span,
-            "equal-length planes"
-        );
-        debug_assert!(
-            span == 0 || (tw_re.len() > (span - 1) * stride && tw_im.len() > (span - 1) * stride),
-            "twiddles cover the span"
-        );
-        // SAFETY: same argument as `butterflies_dit_split_avx2`.
-        unsafe {
-            let neg0 = _mm256_set1_ps(-0.0);
-            let arp = ar.as_mut_ptr();
-            let aip = ai.as_mut_ptr();
-            let brp = br.as_mut_ptr();
-            let bip = bi.as_mut_ptr();
-            let mut j = 0;
-            while j + 8 <= span {
-                let (wr, mut wi) = load_tw_split(tw_re, tw_im, j, stride);
-                if conj_w {
-                    wi = _mm256_xor_ps(wi, neg0);
-                }
-                let arv = _mm256_loadu_ps(arp.add(j));
-                let aiv = _mm256_loadu_ps(aip.add(j));
-                let brv = _mm256_loadu_ps(brp.add(j));
-                let biv = _mm256_loadu_ps(bip.add(j));
-                let dr = _mm256_sub_ps(arv, brv);
-                let di = _mm256_sub_ps(aiv, biv);
-                _mm256_storeu_ps(arp.add(j), _mm256_add_ps(arv, brv));
-                _mm256_storeu_ps(aip.add(j), _mm256_add_ps(aiv, biv));
-                _mm256_storeu_ps(brp.add(j), _mm256_fmsub_ps(dr, wr, _mm256_mul_ps(di, wi)));
-                _mm256_storeu_ps(bip.add(j), _mm256_fmadd_ps(dr, wi, _mm256_mul_ps(di, wr)));
-                j += 8;
-            }
-            if j < span {
-                super::butterflies_dif_split_scalar(
-                    &mut ar[j..],
-                    &mut ai[j..],
-                    &mut br[j..],
-                    &mut bi[j..],
-                    &tw_re[j * stride..],
-                    &tw_im[j * stride..],
-                    stride,
-                    conj_w,
-                );
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime and pass equal-length
-    /// slices.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn deinterleave_avx2(src: &[Complex32], re: &mut [f32], im: &mut [f32]) {
-        let n = src.len();
-        debug_assert!(re.len() == n && im.len() == n, "equal-length planes");
-        // SAFETY: post-detection execution; the interleaved f32 view of
-        // `repr(C)` Complex32 is sound, the loop reads f32 offsets
-        // `[2l, 2l + 16)` of `src` and writes `[l, l + 8)` of `re`/`im`
-        // only while `l + 8 <= n`, and lengths match per the wrapper's
-        // debug assert. The scalar tail re-borrows the slices.
-        unsafe {
-            // Lane-corrector: shuffle_ps below yields [0 1 4 5 | 2 3 6 7]
-            // element order; this permute restores ascending order.
-            let idx = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-            let sp = src.as_ptr() as *const f32;
-            let rp = re.as_mut_ptr();
-            let ip = im.as_mut_ptr();
-            let mut l = 0;
-            while l + 8 <= n {
-                let lo = _mm256_loadu_ps(sp.add(2 * l)); // c0..c3
-                let hi = _mm256_loadu_ps(sp.add(2 * l + 8)); // c4..c7
-                let re_sh = _mm256_shuffle_ps(lo, hi, 0b10_00_10_00);
-                let im_sh = _mm256_shuffle_ps(lo, hi, 0b11_01_11_01);
-                _mm256_storeu_ps(rp.add(l), _mm256_permutevar8x32_ps(re_sh, idx));
-                _mm256_storeu_ps(ip.add(l), _mm256_permutevar8x32_ps(im_sh, idx));
-                l += 8;
-            }
-            if l < n {
-                super::deinterleave_scalar(&src[l..], &mut re[l..], &mut im[l..]);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime and pass equal-length
-    /// slices.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn interleave_avx2(re: &[f32], im: &[f32], out: &mut [Complex32]) {
-        let n = out.len();
-        debug_assert!(re.len() == n && im.len() == n, "equal-length planes");
-        // SAFETY: mirror of `deinterleave_avx2` — reads `[l, l + 8)` of
-        // `re`/`im` and writes f32 offsets `[2l, 2l + 16)` of `out`
-        // only while `l + 8 <= n`; sound interleaved view; scalar tail
-        // re-borrows.
-        unsafe {
-            let rp = re.as_ptr();
-            let ip = im.as_ptr();
-            let op = out.as_mut_ptr() as *mut f32;
-            let mut l = 0;
-            while l + 8 <= n {
-                let rv = _mm256_loadu_ps(rp.add(l));
-                let iv = _mm256_loadu_ps(ip.add(l));
-                let lo = _mm256_unpacklo_ps(rv, iv); // r0 i0 r1 i1 | r4 i4 r5 i5
-                let hi = _mm256_unpackhi_ps(rv, iv); // r2 i2 r3 i3 | r6 i6 r7 i7
-                _mm256_storeu_ps(op.add(2 * l), _mm256_permute2f128_ps(lo, hi, 0x20));
-                _mm256_storeu_ps(op.add(2 * l + 8), _mm256_permute2f128_ps(lo, hi, 0x31));
-                l += 8;
-            }
-            if l < n {
-                super::interleave_scalar(&re[l..], &im[l..], &mut out[l..]);
-            }
-        }
-    }
-
     /// In-register 8×8 f32 transpose (classic unpack → shuffle →
     /// permute2f128 ladder).
     ///
@@ -1094,136 +458,14 @@ mod avx2_split {
             }
         }
     }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime and pass six
-    /// equal-length planes.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn cmac_split_avx2(
-        ar: &[f32],
-        ai: &[f32],
-        br: &[f32],
-        bi: &[f32],
-        conj_b: bool,
-        or_: &mut [f32],
-        oi: &mut [f32],
-    ) {
-        let n = ar.len();
-        debug_assert!(
-            ai.len() == n && br.len() == n && bi.len() == n && or_.len() == n && oi.len() == n,
-            "equal-length planes"
-        );
-        // SAFETY: post-detection execution; the loop stays in
-        // `[l, l + 8)` while `l + 8 <= n` over equal-length planes
-        // (wrapper debug assert); scalar tail re-borrows.
-        unsafe {
-            let neg0 = _mm256_set1_ps(-0.0);
-            let arp = ar.as_ptr();
-            let aip = ai.as_ptr();
-            let brp = br.as_ptr();
-            let bip = bi.as_ptr();
-            let orp = or_.as_mut_ptr();
-            let oip = oi.as_mut_ptr();
-            let mut l = 0;
-            while l + 8 <= n {
-                let arv = _mm256_loadu_ps(arp.add(l));
-                let aiv = _mm256_loadu_ps(aip.add(l));
-                let brv = _mm256_loadu_ps(brp.add(l));
-                let mut biv = _mm256_loadu_ps(bip.add(l));
-                if conj_b {
-                    // conj(b) = (br, −bi): the sign flip is the whole
-                    // conjugation in split layout.
-                    biv = _mm256_xor_ps(biv, neg0);
-                }
-                let orv = _mm256_loadu_ps(orp.add(l));
-                let oiv = _mm256_loadu_ps(oip.add(l));
-                // out += a·b: re += ar·br − ai·bi, im += ar·bi + ai·br.
-                let rc = _mm256_fmadd_ps(arv, brv, orv);
-                _mm256_storeu_ps(orp.add(l), _mm256_fnmadd_ps(aiv, biv, rc));
-                let ic = _mm256_fmadd_ps(arv, biv, oiv);
-                _mm256_storeu_ps(oip.add(l), _mm256_fmadd_ps(aiv, brv, ic));
-                l += 8;
-            }
-            if l < n {
-                super::cmac_split_scalar(
-                    &ar[l..],
-                    &ai[l..],
-                    &br[l..],
-                    &bi[l..],
-                    conj_b,
-                    &mut or_[l..],
-                    &mut oi[l..],
-                );
-            }
-        }
-    }
 }
 
-/// NEON bodies for the split-complex kernel family — the first
-/// vectorized AArch64 path in this crate (the interleaved butterflies
-/// never grew one). Butterflies are `vfmaq/vfmsq` over broadcast or
-/// contiguous twiddles; the layout conversions use `vld2q/vst2q`
-/// de/interleaving loads and `vtrn1q/vtrn2q` lane shuffles for the 4×4
-/// transpose blocks.
+/// NEON bodies: `vfmaq/vfmsq` butterflies over broadcast twiddles and a
+/// 4×4 `vtrn1q/vtrn2q` transpose block.
 #[cfg(target_arch = "aarch64")]
-mod neon_split {
+mod neon {
     use super::Complex32;
     use std::arch::aarch64::*;
-
-    /// # Safety
-    /// NEON must be available (baseline on AArch64); planes must be
-    /// equal length.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn lane_butterflies_dit_neon(
-        ar: &mut [f32],
-        ai: &mut [f32],
-        br: &mut [f32],
-        bi: &mut [f32],
-        wre: f32,
-        wim: f32,
-    ) {
-        let n = ar.len();
-        debug_assert!(
-            ai.len() == n && br.len() == n && bi.len() == n,
-            "equal-length planes"
-        );
-        // SAFETY: NEON is baseline on AArch64; the vector loop touches
-        // lanes `[l, l + 4)` of each equal-length plane only while
-        // `l + 4 <= n`; the scalar tail re-borrows the slices.
-        unsafe {
-            let wr = vdupq_n_f32(wre);
-            let wi = vdupq_n_f32(wim);
-            let arp = ar.as_mut_ptr();
-            let aip = ai.as_mut_ptr();
-            let brp = br.as_mut_ptr();
-            let bip = bi.as_mut_ptr();
-            let mut l = 0;
-            while l + 4 <= n {
-                let brv = vld1q_f32(brp.add(l));
-                let biv = vld1q_f32(bip.add(l));
-                // y = w·b: yr = br·wr − bi·wi, yi = br·wi + bi·wr.
-                let yr = vfmsq_f32(vmulq_f32(brv, wr), biv, wi);
-                let yi = vfmaq_f32(vmulq_f32(biv, wr), brv, wi);
-                let arv = vld1q_f32(arp.add(l));
-                let aiv = vld1q_f32(aip.add(l));
-                vst1q_f32(arp.add(l), vaddq_f32(arv, yr));
-                vst1q_f32(aip.add(l), vaddq_f32(aiv, yi));
-                vst1q_f32(brp.add(l), vsubq_f32(arv, yr));
-                vst1q_f32(bip.add(l), vsubq_f32(aiv, yi));
-                l += 4;
-            }
-            if l < n {
-                super::lane_butterflies_dit_scalar(
-                    &mut ar[l..],
-                    &mut ai[l..],
-                    &mut br[l..],
-                    &mut bi[l..],
-                    wre,
-                    wim,
-                );
-            }
-        }
-    }
 
     /// One whole radix-2 DIT stage inside a single `target_feature`
     /// call — NEON mirror of the AVX2 stage kernel, including the
@@ -1336,275 +578,6 @@ mod neon_split {
         }
     }
 
-    /// # Safety
-    /// NEON must be available (baseline on AArch64); planes must be
-    /// equal length.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn lane_butterflies_dif_neon(
-        ar: &mut [f32],
-        ai: &mut [f32],
-        br: &mut [f32],
-        bi: &mut [f32],
-        wre: f32,
-        wim: f32,
-    ) {
-        let n = ar.len();
-        debug_assert!(
-            ai.len() == n && br.len() == n && bi.len() == n,
-            "equal-length planes"
-        );
-        // SAFETY: same argument as `lane_butterflies_dit_neon`.
-        unsafe {
-            let wr = vdupq_n_f32(wre);
-            let wi = vdupq_n_f32(wim);
-            let arp = ar.as_mut_ptr();
-            let aip = ai.as_mut_ptr();
-            let brp = br.as_mut_ptr();
-            let bip = bi.as_mut_ptr();
-            let mut l = 0;
-            while l + 4 <= n {
-                let arv = vld1q_f32(arp.add(l));
-                let aiv = vld1q_f32(aip.add(l));
-                let brv = vld1q_f32(brp.add(l));
-                let biv = vld1q_f32(bip.add(l));
-                let dr = vsubq_f32(arv, brv);
-                let di = vsubq_f32(aiv, biv);
-                vst1q_f32(arp.add(l), vaddq_f32(arv, brv));
-                vst1q_f32(aip.add(l), vaddq_f32(aiv, biv));
-                vst1q_f32(brp.add(l), vfmsq_f32(vmulq_f32(dr, wr), di, wi));
-                vst1q_f32(bip.add(l), vfmaq_f32(vmulq_f32(di, wr), dr, wi));
-                l += 4;
-            }
-            if l < n {
-                super::lane_butterflies_dif_scalar(
-                    &mut ar[l..],
-                    &mut ai[l..],
-                    &mut br[l..],
-                    &mut bi[l..],
-                    wre,
-                    wim,
-                );
-            }
-        }
-    }
-
-    /// Four split twiddles from `j·stride`, contiguous or gathered.
-    ///
-    /// # Safety
-    /// Tables must cover `(j + 3)·stride`.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn load_tw_split(
-        tw_re: &[f32],
-        tw_im: &[f32],
-        j: usize,
-        stride: usize,
-        conj_w: bool,
-    ) -> (float32x4_t, float32x4_t) {
-        debug_assert!(
-            tw_re.len() > (j + 3) * stride && tw_im.len() > (j + 3) * stride,
-            "tables cover (j+3)*stride"
-        );
-        // SAFETY: contiguous loads are bounds-covered by the caller's
-        // table precondition; the gather path uses safe indexing into
-        // live stack arrays.
-        unsafe {
-            let (wr, wi) = if stride == 1 {
-                (
-                    vld1q_f32(tw_re.as_ptr().add(j)),
-                    vld1q_f32(tw_im.as_ptr().add(j)),
-                )
-            } else {
-                let gr = [
-                    tw_re[j * stride],
-                    tw_re[(j + 1) * stride],
-                    tw_re[(j + 2) * stride],
-                    tw_re[(j + 3) * stride],
-                ];
-                let gi = [
-                    tw_im[j * stride],
-                    tw_im[(j + 1) * stride],
-                    tw_im[(j + 2) * stride],
-                    tw_im[(j + 3) * stride],
-                ];
-                (vld1q_f32(gr.as_ptr()), vld1q_f32(gi.as_ptr()))
-            };
-            (wr, if conj_w { vnegq_f32(wi) } else { wi })
-        }
-    }
-
-    /// # Safety
-    /// NEON must be available; twiddle tables must cover
-    /// `(len − 1)·stride`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn butterflies_dit_split_neon(
-        ar: &mut [f32],
-        ai: &mut [f32],
-        br: &mut [f32],
-        bi: &mut [f32],
-        tw_re: &[f32],
-        tw_im: &[f32],
-        stride: usize,
-        conj_w: bool,
-    ) {
-        let span = ar.len();
-        debug_assert!(
-            ai.len() == span && br.len() == span && bi.len() == span,
-            "equal-length planes"
-        );
-        debug_assert!(
-            span == 0 || (tw_re.len() > (span - 1) * stride && tw_im.len() > (span - 1) * stride),
-            "twiddles cover the span"
-        );
-        // SAFETY: the loop stays in `[j, j + 4)` while `j + 4 <= span`
-        // over equal-length planes; twiddle reads covered by the
-        // caller's precondition; scalar tail re-borrows.
-        unsafe {
-            let arp = ar.as_mut_ptr();
-            let aip = ai.as_mut_ptr();
-            let brp = br.as_mut_ptr();
-            let bip = bi.as_mut_ptr();
-            let mut j = 0;
-            while j + 4 <= span {
-                let (wr, wi) = load_tw_split(tw_re, tw_im, j, stride, conj_w);
-                let brv = vld1q_f32(brp.add(j));
-                let biv = vld1q_f32(bip.add(j));
-                let yr = vfmsq_f32(vmulq_f32(brv, wr), biv, wi);
-                let yi = vfmaq_f32(vmulq_f32(biv, wr), brv, wi);
-                let arv = vld1q_f32(arp.add(j));
-                let aiv = vld1q_f32(aip.add(j));
-                vst1q_f32(arp.add(j), vaddq_f32(arv, yr));
-                vst1q_f32(aip.add(j), vaddq_f32(aiv, yi));
-                vst1q_f32(brp.add(j), vsubq_f32(arv, yr));
-                vst1q_f32(bip.add(j), vsubq_f32(aiv, yi));
-                j += 4;
-            }
-            if j < span {
-                super::butterflies_dit_split_scalar(
-                    &mut ar[j..],
-                    &mut ai[j..],
-                    &mut br[j..],
-                    &mut bi[j..],
-                    &tw_re[j * stride..],
-                    &tw_im[j * stride..],
-                    stride,
-                    conj_w,
-                );
-            }
-        }
-    }
-
-    /// # Safety
-    /// NEON must be available; twiddle tables must cover
-    /// `(len − 1)·stride`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn butterflies_dif_split_neon(
-        ar: &mut [f32],
-        ai: &mut [f32],
-        br: &mut [f32],
-        bi: &mut [f32],
-        tw_re: &[f32],
-        tw_im: &[f32],
-        stride: usize,
-        conj_w: bool,
-    ) {
-        let span = ar.len();
-        debug_assert!(
-            ai.len() == span && br.len() == span && bi.len() == span,
-            "equal-length planes"
-        );
-        debug_assert!(
-            span == 0 || (tw_re.len() > (span - 1) * stride && tw_im.len() > (span - 1) * stride),
-            "twiddles cover the span"
-        );
-        // SAFETY: same argument as `butterflies_dit_split_neon`.
-        unsafe {
-            let arp = ar.as_mut_ptr();
-            let aip = ai.as_mut_ptr();
-            let brp = br.as_mut_ptr();
-            let bip = bi.as_mut_ptr();
-            let mut j = 0;
-            while j + 4 <= span {
-                let (wr, wi) = load_tw_split(tw_re, tw_im, j, stride, conj_w);
-                let arv = vld1q_f32(arp.add(j));
-                let aiv = vld1q_f32(aip.add(j));
-                let brv = vld1q_f32(brp.add(j));
-                let biv = vld1q_f32(bip.add(j));
-                let dr = vsubq_f32(arv, brv);
-                let di = vsubq_f32(aiv, biv);
-                vst1q_f32(arp.add(j), vaddq_f32(arv, brv));
-                vst1q_f32(aip.add(j), vaddq_f32(aiv, biv));
-                vst1q_f32(brp.add(j), vfmsq_f32(vmulq_f32(dr, wr), di, wi));
-                vst1q_f32(bip.add(j), vfmaq_f32(vmulq_f32(di, wr), dr, wi));
-                j += 4;
-            }
-            if j < span {
-                super::butterflies_dif_split_scalar(
-                    &mut ar[j..],
-                    &mut ai[j..],
-                    &mut br[j..],
-                    &mut bi[j..],
-                    &tw_re[j * stride..],
-                    &tw_im[j * stride..],
-                    stride,
-                    conj_w,
-                );
-            }
-        }
-    }
-
-    /// # Safety
-    /// NEON must be available; slices must be equal length.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn deinterleave_neon(src: &[Complex32], re: &mut [f32], im: &mut [f32]) {
-        let n = src.len();
-        debug_assert!(re.len() == n && im.len() == n, "equal-length planes");
-        // SAFETY: the `vld2q` reads f32 offsets `[2l, 2l + 8)` of the
-        // sound interleaved view of `src` only while `l + 4 <= n`;
-        // writes stay in `[l, l + 4)`; scalar tail re-borrows.
-        unsafe {
-            let sp = src.as_ptr() as *const f32;
-            let rp = re.as_mut_ptr();
-            let ip = im.as_mut_ptr();
-            let mut l = 0;
-            while l + 4 <= n {
-                // vld2q de-interleaves: .0 = even (re), .1 = odd (im).
-                let z = vld2q_f32(sp.add(2 * l));
-                vst1q_f32(rp.add(l), z.0);
-                vst1q_f32(ip.add(l), z.1);
-                l += 4;
-            }
-            if l < n {
-                super::deinterleave_scalar(&src[l..], &mut re[l..], &mut im[l..]);
-            }
-        }
-    }
-
-    /// # Safety
-    /// NEON must be available; slices must be equal length.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn interleave_neon(re: &[f32], im: &[f32], out: &mut [Complex32]) {
-        let n = out.len();
-        debug_assert!(re.len() == n && im.len() == n, "equal-length planes");
-        // SAFETY: mirror of `deinterleave_neon`.
-        unsafe {
-            let rp = re.as_ptr();
-            let ip = im.as_ptr();
-            let op = out.as_mut_ptr() as *mut f32;
-            let mut l = 0;
-            while l + 4 <= n {
-                let z = float32x4x2_t(vld1q_f32(rp.add(l)), vld1q_f32(ip.add(l)));
-                vst2q_f32(op.add(2 * l), z);
-                l += 4;
-            }
-            if l < n {
-                super::interleave_scalar(&re[l..], &im[l..], &mut out[l..]);
-            }
-        }
-    }
-
     /// In-register 4×4 f32 transpose via the `vtrn1q/vtrn2q` lane
     /// shuffles (f32 pairs, then f64-reinterpreted quads).
     ///
@@ -1698,63 +671,6 @@ mod neon_split {
             }
         }
     }
-
-    /// # Safety
-    /// NEON must be available; planes must be equal length.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn cmac_split_neon(
-        ar: &[f32],
-        ai: &[f32],
-        br: &[f32],
-        bi: &[f32],
-        conj_b: bool,
-        or_: &mut [f32],
-        oi: &mut [f32],
-    ) {
-        let n = ar.len();
-        debug_assert!(
-            ai.len() == n && br.len() == n && bi.len() == n && or_.len() == n && oi.len() == n,
-            "equal-length planes"
-        );
-        // SAFETY: the loop stays in `[l, l + 4)` while `l + 4 <= n`
-        // over equal-length planes; scalar tail re-borrows.
-        unsafe {
-            let arp = ar.as_ptr();
-            let aip = ai.as_ptr();
-            let brp = br.as_ptr();
-            let bip = bi.as_ptr();
-            let orp = or_.as_mut_ptr();
-            let oip = oi.as_mut_ptr();
-            let mut l = 0;
-            while l + 4 <= n {
-                let arv = vld1q_f32(arp.add(l));
-                let aiv = vld1q_f32(aip.add(l));
-                let brv = vld1q_f32(brp.add(l));
-                let mut biv = vld1q_f32(bip.add(l));
-                if conj_b {
-                    biv = vnegq_f32(biv);
-                }
-                let orv = vld1q_f32(orp.add(l));
-                let oiv = vld1q_f32(oip.add(l));
-                let rc = vfmaq_f32(orv, arv, brv);
-                vst1q_f32(orp.add(l), vfmsq_f32(rc, aiv, biv));
-                let ic = vfmaq_f32(oiv, arv, biv);
-                vst1q_f32(oip.add(l), vfmaq_f32(ic, aiv, brv));
-                l += 4;
-            }
-            if l < n {
-                super::cmac_split_scalar(
-                    &ar[l..],
-                    &ai[l..],
-                    &br[l..],
-                    &bi[l..],
-                    conj_b,
-                    &mut or_[l..],
-                    &mut oi[l..],
-                );
-            }
-        }
-    }
 }
 
 /// Resolve the dispatch decision for a whole split-layout transform.
@@ -1765,138 +681,17 @@ pub fn split_isa() -> Isa {
     gcnn_tensor::simd::isa()
 }
 
-/// One batch-major DIT butterfly row pair across `lanes` transforms:
-/// for every lane `l`, with `a = ar[l] + i·ai[l]`, `b = br[l] + i·bi[l]`
-/// and the *same* twiddle `w = wre + i·wim`,
-/// `a, b ← a + w·b, a − w·b`.
-///
-/// The twiddle is a broadcast scalar, so the complex multiply is four
-/// FMAs over contiguous f32 lanes — no shuffle, and no scalar fallback
-/// at small spans (the span lives in the row index, not the lane
-/// index).
-#[inline]
-pub fn lane_butterflies_dit(
-    ar: &mut [f32],
-    ai: &mut [f32],
-    br: &mut [f32],
-    bi: &mut [f32],
-    wre: f32,
-    wim: f32,
-    isa: Isa,
-) {
-    debug_assert!(
-        ar.len() == ai.len() && ar.len() == br.len() && ar.len() == bi.len(),
-        "lane_butterflies_dit: plane length mismatch"
-    );
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection.
-            unsafe { avx2_split::lane_butterflies_dit_avx2(ar, ai, br, bi, wre, wim) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            // SAFETY: NEON is baseline on AArch64 (dispatch never
-            // returns Neon elsewhere).
-            unsafe { neon_split::lane_butterflies_dit_neon(ar, ai, br, bi, wre, wim) }
-        }
-        _ => lane_butterflies_dit_scalar(ar, ai, br, bi, wre, wim),
-    }
-}
-
-/// Scalar oracle for [`lane_butterflies_dit`]: per-lane [`Complex32`]
-/// arithmetic, the same ops the interleaved scalar butterfly performs.
-#[inline]
-pub fn lane_butterflies_dit_scalar(
-    ar: &mut [f32],
-    ai: &mut [f32],
-    br: &mut [f32],
-    bi: &mut [f32],
-    wre: f32,
-    wim: f32,
-) {
-    let w = Complex32::new(wre, wim);
-    for l in 0..ar.len() {
-        let a = Complex32::new(ar[l], ai[l]);
-        let y = Complex32::new(br[l], bi[l]) * w;
-        let s = a + y;
-        let d = a - y;
-        ar[l] = s.re;
-        ai[l] = s.im;
-        br[l] = d.re;
-        bi[l] = d.im;
-    }
-}
-
-/// One batch-major DIF butterfly row pair across `lanes` transforms:
-/// `a, b ← a + b, (a − b)·w` per lane with a broadcast twiddle.
-#[inline]
-pub fn lane_butterflies_dif(
-    ar: &mut [f32],
-    ai: &mut [f32],
-    br: &mut [f32],
-    bi: &mut [f32],
-    wre: f32,
-    wim: f32,
-    isa: Isa,
-) {
-    debug_assert!(
-        ar.len() == ai.len() && ar.len() == br.len() && ar.len() == bi.len(),
-        "lane_butterflies_dif: plane length mismatch"
-    );
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection.
-            unsafe { avx2_split::lane_butterflies_dif_avx2(ar, ai, br, bi, wre, wim) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            // SAFETY: NEON is baseline on AArch64.
-            unsafe { neon_split::lane_butterflies_dif_neon(ar, ai, br, bi, wre, wim) }
-        }
-        _ => lane_butterflies_dif_scalar(ar, ai, br, bi, wre, wim),
-    }
-}
-
-/// Scalar oracle for [`lane_butterflies_dif`].
-#[inline]
-pub fn lane_butterflies_dif_scalar(
-    ar: &mut [f32],
-    ai: &mut [f32],
-    br: &mut [f32],
-    bi: &mut [f32],
-    wre: f32,
-    wim: f32,
-) {
-    let w = Complex32::new(wre, wim);
-    for l in 0..ar.len() {
-        let a = Complex32::new(ar[l], ai[l]);
-        let b = Complex32::new(br[l], bi[l]);
-        let s = a + b;
-        let d = (a - b) * w;
-        ar[l] = s.re;
-        ai[l] = s.im;
-        br[l] = d.re;
-        bi[l] = d.im;
-    }
-}
-
 /// One whole radix-2 DIT stage over bin-major split planes: for every
-/// block `start` (step `2·span`) and butterfly row `j < span`, apply
-/// [`lane_butterflies_dit`]'s update to rows `start + j` and
-/// `start + j + span` with the twiddle `tw[j·stride]` (conjugated when
-/// `conj_w`).
+/// block `start` (step `2·span`) and butterfly row `j < span`, rows
+/// `a = start + j` and `b = start + j + span` become
+/// `a + w·b, a − w·b` in every lane, with the one broadcast twiddle
+/// `w = tw[j·stride]` (conjugated when `conj_w`).
 ///
-/// This is the transform hot loop hoisted *inside* the dispatch
-/// boundary: the per-row kernel pays a dispatch match, an un-inlinable
-/// `target_feature` call and a pointer prologue per `lanes`-float row,
-/// which rivals the row's own FMA work for the row lengths the 2-D
-/// rfft produces. Here the whole stage schedule — including the
-/// multiply-free `w = 1` row every block starts with — runs as one
-/// call per stage.
+/// The whole stage schedule — including the multiply-free `w = 1` row
+/// every block starts with — runs inside one dispatched call: a
+/// dispatch match, an un-inlinable `target_feature` call and a pointer
+/// prologue per `lanes`-float row would rival the row's own FMA work at
+/// the row lengths the 2-D rfft produces.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lane_stage_dit(
@@ -1931,9 +726,7 @@ pub fn lane_stage_dit(
             // debug-asserted above and guaranteed by the radix-2
             // schedule in `fft_lanes_inplace`.
             unsafe {
-                avx2_split::lane_stage_dit_avx2(
-                    re, im, n, lanes, span, stride, tw_re, tw_im, conj_w,
-                )
+                avx2::lane_stage_dit_avx2(re, im, n, lanes, span, stride, tw_re, tw_im, conj_w)
             }
         }
         #[cfg(target_arch = "aarch64")]
@@ -1941,19 +734,16 @@ pub fn lane_stage_dit(
             // SAFETY: NEON is baseline on AArch64; same precondition
             // argument as the AVX2 arm.
             unsafe {
-                neon_split::lane_stage_dit_neon(
-                    re, im, n, lanes, span, stride, tw_re, tw_im, conj_w,
-                )
+                neon::lane_stage_dit_neon(re, im, n, lanes, span, stride, tw_re, tw_im, conj_w)
             }
         }
         _ => lane_stage_dit_scalar(re, im, n, lanes, span, stride, tw_re, tw_im, conj_w),
     }
 }
 
-/// Scalar oracle for [`lane_stage_dit`]: the stage schedule driving
-/// [`lane_butterflies_dit_scalar`] row pair by row pair — exactly the
-/// loop the transform ran before the stage was hoisted inside the
-/// dispatch boundary.
+/// Scalar body of [`lane_stage_dit`]: per-lane [`Complex32`]
+/// arithmetic over the same stage schedule. Runs on non-SIMD hosts and
+/// under `GCNN_FORCE_SCALAR=1`, and is the oracle for the SIMD bodies.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lane_stage_dit_scalar(
@@ -1971,20 +761,22 @@ pub fn lane_stage_dit_scalar(
     while start < n {
         for j in 0..span {
             let k = j * stride;
-            let wre = tw_re[k];
-            let wim = if conj_w { -tw_im[k] } else { tw_im[k] };
+            let w = Complex32::new(tw_re[k], if conj_w { -tw_im[k] } else { tw_im[k] });
             let a = (start + j) * lanes;
             let b = (start + j + span) * lanes;
             let (re_lo, re_hi) = re.split_at_mut(b);
             let (im_lo, im_hi) = im.split_at_mut(b);
-            lane_butterflies_dit_scalar(
-                &mut re_lo[a..a + lanes],
-                &mut im_lo[a..a + lanes],
-                &mut re_hi[..lanes],
-                &mut im_hi[..lanes],
-                wre,
-                wim,
-            );
+            let (ar, ai) = (&mut re_lo[a..a + lanes], &mut im_lo[a..a + lanes]);
+            let (br, bi) = (&mut re_hi[..lanes], &mut im_hi[..lanes]);
+            for l in 0..lanes {
+                let x = Complex32::new(ar[l], ai[l]);
+                let y = Complex32::new(br[l], bi[l]) * w;
+                let (s, d) = (x + y, x - y);
+                ar[l] = s.re;
+                ai[l] = s.im;
+                br[l] = d.re;
+                bi[l] = d.im;
+            }
         }
         start += span * 2;
     }
@@ -2042,7 +834,7 @@ pub fn lane_stage2_dit(
             // geometry are debug-asserted above and guaranteed by the
             // radix-2 schedule in `fft_lanes_inplace`.
             unsafe {
-                avx2_split::lane_stage2_dit_avx2(
+                avx2::lane_stage2_dit_avx2(
                     re, im, n, lanes, s, stride_a, stride_b, tw_re, tw_im, conj_w,
                 )
             }
@@ -2051,217 +843,6 @@ pub fn lane_stage2_dit(
             lane_stage_dit(re, im, n, lanes, s, stride_a, tw_re, tw_im, conj_w, isa);
             lane_stage_dit(re, im, n, lanes, s * 2, stride_b, tw_re, tw_im, conj_w, isa);
         }
-    }
-}
-
-/// One split-layout DIT block across the butterfly index `j` of a
-/// single transform: `a[j], b[j] ← a[j] + w_j·b[j], a[j] − w_j·b[j]`
-/// with `w_j` read from the plan's split twiddle planes at `j·stride`.
-/// `conj_w` negates the imaginary twiddle plane on the fly (the inverse
-/// direction) — a sign flip folded into the FMA operands, not a second
-/// table and not a shuffle.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn butterflies_dit_split(
-    ar: &mut [f32],
-    ai: &mut [f32],
-    br: &mut [f32],
-    bi: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-    stride: usize,
-    conj_w: bool,
-    isa: Isa,
-) {
-    debug_assert!(
-        ar.len() == ai.len() && ar.len() == br.len() && ar.len() == bi.len(),
-        "butterflies_dit_split: plane length mismatch"
-    );
-    debug_assert!(
-        ar.is_empty() || tw_re.len() > (ar.len() - 1) * stride,
-        "butterflies_dit_split: twiddle table short"
-    );
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma if ar.len() >= 8 => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection; the table covers (len−1)·stride per the debug
-            // assert and the radix-2 schedule.
-            unsafe {
-                avx2_split::butterflies_dit_split_avx2(ar, ai, br, bi, tw_re, tw_im, stride, conj_w)
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon if ar.len() >= 4 => {
-            // SAFETY: NEON is baseline on AArch64.
-            unsafe {
-                neon_split::butterflies_dit_split_neon(ar, ai, br, bi, tw_re, tw_im, stride, conj_w)
-            }
-        }
-        _ => butterflies_dit_split_scalar(ar, ai, br, bi, tw_re, tw_im, stride, conj_w),
-    }
-}
-
-/// Scalar oracle for [`butterflies_dit_split`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn butterflies_dit_split_scalar(
-    ar: &mut [f32],
-    ai: &mut [f32],
-    br: &mut [f32],
-    bi: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-    stride: usize,
-    conj_w: bool,
-) {
-    for j in 0..ar.len() {
-        let k = j * stride;
-        let wim = if conj_w { -tw_im[k] } else { tw_im[k] };
-        let w = Complex32::new(tw_re[k], wim);
-        let a = Complex32::new(ar[j], ai[j]);
-        let y = Complex32::new(br[j], bi[j]) * w;
-        let s = a + y;
-        let d = a - y;
-        ar[j] = s.re;
-        ai[j] = s.im;
-        br[j] = d.re;
-        bi[j] = d.im;
-    }
-}
-
-/// One split-layout DIF block across the butterfly index:
-/// `a[j], b[j] ← a[j] + b[j], (a[j] − b[j])·w_j`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn butterflies_dif_split(
-    ar: &mut [f32],
-    ai: &mut [f32],
-    br: &mut [f32],
-    bi: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-    stride: usize,
-    conj_w: bool,
-    isa: Isa,
-) {
-    debug_assert!(
-        ar.len() == ai.len() && ar.len() == br.len() && ar.len() == bi.len(),
-        "butterflies_dif_split: plane length mismatch"
-    );
-    debug_assert!(
-        ar.is_empty() || tw_re.len() > (ar.len() - 1) * stride,
-        "butterflies_dif_split: twiddle table short"
-    );
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma if ar.len() >= 8 => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection; table coverage per the debug assert and the
-            // radix-2 schedule.
-            unsafe {
-                avx2_split::butterflies_dif_split_avx2(ar, ai, br, bi, tw_re, tw_im, stride, conj_w)
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon if ar.len() >= 4 => {
-            // SAFETY: NEON is baseline on AArch64.
-            unsafe {
-                neon_split::butterflies_dif_split_neon(ar, ai, br, bi, tw_re, tw_im, stride, conj_w)
-            }
-        }
-        _ => butterflies_dif_split_scalar(ar, ai, br, bi, tw_re, tw_im, stride, conj_w),
-    }
-}
-
-/// Scalar oracle for [`butterflies_dif_split`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn butterflies_dif_split_scalar(
-    ar: &mut [f32],
-    ai: &mut [f32],
-    br: &mut [f32],
-    bi: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-    stride: usize,
-    conj_w: bool,
-) {
-    for j in 0..ar.len() {
-        let k = j * stride;
-        let wim = if conj_w { -tw_im[k] } else { tw_im[k] };
-        let w = Complex32::new(tw_re[k], wim);
-        let a = Complex32::new(ar[j], ai[j]);
-        let b = Complex32::new(br[j], bi[j]);
-        let s = a + b;
-        let d = (a - b) * w;
-        ar[j] = s.re;
-        ai[j] = s.im;
-        br[j] = d.re;
-        bi[j] = d.im;
-    }
-}
-
-/// Split an interleaved complex slice into separate re/im planes.
-#[inline]
-pub fn deinterleave(src: &[Complex32], re: &mut [f32], im: &mut [f32], isa: Isa) {
-    debug_assert!(
-        src.len() == re.len() && src.len() == im.len(),
-        "deinterleave: length mismatch"
-    );
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection.
-            unsafe { avx2_split::deinterleave_avx2(src, re, im) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            // SAFETY: NEON is baseline on AArch64.
-            unsafe { neon_split::deinterleave_neon(src, re, im) }
-        }
-        _ => deinterleave_scalar(src, re, im),
-    }
-}
-
-/// Scalar oracle for [`deinterleave`].
-#[inline]
-pub fn deinterleave_scalar(src: &[Complex32], re: &mut [f32], im: &mut [f32]) {
-    for (z, (r, i)) in src.iter().zip(re.iter_mut().zip(im.iter_mut())) {
-        *r = z.re;
-        *i = z.im;
-    }
-}
-
-/// Merge separate re/im planes into an interleaved complex slice.
-#[inline]
-pub fn interleave(re: &[f32], im: &[f32], out: &mut [Complex32], isa: Isa) {
-    debug_assert!(
-        out.len() == re.len() && out.len() == im.len(),
-        "interleave: length mismatch"
-    );
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection.
-            unsafe { avx2_split::interleave_avx2(re, im, out) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            // SAFETY: NEON is baseline on AArch64.
-            unsafe { neon_split::interleave_neon(re, im, out) }
-        }
-        _ => interleave_scalar(re, im, out),
-    }
-}
-
-/// Scalar oracle for [`interleave`].
-#[inline]
-pub fn interleave_scalar(re: &[f32], im: &[f32], out: &mut [Complex32]) {
-    for (z, (r, i)) in out.iter_mut().zip(re.iter().zip(im.iter())) {
-        *z = Complex32::new(*r, *i);
     }
 }
 
@@ -2279,12 +860,12 @@ pub fn transpose_f32(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], isa
             // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
             // detection; src/dst cover rows·cols per the debug asserts
             // (callers pass exact-size planes).
-            unsafe { avx2_split::transpose_f32_avx2(src, rows, cols, dst) }
+            unsafe { avx2::transpose_f32_avx2(src, rows, cols, dst) }
         }
         #[cfg(target_arch = "aarch64")]
         Isa::Neon => {
             // SAFETY: NEON is baseline on AArch64.
-            unsafe { neon_split::transpose_f32_neon(src, rows, cols, dst) }
+            unsafe { neon::transpose_f32_neon(src, rows, cols, dst) }
         }
         _ => transpose_f32_scalar(src, rows, cols, dst),
     }
@@ -2311,250 +892,115 @@ pub fn transpose_f32_scalar(src: &[f32], rows: usize, cols: usize, dst: &mut [f3
     }
 }
 
-/// Split-plane complex multiply-accumulate:
-/// `out += a · b` (or `a · conj(b)` when `conj_b`), all operands as
-/// separate re/im planes. The frequency-domain pointwise product in the
-/// split layout — four FMAs per vector of lanes, no shuffle.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn cmac_split(
-    ar: &[f32],
-    ai: &[f32],
-    br: &[f32],
-    bi: &[f32],
-    conj_b: bool,
-    or_: &mut [f32],
-    oi: &mut [f32],
-    isa: Isa,
-) {
-    debug_assert!(
-        ar.len() == ai.len()
-            && ar.len() == br.len()
-            && ar.len() == bi.len()
-            && ar.len() == or_.len()
-            && ar.len() == oi.len(),
-        "cmac_split: plane length mismatch"
-    );
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection.
-            unsafe { avx2_split::cmac_split_avx2(ar, ai, br, bi, conj_b, or_, oi) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            // SAFETY: NEON is baseline on AArch64.
-            unsafe { neon_split::cmac_split_neon(ar, ai, br, bi, conj_b, or_, oi) }
-        }
-        _ => cmac_split_scalar(ar, ai, br, bi, conj_b, or_, oi),
-    }
-}
-
-/// Scalar oracle for [`cmac_split`].
-#[inline]
-pub fn cmac_split_scalar(
-    ar: &[f32],
-    ai: &[f32],
-    br: &[f32],
-    bi: &[f32],
-    conj_b: bool,
-    or_: &mut [f32],
-    oi: &mut [f32],
-) {
-    for j in 0..ar.len() {
-        let a = Complex32::new(ar[j], ai[j]);
-        let b = Complex32::new(br[j], bi[j]);
-        let b = if conj_b { b.conj() } else { b };
-        let p = a * b;
-        or_[j] += p.re;
-        oi[j] += p.im;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::FftPlan;
-    use crate::Direction;
-
-    fn signal(n: usize, seed: f32) -> Vec<Complex32> {
-        (0..n)
-            .map(|i| Complex32::new((i as f32 * seed).sin(), (i as f32 * (seed + 0.7)).cos()))
-            .collect()
-    }
-
-    /// Wide and scalar butterfly bodies must agree on every span and
-    /// stride a radix-2 schedule produces, including the scalar tail
-    /// (span not a multiple of 4 only happens at span < 4, but the
-    /// kernels accept any length).
-    #[test]
-    fn wide_matches_scalar_all_stages() {
-        let n = 64;
-        let plan = FftPlan::new(n);
-        for dir in [Direction::Forward, Direction::Inverse] {
-            let tw = plan.table(dir);
-            let mut span = 1;
-            while span < n {
-                let stride = n / (span * 2);
-                for dif in [false, true] {
-                    let mut a = signal(span, 0.31);
-                    let mut b = signal(span, 0.47);
-                    let mut ar = a.clone();
-                    let mut br = b.clone();
-                    if dif {
-                        butterflies_dif(&mut a, &mut b, tw, stride, wide_butterflies());
-                        butterflies_dif_scalar(&mut ar, &mut br, tw, stride);
-                    } else {
-                        butterflies_dit(&mut a, &mut b, tw, stride, wide_butterflies());
-                        butterflies_dit_scalar(&mut ar, &mut br, tw, stride);
-                    }
-                    for j in 0..span {
-                        assert!(
-                            (a[j] - ar[j]).abs() < 1e-5 && (b[j] - br[j]).abs() < 1e-5,
-                            "span {span} stride {stride} dif {dif} j {j}"
-                        );
-                    }
-                }
-                span *= 2;
-            }
-        }
-    }
-
-    #[test]
-    fn scale_matches_per_element() {
-        let mut x = signal(13, 0.9);
-        let expect: Vec<Complex32> = x.iter().map(|z| z.scale(0.25)).collect();
-        scale(&mut x, 0.25);
-        assert_eq!(x, expect);
-    }
 
     fn plane(n: usize, seed: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * seed + seed).sin()).collect()
     }
 
-    /// Dispatched lane butterflies match the scalar oracle on lane
-    /// counts that exercise full vectors, tails, and the all-tail case.
+    /// The dispatched single-stage kernel matches the scalar body for
+    /// every stage geometry of a radix-2 schedule, both directions, on
+    /// lane counts that exercise full vectors, tails and the all-tail
+    /// case.
     #[test]
-    fn lane_butterflies_match_scalar() {
-        for lanes in [1usize, 3, 8, 13, 33] {
-            for dif in [false, true] {
-                let (wre, wim) = (0.31f32.cos(), -(0.31f32.sin()));
-                let mut ar = plane(lanes, 0.31);
-                let mut ai = plane(lanes, 0.47);
-                let mut br = plane(lanes, 0.59);
-                let mut bi = plane(lanes, 0.73);
-                let (mut xr, mut xi, mut yr, mut yi) =
-                    (ar.clone(), ai.clone(), br.clone(), bi.clone());
-                if dif {
-                    lane_butterflies_dif(&mut ar, &mut ai, &mut br, &mut bi, wre, wim, split_isa());
-                    lane_butterflies_dif_scalar(&mut xr, &mut xi, &mut yr, &mut yi, wre, wim);
-                } else {
-                    lane_butterflies_dit(&mut ar, &mut ai, &mut br, &mut bi, wre, wim, split_isa());
-                    lane_butterflies_dit_scalar(&mut xr, &mut xi, &mut yr, &mut yi, wre, wim);
-                }
-                for l in 0..lanes {
-                    for (got, want) in [
-                        (ar[l], xr[l]),
-                        (ai[l], xi[l]),
-                        (br[l], yr[l]),
-                        (bi[l], yi[l]),
-                    ] {
-                        assert!(
-                            (got - want).abs() < 1e-5,
-                            "lanes {lanes} dif {dif} lane {l}: {got} vs {want}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Dispatched split-table butterflies match the scalar oracle for
-    /// every stage geometry of a radix-2 schedule, both directions.
-    #[test]
-    fn split_butterflies_match_scalar_all_stages() {
-        let n = 64;
+    fn lane_stage_matches_scalar_all_stages() {
+        let n = 32;
         let plan = FftPlan::new(n);
         let (tw_re, tw_im) = plan.table_split();
-        for conj_w in [false, true] {
-            let mut span = 1;
-            while span < n {
-                let stride = n / (span * 2);
-                for dif in [false, true] {
-                    let mut ar = plane(span, 0.31);
-                    let mut ai = plane(span, 0.47);
-                    let mut br = plane(span, 0.59);
-                    let mut bi = plane(span, 0.73);
-                    let (mut xr, mut xi, mut yr, mut yi) =
-                        (ar.clone(), ai.clone(), br.clone(), bi.clone());
-                    if dif {
-                        butterflies_dif_split(
-                            &mut ar,
-                            &mut ai,
-                            &mut br,
-                            &mut bi,
-                            tw_re,
-                            tw_im,
-                            stride,
-                            conj_w,
-                            split_isa(),
-                        );
-                        butterflies_dif_split_scalar(
-                            &mut xr, &mut xi, &mut yr, &mut yi, tw_re, tw_im, stride, conj_w,
-                        );
-                    } else {
-                        butterflies_dit_split(
-                            &mut ar,
-                            &mut ai,
-                            &mut br,
-                            &mut bi,
-                            tw_re,
-                            tw_im,
-                            stride,
-                            conj_w,
-                            split_isa(),
-                        );
-                        butterflies_dit_split_scalar(
-                            &mut xr, &mut xi, &mut yr, &mut yi, tw_re, tw_im, stride, conj_w,
-                        );
-                    }
-                    for j in 0..span {
+        for lanes in [1usize, 3, 8, 13, 33] {
+            for conj_w in [false, true] {
+                let mut span = 1;
+                while span * 2 <= n {
+                    let stride = n / (span * 2);
+                    let mut re = plane(n * lanes, 0.31);
+                    let mut im = plane(n * lanes, 0.47);
+                    let (mut xr, mut xi) = (re.clone(), im.clone());
+                    lane_stage_dit(
+                        &mut re,
+                        &mut im,
+                        n,
+                        lanes,
+                        span,
+                        stride,
+                        tw_re,
+                        tw_im,
+                        conj_w,
+                        split_isa(),
+                    );
+                    lane_stage_dit_scalar(
+                        &mut xr, &mut xi, n, lanes, span, stride, tw_re, tw_im, conj_w,
+                    );
+                    for i in 0..n * lanes {
                         assert!(
-                            (ar[j] - xr[j]).abs() < 1e-5
-                                && (ai[j] - xi[j]).abs() < 1e-5
-                                && (br[j] - yr[j]).abs() < 1e-5
-                                && (bi[j] - yi[j]).abs() < 1e-5,
-                            "span {span} stride {stride} dif {dif} conj {conj_w} j {j}"
+                            (re[i] - xr[i]).abs() < 1e-5 && (im[i] - xi[i]).abs() < 1e-5,
+                            "lanes {lanes} span {span} conj {conj_w} elem {i}"
                         );
                     }
+                    span *= 2;
                 }
-                span *= 2;
             }
         }
     }
 
-    /// interleave ∘ deinterleave is the identity, and both match the
-    /// scalar oracles bit-exactly (pure data movement).
+    /// The fused double stage equals two scalar single stages (spans
+    /// `s` and `2s`) at every fused geometry, including the `j == 0`
+    /// swap-and-negate row.
     #[test]
-    fn interleave_roundtrip_and_matches_scalar() {
-        for n in [1usize, 4, 7, 8, 15, 16, 33] {
-            let src = signal(n, 0.37);
-            let mut re = vec![0.0f32; n];
-            let mut im = vec![0.0f32; n];
-            deinterleave(&src, &mut re, &mut im, split_isa());
-            let mut re_ref = vec![0.0f32; n];
-            let mut im_ref = vec![0.0f32; n];
-            deinterleave_scalar(&src, &mut re_ref, &mut im_ref);
-            assert_eq!(re, re_ref, "n {n}");
-            assert_eq!(im, im_ref, "n {n}");
-            let mut back = vec![Complex32::ZERO; n];
-            interleave(&re, &im, &mut back, split_isa());
-            assert_eq!(back, src, "n {n}");
+    fn lane_stage2_matches_two_scalar_stages() {
+        let n = 32;
+        let plan = FftPlan::new(n);
+        let (tw_re, tw_im) = plan.table_split();
+        for lanes in [1usize, 3, 8, 13, 33] {
+            for conj_w in [false, true] {
+                let mut s = 1;
+                while s * 4 <= n {
+                    let (stride_a, stride_b) = (n / (s * 2), n / (s * 4));
+                    let mut re = plane(n * lanes, 0.59);
+                    let mut im = plane(n * lanes, 0.73);
+                    let (mut xr, mut xi) = (re.clone(), im.clone());
+                    lane_stage2_dit(
+                        &mut re,
+                        &mut im,
+                        n,
+                        lanes,
+                        s,
+                        stride_a,
+                        stride_b,
+                        tw_re,
+                        tw_im,
+                        conj_w,
+                        split_isa(),
+                    );
+                    lane_stage_dit_scalar(
+                        &mut xr, &mut xi, n, lanes, s, stride_a, tw_re, tw_im, conj_w,
+                    );
+                    lane_stage_dit_scalar(
+                        &mut xr,
+                        &mut xi,
+                        n,
+                        lanes,
+                        s * 2,
+                        stride_b,
+                        tw_re,
+                        tw_im,
+                        conj_w,
+                    );
+                    for i in 0..n * lanes {
+                        assert!(
+                            (re[i] - xr[i]).abs() < 1e-5 && (im[i] - xi[i]).abs() < 1e-5,
+                            "lanes {lanes} s {s} conj {conj_w} elem {i}"
+                        );
+                    }
+                    s *= 2;
+                }
+            }
         }
     }
 
-    /// Blocked SIMD transpose matches the scalar oracle bit-exactly on
+    /// Blocked SIMD transpose matches the scalar body bit-exactly on
     /// square, tall, wide, and remainder-heavy shapes.
     #[test]
     fn transpose_matches_scalar() {
@@ -2572,32 +1018,6 @@ mod tests {
                         got[c * rows + r],
                         src[r * cols + c],
                         "{rows}x{cols} ({r},{c})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Split cmac matches the interleaved `cmac` primitive and its own
-    /// scalar oracle, both directions of `conj_b`.
-    #[test]
-    fn cmac_split_matches_scalar() {
-        for n in [1usize, 8, 13, 32] {
-            for conj_b in [false, true] {
-                let ar = plane(n, 0.21);
-                let ai = plane(n, 0.33);
-                let br = plane(n, 0.41);
-                let bi = plane(n, 0.57);
-                let mut or_ = plane(n, 0.61);
-                let mut oi = plane(n, 0.71);
-                let mut or_ref = or_.clone();
-                let mut oi_ref = oi.clone();
-                cmac_split(&ar, &ai, &br, &bi, conj_b, &mut or_, &mut oi, split_isa());
-                cmac_split_scalar(&ar, &ai, &br, &bi, conj_b, &mut or_ref, &mut oi_ref);
-                for j in 0..n {
-                    assert!(
-                        (or_[j] - or_ref[j]).abs() < 1e-5 && (oi[j] - oi_ref[j]).abs() < 1e-5,
-                        "n {n} conj {conj_b} j {j}"
                     );
                 }
             }

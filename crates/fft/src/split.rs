@@ -1,10 +1,8 @@
-//! Batch-major split-complex transforms — the fbfft layout.
+//! Batch-major split-complex transforms — the fbfft layout, and the
+//! crate's one FFT engine.
 //!
-//! The interleaved path ([`crate::dit`]) transforms one line at a time:
-//! every complex multiply pays a shuffle, spans below the vector width
-//! fall scalar, and the 2-D rfft gathers columns element by element.
-//! This module stores `lanes` simultaneous transforms as two f32 planes
-//! with **bin-major** layout — `re[bin·lanes + lane]` — so one butterfly
+//! `lanes` simultaneous transforms are stored as two f32 planes in
+//! **bin-major** layout — `re[bin·lanes + lane]` — so one butterfly
 //! applies a single broadcast twiddle across `lanes` contiguous floats:
 //! pure FMA, no shuffle, and every stage (including span 1) runs at
 //! full vector width. That is fbfft's "transform many rows per pass"
@@ -13,21 +11,10 @@
 //!
 //! [`fft_lanes_inplace`] is the whole engine; the 2-D real transforms
 //! in [`crate::rfft`] are two lane passes joined by blocked SIMD
-//! transposes.
+//! transposes. The O(n²) [`crate::dft`] is its oracle.
 
 use crate::plan::FftPlan;
 use crate::{simd, Direction};
-use gcnn_tensor::simd::Isa;
-
-/// True when the split batch-major engine should run. Scalar dispatch
-/// (no SIMD, or `GCNN_FORCE_SCALAR=1`) keeps the interleaved
-/// line-at-a-time path, which stays the reference implementation and
-/// the forced-scalar oracle — same selection point as every other
-/// kernel in the workspace.
-#[inline]
-pub fn split_enabled() -> bool {
-    !matches!(gcnn_tensor::simd::isa(), Isa::Scalar)
-}
 
 /// Bit-reversal permutation over transform bins: swaps whole lane rows
 /// (`lanes` contiguous floats per bin), so even the permutation runs as
@@ -49,9 +36,9 @@ pub(crate) fn bitrev_rows(re: &mut [f32], im: &mut [f32], plan: &FftPlan, lanes:
 /// lane]`, natural bin order in and out. `Direction::Inverse` applies
 /// the usual `1/n` scaling.
 ///
-/// Equivalent to `lanes` calls of [`crate::dit::fft_inplace`] on the
-/// individual transforms (the property suite pins this), but every
-/// butterfly is a broadcast-twiddle FMA across contiguous lanes.
+/// Equivalent to one [`crate::dft::dft`] per lane (the test suite pins
+/// this), with every butterfly a broadcast-twiddle FMA across
+/// contiguous lanes.
 pub fn fft_lanes_inplace(
     re: &mut [f32],
     im: &mut [f32],
@@ -99,7 +86,7 @@ pub fn fft_lanes_inplace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dit::fft_inplace;
+    use crate::dft::dft;
     use gcnn_tensor::Complex32;
 
     fn lane_signal(n: usize, lanes: usize, seed: f32) -> (Vec<f32>, Vec<f32>) {
@@ -112,34 +99,36 @@ mod tests {
         (re, im)
     }
 
-    /// The lane engine equals `lanes` independent interleaved
-    /// transforms, both directions, including odd lane counts that
-    /// force remainder handling in every kernel.
+    /// The lane engine equals one O(n²) DFT per lane at every size up
+    /// to 128, both directions, including odd lane counts that force
+    /// remainder handling in every kernel.
     #[test]
-    fn lanes_match_per_transform_fft() {
-        for n in [2usize, 4, 8, 16, 64] {
+    fn lanes_match_dft() {
+        for n in [1usize, 2, 4, 8, 16, 32, 64, 128] {
             let plan = FftPlan::new(n);
             for lanes in [1usize, 3, 8, 33] {
                 for dir in [Direction::Forward, Direction::Inverse] {
                     let (mut re, mut im) = lane_signal(n, lanes, 0.37);
-                    // Reference: transform each lane separately through
-                    // the interleaved path.
-                    let mut expect: Vec<Vec<Complex32>> = (0..lanes)
+                    let expect: Vec<Vec<Complex32>> = (0..lanes)
                         .map(|l| {
-                            let mut line: Vec<Complex32> = (0..n)
+                            let line: Vec<Complex32> = (0..n)
                                 .map(|bin| Complex32::new(re[bin * lanes + l], im[bin * lanes + l]))
                                 .collect();
-                            fft_inplace(&mut line, &plan, dir);
-                            line
+                            dft(&line, dir)
                         })
                         .collect();
                     fft_lanes_inplace(&mut re, &mut im, &plan, dir, lanes);
-                    for l in 0..lanes {
-                        for bin in 0..n {
-                            let want = expect[l].remove(0);
+                    // Forward bins grow like n; the inverse is scaled back.
+                    let scale = if dir == Direction::Forward {
+                        n as f32
+                    } else {
+                        1.0
+                    };
+                    for (l, line) in expect.iter().enumerate() {
+                        for (bin, &want) in line.iter().enumerate() {
                             let got = Complex32::new(re[bin * lanes + l], im[bin * lanes + l]);
                             assert!(
-                                (got - want).abs() < 1e-3 * (1.0 + want.abs()),
+                                (got - want).abs() < 2e-4 * scale.max(1.0),
                                 "n {n} lanes {lanes} {dir:?} lane {l} bin {bin}: {got:?} vs {want:?}"
                             );
                         }

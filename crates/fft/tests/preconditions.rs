@@ -1,46 +1,132 @@
-//! Debug-build precondition tests for the butterfly dispatchers:
-//! mismatched half-slices or a short twiddle table must trip the
-//! `debug_assert!` guards before any butterfly runs. Gated on
+//! Debug-build precondition tests for the lane-kernel dispatchers: a
+//! plane that does not cover `n·lanes`, an impossible stage geometry, a
+//! short twiddle table or a short transpose buffer must trip the
+//! `debug_assert!` guards before any kernel runs. Gated on
 //! `debug_assertions` because release CI compiles the asserts away.
 
 #![cfg(debug_assertions)]
 
-use gcnn_fft::simd::{butterflies_dif, butterflies_dit, wide_butterflies};
-use gcnn_tensor::complex::Complex32;
+use gcnn_fft::simd::{lane_stage2_dit, lane_stage_dit, split_isa, transpose_f32};
+
+const N: usize = 8;
+const LANES: usize = 4;
 
 #[test]
-#[should_panic]
-fn dit_rejects_half_slice_mismatch() {
-    let mut a = [Complex32::ZERO; 8];
-    let mut b = [Complex32::ZERO; 6];
-    let tw = [Complex32::ONE; 8];
-    butterflies_dit(&mut a, &mut b, &tw, 1, wide_butterflies());
+#[should_panic(expected = "plane extent mismatch")]
+fn stage_rejects_short_plane() {
+    let mut re = [0.0f32; N * LANES];
+    let mut im = [0.0f32; N * LANES - 1];
+    let tw = [1.0f32; N / 2];
+    lane_stage_dit(
+        &mut re,
+        &mut im,
+        N,
+        LANES,
+        1,
+        N / 2,
+        &tw,
+        &tw,
+        false,
+        split_isa(),
+    );
 }
 
 #[test]
-#[should_panic]
-fn dit_rejects_short_twiddle_table() {
-    let mut a = [Complex32::ZERO; 8];
-    let mut b = [Complex32::ZERO; 8];
-    let tw = [Complex32::ONE; 4];
-    butterflies_dit(&mut a, &mut b, &tw, 1, wide_butterflies());
+#[should_panic(expected = "invalid stage geometry")]
+fn stage_rejects_span_past_half() {
+    let mut re = [0.0f32; N * LANES];
+    let mut im = [0.0f32; N * LANES];
+    let tw = [1.0f32; N];
+    lane_stage_dit(
+        &mut re,
+        &mut im,
+        N,
+        LANES,
+        N,
+        1,
+        &tw,
+        &tw,
+        false,
+        split_isa(),
+    );
 }
 
 #[test]
-#[should_panic]
-fn dif_rejects_half_slice_mismatch() {
-    let mut a = [Complex32::ZERO; 8];
-    let mut b = [Complex32::ZERO; 6];
-    let tw = [Complex32::ONE; 8];
-    butterflies_dif(&mut a, &mut b, &tw, 1, wide_butterflies());
+#[should_panic(expected = "twiddle table short")]
+fn stage_rejects_strided_short_twiddle_table() {
+    let mut re = [0.0f32; N * LANES];
+    let mut im = [0.0f32; N * LANES];
+    // span 4 at stride 2 reads up to tw[(4 − 1)·2] = tw[6].
+    let tw = [1.0f32; 4];
+    lane_stage_dit(
+        &mut re,
+        &mut im,
+        N,
+        LANES,
+        4,
+        2,
+        &tw,
+        &tw,
+        false,
+        split_isa(),
+    );
 }
 
 #[test]
-#[should_panic]
-fn dif_rejects_strided_short_twiddle_table() {
-    let mut a = [Complex32::ZERO; 8];
-    let mut b = [Complex32::ZERO; 8];
-    // stride 2 needs tw coverage past (span − 1)·2 = 14.
-    let tw = [Complex32::ONE; 8];
-    butterflies_dif(&mut a, &mut b, &tw, 2, wide_butterflies());
+#[should_panic(expected = "invalid fused geometry")]
+fn stage2_rejects_span_past_quarter() {
+    let mut re = [0.0f32; N * LANES];
+    let mut im = [0.0f32; N * LANES];
+    let tw = [1.0f32; N];
+    lane_stage2_dit(
+        &mut re,
+        &mut im,
+        N,
+        LANES,
+        4,
+        1,
+        1,
+        &tw,
+        &tw,
+        false,
+        split_isa(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "stride mismatch")]
+fn stage2_rejects_inconsistent_strides() {
+    let mut re = [0.0f32; N * LANES];
+    let mut im = [0.0f32; N * LANES];
+    let tw = [1.0f32; N];
+    // s = 1 needs stride_a = n/2 = 4 and stride_b = n/4 = 2.
+    lane_stage2_dit(
+        &mut re,
+        &mut im,
+        N,
+        LANES,
+        1,
+        4,
+        1,
+        &tw,
+        &tw,
+        false,
+        split_isa(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "src short")]
+fn transpose_rejects_short_source() {
+    let src = [0.0f32; 11];
+    let mut dst = [0.0f32; 12];
+    transpose_f32(&src, 3, 4, &mut dst, split_isa());
+}
+
+#[test]
+#[should_panic(expected = "dst short")]
+fn transpose_rejects_short_destination() {
+    let src = [0.0f32; 12];
+    let mut dst = [0.0f32; 11];
+    transpose_f32(&src, 3, 4, &mut dst, split_isa());
 }

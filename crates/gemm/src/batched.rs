@@ -5,7 +5,6 @@
 //! frequency bin; both are embarrassingly parallel across instances.
 
 use crate::sgemm::{sgemm, Transpose};
-use gcnn_tensor::Complex32;
 use rayon::prelude::*;
 
 /// Geometry shared by every instance of a batched real GEMM.
@@ -83,54 +82,11 @@ pub fn batched_sgemm(
         });
 }
 
-/// Batched complex GEMM: one `m×k · k×n` product per instance, instances
-/// in parallel. Used per frequency bin by the FFT convolution.
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
-pub fn batched_cgemm(
-    conj_a: bool,
-    conj_b: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    batch: usize,
-    a: &[Complex32],
-    stride_a: usize,
-    b: &[Complex32],
-    stride_b: usize,
-    c: &mut [Complex32],
-    stride_c: usize,
-) {
-    assert!(
-        stride_c >= m * n || batch <= 1,
-        "batched_cgemm: C stride too small"
-    );
-    c.par_chunks_mut(stride_c.max(1))
-        .take(batch)
-        .enumerate()
-        .for_each(|(i, cchunk)| {
-            crate::cgemm::cgemm(
-                conj_a,
-                conj_b,
-                m,
-                n,
-                k,
-                Complex32::ONE,
-                &a[i * stride_a..i * stride_a + m * k],
-                k,
-                &b[i * stride_b..i * stride_b + k * n],
-                n,
-                Complex32::ZERO,
-                &mut cchunk[..m * n],
-                n,
-            );
-        });
-}
-
 /// Batched **split-complex** GEMM: one `m×k · k×n` product per instance
 /// with every operand a pair of re/im f32 planes, instances in parallel.
-/// The frequency-domain stage of the batch-major FFT convolution calls
-/// this once per bin group — the split layout the lane transforms emit
-/// flows straight in, never materializing interleaved `Complex32`.
+/// The frequency-domain stage of the FFT convolution calls this once
+/// per pass, one instance per bin — the split layout the lane
+/// transforms emit flows straight in.
 /// Overwrite semantics (see [`crate::cgemm::cgemm_split`]).
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn batched_cgemm_split(
@@ -182,6 +138,7 @@ pub fn batched_cgemm_split(
 mod tests {
     use super::*;
     use crate::naive::{cgemm_ref, sgemm_ref};
+    use gcnn_tensor::Complex32;
 
     #[test]
     fn batched_matches_loop_of_references() {
@@ -221,54 +178,11 @@ mod tests {
         }
     }
 
+    /// Every instance equals the naive complex GEMM on (pre-conjugated)
+    /// interleaved operands, for all four conjugation combinations; `n`
+    /// straddles the AVX2 j-tile and the NaN prefill proves overwrite.
     #[test]
-    fn batched_cgemm_matches_reference() {
-        let (m, n, k, batch) = (3, 2, 4, 5);
-        let a: Vec<Complex32> = (0..batch * m * k)
-            .map(|i| Complex32::new((i % 5) as f32 - 2.0, (i % 3) as f32))
-            .collect();
-        let b: Vec<Complex32> = (0..batch * k * n)
-            .map(|i| Complex32::new((i % 4) as f32, (i % 7) as f32 - 3.0))
-            .collect();
-        let mut c = vec![Complex32::ZERO; batch * m * n];
-        batched_cgemm(
-            false,
-            false,
-            m,
-            n,
-            k,
-            batch,
-            &a,
-            m * k,
-            &b,
-            k * n,
-            &mut c,
-            m * n,
-        );
-
-        for i in 0..batch {
-            let mut c_ref = vec![Complex32::ZERO; m * n];
-            cgemm_ref(
-                m,
-                n,
-                k,
-                Complex32::ONE,
-                &a[i * m * k..],
-                k,
-                &b[i * k * n..],
-                n,
-                Complex32::ZERO,
-                &mut c_ref,
-                n,
-            );
-            for (x, y) in c[i * m * n..(i + 1) * m * n].iter().zip(&c_ref) {
-                assert!((*x - *y).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_cgemm_split_matches_interleaved() {
+    fn batched_cgemm_split_matches_loop_of_references() {
         let (m, n, k, batch) = (3, 37, 4, 5);
         let a: Vec<Complex32> = (0..batch * m * k)
             .map(|i| Complex32::new((i % 5) as f32 - 2.0, (i % 3) as f32))
@@ -280,21 +194,6 @@ mod tests {
         let (b_re, b_im): (Vec<f32>, Vec<f32>) = b.iter().map(|z| (z.re, z.im)).unzip();
 
         for (conj_a, conj_b) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut c = vec![Complex32::ZERO; batch * m * n];
-            batched_cgemm(
-                conj_a,
-                conj_b,
-                m,
-                n,
-                k,
-                batch,
-                &a,
-                m * k,
-                &b,
-                k * n,
-                &mut c,
-                m * n,
-            );
             let mut c_re = vec![f32::NAN; batch * m * n];
             let mut c_im = vec![f32::NAN; batch * m * n];
             batched_cgemm_split(
@@ -314,13 +213,33 @@ mod tests {
                 &mut c_im,
                 m * n,
             );
-            for (i, z) in c.iter().enumerate() {
-                assert!(
-                    (c_re[i] - z.re).abs() < 1e-4 && (c_im[i] - z.im).abs() < 1e-4,
-                    "conj ({conj_a},{conj_b}) elem {i}: ({},{}) vs {z:?}",
-                    c_re[i],
-                    c_im[i]
+
+            let conj = |v: &[Complex32], on: bool| -> Vec<Complex32> {
+                v.iter().map(|z| if on { z.conj() } else { *z }).collect()
+            };
+            let (aj, bj) = (conj(&a, conj_a), conj(&b, conj_b));
+            for i in 0..batch {
+                let mut c_ref = vec![Complex32::ZERO; m * n];
+                cgemm_ref(
+                    m,
+                    n,
+                    k,
+                    Complex32::ONE,
+                    &aj[i * m * k..],
+                    k,
+                    &bj[i * k * n..],
+                    n,
+                    Complex32::ZERO,
+                    &mut c_ref,
+                    n,
                 );
+                for (e, z) in c_ref.iter().enumerate() {
+                    let (re, im) = (c_re[i * m * n + e], c_im[i * m * n + e]);
+                    assert!(
+                        (re - z.re).abs() < 1e-4 && (im - z.im).abs() < 1e-4,
+                        "conj ({conj_a},{conj_b}) instance {i} elem {e}: ({re},{im}) vs {z:?}"
+                    );
+                }
             }
         }
     }

@@ -4,236 +4,19 @@
 //! fbfft's hotspot profile (paper Fig. 4f) shows its runtime split
 //! between FFT transforms, layout transposes and "Cgemm" — a batched
 //! complex matrix product, one `[f×c]·[c×b]` GEMM per frequency bin.
-//! This module provides that product on the CPU, blocked over k and
-//! parallelized by the caller over bins.
+//! This module provides that product on the CPU in the split-complex
+//! layout the FFT lane engine emits, parallelized by the caller over
+//! bins. [`crate::naive::cgemm_ref`] is its oracle.
 
 use gcnn_tensor::Complex32;
-
-/// `C ← alpha·opa(A)·opb(B) + beta·C` for complex row-major matrices.
-///
-/// `conj_a`/`conj_b` conjugate the operand elementwise (no transpose) —
-/// exactly the variant the backward FFT-convolution passes need, where
-/// correlation in the spatial domain is conjugation in the Fourier
-/// domain.
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
-pub fn cgemm(
-    conj_a: bool,
-    conj_b: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: Complex32,
-    a: &[Complex32],
-    lda: usize,
-    b: &[Complex32],
-    ldb: usize,
-    beta: Complex32,
-    c: &mut [Complex32],
-    ldc: usize,
-) {
-    // Scale C by beta first, then accumulate the product.
-    if beta != Complex32::ONE {
-        for i in 0..m {
-            for v in &mut c[i * ldc..i * ldc + n] {
-                *v = beta * *v;
-            }
-        }
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    if gcnn_tensor::simd::isa() == gcnn_tensor::simd::Isa::Avx2Fma {
-        // SAFETY: reached only after runtime AVX2+FMA detection; the
-        // operand-extent preconditions are debug-asserted inside.
-        unsafe { cgemm_rows_avx2(conj_a, conj_b, m, n, k, alpha, a, lda, b, ldb, c, ldc) };
-        return;
-    }
-
-    // Dispatch once on the conjugation flags so the kernel instantiates
-    // with compile-time constants and the per-element `if`s fold away.
-    match (conj_a, conj_b) {
-        (false, false) => cgemm_kernel::<false, false>(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-        (false, true) => cgemm_kernel::<false, true>(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-        (true, false) => cgemm_kernel::<true, false>(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-        (true, true) => cgemm_kernel::<true, true>(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-    }
-}
-
-/// The monomorphized scalar body of [`cgemm`] (product accumulation only
-/// — `beta` is already applied by the caller): `CONJ_A`/`CONJ_B` are
-/// const so conjugation costs nothing on the `(false, false)` forward
-/// path. Also the property-test oracle for the AVX2 path.
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
-fn cgemm_kernel<const CONJ_A: bool, const CONJ_B: bool>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: Complex32,
-    a: &[Complex32],
-    lda: usize,
-    b: &[Complex32],
-    ldb: usize,
-    c: &mut [Complex32],
-    ldc: usize,
-) {
-    // Register-tile over 4 columns at a time; complex FMA in the inner
-    // loop. Operand conjugation is folded into the load.
-    const JT: usize = 4;
-    for i in 0..m {
-        let arow = &a[i * lda..i * lda + k];
-        let mut j0 = 0;
-        while j0 + JT <= n {
-            let mut acc = [Complex32::ZERO; JT];
-            for (p, &araw) in arow.iter().enumerate() {
-                let av = if CONJ_A { araw.conj() } else { araw };
-                let brow = &b[p * ldb + j0..p * ldb + j0 + JT];
-                for (t, acc_t) in acc.iter_mut().enumerate() {
-                    let bv = if CONJ_B { brow[t].conj() } else { brow[t] };
-                    *acc_t = acc_t.mul_add(av, bv);
-                }
-            }
-            for (t, &v) in acc.iter().enumerate() {
-                c[i * ldc + j0 + t] += alpha * v;
-            }
-            j0 += JT;
-        }
-        for j in j0..n {
-            let mut acc = Complex32::ZERO;
-            for (p, &araw) in arow.iter().enumerate() {
-                let av = if CONJ_A { araw.conj() } else { araw };
-                let bv = if CONJ_B {
-                    b[p * ldb + j].conj()
-                } else {
-                    b[p * ldb + j]
-                };
-                acc = acc.mul_add(av, bv);
-            }
-            c[i * ldc + j] += alpha * acc;
-        }
-    }
-}
-
-/// AVX2+FMA body of [`cgemm`]: interleaved complex MAC over row tiles of
-/// 16 bins (four ymm accumulators of 4 complex each). Per `p` it
-/// broadcasts `a.re`/`±a.im` once and runs the classic
-/// `addsub(fmadd(re, b, acc), im·swap(b))` complex-FMA pattern;
-/// conjugation of B is an odd-lane sign flip folded into the load.
-/// `beta` is already applied by the caller.
-///
-/// # Safety
-/// Caller must have verified AVX2 and FMA at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
-unsafe fn cgemm_rows_avx2(
-    conj_a: bool,
-    conj_b: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: Complex32,
-    a: &[Complex32],
-    lda: usize,
-    b: &[Complex32],
-    ldb: usize,
-    c: &mut [Complex32],
-    ldc: usize,
-) {
-    use std::arch::x86_64::*;
-    // 4 complex bins per 256-bit vector, 4 vectors per j-tile.
-    const LANES: usize = 4;
-    const JT: usize = 4 * LANES;
-
-    debug_assert!(
-        m == 0 || a.len() >= (m - 1) * lda + k,
-        "cgemm_rows_avx2: A short"
-    );
-    debug_assert!(
-        k == 0 || b.len() >= (k - 1) * ldb + n,
-        "cgemm_rows_avx2: B short"
-    );
-    debug_assert!(
-        m == 0 || c.len() >= (m - 1) * ldc + n,
-        "cgemm_rows_avx2: C short"
-    );
-    // SAFETY: reached only after runtime AVX2+FMA detection. Viewing
-    // B/C as interleaved f32 is sound because Complex32 is `#[repr(C)]
-    // { re: f32, im: f32 }` with size 8 and align 4 (const-asserted
-    // next to the type) — every complex index `q` maps to f32 offsets
-    // `2q` and `2q + 1`. The vector loop touches complex columns
-    // `[j0, j0 + JT)` of rows `p < k` (B) and `i < m` (C) only while
-    // `j0 + JT <= n`, and the scalar tail writes through the same raw
-    // C pointer, so no `&mut c` borrow coexists with the raw stores.
-    unsafe {
-        // Flips the sign of the imaginary (odd) lanes → conjugates 4
-        // packed Complex32.
-        let conj_mask = _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
-        let bp = b.as_ptr() as *const f32;
-        let cp = c.as_mut_ptr() as *mut f32;
-        let alre = _mm256_set1_ps(alpha.re);
-        let alim = _mm256_set1_ps(alpha.im);
-
-        for i in 0..m {
-            let arow = &a[i * lda..i * lda + k];
-            let crow = cp.add(2 * i * ldc);
-            let mut j0 = 0;
-            while j0 + JT <= n {
-                let mut acc = [_mm256_setzero_ps(); LANES];
-                for (p, &araw) in arow.iter().enumerate() {
-                    let are = _mm256_set1_ps(araw.re);
-                    let aim = _mm256_set1_ps(if conj_a { -araw.im } else { araw.im });
-                    let brow = bp.add(2 * (p * ldb + j0));
-                    for (t, acc_t) in acc.iter_mut().enumerate() {
-                        let mut bv = _mm256_loadu_ps(brow.add(8 * t));
-                        if conj_b {
-                            bv = _mm256_xor_ps(bv, conj_mask);
-                        }
-                        // acc.re += ar·br − ai·bi ; acc.im += ar·bi + ai·br
-                        let bswap = _mm256_permute_ps(bv, 0b1011_0001);
-                        *acc_t = _mm256_addsub_ps(
-                            _mm256_fmadd_ps(are, bv, *acc_t),
-                            _mm256_mul_ps(aim, bswap),
-                        );
-                    }
-                }
-                // c += alpha · acc, same complex-FMA pattern with alpha.
-                for (t, &v) in acc.iter().enumerate() {
-                    let cptr = crow.add(2 * j0 + 8 * t);
-                    let cv = _mm256_loadu_ps(cptr);
-                    let vswap = _mm256_permute_ps(v, 0b1011_0001);
-                    let out =
-                        _mm256_addsub_ps(_mm256_fmadd_ps(alre, v, cv), _mm256_mul_ps(alim, vswap));
-                    _mm256_storeu_ps(cptr, out);
-                }
-                j0 += JT;
-            }
-            // Scalar tail columns, written through the same raw pointer
-            // the vector loop uses so no fresh `&mut c` borrow is
-            // created.
-            for j in j0..n {
-                let mut acc = Complex32::ZERO;
-                for (p, &araw) in arow.iter().enumerate() {
-                    let av = if conj_a { araw.conj() } else { araw };
-                    let bv = if conj_b {
-                        b[p * ldb + j].conj()
-                    } else {
-                        b[p * ldb + j]
-                    };
-                    acc = acc.mul_add(av, bv);
-                }
-                let slot = crow.add(2 * j) as *mut Complex32;
-                *slot += alpha * acc;
-            }
-        }
-    }
-}
 
 /// `C ← opa(A)·opb(B)` for **split-complex** row-major matrices: every
 /// operand is a pair of f32 planes (`re`, `im`) sharing one leading
 /// dimension. Overwrite semantics (the batched frequency-domain product
-/// always runs with `alpha = 1, beta = 0`).
+/// always runs with `alpha = 1, beta = 0`). `conj_a`/`conj_b` conjugate
+/// the operand elementwise (no transpose) — exactly the variant the
+/// FFT-convolution passes need, where correlation in the spatial domain
+/// is conjugation in the Fourier domain.
 ///
 /// This is the split-complex CGEMM row kernel of the fbfft-style
 /// pipeline: per k-step the AVX2 body broadcasts `a.re`/`a.im` and runs
@@ -298,9 +81,10 @@ pub fn cgemm_split(
     }
 }
 
-/// Monomorphized scalar body of [`cgemm_split`] — the fallback and the
-/// property-test oracle, doing the same per-element [`Complex32`]
-/// arithmetic as the interleaved scalar kernel.
+/// Monomorphized scalar body of [`cgemm_split`] — the fallback on
+/// non-AVX2 dispatch, in per-element [`Complex32`] arithmetic.
+/// `CONJ_A`/`CONJ_B` are const so conjugation costs nothing on the
+/// `(false, false)` path.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 fn cgemm_split_kernel<const CONJ_A: bool, const CONJ_B: bool>(
     m: usize,
@@ -455,74 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference() {
-        for (m, n, k) in [(1, 1, 1), (3, 5, 7), (8, 8, 8), (13, 6, 9), (4, 17, 2)] {
-            let a = rand_cvec(m * k, 1);
-            let b = rand_cvec(k * n, 2);
-            let c0 = rand_cvec(m * n, 3);
-            let alpha = Complex32::new(1.5, -0.5);
-            let beta = Complex32::new(0.25, 0.75);
-
-            let mut c_opt = c0.clone();
-            cgemm(
-                false, false, m, n, k, alpha, &a, k, &b, n, beta, &mut c_opt, n,
-            );
-            let mut c_ref = c0;
-            cgemm_ref(m, n, k, alpha, &a, k, &b, n, beta, &mut c_ref, n);
-
-            for (x, y) in c_opt.iter().zip(&c_ref) {
-                assert!((*x - *y).abs() < 1e-4, "({m},{n},{k}): {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn conjugation_flags() {
-        let a = rand_cvec(6, 4);
-        let b = rand_cvec(6, 5);
-        let (m, n, k) = (2, 2, 3);
-
-        // conj via flag == conj applied manually then plain cgemm.
-        let mut c_flag = vec![Complex32::ZERO; 4];
-        cgemm(
-            true,
-            true,
-            m,
-            n,
-            k,
-            Complex32::ONE,
-            &a,
-            k,
-            &b,
-            n,
-            Complex32::ZERO,
-            &mut c_flag,
-            n,
-        );
-
-        let ac: Vec<_> = a.iter().map(|z| z.conj()).collect();
-        let bc: Vec<_> = b.iter().map(|z| z.conj()).collect();
-        let mut c_manual = vec![Complex32::ZERO; 4];
-        cgemm_ref(
-            m,
-            n,
-            k,
-            Complex32::ONE,
-            &ac,
-            k,
-            &bc,
-            n,
-            Complex32::ZERO,
-            &mut c_manual,
-            n,
-        );
-
-        for (x, y) in c_flag.iter().zip(&c_manual) {
-            assert!((*x - *y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn split_matches_reference_all_conj() {
         // Sizes straddle the 32-bin AVX2 j-tile to exercise the scalar
         // tail (n = 1, 31, 33, 40) and the full-tile path (n = 64).
@@ -637,28 +353,5 @@ mod tests {
                 assert_eq!(c_im[i * ldc + j], 7.0, "gap column clobbered");
             }
         }
-    }
-
-    #[test]
-    fn beta_only_when_k_zero() {
-        let mut c = vec![Complex32::new(2.0, 2.0); 4];
-        cgemm(
-            false,
-            false,
-            2,
-            2,
-            0,
-            Complex32::ONE,
-            &[],
-            1,
-            &[],
-            1,
-            Complex32::new(0.5, 0.0),
-            &mut c,
-            2,
-        );
-        assert!(c
-            .iter()
-            .all(|z| (*z - Complex32::new(1.0, 1.0)).abs() < 1e-6));
     }
 }

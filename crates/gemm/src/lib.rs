@@ -13,12 +13,10 @@
 //! * [`sgemm`] — single-precision real GEMM with BLIS-style `MC/KC/NC`
 //!   cache blocking, `MR×NR` register micro-tiles, explicit operand
 //!   packing, and rayon parallelism over row blocks.
-//! * [`cgemm`] — complex GEMM over [`Complex32`], used per frequency bin
-//!   by the FFT convolution strategy.
+//! * [`cgemm_split`] — complex GEMM over split-complex (separate re/im)
+//!   planes, used per frequency bin by the FFT convolution strategy.
 //! * [`naive`] — trivially-correct reference implementations every
 //!   optimized path is tested against.
-//!
-//! [`Complex32`]: gcnn_tensor::Complex32
 
 pub mod batched;
 pub mod blocking;
@@ -30,7 +28,7 @@ pub mod sgemm;
 
 pub use batched::{batched_cgemm_split, batched_sgemm, BatchedGemmDesc};
 pub use blocking::BlockSizes;
-pub use cgemm::{cgemm, cgemm_split};
+pub use cgemm::cgemm_split;
 pub use sgemm::{sgemm, sgemm_mat, Transpose};
 
 /// FLOP count of a real `m×k · k×n` GEMM (one multiply + one add per

@@ -1,7 +1,7 @@
 //! SIMD kernels vs the scalar oracle.
 //!
 //! The dispatched micro-kernels ([`gcnn_gemm::kernel::microkernel`], the
-//! cgemm inner loop, the full blocked driver) must agree with the scalar
+//! split cgemm inner loop, the full blocked driver) must agree with the scalar
 //! reference on randomized shapes, including remainder tiles
 //! (`m_eff < MR`, `n_eff < NR`) and non-contiguous `ldc`. Tolerances are
 //! stated in ulps where the comparison is elementwise: FMA contraction
@@ -17,7 +17,7 @@
 use gcnn_gemm::blocking::{BlockSizes, MR, NR};
 use gcnn_gemm::kernel::{microkernel, microkernel_scalar, writeback_tile};
 use gcnn_gemm::naive::{cgemm_ref, sgemm_ref};
-use gcnn_gemm::{cgemm, sgemm::sgemm_blocked, Transpose};
+use gcnn_gemm::{cgemm_split, sgemm::sgemm_blocked, Transpose};
 use gcnn_tensor::Complex32;
 use proptest::prelude::*;
 
@@ -173,37 +173,49 @@ proptest! {
         }
     }
 
-    /// Complex GEMM (AVX2 interleaved MAC on capable hosts) vs the naive
-    /// reference, across both conjugation flags and vector-tail widths.
+    /// Split-complex GEMM (AVX2 plane FMAs on capable hosts) vs the naive
+    /// reference, across both conjugation flags, vector-tail widths and
+    /// a padded `ldc` whose gutter must stay untouched.
     #[test]
-    fn cgemm_matches_reference(
+    fn cgemm_split_matches_reference(
         m in 1usize..12,
-        n in 1usize..40,
+        n in 1usize..72,
         k in 1usize..24,
+        ldc_pad in 0usize..4,
         conj_a in any::<bool>(),
         conj_b in any::<bool>(),
         seed in 0u64..1u64 << 32,
     ) {
+        let ldc = n + ldc_pad;
         let a = lcg_cvec(m * k, seed);
         let b = lcg_cvec(k * n, seed ^ 0x33);
-        let c0 = lcg_cvec(m * n, seed ^ 0x44);
-        let alpha = Complex32::new(1.25, -0.5);
-        let beta = Complex32::new(0.5, 0.25);
+        let (a_re, a_im): (Vec<f32>, Vec<f32>) = a.iter().map(|z| (z.re, z.im)).unzip();
+        let (b_re, b_im): (Vec<f32>, Vec<f32>) = b.iter().map(|z| (z.re, z.im)).unzip();
 
-        let mut c_simd = c0.clone();
-        cgemm(conj_a, conj_b, m, n, k, alpha, &a, k, &b, n, beta, &mut c_simd, n);
+        let mut c_re = vec![7.0f32; m * ldc];
+        let mut c_im = vec![7.0f32; m * ldc];
+        cgemm_split(
+            conj_a, conj_b, m, n, k, &a_re, &a_im, k, &b_re, &b_im, n, &mut c_re, &mut c_im, ldc,
+        );
 
         // Reference on pre-conjugated operands (cgemm_ref has no flags).
         let ar: Vec<Complex32> = if conj_a { a.iter().map(|z| z.conj()).collect() } else { a };
         let br: Vec<Complex32> = if conj_b { b.iter().map(|z| z.conj()).collect() } else { b };
-        let mut c_ref = c0;
-        cgemm_ref(m, n, k, alpha, &ar, k, &br, n, beta, &mut c_ref, n);
+        let mut c_ref = vec![Complex32::ZERO; m * n];
+        cgemm_ref(m, n, k, Complex32::ONE, &ar, k, &br, n, Complex32::ZERO, &mut c_ref, n);
 
-        for (i, (x, y)) in c_simd.iter().zip(&c_ref).enumerate() {
-            prop_assert!(
-                close(x.re, y.re, 2 * k) && close(x.im, y.im, 2 * k),
-                "elem {i}: {x} vs {y}"
-            );
+        for i in 0..m {
+            for j in 0..n {
+                let (x, y) = (c_re[i * ldc + j], c_im[i * ldc + j]);
+                let z = c_ref[i * n + j];
+                prop_assert!(
+                    close(x, z.re, 2 * k) && close(y, z.im, 2 * k),
+                    "({i},{j}): ({x},{y}) vs {z}"
+                );
+            }
+            for j in n..ldc {
+                prop_assert_eq!((c_re[i * ldc + j], c_im[i * ldc + j]), (7.0, 7.0));
+            }
         }
     }
 }

@@ -1,8 +1,10 @@
 //! A minimal single-precision complex number.
 //!
 //! The FFT-based convolution strategy (paper §II-B, implemented by fbfft
-//! and Theano-fft) works in the Fourier domain; this type is the element
-//! of every frequency-domain buffer in `gcnn-fft` and `gcnn-gemm::cgemm`.
+//! and Theano-fft) works in the Fourier domain. The production path
+//! keeps spectra as split re/im `f32` planes; this type is the scalar
+//! arithmetic of its kernels' tails and the element of the oracles
+//! (`gcnn_fft::dft`, `gcnn_gemm::naive::cgemm_ref`).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -12,8 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// A complex number with `f32` real and imaginary parts.
 ///
 /// `#[repr(C)]` guarantees the `[re, im]` field order and no padding, so
-/// a `&[Complex32]` can be soundly viewed as interleaved `f32` pairs by
-/// the SIMD kernels in [`crate::simd`] and `gcnn-fft`.
+/// a `&[Complex32]` can be soundly viewed as interleaved `f32` pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 #[repr(C)]
 pub struct Complex32 {
@@ -23,9 +24,9 @@ pub struct Complex32 {
     pub im: f32,
 }
 
-// The interleaved-f32 reinterpretation used by the SIMD kernels is only
-// sound while `Complex32` is exactly two packed f32s; a compile error
-// here means a field or attribute change broke that contract.
+// That interleaved-f32 view is only sound while `Complex32` is exactly
+// two packed f32s; a compile error here means a field or attribute
+// change broke that contract.
 const _: () = assert!(std::mem::size_of::<Complex32>() == 2 * std::mem::size_of::<f32>());
 const _: () = assert!(std::mem::align_of::<Complex32>() == std::mem::align_of::<f32>());
 

@@ -14,8 +14,8 @@
 //!   (baseline there), scalar everywhere else. `GCNN_FORCE_SCALAR=1`
 //!   pins the scalar path for A/B measurement and CI.
 //! * Slice primitives ([`saxpy`], [`sscal`], [`sdot`], [`add_assign`],
-//!   [`scale_add`], [`cmac`]) used by `gcnn-tensor::ops`, `im2col`,
-//!   the GEMM writeback and the FFT pointwise products.
+//!   [`scale_add`]) used by `gcnn-tensor::ops`, `im2col`, the GEMM
+//!   writeback and the FFT lane engine's scaling.
 //!
 //! The scalar implementations are not vestigial: they are the
 //! always-available fallback *and* the oracle the SIMD kernels are
@@ -24,7 +24,6 @@
 //! only after the matching runtime detection, which is the safety
 //! contract `std::arch` requires.
 
-use crate::complex::Complex32;
 use std::sync::atomic::{AtomicI8, Ordering};
 use std::sync::OnceLock;
 
@@ -384,46 +383,11 @@ pub fn max_assign_scalar(y: &mut [f32], x: &[f32]) {
 }
 
 // ---------------------------------------------------------------------
-// Complex slice primitive
-// ---------------------------------------------------------------------
-
-/// Pointwise complex multiply-accumulate: `out[i] += a[i] · b[i]`, or
-/// `a[i] · conj(b[i])` when `conj_b` — the Fourier-domain product of
-/// the FFT convolution strategy (the paper's fbfft "Cgemm" hotspot in
-/// its pointwise form).
-#[inline]
-pub fn cmac(a: &[Complex32], b: &[Complex32], conj_b: bool, out: &mut [Complex32]) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), out.len());
-    match isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selected after runtime
-        // AVX2+FMA detection (see [`detect`]).
-        Isa::Avx2Fma => unsafe { cmac_avx2(a, b, conj_b, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `Neon` is only selected on AArch64, where NEON
-        // is a baseline feature.
-        Isa::Neon => unsafe { cmac_neon(a, b, conj_b, out) },
-        _ => cmac_scalar(a, b, conj_b, out),
-    }
-}
-
-/// Scalar oracle for [`cmac`].
-#[inline]
-pub fn cmac_scalar(a: &[Complex32], b: &[Complex32], conj_b: bool, out: &mut [Complex32]) {
-    for ((&x, &y), o) in a.iter().zip(b).zip(out.iter_mut()) {
-        let yy = if conj_b { y.conj() } else { y };
-        *o = o.mul_add(x, yy);
-    }
-}
-
-// ---------------------------------------------------------------------
 // AVX2 + FMA bodies
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::Complex32;
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -565,67 +529,6 @@ mod avx2 {
         }
     }
 
-    /// Sign mask flipping the imaginary (odd) lanes — xor-ing with it
-    /// conjugates four packed [`Complex32`] values.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX at runtime (guaranteed by every
-    /// caller being itself `avx2,fma` target-feature gated).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn conj_mask() -> __m256 {
-        // Pure register constant: safe to call inside an `avx2`
-        // target-feature fn; no inner unsafe is needed.
-        _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0)
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime; the dispatch
-    /// table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn cmac_avx2(
-        a: &[Complex32],
-        b: &[Complex32],
-        conj_b: bool,
-        out: &mut [Complex32],
-    ) {
-        debug_assert_eq!(a.len(), b.len(), "cmac_avx2: length mismatch");
-        debug_assert_eq!(a.len(), out.len(), "cmac_avx2: length mismatch");
-        let n = a.len().min(b.len()).min(out.len());
-        // SAFETY: runs only after runtime AVX2+FMA detection. Viewing
-        // `&[Complex32]` as interleaved f32 is sound because Complex32
-        // is `#[repr(C)] { re: f32, im: f32 }` with size 8 and align 4
-        // (const-asserted next to the type); `2 * n` f32 elements span
-        // exactly `n` complex elements. The 4-complex (8-f32) loop
-        // reads/writes f32 offsets `[2i, 2i+8)` only while `i + 4 <= n`,
-        // and the scalar tail handles `[i, n)` through safe subslices.
-        unsafe {
-            let ap = a.as_ptr() as *const f32;
-            let bp = b.as_ptr() as *const f32;
-            let op = out.as_mut_ptr() as *mut f32;
-            let mask = conj_mask();
-            let mut i = 0; // complex index
-            while i + 4 <= n {
-                let av = _mm256_loadu_ps(ap.add(2 * i));
-                let mut bv = _mm256_loadu_ps(bp.add(2 * i));
-                if conj_b {
-                    bv = _mm256_xor_ps(bv, mask);
-                }
-                let ov = _mm256_loadu_ps(op.add(2 * i));
-                // With b = [br, bi, …]: even lanes need +br·are − bi·aim,
-                // odd lanes +br·aim + bi·are (a swapped within pairs).
-                let bre = _mm256_moveldup_ps(bv); // [br, br, …]
-                let bim = _mm256_movehdup_ps(bv); // [bi, bi, …]
-                let aswap = _mm256_permute_ps(av, 0b1011_0001); // [ai, ar, …]
-                let res = _mm256_fmadd_ps(bre, av, ov);
-                let res = _mm256_addsub_ps(res, _mm256_mul_ps(bim, aswap));
-                _mm256_storeu_ps(op.add(2 * i), res);
-                i += 4;
-            }
-            super::cmac_scalar(&a[i..n], &b[i..n], conj_b, &mut out[i..n]);
-        }
-    }
-
     /// # Safety
     /// Caller must have verified AVX2 and FMA at runtime; the dispatch
     /// table ([`super::isa`]) is the only caller. Slice lengths must
@@ -761,8 +664,8 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    cmac_avx2, conv_nchwc_tap8_avx2, max_assign_avx2, relu_inplace_avx2, saxpy_avx2,
-    scale_add_avx2, sdot_avx2, sscal_avx2,
+    conv_nchwc_tap8_avx2, max_assign_avx2, relu_inplace_avx2, saxpy_avx2, scale_add_avx2,
+    sdot_avx2, sscal_avx2,
 };
 
 // ---------------------------------------------------------------------
@@ -771,7 +674,6 @@ use avx2::{
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::Complex32;
     use std::arch::aarch64::*;
 
     /// # Safety
@@ -893,55 +795,6 @@ mod neon {
 
     /// # Safety
     /// Caller must be on an AArch64 host (NEON is baseline there); the
-    /// dispatch table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn cmac_neon(
-        a: &[Complex32],
-        b: &[Complex32],
-        conj_b: bool,
-        out: &mut [Complex32],
-    ) {
-        debug_assert_eq!(a.len(), b.len(), "cmac_neon: length mismatch");
-        debug_assert_eq!(a.len(), out.len(), "cmac_neon: length mismatch");
-        let n = a.len().min(b.len()).min(out.len());
-        // SAFETY: NEON is an AArch64 baseline feature. Viewing
-        // `&[Complex32]` as interleaved f32 is sound because Complex32
-        // is `#[repr(C)] { re: f32, im: f32 }` with size 8 and align 4
-        // (const-asserted next to the type). The 2-complex (4-f32) loop
-        // reads/writes f32 offsets `[2i, 2i+4)` only while `i + 2 <= n`,
-        // and the scalar tail handles `[i, n)` through safe subslices.
-        unsafe {
-            let ap = a.as_ptr() as *const f32;
-            let bp = b.as_ptr() as *const f32;
-            let op = out.as_mut_ptr() as *mut f32;
-            // Flips the sign of the imaginary (odd) lanes.
-            let conj = vreinterpretq_u32_f32(vld1q_f32([0.0f32, -0.0, 0.0, -0.0].as_ptr()));
-            // Flips the sign of the real (even) lanes — used to realize
-            // the addsub pattern: out += [−bi·ai, +bi·ar].
-            let negeven = vreinterpretq_u32_f32(vld1q_f32([-0.0f32, 0.0, -0.0, 0.0].as_ptr()));
-            let mut i = 0; // complex index
-            while i + 2 <= n {
-                let av = vld1q_f32(ap.add(2 * i));
-                let mut bv = vld1q_f32(bp.add(2 * i));
-                if conj_b {
-                    bv = vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(bv), conj));
-                }
-                let ov = vld1q_f32(op.add(2 * i));
-                let bre = vtrn1q_f32(bv, bv); // [br, br, …]
-                let bim = vtrn2q_f32(bv, bv); // [bi, bi, …]
-                let aswap = vrev64q_f32(av); // [ai, ar, …]
-                let cross = vmulq_f32(bim, aswap); // [bi·ai, bi·ar]
-                let cross = vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(cross), negeven));
-                let res = vfmaq_f32(ov, bre, av);
-                vst1q_f32(op.add(2 * i), vaddq_f32(res, cross));
-                i += 2;
-            }
-            super::cmac_scalar(&a[i..n], &b[i..n], conj_b, &mut out[i..n]);
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on an AArch64 host (NEON is baseline there); the
     /// dispatch table ([`super::isa`]) is the only caller. `block` must
     /// be a multiple of 4 (guarded at the dispatch site); slice lengths
     /// must satisfy `out_row.len() >= ow*block`, `w_tap.len() >=
@@ -1047,8 +900,8 @@ mod neon {
 
 #[cfg(target_arch = "aarch64")]
 use neon::{
-    cmac_neon, conv_nchwc_tap_neon, max_assign_neon, relu_inplace_neon, saxpy_neon, scale_add_neon,
-    sdot_neon, sscal_neon,
+    conv_nchwc_tap_neon, max_assign_neon, relu_inplace_neon, saxpy_neon, scale_add_neon, sdot_neon,
+    sscal_neon,
 };
 
 #[cfg(test)]
@@ -1065,11 +918,6 @@ mod tests {
                 ((state >> 33) as f32 / (1u64 << 31) as f32) * 2.0 - 1.0
             })
             .collect()
-    }
-
-    fn rand_cvec(len: usize, seed: u64) -> Vec<Complex32> {
-        let raw = rand_vec(2 * len, seed);
-        raw.chunks(2).map(|p| Complex32::new(p[0], p[1])).collect()
     }
 
     #[test]
@@ -1183,28 +1031,6 @@ mod tests {
             let mut yref = y0.clone();
             max_assign_scalar(&mut yref, &x0);
             assert_eq!(y, yref, "max_assign len {len}");
-        }
-    }
-
-    #[test]
-    fn cmac_matches_scalar_oracle() {
-        for len in [0usize, 1, 2, 3, 4, 5, 17, 64] {
-            for conj_b in [false, true] {
-                let a = rand_cvec(len, 3 + len as u64);
-                let b = rand_cvec(len, 4 + len as u64);
-                let o0 = rand_cvec(len, 5 + len as u64);
-
-                let mut o = o0.clone();
-                cmac(&a, &b, conj_b, &mut o);
-                let mut oref = o0;
-                cmac_scalar(&a, &b, conj_b, &mut oref);
-                for (x, y) in o.iter().zip(&oref) {
-                    assert!(
-                        (*x - *y).abs() < 1e-5,
-                        "cmac len {len} conj {conj_b}: {x} vs {y}"
-                    );
-                }
-            }
         }
     }
 

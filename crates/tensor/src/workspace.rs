@@ -6,12 +6,12 @@
 //! provides the scratch substrate the GEMM, FFT, and convolution hot
 //! paths draw from:
 //!
-//! * a **thread-local, size-classed pool** of `f32` and [`Complex32`]
-//!   buffers ([`take_f32`], [`take_c32`], …) handed out as RAII
-//!   [`Scratch`] guards that return the buffer on drop,
-//! * a global **fresh-allocation counter** ([`fresh_allocs`],
-//!   [`alloc_scope`]) so tests can assert that a second identical call
-//!   performs **zero** new checkouts,
+//! * a **thread-local, size-classed pool** of `f32` buffers
+//!   ([`take_f32`], [`take_f32_zeroed`]) handed out as RAII [`Scratch`]
+//!   guards that return the buffer on drop,
+//! * a **fresh-allocation counter** — process-wide ([`fresh_allocs`])
+//!   for reports, per-thread ([`alloc_scope`]) so tests can assert that
+//!   a second identical call performs **zero** pool misses,
 //! * an explicit [`Workspace`] handle that convolution strategies and
 //!   the training loop thread through forward/backward so the borrow is
 //!   visible in signatures even though storage is thread-local.
@@ -21,8 +21,7 @@
 //! when a mix of nearby sizes is requested (e.g. the per-tile packing
 //! strips of every (MC, KC) combination map to one class).
 
-use crate::complex::Complex32;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -31,9 +30,8 @@ const POW2_LIMIT: usize = 1 << 20;
 /// Requests above [`POW2_LIMIT`] round up to a multiple of this.
 const BIG_QUANTUM: usize = 1 << 20;
 
-/// Number of `f32`/`Complex32` buffers freshly allocated (pool misses)
-/// since process start. Monotonic; read it before and after a region via
-/// [`alloc_scope`] to count misses inside the region.
+/// Number of buffers freshly allocated (pool misses) by every thread
+/// since process start. Monotonic.
 static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Bytes companion of [`FRESH_ALLOCS`]: capacity × element size of every
@@ -79,10 +77,15 @@ fn checkout_counter() -> &'static gcnn_trace::Counter {
 /// assert!(first >= 1);
 /// assert_eq!(second, 0);
 /// ```
+///
+/// Counts the **calling thread's** misses only: the pools are
+/// thread-local and the vendored rayon runs every closure on the calling
+/// thread, so a sibling thread missing its own pool (parallel tests in
+/// one binary) must not show up here.
 pub fn alloc_scope<R>(body: impl FnOnce() -> R) -> (R, u64) {
-    let before = fresh_allocs();
+    let before = THREAD_FRESH_ALLOCS.get();
     let out = body();
-    (out, fresh_allocs() - before)
+    (out, THREAD_FRESH_ALLOCS.get() - before)
 }
 
 /// Round a request up to its size class.
@@ -114,7 +117,7 @@ impl<T> Pool<T> {
     /// Check out a buffer of exactly `class` capacity, allocating on miss.
     // AUDIT: cold-path — this IS the arena: it allocates only on the first
     // miss per size class, and every fresh allocation is counted by the
-    // FRESH_ALLOCS instrumentation the zero-alloc tests assert on.
+    // fresh-alloc instrumentation the zero-alloc tests assert on.
     fn take(&mut self, class: usize) -> Vec<T> {
         let idx = self.classes.binary_search_by_key(&class, |(c, _)| *c);
         match idx {
@@ -125,6 +128,7 @@ impl<T> Pool<T> {
             }
             Err(i) => self.classes.insert(i, (class, Vec::new())),
         }
+        THREAD_FRESH_ALLOCS.set(THREAD_FRESH_ALLOCS.get() + 1);
         FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
         FRESH_ALLOC_BYTES.fetch_add((class * std::mem::size_of::<T>()) as u64, Ordering::Relaxed);
         fresh_alloc_counter().inc();
@@ -154,7 +158,8 @@ impl<T> Pool<T> {
 
 thread_local! {
     static F32_POOL: RefCell<Pool<f32>> = const { RefCell::new(Pool::new()) };
-    static C32_POOL: RefCell<Pool<Complex32>> = const { RefCell::new(Pool::new()) };
+    /// This thread's share of [`FRESH_ALLOCS`]: what [`alloc_scope`] diffs.
+    static THREAD_FRESH_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A checked-out scratch buffer; returns itself to the thread-local pool
@@ -207,8 +212,8 @@ impl<T: PoolItem> Drop for Scratch<T> {
     }
 }
 
-/// Element types that have a thread-local pool. Sealed to `f32` and
-/// [`Complex32`], the only scalar types the hot paths use.
+/// Element types that have a thread-local pool: `f32`, the only scalar
+/// type the hot paths use (callers name the guard as `Scratch<f32>`).
 pub trait PoolItem: Copy + Default + Sized {
     #[doc(hidden)]
     fn take_raw(class: usize) -> Vec<Self>;
@@ -222,15 +227,6 @@ impl PoolItem for f32 {
     }
     fn restore_raw(buf: Vec<Self>) {
         F32_POOL.with(|p| p.borrow_mut().restore(buf));
-    }
-}
-
-impl PoolItem for Complex32 {
-    fn take_raw(class: usize) -> Vec<Self> {
-        C32_POOL.with(|p| p.borrow_mut().take(class))
-    }
-    fn restore_raw(buf: Vec<Self>) {
-        C32_POOL.with(|p| p.borrow_mut().restore(buf));
     }
 }
 
@@ -266,16 +262,6 @@ pub fn take_f32_zeroed(len: usize) -> Scratch<f32> {
     take_zeroed(len)
 }
 
-/// Check out `len` [`Complex32`]s with unspecified contents.
-pub fn take_c32(len: usize) -> Scratch<Complex32> {
-    take(len)
-}
-
-/// Check out `len` zeroed [`Complex32`]s.
-pub fn take_c32_zeroed(len: usize) -> Scratch<Complex32> {
-    take_zeroed(len)
-}
-
 /// Explicit workspace handle threaded through convolution forward and
 /// backward passes and the training loop.
 ///
@@ -302,16 +288,6 @@ impl Workspace {
 
     /// Check out `len` zeroed `f32`s.
     pub fn take_f32_zeroed(&mut self, len: usize) -> Scratch<f32> {
-        take_zeroed(len)
-    }
-
-    /// Check out `len` [`Complex32`]s with unspecified contents.
-    pub fn take_c32(&mut self, len: usize) -> Scratch<Complex32> {
-        take(len)
-    }
-
-    /// Check out `len` zeroed [`Complex32`]s.
-    pub fn take_c32_zeroed(&mut self, len: usize) -> Scratch<Complex32> {
         take_zeroed(len)
     }
 }
@@ -371,14 +347,18 @@ mod tests {
         assert!(b.iter().all(|&x| x == 2.0));
     }
 
+    /// `alloc_scope` counts the calling thread only; the process-wide
+    /// counter still sees every thread.
     #[test]
-    fn complex_pool_round_trips() {
-        let (_, _first) = alloc_scope(|| drop(take_c32(500)));
+    fn alloc_scope_ignores_other_threads() {
+        let global_before = fresh_allocs();
         let (_, misses) = alloc_scope(|| {
-            let s = take_c32_zeroed(500);
-            assert!(s.iter().all(|c| *c == Complex32::ZERO));
+            std::thread::spawn(|| drop(take_f32(555_555)))
+                .join()
+                .expect("sibling thread panicked");
         });
-        assert_eq!(misses, 0);
+        assert_eq!(misses, 0, "a sibling thread's miss leaked into the scope");
+        assert!(fresh_allocs() - global_before >= 1);
     }
 
     #[cfg(feature = "trace")]

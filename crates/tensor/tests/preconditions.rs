@@ -7,7 +7,6 @@
 
 #![cfg(debug_assertions)]
 
-use gcnn_tensor::complex::Complex32;
 use gcnn_tensor::simd;
 
 #[test]
@@ -32,22 +31,4 @@ fn sdot_rejects_length_mismatch() {
     let x = [1.0f32; 16];
     let y = [1.0f32; 12];
     let _ = simd::sdot(&x, &y);
-}
-
-#[test]
-#[should_panic]
-fn cmac_rejects_operand_length_mismatch() {
-    let a = [Complex32::ZERO; 8];
-    let b = [Complex32::ZERO; 6];
-    let mut out = [Complex32::ZERO; 8];
-    simd::cmac(&a, &b, false, &mut out);
-}
-
-#[test]
-#[should_panic]
-fn cmac_rejects_output_length_mismatch() {
-    let a = [Complex32::ZERO; 8];
-    let b = [Complex32::ZERO; 8];
-    let mut out = [Complex32::ZERO; 4];
-    simd::cmac(&a, &b, false, &mut out);
 }

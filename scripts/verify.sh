@@ -35,6 +35,10 @@ cargo test -q --no-default-features \
   -p gcnn-trace -p gcnn-tensor -p gcnn-gemm -p gcnn-fft \
   -p gcnn-conv -p gcnn-autotune -p gcnn-models -p gcnn-core \
   -p gcnn-bench -p gcnn-serve -p gcnn-mtsim
+# Forced-scalar pass over the FFT stack: the lane kernels' scalar
+# bodies are the only scalar FFT (there is no second engine behind
+# them), and CI's force-scalar job cannot run here.
+GCNN_FORCE_SCALAR=1 cargo test -q -p gcnn-fft -p gcnn-gemm -p gcnn-conv
 # Autotune smoke: cold measure → persist → warm reload must reproduce
 # every winner from the cache without re-measuring.
 GCNN_TUNE_WARMUP=1 GCNN_TUNE_REPS=3 \
