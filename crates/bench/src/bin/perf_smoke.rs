@@ -142,6 +142,58 @@ fn bench_sgemm(cfg: &ConvConfig, repeats: Repeats) -> Section {
     )
 }
 
+/// The SGEMMs of one AlexNet forward pass at batch 4, one section per
+/// layer, shapes read off `zoo::alexnet()`: each conv layer's per-image
+/// im2col product `W(f × ck²) · cols(ck² × o²)` and each FC layer's
+/// `X(4 × in) · Wᵀ`. These are the shapes EXPERIMENTS.md states against
+/// the probed FMA peak (conv) and stream bandwidth (FC).
+fn bench_sgemm_alexnet(repeats: Repeats) -> Vec<Section> {
+    const BATCH: usize = 4;
+    let layers = gcnn_models::layer::walk(&gcnn_models::zoo::alexnet(), BATCH);
+    let shape = |l: &gcnn_models::LayerInstance| match (l.conv, l.fc) {
+        (Some(c), _) => {
+            let (o2, ckk) = (c.output() * c.output(), c.channels * c.kernel * c.kernel);
+            Some((Transpose::No, c.filters, o2, ckk))
+        }
+        (_, Some((inf, outf))) => Some((Transpose::Yes, BATCH, outf, inf)),
+        _ => None,
+    };
+    layers
+        .iter()
+        .filter_map(|l| Some((l, shape(l)?)))
+        .map(|(layer, (transb, m, n, k))| {
+            let a = uniform_tensor(gcnn_tensor::Shape4::new(1, 1, m, k), -1.0, 1.0, 41);
+            let b = uniform_tensor(gcnn_tensor::Shape4::new(1, 1, k, n), -1.0, 1.0, 42);
+            let ldb = if transb == Transpose::Yes { k } else { n };
+            let mut c = vec![0.0f32; m * n];
+            let samples = time_wall(repeats, || {
+                sgemm(
+                    Transpose::No,
+                    transb,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    a.as_slice(),
+                    k,
+                    b.as_slice(),
+                    ldb,
+                    0.0,
+                    &mut c,
+                    n,
+                );
+            });
+            let note = format!("m={m} n={n} k={k}");
+            section(
+                &format!("sgemm_alexnet_{}", layer.name),
+                samples,
+                Some(gemm_flops(m, n, k)),
+                Some(note),
+            )
+        })
+        .collect()
+}
+
 /// Batched 2-D real FFT round-trip over the fft-conv input plane set
 /// (`b·c` planes, padded size = next pow2 ≥ `i + k − 1`).
 fn bench_batched_fft(cfg: &ConvConfig, repeats: Repeats) -> Section {
@@ -176,6 +228,9 @@ fn bench_batched_fft(cfg: &ConvConfig, repeats: Repeats) -> Section {
 struct SimdReport {
     /// The natively dispatched ISA ([`gcnn_tensor::simd::isa_name`]).
     isa: String,
+    /// The SGEMM register-tile kernel the native table selects, e.g.
+    /// `avx512f 14x32` — wider than `isa` on an AVX-512 host.
+    sgemm_kernel: String,
     sections: Vec<Section>,
     /// `scalar p50 / simd p50` of the 256³ SGEMM micro-bench.
     sgemm_speedup: f64,
@@ -498,7 +553,8 @@ fn ab_scalar(
 /// (the old single-cell aggregate hid size-dependent regressions).
 fn bench_simd(repeats: Repeats, fft_report: &FftReport) -> SimdReport {
     let isa = gcnn_tensor::simd::isa_name().to_string();
-    println!("simd A/B: native isa = {isa}");
+    let sgemm_kernel = format!("{:?}", gcnn_gemm::kernel::select());
+    println!("simd A/B: native isa = {isa}, sgemm kernel = {sgemm_kernel}");
 
     let (m, n, k) = (256usize, 256, 256);
     let a = uniform_tensor(gcnn_tensor::Shape4::new(1, 1, m, k), -1.0, 1.0, 31);
@@ -527,6 +583,7 @@ fn bench_simd(repeats: Repeats, fft_report: &FftReport) -> SimdReport {
     println!("simd A/B: sgemm {sgemm_speedup:.2}x, rfft {rfft_speedup:.2}x over scalar");
     SimdReport {
         isa,
+        sgemm_kernel,
         sections: vec![g_simd, g_scalar],
         sgemm_speedup,
         rfft_speedup,
@@ -586,6 +643,7 @@ fn main() {
 
     let mut sections = Vec::new();
     sections.push(bench_sgemm(&cfg, repeats));
+    sections.extend(bench_sgemm_alexnet(repeats));
     sections.push(bench_batched_fft(&cfg, repeats));
     for strat in [Strategy::Unrolling, Strategy::Fft] {
         let algo = algorithm_for(strat);

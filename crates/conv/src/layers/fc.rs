@@ -82,9 +82,8 @@ impl FcLayer {
             out_f,
         );
         for n in 0..s.n {
-            for (o, &bv) in self.bias.iter().enumerate() {
-                out.add_at(n, o, 0, 0, bv);
-            }
+            let row = &mut out.as_mut_slice()[n * out_f..(n + 1) * out_f];
+            gcnn_tensor::simd::add_assign(row, &self.bias);
         }
         out
     }

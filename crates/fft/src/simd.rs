@@ -711,7 +711,7 @@ pub fn lane_stage_dit(
         "lane_stage_dit: plane extent mismatch"
     );
     debug_assert!(
-        span * 2 <= n && n % (span * 2) == 0,
+        span * 2 <= n && n.is_multiple_of(span * 2),
         "lane_stage_dit: invalid stage geometry"
     );
     debug_assert!(
@@ -815,7 +815,7 @@ pub fn lane_stage2_dit(
         "lane_stage2_dit: plane extent mismatch"
     );
     debug_assert!(
-        s * 4 <= n && n % (s * 4) == 0,
+        s * 4 <= n && n.is_multiple_of(s * 4),
         "lane_stage2_dit: invalid fused geometry"
     );
     debug_assert!(
@@ -899,6 +899,16 @@ mod tests {
 
     fn plane(n: usize, seed: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * seed + seed).sin()).collect()
+    }
+
+    /// AVX-512F is a capability beside the ISA, not a fourth variant:
+    /// a host that has it must keep the AVX2 lane kernels rather than
+    /// fall through the dispatch sites' `_ => scalar` arms.
+    #[test]
+    fn avx512_host_keeps_avx2_lane_kernels() {
+        if gcnn_tensor::simd::avx512f() {
+            assert_eq!(split_isa(), Isa::Avx2Fma);
+        }
     }
 
     /// The dispatched single-stage kernel matches the scalar body for

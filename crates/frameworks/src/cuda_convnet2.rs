@@ -93,13 +93,13 @@ impl ConvImplementation for CudaConvnet2 {
                 reason: format!("{cfg}"),
             });
         }
-        if cfg.batch % 32 != 0 {
+        if !cfg.batch.is_multiple_of(32) {
             return Err(Unsupported::BatchNotMultipleOf {
                 multiple: 32,
                 batch: cfg.batch,
             });
         }
-        if cfg.filters % 16 != 0 {
+        if !cfg.filters.is_multiple_of(16) {
             return Err(Unsupported::FiltersNotMultipleOf {
                 multiple: 16,
                 filters: cfg.filters,

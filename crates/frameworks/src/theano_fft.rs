@@ -29,7 +29,7 @@ use gcnn_gpusim::{
 pub fn next_smooth(n: u64) -> u64 {
     fn is_smooth(mut x: u64) -> bool {
         for p in [2u64, 3, 5, 7] {
-            while x % p == 0 {
+            while x.is_multiple_of(p) {
                 x /= p;
             }
         }

@@ -1,60 +1,69 @@
-//! Cache-blocking parameters for the BLIS-style GEMM.
+//! Cache-blocking parameters for the Goto/BLIS-style GEMM.
 //!
-//! The register micro-tile is sized per ISA: the AVX2+FMA kernel holds a
-//! 6×16 tile in twelve 256-bit accumulators (plus two B loads and one A
-//! broadcast — 15 of 16 ymm registers), while NEON and the scalar
-//! fallback use the original 8×8 tile (sixteen 128-bit accumulators on
-//! AArch64). The constants are resolved at compile time from the target
-//! architecture; runtime dispatch then only chooses *which kernel body*
-//! fills that fixed tile shape, so the packing layout stays ISA-agnostic.
+//! The register tile is not here: it belongs to the micro-kernel
+//! ([`crate::kernel::MicroKernel`]), which [`crate::kernel::select`]
+//! picks per call. The cache-level blocks are nominal sizes the driver
+//! snaps to that tile ([`BlockSizes::snapped_to`]) — `mc` a whole number
+//! of `mr` strips, `nc` a whole number of `nr` strips — so every packed
+//! strip but the one at the matrix edge is full.
 
-/// Register micro-tile height (rows of C computed per micro-kernel call).
-pub const MR: usize = if cfg!(target_arch = "x86_64") { 6 } else { 8 };
-/// Register micro-tile width (columns of C computed per micro-kernel
-/// call).
-pub const NR: usize = if cfg!(target_arch = "x86_64") { 16 } else { 8 };
+use crate::kernel::MicroKernel;
 
 /// Cache-level blocking sizes.
 ///
-/// The three loops of a blocked GEMM walk `N` in `nc` strips (panel of B
-/// kept streaming), `K` in `kc` slabs (packed B panel sized for L3/L2)
-/// and `M` in `mc` blocks (packed A block sized for L2/L1).
+/// The three outer loops of the blocked GEMM walk `N` in `nc` column
+/// panels, `K` in `kc` slabs (one packed B panel `kc × nc`, shared by
+/// every row block) and `M` in `mc` row blocks (one packed A block
+/// `mc × kc`); the `kc × nr` B strip the micro-kernel sweeps the A
+/// block against stays in L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSizes {
-    /// `M`-dimension block (rows of A packed at once). Multiple of [`MR`].
+    /// `M`-dimension block (rows of A packed at once).
     pub mc: usize,
     /// `K`-dimension block (shared inner dimension per packing pass).
     pub kc: usize,
-    /// `N`-dimension block (columns of B packed at once). Multiple of
-    /// [`NR`].
+    /// `N`-dimension block (columns of B packed at once).
     pub nc: usize,
 }
 
 impl BlockSizes {
-    /// Sizes tuned for typical x86 cache hierarchies; good defaults for
-    /// every matrix in this workspace. `mc`/`nc` round the nominal
-    /// 128/1024 targets down to the nearest [`MR`]/[`NR`] multiple so the
-    /// packing invariants hold for every ISA's tile shape.
+    /// Sizes for typical x86 cache hierarchies; good defaults for every
+    /// matrix in this workspace. At the widest tile (`nr = 32`) the
+    /// `kc × nr` B strip is 32 KiB of a 48 KiB L1, and the packed A
+    /// block (≤ 128 KiB) and B panel (1 MiB) share a 2 MiB L2.
     pub const fn default_sizes() -> Self {
         BlockSizes {
-            mc: (128 / MR) * MR,
+            mc: 128,
             kc: 256,
-            nc: (1024 / NR) * NR,
+            nc: 1024,
         }
     }
 
-    /// Small blocks used by tests to force many partial tiles.
+    /// Small blocks used by tests to force many partial tiles: two
+    /// strips per block at every tile shape in the kernel table.
     pub const fn tiny() -> Self {
         BlockSizes {
-            mc: MR * 2,
+            mc: 28,
             kc: 7,
-            nc: NR * 2,
+            nc: 64,
         }
     }
 
-    /// Validate the invariants the packing code relies on.
+    /// Every block must hold at least one element.
     pub fn validate(&self) -> bool {
-        self.mc > 0 && self.kc > 0 && self.nc > 0 && self.mc % MR == 0 && self.nc % NR == 0
+        self.mc > 0 && self.kc > 0 && self.nc > 0
+    }
+
+    /// These sizes with `mc`/`nc` rounded down to whole strips of
+    /// `kernel`'s tile (and up to one strip if smaller) — the blocking
+    /// the driver actually walks.
+    pub fn snapped_to(&self, kernel: &MicroKernel) -> Self {
+        let snap = |x: usize, unit: usize| (x / unit).max(1) * unit;
+        BlockSizes {
+            mc: snap(self.mc, kernel.mr()),
+            kc: self.kc,
+            nc: snap(self.nc, kernel.nr()),
+        }
     }
 }
 
@@ -67,41 +76,54 @@ impl Default for BlockSizes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{available, select};
 
     #[test]
     fn defaults_are_valid() {
         assert!(BlockSizes::default_sizes().validate());
         assert!(BlockSizes::tiny().validate());
+        for k in available() {
+            for blocks in [BlockSizes::default_sizes(), BlockSizes::tiny()] {
+                let s = blocks.snapped_to(&k);
+                assert!(s.validate(), "{k:?}");
+                assert_eq!((s.mc % k.mr(), s.nc % k.nr(), s.kc), (0, 0, blocks.kc));
+                assert!(s.mc <= blocks.mc && s.nc <= blocks.nc, "{k:?}");
+            }
+            // Tiny blocks still hold two strips each way.
+            let t = BlockSizes::tiny().snapped_to(&k);
+            assert!(t.mc >= 2 * k.mr() && t.nc >= 2 * k.nr(), "{k:?}");
+        }
     }
 
     #[test]
     fn tile_matches_arch() {
-        if cfg!(target_arch = "x86_64") {
-            assert_eq!((MR, NR), (6, 16));
-        } else {
-            assert_eq!((MR, NR), (8, 8));
+        let k = select();
+        let expect = match k.name() {
+            "avx512f" => (14, 32),
+            "avx2+fma" => (6, 16),
+            "neon" | "scalar" => (8, 8),
+            other => panic!("unknown kernel {other}"),
+        };
+        assert_eq!((k.mr(), k.nr()), expect);
+        if gcnn_tensor::simd::avx512f() {
+            assert_eq!(k.name(), "avx512f");
         }
     }
 
     #[test]
     fn invalid_blocks_detected() {
-        assert!(!BlockSizes {
-            mc: 0,
+        let ok = BlockSizes::tiny();
+        assert!(!BlockSizes { mc: 0, ..ok }.validate());
+        assert!(!BlockSizes { kc: 0, ..ok }.validate());
+        assert!(!BlockSizes { nc: 0, ..ok }.validate());
+        // Sub-strip blocks are legal: they snap up to one strip.
+        let k = select();
+        let one = BlockSizes {
+            mc: 1,
             kc: 1,
-            nc: NR
-        }
-        .validate());
-        assert!(!BlockSizes {
-            mc: MR + 1,
-            kc: 1,
-            nc: NR
-        }
-        .validate());
-        assert!(!BlockSizes {
-            mc: MR,
-            kc: 1,
-            nc: NR + 1
-        }
-        .validate());
+            nc: 1,
+        };
+        let s = one.snapped_to(&k);
+        assert_eq!((s.mc, s.kc, s.nc), (k.mr(), 1, k.nr()));
     }
 }

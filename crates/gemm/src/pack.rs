@@ -2,17 +2,22 @@
 //!
 //! Packing copies a block of A (resp. a panel of B) into a contiguous
 //! buffer laid out exactly in the order the micro-kernel consumes it,
-//! zero-padding partial tiles so the micro-kernel never branches on
+//! zero-padding the edge strip so the micro-kernel never branches on
 //! edges. This mirrors what cuBLAS/cuDNN do in shared memory on the GPU
 //! (paper §V-A: cuDNN's unrolling and GEMM are "optimized by using shared
 //! memory and tiled matrix multiplication").
-
-use crate::blocking::{MR, NR};
+//!
+//! Both operands pack into the same shape — strips of `w` lines
+//! (`w = mr` rows of A, `w = nr` columns of B), each strip holding `kc`
+//! groups of `w` values — and each of the four transpose combinations
+//! reduces to one of two source orders ([`pack_strips`]): lines stored
+//! contiguously along `k` (A as stored, B transposed) are read as
+//! slices and scattered with stride `w`; lines stored across `k` (A
+//! transposed, B as stored) are copied group by group as `w`-float
+//! slices. Neither touches an element through an index computation of
+//! its own.
 
 /// A read-only view of a (possibly transposed) row-major operand.
-///
-/// `at(i, j)` yields element `(i, j)` of the *logical* matrix, i.e. after
-/// the transpose flag has been applied.
 #[derive(Clone, Copy)]
 pub struct OperandView<'a> {
     data: &'a [f32],
@@ -23,7 +28,7 @@ pub struct OperandView<'a> {
 
 impl<'a> OperandView<'a> {
     /// Wrap a row-major buffer with leading dimension `ld`; when
-    /// `transposed`, logical `(i, j)` reads stored `(j, i)`.
+    /// `transposed`, logical `(i, j)` is stored `(j, i)`.
     pub fn new(data: &'a [f32], ld: usize, transposed: bool) -> Self {
         OperandView {
             data,
@@ -31,79 +36,79 @@ impl<'a> OperandView<'a> {
             transposed,
         }
     }
-
-    /// Element of the logical matrix.
-    #[inline(always)]
-    pub fn at(&self, i: usize, j: usize) -> f32 {
-        if self.transposed {
-            self.data[j * self.ld + i]
-        } else {
-            self.data[i * self.ld + j]
-        }
-    }
 }
 
-/// Pack an `mc_eff × kc_eff` block of A (starting at logical row `i0`,
-/// column `p0`) into strips of [`MR`] rows: the buffer holds, for each
-/// strip, `kc_eff` groups of `MR` consecutive values (one per row),
-/// zero-padded when the strip exceeds the matrix edge.
+/// Pack an `mc_eff × kc_eff` block of `op(A)` (starting at logical row
+/// `i0`, column `p0`) into strips of `mr` rows: the buffer holds, for
+/// each strip, `kc_eff` groups of `mr` consecutive values (one per
+/// row), zero-padded where the last strip exceeds the block.
 ///
-/// Buffer length must be `ceil(mc_eff / MR) * MR * kc_eff`.
+/// Buffer length must be `ceil(mc_eff / mr) · mr · kc_eff`.
 pub fn pack_a(
     a: &OperandView<'_>,
     i0: usize,
     p0: usize,
     mc_eff: usize,
     kc_eff: usize,
+    mr: usize,
     buf: &mut [f32],
 ) {
-    let strips = mc_eff.div_ceil(MR);
-    debug_assert_eq!(buf.len(), strips * MR * kc_eff, "pack_a: buffer size");
-    let mut out = 0;
-    for s in 0..strips {
-        let row_base = s * MR;
-        for p in 0..kc_eff {
-            for r in 0..MR {
-                let i = row_base + r;
-                buf[out] = if i < mc_eff {
-                    a.at(i0 + i, p0 + p)
-                } else {
-                    0.0
-                };
-                out += 1;
-            }
-        }
-    }
+    // Rows of op(A) run along k in storage unless A is transposed.
+    pack_strips(a, !a.transposed, i0, p0, mc_eff, kc_eff, mr, buf);
 }
 
-/// Pack a `kc_eff × nc_eff` panel of B (starting at logical row `p0`,
-/// column `j0`) into strips of [`NR`] columns: for each strip, `kc_eff`
-/// groups of `NR` consecutive values (one per column), zero-padded on the
-/// right edge.
+/// Pack a `kc_eff × nc_eff` panel of `op(B)` (starting at logical row
+/// `p0`, column `j0`) into strips of `nr` columns: for each strip,
+/// `kc_eff` groups of `nr` consecutive values (one per column),
+/// zero-padded where the last strip exceeds the panel.
 ///
-/// Buffer length must be `ceil(nc_eff / NR) * NR * kc_eff`.
+/// Buffer length must be `ceil(nc_eff / nr) · nr · kc_eff`.
 pub fn pack_b(
     b: &OperandView<'_>,
     p0: usize,
     j0: usize,
     kc_eff: usize,
     nc_eff: usize,
+    nr: usize,
     buf: &mut [f32],
 ) {
-    let strips = nc_eff.div_ceil(NR);
-    debug_assert_eq!(buf.len(), strips * NR * kc_eff, "pack_b: buffer size");
-    let mut out = 0;
-    for s in 0..strips {
-        let col_base = s * NR;
-        for p in 0..kc_eff {
-            for c in 0..NR {
-                let j = col_base + c;
-                buf[out] = if j < nc_eff {
-                    b.at(p0 + p, j0 + j)
-                } else {
-                    0.0
-                };
-                out += 1;
+    // Columns of op(B) run along k in storage only when B is transposed.
+    pack_strips(b, b.transposed, j0, p0, nc_eff, kc_eff, nr, buf);
+}
+
+/// Pack `len` lines starting at `x0` (rows of `op(A)` or columns of
+/// `op(B)`), `kc` deep starting at `p0`, into strips of `w` lines.
+/// `along_k` says whether a line's `k` values are contiguous in storage
+/// (`line·ld + p`) or strided (`p·ld + line`).
+#[allow(clippy::too_many_arguments)] // one call shape for both operands
+fn pack_strips(
+    src: &OperandView<'_>,
+    along_k: bool,
+    x0: usize,
+    p0: usize,
+    len: usize,
+    kc: usize,
+    w: usize,
+    buf: &mut [f32],
+) {
+    assert_eq!(buf.len(), len.div_ceil(w) * w * kc, "pack: buffer size");
+    let (data, ld) = (src.data, src.ld);
+    for (s, strip) in buf.chunks_exact_mut(w * kc).enumerate() {
+        let x = x0 + s * w;
+        let w_eff = w.min(len - s * w);
+        if w_eff < w {
+            strip.fill(0.0);
+        }
+        if along_k {
+            for r in 0..w_eff {
+                let line = &data[(x + r) * ld + p0..][..kc];
+                for (dst, &v) in strip[r..].iter_mut().step_by(w).zip(line) {
+                    *dst = v;
+                }
+            }
+        } else {
+            for (p, group) in strip.chunks_exact_mut(w).enumerate() {
+                group[..w_eff].copy_from_slice(&data[(p0 + p) * ld + x..][..w_eff]);
             }
         }
     }
@@ -113,15 +118,30 @@ pub fn pack_b(
 mod tests {
     use super::*;
 
+    const MR: usize = 6;
+    const NR: usize = 16;
+
     #[test]
     fn operand_view_transpose() {
-        // Stored 2x3 row-major: [1 2 3; 4 5 6].
+        // Stored 2x3 row-major [1 2 3; 4 5 6]; transposed it is the
+        // logical 3x2 [1 4; 2 5; 3 6]. Packing that view must equal
+        // packing the explicitly transposed matrix, as A and as B.
         let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let v = OperandView::new(&data, 3, false);
-        assert_eq!(v.at(1, 2), 6.0);
-        let vt = OperandView::new(&data, 3, true); // logical 3x2
-        assert_eq!(vt.at(2, 1), 6.0);
-        assert_eq!(vt.at(0, 1), 4.0);
+        let explicit = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0];
+        let vt = OperandView::new(&data, 3, true);
+        let ve = OperandView::new(&explicit, 2, false);
+        let (mut x, mut y) = (vec![-1.0; 4 * 2], vec![-2.0; 4 * 2]);
+        pack_a(&vt, 0, 0, 3, 2, 4, &mut x);
+        pack_a(&ve, 0, 0, 3, 2, 4, &mut y);
+        assert_eq!(x, y);
+        // Group k=1, row 2: logical (2, 1) is stored (1, 2) = 6.
+        assert_eq!(x[4 + 2], 6.0);
+        let (mut x, mut y) = (vec![-1.0; 4 * 3], vec![-2.0; 4 * 3]);
+        pack_b(&vt, 0, 0, 3, 2, 4, &mut x);
+        pack_b(&ve, 0, 0, 3, 2, 4, &mut y);
+        assert_eq!(x, y);
+        // Group p=2, column 1: logical (2, 1) again.
+        assert_eq!(x[2 * 4 + 1], 6.0);
     }
 
     /// An `MR`- (or `NR`-) length group whose first entries are `head`
@@ -138,7 +158,7 @@ mod tests {
         let data: Vec<f32> = (1..=6).map(|x| x as f32).collect(); // 3x2
         let a = OperandView::new(&data, 2, false);
         let mut buf = vec![-1.0; MR * 2];
-        pack_a(&a, 0, 0, 3, 2, &mut buf);
+        pack_a(&a, 0, 0, 3, 2, MR, &mut buf);
         // k=0 group: column 0 of the block = [1, 3, 5, 0, …]
         assert_eq!(buf[..MR], padded(&[1.0, 3.0, 5.0], MR));
         // k=1 group: column 1 of the block = [2, 4, 6, 0, …]
@@ -151,7 +171,7 @@ mod tests {
         let data: Vec<f32> = (1..=6).map(|x| x as f32).collect(); // 2x3
         let b = OperandView::new(&data, 3, false);
         let mut buf = vec![-1.0; NR * 2];
-        pack_b(&b, 0, 0, 2, 3, &mut buf);
+        pack_b(&b, 0, 0, 2, 3, NR, &mut buf);
         // p=0 group: row 0 = [1, 2, 3, 0, …]
         assert_eq!(buf[..NR], padded(&[1.0, 2.0, 3.0], NR));
         assert_eq!(buf[NR..2 * NR], padded(&[4.0, 5.0, 6.0], NR));
@@ -163,9 +183,52 @@ mod tests {
         let data: Vec<f32> = (0..16).map(|x| x as f32).collect();
         let a = OperandView::new(&data, 4, false);
         let mut buf = vec![0.0; MR * 2];
-        pack_a(&a, 2, 1, 2, 2, &mut buf);
+        pack_a(&a, 2, 1, 2, 2, MR, &mut buf);
         assert_eq!(buf[0], 9.0); // (2,1)
         assert_eq!(buf[1], 13.0); // (3,1)
         assert_eq!(buf[MR], 10.0); // (2,2)
+    }
+
+    /// Several strips with a partial last one, all four storage orders,
+    /// against the element-by-element definition.
+    #[test]
+    fn pack_matches_definition_all_orders() {
+        let (rows, cols, ld) = (11usize, 9usize, 13usize);
+        let data: Vec<f32> = (0..rows * ld).map(|x| x as f32).collect();
+        for transposed in [false, true] {
+            let v = OperandView::new(&data, ld, transposed);
+            let at = |i: usize, j: usize| {
+                if transposed {
+                    data[j * ld + i]
+                } else {
+                    data[i * ld + j]
+                }
+            };
+            // Logical extents of the view; pack an interior block.
+            let (lr, lc) = if transposed {
+                (cols, rows)
+            } else {
+                (rows, cols)
+            };
+            let (i0, p0, w) = (1usize, 2usize, 4usize);
+            let (mc, kc) = (lr - i0, lc - p0);
+            let mut buf = vec![f32::NAN; mc.div_ceil(w) * w * kc];
+            pack_a(&v, i0, p0, mc, kc, w, &mut buf);
+            for (idx, &got) in buf.iter().enumerate() {
+                let (s, p, r) = (idx / (w * kc), idx % (w * kc) / w, idx % w);
+                let i = s * w + r;
+                let expect = if i < mc { at(i0 + i, p0 + p) } else { 0.0 };
+                assert_eq!(got, expect, "pack_a t={transposed} idx {idx}");
+            }
+            let (kc, nc) = (lr - i0, lc - p0);
+            let mut buf = vec![f32::NAN; nc.div_ceil(w) * w * kc];
+            pack_b(&v, i0, p0, kc, nc, w, &mut buf);
+            for (idx, &got) in buf.iter().enumerate() {
+                let (s, p, c) = (idx / (w * kc), idx % (w * kc) / w, idx % w);
+                let j = s * w + c;
+                let expect = if j < nc { at(i0 + p, p0 + j) } else { 0.0 };
+                assert_eq!(got, expect, "pack_b t={transposed} idx {idx}");
+            }
+        }
     }
 }

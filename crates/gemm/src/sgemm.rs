@@ -1,35 +1,37 @@
 //! The blocked, packed, parallel SGEMM driver.
 //!
-//! The driver tiles C on a 2-D `(it, jt)` macro-tile grid of
-//! `mc × nc` tiles and parallelizes over the *flat* tile index, so both
-//! tall-skinny and short-wide products expose enough tasks to fill a
-//! pool (the im2col product is `64 × 891136` — row-only chunking yields
-//! a single task, column tiles yield hundreds). Each task checks its
-//! packing buffers and a C-tile accumulator out of the thread-local
-//! [`gcnn_tensor::workspace`] arena, so steady-state calls perform no
-//! heap allocation, and writes C exactly once: the k-slab loop
-//! accumulates into the resident tile and the final pass fuses the
-//! `beta` scale with the writeback (the previous driver swept C once
-//! for `beta` and then read-modified-wrote it once per k-slab).
+//! One Goto/BLIS loop nest:
+//!
+//! ```text
+//! for each nc column panel of C            (sequential)
+//!   for each kc slab of the inner dimension (sequential, fixed order)
+//!     pack op(B)[slab, panel] once          → arena, shared read-only
+//!     for each mc row block                 (parallel: one owner per C row)
+//!       pack op(A)[block, slab] once        → the task's thread-local arena
+//!       for each nr strip of the B panel    (stays in L1)
+//!         for each mr strip of the A block  (streams from L2)
+//!           micro-kernel: C tile ← alpha·A·B + beta'·C
+//! ```
+//!
+//! Every element of either operand is packed exactly once per slab it
+//! takes part in, the micro-kernel applies its tile straight to C
+//! (`beta' = beta` on the first slab, `1` after), and the slab order is
+//! fixed, so a C element has one owner and one summation order whatever
+//! the pool width. Pack buffers come from the thread-local
+//! [`gcnn_tensor::workspace`] arena sized to `min(problem, block)`, so
+//! steady-state calls perform no heap allocation and a LeNet-sized call
+//! does not hold an AlexNet-sized panel.
+//!
+//! Products with at most one register strip of rows against a B stored
+//! along `k` (`C = A·Bᵀ`, the FC-forward shape) skip packing entirely:
+//! [`small_m_dots`] streams each stored B row once through a multi-row
+//! dot kernel. That choice keys only on shape and storage order.
 
-use crate::blocking::{BlockSizes, MR, NR};
-use crate::kernel::{microkernel, writeback_tile};
+use crate::blocking::BlockSizes;
+use crate::kernel::{self, dot_tile};
 use crate::pack::{pack_a, pack_b, OperandView};
 use gcnn_tensor::{workspace, Matrix};
 use rayon::prelude::*;
-
-/// Raw C base pointer smuggled into the parallel tile loop. Safety rests
-/// on the tile grid: each `(it, jt)` task touches only rows
-/// `it·mc..` × columns `jt·nc..` of C, and tiles are pairwise disjoint.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: the pointer is only ever offset into pairwise-disjoint
-// `(it, jt)` C tiles (see the writeback below), so concurrent tasks
-// never alias a byte of C.
-unsafe impl Send for SendPtr {}
-// SAFETY: same disjoint-tile argument as `Send` — shared references to
-// the wrapper only hand out tile-local raw offsets.
-unsafe impl Sync for SendPtr {}
 
 /// Transpose flag for a GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +64,10 @@ impl Transpose {
 ///       1.0, &a, 3, &b, 2, 0.0, &mut c, 2);
 /// assert_eq!(c, [4.0, 5.0, 10.0, 11.0]);
 /// ```
+///
+/// # Panics
+/// If a leading dimension is smaller than its stored row, or a slice
+/// does not cover its operand (see [`sgemm_blocked`]).
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn sgemm(
     transa: Transpose,
@@ -96,8 +102,34 @@ pub fn sgemm(
     );
 }
 
-/// [`sgemm`] with explicit block sizes (exposed so tests can force edge
-/// tiles and benches can sweep blocking).
+/// Check one stored operand against its slice: the packing and dot
+/// kernels slice rows out of `data` on the strength of this. An empty
+/// operand (`k == 0`) occupies nothing and constrains nothing.
+fn check_operand(name: &str, data: &[f32], rows: usize, cols: usize, ld: usize) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(
+        ld >= cols,
+        "sgemm: ld{name} {ld} < stored row length {cols}"
+    );
+    let need = (rows - 1) * ld + cols;
+    assert!(
+        data.len() >= need,
+        "sgemm: {name} has {} elements, stored {rows}x{cols} (ld {ld}) needs {need}",
+        data.len()
+    );
+}
+
+/// [`sgemm`] with explicit nominal block sizes (exposed so tests can
+/// force edge tiles); the driver walks them
+/// [snapped](BlockSizes::snapped_to) to the selected kernel's tile.
+///
+/// # Panics
+/// On invalid `blocks`; if `lda`, `ldb` or `ldc` is smaller than the
+/// stored row of its matrix (`k`/`m` for A, `n`/`k` for B by transpose
+/// flag, `n` for C); or if `a`, `b` or `c` is shorter than
+/// `(rows − 1)·ld + cols` of its stored matrix.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn sgemm_blocked(
     transa: Transpose,
@@ -116,8 +148,11 @@ pub fn sgemm_blocked(
     blocks: BlockSizes,
 ) {
     assert!(blocks.validate(), "sgemm: invalid block sizes {blocks:?}");
-    assert!(ldc >= n, "sgemm: ldc {ldc} < n {n}");
-    assert!(c.len() >= m.saturating_sub(1) * ldc + n || m == 0 || n == 0);
+    let (a_rows, a_cols) = if transa.flag() { (k, m) } else { (m, k) };
+    let (b_rows, b_cols) = if transb.flag() { (n, k) } else { (k, n) };
+    check_operand("a", a, a_rows, a_cols, lda);
+    check_operand("b", b, b_rows, b_cols, ldb);
+    check_operand("c", c, m, n, ldc);
 
     let _span = gcnn_trace::span("gemm.sgemm");
     sgemm_calls().inc();
@@ -125,91 +160,146 @@ pub fn sgemm_blocked(
     if m == 0 || n == 0 {
         return;
     }
+    let c = &mut c[..(m - 1) * ldc + n];
     if k == 0 || alpha == 0.0 {
         // The product contributes nothing: C ← beta·C, parallel over rows.
         c.par_chunks_mut(ldc)
-            .take(m)
             .for_each(|row| scale_row(&mut row[..n], beta));
+        return;
+    }
+    let kernel = kernel::select();
+    let (mr, nr) = (kernel.mr(), kernel.nr());
+    if !transa.flag() && transb.flag() && m <= mr {
+        small_m_dots(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
         return;
     }
 
     let av = OperandView::new(a, lda, transa.flag());
     let bv = OperandView::new(b, ldb, transb.flag());
+    let BlockSizes { mc, kc, nc } = blocks.snapped_to(&kernel);
+    // One checkout per buffer per call, sized to the largest block this
+    // problem actually has.
+    let a_len = mc.min(m.next_multiple_of(mr)) * kc.min(k);
+    let mut bbuf = workspace::take_f32(nc.min(n.next_multiple_of(nr)) * kc.min(k));
 
-    // 2-D macro-tile grid over C, flattened so rayon sees every tile as
-    // one task regardless of the matrix aspect ratio.
-    let n_it = m.div_ceil(blocks.mc);
-    let n_jt = n.div_ceil(blocks.nc);
-    macro_tiles().add((n_it * n_jt) as u64);
-    let cbase = SendPtr(c.as_mut_ptr());
+    for j0 in (0..n).step_by(nc) {
+        let nc_eff = nc.min(n - j0);
+        for p0 in (0..k).step_by(kc) {
+            let kc_eff = kc.min(k - p0);
+            let bpanel = &mut bbuf[..nc_eff.next_multiple_of(nr) * kc_eff];
+            pack_b(&bv, p0, j0, kc_eff, nc_eff, nr, bpanel);
+            let bpanel = &*bpanel;
+            let beta = if p0 == 0 { beta } else { 1.0 };
 
-    (0..n_it * n_jt).into_par_iter().for_each(|t| {
-        let i0 = (t / n_jt) * blocks.mc;
-        let j0 = (t % n_jt) * blocks.nc;
-        let mc_eff = blocks.mc.min(m - i0);
-        let nc_eff = blocks.nc.min(n - j0);
-        let a_strips = mc_eff.div_ceil(MR);
-        let b_strips = nc_eff.div_ceil(NR);
+            row_blocks().add(m.div_ceil(mc) as u64);
+            // A chunk of `mc·ldc` elements is exactly one row block of
+            // C, so the borrow checker sees the one-owner-per-row rule.
+            c.par_chunks_mut(mc * ldc)
+                .enumerate()
+                .for_each(|(ib, crows)| {
+                    let i0 = ib * mc;
+                    let mc_eff = mc.min(m - i0);
+                    let mut abuf = workspace::take_f32(a_len);
+                    let apanel = &mut abuf[..mc_eff.next_multiple_of(mr) * kc_eff];
+                    pack_a(&av, i0, p0, mc_eff, kc_eff, mr, apanel);
 
-        // Per-thread scratch from the workspace arena: packing buffers
-        // sized for the *full* kc so every k-slab reuses one checkout,
-        // plus the resident C-tile accumulator. Zero heap allocation
-        // once the thread's pool is warm.
-        let mut abuf = workspace::take_f32(a_strips * MR * blocks.kc);
-        let mut bbuf = workspace::take_f32(b_strips * NR * blocks.kc);
-        let mut ctile = workspace::take_f32_zeroed(mc_eff * nc_eff);
+                    for (sb, bstrip) in bpanel.chunks_exact(nr * kc_eff).enumerate() {
+                        let col = sb * nr;
+                        let n_eff = nr.min(nc_eff - col);
+                        for (sa, astrip) in apanel.chunks_exact(mr * kc_eff).enumerate() {
+                            let row = sa * mr;
+                            let m_eff = mr.min(mc_eff - row);
+                            let ctile = &mut crows[row * ldc + j0 + col..];
+                            if m_eff == mr && n_eff == nr {
+                                kernel.run(kc_eff, alpha, astrip, bstrip, beta, ctile, ldc);
+                            } else {
+                                kernel.run_edge(
+                                    kc_eff, alpha, astrip, bstrip, beta, ctile, ldc, m_eff, n_eff,
+                                );
+                            }
+                        }
+                    }
+                });
+        }
+    }
+}
 
-        let mut acc = [0.0f32; MR * NR];
-        for p0 in (0..k).step_by(blocks.kc) {
-            let kc_eff = blocks.kc.min(k - p0);
-            let apanel = &mut abuf[..a_strips * MR * kc_eff];
-            pack_a(&av, i0, p0, mc_eff, kc_eff, apanel);
-            let bpanel = &mut bbuf[..b_strips * NR * kc_eff];
-            pack_b(&bv, p0, j0, kc_eff, nc_eff, bpanel);
+/// B rows per parallel task in [`small_m_dots`] (even: rows are
+/// consumed in pairs).
+const SMALL_M_ROWS_PER_TASK: usize = 64;
 
-            for sa in 0..a_strips {
-                let arow = sa * MR;
-                let m_eff = MR.min(mc_eff - arow);
-                let astrip = &apanel[sa * MR * kc_eff..(sa + 1) * MR * kc_eff];
-                for sb in 0..b_strips {
-                    let bcol = sb * NR;
-                    let n_eff = NR.min(nc_eff - bcol);
-                    let bstrip = &bpanel[sb * NR * kc_eff..(sb + 1) * NR * kc_eff];
-                    acc.iter_mut().for_each(|x| *x = 0.0);
-                    microkernel(kc_eff, alpha, astrip, bstrip, &mut acc);
-                    writeback_tile(&acc, &mut ctile, nc_eff, arow, bcol, m_eff, n_eff);
+/// `C ← alpha·A·Bᵀ + beta·C` for a handful of A rows, with no packing:
+/// both operands are stored along `k`, so `C[i][j]` is the dot product
+/// of stored row `i` of A and stored row `j` of B. B rows stream from
+/// memory once, two at a time, against four A rows at a time
+/// ([`dot_tile`]).
+///
+/// The dots land in an arena buffer laid out `[j][i]` so that a
+/// contiguous chunk belongs to one task (columns of the row-major C do
+/// not), and a final pass folds them into C.
+#[allow(clippy::too_many_arguments)] // BLAS-style signature
+fn small_m_dots(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let arow = |i: usize| &a[i * lda..][..k];
+    let brow = |j: usize| &b[j * ldb..][..k];
+    let mut dots = workspace::take_f32(n * m);
+    dots.par_chunks_mut(SMALL_M_ROWS_PER_TASK * m)
+        .enumerate()
+        .for_each(|(t, chunk)| {
+            let j0 = t * SMALL_M_ROWS_PER_TASK;
+            // Pairs of B rows; an odd `n` leaves a single last row.
+            for (pair, out) in chunk.chunks_mut(2 * m).enumerate() {
+                let j = j0 + 2 * pair;
+                if out.len() == 2 * m {
+                    dots_against(m, arow, [brow(j), brow(j + 1)], out);
+                } else {
+                    dots_against(m, arow, [brow(j)], out);
                 }
             }
+        });
+    for (i, crow) in c.chunks_mut(ldc).enumerate() {
+        for (j, x) in crow[..n].iter_mut().enumerate() {
+            let v = alpha * dots[j * m + i];
+            *x = if beta == 0.0 { v } else { v + beta * *x };
         }
+    }
+}
 
-        // Fused beta-scale + writeback: the only pass over this C tile.
-        // The row base pointer is hoisted and advanced by ldc per row;
-        // the row ops dispatch through the SIMD table.
-        // (The previous version advanced a hoisted row pointer by `ldc`
-        // after every row; past the tile's last row that lands beyond
-        // one-past-the-end of C whenever `j0 > 0`, which `ptr::add` is
-        // not allowed to compute. Offsetting per row from the base stays
-        // in bounds for every row actually written.)
-        let tile_base = i0 * ldc + j0;
-        for i in 0..mc_eff {
-            // SAFETY: row `i0 + i <= m − 1` and `j0 + nc_eff <= n <=
-            // ldc`, so `[tile_base + i·ldc, + nc_eff)` lies inside C
-            // (whose length covers `(m−1)·ldc + n`, asserted at entry).
-            // Tiles partition C, so the segment is owned exclusively by
-            // this tile task and no `&mut c` borrow coexists with it
-            // inside the parallel loop.
-            let crow =
-                unsafe { std::slice::from_raw_parts_mut(cbase.0.add(tile_base + i * ldc), nc_eff) };
-            let trow = &ctile[i * nc_eff..(i + 1) * nc_eff];
-            if beta == 0.0 {
-                crow.copy_from_slice(trow);
-            } else if beta == 1.0 {
-                gcnn_tensor::simd::add_assign(crow, trow);
-            } else {
-                gcnn_tensor::simd::scale_add(beta, crow, trow);
+/// Every A row against the `Q` B rows `b`: `out[q·m + i] = A[i]·b[q]`,
+/// A rows four at a time and then singly.
+fn dots_against<'a, const Q: usize>(
+    m: usize,
+    arow: impl Fn(usize) -> &'a [f32],
+    b: [&[f32]; Q],
+    out: &mut [f32],
+) {
+    let mut i = 0;
+    while i + 4 <= m {
+        let tile = dot_tile([arow(i), arow(i + 1), arow(i + 2), arow(i + 3)], b);
+        for (r, trow) in tile.iter().enumerate() {
+            for (q, &v) in trow.iter().enumerate() {
+                out[q * m + i + r] = v;
             }
         }
-    });
+        i += 4;
+    }
+    for i in i..m {
+        let [trow] = dot_tile([arow(i)], b);
+        for (q, &v) in trow.iter().enumerate() {
+            out[q * m + i] = v;
+        }
+    }
 }
 
 /// Cached `gemm.sgemm_calls` counter: one tick per [`sgemm_blocked`].
@@ -218,12 +308,12 @@ fn sgemm_calls() -> &'static gcnn_trace::Counter {
     C.get_or_init(|| gcnn_trace::counter("gemm.sgemm_calls"))
 }
 
-/// Cached `gemm.macro_tiles` counter: macro-tile tasks scheduled on the
-/// 2-D `(it, jt)` grid — the unit of GEMM parallelism, so tiles ÷ calls
-/// is the mean task fan-out the pool sees.
-fn macro_tiles() -> &'static gcnn_trace::Counter {
+/// Cached `gemm.row_blocks` counter: row-block tasks scheduled — one per
+/// `mc` row block per packed B panel, the unit of GEMM parallelism, so
+/// row blocks ÷ calls is the mean task fan-out the pool sees.
+fn row_blocks() -> &'static gcnn_trace::Counter {
     static C: std::sync::OnceLock<gcnn_trace::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| gcnn_trace::counter("gemm.macro_tiles"))
+    C.get_or_init(|| gcnn_trace::counter("gemm.row_blocks"))
 }
 
 /// `row ← beta·row`, honoring the BLAS convention that `beta == 0`

@@ -1,6 +1,7 @@
 //! Property-based tests pinning the optimized GEMM to the reference.
 
 use gcnn_gemm::blocking::BlockSizes;
+use gcnn_gemm::kernel;
 use gcnn_gemm::naive::sgemm_ref;
 use gcnn_gemm::sgemm::sgemm_blocked;
 use gcnn_gemm::Transpose;
@@ -74,12 +75,11 @@ proptest! {
         }
     }
 
-    /// The 2-D-tiled driver must be oblivious to pool width: the same
-    /// problem solved under pools of 1, 2, and `max` threads (and under
-    /// both tiny and default block sizes) matches the reference. Tile
-    /// boundaries shift with the grid decomposition, so this pins both
-    /// the task-splitting arithmetic and the disjointness of the fused
-    /// writeback.
+    /// The driver must be oblivious to pool width: the same problem
+    /// solved under pools of 1, 2, and `max` threads (and under both
+    /// tiny and default block sizes) matches the reference. Row blocks
+    /// are the parallel tasks, so this pins the row-block arithmetic and
+    /// the one-owner-per-C-row rule.
     #[test]
     fn blocked_matches_reference_across_pools(
         m in 1usize..48,
@@ -142,6 +142,119 @@ proptest! {
     }
 }
 
+/// Fill the `rows × cols` window of a fresh `ld`-strided buffer from
+/// `vals`, leaving `gutter` in the padding.
+fn strided(rows: usize, cols: usize, ld: usize, vals: &[f32], gutter: f32) -> Vec<f32> {
+    let mut out = vec![gutter; rows * ld];
+    for (row, src) in out.chunks_mut(ld).zip(vals.chunks(cols)) {
+        row[..cols].copy_from_slice(src);
+    }
+    out
+}
+
+/// One SGEMM against the reference: all four leading dimensions padded,
+/// C poisoned with NaN/Inf when `beta == 0` (overwrite must not read
+/// it), the `ldc` gutter checked untouched.
+#[allow(clippy::too_many_arguments)] // mirrors the BLAS signature
+fn check_case(
+    ta: bool,
+    tb: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    beta: f32,
+    blocks: BlockSizes,
+) {
+    let (ar, ac) = if ta { (k, m) } else { (m, k) };
+    let (br, bc) = if tb { (n, k) } else { (k, n) };
+    let (lda, ldb, ldc) = (ac + 3, bc + 1, n + 2);
+    let seed = (m * 31 + n * 17 + k) as u64;
+    let a = strided(ar, ac, lda, &lcg_vec(ar * ac, seed), f32::NAN);
+    let b = strided(br, bc, ldb, &lcg_vec(br * bc, seed + 1), f32::NAN);
+    let c_vals = lcg_vec(m * n, seed + 2);
+    const GUTTER: f32 = -77.0;
+
+    let mut c_ref = strided(m, n, ldc, &c_vals, GUTTER);
+    let mut c_opt = c_ref.clone();
+    if beta == 0.0 {
+        for (i, row) in c_opt.chunks_mut(ldc).enumerate() {
+            row[..n].fill(if i % 2 == 0 { f32::NAN } else { f32::INFINITY });
+        }
+        for row in c_ref.chunks_mut(ldc) {
+            row[..n].fill(0.0);
+        }
+    }
+    let t = |flag| if flag { Transpose::Yes } else { Transpose::No };
+    sgemm_blocked(
+        t(ta),
+        t(tb),
+        m,
+        n,
+        k,
+        alpha,
+        &a,
+        lda,
+        &b,
+        ldb,
+        beta,
+        &mut c_opt,
+        ldc,
+        blocks,
+    );
+    sgemm_ref(
+        ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_ref, ldc,
+    );
+
+    let tol = 1e-3 * (k as f32).sqrt() * alpha.abs().max(1.0);
+    let what = format!("ta={ta} tb={tb} ({m},{n},{k}) alpha={alpha} beta={beta} {blocks:?}");
+    for (idx, (x, y)) in c_opt.iter().zip(&c_ref).enumerate() {
+        if idx % ldc < n {
+            assert!((x - y).abs() <= tol, "{what} elem {idx}: {x} vs {y}");
+        } else {
+            assert_eq!(*x, GUTTER, "{what}: wrote the ldc gutter at {idx}");
+        }
+    }
+}
+
+/// Shapes straddling every blocking boundary of the kernel the driver
+/// will select — one row/column/slab either side of a register strip
+/// and of a cache block, the small-`m` no-pack path (`A·Bᵀ` with
+/// `m <= mr`) on both sides of its threshold — for all four transpose
+/// combinations and `alpha`, `beta` each in {0, 1, other}.
+#[test]
+fn boundary_shapes_match_reference() {
+    let kern = kernel::select();
+    let (mr, nr) = (kern.mr(), kern.nr());
+    let tiny = BlockSizes::tiny();
+    let BlockSizes { mc, kc, nc } = tiny.snapped_to(&kern);
+    let scalars = [0.0f32, 1.0, -0.75];
+    for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+        for m in [1, mr - 1, mr, mr + 1, mc + 1] {
+            for n in [1, nr - 1, nr + 1, 169, nc + 1] {
+                for k in [1, kc - 1, kc + 1] {
+                    for alpha in scalars {
+                        for beta in scalars {
+                            check_case(ta, tb, m, n, k, alpha, beta, tiny);
+                        }
+                    }
+                }
+            }
+        }
+        // The default blocks' own boundaries, one dimension at a time.
+        let full = BlockSizes::default_sizes();
+        let BlockSizes { mc, kc, nc } = full.snapped_to(&kern);
+        for (m, n, k) in [
+            (mc + 1, nr + 1, 9),
+            (mr + 1, nc + 1, 9),
+            (mr + 1, nr + 1, kc + 1),
+        ] {
+            check_case(ta, tb, m, n, k, 1.0, 0.0, full);
+            check_case(ta, tb, m, n, k, -0.75, 1.0, full);
+        }
+    }
+}
+
 /// The second of two identical GEMM calls must run entirely out of the
 /// workspace arena: zero fresh pool allocations.
 #[test]
@@ -179,4 +292,28 @@ fn repeated_sgemm_is_steady_state_allocation_free() {
         misses, 0,
         "second identical GEMM call took {misses} fresh allocations"
     );
+
+    // Same for the no-pack small-M path (4 rows of A against Bᵀ).
+    let bt = lcg_vec(n * k, 5);
+    let small = |c: &mut [f32]| {
+        sgemm_blocked(
+            Transpose::No,
+            Transpose::Yes,
+            4,
+            n,
+            k,
+            1.0,
+            &a,
+            k,
+            &bt,
+            k,
+            0.0,
+            c,
+            n,
+            blocks,
+        )
+    };
+    small(&mut c);
+    let (_, misses) = workspace::alloc_scope(|| small(&mut c));
+    assert_eq!(misses, 0, "small-M GEMM took {misses} fresh allocations");
 }

@@ -1,9 +1,11 @@
 //! SIMD kernels vs the scalar oracle.
 //!
-//! The dispatched micro-kernels ([`gcnn_gemm::kernel::microkernel`], the
-//! split cgemm inner loop, the full blocked driver) must agree with the scalar
+//! Every micro-kernel body this host can run
+//! ([`gcnn_gemm::kernel::available`] — scalar, AVX2, and AVX-512 where
+//! detected, each called directly at its own `mr × nr`), the split cgemm
+//! inner loop and the full blocked driver must agree with the scalar
 //! reference on randomized shapes, including remainder tiles
-//! (`m_eff < MR`, `n_eff < NR`) and non-contiguous `ldc`. Tolerances are
+//! (`m_eff < mr`, `n_eff < nr`) and non-contiguous `ldc`. Tolerances are
 //! stated in ulps where the comparison is elementwise: FMA contraction
 //! and reassociated accumulation legally perturb the last bits, and the
 //! divergence grows with the reduction depth `k` — so the budget is
@@ -14,8 +16,8 @@
 //! CI re-runs the entire suite under `GCNN_FORCE_SCALAR=1`, where the
 //! same assertions pin the scalar-vs-scalar identity.
 
-use gcnn_gemm::blocking::{BlockSizes, MR, NR};
-use gcnn_gemm::kernel::{microkernel, microkernel_scalar, writeback_tile};
+use gcnn_gemm::blocking::BlockSizes;
+use gcnn_gemm::kernel::{self, microkernel_scalar, MicroKernel};
 use gcnn_gemm::naive::{cgemm_ref, sgemm_ref};
 use gcnn_gemm::{cgemm_split, sgemm::sgemm_blocked, Transpose};
 use gcnn_tensor::Complex32;
@@ -65,70 +67,81 @@ fn lcg_cvec(len: usize, seed: u64) -> Vec<Complex32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The dispatched micro-kernel equals the scalar oracle on full and
-    /// zero-padded strips (packing pads partial tiles with zeros, so a
-    /// random prefix of zeros per group is exactly the remainder case).
+    /// Every available micro-kernel body equals the scalar oracle run
+    /// at that body's shape, on full and zero-padded strips (packing
+    /// pads partial tiles with zeros, so a random suffix of zeros per
+    /// group is exactly the remainder case), for overwrite (`beta = 0`,
+    /// C poisoned), accumulate and general `beta`, into a padded `ldc`.
     #[test]
     fn microkernel_matches_oracle(
         kc in 1usize..64,
-        pad_rows in 0usize..MR,
-        pad_cols in 0usize..NR,
+        pad_rows in 0usize..6,
+        pad_cols in 0usize..8,
         alpha in -2.0f32..2.0,
+        beta in prop_oneof![Just(0.0f32), Just(1.0f32), -1.5f32..1.5],
+        ldc_pad in 0usize..4,
         seed in 0u64..1u64 << 32,
     ) {
-        let mut a = lcg_vec(kc * MR, seed);
-        let mut b = lcg_vec(kc * NR, seed ^ 0xdead);
-        // Zero the padded tail of each group, as pack_a/pack_b would for
-        // an (MR - pad_rows) × (NR - pad_cols) edge tile.
-        for p in 0..kc {
-            for r in MR - pad_rows..MR {
-                a[p * MR + r] = 0.0;
+        for k in kernel::available() {
+            let (mr, nr) = (k.mr(), k.nr());
+            let ldc = nr + ldc_pad;
+            let mut a = lcg_vec(kc * mr, seed);
+            let mut b = lcg_vec(kc * nr, seed ^ 0xdead);
+            for p in 0..kc {
+                a[p * mr + mr - pad_rows..(p + 1) * mr].fill(0.0);
+                b[p * nr + nr - pad_cols..(p + 1) * nr].fill(0.0);
             }
-            for c in NR - pad_cols..NR {
-                b[p * NR + c] = 0.0;
+            let mut init = lcg_vec(mr * ldc, seed ^ 0xbeef);
+            if beta == 0.0 {
+                // Overwrite must not read C: poison the tile, not the gutter.
+                for row in init.chunks_mut(ldc) {
+                    row[..nr].fill(f32::NAN);
+                }
             }
-        }
-        let init = lcg_vec(MR * NR, seed ^ 0xbeef);
-        let mut acc = init.clone();
-        let mut oracle = init;
-        microkernel(kc, alpha, &a, &b, &mut acc);
-        microkernel_scalar(kc, alpha, &a, &b, &mut oracle);
-        for (i, (&x, &y)) in acc.iter().zip(&oracle).enumerate() {
-            prop_assert!(close(x, y, kc), "elem {i}: {x} vs {y} ({} ulp)", ulp_diff(x, y));
+            let mut c = init.clone();
+            let mut oracle = init.clone();
+            k.run(kc, alpha, &a, &b, beta, &mut c, ldc);
+            microkernel_scalar(mr, nr, kc, alpha, &a, &b, beta, &mut oracle, ldc);
+            for (i, (&x, &y)) in c.iter().zip(&oracle).enumerate() {
+                if i % ldc < nr {
+                    prop_assert!(close(x, y, kc), "{k:?} elem {i}: {x} vs {y} ({} ulp)", ulp_diff(x, y));
+                } else {
+                    prop_assert_eq!(x, init[i], "{:?} wrote the ldc gutter at {}", k, i);
+                }
+            }
         }
     }
 
-    /// `writeback_tile` with a partial tile and non-contiguous ldc only
-    /// touches the `m_eff × n_eff` window and adds exactly the
-    /// accumulator values.
+    /// An edge tile only touches its `m_eff × n_eff` corner of a
+    /// non-contiguous C, and what it leaves there is what the full tile
+    /// would have.
     #[test]
-    fn writeback_remainder_tiles(
-        m_eff in 1usize..=MR,
-        n_eff in 1usize..=NR,
+    fn edge_tiles_store_only_valid_corner(
+        kc in 1usize..24,
+        cut_rows in 0usize..6,
+        cut_cols in 0usize..8,
         ldc_pad in 0usize..5,
-        row0 in 0usize..3,
-        col0 in 0usize..3,
+        beta in prop_oneof![Just(0.0f32), Just(1.0f32), -1.5f32..1.5],
         seed in 0u64..1u64 << 32,
     ) {
-        let ldc = col0 + n_eff + ldc_pad;
-        let rows = row0 + m_eff + 1;
-        let acc = lcg_vec(MR * NR, seed);
-        let before = lcg_vec(rows * ldc, seed ^ 0xabc);
-        let mut c = before.clone();
-        writeback_tile(&acc, &mut c, ldc, row0, col0, m_eff, n_eff);
-        for r in 0..rows {
-            for col in 0..ldc {
-                let inside = (row0..row0 + m_eff).contains(&r)
-                    && (col0..col0 + n_eff).contains(&col);
-                let want = if inside {
-                    before[r * ldc + col] + acc[(r - row0) * NR + (col - col0)]
+        for k in kernel::available() {
+            let (mr, nr) = (k.mr(), k.nr());
+            let (m_eff, n_eff) = (mr - cut_rows, nr - cut_cols);
+            let ldc = nr + ldc_pad;
+            let a = lcg_vec(kc * mr, seed);
+            let b = lcg_vec(kc * nr, seed ^ 0xabc);
+            let before = lcg_vec(mr * ldc, seed ^ 0x123);
+            let mut full = before.clone();
+            k.run(kc, 0.75, &a, &b, beta, &mut full, ldc);
+            let mut c = before.clone();
+            k.run_edge(kc, 0.75, &a, &b, beta, &mut c, ldc, m_eff, n_eff);
+            for (idx, &got) in c.iter().enumerate() {
+                let (i, j) = (idx / ldc, idx % ldc);
+                if i < m_eff && j < n_eff {
+                    prop_assert!(close(got, full[idx], kc), "{k:?} ({i},{j}): {got} vs {}", full[idx]);
                 } else {
-                    before[r * ldc + col]
-                };
-                prop_assert!(
-                    close(c[r * ldc + col], want, 1),
-                    "({r},{col}): {} vs {want}", c[r * ldc + col]
-                );
+                    prop_assert_eq!(got, before[idx], "{:?} touched ({}, {})", k, i, j);
+                }
             }
         }
     }
@@ -220,22 +233,39 @@ proptest! {
     }
 }
 
-/// The honored override: with the table forced scalar, the dispatched
-/// micro-kernel is bit-identical to the directly-called scalar body.
+/// The honored override: with the table forced scalar, the selected
+/// micro-kernel is the scalar body, bit-identical to the directly-called
+/// oracle at its shape.
 #[test]
 fn forced_scalar_dispatch_is_bit_identical() {
     let kc = 19;
-    let a = lcg_vec(kc * MR, 7);
-    let b = lcg_vec(kc * NR, 8);
     // Restore the state we found (isa() is already Scalar when the env
     // forced it — or on a genuinely scalar host, where re-forcing is a
     // no-op), so a GCNN_FORCE_SCALAR=1 run stays forced afterwards.
     let was_scalar = gcnn_tensor::simd::isa() == gcnn_tensor::simd::Isa::Scalar;
     gcnn_tensor::simd::set_force_scalar(true);
-    let mut acc = vec![0.5; MR * NR];
-    microkernel(kc, 1.5, &a, &b, &mut acc);
+    let k: MicroKernel = kernel::select();
     gcnn_tensor::simd::set_force_scalar(was_scalar);
-    let mut oracle = vec![0.5; MR * NR];
-    microkernel_scalar(kc, 1.5, &a, &b, &mut oracle);
-    assert_eq!(acc, oracle);
+    assert_eq!(k.name(), "scalar");
+    let (mr, nr) = (k.mr(), k.nr());
+    let a = lcg_vec(kc * mr, 7);
+    let b = lcg_vec(kc * nr, 8);
+    let mut c = vec![0.5; mr * nr];
+    k.run(kc, 1.5, &a, &b, 1.0, &mut c, nr);
+    let mut oracle = vec![0.5; mr * nr];
+    microkernel_scalar(mr, nr, kc, 1.5, &a, &b, 1.0, &mut oracle, nr);
+    assert_eq!(c, oracle);
+}
+
+/// Detecting AVX-512F must widen the SGEMM tile and demote nothing:
+/// the split CGEMM keys on `isa() == Avx2Fma`, which must still hold.
+#[test]
+fn avx512_host_selects_no_scalar_body() {
+    use gcnn_tensor::simd;
+    if !simd::avx512f() {
+        return;
+    }
+    assert_eq!(simd::isa(), simd::Isa::Avx2Fma);
+    let names: Vec<_> = kernel::available().map(|k| k.name()).collect();
+    assert_eq!(names, ["scalar", "avx2+fma", "avx512f"]);
 }

@@ -195,7 +195,7 @@ fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
 }
 
 fn f32s_from(bytes: &[u8]) -> Result<Vec<f32>, WireError> {
-    if bytes.len() % 4 != 0 {
+    if !bytes.len().is_multiple_of(4) {
         return Err(WireError::Malformed(format!(
             "f32 payload of {} bytes is not a multiple of 4",
             bytes.len()

@@ -13,6 +13,10 @@
 //!   `x86_64` (via `is_x86_feature_detected!`), NEON on `aarch64`
 //!   (baseline there), scalar everywhere else. `GCNN_FORCE_SCALAR=1`
 //!   pins the scalar path for A/B measurement and CI.
+//! * [`avx512f`] — a capability *beside* [`isa`], not a fourth variant:
+//!   an AVX-512 host still reports `Avx2Fma`, so every 256-bit kernel
+//!   keeps dispatching as before, and only the kernels that have a
+//!   512-bit body (today the SGEMM register tile) ask for it.
 //! * Slice primitives ([`saxpy`], [`sscal`], [`sdot`], [`add_assign`],
 //!   [`scale_add`]) used by `gcnn-tensor::ops`, `im2col`, the GEMM
 //!   writeback and the FFT lane engine's scaling.
@@ -136,6 +140,23 @@ pub fn isa_name() -> &'static str {
     isa().name()
 }
 
+/// Whether kernels with a 512-bit body may run it: AVX-512F was
+/// detected (cached) on top of [`Isa::Avx2Fma`], and the scalar
+/// override is off. A capability rather than an [`Isa`] variant so
+/// that detecting it demotes no 256-bit dispatch site to its `_`
+/// (scalar) arm.
+#[inline]
+pub fn avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        isa() == Isa::Avx2Fma
+            && *DETECTED.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 // ---------------------------------------------------------------------
 // f32 slice primitives
 // ---------------------------------------------------------------------
@@ -254,9 +275,10 @@ pub fn sdot_scalar(x: &[f32], y: &[f32]) -> f32 {
 /// Channel-block width the NCHWc layout should use on this host.
 ///
 /// 8 lanes everywhere today: one AVX2 vector, two NEON vectors, and a
-/// cheap unrolled loop on the scalar fallback. A future AVX-512 `Isa`
-/// variant returns 16 here (the `Layout::Nchw16c` stride math and
-/// pack/unpack are already block-generic).
+/// cheap unrolled loop on the scalar fallback — also on hosts where
+/// [`avx512f`] holds, since `conv_nchwc_tap` has no 512-bit body (the
+/// `Layout::Nchw16c` stride math and pack/unpack are already
+/// block-generic for when it gets one).
 #[inline]
 pub fn preferred_block() -> usize {
     match isa() {
@@ -940,8 +962,27 @@ mod tests {
         let before = force_scalar();
         set_force_scalar(true);
         assert_eq!(isa(), Isa::Scalar);
+        assert!(!avx512f(), "the override must also gate the 512-bit bodies");
         set_force_scalar(false);
         assert_eq!(isa(), detected());
+        set_force_scalar(before);
+    }
+
+    /// Detecting AVX-512F must not demote the 256-bit dispatch sites:
+    /// they key on `Isa::Avx2Fma`, which such a host keeps reporting,
+    /// and the NCHWc block stays 8.
+    #[test]
+    fn avx512_capability_keeps_avx2_dispatch() {
+        let _guard = FORCE_MUTEX.lock().unwrap();
+        let before = force_scalar();
+        set_force_scalar(false);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert!(avx512f());
+            assert_eq!(isa(), Isa::Avx2Fma);
+            assert_eq!(isa_name(), "avx2+fma");
+        }
+        assert_eq!(preferred_block(), 8);
         set_force_scalar(before);
     }
 
