@@ -208,7 +208,7 @@ impl Default for AuditConfig {
                 HotPath {
                     file_suffix: "conv/src/nchwc.rs".into(),
                     functions: s(&[
-                        "forward_tile",
+                        "forward_planes",
                         "fused_conv_relu",
                         "fused_conv_relu_pool",
                         "max_pool_tile",

@@ -152,7 +152,7 @@ fn default_policy_covers_nchwc_kernels() {
         (
             "crates/conv/src/nchwc.rs",
             &[
-                "forward_tile",
+                "forward_planes",
                 "fused_conv_relu",
                 "fused_conv_relu_pool",
                 "max_pool_tile",

@@ -30,8 +30,11 @@ use std::sync::OnceLock;
 /// planar) and tracks the `cpu/host/v3` substrate fingerprint; v2 is
 /// skipped so cache schema and fingerprint versions stay in lockstep.
 /// v1 and v2 files lack the `layout` field and must degrade, not be
-/// misread as planar.
-pub const SCHEMA_VERSION: u32 = 3;
+/// misread as planar. v4 changes no field: it tracks the `cpu/host/v4`
+/// fingerprint, so verdicts timed against kernels that no longer exist
+/// (the per-tap NCHWc conv, the pre-Goto SGEMM) are dropped wholesale
+/// rather than kept as unreachable entries.
+pub const SCHEMA_VERSION: u32 = 4;
 
 fn hit_counter() -> &'static gcnn_trace::Counter {
     static C: OnceLock<gcnn_trace::Counter> = OnceLock::new();
@@ -468,10 +471,12 @@ mod tests {
         // v1/v2 entries have no `layout` field; reading one as planar
         // would silently mis-bind layer boundaries, so both versions
         // must be rejected wholesale (cache degraded → heuristics), even
-        // when the rest of the record would decode fine.
+        // when the rest of the record would decode fine. A v3 file goes
+        // the same way: its verdicts were timed against the per-tap
+        // NCHWc kernel and the pre-Goto SGEMM.
         let dir = std::env::temp_dir().join("gcnn_autotune_cache_test_prelayout");
         std::fs::create_dir_all(&dir).unwrap();
-        for old_version in [1u32, 2u32] {
+        for old_version in [1u32, 2, 3] {
             let path = dir.join(format!("tune_v{old_version}.json"));
             let record = concat!(
                 "{\"key\": {\"device\": \"cpu/host/v1/4threads/avx2\", ",
@@ -497,7 +502,7 @@ mod tests {
 
     #[test]
     fn current_schema_missing_layout_field_degrades() {
-        // Defense in depth: even a file claiming schema v3 must be
+        // Defense in depth: even a file claiming the current schema must be
         // rejected if an entry lacks the layout verdict.
         let dir = std::env::temp_dir().join("gcnn_autotune_cache_test_nolayout");
         std::fs::create_dir_all(&dir).unwrap();
@@ -526,12 +531,12 @@ mod tests {
         let mut cache = TuningCache::new();
         let mut e = entry("nchwc", 0.75);
         e.layout = Layout::Nchw8c;
-        cache.insert(key("cpu/host/v3/4threads/avx2", 32), e.clone());
+        cache.insert(key("cpu/host/v4/4threads/avx2/b8", 32), e.clone());
         cache.save(&path).expect("save");
         let mut loaded = TuningCache::load(&path);
         assert!(loaded.degraded().is_none());
         let hit = loaded
-            .lookup(&key("cpu/host/v3/4threads/avx2", 32))
+            .lookup(&key("cpu/host/v4/4threads/avx2/b8", 32))
             .expect("hit");
         assert_eq!(hit, e);
         assert_eq!(hit.layout, Layout::Nchw8c);

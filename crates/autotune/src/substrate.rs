@@ -220,12 +220,16 @@ impl Substrate for CpuSubstrate {
         // The SIMD dispatch path changes what a measurement means: a
         // verdict cached under the scalar kernels must not be trusted by
         // a process running the AVX2/NEON ones (and vice versa), so the
-        // effective ISA is part of the device identity. The `v3`
-        // generation tag invalidates verdicts measured before the
-        // NCHWc layout candidate existed (`v2` was the split-complex
-        // FFT rework): older winners never saw the packed path compete.
+        // effective ISA is part of the device identity, and so is the
+        // channel-block width the `nchwc` candidate runs at (an AVX-512
+        // host reports `avx2+fma` but tunes the 16-wide zmm tile). The
+        // generation tag invalidates verdicts whose kernels changed
+        // under them: `v3` was the NCHWc layout candidate, `v4` the
+        // output-stationary conv tile and the pack-once SGEMM — older
+        // layout verdicts compared two kernels that no longer exist.
         let isa = gcnn_tensor::simd::isa_name();
-        format!("cpu/host/v3/{threads}threads/{isa}")
+        let block = gcnn_tensor::simd::preferred_block();
+        format!("cpu/host/v4/{threads}threads/{isa}/b{block}")
     }
 
     fn candidates(&self) -> Vec<Candidate> {
@@ -392,13 +396,20 @@ mod tests {
     #[test]
     fn cpu_fingerprint_carries_isa() {
         let fp = CpuSubstrate::new().fingerprint();
+        let isa = gcnn_tensor::simd::isa_name();
+        let block = gcnn_tensor::simd::preferred_block();
         assert!(
-            fp.ends_with(&format!("/{}", gcnn_tensor::simd::isa_name())),
-            "fingerprint {fp} missing ISA suffix"
+            fp.ends_with(&format!("/{isa}/b{block}")),
+            "fingerprint {fp} missing the ISA and block-width suffix"
         );
         assert!(
-            fp.contains("/v3/"),
-            "fingerprint {fp} missing the layout-verdict generation tag"
+            fp.contains("/v4/"),
+            "fingerprint {fp} missing the kernel-generation tag"
+        );
+        assert_eq!(
+            u64::from(crate::SCHEMA_VERSION),
+            4,
+            "cache schema and fingerprint generation move together"
         );
     }
 }

@@ -2,6 +2,7 @@
 //! depends on, at the paper's base configuration `(64,128,64,11,1)`.
 //!
 //! Times the im2col-shaped SGEMM (`m = f`, `n = b·oh·ow`, `k = c·k²`),
+//! AlexNet's SGEMMs and its conv layers on the fused NCHWc path,
 //! a batched 2-D real FFT of the fft-conv plane set, and one
 //! forward + backward convolution per strategy, then writes
 //! `results/BENCH_hotpaths.json` with mean/p50/p95 per section so the
@@ -188,6 +189,46 @@ fn bench_sgemm_alexnet(repeats: Repeats) -> Vec<Section> {
                 &format!("sgemm_alexnet_{}", layer.name),
                 samples,
                 Some(gemm_flops(m, n, k)),
+                Some(note),
+            )
+        })
+        .collect()
+}
+
+/// The five AlexNet conv layers at batch 4 on the fused NCHWc path
+/// (conv+ReLU over prepacked operands at the host's preferred block),
+/// one section per layer beside its `sgemm_alexnet_*` im2col product,
+/// shapes read off `zoo::alexnet()`. GFLOP/s count the layer's useful
+/// FLOPs — remainder lanes (conv1's 3 channels in a 16-wide block) earn
+/// nothing — so the figure is comparable with the SGEMM sections and
+/// with the probed FMA peak in EXPERIMENTS.md.
+fn bench_nchwc_alexnet(repeats: Repeats) -> Vec<Section> {
+    use gcnn_conv::nchwc;
+    const BATCH: usize = 4;
+    let block = gcnn_tensor::simd::preferred_block();
+    gcnn_models::layer::walk(&gcnn_models::zoo::alexnet(), BATCH)
+        .iter()
+        .filter_map(|l| Some((l, l.conv?)))
+        .map(|(layer, cfg)| {
+            let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 43);
+            let w = xavier_filters(cfg.filter_shape(), 44);
+            let mut pin = vec![0.0f32; nchwc::packed_input_len(&cfg, block)];
+            let mut pw = vec![0.0f32; nchwc::packed_filter_len(&cfg, block)];
+            let mut pout = vec![0.0f32; nchwc::packed_output_len(&cfg, block)];
+            nchwc::pack_input(&cfg, &x, block, &mut pin);
+            nchwc::pack_filters(&cfg, &w, block, &mut pw);
+            let samples = time_wall(repeats, || {
+                nchwc::fused_conv_relu(&cfg, block, &pin, &pw, &mut pout, true);
+                std::hint::black_box(&pout);
+            });
+            let note = format!(
+                "b{BATCH} c{} i{} f{} k{} s{} p{} block {block}",
+                cfg.channels, cfg.input, cfg.filters, cfg.kernel, cfg.stride, cfg.pad
+            );
+            section(
+                &format!("nchwc_alexnet_{}", layer.name),
+                samples,
+                Some(cfg.forward_flops()),
                 Some(note),
             )
         })
@@ -644,6 +685,7 @@ fn main() {
     let mut sections = Vec::new();
     sections.push(bench_sgemm(&cfg, repeats));
     sections.extend(bench_sgemm_alexnet(repeats));
+    sections.extend(bench_nchwc_alexnet(repeats));
     sections.push(bench_batched_fft(&cfg, repeats));
     for strat in [Strategy::Unrolling, Strategy::Fft] {
         let algo = algorithm_for(strat);

@@ -14,7 +14,8 @@
 //! | `scalar`   | 8×8   | autovectorized; [`microkernel_scalar`] at 8×8  |
 //!
 //! The three SIMD rows are one generic body ([`simd_tile`]) over a
-//! [`Lanes`] vector type — two vectors wide, `MR` rows tall —
+//! [`Lanes`] vector type (the trait and its per-ISA impls live in
+//! `gcnn_tensor::simd`) — two vectors wide, `MR` rows tall —
 //! instantiated inside a `#[target_feature]` function that is only
 //! reachable through [`select`]/[`available`], i.e. after the matching
 //! runtime detection. [`microkernel_scalar`] takes the tile shape as
@@ -22,6 +23,8 @@
 //! SIMD body is tested against at that body's own shape
 //! (`tests/simd_vs_scalar.rs`).
 
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use gcnn_tensor::simd::Lanes;
 use gcnn_tensor::simd::{self, Isa};
 
 /// Largest `mr·nr` of any kernel in the table (the AVX-512 tile):
@@ -283,71 +286,6 @@ pub fn microkernel_scalar(
     }
 }
 
-/// The vector operations [`simd_tile`] and [`simd_dot`] are written in:
-/// one impl per ISA. The methods' shared safety contract: each is a
-/// `std::arch` intrinsic of the implementing ISA and may only execute
-/// on a CPU that supports it; `load`/`store` access `N` floats at `p`.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-trait Lanes: Copy {
-    /// f32 lanes per vector.
-    const N: usize;
-    /// `x` in every lane. Safety: the trait's.
-    unsafe fn splat(x: f32) -> Self;
-    /// The `N` floats at `p`, unaligned. Safety: the trait's.
-    unsafe fn load(p: *const f32) -> Self;
-    /// Write the lanes to the `N` floats at `p`. Safety: the trait's.
-    unsafe fn store(self, p: *mut f32);
-    /// Lane-wise `self·b`. Safety: the trait's.
-    unsafe fn mul(self, b: Self) -> Self;
-    /// Lane-wise `self + a·b`, fused. Safety: the trait's.
-    unsafe fn fma(self, a: Self, b: Self) -> Self;
-}
-
-/// `impl Lanes for $ty` from the ISA's intrinsics (`$fma` spells the
-/// ISA's operand order for `acc + a·b`).
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-macro_rules! lanes_impl {
-    ($ty:ty, $n:expr, $splat:path, $load:path, $store:path, $mul:path,
-     |$acc:ident, $a:ident, $b:ident| $fma:expr) => {
-        // Each method is one intrinsic of the ISA; its `unsafe fn` and
-        // its `unsafe` block both rest on the trait's safety contract.
-        impl Lanes for $ty {
-            const N: usize = $n;
-            /// Safety: the trait's.
-            #[inline(always)]
-            unsafe fn splat(x: f32) -> Self {
-                // SAFETY: trait contract (ISA available).
-                unsafe { $splat(x) }
-            }
-            /// Safety: the trait's.
-            #[inline(always)]
-            unsafe fn load(p: *const f32) -> Self {
-                // SAFETY: trait contract (`N` floats readable at `p`).
-                unsafe { $load(p) }
-            }
-            /// Safety: the trait's.
-            #[inline(always)]
-            unsafe fn store(self, p: *mut f32) {
-                // SAFETY: trait contract (`N` floats writable at `p`).
-                unsafe { $store(p, self) }
-            }
-            /// Safety: the trait's.
-            #[inline(always)]
-            unsafe fn mul(self, b: Self) -> Self {
-                // SAFETY: trait contract (ISA available).
-                unsafe { $mul(self, b) }
-            }
-            /// Safety: the trait's.
-            #[inline(always)]
-            unsafe fn fma(self, $a: Self, $b: Self) -> Self {
-                let $acc = self;
-                // SAFETY: trait contract (ISA available).
-                unsafe { $fma }
-            }
-        }
-    };
-}
-
 /// The SIMD tile body: `MR` rows × two `V` vectors, every accumulator
 /// register-resident across the `kc` loop (per `p`: two B loads, `MR`
 /// A broadcasts, `2·MR` FMAs, no stores), then one fused
@@ -405,8 +343,8 @@ unsafe fn simd_tile<V: Lanes, const MR: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{simd_dot, simd_tile, Lanes, MicroKernel};
-    use std::arch::x86_64::*;
+    use super::{simd_dot, simd_tile, MicroKernel};
+    use std::arch::x86_64::{__m256, __m512};
 
     pub(super) const AVX2: MicroKernel = MicroKernel {
         name: "avx2+fma",
@@ -421,25 +359,6 @@ mod x86 {
         nr: 32,
         body: tile_avx512,
     };
-
-    lanes_impl!(
-        __m256,
-        8,
-        _mm256_set1_ps,
-        _mm256_loadu_ps,
-        _mm256_storeu_ps,
-        _mm256_mul_ps,
-        |acc, a, b| _mm256_fmadd_ps(a, b, acc)
-    );
-    lanes_impl!(
-        __m512,
-        16,
-        _mm512_set1_ps,
-        _mm512_loadu_ps,
-        _mm512_storeu_ps,
-        _mm512_mul_ps,
-        |acc, a, b| _mm512_fmadd_ps(a, b, acc)
-    );
 
     /// # Safety
     /// [`super::Body`] contract at 6×16; AVX2 and FMA detected.
@@ -500,8 +419,8 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    use super::{simd_dot, simd_tile, Lanes, MicroKernel};
-    use std::arch::aarch64::*;
+    use super::{simd_dot, simd_tile, MicroKernel};
+    use std::arch::aarch64::float32x4_t;
 
     pub(super) const NEON: MicroKernel = MicroKernel {
         name: "neon",
@@ -509,16 +428,6 @@ mod arm {
         nr: 8,
         body: tile_neon,
     };
-
-    lanes_impl!(
-        float32x4_t,
-        4,
-        vdupq_n_f32,
-        vld1q_f32,
-        vst1q_f32,
-        vmulq_f32,
-        |acc, a, b| vfmaq_f32(acc, a, b)
-    );
 
     /// # Safety
     /// [`super::Body`] contract at 8×8; NEON is baseline on AArch64.

@@ -16,6 +16,7 @@ use gcnn_conv::{algorithm_for, ConvConfig, Strategy};
 use gcnn_tensor::workspace::{self, Scratch};
 use gcnn_tensor::{nchwc, Layout, Shape4, Tensor4, Workspace};
 use serde::Serialize;
+use std::borrow::Cow;
 
 /// A trainable layer.
 enum NetLayer {
@@ -65,13 +66,15 @@ enum Cache {
     },
 }
 
-/// An activation flowing through [`Network::infer_ws`]: planar, or
-/// packed NCHWc (arena-backed) between adjacent blocked conv layers.
-/// Keeping the packed form across layer boundaries is what makes the
-/// pack/unpack transitions explicit and minimal: a conversion happens
-/// only where consecutive layers disagree on layout.
-enum Act {
-    Planar(Tensor4),
+/// An activation flowing through [`Network::infer_ws`]: planar (the
+/// caller's input, borrowed until the first layer consumes it, or a
+/// layer's owned output), or packed NCHWc (arena-backed) between
+/// adjacent blocked conv layers. Keeping the packed form across layer
+/// boundaries is what makes the pack/unpack transitions explicit and
+/// minimal: a conversion happens only where consecutive layers disagree
+/// on layout.
+enum Act<'a> {
+    Planar(Cow<'a, Tensor4>),
     Packed {
         /// Packed `[n][⌈c/b⌉][h][w][b]` buffer (no spatial padding).
         buf: Scratch<f32>,
@@ -82,7 +85,11 @@ enum Act {
     },
 }
 
-impl Act {
+impl<'a> Act<'a> {
+    fn owned(t: Tensor4) -> Self {
+        Act::Planar(Cow::Owned(t))
+    }
+
     fn shape(&self) -> Shape4 {
         match self {
             Act::Planar(t) => t.shape(),
@@ -91,13 +98,13 @@ impl Act {
     }
 
     /// Unpack to planar if needed (the explicit layout transition).
-    fn into_planar(self) -> Tensor4 {
+    fn into_planar(self) -> Cow<'a, Tensor4> {
         match self {
             Act::Planar(t) => t,
             Act::Packed { buf, shape, block } => {
                 let mut t = Tensor4::zeros(shape);
                 nchwc::unpack_nchwc_from(buf.as_slice(), shape, block, t.as_mut_slice());
-                t
+                Cow::Owned(t)
             }
         }
     }
@@ -438,7 +445,7 @@ impl Network {
     /// only where consecutive layers disagree on layout.
     pub fn infer_ws(&self, input: &Tensor4, ws: &mut Workspace) -> Tensor4 {
         let _span = gcnn_trace::span("network.infer");
-        let mut x = Act::Planar(input.clone());
+        let mut x = Act::Planar(Cow::Borrowed(input));
         let mut i = 0;
         while i < self.layers.len() {
             match &self.layers[i] {
@@ -467,25 +474,25 @@ impl Network {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
                     let xp = x.into_planar();
                     let algo = algorithm_for(*strategy);
-                    x = Act::Planar(algo.forward_ws(&cfg, &xp, weights, ws));
+                    x = Act::owned(algo.forward_ws(&cfg, &xp, weights, ws));
                 }
                 NetLayer::Relu => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
-                    x = Act::Planar(ReluLayer.forward(&x.into_planar()));
+                    x = Act::owned(ReluLayer.forward(&x.into_planar()));
                 }
                 NetLayer::MaxPool { window, stride } => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
                     let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
-                    x = Act::Planar(pool.forward(&x.into_planar()).output);
+                    x = Act::owned(pool.forward(&x.into_planar()).output);
                 }
                 NetLayer::Fc { layer, .. } => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));
-                    x = Act::Planar(layer.forward(&x.into_planar()));
+                    x = Act::owned(layer.forward(&x.into_planar()));
                 }
             }
             i += 1;
         }
-        x.into_planar()
+        x.into_planar().into_owned()
     }
 
     /// Execute one blocked conv starting at layer `i`, fusing a
@@ -500,8 +507,8 @@ impl Network {
         cfg: &ConvConfig,
         weights: &Tensor4,
         block: usize,
-        x: Act,
-    ) -> (Act, usize) {
+        x: Act<'_>,
+    ) -> (Act<'static>, usize) {
         let fuse_relu = matches!(self.layers.get(i + 1), Some(NetLayer::Relu));
         let fuse_pool = if fuse_relu {
             match self.layers.get(i + 2) {

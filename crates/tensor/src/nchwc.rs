@@ -17,8 +17,12 @@
 //!
 //! Filters pack as `[⌈f/b⌉][⌈c/b⌉][ky][kx][ci][fo]` (oneDNN's
 //! OIhw8i8o): the innermost `b` output channels of one tap are
-//! contiguous, which is exactly the vector [`simd::conv_nchwc_tap`]
-//! broadcasts each input lane against.
+//! contiguous, which is exactly the vector the convolution tile
+//! ([`simd::conv`]) broadcasts each input lane against.
+//!
+//! The pack kernels write every destination element exactly once:
+//! borders and remainder lanes are zeroed where they lie, never by a
+//! whole-buffer fill that the payload then overwrites.
 
 use crate::layout::Layout;
 use crate::shape::Shape4;
@@ -45,12 +49,36 @@ pub const fn packed_filter_len(shape: Shape4, block: usize) -> usize {
     shape.n.div_ceil(block) * shape.c.div_ceil(block) * shape.h * shape.w * block * block
 }
 
+/// Write one padded `[h + 2·pad][w + 2·pad][block]` plane: zero its
+/// border and hand each interior row (`w·block` floats, row index
+/// first) to `fill_row`, which must write all of it.
+fn write_padded_plane(
+    plane: &mut [f32],
+    (h, w): (usize, usize),
+    block: usize,
+    pad: usize,
+    mut fill_row: impl FnMut(usize, &mut [f32]),
+) {
+    let row_len = (w + 2 * pad) * block;
+    let (top, rest) = plane.split_at_mut(pad * row_len);
+    let (rows, bottom) = rest.split_at_mut(h * row_len);
+    top.fill(0.0);
+    bottom.fill(0.0);
+    for (y, row) in rows.chunks_exact_mut(row_len).enumerate() {
+        let (left, rest) = row.split_at_mut(pad * block);
+        let (interior, right) = rest.split_at_mut(w * block);
+        left.fill(0.0);
+        right.fill(0.0);
+        fill_row(y, interior);
+    }
+}
+
 /// Pack a planar NCHW activation into NCHWc with `pad` zero rows/cols
 /// baked around each spatial plane.
 ///
 /// `src.len()` must be `shape.len()` and `dst.len()` must be
 /// [`packed_len`]`(shape, block, pad)`. Remainder lanes and borders are
-/// zeroed.
+/// zeroed; nothing `dst` held survives.
 pub fn pack_nchwc_into(src: &[f32], shape: Shape4, block: usize, pad: usize, dst: &mut [f32]) {
     assert_eq!(src.len(), shape.len(), "pack_nchwc_into: src length");
     assert_eq!(
@@ -58,23 +86,25 @@ pub fn pack_nchwc_into(src: &[f32], shape: Shape4, block: usize, pad: usize, dst
         packed_len(shape, block, pad),
         "pack_nchwc_into: dst length"
     );
-    let (nn, cc, hh, ww) = (shape.n, shape.c, shape.h, shape.w);
+    let (cc, hh, ww) = (shape.c, shape.h, shape.w);
     let blocks = cc.div_ceil(block);
-    let (hp, wp) = (hh + 2 * pad, ww + 2 * pad);
-    dst.fill(0.0);
-    for n in 0..nn {
-        for cb in 0..blocks {
-            let lanes = block.min(cc - cb * block);
-            for h in 0..hh {
-                let drow = (((n * blocks + cb) * hp + h + pad) * wp + pad) * block;
-                for ci in 0..lanes {
-                    let srow = ((n * cc + cb * block + ci) * hh + h) * ww;
-                    for w in 0..ww {
-                        dst[drow + w * block + ci] = src[srow + w];
-                    }
+    let plane_len = (hh + 2 * pad) * (ww + 2 * pad) * block;
+    for (p, plane) in dst.chunks_exact_mut(plane_len.max(1)).enumerate() {
+        let (n, cb) = (p / blocks, p % blocks);
+        let lanes = block.min(cc - cb * block);
+        write_padded_plane(plane, (hh, ww), block, pad, |h, row| {
+            // The row stays cache-resident across the `lanes` strided
+            // passes, each of which reads one source row contiguously.
+            if lanes < block {
+                row.fill(0.0);
+            }
+            for ci in 0..lanes {
+                let s = ((n * cc + cb * block + ci) * hh + h) * ww;
+                for (d, &v) in row[ci..].iter_mut().step_by(block).zip(&src[s..s + ww]) {
+                    *d = v;
                 }
             }
-        }
+        });
     }
 }
 
@@ -120,24 +150,26 @@ pub fn pack_filters_into(src: &[f32], shape: Shape4, block: usize, dst: &mut [f3
         packed_filter_len(shape, block),
         "pack_filters_into: dst length"
     );
-    let (ff, cc, kh, kw) = (shape.n, shape.c, shape.h, shape.w);
-    let fblocks = ff.div_ceil(block);
+    let (ff, cc, taps) = (shape.n, shape.c, shape.h * shape.w);
     let cblocks = cc.div_ceil(block);
-    dst.fill(0.0);
-    for fb in 0..fblocks {
+    let bb = block * block;
+    // One `[tap][ci][fo]` panel at a time: the panel stays
+    // cache-resident under the strided stores while each `(f, c)` run of
+    // `taps` source floats — `lanes·taps` of them back to back per
+    // filter — is read once, in order.
+    for (p, panel) in dst.chunks_exact_mut((taps * bb).max(1)).enumerate() {
+        let (fb, cb) = (p / cblocks, p % cblocks);
         let folanes = block.min(ff - fb * block);
-        for cb in 0..cblocks {
-            let cilanes = block.min(cc - cb * block);
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let dtap = ((((fb * cblocks + cb) * kh + ky) * kw) + kx) * block * block;
-                    for ci in 0..cilanes {
-                        for fo in 0..folanes {
-                            let s =
-                                ((fb * block + fo) * cc + cb * block + ci) * kh * kw + ky * kw + kx;
-                            dst[dtap + ci * block + fo] = src[s];
-                        }
-                    }
+        let cilanes = block.min(cc - cb * block);
+        if folanes < block || cilanes < block {
+            panel.fill(0.0);
+        }
+        for fo in 0..folanes {
+            for ci in 0..cilanes {
+                let s = ((fb * block + fo) * cc + cb * block + ci) * taps;
+                let lane = panel[ci * block + fo..].iter_mut().step_by(bb);
+                for (d, &v) in lane.zip(&src[s..s + taps]) {
+                    *d = v;
                 }
             }
         }
@@ -161,16 +193,14 @@ pub fn repad_packed(src: &[f32], shape: Shape4, block: usize, pad: usize, dst: &
         packed_len(shape, block, pad),
         "repad_packed: dst length"
     );
-    let (nn, cc, hh, ww) = (shape.n, shape.c, shape.h, shape.w);
-    let blocks = cc.div_ceil(block);
-    let (hp, wp) = (hh + 2 * pad, ww + 2 * pad);
-    dst.fill(0.0);
-    for plane in 0..nn * blocks {
-        for h in 0..hh {
-            let s = (plane * hh + h) * ww * block;
-            let d = ((plane * hp + h + pad) * wp + pad) * block;
-            dst[d..d + ww * block].copy_from_slice(&src[s..s + ww * block]);
-        }
+    let (hh, ww) = (shape.h, shape.w);
+    let plane_len = (hh + 2 * pad) * (ww + 2 * pad) * block;
+    let row_len = ww * block;
+    for (p, plane) in dst.chunks_exact_mut(plane_len.max(1)).enumerate() {
+        write_padded_plane(plane, (hh, ww), block, pad, |h, row| {
+            let s = (p * hh + h) * row_len;
+            row.copy_from_slice(&src[s..s + row_len]);
+        });
     }
 }
 
@@ -229,58 +259,67 @@ mod tests {
     }
 
     /// Remainder lanes and padded borders must be exact zeros (the conv
-    /// kernels accumulate over them unconditionally).
+    /// kernels read the borders unconditionally), at both block widths,
+    /// whatever the destination held: the pack writes every element
+    /// once rather than zero-filling first.
     #[test]
     fn padding_lanes_and_borders_are_zero() {
-        let shape = Shape4::new(1, 5, 3, 3);
-        let (block, pad) = (8, 2);
-        let src = ramp(shape.len());
-        let mut packed = vec![f32::NAN; packed_len(shape, block, pad)];
-        pack_nchwc_into(&src, shape, block, pad, &mut packed);
-        let (hp, wp) = (shape.h + 2 * pad, shape.w + 2 * pad);
-        let mut nonzero = 0;
-        for h in 0..hp {
-            for w in 0..wp {
-                for ci in 0..block {
-                    let v = packed[(h * wp + w) * block + ci];
-                    let interior =
-                        (pad..pad + shape.h).contains(&h) && (pad..pad + shape.w).contains(&w);
-                    if !interior || ci >= shape.c {
-                        assert_eq!(v, 0.0, "h={h} w={w} ci={ci} must be padding");
-                    } else {
-                        assert!(v > 0.0, "h={h} w={w} ci={ci} must carry data");
-                        nonzero += 1;
+        for (c, block) in [(5usize, 8usize), (5, 16), (19, 8), (19, 16), (16, 16)] {
+            let shape = Shape4::new(2, c, 3, 4);
+            let pad = 2;
+            let src = ramp(shape.len());
+            let mut packed = vec![f32::NAN; packed_len(shape, block, pad)];
+            pack_nchwc_into(&src, shape, block, pad, &mut packed);
+            let (hp, wp) = (shape.h + 2 * pad, shape.w + 2 * pad);
+            let mut nonzero = 0;
+            for (p, plane) in packed.chunks_exact(hp * wp * block).enumerate() {
+                let cb = p % c.div_ceil(block);
+                for h in 0..hp {
+                    for w in 0..wp {
+                        for ci in 0..block {
+                            let v = plane[(h * wp + w) * block + ci];
+                            let interior = (pad..pad + shape.h).contains(&h)
+                                && (pad..pad + shape.w).contains(&w);
+                            if !interior || cb * block + ci >= c {
+                                assert_eq!(v, 0.0, "b={block} h={h} w={w} ci={ci}: padding");
+                            } else {
+                                assert!(v > 0.0, "b={block} h={h} w={w} ci={ci}: data");
+                                nonzero += 1;
+                            }
+                        }
                     }
                 }
             }
+            assert_eq!(nonzero, shape.len(), "c={c} block={block}");
         }
-        assert_eq!(nonzero, shape.len());
     }
 
     #[test]
     fn filter_pack_places_taps_and_zeroes_remainders() {
-        // f=10, c=5, k=3 with block 8: 2 filter blocks, 1 channel block.
-        let shape = Shape4::new(10, 5, 3, 3);
-        let block = 8;
+        // f=21, c=19, k=3: remainder lanes on both axes at block 8
+        // (3×3 panels) and block 16 (2×2 panels), full panels beside
+        // them, into a NaN-poisoned destination.
+        let shape = Shape4::new(21, 19, 3, 3);
         let src = ramp(shape.len());
-        let mut packed = vec![f32::NAN; packed_filter_len(shape, block)];
-        pack_filters_into(&src, shape, block, &mut packed);
-        let (cblocks, kk) = (1, 3);
-        for fb in 0..2usize {
-            for (ky, kx) in [(0, 0), (1, 2), (2, 1)] {
-                for ci in 0..block {
-                    for fo in 0..block {
-                        let d = ((((fb * cblocks) * kk + ky) * kk) + kx) * block * block
-                            + ci * block
-                            + fo;
-                        let (f, c) = (fb * block + fo, ci);
-                        if f < shape.n && c < shape.c {
-                            let s = (f * shape.c + c) * kk * kk + ky * kk + kx;
-                            assert_eq!(packed[d], src[s]);
-                        } else {
-                            assert_eq!(packed[d], 0.0, "fb={fb} ci={ci} fo={fo} must be zero");
-                        }
-                    }
+        for block in [8usize, 16] {
+            let mut packed = vec![f32::NAN; packed_filter_len(shape, block)];
+            pack_filters_into(&src, shape, block, &mut packed);
+            let (fblocks, cblocks, kk) = (21usize.div_ceil(block), 19usize.div_ceil(block), 3);
+            for (d, &got) in packed.iter().enumerate() {
+                let (fo, ci) = (d % block, d / block % block);
+                let tap = d / (block * block) % (kk * kk);
+                let panel = d / (block * block * kk * kk);
+                let (fb, cb) = (panel / cblocks, panel % cblocks);
+                assert!(fb < fblocks);
+                let (f, c) = (fb * block + fo, cb * block + ci);
+                if f < shape.n && c < shape.c {
+                    assert_eq!(
+                        got,
+                        src[(f * shape.c + c) * kk * kk + tap],
+                        "b={block} d={d}"
+                    );
+                } else {
+                    assert_eq!(got, 0.0, "b={block} fb={fb} cb={cb} ci={ci} fo={fo}: zero");
                 }
             }
         }
@@ -288,16 +327,17 @@ mod tests {
 
     #[test]
     fn repad_shifts_rows_into_zero_borders() {
-        let shape = Shape4::new(2, 8, 3, 3);
-        let (block, pad) = (8, 1);
-        let src = ramp(shape.len());
-        let mut packed = vec![0.0; packed_len(shape, block, 0)];
-        pack_nchwc_into(&src, shape, block, 0, &mut packed);
-        let mut repadded = vec![f32::NAN; packed_len(shape, block, pad)];
-        repad_packed(&packed, shape, block, pad, &mut repadded);
-        // Must equal packing the planar source with the pad directly.
-        let mut direct = vec![0.0; packed_len(shape, block, pad)];
-        pack_nchwc_into(&src, shape, block, pad, &mut direct);
-        assert_eq!(repadded, direct);
+        for (c, block, pad) in [(8usize, 8usize, 1usize), (19, 8, 2), (19, 16, 1)] {
+            let shape = Shape4::new(2, c, 3, 3);
+            let src = ramp(shape.len());
+            let mut packed = vec![0.0; packed_len(shape, block, 0)];
+            pack_nchwc_into(&src, shape, block, 0, &mut packed);
+            let mut repadded = vec![f32::NAN; packed_len(shape, block, pad)];
+            repad_packed(&packed, shape, block, pad, &mut repadded);
+            // Must equal packing the planar source with the pad directly.
+            let mut direct = vec![f32::NAN; packed_len(shape, block, pad)];
+            pack_nchwc_into(&src, shape, block, pad, &mut direct);
+            assert_eq!(repadded, direct, "c={c} block={block} pad={pad}");
+        }
     }
 }

@@ -16,10 +16,14 @@
 //! * [`avx512f`] — a capability *beside* [`isa`], not a fourth variant:
 //!   an AVX-512 host still reports `Avx2Fma`, so every 256-bit kernel
 //!   keeps dispatching as before, and only the kernels that have a
-//!   512-bit body (today the SGEMM register tile) ask for it.
+//!   512-bit body (the SGEMM register tile and the NCHWc convolution
+//!   tile) ask for it.
 //! * Slice primitives ([`saxpy`], [`sscal`], [`sdot`], [`add_assign`],
 //!   [`scale_add`]) used by `gcnn-tensor::ops`, `im2col`, the GEMM
 //!   writeback and the FFT lane engine's scaling.
+//! * [`Lanes`] — the vector trait the workspace's generic register-tile
+//!   bodies are written over (one impl per ISA vector), and [`conv`],
+//!   the NCHWc convolution tile built on it.
 //!
 //! The scalar implementations are not vestigial: they are the
 //! always-available fallback *and* the oracle the SIMD kernels are
@@ -30,6 +34,11 @@
 
 use std::sync::atomic::{AtomicI8, Ordering};
 use std::sync::OnceLock;
+
+pub mod conv;
+mod lanes;
+
+pub use lanes::Lanes;
 
 /// The instruction set selected for the hand-written kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,109 +281,16 @@ pub fn sdot_scalar(x: &[f32], y: &[f32]) -> f32 {
 // NCHWc block kernels
 // ---------------------------------------------------------------------
 
-/// Channel-block width the NCHWc layout should use on this host.
-///
-/// 8 lanes everywhere today: one AVX2 vector, two NEON vectors, and a
-/// cheap unrolled loop on the scalar fallback — also on hosts where
-/// [`avx512f`] holds, since `conv_nchwc_tap` has no 512-bit body (the
-/// `Layout::Nchw16c` stride math and pack/unpack are already
-/// block-generic for when it gets one).
+/// Channel-block width the NCHWc layout should use on this host: the
+/// widest vector [`conv::select`] has a body for — 16 lanes (one zmm)
+/// where [`avx512f`] holds, 8 everywhere else (one ymm, two NEON
+/// vectors, and the scalar fallback's unit).
 #[inline]
 pub fn preferred_block() -> usize {
-    match isa() {
-        Isa::Scalar | Isa::Avx2Fma | Isa::Neon => 8,
-    }
-}
-
-/// One filter-tap update of a blocked direct convolution: for each of
-/// `ow` output positions `j`,
-///
-/// `out_row[j·b + fo] += Σ_ci in_row[j·stride·b + ci] · w_tap[ci·b + fo]`
-///
-/// where `b = block`. `out_row` is one spatial row of one output
-/// channel block, `in_row` the matching input row of one input channel
-/// block (already offset to the tap's `kx`, padding baked into the
-/// packed buffer), and `w_tap` the tap's `b×b` channel-mixing panel
-/// (`[ci][fo]`, OIhw-packed). The SIMD paths broadcast one input lane
-/// against a whole vector of filter lanes — this is the kernel that
-/// lets stride-1 convolutions skip im2col entirely.
-///
-/// The vector paths keep the scalar path's per-element accumulation
-/// order (`ci` ascending) but contract multiply+add into FMA, so
-/// results can differ from the oracle by an ulp per update.
-#[inline]
-pub fn conv_nchwc_tap(
-    out_row: &mut [f32],
-    in_row: &[f32],
-    w_tap: &[f32],
-    ow: usize,
-    stride: usize,
-    block: usize,
-) {
-    debug_assert!(ow == 0 || out_row.len() >= ow * block);
-    debug_assert!(ow == 0 || in_row.len() >= ((ow - 1) * stride + 1) * block);
-    debug_assert!(w_tap.len() >= block * block);
-    match isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selected after runtime
-        // AVX2+FMA detection (see [`detect`]).
-        Isa::Avx2Fma if block == 8 => unsafe {
-            conv_nchwc_tap8_avx2(out_row, in_row, w_tap, ow, stride)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `Neon` is only selected on AArch64, where NEON
-        // is a baseline feature.
-        Isa::Neon if block % 4 == 0 => unsafe {
-            conv_nchwc_tap_neon(out_row, in_row, w_tap, ow, stride, block)
-        },
-        _ => conv_nchwc_tap_scalar(out_row, in_row, w_tap, ow, stride, block),
-    }
-}
-
-/// Scalar oracle for [`conv_nchwc_tap`].
-#[inline]
-pub fn conv_nchwc_tap_scalar(
-    out_row: &mut [f32],
-    in_row: &[f32],
-    w_tap: &[f32],
-    ow: usize,
-    stride: usize,
-    block: usize,
-) {
-    for j in 0..ow {
-        let out = &mut out_row[j * block..(j + 1) * block];
-        let x = &in_row[j * stride * block..j * stride * block + block];
-        for (ci, &xv) in x.iter().enumerate() {
-            let w = &w_tap[ci * block..(ci + 1) * block];
-            for (o, &wv) in out.iter_mut().zip(w) {
-                *o += xv * wv;
-            }
-        }
-    }
-}
-
-/// In-place ReLU: `x[i] ← max(x[i], 0)` — the activation half of the
-/// fused conv+ReLU tile, applied while the tile is still cache-hot.
-#[inline]
-pub fn relu_inplace(x: &mut [f32]) {
-    match isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selected after runtime
-        // AVX2+FMA detection (see [`detect`]).
-        Isa::Avx2Fma => unsafe { relu_inplace_avx2(x) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `Neon` is only selected on AArch64, where NEON
-        // is a baseline feature.
-        Isa::Neon => unsafe { relu_inplace_neon(x) },
-        _ => relu_inplace_scalar(x),
-    }
-}
-
-/// Scalar oracle for [`relu_inplace`].
-#[inline]
-pub fn relu_inplace_scalar(x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v = v.max(0.0);
+    if avx512f() {
+        16
+    } else {
+        8
     }
 }
 
@@ -553,112 +469,6 @@ mod avx2 {
 
     /// # Safety
     /// Caller must have verified AVX2 and FMA at runtime; the dispatch
-    /// table ([`super::isa`]) is the only caller. Slice lengths must
-    /// satisfy `out_row.len() >= ow*8`, `w_tap.len() >= 64`, and
-    /// `in_row.len() >= ((ow-1)*stride + 1)*8` (asserted).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn conv_nchwc_tap8_avx2(
-        out_row: &mut [f32],
-        in_row: &[f32],
-        w_tap: &[f32],
-        ow: usize,
-        stride: usize,
-    ) {
-        const B: usize = 8;
-        if ow == 0 {
-            return;
-        }
-        assert!(out_row.len() >= ow * B, "conv_nchwc_tap8_avx2: out_row");
-        assert!(
-            in_row.len() >= ((ow - 1) * stride + 1) * B,
-            "conv_nchwc_tap8_avx2: in_row"
-        );
-        assert!(w_tap.len() >= B * B, "conv_nchwc_tap8_avx2: w_tap");
-        // SAFETY: runs only after runtime AVX2+FMA detection. Pointer
-        // offsets stay in bounds by the asserts above: output vectors
-        // touch `[j*8, j*8+8)` for `j < ow`, input broadcasts read lane
-        // `j*stride*8 + ci` with `ci < 8` (max offset `((ow-1)*stride+1)*8
-        // - 1`), and the 8 filter vectors cover `w_tap[..64]`.
-        unsafe {
-            let op = out_row.as_mut_ptr();
-            let ip = in_row.as_ptr();
-            let wp = w_tap.as_ptr();
-            // The 8×8 channel-mixing panel stays resident in registers
-            // for the whole row.
-            let w = [
-                _mm256_loadu_ps(wp),
-                _mm256_loadu_ps(wp.add(8)),
-                _mm256_loadu_ps(wp.add(16)),
-                _mm256_loadu_ps(wp.add(24)),
-                _mm256_loadu_ps(wp.add(32)),
-                _mm256_loadu_ps(wp.add(40)),
-                _mm256_loadu_ps(wp.add(48)),
-                _mm256_loadu_ps(wp.add(56)),
-            ];
-            // Four output positions per iteration: the four FMA chains
-            // are independent, which hides the FMA latency a single
-            // accumulator chain would serialize on.
-            let mut j = 0;
-            while j + 4 <= ow {
-                let x0 = ip.add(j * stride * B);
-                let x1 = ip.add((j + 1) * stride * B);
-                let x2 = ip.add((j + 2) * stride * B);
-                let x3 = ip.add((j + 3) * stride * B);
-                let mut a0 = _mm256_loadu_ps(op.add(j * B));
-                let mut a1 = _mm256_loadu_ps(op.add((j + 1) * B));
-                let mut a2 = _mm256_loadu_ps(op.add((j + 2) * B));
-                let mut a3 = _mm256_loadu_ps(op.add((j + 3) * B));
-                for (ci, &wv) in w.iter().enumerate() {
-                    a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*x0.add(ci)), wv, a0);
-                    a1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*x1.add(ci)), wv, a1);
-                    a2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*x2.add(ci)), wv, a2);
-                    a3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*x3.add(ci)), wv, a3);
-                }
-                _mm256_storeu_ps(op.add(j * B), a0);
-                _mm256_storeu_ps(op.add((j + 1) * B), a1);
-                _mm256_storeu_ps(op.add((j + 2) * B), a2);
-                _mm256_storeu_ps(op.add((j + 3) * B), a3);
-                j += 4;
-            }
-            while j < ow {
-                let x = ip.add(j * stride * B);
-                let mut acc = _mm256_loadu_ps(op.add(j * B));
-                for (ci, &wv) in w.iter().enumerate() {
-                    acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*x.add(ci)), wv, acc);
-                }
-                _mm256_storeu_ps(op.add(j * B), acc);
-                j += 1;
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime; the dispatch
-    /// table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn relu_inplace_avx2(x: &mut [f32]) {
-        let n = x.len();
-        // SAFETY: runs only after runtime AVX2+FMA detection; the
-        // 8-lane loop touches `[i, i+8)` only while `i + 8 <= n` and
-        // the scalar tail stops at `n == x.len()`. `maxps` returns the
-        // second operand when the first is NaN, matching `f32::max`'s
-        // NaN-discarding with the zero vector second.
-        unsafe {
-            let zero = _mm256_setzero_ps();
-            let xp = x.as_mut_ptr();
-            let mut i = 0;
-            while i + 8 <= n {
-                _mm256_storeu_ps(xp.add(i), _mm256_max_ps(_mm256_loadu_ps(xp.add(i)), zero));
-                i += 8;
-            }
-            for j in i..n {
-                *xp.add(j) = (*xp.add(j)).max(0.0);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime; the dispatch
     /// table ([`super::isa`]) is the only caller.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn max_assign_avx2(y: &mut [f32], x: &[f32]) {
@@ -685,10 +495,7 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx2::{
-    conv_nchwc_tap8_avx2, max_assign_avx2, relu_inplace_avx2, saxpy_avx2, scale_add_avx2,
-    sdot_avx2, sscal_avx2,
-};
+use avx2::{max_assign_avx2, saxpy_avx2, scale_add_avx2, sdot_avx2, sscal_avx2};
 
 // ---------------------------------------------------------------------
 // NEON bodies
@@ -817,83 +624,6 @@ mod neon {
 
     /// # Safety
     /// Caller must be on an AArch64 host (NEON is baseline there); the
-    /// dispatch table ([`super::isa`]) is the only caller. `block` must
-    /// be a multiple of 4 (guarded at the dispatch site); slice lengths
-    /// must satisfy `out_row.len() >= ow*block`, `w_tap.len() >=
-    /// block*block`, and `in_row.len() >= ((ow-1)*stride + 1)*block`
-    /// (asserted).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn conv_nchwc_tap_neon(
-        out_row: &mut [f32],
-        in_row: &[f32],
-        w_tap: &[f32],
-        ow: usize,
-        stride: usize,
-        block: usize,
-    ) {
-        if ow == 0 {
-            return;
-        }
-        assert!(block % 4 == 0, "conv_nchwc_tap_neon: block % 4");
-        assert!(out_row.len() >= ow * block, "conv_nchwc_tap_neon: out_row");
-        assert!(
-            in_row.len() >= ((ow - 1) * stride + 1) * block,
-            "conv_nchwc_tap_neon: in_row"
-        );
-        assert!(w_tap.len() >= block * block, "conv_nchwc_tap_neon: w_tap");
-        // SAFETY: NEON is an AArch64 baseline feature. Offsets stay in
-        // bounds by the asserts above: output vectors touch
-        // `[j*block + fo, j*block + fo + 4)` with `fo + 4 <= block`,
-        // input lanes read `j*stride*block + ci` with `ci < block`, and
-        // filter vectors read `[ci*block + fo, ci*block + fo + 4)`
-        // within `w_tap[..block*block]`.
-        unsafe {
-            let op = out_row.as_mut_ptr();
-            let ip = in_row.as_ptr();
-            let wp = w_tap.as_ptr();
-            for j in 0..ow {
-                let obase = op.add(j * block);
-                let xbase = ip.add(j * stride * block);
-                let mut fo = 0;
-                while fo + 4 <= block {
-                    let mut acc = vld1q_f32(obase.add(fo));
-                    for ci in 0..block {
-                        let xv = vdupq_n_f32(*xbase.add(ci));
-                        let wv = vld1q_f32(wp.add(ci * block + fo));
-                        acc = vfmaq_f32(acc, xv, wv);
-                    }
-                    vst1q_f32(obase.add(fo), acc);
-                    fo += 4;
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on an AArch64 host (NEON is baseline there); the
-    /// dispatch table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn relu_inplace_neon(x: &mut [f32]) {
-        let n = x.len();
-        // SAFETY: NEON is an AArch64 baseline feature; the 4-lane loop
-        // touches `[i, i+4)` only while `i + 4 <= n` and the scalar
-        // tail stops at `n == x.len()`.
-        unsafe {
-            let zero = vdupq_n_f32(0.0);
-            let xp = x.as_mut_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                vst1q_f32(xp.add(i), vmaxq_f32(vld1q_f32(xp.add(i)), zero));
-                i += 4;
-            }
-            for j in i..n {
-                *xp.add(j) = (*xp.add(j)).max(0.0);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on an AArch64 host (NEON is baseline there); the
     /// dispatch table ([`super::isa`]) is the only caller.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn max_assign_neon(y: &mut [f32], x: &[f32]) {
@@ -921,10 +651,7 @@ mod neon {
 }
 
 #[cfg(target_arch = "aarch64")]
-use neon::{
-    conv_nchwc_tap_neon, max_assign_neon, relu_inplace_neon, saxpy_neon, scale_add_neon, sdot_neon,
-    sscal_neon,
-};
+use neon::{max_assign_neon, saxpy_neon, scale_add_neon, sdot_neon, sscal_neon};
 
 #[cfg(test)]
 mod tests {
@@ -969,8 +696,9 @@ mod tests {
     }
 
     /// Detecting AVX-512F must not demote the 256-bit dispatch sites:
-    /// they key on `Isa::Avx2Fma`, which such a host keeps reporting,
-    /// and the NCHWc block stays 8.
+    /// they key on `Isa::Avx2Fma`, which such a host keeps reporting.
+    /// The NCHWc block is 16 exactly where the capability holds and 8
+    /// otherwise, the scalar override included.
     #[test]
     fn avx512_capability_keeps_avx2_dispatch() {
         let _guard = FORCE_MUTEX.lock().unwrap();
@@ -982,7 +710,14 @@ mod tests {
             assert_eq!(isa(), Isa::Avx2Fma);
             assert_eq!(isa_name(), "avx2+fma");
         }
+        assert_eq!(preferred_block(), if avx512f() { 16 } else { 8 });
+        assert_eq!(
+            conv::ConvKernel::select(preferred_block()).block(),
+            preferred_block()
+        );
+        set_force_scalar(true);
         assert_eq!(preferred_block(), 8);
+        assert_eq!(conv::ConvKernel::select(8).name(), "scalar");
         set_force_scalar(before);
     }
 
@@ -1025,33 +760,70 @@ mod tests {
         }
     }
 
-    /// The blocked conv tap and its helpers must agree with their
-    /// scalar oracles across block widths, strides, and row lengths
-    /// that exercise both the 4-position unrolled loop and its tail.
+    /// One sweep of every tile of `g.nfb` `o × o` planes through `k`.
+    fn sweep_plane(
+        k: &conv::ConvKernel,
+        g: conv::SweepGeom,
+        x: &[f32],
+        w: &[f32],
+        out: &mut [f32],
+    ) {
+        let sweep = k.sweep(g, x, w);
+        for oy in 0..g.o {
+            for ox in (0..g.o).step_by(k.wmax()) {
+                sweep.tile(out, oy, ox, k.wmax().min(g.o - ox));
+            }
+        }
+    }
+
+    /// Every conv tile body must agree with the scalar oracle at its
+    /// block width — across strides, valid-lane counts, one and two
+    /// filter blocks per tile, every tile width up to `wmax` (row
+    /// lengths around it), first/accumulating/ReLU sweeps — and
+    /// `max_assign` with its own.
     #[test]
     fn nchwc_kernels_match_scalar_oracle() {
         assert_eq!(preferred_block() % 4, 0, "kernels assume 4-lane blocks");
         for block in [4usize, 8, 16] {
-            for ow in [0usize, 1, 3, 4, 5, 9, 26] {
-                for stride in [1usize, 2] {
-                    let in_len = if ow == 0 {
-                        block
-                    } else {
-                        ((ow - 1) * stride + 1) * block
-                    };
-                    let x = rand_vec(in_len, (block + ow * 3 + stride) as u64);
-                    let w = rand_vec(block * block, (block * 7 + ow) as u64);
-                    let o0 = rand_vec(ow * block, (block + ow + 11) as u64);
-
-                    let mut o = o0.clone();
-                    conv_nchwc_tap(&mut o, &x, &w, ow, stride, block);
-                    let mut oref = o0.clone();
-                    conv_nchwc_tap_scalar(&mut oref, &x, &w, ow, stride, block);
-                    for (a, b) in o.iter().zip(&oref) {
-                        assert!(
-                            (a - b).abs() < 1e-4,
-                            "conv_nchwc_tap b={block} ow={ow} s={stride}: {a} vs {b}"
-                        );
+            let oracle = conv::ConvKernel::available(block).next().unwrap();
+            assert_eq!(oracle.name(), "scalar");
+            for k in conv::ConvKernel::available(block) {
+                for o in [1usize, 5, k.wmax() - 1, k.wmax(), k.wmax() + 1] {
+                    for (stride, kk, lanes) in [(1usize, 3usize, block), (2, 2, 1), (3, 1, 3)] {
+                        for nfb in 1..=k.fb_step() {
+                            let iwp = (o - 1) * stride + kk + 1;
+                            let fb_stride = 2 * kk * kk * block * block;
+                            let seed = (block * 31 + o * 7 + stride + nfb) as u64;
+                            let x = rand_vec(iwp * iwp * block, seed);
+                            let w = rand_vec(nfb * fb_stride, seed + 1);
+                            let mut g = conv::SweepGeom {
+                                k: kk,
+                                stride,
+                                iwp,
+                                o,
+                                lanes,
+                                nfb,
+                                fb_stride,
+                                first: true,
+                                relu: false,
+                            };
+                            // A first sweep must not read the output.
+                            let mut got = vec![f32::NAN; nfb * o * o * block];
+                            let mut want = vec![f32::NAN; nfb * o * o * block];
+                            for (first, relu) in [(true, false), (false, false), (false, true)] {
+                                (g.first, g.relu) = (first, relu);
+                                sweep_plane(&k, g, &x, &w, &mut got);
+                                sweep_plane(&oracle, g, &x, &w, &mut want);
+                                for (a, b) in got.iter().zip(&want) {
+                                    assert!(
+                                        (a - b).abs() < 1e-4,
+                                        "{k:?} o={o} s={stride} k={kk} lanes={lanes} nfb={nfb} \
+                                         first={first} relu={relu}: {a} vs {b}"
+                                    );
+                                }
+                            }
+                            assert!(got.iter().all(|v| *v >= 0.0), "{k:?}: relu sweep");
+                        }
                     }
                 }
             }
@@ -1059,13 +831,6 @@ mod tests {
 
         for len in [0usize, 1, 7, 8, 9, 33, 100] {
             let x0 = rand_vec(len, 21 + len as u64);
-            let mut x = x0.clone();
-            relu_inplace(&mut x);
-            let mut xref = x0.clone();
-            relu_inplace_scalar(&mut xref);
-            assert_eq!(x, xref, "relu_inplace len {len}");
-            assert!(x.iter().all(|v| *v >= 0.0));
-
             let y0 = rand_vec(len, 22 + len as u64);
             let mut y = y0.clone();
             max_assign(&mut y, &x0);
