@@ -224,7 +224,7 @@ impl Default for AuditConfig {
                 },
                 HotPath {
                     file_suffix: "models/src/network.rs".into(),
-                    functions: s(&["Network::infer_ws"]),
+                    functions: s(&["Network::infer_ws", "Network::forward_walk"]),
                 },
                 HotPath {
                     file_suffix: "mtsim/src/engine.rs".into(),

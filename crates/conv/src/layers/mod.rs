@@ -2,16 +2,16 @@
 //!
 //! The paper's Fig. 2 breaks real CNN models into convolutional,
 //! pooling, ReLU, fully-connected and concat layers; this module
-//! provides all of them (forward + backward) so `gcnn-models` can run
-//! complete AlexNet/VGG/GoogLeNet/OverFeat/LeNet-5 iterations.
+//! provides the ones `gcnn-models` executes (forward + backward) —
+//! every layer of the sequential AlexNet/VGG/OverFeat/LeNet-5. Concat
+//! arrives with the executor arm that runs GoogLeNet's Inception
+//! branches.
 
-pub mod concat;
 pub mod fc;
 pub mod pooling;
 pub mod relu;
 pub mod softmax;
 
-pub use concat::ConcatLayer;
 pub use fc::FcLayer;
 pub use pooling::{PoolForward, PoolKind, PoolLayer};
 pub use relu::ReluLayer;

@@ -4,7 +4,7 @@
 //! [`direct`], [`unroll`]ing (im2col + GEMM) and [`fft_conv`] — each
 //! implementing forward, backward-data and backward-weights passes, plus
 //! the remaining CNN [`layers`] (pooling, ReLU, fully-connected,
-//! softmax, concat) and finite-difference [`gradcheck`]ing.
+//! softmax) and finite-difference [`gradcheck`]ing.
 //!
 //! Every strategy is validated against the naive [`reference`]
 //! convolution and against each other; the FFT path additionally obeys

@@ -2,6 +2,7 @@
 
 use gcnn_conv::layers::PoolKind;
 use gcnn_conv::ConvConfig;
+use gcnn_tensor::Shape4;
 use serde::{Deserialize, Serialize};
 
 /// One layer's hyper-parameters (shape-free; channels and spatial sizes
@@ -143,67 +144,39 @@ impl From<PoolKindSer> for PoolKind {
     }
 }
 
-/// Walk a model, resolving every layer's shapes for a given mini-batch.
-///
-/// Returns the flattened instance list (Inception branches are expanded
-/// with qualified names, followed by one `Concat` instance).
-///
-/// # Panics
-/// Panics if a layer is geometrically impossible (kernel larger than its
-/// input, FC after nothing, …).
-pub fn walk(model: &ModelSpec, batch: usize) -> Vec<LayerInstance> {
-    let mut out = Vec::new();
-    let (c, s) = walk_sequence(
-        &model.layers,
-        batch,
-        model.input_channels,
-        model.input_size,
-        "",
-        &mut out,
-    );
-    let _ = (c, s);
-    out
+impl ModelSpec {
+    /// Shape of a mini-batch of `batch` inputs.
+    pub fn input_shape(&self, batch: usize) -> Shape4 {
+        Shape4::new(batch, self.input_channels, self.input_size, self.input_size)
+    }
 }
 
-/// Walk one layer sequence; returns the resulting (channels, spatial).
-fn walk_sequence(
-    layers: &[NamedLayer],
-    batch: usize,
-    mut channels: usize,
-    mut spatial: usize,
-    prefix: &str,
-    out: &mut Vec<LayerInstance>,
-) -> (usize, usize) {
-    for layer in layers {
-        let name = if prefix.is_empty() {
-            layer.name.clone()
-        } else {
-            format!("{prefix}/{}", layer.name)
-        };
-        let in_elems = (batch * channels * spatial * spatial) as u64;
-        match &layer.spec {
+impl LayerSpec {
+    /// The shape rule — the only one: what this layer does to an
+    /// activation of shape `input`. Returns the resolved convolution
+    /// (for `Conv`) and the shape leaving the layer, or why the
+    /// geometry is impossible. [`walk`], `Network::tune_for` and the
+    /// executor all resolve shapes through this function; it allocates
+    /// nothing, so the executor calls it per layer per batch.
+    ///
+    /// Pooling is ceil-mode, as Caffe/GoogLeNet use (a partial window at
+    /// the border still produces an output); an Inception module's
+    /// branches all read `input` and join along channels.
+    pub fn apply(&self, input: Shape4) -> Result<(Option<ConvConfig>, Shape4), &'static str> {
+        let Shape4 { n, c, h, w } = input;
+        Ok(match self {
             LayerSpec::Conv {
-                out: f,
+                out,
                 kernel,
                 stride,
                 pad,
             } => {
-                let mut cfg =
-                    ConvConfig::with_channels(batch, channels, spatial, *f, *kernel, *stride);
+                let mut cfg = ConvConfig::with_channels(n, c, h, *out, *kernel, *stride);
                 cfg.pad = *pad;
-                assert!(cfg.is_valid(), "{name}: invalid conv {cfg}");
-                let o = cfg.output();
-                out.push(LayerInstance {
-                    name,
-                    kind: InstanceKind::Conv,
-                    conv: Some(cfg),
-                    pool: None,
-                    fc: None,
-                    in_elems,
-                    out_elems: (batch * f * o * o) as u64,
-                });
-                channels = *f;
-                spatial = o;
+                if h != w || !cfg.is_valid() {
+                    return Err("invalid conv geometry");
+                }
+                (Some(cfg), cfg.output_shape())
             }
             LayerSpec::MaxPool {
                 window,
@@ -215,96 +188,98 @@ fn walk_sequence(
                 stride,
                 pad,
             } => {
-                assert!(
-                    spatial + 2 * pad >= *window,
-                    "{name}: pool window {window} > padded input"
-                );
-                // Ceil-mode pooling, as Caffe/GoogLeNet use (a partial
-                // window at the border still produces an output).
-                let o = (spatial + 2 * pad - window).div_ceil(*stride) + 1;
-                let kind = if matches!(layer.spec, LayerSpec::MaxPool { .. }) {
-                    PoolKindSer::Max
-                } else {
-                    PoolKindSer::Average
-                };
-                out.push(LayerInstance {
-                    name,
-                    kind: InstanceKind::Pool,
-                    conv: None,
-                    pool: Some((kind, *window, *stride)),
-                    fc: None,
-                    in_elems,
-                    out_elems: (batch * channels * o * o) as u64,
-                });
-                spatial = o;
-            }
-            LayerSpec::Relu => {
-                out.push(LayerInstance {
-                    name,
-                    kind: InstanceKind::Relu,
-                    conv: None,
-                    pool: None,
-                    fc: None,
-                    in_elems,
-                    out_elems: in_elems,
-                });
-            }
-            LayerSpec::Fc { out: f } => {
-                let in_features = channels * spatial * spatial;
-                out.push(LayerInstance {
-                    name,
-                    kind: InstanceKind::Fc,
-                    conv: None,
-                    pool: None,
-                    fc: Some((in_features, *f)),
-                    in_elems,
-                    out_elems: (batch * f) as u64,
-                });
-                channels = *f;
-                spatial = 1;
-            }
-            LayerSpec::Inception { branches } => {
-                let mut total_c = 0;
-                let mut branch_spatial = spatial;
-                for (i, branch) in branches.iter().enumerate() {
-                    let (bc, bs) = walk_sequence(
-                        branch,
-                        batch,
-                        channels,
-                        spatial,
-                        &format!("{name}/b{i}"),
-                        out,
-                    );
-                    total_c += bc;
-                    branch_spatial = bs;
+                if *window == 0 || *stride == 0 || h.min(w) + 2 * pad < *window {
+                    return Err("pool window exceeds its padded input");
                 }
-                let concat_elems = (batch * total_c * branch_spatial * branch_spatial) as u64;
-                out.push(LayerInstance {
-                    name: format!("{name}/concat"),
-                    kind: InstanceKind::Concat,
-                    conv: None,
-                    pool: None,
-                    fc: None,
-                    in_elems: concat_elems,
-                    out_elems: concat_elems,
-                });
-                channels = total_c;
-                spatial = branch_spatial;
+                let o = |i: usize| (i + 2 * pad - window).div_ceil(*stride) + 1;
+                (None, Shape4::new(n, c, o(h), o(w)))
             }
-            LayerSpec::Softmax => {
-                out.push(LayerInstance {
-                    name,
-                    kind: InstanceKind::Softmax,
-                    conv: None,
-                    pool: None,
-                    fc: None,
-                    in_elems,
-                    out_elems: in_elems,
-                });
+            LayerSpec::Relu | LayerSpec::Softmax => (None, input),
+            LayerSpec::Fc { out } => (None, Shape4::new(n, *out, 1, 1)),
+            LayerSpec::Inception { branches } => {
+                let mut joined = Shape4::new(n, 0, h, w);
+                for branch in branches {
+                    let mut s = input;
+                    for layer in branch {
+                        s = layer.spec.apply(s)?.1;
+                    }
+                    joined = Shape4::new(n, joined.c + s.c, s.h, s.w);
+                }
+                (None, joined)
             }
-        }
+        })
     }
-    (channels, spatial)
+}
+
+/// Walk a model, resolving every layer's shapes for a given mini-batch.
+///
+/// Returns the flattened instance list (Inception branches are expanded
+/// with qualified names, followed by one `Concat` instance).
+///
+/// # Panics
+/// Panics if a layer is geometrically impossible (kernel larger than its
+/// input, FC after nothing, …).
+pub fn walk(model: &ModelSpec, batch: usize) -> Vec<LayerInstance> {
+    let mut out = Vec::new();
+    walk_sequence(&model.layers, model.input_shape(batch), "", &mut out);
+    out
+}
+
+/// Walk one layer sequence fed `shape`, appending its instances.
+fn walk_sequence(
+    layers: &[NamedLayer],
+    mut shape: Shape4,
+    prefix: &str,
+    out: &mut Vec<LayerInstance>,
+) {
+    for layer in layers {
+        let mut name = if prefix.is_empty() {
+            layer.name.clone()
+        } else {
+            format!("{prefix}/{}", layer.name)
+        };
+        let (conv, next) = layer
+            .spec
+            .apply(shape)
+            .unwrap_or_else(|e| panic!("{name}: {e} (input {shape})"));
+        let mut in_elems = shape.len() as u64;
+        let (kind, pool, fc) = match &layer.spec {
+            LayerSpec::Conv { .. } => (InstanceKind::Conv, None, None),
+            LayerSpec::MaxPool { window, stride, .. } => (
+                InstanceKind::Pool,
+                Some((PoolKindSer::Max, *window, *stride)),
+                None,
+            ),
+            LayerSpec::AvgPool { window, stride, .. } => (
+                InstanceKind::Pool,
+                Some((PoolKindSer::Average, *window, *stride)),
+                None,
+            ),
+            LayerSpec::Relu => (InstanceKind::Relu, None, None),
+            LayerSpec::Fc { out: f } => (InstanceKind::Fc, None, Some((shape.image_len(), *f))),
+            LayerSpec::Inception { branches } => {
+                for (i, branch) in branches.iter().enumerate() {
+                    walk_sequence(branch, shape, &format!("{name}/b{i}"), out);
+                }
+                // The module's own instance is the join: it moves the
+                // concatenated tensor, in and out.
+                name.push_str("/concat");
+                in_elems = next.len() as u64;
+                (InstanceKind::Concat, None, None)
+            }
+            LayerSpec::Softmax => (InstanceKind::Softmax, None, None),
+        };
+        out.push(LayerInstance {
+            name,
+            kind,
+            conv,
+            pool,
+            fc,
+            in_elems,
+            out_elems: next.len() as u64,
+        });
+        shape = next;
+    }
 }
 
 #[cfg(test)]
@@ -394,6 +369,37 @@ mod tests {
         assert_eq!(inst[2].kind, InstanceKind::Concat);
         // channels 4 + 6 = 10 at spatial 16
         assert_eq!(inst[2].out_elems, 2 * 10 * 16 * 16);
+    }
+
+    #[test]
+    fn shape_rule_refuses_impossible_geometry() {
+        let input = Shape4::new(2, 3, 8, 8);
+        let pool = |window, stride, pad| LayerSpec::MaxPool {
+            window,
+            stride,
+            pad,
+        };
+        // Ceil mode: a partial border window still produces an output.
+        assert_eq!(
+            pool(3, 2, 0).apply(input),
+            Ok((None, Shape4::new(2, 3, 4, 4)))
+        );
+        assert_eq!(
+            pool(3, 2, 1).apply(input),
+            Ok((None, Shape4::new(2, 3, 5, 5)))
+        );
+        for bad in [pool(11, 1, 1), pool(2, 0, 0), pool(0, 1, 0)] {
+            assert!(bad.apply(input).is_err(), "{bad:?}");
+        }
+        let conv = |kernel, stride| LayerSpec::Conv {
+            out: 4,
+            kernel,
+            stride,
+            pad: 0,
+        };
+        assert!(conv(9, 1).apply(input).is_err());
+        assert!(conv(3, 0).apply(input).is_err());
+        assert!(conv(3, 1).apply(Shape4::new(2, 3, 8, 6)).is_err());
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! §II-A architecture walkthrough, Fig. 1) wired into a real,
 //! CPU-executable training loop on synthetic data.
 //!
-//! * [`layer`] — declarative layer specs and the shape walker that
-//!   instantiates them (including GoogLeNet's Inception branches).
+//! * [`layer`] — declarative layer specs, the one shape rule
+//!   ([`LayerSpec::apply`]) and the walker that instantiates a model
+//!   with it (including GoogLeNet's Inception branches).
 //! * [`zoo`] — the five architectures.
 //! * [`breakdown`] — Fig. 2: time every layer on the GPU model and
 //!   aggregate by layer type.
-//! * [`network`] — an executable sequential CNN (real numerics from
-//!   `gcnn-conv`) with SGD training.
+//! * [`network`] — the executor: a [`Network`] runs the same
+//!   [`LayerSpec`]s the simulator walks (real numerics from `gcnn-conv`,
+//!   SGD training), built from a [`ModelSpec`] by
+//!   [`Network::from_spec`] or layer by layer.
 //! * [`data`] — deterministic synthetic datasets.
 
 #![forbid(unsafe_code)]
@@ -27,5 +30,5 @@ pub mod zoo;
 
 pub use breakdown::{model_breakdown, BreakdownRow, LayerClass, ModelBreakdown};
 pub use layer::{LayerInstance, LayerSpec, ModelSpec, NamedLayer};
-pub use network::{Network, TrainReport, TunedLayer};
-pub use zoo::{alexnet, all_models, googlenet, lenet5, overfeat, vgg16};
+pub use network::{Network, NotExecutable, TrainReport, TunedLayer};
+pub use zoo::{alexnet, all_models, googlenet, lenet5, lenet5_sized, overfeat, vgg16};

@@ -5,8 +5,16 @@
 //! `gcnn-conv`, so a LeNet-5 built here trains end-to-end regardless of
 //! which strategy (direct / unrolling / FFT) backs its layers — the
 //! cross-strategy equivalence the paper's whole comparison rests on.
+//!
+//! A [`Network`] is a list of [`LayerSpec`]s — the vocabulary the
+//! simulator walks — plus the parameters executing them needs. Shapes
+//! come from [`LayerSpec::apply`] and nowhere else, and one forward
+//! walker serves inference and training alike: [`Network::infer_ws`]
+//! runs it without caches (and may take the blocked, fused path),
+//! [`Network::train_batch_ws`] runs it planar with a cache per layer.
 
 use crate::data::Dataset;
+use crate::layer::{LayerSpec, ModelSpec};
 use gcnn_autotune::{SelectionSource, Substrate, Tuner, TuningCache};
 use gcnn_conv::layers::{
     softmax_cross_entropy, FcLayer, PoolForward, PoolKind, PoolLayer, ReluLayer,
@@ -14,59 +22,90 @@ use gcnn_conv::layers::{
 use gcnn_conv::nchwc as packed;
 use gcnn_conv::{algorithm_for, ConvConfig, Strategy};
 use gcnn_tensor::workspace::{self, Scratch};
-use gcnn_tensor::{nchwc, Layout, Shape4, Tensor4, Workspace};
+use gcnn_tensor::{nchwc, Layout, Matrix, Shape4, Tensor4, Workspace};
 use serde::Serialize;
 use std::borrow::Cow;
 
-/// A trainable layer.
-enum NetLayer {
-    Conv {
-        /// Filter bank `(f, c, k, k)`.
-        weights: Tensor4,
-        /// Momentum velocity, same shape as `weights`.
-        velocity: Tensor4,
-        stride: usize,
-        pad: usize,
-        strategy: Strategy,
-        /// Forward-pass tensor layout. Planar [`Layout::Nchw`] runs the
-        /// strategy's `forward_ws`; a channel-blocked `NCHW{8,16}c`
-        /// layout routes inference through the fused packed path
-        /// (training always runs planar — the blocked path is
-        /// forward-only).
-        layout: Layout,
-    },
-    Relu,
-    MaxPool {
-        window: usize,
-        stride: usize,
-    },
-    Fc {
-        layer: FcLayer,
-        /// Momentum velocities for weights and bias.
-        w_velocity: gcnn_tensor::Matrix,
-        b_velocity: Vec<f32>,
-    },
+/// One executable layer: the spec the shape rule reads, and what
+/// running it needs beyond that.
+struct Layer {
+    spec: LayerSpec,
+    params: Params,
 }
 
-/// Per-layer forward cache for the backward pass.
-enum Cache {
-    Conv {
-        input: Tensor4,
-        cfg: ConvConfig,
-    },
-    Relu {
-        input: Tensor4,
+/// A layer's trainable state.
+enum Params {
+    /// ReLU and pooling have none.
+    None,
+    Conv(ConvParams),
+    Fc(FcParams),
+}
+
+struct ConvParams {
+    /// Filter bank `(f, c, k, k)`.
+    weights: Tensor4,
+    /// Momentum velocity, same shape as `weights`.
+    velocity: Tensor4,
+    strategy: Strategy,
+    /// Forward-pass tensor layout. Planar [`Layout::Nchw`] runs the
+    /// strategy's `forward_ws`; a channel-blocked `NCHW{8,16}c` layout
+    /// routes inference through the fused packed path (training always
+    /// runs planar — the blocked path is forward-only).
+    layout: Layout,
+}
+
+struct FcParams {
+    layer: FcLayer,
+    /// Momentum velocities for weights and bias.
+    w_velocity: Matrix,
+    b_velocity: Vec<f32>,
+}
+
+impl Layer {
+    /// [`LayerSpec::apply`] for layer `i` of a network. The specs were
+    /// accepted when the network was built, so a failure here means the
+    /// caller's input does not fit them.
+    fn apply(&self, i: usize, input: Shape4) -> (Option<ConvConfig>, Shape4) {
+        self.spec
+            .apply(input)
+            .unwrap_or_else(|e| panic!("layer{i}: {e} (input {input})"))
+    }
+}
+
+/// `(what, values)` of the blobs [`Network::save_weights`] writes for
+/// one layer's [`Params`], in file order, viewed through `as_slice` or
+/// `as_mut_slice` — the one enumeration saving and loading share.
+macro_rules! blobs {
+    ($params:expr, $view:ident) => {
+        match $params {
+            Params::None => [None, None],
+            Params::Conv(p) => [Some(("conv filters", p.weights.$view())), None],
+            Params::Fc(p) => [
+                Some(("fc weights", p.layer.weights.$view())),
+                Some(("fc bias", p.layer.bias.$view())),
+            ],
+        }
+        .into_iter()
+        .flatten()
+    };
+}
+
+/// What the backward pass needs from one layer's forward pass.
+enum Cache<'a> {
+    /// Conv (with its resolved config), ReLU and FC keep the input they
+    /// consumed — moved in, and still the caller's borrow for the first
+    /// layer.
+    Input {
+        input: Cow<'a, Tensor4>,
+        conv: Option<ConvConfig>,
     },
     MaxPool {
         input_shape: Shape4,
         fwd: PoolForward,
     },
-    Fc {
-        input: Tensor4,
-    },
 }
 
-/// An activation flowing through [`Network::infer_ws`]: planar (the
+/// An activation flowing through the forward walker: planar (the
 /// caller's input, borrowed until the first layer consumes it, or a
 /// layer's owned output), or packed NCHWc (arena-backed) between
 /// adjacent blocked conv layers. Keeping the packed form across layer
@@ -126,7 +165,7 @@ impl<'a> Act<'a> {
 /// assert!(report.test_accuracy >= 0.0);
 /// ```
 pub struct Network {
-    layers: Vec<NetLayer>,
+    layers: Vec<Layer>,
     /// Learning rate used by [`Network::train`].
     pub learning_rate: f32,
     /// Classical momentum coefficient (0 = plain SGD).
@@ -165,6 +204,86 @@ pub struct TunedLayer {
     pub source: SelectionSource,
 }
 
+/// Why [`Network::from_spec`] refused a model: `layer` cannot be
+/// executed at exactly the shapes [`crate::layer::walk`] reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NotExecutable {
+    /// Name of the offending layer in the spec.
+    pub layer: String,
+    /// What about it the executor cannot honour.
+    pub reason: &'static str,
+}
+
+impl std::fmt::Display for NotExecutable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.layer, self.reason)
+    }
+}
+
+impl std::error::Error for NotExecutable {}
+
+/// The layers of `model` the executor runs — all but the tail softmax,
+/// since a [`Network`] ends at the logits — each with its input shape at
+/// batch 1, or the first layer it could not run as `walk` reports it.
+fn executable(model: &ModelSpec) -> Result<Vec<(&LayerSpec, Shape4)>, NotExecutable> {
+    let layers = match model.layers.split_last() {
+        Some((tail, rest)) if tail.spec == LayerSpec::Softmax => rest,
+        _ => &model.layers[..],
+    };
+    let mut shape = model.input_shape(1);
+    let mut resolved = Vec::with_capacity(layers.len());
+    for layer in layers {
+        let reject = |reason| NotExecutable {
+            layer: layer.name.clone(),
+            reason,
+        };
+        let (_, out) = layer.spec.apply(shape).map_err(reject)?;
+        match &layer.spec {
+            LayerSpec::Conv { .. } | LayerSpec::Relu | LayerSpec::Fc { .. } => {}
+            LayerSpec::MaxPool {
+                window,
+                stride,
+                pad,
+            } => {
+                if *pad != 0 {
+                    return Err(reject("padded pooling is not executable"));
+                }
+                // `PoolLayer` pools in floor mode, the shape rule in ceil
+                // mode; a spec's activations are square.
+                if PoolLayer::new(PoolKind::Max, *window, *stride).out_size(shape.h) != out.h {
+                    return Err(reject("ceil- and floor-mode pooled sizes differ"));
+                }
+            }
+            LayerSpec::AvgPool { .. } => return Err(reject("average pooling is not executable")),
+            LayerSpec::Inception { .. } => return Err(reject("inception is not executable")),
+            LayerSpec::Softmax => return Err(reject("softmax is executable only as the tail")),
+        }
+        resolved.push((&layer.spec, shape));
+        shape = out;
+    }
+    Ok(resolved)
+}
+
+/// Momentum SGD on one parameter blob: `v ← μ·v − lr·(∇w + wd·w)`,
+/// `w ← w + v`. Biases pass `decay: None` and keep their own
+/// expression, `v ← μ·v − lr·∇b`.
+fn momentum_step(
+    (lr, mu): (f32, f32),
+    decay: Option<f32>,
+    w: &mut [f32],
+    v: &mut [f32],
+    grad: &[f32],
+) {
+    for ((v, g), w) in v.iter_mut().zip(grad).zip(w) {
+        let g = match decay {
+            Some(wd) => g + wd * *w,
+            None => *g,
+        };
+        *v = mu * *v - lr * g;
+        *w += *v;
+    }
+}
+
 impl Network {
     /// An empty network with plain-SGD defaults (no momentum, no decay).
     pub fn new(learning_rate: f32) -> Self {
@@ -176,10 +295,52 @@ impl Network {
         }
     }
 
+    /// `model` as an executable network at learning rate 0.05, every
+    /// conv layer backed by `strategy`; the k-th layer with parameters
+    /// (conv or FC, counted from 0) is initialised from `seed + k`.
+    ///
+    /// A spec is either executed at exactly the shapes
+    /// [`crate::layer::walk`] reports or refused: pooling with padding
+    /// or with a partial border window (ceil- and floor-mode sizes
+    /// differ), average pooling, Inception and a softmax anywhere but
+    /// the tail (which is dropped — the network ends at the logits) are
+    /// [`NotExecutable`], decided before any parameter is allocated.
+    pub fn from_spec(
+        model: &ModelSpec,
+        strategy: Strategy,
+        seed: u64,
+    ) -> Result<Self, NotExecutable> {
+        let mut net = Network::new(0.05);
+        let mut seed = seed;
+        for (spec, input) in executable(model)? {
+            net = match *spec {
+                LayerSpec::Conv {
+                    out,
+                    kernel,
+                    stride,
+                    pad,
+                } => net.conv(input.c, out, kernel, stride, pad, strategy, seed),
+                LayerSpec::Relu => net.relu(),
+                LayerSpec::MaxPool { window, stride, .. } => net.max_pool(window, stride),
+                LayerSpec::Fc { out } => net.fc(input.image_len(), out, seed),
+                _ => unreachable!("executable() admits no other layer"),
+            };
+            if matches!(spec, LayerSpec::Conv { .. } | LayerSpec::Fc { .. }) {
+                seed += 1;
+            }
+        }
+        Ok(net)
+    }
+
+    fn push(mut self, spec: LayerSpec, params: Params) -> Self {
+        self.layers.push(Layer { spec, params });
+        self
+    }
+
     /// Append a convolution layer with Xavier-initialized filters.
     #[allow(clippy::too_many_arguments)] // layer hyper-parameters
     pub fn conv(
-        mut self,
+        self,
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
@@ -189,15 +350,20 @@ impl Network {
         seed: u64,
     ) -> Self {
         let shape = Shape4::new(out_channels, in_channels, kernel, kernel);
-        self.layers.push(NetLayer::Conv {
-            weights: gcnn_tensor::init::xavier_filters(shape, seed),
-            velocity: Tensor4::zeros(shape),
-            stride,
-            pad,
-            strategy,
-            layout: Layout::Nchw,
-        });
-        self
+        self.push(
+            LayerSpec::Conv {
+                out: out_channels,
+                kernel,
+                stride,
+                pad,
+            },
+            Params::Conv(ConvParams {
+                weights: gcnn_tensor::init::xavier_filters(shape, seed),
+                velocity: Tensor4::zeros(shape),
+                strategy,
+                layout: Layout::Nchw,
+            }),
+        )
     }
 
     /// Set the forward-pass layout of the conv layer at `layer_index`
@@ -207,8 +373,8 @@ impl Network {
     /// # Panics
     /// If `layer_index` is out of range or not a convolution.
     pub fn set_conv_layout(&mut self, layer_index: usize, layout: Layout) {
-        match self.layers.get_mut(layer_index) {
-            Some(NetLayer::Conv { layout: l, .. }) => *l = layout,
+        match self.layers.get_mut(layer_index).map(|l| &mut l.params) {
+            Some(Params::Conv(p)) => p.layout = layout,
             _ => panic!("set_conv_layout: layer {layer_index} is not a conv layer"),
         }
     }
@@ -218,57 +384,52 @@ impl Network {
         self.layers
             .iter()
             .enumerate()
-            .filter_map(|(i, layer)| match layer {
-                NetLayer::Conv { layout, .. } => Some((i, *layout)),
+            .filter_map(|(i, layer)| match &layer.params {
+                Params::Conv(p) => Some((i, p.layout)),
                 _ => None,
             })
             .collect()
     }
 
     /// Append a ReLU.
-    pub fn relu(mut self) -> Self {
-        self.layers.push(NetLayer::Relu);
-        self
+    pub fn relu(self) -> Self {
+        self.push(LayerSpec::Relu, Params::None)
     }
 
     /// Append a max-pooling layer.
-    pub fn max_pool(mut self, window: usize, stride: usize) -> Self {
-        self.layers.push(NetLayer::MaxPool { window, stride });
-        self
+    pub fn max_pool(self, window: usize, stride: usize) -> Self {
+        self.push(
+            LayerSpec::MaxPool {
+                window,
+                stride,
+                pad: 0,
+            },
+            Params::None,
+        )
     }
 
     /// Append a fully-connected layer.
-    pub fn fc(mut self, in_features: usize, out_features: usize, seed: u64) -> Self {
-        let layer = FcLayer::xavier(out_features, in_features, seed);
-        let w_velocity = gcnn_tensor::Matrix::zeros(out_features, in_features);
-        let b_velocity = vec![0.0; out_features];
-        self.layers.push(NetLayer::Fc {
-            layer,
-            w_velocity,
-            b_velocity,
-        });
-        self
+    pub fn fc(self, in_features: usize, out_features: usize, seed: u64) -> Self {
+        self.push(
+            LayerSpec::Fc { out: out_features },
+            Params::Fc(FcParams {
+                layer: FcLayer::xavier(out_features, in_features, seed),
+                w_velocity: Matrix::zeros(out_features, in_features),
+                b_velocity: vec![0.0; out_features],
+            }),
+        )
     }
 
     /// LeNet-5 over `size`² single-channel inputs, with every conv layer
-    /// backed by the given strategy.
+    /// backed by the given strategy: [`crate::zoo::lenet5_sized`] through
+    /// [`Network::from_spec`].
+    ///
+    /// # Panics
+    /// If the spec is refused: both 2×2 pools must tile their input
+    /// exactly, so `size` is a multiple of 4 and at least 16.
     pub fn lenet5(size: usize, classes: usize, strategy: Strategy, seed: u64) -> Self {
-        let after_conv1 = size - 4; // k=5
-        let after_pool1 = after_conv1 / 2;
-        let after_conv2 = after_pool1 - 4;
-        let after_pool2 = after_conv2 / 2;
-        Network::new(0.05)
-            .conv(1, 6, 5, 1, 0, strategy, seed)
-            .relu()
-            .max_pool(2, 2)
-            .conv(6, 16, 5, 1, 0, strategy, seed + 1)
-            .relu()
-            .max_pool(2, 2)
-            .fc(16 * after_pool2 * after_pool2, 120, seed + 2)
-            .relu()
-            .fc(120, 84, seed + 3)
-            .relu()
-            .fc(84, classes, seed + 4)
+        Network::from_spec(&crate::zoo::lenet5_sized(size, classes), strategy, seed)
+            .unwrap_or_else(|e| panic!("Network::lenet5 at size {size}: {e}"))
     }
 
     /// Tune every conv layer's algorithm for inputs of shape `input`:
@@ -322,101 +483,106 @@ impl Network {
         let mut shape = input;
         let mut schedule = Vec::new();
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            match layer {
-                NetLayer::Conv {
-                    weights,
-                    stride,
-                    pad,
-                    strategy,
-                    layout,
-                    ..
-                } => {
-                    let w = weights.shape();
-                    let mut cfg =
-                        ConvConfig::with_channels(shape.n, shape.c, shape.h, w.n, w.h, *stride);
-                    cfg.pad = *pad;
-                    if let Some(sel) = tuner.select(substrate, cache, &cfg, direction) {
-                        *strategy = sel.strategy;
-                        *layout = sel.layout;
-                        schedule.push(TunedLayer {
-                            layer_index: i,
-                            cfg,
-                            implementation: sel.implementation,
-                            strategy: sel.strategy,
-                            layout: sel.layout,
-                            time_ms: sel.time_ms,
-                            source: sel.source,
-                        });
-                    }
-                    shape = Shape4::new(shape.n, w.n, cfg.output(), cfg.output());
-                }
-                NetLayer::Relu => {}
-                NetLayer::MaxPool { window, stride } => {
-                    shape = Shape4::new(
-                        shape.n,
-                        shape.c,
-                        (shape.h - *window) / *stride + 1,
-                        (shape.w - *window) / *stride + 1,
-                    );
-                }
-                NetLayer::Fc { layer, .. } => {
-                    shape = Shape4::new(shape.n, layer.weights.rows(), 1, 1);
-                }
+            let (conv, out) = layer.apply(i, shape);
+            shape = out;
+            let (Some(cfg), Params::Conv(p)) = (conv, &mut layer.params) else {
+                continue;
+            };
+            if let Some(sel) = tuner.select(substrate, cache, &cfg, direction) {
+                p.strategy = sel.strategy;
+                p.layout = sel.layout;
+                schedule.push(TunedLayer {
+                    layer_index: i,
+                    cfg,
+                    implementation: sel.implementation,
+                    strategy: sel.strategy,
+                    layout: sel.layout,
+                    time_ms: sel.time_ms,
+                    source: sel.source,
+                });
             }
         }
         schedule
     }
 
-    /// Forward pass, returning the logits and the per-layer caches.
-    fn forward_cached(&self, input: &Tensor4, ws: &mut Workspace) -> (Tensor4, Vec<Cache>) {
-        let _span = gcnn_trace::span("network.forward");
-        let mut x = input.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            match layer {
-                NetLayer::Conv {
-                    weights,
-                    stride,
-                    pad,
-                    strategy,
-                    ..
-                } => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
-                    let s = x.shape();
-                    let w = weights.shape();
-                    let mut cfg = ConvConfig::with_channels(s.n, s.c, s.h, w.n, w.h, *stride);
-                    cfg.pad = *pad;
-                    let algo = algorithm_for(*strategy);
-                    let y = algo.forward_ws(&cfg, &x, weights, ws);
-                    caches.push(Cache::Conv { input: x, cfg });
-                    x = y;
-                }
-                NetLayer::Relu => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
-                    let y = ReluLayer.forward(&x);
-                    caches.push(Cache::Relu { input: x });
-                    x = y;
-                }
-                NetLayer::MaxPool { window, stride } => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
-                    let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
-                    let fwd = pool.forward(&x);
-                    let y = fwd.output.clone();
-                    caches.push(Cache::MaxPool {
-                        input_shape: x.shape(),
-                        fwd,
-                    });
-                    x = y;
-                }
-                NetLayer::Fc { layer, .. } => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));
-                    let y = layer.forward(&x);
-                    caches.push(Cache::Fc { input: x });
-                    x = y;
-                }
+    /// The forward walker — the only loop that executes the layer list.
+    /// With `caches`, every layer runs planar and moves what its
+    /// backward pass needs (its input, mostly) into the vector; without,
+    /// each input is dropped as soon as the next activation exists and
+    /// blocked conv layers take the fused packed path.
+    fn forward_walk<'a>(
+        &self,
+        input: &'a Tensor4,
+        ws: &mut Workspace,
+        mut caches: Option<&mut Vec<Cache<'a>>>,
+    ) -> Tensor4 {
+        let keeping = caches.is_some();
+        let mut keep = |cache| {
+            if let Some(caches) = &mut caches {
+                caches.push(cache);
             }
+        };
+        let mut x = Act::Planar(Cow::Borrowed(input));
+        let mut i = 0;
+        while i < self.layers.len() {
+            let layer = &self.layers[i];
+            let (conv, out_shape) = layer.apply(i, x.shape());
+            match (&layer.spec, &layer.params) {
+                (LayerSpec::Conv { .. }, Params::Conv(p)) => {
+                    let cfg = conv.expect("the shape rule resolves every conv");
+                    let blocked = p
+                        .layout
+                        .channel_block()
+                        .filter(|_| !keeping && packed::supports(&cfg).is_ok());
+                    if let Some(block) = blocked {
+                        let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv_nchwc"));
+                        let (act, consumed) =
+                            self.fused_packed_chain(i, &cfg, &p.weights, block, x);
+                        x = act;
+                        i += consumed;
+                        continue;
+                    }
+                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
+                    let input = x.into_planar();
+                    let algo = algorithm_for(p.strategy);
+                    x = Act::owned(algo.forward_ws(&cfg, &input, &p.weights, ws));
+                    keep(Cache::Input { input, conv });
+                }
+                (LayerSpec::Relu, _) => {
+                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
+                    let input = x.into_planar();
+                    x = Act::owned(ReluLayer.forward(&input));
+                    keep(Cache::Input { input, conv: None });
+                }
+                (LayerSpec::MaxPool { window, stride, .. }, _) => {
+                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
+                    let input = x.into_planar();
+                    let fwd = PoolLayer::new(PoolKind::Max, *window, *stride).forward(&input);
+                    assert_eq!(
+                        fwd.output.shape(),
+                        out_shape,
+                        "layer{i}: pooling leaves a partial border window"
+                    );
+                    x = Act::owned(if keeping {
+                        let output = fwd.output.clone();
+                        let input_shape = input.shape();
+                        keep(Cache::MaxPool { input_shape, fwd });
+                        output
+                    } else {
+                        fwd.output
+                    });
+                }
+                (LayerSpec::Fc { .. }, Params::Fc(p)) => {
+                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));
+                    let input = x.into_planar();
+                    x = Act::owned(p.layer.forward(&input));
+                    keep(Cache::Input { input, conv: None });
+                }
+                _ => unreachable!("the builder appends no other layer"),
+            }
+            i += 1;
         }
-        (x, caches)
+        x.into_planar().into_owned()
     }
 
     /// Inference: logits only.
@@ -426,8 +592,8 @@ impl Network {
     }
 
     /// Batched inference with an explicit [`Workspace`], retaining no
-    /// per-layer caches: unlike [`Network::forward_cached`], the input
-    /// of each layer is dropped as soon as the next activation exists.
+    /// per-layer caches: the input of each layer is dropped as soon as
+    /// the next activation exists.
     ///
     /// This is the serving entry point: a long-lived worker (e.g. in
     /// `gcnn-serve`) owns one workspace, so after the first batch every
@@ -445,54 +611,7 @@ impl Network {
     /// only where consecutive layers disagree on layout.
     pub fn infer_ws(&self, input: &Tensor4, ws: &mut Workspace) -> Tensor4 {
         let _span = gcnn_trace::span("network.infer");
-        let mut x = Act::Planar(Cow::Borrowed(input));
-        let mut i = 0;
-        while i < self.layers.len() {
-            match &self.layers[i] {
-                NetLayer::Conv {
-                    weights,
-                    stride,
-                    pad,
-                    strategy,
-                    layout,
-                    ..
-                } => {
-                    let s = x.shape();
-                    let w = weights.shape();
-                    let mut cfg = ConvConfig::with_channels(s.n, s.c, s.h, w.n, w.h, *stride);
-                    cfg.pad = *pad;
-                    let blocked = layout
-                        .channel_block()
-                        .filter(|_| packed::supports(&cfg).is_ok());
-                    if let Some(block) = blocked {
-                        let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv_nchwc"));
-                        let (act, consumed) = self.fused_packed_chain(i, &cfg, weights, block, x);
-                        x = act;
-                        i += consumed;
-                        continue;
-                    }
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
-                    let xp = x.into_planar();
-                    let algo = algorithm_for(*strategy);
-                    x = Act::owned(algo.forward_ws(&cfg, &xp, weights, ws));
-                }
-                NetLayer::Relu => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
-                    x = Act::owned(ReluLayer.forward(&x.into_planar()));
-                }
-                NetLayer::MaxPool { window, stride } => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
-                    let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
-                    x = Act::owned(pool.forward(&x.into_planar()).output);
-                }
-                NetLayer::Fc { layer, .. } => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));
-                    x = Act::owned(layer.forward(&x.into_planar()));
-                }
-            }
-            i += 1;
-        }
-        x.into_planar().into_owned()
+        self.forward_walk(input, ws, None)
     }
 
     /// Execute one blocked conv starting at layer `i`, fusing a
@@ -509,16 +628,15 @@ impl Network {
         block: usize,
         x: Act<'_>,
     ) -> (Act<'static>, usize) {
-        let fuse_relu = matches!(self.layers.get(i + 1), Some(NetLayer::Relu));
-        let fuse_pool = if fuse_relu {
-            match self.layers.get(i + 2) {
-                Some(NetLayer::MaxPool { window, stride }) if cfg.output() >= *window => {
-                    Some((*window, *stride))
-                }
-                _ => None,
-            }
-        } else {
-            None
+        let follower = |d: usize| self.layers.get(i + d).map(|l| &l.spec);
+        let fuse_relu = follower(1) == Some(&LayerSpec::Relu);
+        // `(window, stride, pooled shape)` of a pool the conv output can feed.
+        let fuse_pool = match follower(2) {
+            Some(pool @ LayerSpec::MaxPool { window, stride, .. }) if fuse_relu => pool
+                .apply(cfg.output_shape())
+                .ok()
+                .map(|(_, pooled)| (*window, *stride, pooled)),
+            _ => None,
         };
 
         // Bring the activation into packed form with this layer's
@@ -557,47 +675,31 @@ impl Network {
         let mut pw = workspace::take_f32(packed::packed_filter_len(cfg, block));
         packed::pack_filters(cfg, weights, block, pw.as_mut_slice());
 
-        if let Some((window, pstride)) = fuse_pool {
-            let po = packed::pooled_output(cfg, window, pstride);
-            let oshape = Shape4::new(cfg.batch, cfg.filters, po, po);
-            let mut pout = workspace::take_f32(nchwc::packed_len(oshape, block, 0));
-            packed::fused_conv_relu_pool(
+        let (shape, consumed) = match fuse_pool {
+            Some((_, _, pooled)) => (pooled, 3),
+            None => (cfg.output_shape(), 1 + usize::from(fuse_relu)),
+        };
+        let mut buf = workspace::take_f32(nchwc::packed_len(shape, block, 0));
+        match fuse_pool {
+            Some((window, pstride, _)) => packed::fused_conv_relu_pool(
                 cfg,
                 block,
                 window,
                 pstride,
                 pin.as_slice(),
                 pw.as_slice(),
-                pout.as_mut_slice(),
-            );
-            (
-                Act::Packed {
-                    buf: pout,
-                    shape: oshape,
-                    block,
-                },
-                3,
-            )
-        } else {
-            let oshape = cfg.output_shape();
-            let mut pout = workspace::take_f32(packed::packed_output_len(cfg, block));
-            packed::fused_conv_relu(
+                buf.as_mut_slice(),
+            ),
+            None => packed::fused_conv_relu(
                 cfg,
                 block,
                 pin.as_slice(),
                 pw.as_slice(),
-                pout.as_mut_slice(),
+                buf.as_mut_slice(),
                 fuse_relu,
-            );
-            (
-                Act::Packed {
-                    buf: pout,
-                    shape: oshape,
-                    block,
-                },
-                1 + usize::from(fuse_relu),
-            )
+            ),
         }
+        (Act::Packed { buf, shape, block }, consumed)
     }
 
     /// Predicted class per image.
@@ -630,77 +732,64 @@ impl Network {
         ws: &mut Workspace,
     ) -> f32 {
         let _span = gcnn_trace::span("network.train_batch");
-        let (logits, caches) = self.forward_cached(images, ws);
+        let mut caches = Vec::with_capacity(self.layers.len());
+        let logits = {
+            let _fwd = gcnn_trace::span("network.forward");
+            self.forward_walk(images, ws, Some(&mut caches))
+        };
         let out = softmax_cross_entropy(&logits, labels);
         let mut grad = out.grad_logits;
 
-        let lr = self.learning_rate;
-        let mu = self.momentum;
-        let wd = self.weight_decay;
+        let rate = (self.learning_rate, self.momentum);
+        let decay = Some(self.weight_decay);
         let _bwd = gcnn_trace::span("network.backward");
         for (i, (layer, cache)) in self.layers.iter_mut().zip(caches).enumerate().rev() {
-            match (layer, cache) {
-                (
-                    NetLayer::Conv {
-                        weights,
-                        velocity,
-                        strategy,
-                        ..
-                    },
-                    Cache::Conv { input, cfg },
-                ) => {
+            match (&layer.spec, &mut layer.params, cache) {
+                (_, Params::Conv(p), Cache::Input { input, conv }) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
-                    let algo = algorithm_for(*strategy);
+                    let cfg = conv.expect("a conv layer caches its config");
+                    let algo = algorithm_for(p.strategy);
                     let grad_w = algo.backward_filters_ws(&cfg, &input, &grad, ws);
-                    grad = algo.backward_data_ws(&cfg, &grad, weights, ws);
-                    // v ← μ·v − lr·(∇w + wd·w);  w ← w + v
-                    for ((v, g), w) in velocity
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(grad_w.as_slice())
-                        .zip(weights.as_mut_slice())
-                    {
-                        *v = mu * *v - lr * (g + wd * *w);
-                        *w += *v;
-                    }
+                    grad = algo.backward_data_ws(&cfg, &grad, &p.weights, ws);
+                    momentum_step(
+                        rate,
+                        decay,
+                        p.weights.as_mut_slice(),
+                        p.velocity.as_mut_slice(),
+                        grad_w.as_slice(),
+                    );
                 }
-                (NetLayer::Relu, Cache::Relu { input }) => {
+                (LayerSpec::Relu, _, Cache::Input { input, .. }) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
                     grad = ReluLayer.backward(&input, &grad);
                 }
-                (NetLayer::MaxPool { window, stride }, Cache::MaxPool { input_shape, fwd }) => {
+                (
+                    LayerSpec::MaxPool { window, stride, .. },
+                    _,
+                    Cache::MaxPool { input_shape, fwd },
+                ) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
                     let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
                     grad = pool.backward(input_shape, &fwd, &grad);
                 }
-                (
-                    NetLayer::Fc {
-                        layer,
-                        w_velocity,
-                        b_velocity,
-                    },
-                    Cache::Fc { input },
-                ) => {
+                (_, Params::Fc(p), Cache::Input { input, .. }) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));
                     // FC expects (b, features, 1, 1) gradients.
-                    let grads = layer.backward(&input, &grad);
-                    for ((v, g), w) in w_velocity
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(grads.grad_weights.as_slice())
-                        .zip(layer.weights.as_mut_slice())
-                    {
-                        *v = mu * *v - lr * (g + wd * *w);
-                        *w += *v;
-                    }
-                    for ((v, g), b) in b_velocity
-                        .iter_mut()
-                        .zip(&grads.grad_bias)
-                        .zip(layer.bias.iter_mut())
-                    {
-                        *v = mu * *v - lr * g; // no decay on biases
-                        *b += *v;
-                    }
+                    let grads = p.layer.backward(&input, &grad);
+                    momentum_step(
+                        rate,
+                        decay,
+                        p.layer.weights.as_mut_slice(),
+                        p.w_velocity.as_mut_slice(),
+                        grads.grad_weights.as_slice(),
+                    );
+                    momentum_step(
+                        rate,
+                        None,
+                        &mut p.layer.bias,
+                        &mut p.b_velocity,
+                        &grads.grad_bias,
+                    );
                     grad = grads.grad_input;
                 }
                 _ => unreachable!("layer/cache mismatch"),
@@ -744,59 +833,39 @@ impl Network {
     /// Serialize all parameters (conv filters, FC weights, FC biases —
     /// not optimizer state) to the `gcnn` weight format.
     pub fn save_weights(&self) -> Vec<u8> {
-        let mut blobs: Vec<&[f32]> = Vec::new();
-        for layer in &self.layers {
-            match layer {
-                NetLayer::Conv { weights, .. } => blobs.push(weights.as_slice()),
-                NetLayer::Fc { layer, .. } => {
-                    blobs.push(layer.weights.as_slice());
-                    blobs.push(&layer.bias);
-                }
-                NetLayer::Relu | NetLayer::MaxPool { .. } => {}
-            }
-        }
+        let blobs: Vec<&[f32]> = self
+            .layers
+            .iter()
+            .flat_map(|l| blobs!(&l.params, as_slice))
+            .map(|(_, values)| values)
+            .collect();
         crate::persist::encode_blobs(&blobs)
     }
 
     /// Load parameters previously produced by [`Network::save_weights`]
     /// into a network of the same architecture.
     pub fn load_weights(&mut self, bytes: &[u8]) -> Result<(), crate::persist::PersistError> {
+        let mismatch = |detail| crate::persist::PersistError::ShapeMismatch { detail };
         let blobs = crate::persist::decode_blobs(bytes)?;
-        let mut it = blobs.into_iter();
-        let mut next = |expected: usize, what: &str| {
+        let mut it = blobs.iter();
+        let layers = self.layers.iter_mut();
+        for (what, values) in layers.flat_map(|l| blobs!(&mut l.params, as_mut_slice)) {
             let blob = it
                 .next()
-                .ok_or(crate::persist::PersistError::ShapeMismatch {
-                    detail: format!("missing blob for {what}"),
-                })?;
-            if blob.len() != expected {
-                return Err(crate::persist::PersistError::ShapeMismatch {
-                    detail: format!("{what}: expected {expected} values, got {}", blob.len()),
-                });
+                .ok_or_else(|| mismatch(format!("missing blob for {what}")))?;
+            if blob.len() != values.len() {
+                return Err(mismatch(format!(
+                    "{what}: expected {} values, got {}",
+                    values.len(),
+                    blob.len()
+                )));
             }
-            Ok(blob)
-        };
-        for layer in &mut self.layers {
-            match layer {
-                NetLayer::Conv { weights, .. } => {
-                    let blob = next(weights.shape().len(), "conv filters")?;
-                    weights.as_mut_slice().copy_from_slice(&blob);
-                }
-                NetLayer::Fc { layer, .. } => {
-                    let w = next(layer.weights.rows() * layer.weights.cols(), "fc weights")?;
-                    layer.weights.as_mut_slice().copy_from_slice(&w);
-                    let b = next(layer.bias.len(), "fc bias")?;
-                    layer.bias.copy_from_slice(&b);
-                }
-                NetLayer::Relu | NetLayer::MaxPool { .. } => {}
-            }
+            values.copy_from_slice(blob);
         }
-        if it.next().is_some() {
-            return Err(crate::persist::PersistError::ShapeMismatch {
-                detail: "extra parameter blobs".into(),
-            });
+        match it.next() {
+            None => Ok(()),
+            Some(_) => Err(mismatch("extra parameter blobs".into())),
         }
-        Ok(())
     }
 
     /// Classification accuracy over a dataset.
@@ -1003,19 +1072,109 @@ mod tests {
 
     #[test]
     fn infer_ws_matches_cached_forward() {
-        let net = Network::lenet5(16, 4, Strategy::Fft, 17);
-        let x = synthetic_digits(5, 16, 4, 8).images;
+        // The one walker serves both entry points, with and without
+        // caches: a training step that cannot move the weights computes
+        // exactly the loss of the inference path's logits, and leaves
+        // the parameters as saved.
+        let mut net = Network::lenet5(16, 4, Strategy::Fft, 17);
+        net.learning_rate = 0.0;
+        let data = synthetic_digits(5, 16, 4, 8);
+        let (x, labels) = data.batch(0, 5);
         let mut ws = Workspace::new();
-        let lean = net.infer_ws(&x, &mut ws);
-        let cached = net.forward_cached(&x, &mut ws).0;
+        let before = net.save_weights();
+        let logits = net.infer_ws(&x, &mut ws);
+        let want = softmax_cross_entropy(&logits, &labels).loss;
+        let got = net.train_batch_ws(&x, &labels, &mut ws);
         assert_eq!(
-            lean, cached,
-            "inference path must match the training forward"
+            got.to_bits(),
+            want.to_bits(),
+            "training forward must match the inference path"
         );
+        assert_eq!(net.save_weights(), before);
         // Second call must be arena-served: the serving workers rely on
         // a warm workspace after the first batch.
-        let again = net.infer_ws(&x, &mut ws);
-        assert_eq!(again, cached);
+        assert_eq!(net.infer_ws(&x, &mut ws), logits);
+    }
+
+    #[test]
+    fn lenet5_is_the_zoo_spec_through_the_builder() {
+        let chain = |s| {
+            Network::new(0.05)
+                .conv(1, 6, 5, 1, 0, s, 7)
+                .relu()
+                .max_pool(2, 2)
+                .conv(6, 16, 5, 1, 0, s, 8)
+                .relu()
+                .max_pool(2, 2)
+                .fc(16, 120, 9)
+                .relu()
+                .fc(120, 84, 10)
+                .relu()
+                .fc(84, 4, 11)
+        };
+        for s in [Strategy::Direct, Strategy::Unrolling, Strategy::Fft] {
+            let net = Network::lenet5(16, 4, s, 7);
+            assert_eq!(net.save_weights(), chain(s).save_weights());
+            assert_eq!(net.learning_rate, 0.05);
+        }
+    }
+
+    #[test]
+    fn specs_are_executed_as_walked_or_refused_by_layer() {
+        use crate::layer::NamedLayer;
+        use crate::zoo;
+
+        // The check runs before any parameter exists, so the big models
+        // cost nothing here.
+        for model in [zoo::lenet5(), zoo::alexnet(), zoo::vgg16(), zoo::overfeat()] {
+            let layers = executable(&model).unwrap_or_else(|e| panic!("{}: {e}", model.name));
+            assert_eq!(layers.len(), model.layers.len() - 1, "tail softmax dropped");
+        }
+        // GoogLeNet's first pool has a partial border window (112 → 56
+        // in ceil mode, 55 in floor mode).
+        let err = executable(&zoo::googlenet()).unwrap_err();
+        assert_eq!(err.layer, "pool1");
+        assert!(err.to_string().contains("ceil"), "{err}");
+
+        let tiny = |name: &str, spec: LayerSpec| ModelSpec {
+            name: "tiny".into(),
+            input_channels: 2,
+            input_size: 8,
+            layers: vec![
+                NamedLayer::new("relu", LayerSpec::Relu),
+                NamedLayer::new(name, spec),
+                NamedLayer::new("fc", LayerSpec::Fc { out: 3 }),
+            ],
+        };
+        let pool = |window, stride, pad| LayerSpec::MaxPool {
+            window,
+            stride,
+            pad,
+        };
+        let avg = LayerSpec::AvgPool {
+            window: 2,
+            stride: 2,
+            pad: 0,
+        };
+        let inception = LayerSpec::Inception {
+            branches: vec![vec![NamedLayer::new("r", LayerSpec::Relu)]],
+        };
+        for (name, spec) in [
+            ("padded", pool(2, 2, 1)),
+            ("partial", pool(3, 2, 0)),
+            ("oversized", pool(9, 1, 0)),
+            ("avg", avg),
+            ("inc", inception),
+            ("inner_softmax", LayerSpec::Softmax),
+        ] {
+            let err = Network::from_spec(&tiny(name, spec), Strategy::Direct, 1)
+                .err()
+                .unwrap_or_else(|| panic!("{name} must be refused"));
+            assert_eq!(err.layer, name);
+        }
+        let net = Network::from_spec(&tiny("pool", pool(2, 2, 0)), Strategy::Direct, 1).unwrap();
+        let logits = net.forward(&Tensor4::zeros(Shape4::new(3, 2, 8, 8)));
+        assert_eq!(logits.shape(), Shape4::new(3, 3, 1, 1));
     }
 
     #[test]

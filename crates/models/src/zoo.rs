@@ -48,10 +48,16 @@ fn fc(name: &str, out: usize) -> NamedLayer {
 /// 32×32 grayscale digits. ReLU replaces the original tanh, as modern
 /// reimplementations do.
 pub fn lenet5() -> ModelSpec {
+    lenet5_sized(32, 10)
+}
+
+/// [`lenet5`] over `size`² inputs with `classes` outputs — the spec
+/// `Network::lenet5` executes.
+pub fn lenet5_sized(size: usize, classes: usize) -> ModelSpec {
     ModelSpec {
         name: "LeNet-5".into(),
         input_channels: 1,
-        input_size: 32,
+        input_size: size,
         layers: vec![
             conv("conv1", 6, 5, 1, 0),
             relu("relu1"),
@@ -63,7 +69,7 @@ pub fn lenet5() -> ModelSpec {
             relu("relu3"),
             fc("fc2", 84),
             relu("relu4"),
-            fc("fc3", 10),
+            fc("fc3", classes),
             NamedLayer::new("prob", LayerSpec::Softmax),
         ],
     }

@@ -1,7 +1,10 @@
 //! Property-based tests for the model walker and synthetic data.
 
+use gcnn_autotune::{Policy, SimSubstrate, Tuner, TuningCache};
 use gcnn_models::data::synthetic_digits;
 use gcnn_models::layer::{walk, InstanceKind, LayerSpec, ModelSpec, NamedLayer};
+use gcnn_models::Network;
+use gcnn_tensor::{Shape4, Tensor4};
 use proptest::prelude::*;
 
 /// Random small sequential CNNs (conv/relu/pool chains ending in FC).
@@ -85,6 +88,32 @@ proptest! {
             prop_assert_eq!(4 * a.in_elems, b.in_elems, "{}", a.name.clone());
             prop_assert_eq!(4 * a.out_elems, b.out_elems, "{}", a.name.clone());
         }
+    }
+
+    /// The executor and the tuner read the layer list the walker reads:
+    /// inference ends at the last instance's shape, and the tuned conv
+    /// configurations are the walked ones, in order.
+    #[test]
+    fn executor_and_tuner_follow_the_walk(model in arb_model(), batch in 1usize..4) {
+        let instances = walk(&model, batch);
+        let mut net = Network::from_spec(&model, gcnn_conv::Strategy::Unrolling, 3)
+            .expect("arb_model pools tile their inputs exactly");
+        let input = model.input_shape(batch);
+
+        let last = instances.last().expect("a model has layers");
+        let (_, classes) = last.fc.expect("arb_model ends in an FC layer");
+        let logits = net.forward(&Tensor4::zeros(input));
+        prop_assert_eq!(logits.shape(), Shape4::new(batch, classes, 1, 1));
+        prop_assert_eq!(logits.shape().len() as u64, last.out_elems);
+
+        let tuned = net.tune(
+            input,
+            &Tuner::new(Policy::Heuristic),
+            &SimSubstrate::k40c(),
+            &mut TuningCache::new(),
+        );
+        let walked: Vec<_> = instances.iter().filter_map(|i| i.conv).collect();
+        prop_assert_eq!(tuned.iter().map(|t| t.cfg).collect::<Vec<_>>(), walked);
     }
 
     /// Synthetic datasets: deterministic, labeled in range, batchable.

@@ -53,4 +53,9 @@ GCNN_SERVE_MS=150 \
 # round-robin on the occupancy-limited workload, and reproduce maxDNN's
 # GM204 occupancy within 5% (non-zero exit otherwise).
 cargo run -q --release -p gcnn-bench --bin mtsim_report -- --smoke
+# The repo benchmark is its own cargo workspace, so nothing above links
+# it: build it against the crates and run every workload for 1 s with
+# all output checks on (its walker compares bit for bit with
+# `Network::infer_ws` / `train_batch_ws`).
+benchmark/run.sh --check
 echo "verify: OK"
