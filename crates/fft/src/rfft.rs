@@ -123,7 +123,7 @@ impl RfftPlan {
         // measurable fraction of the whole transform, and every caller
         // is already inside a batch-level `fft.*` span.
         let (n, half) = (self.n, self.half);
-        let isa = simd::split_isa();
+        let isa = gcnn_tensor::simd::isa();
 
         let mut bufs2 = workspace::take_f32(2 * n * n);
         let (buf_re, buf_im) = bufs2.split_at_mut(n * n);
@@ -196,7 +196,7 @@ impl RfftPlan {
         );
         // No per-plane trace span — same reasoning as the forward path.
         let (n, half) = (self.n, self.half);
-        let isa = simd::split_isa();
+        let isa = gcnn_tensor::simd::isa();
 
         // Column inverses in place: bins r over lanes c.
         split::fft_lanes_inplace(sre, sim, &self.plan, Direction::Inverse, half);

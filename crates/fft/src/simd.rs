@@ -5,358 +5,300 @@
 //! butterfly applies one broadcast twiddle across `lanes` contiguous
 //! floats: pure FMA, no shuffle, vectorized at every stage including
 //! span 1 (the fbfft layout, PAPERS.md arXiv:1412.7580). Three kernels
-//! carry it, each as an AVX2+FMA body, a NEON body and a scalar body:
+//! carry it:
 //!
 //! * [`lane_stage_dit`] — one whole radix-2 DIT stage per call.
 //! * [`lane_stage2_dit`] — two consecutive stages fused into one pass
-//!   (the radix-4 data flow); AVX2 fuses, other ISAs run two single
-//!   stages.
+//!   (the radix-4 data flow).
 //! * [`transpose_f32`] — the blocked transpose that converts between
-//!   the row and column passes of the 2-D transform (AVX2 8×8
-//!   unpack/shuffle/permute2f128, NEON 4×4 `vtrn1q/vtrn2q`).
+//!   the row and column passes of the 2-D transform.
 //!
-//! Dispatch is on an [`Isa`] resolved once per transform
-//! ([`split_isa`]). The scalar bodies are the scalar tier of the engine
-//! — what runs on hosts without SIMD and under `GCNN_FORCE_SCALAR=1`,
-//! bit-identically through the dispatchers — and the oracle the SIMD
-//! bodies are tested against.
+//! Each stage is one generic body over [`Lanes`] (`lane_stage`,
+//! `lane_stage2`), instantiated at `__m256` and `float32x4_t` inside a
+//! `#[target_feature]` shim per ISA; the `lanes % V::N` floats a row
+//! has left over run through the same row code at `V = f32`, so every
+//! butterfly is written once. Only the transposes are per-ISA code
+//! (8×8 AVX2 unpack/shuffle/permute2f128, 4×4 NEON `vtrn1q/vtrn2q`):
+//! shuffles are outside the `Lanes` vocabulary.
+//!
+//! Dispatch is on an [`Isa`] the caller resolves once per transform
+//! (`gcnn_tensor::simd::isa`). The `*_scalar` functions are the scalar
+//! tier of the engine — what runs on hosts without SIMD and under
+//! `GCNN_FORCE_SCALAR=1`, bit-identically through the dispatchers — and
+//! the oracle the generic bodies are tested against.
 
-use gcnn_tensor::simd::Isa;
+// Targets with no vector ISA here reach only the `*_scalar` tier.
+#![cfg_attr(
+    not(any(target_arch = "x86_64", target_arch = "aarch64")),
+    allow(dead_code, unused_variables)
+)]
+
+use gcnn_tensor::simd::{Isa, Lanes};
 use gcnn_tensor::Complex32;
 
-/// AVX2+FMA bodies. Split layout means every complex multiply is plain
-/// FMA over two f32 vectors; the only shuffles are inside the transpose.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::Complex32;
-    use std::arch::x86_64::*;
+/// One stage call in raw form: what the generic bodies take.
+struct Stage<'a> {
+    /// The two planes, each valid for `n·lanes` floats.
+    re: *mut f32,
+    im: *mut f32,
+    n: usize,
+    lanes: usize,
+    tw_re: &'a [f32],
+    tw_im: &'a [f32],
+    conj_w: bool,
+}
 
-    /// One whole radix-2 DIT stage over the bin-major planes: every
-    /// `(start, j)` butterfly row pair of the stage schedule runs inside
-    /// this single `target_feature` call, so the per-row cost is the
-    /// vector loop alone — no dispatch, no call, no pointer-prologue per
-    /// row (all three would dominate when a row is only `lanes/8`
-    /// vectors long). The `k == 0` twiddle is always `1 + 0i`, so that
-    /// row skips the complex multiply entirely: pure add/sub.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime, pass planes
-    /// covering `n·lanes`, twiddle tables covering `(span − 1)·stride`,
-    /// and a valid radix-2 stage geometry (`span·2 ≤ n`, `n` a multiple
-    /// of `span·2`).
+impl<'a> Stage<'a> {
+    /// # Panics
+    /// Unless both planes are exactly `n·lanes` floats, which the raw
+    /// pointers then stand for.
     #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn lane_stage_dit_avx2(
+    fn new(
+        entry: &str,
         re: &mut [f32],
         im: &mut [f32],
         n: usize,
         lanes: usize,
-        span: usize,
-        stride: usize,
-        tw_re: &[f32],
-        tw_im: &[f32],
+        tw_re: &'a [f32],
+        tw_im: &'a [f32],
         conj_w: bool,
-    ) {
-        debug_assert!(
-            re.len() >= n * lanes && im.len() >= n * lanes,
-            "planes cover n*lanes"
+    ) -> Self {
+        assert!(
+            n.checked_mul(lanes) == Some(re.len()) && im.len() == re.len(),
+            "{entry}: plane extent mismatch"
         );
-        debug_assert!(
-            span == 0 || (tw_re.len() > (span - 1) * stride && tw_im.len() > (span - 1) * stride),
-            "twiddles cover the stage"
-        );
-        // SAFETY: post-detection execution. For every (start, j) the
-        // stage schedule gives `start + j + span ≤ n − 1`, so rows `a`
-        // and `b` live inside the `n·lanes` extent the caller
-        // guarantees; the vector loop stays in `[l, l + 8)` while
-        // `l + 8 <= lv ≤ lanes` and the per-element tails stay below
-        // `lanes`, all through the two raw plane pointers (no safe
-        // re-borrow aliases them while they are live). Twiddle reads at
-        // `j·stride` are covered by the caller's table precondition.
-        unsafe {
-            let rp = re.as_mut_ptr();
-            let ip = im.as_mut_ptr();
-            let lv = lanes / 8 * 8;
-            let mut start = 0;
-            while start < n {
-                for j in 0..span {
-                    let a = (start + j) * lanes;
-                    let b = (start + j + span) * lanes;
-                    let arp = rp.add(a);
-                    let aip = ip.add(a);
-                    let brp = rp.add(b);
-                    let bip = ip.add(b);
-                    let k = j * stride;
-                    if k == 0 {
-                        // w = 1: a, b ← a + b, a − b.
-                        let mut l = 0;
-                        while l < lv {
-                            let arv = _mm256_loadu_ps(arp.add(l));
-                            let brv = _mm256_loadu_ps(brp.add(l));
-                            _mm256_storeu_ps(arp.add(l), _mm256_add_ps(arv, brv));
-                            _mm256_storeu_ps(brp.add(l), _mm256_sub_ps(arv, brv));
-                            let aiv = _mm256_loadu_ps(aip.add(l));
-                            let biv = _mm256_loadu_ps(bip.add(l));
-                            _mm256_storeu_ps(aip.add(l), _mm256_add_ps(aiv, biv));
-                            _mm256_storeu_ps(bip.add(l), _mm256_sub_ps(aiv, biv));
-                            l += 8;
-                        }
-                        while l < lanes {
-                            let (x, y) = (*arp.add(l), *brp.add(l));
-                            *arp.add(l) = x + y;
-                            *brp.add(l) = x - y;
-                            let (x, y) = (*aip.add(l), *bip.add(l));
-                            *aip.add(l) = x + y;
-                            *bip.add(l) = x - y;
-                            l += 1;
-                        }
-                        continue;
-                    }
-                    let wre = tw_re[k];
-                    let wim = if conj_w { -tw_im[k] } else { tw_im[k] };
-                    let wr = _mm256_set1_ps(wre);
-                    let wi = _mm256_set1_ps(wim);
-                    let mut l = 0;
-                    while l < lv {
-                        let brv = _mm256_loadu_ps(brp.add(l));
-                        let biv = _mm256_loadu_ps(bip.add(l));
-                        // y = w·b: yr = br·wr − bi·wi, yi = br·wi + bi·wr.
-                        let yr = _mm256_fmsub_ps(brv, wr, _mm256_mul_ps(biv, wi));
-                        let yi = _mm256_fmadd_ps(brv, wi, _mm256_mul_ps(biv, wr));
-                        let arv = _mm256_loadu_ps(arp.add(l));
-                        let aiv = _mm256_loadu_ps(aip.add(l));
-                        _mm256_storeu_ps(arp.add(l), _mm256_add_ps(arv, yr));
-                        _mm256_storeu_ps(aip.add(l), _mm256_add_ps(aiv, yi));
-                        _mm256_storeu_ps(brp.add(l), _mm256_sub_ps(arv, yr));
-                        _mm256_storeu_ps(bip.add(l), _mm256_sub_ps(aiv, yi));
-                        l += 8;
-                    }
-                    while l < lanes {
-                        // Same Complex32 arithmetic as the scalar
-                        // oracle's per-lane body.
-                        let y = Complex32::new(*brp.add(l), *bip.add(l)) * Complex32::new(wre, wim);
-                        let (xr, xi) = (*arp.add(l), *aip.add(l));
-                        *arp.add(l) = xr + y.re;
-                        *aip.add(l) = xi + y.im;
-                        *brp.add(l) = xr - y.re;
-                        *bip.add(l) = xi - y.im;
-                        l += 1;
-                    }
-                }
-                start += span * 2;
-            }
+        let (re, im) = (re.as_mut_ptr(), im.as_mut_ptr());
+        Stage {
+            re,
+            im,
+            n,
+            lanes,
+            tw_re,
+            tw_im,
+            conj_w,
         }
     }
 
-    /// Two consecutive radix-2 DIT stages (spans `s` and `2s`) fused
-    /// into one pass over the planes — the radix-4 data flow. Each
-    /// group of four rows (`start + j`, `+s`, `+2s`, `+3s`) is loaded
-    /// once, carried through both butterfly levels in registers, and
-    /// stored once, halving the load/store traffic of the store-port-
-    /// bound single-stage kernel. Twiddles stay broadcast scalars:
-    /// stage A uses `tw[j·stride_a]` (shared by both of its pairs),
-    /// stage B uses `tw[j·stride_b]` and `tw[(j + s)·stride_b]`.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime, pass planes
-    /// covering `n·lanes`, twiddle tables covering
-    /// `(2s − 1)·stride_b`, and a valid fused geometry (`4s ≤ n`, `n` a
-    /// multiple of `4s`, `stride_a = n/(2s)`, `stride_b = n/(4s)`).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn lane_stage2_dit_avx2(
-        re: &mut [f32],
-        im: &mut [f32],
-        n: usize,
-        lanes: usize,
-        s: usize,
-        stride_a: usize,
-        stride_b: usize,
-        tw_re: &[f32],
-        tw_im: &[f32],
-        conj_w: bool,
-    ) {
-        debug_assert!(
-            re.len() >= n * lanes && im.len() >= n * lanes,
-            "planes cover n*lanes"
-        );
-        debug_assert!(
-            s == 0
-                || (tw_re.len() > (2 * s - 1) * stride_b
-                    && tw_im.len() > (2 * s - 1) * stride_b
-                    && tw_re.len() > (s - 1) * stride_a
-                    && tw_im.len() > (s - 1) * stride_a),
-            "twiddles cover the fused schedule"
-        );
-        // SAFETY: post-detection execution. The fused schedule keeps
-        // `start + j + 3s ≤ n − 1`, so all four rows live inside the
-        // caller-guaranteed `n·lanes` extent; the vector loop stays in
-        // `[l, l + 8)` while `l + 8 <= lv ≤ lanes` and the per-element
-        // tails stay below `lanes`, all through the two raw plane
-        // pointers. Twiddle reads at `j·stride_a`, `j·stride_b` and
-        // `(j + s)·stride_b` are covered by the caller's table
-        // precondition.
-        unsafe {
-            let rp = re.as_mut_ptr();
-            let ip = im.as_mut_ptr();
-            let lv = lanes / 8 * 8;
-            let mut start = 0;
-            while start < n {
-                for j in 0..s {
-                    let r0 = (start + j) * lanes;
-                    let r1 = (start + j + s) * lanes;
-                    let r2 = (start + j + 2 * s) * lanes;
-                    let r3 = (start + j + 3 * s) * lanes;
-                    let (p0r, p0i) = (rp.add(r0), ip.add(r0));
-                    let (p1r, p1i) = (rp.add(r1), ip.add(r1));
-                    let (p2r, p2i) = (rp.add(r2), ip.add(r2));
-                    let (p3r, p3i) = (rp.add(r3), ip.add(r3));
-                    if j == 0 {
-                        // wa = wb1 = 1, but the second stage-B pair's
-                        // twiddle is tw[s·stride_b] = tw[n/4] = ∓i, so
-                        // s1 = ∓i·u3 is a swap-and-negate, not a
-                        // multiply: forward s1 = (u3i, −u3r), inverse
-                        // (conj) s1 = (−u3i, u3r).
-                        let mut l = 0;
-                        while l < lv {
-                            let a_r = _mm256_loadu_ps(p0r.add(l));
-                            let a_i = _mm256_loadu_ps(p0i.add(l));
-                            let b_r = _mm256_loadu_ps(p1r.add(l));
-                            let b_i = _mm256_loadu_ps(p1i.add(l));
-                            let c_r = _mm256_loadu_ps(p2r.add(l));
-                            let c_i = _mm256_loadu_ps(p2i.add(l));
-                            let d_r = _mm256_loadu_ps(p3r.add(l));
-                            let d_i = _mm256_loadu_ps(p3i.add(l));
-                            let u0r = _mm256_add_ps(a_r, b_r);
-                            let u0i = _mm256_add_ps(a_i, b_i);
-                            let u1r = _mm256_sub_ps(a_r, b_r);
-                            let u1i = _mm256_sub_ps(a_i, b_i);
-                            let u2r = _mm256_add_ps(c_r, d_r);
-                            let u2i = _mm256_add_ps(c_i, d_i);
-                            let u3r = _mm256_sub_ps(c_r, d_r);
-                            let u3i = _mm256_sub_ps(c_i, d_i);
-                            _mm256_storeu_ps(p0r.add(l), _mm256_add_ps(u0r, u2r));
-                            _mm256_storeu_ps(p0i.add(l), _mm256_add_ps(u0i, u2i));
-                            _mm256_storeu_ps(p2r.add(l), _mm256_sub_ps(u0r, u2r));
-                            _mm256_storeu_ps(p2i.add(l), _mm256_sub_ps(u0i, u2i));
-                            let (s1r, s1i) = if conj_w {
-                                // +i·u3 = (−u3i, u3r)
-                                (_mm256_sub_ps(_mm256_setzero_ps(), u3i), u3r)
-                            } else {
-                                // −i·u3 = (u3i, −u3r)
-                                (u3i, _mm256_sub_ps(_mm256_setzero_ps(), u3r))
-                            };
-                            _mm256_storeu_ps(p1r.add(l), _mm256_add_ps(u1r, s1r));
-                            _mm256_storeu_ps(p1i.add(l), _mm256_add_ps(u1i, s1i));
-                            _mm256_storeu_ps(p3r.add(l), _mm256_sub_ps(u1r, s1r));
-                            _mm256_storeu_ps(p3i.add(l), _mm256_sub_ps(u1i, s1i));
-                            l += 8;
-                        }
-                        while l < lanes {
-                            let (ar, ai) = (*p0r.add(l), *p0i.add(l));
-                            let (br, bi) = (*p1r.add(l), *p1i.add(l));
-                            let (cr, ci) = (*p2r.add(l), *p2i.add(l));
-                            let (dr, di) = (*p3r.add(l), *p3i.add(l));
-                            let (u0r, u0i) = (ar + br, ai + bi);
-                            let (u1r, u1i) = (ar - br, ai - bi);
-                            let (u2r, u2i) = (cr + dr, ci + di);
-                            let (u3r, u3i) = (cr - dr, ci - di);
-                            *p0r.add(l) = u0r + u2r;
-                            *p0i.add(l) = u0i + u2i;
-                            *p2r.add(l) = u0r - u2r;
-                            *p2i.add(l) = u0i - u2i;
-                            let (s1r, s1i) = if conj_w { (-u3i, u3r) } else { (u3i, -u3r) };
-                            *p1r.add(l) = u1r + s1r;
-                            *p1i.add(l) = u1i + s1i;
-                            *p3r.add(l) = u1r - s1r;
-                            *p3i.add(l) = u1i - s1i;
-                            l += 1;
-                        }
-                        continue;
-                    }
-                    let ka = j * stride_a;
-                    let kb1 = j * stride_b;
-                    let kb2 = (j + s) * stride_b;
-                    let (war, mut wai) = (tw_re[ka], tw_im[ka]);
-                    let (wb1r, mut wb1i) = (tw_re[kb1], tw_im[kb1]);
-                    let (wb2r, mut wb2i) = (tw_re[kb2], tw_im[kb2]);
-                    if conj_w {
-                        wai = -wai;
-                        wb1i = -wb1i;
-                        wb2i = -wb2i;
-                    }
-                    let war_v = _mm256_set1_ps(war);
-                    let wai_v = _mm256_set1_ps(wai);
-                    let wb1r_v = _mm256_set1_ps(wb1r);
-                    let wb1i_v = _mm256_set1_ps(wb1i);
-                    let wb2r_v = _mm256_set1_ps(wb2r);
-                    let wb2i_v = _mm256_set1_ps(wb2i);
-                    let mut l = 0;
-                    while l < lv {
-                        let b_r = _mm256_loadu_ps(p1r.add(l));
-                        let b_i = _mm256_loadu_ps(p1i.add(l));
-                        let d_r = _mm256_loadu_ps(p3r.add(l));
-                        let d_i = _mm256_loadu_ps(p3i.add(l));
-                        // Stage A: t1 = wa·b, t2 = wa·d.
-                        let t1r = _mm256_fmsub_ps(b_r, war_v, _mm256_mul_ps(b_i, wai_v));
-                        let t1i = _mm256_fmadd_ps(b_r, wai_v, _mm256_mul_ps(b_i, war_v));
-                        let t2r = _mm256_fmsub_ps(d_r, war_v, _mm256_mul_ps(d_i, wai_v));
-                        let t2i = _mm256_fmadd_ps(d_r, wai_v, _mm256_mul_ps(d_i, war_v));
-                        let a_r = _mm256_loadu_ps(p0r.add(l));
-                        let a_i = _mm256_loadu_ps(p0i.add(l));
-                        let c_r = _mm256_loadu_ps(p2r.add(l));
-                        let c_i = _mm256_loadu_ps(p2i.add(l));
-                        let u0r = _mm256_add_ps(a_r, t1r);
-                        let u0i = _mm256_add_ps(a_i, t1i);
-                        let u1r = _mm256_sub_ps(a_r, t1r);
-                        let u1i = _mm256_sub_ps(a_i, t1i);
-                        let u2r = _mm256_add_ps(c_r, t2r);
-                        let u2i = _mm256_add_ps(c_i, t2i);
-                        let u3r = _mm256_sub_ps(c_r, t2r);
-                        let u3i = _mm256_sub_ps(c_i, t2i);
-                        // Stage B: s0 = wb1·u2, s1 = wb2·u3.
-                        let s0r = _mm256_fmsub_ps(u2r, wb1r_v, _mm256_mul_ps(u2i, wb1i_v));
-                        let s0i = _mm256_fmadd_ps(u2r, wb1i_v, _mm256_mul_ps(u2i, wb1r_v));
-                        let s1r = _mm256_fmsub_ps(u3r, wb2r_v, _mm256_mul_ps(u3i, wb2i_v));
-                        let s1i = _mm256_fmadd_ps(u3r, wb2i_v, _mm256_mul_ps(u3i, wb2r_v));
-                        _mm256_storeu_ps(p0r.add(l), _mm256_add_ps(u0r, s0r));
-                        _mm256_storeu_ps(p0i.add(l), _mm256_add_ps(u0i, s0i));
-                        _mm256_storeu_ps(p2r.add(l), _mm256_sub_ps(u0r, s0r));
-                        _mm256_storeu_ps(p2i.add(l), _mm256_sub_ps(u0i, s0i));
-                        _mm256_storeu_ps(p1r.add(l), _mm256_add_ps(u1r, s1r));
-                        _mm256_storeu_ps(p1i.add(l), _mm256_add_ps(u1i, s1i));
-                        _mm256_storeu_ps(p3r.add(l), _mm256_sub_ps(u1r, s1r));
-                        _mm256_storeu_ps(p3i.add(l), _mm256_sub_ps(u1i, s1i));
-                        l += 8;
-                    }
-                    while l < lanes {
-                        let a = Complex32::new(*p0r.add(l), *p0i.add(l));
-                        let b = Complex32::new(*p1r.add(l), *p1i.add(l));
-                        let c = Complex32::new(*p2r.add(l), *p2i.add(l));
-                        let d = Complex32::new(*p3r.add(l), *p3i.add(l));
-                        let wa = Complex32::new(war, wai);
-                        let t1 = b * wa;
-                        let t2 = d * wa;
-                        let (u0, u1) = (a + t1, a - t1);
-                        let (u2, u3) = (c + t2, c - t2);
-                        let s0 = u2 * Complex32::new(wb1r, wb1i);
-                        let s1 = u3 * Complex32::new(wb2r, wb2i);
-                        let (v0, v2) = (u0 + s0, u0 - s0);
-                        let (v1, v3) = (u1 + s1, u1 - s1);
-                        *p0r.add(l) = v0.re;
-                        *p0i.add(l) = v0.im;
-                        *p1r.add(l) = v1.re;
-                        *p1i.add(l) = v1.im;
-                        *p2r.add(l) = v2.re;
-                        *p2i.add(l) = v2.im;
-                        *p3r.add(l) = v3.re;
-                        *p3i.add(l) = v3.im;
-                        l += 1;
-                    }
-                }
-                start += s * 4;
+    /// Twiddle `k` in this stage's direction. The reads are
+    /// bounds-checked, so a short table panics and never over-reads.
+    #[inline(always)]
+    fn twiddle(&self, k: usize) -> (f32, f32) {
+        let wi = self.tw_im[k];
+        (self.tw_re[k], if self.conj_w { -wi } else { wi })
+    }
+}
+
+/// A vector of complex lanes: `(re, im)`.
+type C<V> = (V, V);
+
+/// The `V::N` complex lanes at offset `at` of the planes.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA and both planes must be valid for
+/// `at + V::N` floats.
+#[inline(always)]
+unsafe fn load<V: Lanes>(s: &Stage<'_>, at: usize) -> C<V> {
+    // SAFETY: forwarded contract.
+    unsafe { (V::load(s.re.add(at)), V::load(s.im.add(at))) }
+}
+
+/// Write `x` to offset `at` of the planes.
+///
+/// # Safety
+/// As [`load`].
+#[inline(always)]
+unsafe fn store<V: Lanes>(s: &Stage<'_>, at: usize, x: C<V>) {
+    // SAFETY: forwarded contract.
+    unsafe {
+        x.0.store(s.re.add(at));
+        x.1.store(s.im.add(at));
+    }
+}
+
+/// `(x + y, x − y)` per lane.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA.
+#[inline(always)]
+unsafe fn butterfly<V: Lanes>(x: C<V>, y: C<V>) -> (C<V>, C<V>) {
+    // SAFETY: forwarded contract.
+    unsafe { ((x.0.add(y.0), x.1.add(y.1)), (x.0.sub(y.0), x.1.sub(y.1))) }
+}
+
+/// `x·w` per lane: `re = x.re·w.re − x.im·w.im`,
+/// `im = x.im·w.re + x.re·w.im`, one multiply and one fused
+/// multiply-add each.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA.
+#[inline(always)]
+unsafe fn cmul<V: Lanes>(x: C<V>, w: C<V>) -> C<V> {
+    // SAFETY: forwarded contract.
+    unsafe { (x.0.mul(w.0).fnma(x.1, w.1), x.1.mul(w.0).fma(x.0, w.1)) }
+}
+
+/// Lanes `from..to` (a whole number of `V`s) of one radix-2 row pair:
+/// the rows at plane offsets `a` and `b` become `a + w·b`, `a − w·b`.
+/// `w = None` is the `w = 1` row every block starts with, which skips
+/// the complex multiply entirely.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA and both planes must be valid for
+/// `a + to` and `b + to` floats.
+#[inline(always)]
+unsafe fn radix2_row<V: Lanes>(
+    s: &Stage<'_>,
+    (a, b): (usize, usize),
+    (from, to): (usize, usize),
+    w: Option<(f32, f32)>,
+) {
+    // SAFETY: every access is `V::N` floats at `row + l` with
+    // `l + V::N <= to`, inside the extent the caller guarantees.
+    unsafe {
+        let Some(w) = w else {
+            for l in (from..to).step_by(V::N) {
+                let (sum, diff) = butterfly(load::<V>(s, a + l), load(s, b + l));
+                store(s, a + l, sum);
+                store(s, b + l, diff);
+            }
+            return;
+        };
+        let w = (V::splat(w.0), V::splat(w.1));
+        for l in (from..to).step_by(V::N) {
+            let (sum, diff) = butterfly(load::<V>(s, a + l), cmul(load(s, b + l), w));
+            store(s, a + l, sum);
+            store(s, b + l, diff);
+        }
+    }
+}
+
+/// Lanes `from..to` (a whole number of `V`s) of one fused row group:
+/// the four rows at plane offsets `r` are loaded once, carried through
+/// both butterfly levels in registers and stored once. `w` is
+/// `[wa, wb1, wb2]`: stage A's twiddle (shared by both of its pairs)
+/// and stage B's two. `w = None` is the `j = 0` group, where
+/// `wa = wb1 = 1` and `wb2 = tw[n/4] = ∓i`, so `wb2·u3` is a
+/// swap-and-negate, folded into the last butterfly as FMAs against a
+/// broadcast ±1 (exact, so they round like the adds and subtracts they
+/// stand for, and the direction costs neither a branch nor a pointer).
+///
+/// # Safety
+/// The CPU must support `V`'s ISA and both planes must be valid for
+/// `r[q] + to` floats, `q < 4`.
+#[inline(always)]
+unsafe fn radix4_row<V: Lanes>(
+    s: &Stage<'_>,
+    r: [usize; 4],
+    (from, to): (usize, usize),
+    w: Option<[(f32, f32); 3]>,
+) {
+    // SAFETY: every access is `V::N` floats at `r[q] + l` with
+    // `l + V::N <= to`, inside the extent the caller guarantees.
+    unsafe {
+        let Some(w) = w else {
+            let sign = V::splat(if s.conj_w { -1.0 } else { 1.0 });
+            for l in (from..to).step_by(V::N) {
+                let (u0, u1) = butterfly(load::<V>(s, r[0] + l), load(s, r[1] + l));
+                let (u2, u3) = butterfly(load::<V>(s, r[2] + l), load(s, r[3] + l));
+                let (v0, v2) = butterfly(u0, u2);
+                store(s, r[0] + l, v0);
+                store(s, r[2] + l, v2);
+                // Rows 1, 3 ← u1 ± wb2·u3, with ∓i·u3 = ±(u3.im, −u3.re).
+                store(s, r[1] + l, (u1.0.fma(sign, u3.1), u1.1.fnma(sign, u3.0)));
+                store(s, r[3] + l, (u1.0.fnma(sign, u3.1), u1.1.fma(sign, u3.0)));
+            }
+            return;
+        };
+        let [wa, wb1, wb2] = w.map(|w| (V::splat(w.0), V::splat(w.1)));
+        for l in (from..to).step_by(V::N) {
+            // Stage A: rows 0, 1 ← a ± wa·b; rows 2, 3 ← c ± wa·d.
+            let (u0, u1) = butterfly(load::<V>(s, r[0] + l), cmul(load(s, r[1] + l), wa));
+            let (u2, u3) = butterfly(load::<V>(s, r[2] + l), cmul(load(s, r[3] + l), wa));
+            // Stage B: rows 0, 2 ← u0 ± wb1·u2; rows 1, 3 ← u1 ± wb2·u3.
+            let (v0, v2) = butterfly(u0, cmul(u2, wb1));
+            let (v1, v3) = butterfly(u1, cmul(u3, wb2));
+            store(s, r[0] + l, v0);
+            store(s, r[1] + l, v1);
+            store(s, r[2] + l, v2);
+            store(s, r[3] + l, v3);
+        }
+    }
+}
+
+/// SIMD body of [`lane_stage_dit`]: every `(start, j)` row pair of the
+/// stage schedule, each row as whole `V` vectors and then one lane at
+/// a time over the `lanes % V::N` floats left.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA, `s.re`/`s.im` must be valid for
+/// `s.n·s.lanes` floats and the geometry a radix-2 stage (`span ≥ 1`,
+/// `s.n` a multiple of `2·span`). `#[inline(always)]` so the intrinsics
+/// inline into the `#[target_feature]` caller.
+#[inline(always)]
+unsafe fn lane_stage<V: Lanes>(s: &Stage<'_>, span: usize, stride: usize) {
+    let whole = s.lanes - s.lanes % V::N;
+    for start in (0..s.n).step_by(span * 2) {
+        for j in 0..span {
+            let rows = ((start + j) * s.lanes, (start + j + span) * s.lanes);
+            let w = (j != 0).then(|| s.twiddle(j * stride));
+            // SAFETY: the schedule keeps `start + j + span <= n − 1`,
+            // so both rows' `lanes` floats lie inside the planes.
+            unsafe {
+                radix2_row::<V>(s, rows, (0, whole), w);
+                radix2_row::<f32>(s, rows, (whole, s.lanes), w);
             }
         }
+    }
+}
+
+/// SIMD body of [`lane_stage2_dit`]: every `(start, j)` group of four
+/// rows (`start + j`, `+span`, `+2·span`, `+3·span`) of the fused
+/// schedule, vectors then single lanes as in [`lane_stage`].
+///
+/// # Safety
+/// The CPU must support `V`'s ISA, `s.re`/`s.im` must be valid for
+/// `s.n·s.lanes` floats and the geometry a fused pair of stages
+/// (`span ≥ 1`, `s.n` a multiple of `4·span`). `#[inline(always)]` so
+/// the intrinsics inline into the `#[target_feature]` caller.
+#[inline(always)]
+unsafe fn lane_stage2<V: Lanes>(s: &Stage<'_>, span: usize, stride_a: usize, stride_b: usize) {
+    let whole = s.lanes - s.lanes % V::N;
+    for start in (0..s.n).step_by(span * 4) {
+        for j in 0..span {
+            let rows = [0, 1, 2, 3].map(|q| (start + j + q * span) * s.lanes);
+            let w = [j * stride_a, j * stride_b, (j + span) * stride_b];
+            let w = (j != 0).then(|| w.map(|k| s.twiddle(k)));
+            // SAFETY: the schedule keeps `start + j + 3·span <= n − 1`,
+            // so all four rows' `lanes` floats lie inside the planes.
+            unsafe {
+                radix4_row::<V>(s, rows, (0, whole), w);
+                radix4_row::<f32>(s, rows, (whole, s.lanes), w);
+            }
+        }
+    }
+}
+
+/// The AVX2+FMA shims of the generic stages, and the 8×8 transpose
+/// block — the one kernel here that needs shuffles.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{lane_stage, lane_stage2, Stage};
+    use std::arch::x86_64::*;
+
+    /// # Safety
+    /// [`lane_stage`]'s contract; AVX2 and FMA detected.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn lane_stage_avx2(s: &Stage<'_>, span: usize, stride: usize) {
+        // SAFETY: forwarded contract; this fn enables `__m256`'s ISA.
+        unsafe { lane_stage::<__m256>(s, span, stride) }
+    }
+
+    /// # Safety
+    /// [`lane_stage2`]'s contract; AVX2 and FMA detected.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn lane_stage2_avx2(s: &Stage<'_>, span: usize, sa: usize, sb: usize) {
+        // SAFETY: forwarded contract; this fn enables `__m256`'s ISA.
+        unsafe { lane_stage2::<__m256>(s, span, sa, sb) }
     }
 
     /// In-register 8×8 f32 transpose (classic unpack → shuffle →
@@ -406,10 +348,6 @@ mod avx2 {
         cols: usize,
         dst: &mut [f32],
     ) {
-        debug_assert!(
-            src.len() >= rows * cols && dst.len() >= rows * cols,
-            "rows*cols extent"
-        );
         let rb = rows / 8 * 8;
         let cb = cols / 8 * 8;
         // SAFETY: post-detection execution. Block loads read
@@ -442,6 +380,7 @@ mod avx2 {
                     c += 8;
                 }
                 c = cb;
+                // Edge columns and rows: bounds-checked indexing.
                 while c < cols {
                     for k in 0..8 {
                         dst[c * rows + r + k] = src[(r + k) * cols + c];
@@ -450,6 +389,7 @@ mod avx2 {
                 }
                 r += 8;
             }
+            // Bounds-checked indexing, as above.
             while r < rows {
                 for c in 0..cols {
                     dst[c * rows + r] = src[r * cols + c];
@@ -460,122 +400,27 @@ mod avx2 {
     }
 }
 
-/// NEON bodies: `vfmaq/vfmsq` butterflies over broadcast twiddles and a
-/// 4×4 `vtrn1q/vtrn2q` transpose block.
+/// The NEON shims of the generic stages, and the 4×4 `vtrn1q/vtrn2q`
+/// transpose block.
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::Complex32;
+    use super::{lane_stage, lane_stage2, Stage};
     use std::arch::aarch64::*;
 
-    /// One whole radix-2 DIT stage inside a single `target_feature`
-    /// call — NEON mirror of the AVX2 stage kernel, including the
-    /// multiply-free `k == 0` (`w = 1`) row.
-    ///
     /// # Safety
-    /// NEON must be available; planes must cover `n·lanes`, twiddle
-    /// tables `(span − 1)·stride`, and the stage geometry must be a
-    /// valid radix-2 schedule (`span·2 ≤ n`, `n` a multiple of
-    /// `span·2`).
-    #[allow(clippy::too_many_arguments)]
+    /// [`lane_stage`]'s contract; NEON is baseline on AArch64.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn lane_stage_dit_neon(
-        re: &mut [f32],
-        im: &mut [f32],
-        n: usize,
-        lanes: usize,
-        span: usize,
-        stride: usize,
-        tw_re: &[f32],
-        tw_im: &[f32],
-        conj_w: bool,
-    ) {
-        debug_assert!(
-            re.len() >= n * lanes && im.len() >= n * lanes,
-            "planes cover n*lanes"
-        );
-        debug_assert!(
-            span == 0 || (tw_re.len() > (span - 1) * stride && tw_im.len() > (span - 1) * stride),
-            "twiddles cover the stage"
-        );
-        // SAFETY: the stage schedule keeps `start + j + span ≤ n − 1`,
-        // so rows `a`/`b` are inside the caller-guaranteed `n·lanes`
-        // extent; the vector loop stays in `[l, l + 4)` while
-        // `l + 4 <= lv ≤ lanes` and the per-element tails stay below
-        // `lanes`, all through the raw plane pointers. Twiddle reads at
-        // `j·stride` are covered by the caller's table precondition.
-        unsafe {
-            let rp = re.as_mut_ptr();
-            let ip = im.as_mut_ptr();
-            let lv = lanes / 4 * 4;
-            let mut start = 0;
-            while start < n {
-                for j in 0..span {
-                    let a = (start + j) * lanes;
-                    let b = (start + j + span) * lanes;
-                    let arp = rp.add(a);
-                    let aip = ip.add(a);
-                    let brp = rp.add(b);
-                    let bip = ip.add(b);
-                    let k = j * stride;
-                    if k == 0 {
-                        // w = 1: a, b ← a + b, a − b.
-                        let mut l = 0;
-                        while l < lv {
-                            let arv = vld1q_f32(arp.add(l));
-                            let brv = vld1q_f32(brp.add(l));
-                            vst1q_f32(arp.add(l), vaddq_f32(arv, brv));
-                            vst1q_f32(brp.add(l), vsubq_f32(arv, brv));
-                            let aiv = vld1q_f32(aip.add(l));
-                            let biv = vld1q_f32(bip.add(l));
-                            vst1q_f32(aip.add(l), vaddq_f32(aiv, biv));
-                            vst1q_f32(bip.add(l), vsubq_f32(aiv, biv));
-                            l += 4;
-                        }
-                        while l < lanes {
-                            let (x, y) = (*arp.add(l), *brp.add(l));
-                            *arp.add(l) = x + y;
-                            *brp.add(l) = x - y;
-                            let (x, y) = (*aip.add(l), *bip.add(l));
-                            *aip.add(l) = x + y;
-                            *bip.add(l) = x - y;
-                            l += 1;
-                        }
-                        continue;
-                    }
-                    let wre = tw_re[k];
-                    let wim = if conj_w { -tw_im[k] } else { tw_im[k] };
-                    let wr = vdupq_n_f32(wre);
-                    let wi = vdupq_n_f32(wim);
-                    let mut l = 0;
-                    while l < lv {
-                        let brv = vld1q_f32(brp.add(l));
-                        let biv = vld1q_f32(bip.add(l));
-                        // y = w·b: yr = br·wr − bi·wi, yi = br·wi + bi·wr.
-                        let yr = vfmsq_f32(vmulq_f32(brv, wr), biv, wi);
-                        let yi = vfmaq_f32(vmulq_f32(biv, wr), brv, wi);
-                        let arv = vld1q_f32(arp.add(l));
-                        let aiv = vld1q_f32(aip.add(l));
-                        vst1q_f32(arp.add(l), vaddq_f32(arv, yr));
-                        vst1q_f32(aip.add(l), vaddq_f32(aiv, yi));
-                        vst1q_f32(brp.add(l), vsubq_f32(arv, yr));
-                        vst1q_f32(bip.add(l), vsubq_f32(aiv, yi));
-                        l += 4;
-                    }
-                    while l < lanes {
-                        // Same Complex32 arithmetic as the scalar
-                        // oracle's per-lane body.
-                        let y = Complex32::new(*brp.add(l), *bip.add(l)) * Complex32::new(wre, wim);
-                        let (xr, xi) = (*arp.add(l), *aip.add(l));
-                        *arp.add(l) = xr + y.re;
-                        *aip.add(l) = xi + y.im;
-                        *brp.add(l) = xr - y.re;
-                        *bip.add(l) = xi - y.im;
-                        l += 1;
-                    }
-                }
-                start += span * 2;
-            }
-        }
+    pub(super) unsafe fn lane_stage_neon(s: &Stage<'_>, span: usize, stride: usize) {
+        // SAFETY: forwarded contract; this fn enables the NEON ISA.
+        unsafe { lane_stage::<float32x4_t>(s, span, stride) }
+    }
+
+    /// # Safety
+    /// [`lane_stage2`]'s contract; NEON is baseline on AArch64.
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn lane_stage2_neon(s: &Stage<'_>, span: usize, sa: usize, sb: usize) {
+        // SAFETY: forwarded contract; this fn enables the NEON ISA.
+        unsafe { lane_stage2::<float32x4_t>(s, span, sa, sb) }
     }
 
     /// In-register 4×4 f32 transpose via the `vtrn1q/vtrn2q` lane
@@ -624,10 +469,6 @@ mod neon {
         cols: usize,
         dst: &mut [f32],
     ) {
-        debug_assert!(
-            src.len() >= rows * cols && dst.len() >= rows * cols,
-            "rows*cols extent"
-        );
         let rb = rows / 4 * 4;
         let cb = cols / 4 * 4;
         // SAFETY: block loads read `src[(r + k)·cols + c .. + 4]` and
@@ -655,6 +496,7 @@ mod neon {
                     c += 4;
                 }
                 c = cb;
+                // Edge columns and rows: bounds-checked indexing.
                 while c < cols {
                     for k in 0..4 {
                         dst[c * rows + r + k] = src[(r + k) * cols + c];
@@ -663,6 +505,7 @@ mod neon {
                 }
                 r += 4;
             }
+            // Bounds-checked indexing, as above.
             while r < rows {
                 for c in 0..cols {
                     dst[c * rows + r] = src[r * cols + c];
@@ -671,14 +514,6 @@ mod neon {
             }
         }
     }
-}
-
-/// Resolve the dispatch decision for a whole split-layout transform.
-/// One dispatch-table read per transform; the split kernels then branch
-/// on the returned [`Isa`] without touching atomics again.
-#[inline]
-pub fn split_isa() -> Isa {
-    gcnn_tensor::simd::isa()
 }
 
 /// One whole radix-2 DIT stage over bin-major split planes: for every
@@ -692,6 +527,10 @@ pub fn split_isa() -> Isa {
 /// dispatch match, an un-inlinable `target_feature` call and a pointer
 /// prologue per `lanes`-float row would rival the row's own FMA work at
 /// the row lengths the 2-D rfft produces.
+///
+/// # Panics
+/// Unless the planes are `n·lanes` floats, `span` is a stage of `n` and
+/// the tables reach `(span − 1)·stride`: the raw bodies rely on these.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lane_stage_dit(
@@ -706,37 +545,23 @@ pub fn lane_stage_dit(
     conj_w: bool,
     isa: Isa,
 ) {
-    debug_assert!(
-        re.len() == n * lanes && im.len() == n * lanes,
-        "lane_stage_dit: plane extent mismatch"
-    );
-    debug_assert!(
-        span * 2 <= n && n.is_multiple_of(span * 2),
+    let s = Stage::new("lane_stage_dit", re, im, n, lanes, tw_re, tw_im, conj_w);
+    assert!(
+        span >= 1 && span * 2 <= n && n.is_multiple_of(span * 2),
         "lane_stage_dit: invalid stage geometry"
     );
-    debug_assert!(
-        span == 0 || tw_re.len() > (span - 1) * stride && tw_im.len() > (span - 1) * stride,
+    assert!(
+        tw_re.len() > (span - 1) * stride && tw_im.len() > (span - 1) * stride,
         "lane_stage_dit: twiddle table short"
     );
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection; extents, table coverage and stage geometry are
-            // debug-asserted above and guaranteed by the radix-2
-            // schedule in `fft_lanes_inplace`.
-            unsafe {
-                avx2::lane_stage_dit_avx2(re, im, n, lanes, span, stride, tw_re, tw_im, conj_w)
-            }
-        }
+        // SAFETY: `Avx2Fma` is only selected after runtime AVX2+FMA
+        // detection; the asserts above are the body's whole contract.
+        Isa::Avx2Fma => unsafe { avx2::lane_stage_avx2(&s, span, stride) },
         #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            // SAFETY: NEON is baseline on AArch64; same precondition
-            // argument as the AVX2 arm.
-            unsafe {
-                neon::lane_stage_dit_neon(re, im, n, lanes, span, stride, tw_re, tw_im, conj_w)
-            }
-        }
+        // SAFETY: NEON is baseline on AArch64; contract as above.
+        Isa::Neon => unsafe { neon::lane_stage_neon(&s, span, stride) },
         _ => lane_stage_dit_scalar(re, im, n, lanes, span, stride, tw_re, tw_im, conj_w),
     }
 }
@@ -792,9 +617,14 @@ pub fn lane_stage_dit_scalar(
 /// Equivalent to `lane_stage_dit(span = s)` followed by
 /// `lane_stage_dit(span = 2s)` up to floating-point rounding (the
 /// fused form keeps intermediates in registers and resolves the
-/// `tw[n/4] = ∓i` twiddle as a swap-and-negate). The AVX2 body fuses;
-/// other ISAs run the two stages through their single-stage kernels,
-/// which keeps the scalar arm bit-identical to the unfused schedule.
+/// `tw[n/4] = ∓i` twiddle as a swap-and-negate). Every SIMD ISA fuses;
+/// the scalar tier runs the two stages through
+/// [`lane_stage_dit_scalar`], bit-identical to the unfused schedule.
+///
+/// # Panics
+/// Unless the planes are `n·lanes` floats, `s` and `2s` are stages of
+/// `n`, the strides are `n/(2s)` and `n/(4s)` and the tables reach
+/// `(2s − 1)·stride_b`: the raw bodies rely on these.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lane_stage2_dit(
@@ -810,38 +640,30 @@ pub fn lane_stage2_dit(
     conj_w: bool,
     isa: Isa,
 ) {
-    debug_assert!(
-        re.len() == n * lanes && im.len() == n * lanes,
-        "lane_stage2_dit: plane extent mismatch"
-    );
-    debug_assert!(
-        s * 4 <= n && n.is_multiple_of(s * 4),
+    let st = Stage::new("lane_stage2_dit", re, im, n, lanes, tw_re, tw_im, conj_w);
+    assert!(
+        s >= 1 && s * 4 <= n && n.is_multiple_of(s * 4),
         "lane_stage2_dit: invalid fused geometry"
     );
-    debug_assert!(
+    assert!(
         stride_a == n / (s * 2) && stride_b == n / (s * 4),
         "lane_stage2_dit: stride mismatch"
     );
-    debug_assert!(
+    assert!(
         tw_re.len() > (2 * s - 1) * stride_b && tw_im.len() > (2 * s - 1) * stride_b,
         "lane_stage2_dit: twiddle table short"
     );
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection; extents, table coverage and the fused stage
-            // geometry are debug-asserted above and guaranteed by the
-            // radix-2 schedule in `fft_lanes_inplace`.
-            unsafe {
-                avx2::lane_stage2_dit_avx2(
-                    re, im, n, lanes, s, stride_a, stride_b, tw_re, tw_im, conj_w,
-                )
-            }
-        }
+        // SAFETY: `Avx2Fma` is only selected after runtime AVX2+FMA
+        // detection; the asserts above are the body's whole contract.
+        Isa::Avx2Fma => unsafe { avx2::lane_stage2_avx2(&st, s, stride_a, stride_b) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is baseline on AArch64; contract as above.
+        Isa::Neon => unsafe { neon::lane_stage2_neon(&st, s, stride_a, stride_b) },
         _ => {
-            lane_stage_dit(re, im, n, lanes, s, stride_a, tw_re, tw_im, conj_w, isa);
-            lane_stage_dit(re, im, n, lanes, s * 2, stride_b, tw_re, tw_im, conj_w, isa);
+            lane_stage_dit_scalar(re, im, n, lanes, s, stride_a, tw_re, tw_im, conj_w);
+            lane_stage_dit_scalar(re, im, n, lanes, s * 2, stride_b, tw_re, tw_im, conj_w);
         }
     }
 }
@@ -850,23 +672,29 @@ pub fn lane_stage2_dit(
 /// This is the lane-layout conversion between the row and column passes
 /// of the batch-major 2-D transform; the SIMD bodies work in 8×8 (AVX2
 /// unpack/shuffle/permute2f128) or 4×4 (NEON `vtrn1q/vtrn2q`) blocks.
+///
+/// # Panics
+/// If `src` or `dst` is shorter than `rows·cols` — the block loads and
+/// stores rely on exactly this.
 #[inline]
 pub fn transpose_f32(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], isa: Isa) {
-    debug_assert!(src.len() >= rows * cols, "transpose_f32: src short");
-    debug_assert!(dst.len() >= rows * cols, "transpose_f32: dst short");
+    let len = rows.checked_mul(cols);
+    assert!(
+        len.is_some_and(|len| src.len() >= len),
+        "transpose_f32: src short"
+    );
+    assert!(
+        len.is_some_and(|len| dst.len() >= len),
+        "transpose_f32: dst short"
+    );
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: Avx2Fma is only returned after runtime AVX2+FMA
-            // detection; src/dst cover rows·cols per the debug asserts
-            // (callers pass exact-size planes).
-            unsafe { avx2::transpose_f32_avx2(src, rows, cols, dst) }
-        }
+        // SAFETY: `Avx2Fma` is only selected after runtime AVX2+FMA
+        // detection; both slices cover `rows·cols` per the asserts.
+        Isa::Avx2Fma => unsafe { avx2::transpose_f32_avx2(src, rows, cols, dst) },
         #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            // SAFETY: NEON is baseline on AArch64.
-            unsafe { neon::transpose_f32_neon(src, rows, cols, dst) }
-        }
+        // SAFETY: NEON is baseline on AArch64; extents as above.
+        Isa::Neon => unsafe { neon::transpose_f32_neon(src, rows, cols, dst) },
         _ => transpose_f32_scalar(src, rows, cols, dst),
     }
 }
@@ -896,9 +724,36 @@ pub fn transpose_f32_scalar(src: &[f32], rows: usize, cols: usize, dst: &mut [f3
 mod tests {
     use super::*;
     use crate::plan::FftPlan;
+    use gcnn_tensor::simd::isa;
 
-    fn plane(n: usize, seed: f32) -> Vec<f32> {
-        (0..n).map(|i| (i as f32 * seed + seed).sin()).collect()
+    /// Full vectors at 4, 8 and 16 lanes, every remainder around them,
+    /// the all-remainder rows and the `n/2 + 1` row lengths of the 2-D
+    /// rfft (9, 17, 33, 65).
+    const LANES: [usize; 10] = [1, 3, 7, 8, 9, 13, 16, 17, 33, 65];
+
+    type Planes = (Vec<f32>, Vec<f32>);
+
+    fn planes(len: usize, seed: f32) -> Planes {
+        let plane = |seed: f32| (0..len).map(|i| (i as f32 * seed + seed).sin()).collect();
+        (plane(seed), plane(seed + 0.16))
+    }
+
+    /// `stage` on a fresh copy of `input` must land within 1e-5 of
+    /// `want`, and a second run must reproduce the first bit for bit.
+    fn check(what: &str, input: &Planes, want: &Planes, stage: impl Fn(&mut [f32], &mut [f32])) {
+        let run = || {
+            let (mut re, mut im) = input.clone();
+            stage(&mut re, &mut im);
+            (re, im)
+        };
+        let got = run();
+        assert_eq!(got, run(), "{what}: two runs differ");
+        for i in 0..got.0.len() {
+            assert!(
+                (got.0[i] - want.0[i]).abs() < 1e-5 && (got.1[i] - want.1[i]).abs() < 1e-5,
+                "{what} elem {i}"
+            );
+        }
     }
 
     /// AVX-512F is a capability beside the ISA, not a fourth variant:
@@ -907,30 +762,28 @@ mod tests {
     #[test]
     fn avx512_host_keeps_avx2_lane_kernels() {
         if gcnn_tensor::simd::avx512f() {
-            assert_eq!(split_isa(), Isa::Avx2Fma);
+            assert_eq!(isa(), Isa::Avx2Fma);
         }
     }
 
-    /// The dispatched single-stage kernel matches the scalar body for
-    /// every stage geometry of a radix-2 schedule, both directions, on
-    /// lane counts that exercise full vectors, tails and the all-tail
-    /// case.
+    /// Both instantiations of the single-stage body this host can run —
+    /// the host's vector through the dispatcher, and `f32` over whole
+    /// rows — match the scalar body for every stage geometry of a
+    /// radix-2 schedule, both directions, every lane count.
     #[test]
     fn lane_stage_matches_scalar_all_stages() {
         let n = 32;
         let plan = FftPlan::new(n);
         let (tw_re, tw_im) = plan.table_split();
-        for lanes in [1usize, 3, 8, 13, 33] {
+        for lanes in LANES {
             for conj_w in [false, true] {
-                let mut span = 1;
-                while span * 2 <= n {
+                for span in [1, 2, 4, 8, 16] {
                     let stride = n / (span * 2);
-                    let mut re = plane(n * lanes, 0.31);
-                    let mut im = plane(n * lanes, 0.47);
-                    let (mut xr, mut xi) = (re.clone(), im.clone());
-                    lane_stage_dit(
-                        &mut re,
-                        &mut im,
+                    let input = planes(n * lanes, 0.31);
+                    let mut want = input.clone();
+                    lane_stage_dit_scalar(
+                        &mut want.0,
+                        &mut want.1,
                         n,
                         lanes,
                         span,
@@ -938,73 +791,77 @@ mod tests {
                         tw_re,
                         tw_im,
                         conj_w,
-                        split_isa(),
                     );
-                    lane_stage_dit_scalar(
-                        &mut xr, &mut xi, n, lanes, span, stride, tw_re, tw_im, conj_w,
-                    );
-                    for i in 0..n * lanes {
-                        assert!(
-                            (re[i] - xr[i]).abs() < 1e-5 && (im[i] - xi[i]).abs() < 1e-5,
-                            "lanes {lanes} span {span} conj {conj_w} elem {i}"
-                        );
-                    }
-                    span *= 2;
+                    let what = format!("lanes {lanes} span {span} conj {conj_w}");
+                    check(&format!("{what} dispatched"), &input, &want, |re, im| {
+                        lane_stage_dit(re, im, n, lanes, span, stride, tw_re, tw_im, conj_w, isa())
+                    });
+                    check(&format!("{what} f32"), &input, &want, |re, im| {
+                        let (re, im) = (re.as_mut_ptr(), im.as_mut_ptr());
+                        let s = Stage {
+                            re,
+                            im,
+                            n,
+                            lanes,
+                            tw_re,
+                            tw_im,
+                            conj_w,
+                        };
+                        // SAFETY: `f32` lanes need no ISA; the planes are
+                        // `n·lanes` floats and `span` is a stage of `n`.
+                        unsafe { lane_stage::<f32>(&s, span, stride) }
+                    });
                 }
             }
         }
     }
 
-    /// The fused double stage equals two scalar single stages (spans
-    /// `s` and `2s`) at every fused geometry, including the `j == 0`
-    /// swap-and-negate row.
+    /// Both instantiations of the fused double stage equal two scalar
+    /// single stages (spans `s` and `2s`) at every fused geometry,
+    /// including the `j == 0` swap-and-negate row.
     #[test]
     fn lane_stage2_matches_two_scalar_stages() {
         let n = 32;
         let plan = FftPlan::new(n);
         let (tw_re, tw_im) = plan.table_split();
-        for lanes in [1usize, 3, 8, 13, 33] {
+        for lanes in LANES {
             for conj_w in [false, true] {
-                let mut s = 1;
-                while s * 4 <= n {
-                    let (stride_a, stride_b) = (n / (s * 2), n / (s * 4));
-                    let mut re = plane(n * lanes, 0.59);
-                    let mut im = plane(n * lanes, 0.73);
-                    let (mut xr, mut xi) = (re.clone(), im.clone());
-                    lane_stage2_dit(
-                        &mut re,
-                        &mut im,
-                        n,
-                        lanes,
-                        s,
-                        stride_a,
-                        stride_b,
-                        tw_re,
-                        tw_im,
-                        conj_w,
-                        split_isa(),
-                    );
-                    lane_stage_dit_scalar(
-                        &mut xr, &mut xi, n, lanes, s, stride_a, tw_re, tw_im, conj_w,
-                    );
-                    lane_stage_dit_scalar(
-                        &mut xr,
-                        &mut xi,
-                        n,
-                        lanes,
-                        s * 2,
-                        stride_b,
-                        tw_re,
-                        tw_im,
-                        conj_w,
-                    );
-                    for i in 0..n * lanes {
-                        assert!(
-                            (re[i] - xr[i]).abs() < 1e-5 && (im[i] - xi[i]).abs() < 1e-5,
-                            "lanes {lanes} s {s} conj {conj_w} elem {i}"
+                for s in [1, 2, 4, 8] {
+                    let (sa, sb) = (n / (s * 2), n / (s * 4));
+                    let input = planes(n * lanes, 0.59);
+                    let mut want = input.clone();
+                    for (span, stride) in [(s, sa), (s * 2, sb)] {
+                        lane_stage_dit_scalar(
+                            &mut want.0,
+                            &mut want.1,
+                            n,
+                            lanes,
+                            span,
+                            stride,
+                            tw_re,
+                            tw_im,
+                            conj_w,
                         );
                     }
-                    s *= 2;
+                    let what = format!("lanes {lanes} s {s} conj {conj_w}");
+                    check(&format!("{what} dispatched"), &input, &want, |re, im| {
+                        lane_stage2_dit(re, im, n, lanes, s, sa, sb, tw_re, tw_im, conj_w, isa())
+                    });
+                    check(&format!("{what} f32"), &input, &want, |re, im| {
+                        let (re, im) = (re.as_mut_ptr(), im.as_mut_ptr());
+                        let st = Stage {
+                            re,
+                            im,
+                            n,
+                            lanes,
+                            tw_re,
+                            tw_im,
+                            conj_w,
+                        };
+                        // SAFETY: `f32` lanes need no ISA; the planes are
+                        // `n·lanes` floats and `s` is a fused stage of `n`.
+                        unsafe { lane_stage2::<f32>(&st, s, sa, sb) }
+                    });
                 }
             }
         }
@@ -1015,10 +872,10 @@ mod tests {
     #[test]
     fn transpose_matches_scalar() {
         for (rows, cols) in [(1, 1), (8, 8), (16, 16), (5, 9), (9, 5), (33, 17), (64, 33)] {
-            let src = plane(rows * cols, 0.17);
+            let src = planes(rows * cols, 0.17).0;
             let mut got = vec![0.0f32; rows * cols];
             let mut want = vec![0.0f32; rows * cols];
-            transpose_f32(&src, rows, cols, &mut got, split_isa());
+            transpose_f32(&src, rows, cols, &mut got, isa());
             transpose_f32_scalar(&src, rows, cols, &mut want);
             assert_eq!(got, want, "{rows}x{cols}");
             // And it really is the transpose.

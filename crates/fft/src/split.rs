@@ -58,7 +58,7 @@ pub fn fft_lanes_inplace(
     // × butterfly-row schedule inside the dispatch boundary
     // ([`simd::lane_stage_dit`]), instead of one dispatched call per
     // `lanes`-float row.
-    let isa = simd::split_isa();
+    let isa = gcnn_tensor::simd::isa();
     let (tw_re, tw_im) = plan.table_split();
     let conj_w = dir == Direction::Inverse;
     // Fused double stages (the radix-4 data flow) as long as two whole

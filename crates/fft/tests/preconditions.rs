@@ -1,12 +1,12 @@
-//! Debug-build precondition tests for the lane-kernel dispatchers: a
-//! plane that does not cover `n·lanes`, an impossible stage geometry, a
-//! short twiddle table or a short transpose buffer must trip the
-//! `debug_assert!` guards before any kernel runs. Gated on
-//! `debug_assertions` because release CI compiles the asserts away.
+//! Precondition tests for the lane-kernel entry points: a plane that
+//! does not cover `n·lanes`, an impossible stage geometry, a short
+//! twiddle table or a short transpose buffer must panic with a message
+//! at the API boundary — the raw bodies load and store through pointers
+//! on the strength of these checks, so they are `assert!`s, live in
+//! release builds too.
 
-#![cfg(debug_assertions)]
-
-use gcnn_fft::simd::{lane_stage2_dit, lane_stage_dit, split_isa, transpose_f32};
+use gcnn_fft::simd::{lane_stage2_dit, lane_stage_dit, transpose_f32};
+use gcnn_tensor::simd::isa;
 
 const N: usize = 8;
 const LANES: usize = 4;
@@ -17,18 +17,7 @@ fn stage_rejects_short_plane() {
     let mut re = [0.0f32; N * LANES];
     let mut im = [0.0f32; N * LANES - 1];
     let tw = [1.0f32; N / 2];
-    lane_stage_dit(
-        &mut re,
-        &mut im,
-        N,
-        LANES,
-        1,
-        N / 2,
-        &tw,
-        &tw,
-        false,
-        split_isa(),
-    );
+    lane_stage_dit(&mut re, &mut im, N, LANES, 1, N / 2, &tw, &tw, false, isa());
 }
 
 #[test]
@@ -37,18 +26,7 @@ fn stage_rejects_span_past_half() {
     let mut re = [0.0f32; N * LANES];
     let mut im = [0.0f32; N * LANES];
     let tw = [1.0f32; N];
-    lane_stage_dit(
-        &mut re,
-        &mut im,
-        N,
-        LANES,
-        N,
-        1,
-        &tw,
-        &tw,
-        false,
-        split_isa(),
-    );
+    lane_stage_dit(&mut re, &mut im, N, LANES, N, 1, &tw, &tw, false, isa());
 }
 
 #[test]
@@ -58,18 +36,7 @@ fn stage_rejects_strided_short_twiddle_table() {
     let mut im = [0.0f32; N * LANES];
     // span 4 at stride 2 reads up to tw[(4 − 1)·2] = tw[6].
     let tw = [1.0f32; 4];
-    lane_stage_dit(
-        &mut re,
-        &mut im,
-        N,
-        LANES,
-        4,
-        2,
-        &tw,
-        &tw,
-        false,
-        split_isa(),
-    );
+    lane_stage_dit(&mut re, &mut im, N, LANES, 4, 2, &tw, &tw, false, isa());
 }
 
 #[test]
@@ -78,19 +45,7 @@ fn stage2_rejects_span_past_quarter() {
     let mut re = [0.0f32; N * LANES];
     let mut im = [0.0f32; N * LANES];
     let tw = [1.0f32; N];
-    lane_stage2_dit(
-        &mut re,
-        &mut im,
-        N,
-        LANES,
-        4,
-        1,
-        1,
-        &tw,
-        &tw,
-        false,
-        split_isa(),
-    );
+    lane_stage2_dit(&mut re, &mut im, N, LANES, 4, 1, 1, &tw, &tw, false, isa());
 }
 
 #[test]
@@ -100,19 +55,7 @@ fn stage2_rejects_inconsistent_strides() {
     let mut im = [0.0f32; N * LANES];
     let tw = [1.0f32; N];
     // s = 1 needs stride_a = n/2 = 4 and stride_b = n/4 = 2.
-    lane_stage2_dit(
-        &mut re,
-        &mut im,
-        N,
-        LANES,
-        1,
-        4,
-        1,
-        &tw,
-        &tw,
-        false,
-        split_isa(),
-    );
+    lane_stage2_dit(&mut re, &mut im, N, LANES, 1, 4, 1, &tw, &tw, false, isa());
 }
 
 #[test]
@@ -120,7 +63,7 @@ fn stage2_rejects_inconsistent_strides() {
 fn transpose_rejects_short_source() {
     let src = [0.0f32; 11];
     let mut dst = [0.0f32; 12];
-    transpose_f32(&src, 3, 4, &mut dst, split_isa());
+    transpose_f32(&src, 3, 4, &mut dst, isa());
 }
 
 #[test]
@@ -128,5 +71,5 @@ fn transpose_rejects_short_source() {
 fn transpose_rejects_short_destination() {
     let src = [0.0f32; 12];
     let mut dst = [0.0f32; 11];
-    transpose_f32(&src, 3, 4, &mut dst, split_isa());
+    transpose_f32(&src, 3, 4, &mut dst, isa());
 }

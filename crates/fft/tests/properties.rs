@@ -223,7 +223,7 @@ proptest! {
     ) {
         let src = lcg_vec(rows * cols, seed);
         let mut a = vec![0.0f32; rows * cols];
-        simd::transpose_f32(&src, rows, cols, &mut a, simd::split_isa());
+        simd::transpose_f32(&src, rows, cols, &mut a, gcnn_tensor::simd::isa());
         let mut b = vec![0.0f32; rows * cols];
         simd::transpose_f32_scalar(&src, rows, cols, &mut b);
         prop_assert_eq!(a, b);
@@ -241,8 +241,8 @@ fn forced_scalar_kernels_are_bit_identical() {
 
     let was_scalar = gcnn_tensor::simd::isa() == Isa::Scalar;
     gcnn_tensor::simd::set_force_scalar(true);
-    let isa = simd::split_isa();
-    assert_eq!(isa, Isa::Scalar, "force_scalar not honored by split_isa");
+    let isa = gcnn_tensor::simd::isa();
+    assert_eq!(isa, Isa::Scalar, "force_scalar not honored by isa()");
 
     let (re0, im0) = (lcg_vec(n * lanes, 11), lcg_vec(n * lanes, 12));
     for conj_w in [false, true] {

@@ -102,21 +102,34 @@ pub fn sgemm(
     );
 }
 
-/// Check one stored operand against its slice: the packing and dot
-/// kernels slice rows out of `data` on the strength of this. An empty
-/// operand (`k == 0`) occupies nothing and constrains nothing.
-fn check_operand(name: &str, data: &[f32], rows: usize, cols: usize, ld: usize) {
+/// Check one stored operand of `routine` against its slice: the
+/// packing and dot kernels slice rows out of `data`, and the split
+/// CGEMM loads and stores through pointers, on the strength of this. An
+/// empty operand (`k == 0`) occupies nothing and constrains nothing; a
+/// size that overflows fits no slice.
+#[inline]
+pub(crate) fn check_operand(
+    routine: &str,
+    name: &str,
+    data: &[f32],
+    rows: usize,
+    cols: usize,
+    ld: usize,
+) {
     if rows == 0 || cols == 0 {
         return;
     }
     assert!(
         ld >= cols,
-        "sgemm: ld{name} {ld} < stored row length {cols}"
+        "{routine}: ld{name} {ld} < stored row length {cols}"
     );
-    let need = (rows - 1) * ld + cols;
+    let need = (rows - 1)
+        .checked_mul(ld)
+        .and_then(|v| v.checked_add(cols))
+        .unwrap_or(usize::MAX);
     assert!(
         data.len() >= need,
-        "sgemm: {name} has {} elements, stored {rows}x{cols} (ld {ld}) needs {need}",
+        "{routine}: {name} has {} elements, stored {rows}x{cols} (ld {ld}) needs {need}",
         data.len()
     );
 }
@@ -150,9 +163,9 @@ pub fn sgemm_blocked(
     assert!(blocks.validate(), "sgemm: invalid block sizes {blocks:?}");
     let (a_rows, a_cols) = if transa.flag() { (k, m) } else { (m, k) };
     let (b_rows, b_cols) = if transb.flag() { (n, k) } else { (k, n) };
-    check_operand("a", a, a_rows, a_cols, lda);
-    check_operand("b", b, b_rows, b_cols, ldb);
-    check_operand("c", c, m, n, ldc);
+    check_operand("sgemm", "a", a, a_rows, a_cols, lda);
+    check_operand("sgemm", "b", b, b_rows, b_cols, ldb);
+    check_operand("sgemm", "c", c, m, n, ldc);
 
     let _span = gcnn_trace::span("gemm.sgemm");
     sgemm_calls().inc();

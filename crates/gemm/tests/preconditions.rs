@@ -1,12 +1,12 @@
-//! Precondition tests for the GEMM entry points: a short packed strip,
-//! an undersized C tile, a leading dimension smaller than the stored
-//! row or a slice that does not cover its operand must panic with a
-//! message at the API boundary — the raw kernel bodies and the packing
-//! routines index on the strength of these checks, so they are
-//! `assert!`s, live in release builds too.
+//! Precondition tests for the GEMM entry points, real and
+//! split-complex: a short packed strip, an undersized C tile, a leading
+//! dimension smaller than the stored row or a slice that does not cover
+//! its operand must panic with a message at the API boundary — the raw
+//! kernel bodies and the packing routines index on the strength of
+//! these checks, so they are `assert!`s, live in release builds too.
 
 use gcnn_gemm::kernel;
-use gcnn_gemm::{sgemm, Transpose};
+use gcnn_gemm::{cgemm_split, sgemm, Transpose};
 
 #[test]
 #[should_panic(expected = "A strip short")]
@@ -132,4 +132,65 @@ fn sgemm_rejects_short_b_transposed() {
 #[should_panic(expected = "c has 14 elements, stored 5x3 (ld 3) needs 15")]
 fn sgemm_rejects_short_c() {
     faulty_sgemm(Transpose::No, Transpose::No, 'c', "len");
+}
+
+/// A 5×7 · 7×3 split-complex product, B conjugated, whose operand
+/// `which` is wrong in the way `fault` says: a leading dimension one
+/// below the stored row, or an imaginary plane one float short (the
+/// real plane is whole, so both planes must be checked).
+fn faulty_cgemm(which: char, fault: &str) {
+    let (m, n, k) = (5usize, 3usize, 7usize);
+    let (mut lda, mut ldb, mut ldc) = (k, n, n);
+    let (mut a_cut, mut b_cut, mut c_cut) = (0, 0, 0);
+    let (ld, cut) = match which {
+        'a' => (&mut lda, &mut a_cut),
+        'b' => (&mut ldb, &mut b_cut),
+        _ => (&mut ldc, &mut c_cut),
+    };
+    match fault {
+        "ld" => *ld -= 1,
+        _ => *cut = 1,
+    }
+    let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
+    let (mut c_re, mut c_im) = (vec![0.0f32; m * n], vec![0.0f32; m * n - c_cut]);
+    let (a_im, b_im) = (&a[..m * k - a_cut], &b[..k * n - b_cut]);
+    cgemm_split(
+        false, true, m, n, k, &a, a_im, lda, &b, b_im, ldb, &mut c_re, &mut c_im, ldc,
+    );
+}
+
+#[test]
+#[should_panic(expected = "cgemm_split: lda 6 < stored row length 7")]
+fn cgemm_split_rejects_small_lda() {
+    faulty_cgemm('a', "ld");
+}
+
+#[test]
+#[should_panic(expected = "cgemm_split: ldb 2 < stored row length 3")]
+fn cgemm_split_rejects_small_ldb() {
+    faulty_cgemm('b', "ld");
+}
+
+#[test]
+#[should_panic(expected = "cgemm_split: ldc 2 < stored row length 3")]
+fn cgemm_split_rejects_small_ldc() {
+    faulty_cgemm('c', "ld");
+}
+
+#[test]
+#[should_panic(expected = "cgemm_split: a has 34 elements, stored 5x7 (ld 7) needs 35")]
+fn cgemm_split_rejects_short_a() {
+    faulty_cgemm('a', "len");
+}
+
+#[test]
+#[should_panic(expected = "cgemm_split: b has 20 elements, stored 7x3 (ld 3) needs 21")]
+fn cgemm_split_rejects_short_b() {
+    faulty_cgemm('b', "len");
+}
+
+#[test]
+#[should_panic(expected = "cgemm_split: c has 14 elements, stored 5x3 (ld 3) needs 15")]
+fn cgemm_split_rejects_short_c() {
+    faulty_cgemm('c', "len");
 }

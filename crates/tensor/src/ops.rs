@@ -4,27 +4,6 @@ use crate::matrix::Matrix;
 use crate::tensor::Tensor4;
 use rayon::prelude::*;
 
-/// `y ← alpha·x + y` over raw slices (lengths must match).
-/// Dispatches to the SIMD path selected by [`crate::simd::isa`].
-#[inline]
-pub fn saxpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    crate::simd::saxpy(alpha, x, y);
-}
-
-/// `x ← alpha·x` over a raw slice.
-/// Dispatches to the SIMD path selected by [`crate::simd::isa`].
-#[inline]
-pub fn sscal(alpha: f32, x: &mut [f32]) {
-    crate::simd::sscal(alpha, x);
-}
-
-/// Dot product of two slices.
-/// Dispatches to the SIMD path selected by [`crate::simd::isa`].
-#[inline]
-pub fn sdot(x: &[f32], y: &[f32]) -> f32 {
-    crate::simd::sdot(x, y)
-}
-
 /// Parallel elementwise map over a tensor, in place.
 pub fn map_inplace(t: &mut Tensor4, f: impl Fn(f32) -> f32 + Sync) {
     t.as_mut_slice().par_iter_mut().for_each(|x| *x = f(*x));
@@ -78,21 +57,6 @@ pub fn transpose_blocked(src: &Matrix, block: usize) -> Matrix {
 mod tests {
     use super::*;
     use crate::shape::Shape4;
-
-    #[test]
-    fn saxpy_and_sscal() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [10.0, 20.0, 30.0];
-        saxpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0, 36.0]);
-        sscal(0.5, &mut y);
-        assert_eq!(y, [6.0, 12.0, 18.0]);
-    }
-
-    #[test]
-    fn sdot_known() {
-        assert_eq!(sdot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
 
     #[test]
     fn map_and_zip() {

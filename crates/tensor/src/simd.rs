@@ -18,17 +18,18 @@
 //!   keeps dispatching as before, and only the kernels that have a
 //!   512-bit body (the SGEMM register tile and the NCHWc convolution
 //!   tile) ask for it.
-//! * Slice primitives ([`saxpy`], [`sscal`], [`sdot`], [`add_assign`],
-//!   [`scale_add`]) used by `gcnn-tensor::ops`, `im2col`, the GEMM
-//!   writeback and the FFT lane engine's scaling.
-//! * [`Lanes`] — the vector trait the workspace's generic register-tile
-//!   bodies are written over (one impl per ISA vector), and [`conv`],
+//! * Slice primitives ([`saxpy`], [`sscal`], [`add_assign`],
+//!   [`scale_add`], [`max_assign`]) used by `im2col`, the GEMM
+//!   writeback, the fused max-pool and the FFT lane engine's scaling:
+//!   generic bodies over [`Lanes`], instantiated per ISA.
+//! * [`Lanes`] — the vector trait every generic SIMD body in the
+//!   workspace is written over (one impl per ISA vector), and [`conv`],
 //!   the NCHWc convolution tile built on it.
 //!
 //! The scalar implementations are not vestigial: they are the
 //! always-available fallback *and* the oracle the SIMD kernels are
 //! property-tested against (`crates/gemm/tests/simd_vs_scalar.rs`).
-//! Every `unsafe` block below is a `#[target_feature]` function called
+//! Every `unsafe` call below reaches a `#[target_feature]` function
 //! only after the matching runtime detection, which is the safety
 //! contract `std::arch` requires.
 
@@ -178,11 +179,11 @@ pub fn saxpy(alpha: f32, x: &[f32], y: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2Fma` is only selected after runtime
         // AVX2+FMA detection (see [`detect`]).
-        Isa::Avx2Fma => unsafe { saxpy_avx2(alpha, x, y) },
+        Isa::Avx2Fma => unsafe { avx2::zip_avx2::<Axpy>(alpha, y, x) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `Neon` is only selected on AArch64, where NEON
         // is a baseline feature.
-        Isa::Neon => unsafe { saxpy_neon(alpha, x, y) },
+        Isa::Neon => unsafe { neon::zip_neon::<Axpy>(alpha, y, x) },
         _ => saxpy_scalar(alpha, x, y),
     }
 }
@@ -211,11 +212,11 @@ pub fn scale_add(beta: f32, y: &mut [f32], x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2Fma` is only selected after runtime
         // AVX2+FMA detection (see [`detect`]).
-        Isa::Avx2Fma => unsafe { scale_add_avx2(beta, y, x) },
+        Isa::Avx2Fma => unsafe { avx2::zip_avx2::<ScaleAdd>(beta, y, x) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `Neon` is only selected on AArch64, where NEON
         // is a baseline feature.
-        Isa::Neon => unsafe { scale_add_neon(beta, y, x) },
+        Isa::Neon => unsafe { neon::zip_neon::<ScaleAdd>(beta, y, x) },
         _ => scale_add_scalar(beta, y, x),
     }
 }
@@ -235,11 +236,11 @@ pub fn sscal(alpha: f32, x: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2Fma` is only selected after runtime
         // AVX2+FMA detection (see [`detect`]).
-        Isa::Avx2Fma => unsafe { sscal_avx2(alpha, x) },
+        Isa::Avx2Fma => unsafe { avx2::sscal_avx2(alpha, x) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `Neon` is only selected on AArch64, where NEON
         // is a baseline feature.
-        Isa::Neon => unsafe { sscal_neon(alpha, x) },
+        Isa::Neon => unsafe { neon::sscal_neon(alpha, x) },
         _ => sscal_scalar(alpha, x),
     }
 }
@@ -250,31 +251,6 @@ pub fn sscal_scalar(alpha: f32, x: &mut [f32]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
-}
-
-/// Dot product. The SIMD paths reassociate the sum (4 independent
-/// accumulator chains), so results can differ from the scalar oracle
-/// by O(len · ε) — the property tests budget for exactly that.
-#[inline]
-pub fn sdot(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    match isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selected after runtime
-        // AVX2+FMA detection (see [`detect`]).
-        Isa::Avx2Fma => unsafe { sdot_avx2(x, y) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `Neon` is only selected on AArch64, where NEON
-        // is a baseline feature.
-        Isa::Neon => unsafe { sdot_neon(x, y) },
-        _ => sdot_scalar(x, y),
-    }
-}
-
-/// Scalar oracle for [`sdot`].
-#[inline]
-pub fn sdot_scalar(x: &[f32], y: &[f32]) -> f32 {
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
 // ---------------------------------------------------------------------
@@ -303,11 +279,11 @@ pub fn max_assign(y: &mut [f32], x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2Fma` is only selected after runtime
         // AVX2+FMA detection (see [`detect`]).
-        Isa::Avx2Fma => unsafe { max_assign_avx2(y, x) },
+        Isa::Avx2Fma => unsafe { avx2::zip_avx2::<Max>(0.0, y, x) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `Neon` is only selected on AArch64, where NEON
         // is a baseline feature.
-        Isa::Neon => unsafe { max_assign_neon(y, x) },
+        Isa::Neon => unsafe { neon::zip_neon::<Max>(0.0, y, x) },
         _ => max_assign_scalar(y, x),
     }
 }
@@ -321,337 +297,149 @@ pub fn max_assign_scalar(y: &mut [f32], x: &[f32]) {
 }
 
 // ---------------------------------------------------------------------
-// AVX2 + FMA bodies
+// Generic bodies of the slice primitives, and their per-ISA shims
 // ---------------------------------------------------------------------
 
+/// One elementwise update `y[i] ← op(s, y[i], x[i])`: [`saxpy`],
+/// [`scale_add`] and [`max_assign`] differ in this one expression and
+/// share the loop around it ([`zip_lanes`]).
+trait Zip {
+    /// # Safety
+    /// The CPU must support `V`'s ISA.
+    unsafe fn apply<V: Lanes>(s: V, y: V, x: V) -> V;
+}
+
+/// `y + s·x`.
+struct Axpy;
+/// `s·y + x`.
+struct ScaleAdd;
+/// `max(y, x)`; `s` is unused.
+struct Max;
+
+impl Zip for Axpy {
+    /// Safety: the trait's.
+    #[inline(always)]
+    unsafe fn apply<V: Lanes>(s: V, y: V, x: V) -> V {
+        // SAFETY: trait contract.
+        unsafe { y.fma(s, x) }
+    }
+}
+
+impl Zip for ScaleAdd {
+    /// Safety: the trait's.
+    #[inline(always)]
+    unsafe fn apply<V: Lanes>(s: V, y: V, x: V) -> V {
+        // SAFETY: trait contract.
+        unsafe { x.fma(s, y) }
+    }
+}
+
+impl Zip for Max {
+    /// Safety: the trait's.
+    #[inline(always)]
+    unsafe fn apply<V: Lanes>(_: V, y: V, x: V) -> V {
+        // SAFETY: trait contract.
+        unsafe { y.max(x) }
+    }
+}
+
+/// SIMD body of the three [`Zip`] primitives, over the shorter of the
+/// two slices: whole `V` vectors, then the floats left through the same
+/// body at the narrower `R` (these run on rows of 10 and 28 floats, where
+/// four floats at a time beats one) and last one lane at a time.
+///
+/// # Safety
+/// The CPU must support `V`'s and `R`'s ISA. `#[inline(always)]`, here and
+/// below, so the intrinsics inline into the `#[target_feature]` caller.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline(always)]
+unsafe fn zip_lanes<V: Lanes, R: Lanes, Op: Zip>(s: f32, y: &mut [f32], x: &[f32]) {
+    let n = x.len().min(y.len());
+    let whole = n - n % V::N;
+    // SAFETY: each step touches `[i, i + V::N)` with
+    // `i + V::N <= whole <= n`, inside both slices.
+    unsafe {
+        let sv = V::splat(s);
+        for i in (0..whole).step_by(V::N) {
+            let yp = y.as_mut_ptr().add(i);
+            Op::apply(sv, V::load(yp), V::load(x.as_ptr().add(i))).store(yp);
+        }
+        if V::N > 1 {
+            // In bounds: `whole <= n`, the shorter length.
+            zip_lanes::<R, f32, Op>(s, &mut y[whole..n], &x[whole..n]);
+        }
+    }
+}
+
+/// SIMD body of [`sscal`]: whole `V` vectors, then the floats left
+/// through the same body one lane at a time.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline(always)]
+unsafe fn sscal_lanes<V: Lanes>(alpha: f32, x: &mut [f32]) {
+    let whole = x.len() - x.len() % V::N;
+    // SAFETY: each step touches `[i, i + V::N)` with
+    // `i + V::N <= whole <= x.len()`.
+    unsafe {
+        let a = V::splat(alpha);
+        for i in (0..whole).step_by(V::N) {
+            let xp = x.as_mut_ptr().add(i);
+            a.mul(V::load(xp)).store(xp);
+        }
+        if V::N > 1 {
+            // In bounds: `whole <= x.len()`.
+            sscal_lanes::<f32>(alpha, &mut x[whole..]);
+        }
+    }
+}
+
+/// The generic bodies at `__m256`.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use std::arch::x86_64::*;
+    use super::{sscal_lanes, zip_lanes, Zip};
+    use std::arch::x86_64::{__m128, __m256};
 
     /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime; the dispatch
-    /// table ([`super::isa`]) is the only caller.
+    /// AVX2 and FMA detected.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn saxpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), y.len(), "saxpy_avx2: length mismatch");
-        let n = x.len().min(y.len());
-        // SAFETY: intrinsics are executable because this fn only runs
-        // after runtime AVX2+FMA detection. All pointer offsets stay in
-        // bounds: the vector loop reads/writes `[i, i+8)` only while
-        // `i + 8 <= n`, the scalar tail covers `[i, n)`, and
-        // `n <= x.len(), y.len()` by construction.
-        unsafe {
-            let av = _mm256_set1_ps(alpha);
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i + 8 <= n {
-                let yv = _mm256_loadu_ps(yp.add(i));
-                let xv = _mm256_loadu_ps(xp.add(i));
-                _mm256_storeu_ps(yp.add(i), _mm256_fmadd_ps(av, xv, yv));
-                i += 8;
-            }
-            for j in i..n {
-                *yp.add(j) += alpha * *xp.add(j);
-            }
-        }
+    pub(super) unsafe fn zip_avx2<Op: Zip>(s: f32, y: &mut [f32], x: &[f32]) {
+        // SAFETY: this fn enables `__m256`'s ISA.
+        unsafe { zip_lanes::<__m256, __m128, Op>(s, y, x) }
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime; the dispatch
-    /// table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn scale_add_avx2(beta: f32, y: &mut [f32], x: &[f32]) {
-        debug_assert_eq!(x.len(), y.len(), "scale_add_avx2: length mismatch");
-        let n = x.len().min(y.len());
-        // SAFETY: runs only after runtime AVX2+FMA detection; offsets
-        // stay inside `x[..n]` / `y[..n]` exactly as in `saxpy_avx2`
-        // (8-lane loop guarded by `i + 8 <= n`, scalar tail to `n`).
-        unsafe {
-            let bv = _mm256_set1_ps(beta);
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i + 8 <= n {
-                let yv = _mm256_loadu_ps(yp.add(i));
-                let xv = _mm256_loadu_ps(xp.add(i));
-                _mm256_storeu_ps(yp.add(i), _mm256_fmadd_ps(bv, yv, xv));
-                i += 8;
-            }
-            for j in i..n {
-                *yp.add(j) = beta * *yp.add(j) + *xp.add(j);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime; the dispatch
-    /// table ([`super::isa`]) is the only caller.
+    /// AVX2 and FMA detected.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn sscal_avx2(alpha: f32, x: &mut [f32]) {
-        let n = x.len();
-        // SAFETY: runs only after runtime AVX2+FMA detection; the
-        // 8-lane loop touches `[i, i+8)` only while `i + 8 <= n` and
-        // the scalar tail stops at `n == x.len()`.
-        unsafe {
-            let av = _mm256_set1_ps(alpha);
-            let xp = x.as_mut_ptr();
-            let mut i = 0;
-            while i + 8 <= n {
-                _mm256_storeu_ps(xp.add(i), _mm256_mul_ps(av, _mm256_loadu_ps(xp.add(i))));
-                i += 8;
-            }
-            for j in i..n {
-                *xp.add(j) *= alpha;
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime; the dispatch
-    /// table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn sdot_avx2(x: &[f32], y: &[f32]) -> f32 {
-        debug_assert_eq!(x.len(), y.len(), "sdot_avx2: length mismatch");
-        let n = x.len().min(y.len());
-        // SAFETY: runs only after runtime AVX2+FMA detection. The
-        // 32-lane loop reads `[i, i+32)` while `i + 32 <= n`, the
-        // 8-lane cleanup reads `[i, i+8)` while `i + 8 <= n`, and the
-        // scalar tail stops at `n` — all within both slices.
-        unsafe {
-            let xp = x.as_ptr();
-            let yp = y.as_ptr();
-            // Four independent accumulator chains hide FMA latency.
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            let mut i = 0;
-            while i + 32 <= n {
-                acc0 =
-                    _mm256_fmadd_ps(_mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)), acc0);
-                acc1 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(xp.add(i + 8)),
-                    _mm256_loadu_ps(yp.add(i + 8)),
-                    acc1,
-                );
-                acc2 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(xp.add(i + 16)),
-                    _mm256_loadu_ps(yp.add(i + 16)),
-                    acc2,
-                );
-                acc3 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(xp.add(i + 24)),
-                    _mm256_loadu_ps(yp.add(i + 24)),
-                    acc3,
-                );
-                i += 32;
-            }
-            while i + 8 <= n {
-                acc0 =
-                    _mm256_fmadd_ps(_mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)), acc0);
-                i += 8;
-            }
-            let acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-            // Horizontal sum: fold 256 → 128 → scalar.
-            let lo = _mm256_castps256_ps128(acc);
-            let hi = _mm256_extractf128_ps(acc, 1);
-            let s128 = _mm_add_ps(lo, hi);
-            let s64 = _mm_add_ps(s128, _mm_movehl_ps(s128, s128));
-            let s32 = _mm_add_ss(s64, _mm_shuffle_ps(s64, s64, 0b01));
-            let mut total = _mm_cvtss_f32(s32);
-            for j in i..n {
-                total += *xp.add(j) * *yp.add(j);
-            }
-            total
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 and FMA at runtime; the dispatch
-    /// table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn max_assign_avx2(y: &mut [f32], x: &[f32]) {
-        debug_assert_eq!(x.len(), y.len(), "max_assign_avx2: length mismatch");
-        let n = x.len().min(y.len());
-        // SAFETY: runs only after runtime AVX2+FMA detection; offsets
-        // stay inside `x[..n]` / `y[..n]` (8-lane loop guarded by
-        // `i + 8 <= n`, scalar tail to `n`).
-        unsafe {
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i + 8 <= n {
-                let yv = _mm256_loadu_ps(yp.add(i));
-                let xv = _mm256_loadu_ps(xp.add(i));
-                _mm256_storeu_ps(yp.add(i), _mm256_max_ps(yv, xv));
-                i += 8;
-            }
-            for j in i..n {
-                *yp.add(j) = (*yp.add(j)).max(*xp.add(j));
-            }
-        }
+        // SAFETY: this fn enables `__m256`'s ISA.
+        unsafe { sscal_lanes::<__m256>(alpha, x) }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-use avx2::{max_assign_avx2, saxpy_avx2, scale_add_avx2, sdot_avx2, sscal_avx2};
-
-// ---------------------------------------------------------------------
-// NEON bodies
-// ---------------------------------------------------------------------
-
+/// The generic bodies at `float32x4_t`.
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use std::arch::aarch64::*;
+    use super::{sscal_lanes, zip_lanes, Zip};
+    use std::arch::aarch64::float32x4_t;
 
     /// # Safety
-    /// Caller must be on an AArch64 host (NEON is baseline there); the
-    /// dispatch table ([`super::isa`]) is the only caller.
+    /// NEON is baseline on AArch64.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn saxpy_neon(alpha: f32, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), y.len(), "saxpy_neon: length mismatch");
-        let n = x.len().min(y.len());
-        // SAFETY: NEON is an AArch64 baseline feature. All pointer
-        // offsets stay in bounds: the 4-lane loop touches `[i, i+4)`
-        // only while `i + 4 <= n`, the scalar tail stops at `n`, and
-        // `n <= x.len(), y.len()` by construction.
-        unsafe {
-            let av = vdupq_n_f32(alpha);
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                let yv = vld1q_f32(yp.add(i));
-                let xv = vld1q_f32(xp.add(i));
-                vst1q_f32(yp.add(i), vfmaq_f32(yv, av, xv));
-                i += 4;
-            }
-            for j in i..n {
-                *yp.add(j) += alpha * *xp.add(j);
-            }
-        }
+    pub(super) unsafe fn zip_neon<Op: Zip>(s: f32, y: &mut [f32], x: &[f32]) {
+        // SAFETY: this fn enables the NEON ISA.
+        unsafe { zip_lanes::<float32x4_t, f32, Op>(s, y, x) }
     }
 
     /// # Safety
-    /// Caller must be on an AArch64 host (NEON is baseline there); the
-    /// dispatch table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn scale_add_neon(beta: f32, y: &mut [f32], x: &[f32]) {
-        debug_assert_eq!(x.len(), y.len(), "scale_add_neon: length mismatch");
-        let n = x.len().min(y.len());
-        // SAFETY: NEON is an AArch64 baseline feature; offsets stay
-        // inside `x[..n]` / `y[..n]` (4-lane loop guarded by
-        // `i + 4 <= n`, scalar tail to `n`).
-        unsafe {
-            let bv = vdupq_n_f32(beta);
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                let yv = vld1q_f32(yp.add(i));
-                let xv = vld1q_f32(xp.add(i));
-                vst1q_f32(yp.add(i), vfmaq_f32(xv, bv, yv));
-                i += 4;
-            }
-            for j in i..n {
-                *yp.add(j) = beta * *yp.add(j) + *xp.add(j);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on an AArch64 host (NEON is baseline there); the
-    /// dispatch table ([`super::isa`]) is the only caller.
+    /// NEON is baseline on AArch64.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn sscal_neon(alpha: f32, x: &mut [f32]) {
-        let n = x.len();
-        // SAFETY: NEON is an AArch64 baseline feature; the 4-lane loop
-        // touches `[i, i+4)` only while `i + 4 <= n` and the scalar
-        // tail stops at `n == x.len()`.
-        unsafe {
-            let av = vdupq_n_f32(alpha);
-            let xp = x.as_mut_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                vst1q_f32(xp.add(i), vmulq_f32(av, vld1q_f32(xp.add(i))));
-                i += 4;
-            }
-            for j in i..n {
-                *xp.add(j) *= alpha;
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on an AArch64 host (NEON is baseline there); the
-    /// dispatch table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn sdot_neon(x: &[f32], y: &[f32]) -> f32 {
-        debug_assert_eq!(x.len(), y.len(), "sdot_neon: length mismatch");
-        let n = x.len().min(y.len());
-        // SAFETY: NEON is an AArch64 baseline feature. The 16-lane loop
-        // reads `[i, i+16)` while `i + 16 <= n`, the 4-lane cleanup
-        // reads `[i, i+4)` while `i + 4 <= n`, and the scalar tail
-        // stops at `n` — all within both slices.
-        unsafe {
-            let xp = x.as_ptr();
-            let yp = y.as_ptr();
-            let mut acc0 = vdupq_n_f32(0.0);
-            let mut acc1 = vdupq_n_f32(0.0);
-            let mut acc2 = vdupq_n_f32(0.0);
-            let mut acc3 = vdupq_n_f32(0.0);
-            let mut i = 0;
-            while i + 16 <= n {
-                acc0 = vfmaq_f32(acc0, vld1q_f32(xp.add(i)), vld1q_f32(yp.add(i)));
-                acc1 = vfmaq_f32(acc1, vld1q_f32(xp.add(i + 4)), vld1q_f32(yp.add(i + 4)));
-                acc2 = vfmaq_f32(acc2, vld1q_f32(xp.add(i + 8)), vld1q_f32(yp.add(i + 8)));
-                acc3 = vfmaq_f32(acc3, vld1q_f32(xp.add(i + 12)), vld1q_f32(yp.add(i + 12)));
-                i += 16;
-            }
-            while i + 4 <= n {
-                acc0 = vfmaq_f32(acc0, vld1q_f32(xp.add(i)), vld1q_f32(yp.add(i)));
-                i += 4;
-            }
-            let acc = vaddq_f32(vaddq_f32(acc0, acc1), vaddq_f32(acc2, acc3));
-            let mut total = vaddvq_f32(acc);
-            for j in i..n {
-                total += *xp.add(j) * *yp.add(j);
-            }
-            total
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on an AArch64 host (NEON is baseline there); the
-    /// dispatch table ([`super::isa`]) is the only caller.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn max_assign_neon(y: &mut [f32], x: &[f32]) {
-        debug_assert_eq!(x.len(), y.len(), "max_assign_neon: length mismatch");
-        let n = x.len().min(y.len());
-        // SAFETY: NEON is an AArch64 baseline feature; offsets stay
-        // inside `x[..n]` / `y[..n]` (4-lane loop guarded by
-        // `i + 4 <= n`, scalar tail to `n`).
-        unsafe {
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                vst1q_f32(
-                    yp.add(i),
-                    vmaxq_f32(vld1q_f32(yp.add(i)), vld1q_f32(xp.add(i))),
-                );
-                i += 4;
-            }
-            for j in i..n {
-                *yp.add(j) = (*yp.add(j)).max(*xp.add(j));
-            }
-        }
+        // SAFETY: this fn enables the NEON ISA.
+        unsafe { sscal_lanes::<float32x4_t>(alpha, x) }
     }
 }
-
-#[cfg(target_arch = "aarch64")]
-use neon::{max_assign_neon, saxpy_neon, scale_add_neon, sdot_neon, sscal_neon};
 
 #[cfg(test)]
 mod tests {
@@ -722,41 +510,45 @@ mod tests {
     }
 
     /// Every dispatched primitive must agree with its scalar oracle on
-    /// lengths that cover remainders (0, 1, lane-1, lane, lane+1, big).
+    /// lengths that cover whole vectors at 4, 8 and 16 lanes, every
+    /// remainder around them and the all-remainder case, and two runs
+    /// of the same input must be bit-identical.
     #[test]
     fn primitives_match_scalar_oracle() {
-        for len in [0usize, 1, 3, 7, 8, 9, 31, 32, 33, 100] {
+        type Op = (&'static str, fn(&mut [f32], &[f32]), fn(&mut [f32], &[f32]));
+        let ops: [Op; 4] = [
+            (
+                "saxpy",
+                |y, x| saxpy(1.5, x, y),
+                |y, x| saxpy_scalar(1.5, x, y),
+            ),
+            (
+                "scale_add",
+                |y, x| scale_add(-0.75, y, x),
+                |y, x| scale_add_scalar(-0.75, y, x),
+            ),
+            ("sscal", |y, _| sscal(0.5, y), |y, _| sscal_scalar(0.5, y)),
+            ("max_assign", max_assign, max_assign_scalar),
+        ];
+        for len in [0usize, 1, 3, 7, 8, 9, 13, 16, 17, 33, 65, 100] {
             let x = rand_vec(len, 1 + len as u64);
             let y0 = rand_vec(len, 2 + len as u64);
-
-            let mut y = y0.clone();
-            saxpy(1.5, &x, &mut y);
-            let mut yref = y0.clone();
-            saxpy_scalar(1.5, &x, &mut yref);
-            for (a, b) in y.iter().zip(&yref) {
-                assert!((a - b).abs() < 1e-5, "saxpy len {len}: {a} vs {b}");
+            for (name, dispatched, oracle) in ops {
+                let run = |f: fn(&mut [f32], &[f32])| {
+                    let mut y = y0.clone();
+                    f(&mut y, &x);
+                    y
+                };
+                let (y, yref) = (run(dispatched), run(oracle));
+                assert_eq!(y, run(dispatched), "{name} len {len}: two runs differ");
+                for (a, b) in y.iter().zip(&yref) {
+                    // FMA against the oracle's separate multiply and add.
+                    assert!((a - b).abs() < 1e-5, "{name} len {len}: {a} vs {b}");
+                }
+                if matches!(name, "sscal" | "max_assign") {
+                    assert_eq!(y, yref, "{name} len {len}: one rounding, must be exact");
+                }
             }
-
-            let mut y = y0.clone();
-            scale_add(-0.75, &mut y, &x);
-            let mut yref = y0.clone();
-            scale_add_scalar(-0.75, &mut yref, &x);
-            for (a, b) in y.iter().zip(&yref) {
-                assert!((a - b).abs() < 1e-5, "scale_add len {len}: {a} vs {b}");
-            }
-
-            let mut y = y0.clone();
-            sscal(0.5, &mut y);
-            let mut yref = y0.clone();
-            sscal_scalar(0.5, &mut yref);
-            assert_eq!(y, yref, "sscal len {len}");
-
-            let d = sdot(&x, &y0);
-            let dref = sdot_scalar(&x, &y0);
-            assert!(
-                (d - dref).abs() <= 1e-5 * (len.max(1) as f32),
-                "sdot len {len}: {d} vs {dref}"
-            );
         }
     }
 
@@ -851,11 +643,9 @@ mod tests {
         set_force_scalar(true);
         let mut y = y0.clone();
         saxpy(2.5, &x, &mut y);
-        let d = sdot(&x, &y);
         set_force_scalar(before);
         let mut yref = y0;
         saxpy_scalar(2.5, &x, &mut yref);
         assert_eq!(y, yref);
-        assert_eq!(d, sdot_scalar(&x, &yref));
     }
 }

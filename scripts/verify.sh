@@ -35,10 +35,22 @@ cargo test -q --no-default-features \
   -p gcnn-trace -p gcnn-tensor -p gcnn-gemm -p gcnn-fft \
   -p gcnn-conv -p gcnn-autotune -p gcnn-models -p gcnn-core \
   -p gcnn-bench -p gcnn-serve -p gcnn-mtsim
-# Forced-scalar pass over the FFT stack: the lane kernels' scalar
-# bodies are the only scalar FFT (there is no second engine behind
-# them), and CI's force-scalar job cannot run here.
-GCNN_FORCE_SCALAR=1 cargo test -q -p gcnn-fft -p gcnn-gemm -p gcnn-conv
+# Forced-scalar pass over the kernel stack: the slice primitives',
+# lane kernels' and CGEMM's scalar bodies are the only scalar tier
+# (there is no second engine behind them), and CI's force-scalar job
+# cannot run here.
+GCNN_FORCE_SCALAR=1 cargo test -q -p gcnn-tensor -p gcnn-fft -p gcnn-gemm -p gcnn-conv
+# The NEON instantiations of the generic bodies are only ever compiled
+# for aarch64: type-check them where the target is installed (CI's
+# aarch64-check job installs it; this host has no network to). Empty
+# RUSTFLAGS, because the workspace's target-cpu=native would name the
+# x86 host's CPU to another architecture.
+if rustup target list --installed 2>/dev/null | grep -qx aarch64-unknown-linux-gnu; then
+  RUSTFLAGS="" cargo check --target aarch64-unknown-linux-gnu \
+    -p gcnn-tensor -p gcnn-fft -p gcnn-gemm
+else
+  echo "verify: SKIPPED aarch64 check (target not installed)"
+fi
 # Autotune smoke: cold measure → persist → warm reload must reproduce
 # every winner from the cache without re-measuring.
 GCNN_TUNE_WARMUP=1 GCNN_TUNE_REPS=3 \
