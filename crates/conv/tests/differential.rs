@@ -1,0 +1,151 @@
+//! Differential conformance suite: every convolution path against
+//! `reference.rs` (never against another path), forward and both
+//! backward passes, on shapes the model zoo never produces.
+//!
+//! One table of shapes ([`rows`]) × one table of paths ([`PATHS`]); a
+//! later path is one more entry of `PATHS`, a later shape one more row.
+//! Every pass runs out of a **NaN-poisoned arena** — each size class the
+//! rows can reach is refilled with NaN-filled buffers first, and the pass
+//! must then draw all its scratch from those (zero pool misses) — so "the
+//! kernel overwrites all of its scratch" is tested, the FFT tiles' zeroed
+//! padding rows included; and runs twice, the second result bit-identical
+//! to the first. `scripts/verify.sh` repeats the suite under
+//! `GCNN_FORCE_SCALAR=1`.
+
+use gcnn_conv::{reference, ConvAlgorithm, ConvConfig, FftConv, UnrollConv};
+use gcnn_fft::RfftPlan;
+use gcnn_tensor::init::uniform_tensor;
+use gcnn_tensor::workspace::{alloc_scope, take_f32};
+use gcnn_tensor::Tensor4;
+
+/// The paths under test.
+const PATHS: [(&str, &dyn ConvAlgorithm); 2] = [("fft", &FftConv), ("unroll", &UnrollConv)];
+
+/// Largest relative L2 distance from the reference.
+const TOL: f32 = 1e-4;
+
+/// Largest scratch size class (in floats) a row may reach; the poisoned
+/// run's zero-miss assertion is what holds the table to it.
+const MAX_CLASS: usize = 1 << 18;
+
+/// Buffers poisoned per size class: more than any pass holds of one
+/// class at a time (the FFT pass peaks at eight: three split operands
+/// and the transform's two tile buffers).
+const PER_CLASS: usize = 8;
+
+fn cfg(batch: usize, channels: usize, input: usize, filters: usize, kernel: usize) -> ConvConfig {
+    ConvConfig::with_channels(batch, channels, input, filters, kernel, 1)
+}
+
+fn padded(pad: usize, mut cfg: ConvConfig) -> ConvConfig {
+    cfg.pad = pad;
+    cfg
+}
+
+/// The shape table.
+fn rows() -> Vec<(&'static str, ConvConfig)> {
+    // Planes per lane tile of the 16×16 transform the straddling rows use
+    // (input 9 → n = 16).
+    let t = RfftPlan::cached(16).tile_lanes();
+    vec![
+        ("small pow2", cfg(2, 3, 8, 4, 3)),
+        ("non-pow2 input 7", cfg(1, 1, 7, 2, 5)),
+        ("input 12, even kernel", cfg(3, 2, 12, 5, 6)),
+        ("1x1 kernel", cfg(2, 4, 5, 2, 1)),
+        ("pad 1", padded(1, cfg(2, 2, 6, 3, 3))),
+        ("pad = kernel", padded(3, cfg(2, 3, 4, 2, 3))),
+        ("pad > kernel", padded(3, cfg(1, 2, 5, 3, 2))),
+        ("1x1 input", cfg(3, 2, 1, 2, 1)),
+        ("1x1 input, pad 3, k 6", padded(3, cfg(2, 2, 1, 3, 6))),
+        ("k = input", cfg(2, 3, 7, 2, 7)),
+        ("k = input + 2 pad", padded(2, cfg(2, 2, 3, 3, 7))),
+        ("input 13, pad 1", padded(1, cfg(1, 2, 13, 3, 4))),
+        ("input 24", cfg(2, 1, 24, 2, 5)),
+        ("c = f = 1", cfg(3, 1, 7, 1, 3)),
+        ("batch 5 > f > c", padded(1, cfg(5, 2, 9, 3, 3))),
+        ("batch 7", cfg(7, 3, 6, 2, 2)),
+        ("T - 1 channel planes", cfg(1, t - 1, 9, 1, 2)),
+        ("T channel planes", cfg(1, t, 9, 1, 2)),
+        ("T + 1 channel planes", cfg(1, t + 1, 9, 1, 2)),
+        ("T + 1 filter planes", cfg(1, 1, 9, t + 1, 2)),
+    ]
+}
+
+/// Leave [`PER_CLASS`] NaN-filled buffers on top of every size class up
+/// to [`MAX_CLASS`] of this thread's arena (the shelves are LIFO).
+fn poison_arena() {
+    let mut class = 1;
+    while class <= MAX_CLASS {
+        let held: Vec<_> = (0..PER_CLASS)
+            .map(|_| {
+                let mut buf = take_f32(class);
+                buf.fill(f32::NAN);
+                buf
+            })
+            .collect();
+        drop(held);
+        class *= 2;
+    }
+}
+
+/// `run` out of a poisoned arena, twice: no scratch from anywhere else,
+/// within [`TOL`] of `want`, and the same bits both times.
+fn check(what: &str, want: &Tensor4, run: impl Fn() -> Tensor4) {
+    let poisoned = || {
+        poison_arena();
+        let (got, misses) = alloc_scope(&run);
+        assert_eq!(misses, 0, "{what}: scratch beyond the poisoned classes");
+        got
+    };
+    let got = poisoned();
+    let dist = got.rel_l2_dist(want).expect("same output shape");
+    assert!(dist < TOL, "{what}: rel l2 {dist} from the reference");
+    let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&poisoned()), "{what}: second run differs");
+}
+
+#[test]
+fn forward_matches_reference() {
+    for (row, cfg) in rows() {
+        let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 30);
+        let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 31);
+        let want = reference::forward_ref(&cfg, &x, &w);
+        for (path, algo) in PATHS {
+            check(&format!("{path} forward, {row} ({cfg})"), &want, || {
+                algo.forward(&cfg, &x, &w)
+            });
+        }
+    }
+}
+
+#[test]
+fn backward_data_matches_reference() {
+    for (row, cfg) in rows() {
+        let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 32);
+        let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 33);
+        let want = reference::backward_data_ref(&cfg, &g, &w);
+        for (path, algo) in PATHS {
+            check(
+                &format!("{path} backward-data, {row} ({cfg})"),
+                &want,
+                || algo.backward_data(&cfg, &g, &w),
+            );
+        }
+    }
+}
+
+#[test]
+fn backward_filters_matches_reference() {
+    for (row, cfg) in rows() {
+        let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 34);
+        let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 35);
+        let want = reference::backward_filters_ref(&cfg, &x, &g);
+        for (path, algo) in PATHS {
+            check(
+                &format!("{path} backward-filters, {row} ({cfg})"),
+                &want,
+                || algo.backward_filters(&cfg, &x, &g),
+            );
+        }
+    }
+}

@@ -17,8 +17,15 @@
 //! * [`simd`] — its three kernels (single stage, fused double stage,
 //!   blocked transpose), each with AVX2+FMA, NEON and scalar bodies; the
 //!   scalar bodies are what runs under `GCNN_FORCE_SCALAR=1`.
-//! * [`rfft`] / [`batch`] — 2-D real transforms with Hermitian
-//!   half-spectra built from two lane passes, and their batched drivers.
+//! * [`rfft`] — 2-D real transforms with Hermitian half-spectra, two
+//!   lane passes each. The **lane-tile** pair
+//!   ([`RfftPlan::forward_lanes_into`] / [`RfftPlan::inverse_lanes_into`])
+//!   is what the convolution runs: a tile of planes *as the lanes*,
+//!   bin-major in and out, no transpose between the passes, padding
+//!   rows never transformed. The **plane-major** methods and their
+//!   [`batch`] drivers (one plane per call, the passes joined by
+//!   transposes) are what the benchmarks time and the oracle the lane
+//!   tiles are pinned to.
 //! * [`dft`] — the O(n²) reference the engine is tested against.
 //!
 //! All transforms are power-of-two only, like fbfft itself — this is the

@@ -13,14 +13,23 @@
 //! stage, so no interleaved complex value exists between the transform
 //! and the per-bin GEMM.
 //!
-//! The transform is two passes of the batch-major lane engine
-//! ([`crate::split`]) joined by blocked transposes: a transpose loads
-//! the plane into lane layout, one [`split::fft_lanes_inplace`] pass
-//! transforms all `n` rows at once, a second transpose + lane pass
-//! transforms the `n/2 + 1` retained columns — every butterfly a
-//! broadcast-twiddle FMA over contiguous lanes. The same code runs on
-//! every ISA; under scalar dispatch (`GCNN_FORCE_SCALAR=1` or no SIMD)
-//! the lane kernels' scalar bodies execute.
+//! A transform is two passes of the batch-major lane engine
+//! ([`crate::split`]), in one of two arrangements:
+//!
+//! * **plane-major** ([`RfftPlan::forward_split_into`] and its
+//!   inverses): one plane per call, the plane's own rows and columns are
+//!   the lanes, and blocked transposes join the passes. Kept for the
+//!   benchmarks that time it and as the oracle of the next;
+//! * **lane tiles** ([`RfftPlan::forward_lanes_into`],
+//!   [`RfftPlan::inverse_lanes_into`]): many planes per call with *the
+//!   planes* as the lanes, spectra bin-major across planes
+//!   (`[bin][lane]`) — the layout the per-bin complex GEMM of the FFT
+//!   convolution consumes, so nothing is transposed anywhere.
+//!
+//! Every butterfly is a broadcast-twiddle FMA over contiguous lanes. The
+//! same code runs on every ISA; under scalar dispatch
+//! (`GCNN_FORCE_SCALAR=1` or no SIMD) the lane kernels' scalar bodies
+//! execute.
 
 use crate::plan::{FftPlan, PlanLru, PLAN_CACHE_CAP};
 use crate::{simd, split, Direction};
@@ -224,6 +233,184 @@ impl RfftPlan {
     }
 }
 
+/// Scratch one lane tile of [`RfftPlan::forward_lanes_into`] /
+/// [`RfftPlan::inverse_lanes_into`] may occupy: the tile's split
+/// half-spectra (`n·half·T·8` bytes) are written by the row passes, swept
+/// by every stage of the column pass and read once more by the store, so
+/// they should stay in the last private cache level. 1 MiB — half the
+/// build host's L2 — is where the 32×32 planes of Table I ran fastest
+/// (0.25, 0.5, 2 and 4 MiB were all slower).
+const TILE_BYTES: usize = 1 << 20;
+
+/// Fewest lanes a tile is cut to, however large the plane. A tile enters
+/// and leaves the bin-major operand as one `T`-float run per bin, and
+/// runs of a single cache line are the slowest way to touch memory: at
+/// 128×128, where the budget alone would give 15 lanes, 32 ran 5 %
+/// faster than 16 although the tile then fills the L2.
+const MIN_TILE_LANES: usize = 32;
+
+/// The lane-tile transforms: **the planes are the lanes**.
+///
+/// `T` planes are transformed together in scratch laid out
+/// `[row][col][T]`, which *is* the bin-major `[bin][lane]` layout of
+/// [`split::fft_lanes_inplace`] for both passes: one data row is `n` bins
+/// of `T` lanes, the whole tile is `n` bins of `half·T` lanes. Nothing is
+/// transposed between the passes, and a tile leaves as a `T`-float run
+/// per bin of the `[bin][lanes]` operand the per-bin complex GEMM
+/// consumes — fbfft's batch-major layout (PAPERS.md arXiv:1412.7580)
+/// with the FFT emitting what the product reads. Each lane's arithmetic
+/// is the plane-major engine's, so the spectra are bit-identical to
+/// [`RfftPlan::forward_split_into`] on the zero-padded plane.
+///
+/// The tile loop is **serial by construction**: tiles share the two
+/// scratch buffers, and the vendored rayon is sequential, so no benchmark
+/// here could see a split. A parallel version would give each worker its
+/// own scratch and a disjoint range of lanes: tile `lane0..lane0 + T`
+/// touches only columns `lane0..lane0 + T` of every bin's `lanes`-float
+/// row of the operand (and only the planes `plane_of` maps those lanes
+/// to), so workers never write the same float.
+impl RfftPlan {
+    /// Planes per tile, from the plan size and [`TILE_BYTES`]: a multiple
+    /// of 16 (whole vectors on every ISA), at least [`MIN_TILE_LANES`].
+    pub fn tile_lanes(&self) -> usize {
+        (TILE_BYTES / (8 * self.spectrum_len()) / 16 * 16).max(MIN_TILE_LANES)
+    }
+
+    /// Forward-transform `lanes` real `h×w` windows into bin-major split
+    /// half-spectra `sre/sim[bin·lanes + lane]`, `bin = r·half + c`. Lane
+    /// `l` reads the row-major window `src[plane_of(l)·h·w ..][..h·w]`
+    /// (so the lane order is the caller's: any permutation of a tensor's
+    /// planes costs nothing) and lands it `offset` rows and columns into
+    /// the zero `n×n` plane — a layer's padding is a landing offset, not
+    /// a padded copy. Only the `h` rows that hold data get a row pass;
+    /// the Hermitian half of each is a contiguous prefix of the row
+    /// buffer; one column pass covers the tile.
+    ///
+    /// # Panics
+    /// Unless the window fits (`offset + h.max(w) <= n`), `sre`/`sim`
+    /// hold `spectrum_len()·lanes` floats and every window lies in `src`.
+    #[allow(clippy::too_many_arguments)] // two buffers, their geometry, the lane map
+    pub fn forward_lanes_into(
+        &self,
+        src: &[f32],
+        (h, w): (usize, usize),
+        offset: usize,
+        plane_of: impl Fn(usize) -> usize,
+        lanes: usize,
+        sre: &mut [f32],
+        sim: &mut [f32],
+    ) {
+        let _span = gcnn_trace::span("fft.rfft_forward");
+        gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
+        let (n, half) = (self.n, self.half);
+        assert!(offset + h.max(w) <= n, "forward_lanes: window exceeds plan");
+        assert_eq!(sre.len(), n * half * lanes, "forward_lanes: re size");
+        assert_eq!(sim.len(), n * half * lanes, "forward_lanes: im size");
+        let tile = self.tile_lanes().min(lanes);
+        let mut row2 = workspace::take_f32(2 * n * tile);
+        let mut cols2 = workspace::take_f32(2 * n * half * tile);
+        for lane0 in (0..lanes).step_by(tile.max(1)) {
+            let t = tile.min(lanes - lane0);
+            let (row_re, row_im) = row2[..2 * n * t].split_at_mut(n * t);
+            let (col_re, col_im) = cols2[..2 * n * half * t].split_at_mut(n * half * t);
+            // Rows outside the window are zero and so are their row
+            // transforms: cleared, never transformed.
+            let data = offset * half * t..(offset + h) * half * t;
+            for col in [&mut *col_re, &mut *col_im] {
+                col[..data.start].fill(0.0);
+                col[data.end..].fill(0.0);
+            }
+            for r in 0..h {
+                row_re.fill(0.0);
+                row_im.fill(0.0);
+                for l in 0..t {
+                    let at = plane_of(lane0 + l) * h * w + r * w;
+                    let column = row_re[offset * t + l..].iter_mut().step_by(t);
+                    for (slot, &v) in column.zip(&src[at..at + w]) {
+                        *slot = v;
+                    }
+                }
+                split::fft_lanes_inplace(row_re, row_im, &self.plan, Direction::Forward, t);
+                let at = data.start + r * half * t;
+                col_re[at..at + half * t].copy_from_slice(&row_re[..half * t]);
+                col_im[at..at + half * t].copy_from_slice(&row_im[..half * t]);
+            }
+            split::fft_lanes_inplace(col_re, col_im, &self.plan, Direction::Forward, half * t);
+            for bin in 0..n * half {
+                let at = bin * lanes + lane0;
+                sre[at..at + t].copy_from_slice(&col_re[bin * t..(bin + 1) * t]);
+                sim[at..at + t].copy_from_slice(&col_im[bin * t..(bin + 1) * t]);
+            }
+        }
+    }
+
+    /// Inverse of [`Self::forward_lanes_into`], cropped: from bin-major
+    /// split half-spectra `sre/sim[bin·lanes + lane]`, write the
+    /// `size×size` window `offset` rows and columns into each lane's
+    /// `n×n` real plane to `out[plane_of(l)·size² ..][..size²]`. One
+    /// column pass inverts the tile; then only the `size` rows inside the
+    /// window are rebuilt from their Hermitian half (bin `c ≥ half` is
+    /// `conj` of bin `n − c`), row-inverted and cropped straight into
+    /// `out` — the other `n − size` rows are never computed.
+    ///
+    /// # Panics
+    /// Unless the window fits (`offset + size <= n`), `sre`/`sim` hold
+    /// `spectrum_len()·lanes` floats and every output plane lies in `out`.
+    #[allow(clippy::too_many_arguments)] // mirror of `forward_lanes_into`
+    pub fn inverse_lanes_into(
+        &self,
+        sre: &[f32],
+        sim: &[f32],
+        lanes: usize,
+        (size, offset): (usize, usize),
+        plane_of: impl Fn(usize) -> usize,
+        out: &mut [f32],
+    ) {
+        let _span = gcnn_trace::span("fft.rfft_inverse");
+        gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
+        let (n, half) = (self.n, self.half);
+        assert!(offset + size <= n, "inverse_lanes: window exceeds plan");
+        assert_eq!(sre.len(), n * half * lanes, "inverse_lanes: re size");
+        assert_eq!(sim.len(), n * half * lanes, "inverse_lanes: im size");
+        let tile = self.tile_lanes().min(lanes);
+        let mut row2 = workspace::take_f32(2 * n * tile);
+        let mut cols2 = workspace::take_f32(2 * n * half * tile);
+        for lane0 in (0..lanes).step_by(tile.max(1)) {
+            let t = tile.min(lanes - lane0);
+            let (row_re, row_im) = row2[..2 * n * t].split_at_mut(n * t);
+            let (col_re, col_im) = cols2[..2 * n * half * t].split_at_mut(n * half * t);
+            for bin in 0..n * half {
+                let at = bin * lanes + lane0;
+                col_re[bin * t..(bin + 1) * t].copy_from_slice(&sre[at..at + t]);
+                col_im[bin * t..(bin + 1) * t].copy_from_slice(&sim[at..at + t]);
+            }
+            split::fft_lanes_inplace(col_re, col_im, &self.plan, Direction::Inverse, half * t);
+            for r in 0..size {
+                let at = (offset + r) * half * t;
+                row_re[..half * t].copy_from_slice(&col_re[at..at + half * t]);
+                row_im[..half * t].copy_from_slice(&col_im[at..at + half * t]);
+                for c in half..n {
+                    // After the column inverse each row is a real
+                    // signal's spectrum: T[r][c] = conj(T[r][n − c]).
+                    let from = (n - c) * t;
+                    row_re.copy_within(from..from + t, c * t);
+                    row_im.copy_within(from..from + t, c * t);
+                }
+                gcnn_tensor::simd::sscal(-1.0, &mut row_im[half * t..]);
+                split::fft_lanes_inplace(row_re, row_im, &self.plan, Direction::Inverse, t);
+                // The imaginary plane is zero up to fp noise: dropped.
+                for l in 0..t {
+                    let at = plane_of(lane0 + l) * size * size + r * size;
+                    let column = row_re[offset * t + l..].iter().step_by(t);
+                    for (slot, &v) in out[at..at + size].iter_mut().zip(column) {
+                        *slot = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,6 +557,60 @@ mod tests {
         let via_fft = product_through_half_spectrum(&p, &a, &b, true);
         for (x, y) in direct.iter().zip(&via_fft) {
             assert!((x - y).abs() < 1e-2, "{x} vs {y}");
+        }
+    }
+
+    /// The lane-tile transforms are the plane-major engine bit for bit:
+    /// forward equals `forward_split_into` of the zero-padded plane,
+    /// inverse equals the cropped `inverse_split_into`, for windows that
+    /// land off the origin, a permuted lane order, a lane count of 1, and
+    /// lane counts on both sides of the tile — out of NaN-filled scratch.
+    #[test]
+    fn lane_tiles_match_plane_major() {
+        for (n, h, w, offset) in [(1, 1, 1, 0), (2, 1, 2, 0), (8, 3, 5, 2), (16, 16, 16, 0)] {
+            let p = RfftPlan::new(n);
+            let (bins, tile) = (p.spectrum_len(), p.tile_lanes());
+            for lanes in [1, 3, tile - 1, tile, tile + 1] {
+                let src: Vec<f32> = (0..lanes * h * w)
+                    .map(|i| (i as f32 * 0.37).sin())
+                    .collect();
+                // A lane order that is not the plane order.
+                let plane_of = |l: usize| lanes - 1 - l;
+                for len in [2 * n * tile.min(lanes), 2 * bins * tile.min(lanes)] {
+                    workspace::take_f32(len).fill(f32::NAN);
+                }
+                let (mut sre, mut sim) =
+                    (vec![f32::NAN; bins * lanes], vec![f32::NAN; bins * lanes]);
+                p.forward_lanes_into(&src, (h, w), offset, plane_of, lanes, &mut sre, &mut sim);
+
+                let (size, crop_at) = (h.min(w), offset / 2);
+                let mut out = vec![f32::NAN; lanes * size * size];
+                let crop = (size, crop_at);
+                p.inverse_lanes_into(&sre, &sim, lanes, crop, plane_of, &mut out);
+
+                for l in 0..lanes {
+                    let mut plane = vec![0.0f32; n * n];
+                    for r in 0..h {
+                        let at = plane_of(l) * h * w + r * w;
+                        plane[(offset + r) * n + offset..][..w].copy_from_slice(&src[at..at + w]);
+                    }
+                    let (re, im) = forward(&p, &plane);
+                    let lane = |s: &[f32]| (0..bins).map(|b| s[b * lanes + l]).collect::<Vec<_>>();
+                    assert_eq!(
+                        (lane(&sre), lane(&sim)),
+                        (re.clone(), im.clone()),
+                        "n {n} lane {l}"
+                    );
+                    let back = inverse(&p, &re, &im);
+                    for r in 0..size {
+                        assert_eq!(
+                            out[plane_of(l) * size * size + r * size..][..size],
+                            back[(crop_at + r) * n + crop_at..][..size],
+                            "n {n} lanes {lanes} lane {l} row {r}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -22,7 +22,8 @@
 //! shuffles are outside the `Lanes` vocabulary.
 //!
 //! Dispatch is on an [`Isa`] the caller resolves once per transform
-//! (`gcnn_tensor::simd::isa`). The `*_scalar` functions are the scalar
+//! (`gcnn_tensor::simd::isa`); each entry asserts that the host runs it
+//! ([`Isa::runs_here`]), so safe code cannot name an ISA the CPU lacks. The `*_scalar` functions are the scalar
 //! tier of the engine — what runs on hosts without SIMD and under
 //! `GCNN_FORCE_SCALAR=1`, bit-identically through the dispatchers — and
 //! the oracle the generic bodies are tested against.
@@ -529,8 +530,9 @@ mod neon {
 /// the row lengths the 2-D rfft produces.
 ///
 /// # Panics
-/// Unless the planes are `n·lanes` floats, `span` is a stage of `n` and
-/// the tables reach `(span − 1)·stride`: the raw bodies rely on these.
+/// Unless `isa` is one this host runs ([`Isa::runs_here`]), the planes
+/// are `n·lanes` floats, `span` is a stage of `n` and the tables reach
+/// `(span − 1)·stride`: the raw bodies rely on these.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lane_stage_dit(
@@ -545,6 +547,7 @@ pub fn lane_stage_dit(
     conj_w: bool,
     isa: Isa,
 ) {
+    assert!(isa.runs_here(), "lane_stage_dit: host lacks {isa:?}");
     let s = Stage::new("lane_stage_dit", re, im, n, lanes, tw_re, tw_im, conj_w);
     assert!(
         span >= 1 && span * 2 <= n && n.is_multiple_of(span * 2),
@@ -556,8 +559,8 @@ pub fn lane_stage_dit(
     );
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selected after runtime AVX2+FMA
-        // detection; the asserts above are the body's whole contract.
+        // SAFETY: `isa.runs_here()` was asserted, so AVX2+FMA were
+        // detected; the asserts above are the body's whole contract.
         Isa::Avx2Fma => unsafe { avx2::lane_stage_avx2(&s, span, stride) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on AArch64; contract as above.
@@ -622,9 +625,10 @@ pub fn lane_stage_dit_scalar(
 /// [`lane_stage_dit_scalar`], bit-identical to the unfused schedule.
 ///
 /// # Panics
-/// Unless the planes are `n·lanes` floats, `s` and `2s` are stages of
-/// `n`, the strides are `n/(2s)` and `n/(4s)` and the tables reach
-/// `(2s − 1)·stride_b`: the raw bodies rely on these.
+/// Unless `isa` is one this host runs ([`Isa::runs_here`]), the planes
+/// are `n·lanes` floats, `s` and `2s` are stages of `n`, the strides are
+/// `n/(2s)` and `n/(4s)` and the tables reach `(2s − 1)·stride_b`: the
+/// raw bodies rely on these.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lane_stage2_dit(
@@ -640,6 +644,7 @@ pub fn lane_stage2_dit(
     conj_w: bool,
     isa: Isa,
 ) {
+    assert!(isa.runs_here(), "lane_stage2_dit: host lacks {isa:?}");
     let st = Stage::new("lane_stage2_dit", re, im, n, lanes, tw_re, tw_im, conj_w);
     assert!(
         s >= 1 && s * 4 <= n && n.is_multiple_of(s * 4),
@@ -655,8 +660,8 @@ pub fn lane_stage2_dit(
     );
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selected after runtime AVX2+FMA
-        // detection; the asserts above are the body's whole contract.
+        // SAFETY: `isa.runs_here()` was asserted, so AVX2+FMA were
+        // detected; the asserts above are the body's whole contract.
         Isa::Avx2Fma => unsafe { avx2::lane_stage2_avx2(&st, s, stride_a, stride_b) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on AArch64; contract as above.
@@ -674,10 +679,12 @@ pub fn lane_stage2_dit(
 /// unpack/shuffle/permute2f128) or 4×4 (NEON `vtrn1q/vtrn2q`) blocks.
 ///
 /// # Panics
-/// If `src` or `dst` is shorter than `rows·cols` — the block loads and
-/// stores rely on exactly this.
+/// If this host does not run `isa` ([`Isa::runs_here`]), or `src` or
+/// `dst` is shorter than `rows·cols` — the block loads and stores rely
+/// on exactly this.
 #[inline]
 pub fn transpose_f32(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], isa: Isa) {
+    assert!(isa.runs_here(), "transpose_f32: host lacks {isa:?}");
     let len = rows.checked_mul(cols);
     assert!(
         len.is_some_and(|len| src.len() >= len),
@@ -689,8 +696,8 @@ pub fn transpose_f32(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], isa
     );
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selected after runtime AVX2+FMA
-        // detection; both slices cover `rows·cols` per the asserts.
+        // SAFETY: `isa.runs_here()` was asserted, so AVX2+FMA were
+        // detected; both slices cover `rows·cols` per the asserts.
         Isa::Avx2Fma => unsafe { avx2::transpose_f32_avx2(src, rows, cols, dst) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on AArch64; extents as above.

@@ -179,6 +179,11 @@ pub fn col2im_from(cols: &[f32], geom: &ConvGeometry, image: &mut [f32]) {
                 let src = &cols[row * o2..(row + 1) * o2];
                 row += 1;
                 let (ow_lo, ow_hi) = tap_range(out_w, in_w, kw, s, p);
+                if oh_lo == oh_hi || ow_lo == ow_hi {
+                    // The tap never leaves the padding (and `ow_lo + kw`
+                    // may then lie below `p`).
+                    continue;
+                }
                 // Taps that land in the padding contribute nothing; only
                 // the valid (oh, ow) band is walked.
                 for oh in oh_lo..oh_hi {
@@ -299,26 +304,29 @@ mod tests {
     fn col2im_is_adjoint_of_im2col() {
         // <im2col(x), y> == <x, col2im(y)> for all x, y — the defining
         // property of an adjoint pair, checked on a pseudo-random basis.
-        let g = geom(5, 2, 3, 2, 1);
-        let xlen = g.channels * g.in_h * g.in_w;
-        let x: Vec<f32> = (0..xlen).map(|i| ((i * 37 % 11) as f32) - 5.0).collect();
-        let mut cols = Matrix::zeros(g.col_rows(), g.col_cols());
-        im2col(&x, &g, &mut cols);
+        // The second geometry has taps that never leave the padding, with
+        // `kw < pad`: their column range is empty and must be skipped.
+        for g in [geom(5, 2, 3, 2, 1), geom(1, 2, 6, 1, 3)] {
+            let xlen = g.channels * g.in_h * g.in_w;
+            let x: Vec<f32> = (0..xlen).map(|i| ((i * 37 % 11) as f32) - 5.0).collect();
+            let mut cols = Matrix::zeros(g.col_rows(), g.col_cols());
+            im2col(&x, &g, &mut cols);
 
-        let y = Matrix::from_fn(g.col_rows(), g.col_cols(), |r, c| {
-            ((r * 13 + c * 7) % 9) as f32 - 4.0
-        });
-        let mut folded = vec![0.0f32; xlen];
-        col2im(&y, &g, &mut folded);
+            let y = Matrix::from_fn(g.col_rows(), g.col_cols(), |r, c| {
+                ((r * 13 + c * 7) % 9) as f32 - 4.0
+            });
+            let mut folded = vec![0.0f32; xlen];
+            col2im(&y, &g, &mut folded);
 
-        let lhs: f32 = cols
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(a, b)| a * b)
-            .sum();
-        let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0));
+            let lhs: f32 = cols
+                .as_slice()
+                .iter()
+                .zip(y.as_slice())
+                .map(|(a, b)| a * b)
+                .sum();
+            let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
+            assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "{g:?}");
+        }
     }
 
     #[test]

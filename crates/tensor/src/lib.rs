@@ -17,7 +17,6 @@
 //!   live in [`nchwc`].
 //! * `im2col`/`col2im` — the unrolling primitives behind Caffe-style
 //!   convolution (paper §II-B, "Unrolling Based Convolution").
-//! * Zero-padding / cropping used by the FFT convolution strategy.
 //!
 //! Everything is deterministic and `f32`-exact so that the three
 //! convolution strategies implemented in `gcnn-conv` can be cross-checked
@@ -31,7 +30,6 @@ pub mod layout;
 pub mod matrix;
 pub mod nchwc;
 pub mod ops;
-pub mod pad;
 pub mod shape;
 pub mod simd;
 pub mod tensor;

@@ -72,6 +72,15 @@ impl Isa {
             Isa::Neon => 2,
         }
     }
+
+    /// Whether this host can execute the ISA: it is [`Isa::Scalar`] or
+    /// the (cached) runtime-detected one. The forced-scalar override
+    /// narrows what [`isa`] *selects*, not what the host can run. Safe
+    /// entry points that take the `Isa` to run as an argument assert
+    /// this before they dispatch on it.
+    pub fn runs_here(self) -> bool {
+        self == Isa::Scalar || self == detected()
+    }
 }
 
 /// `-1` = not yet read from the environment; `0`/`1` = resolved.

@@ -2,7 +2,6 @@
 
 use gcnn_tensor::im2col::{col2im, im2col, ConvGeometry};
 use gcnn_tensor::layout::{relayout, Layout};
-use gcnn_tensor::pad::{crop_planes, flip_planes, pad_planes};
 use gcnn_tensor::{Matrix, Shape4};
 use proptest::prelude::*;
 
@@ -11,27 +10,6 @@ fn small_shape() -> impl Strategy<Value = Shape4> {
 }
 
 proptest! {
-    #[test]
-    fn pad_crop_roundtrip(shape in small_shape(), top in 0usize..3, left in 0usize..3, extra_h in 0usize..3, extra_w in 0usize..3, seed in 0u64..1000) {
-        let t = gcnn_tensor::init::uniform_tensor(shape, -1.0, 1.0, seed);
-        let padded = pad_planes(&t, shape.h + top + extra_h, shape.w + left + extra_w, top, left);
-        let back = crop_planes(&padded, shape.h, shape.w, top, left);
-        prop_assert_eq!(back, t);
-    }
-
-    #[test]
-    fn pad_preserves_sum(shape in small_shape(), seed in 0u64..1000) {
-        let t = gcnn_tensor::init::uniform_tensor(shape, 0.0, 1.0, seed);
-        let padded = pad_planes(&t, shape.h + 4, shape.w + 4, 2, 2);
-        prop_assert!((padded.sum() - t.sum()).abs() < 1e-3 * t.sum().abs().max(1.0));
-    }
-
-    #[test]
-    fn flip_involution(shape in small_shape(), seed in 0u64..1000) {
-        let t = gcnn_tensor::init::uniform_tensor(shape, -1.0, 1.0, seed);
-        prop_assert_eq!(flip_planes(&flip_planes(&t)), t);
-    }
-
     #[test]
     fn relayout_roundtrip_any_pair(shape in small_shape(), seed in 0u64..1000,
                                    a in 0usize..3, b in 0usize..3) {
