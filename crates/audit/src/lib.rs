@@ -178,7 +178,10 @@ impl Default for AuditConfig {
     fn default() -> Self {
         let s = |v: &[&str]| v.iter().map(|x| x.to_string()).collect::<Vec<_>>();
         AuditConfig {
-            allowed_unsafe: s(&["gcnn-tensor", "gcnn-fft", "gcnn-gemm"]),
+            // The three kernel crates, and the vendored `rayon`: handing a
+            // region's borrowed job to the pool's persistent workers needs
+            // one lifetime-erasing `unsafe` block (`vendor/rayon/src/pool.rs`).
+            allowed_unsafe: s(&["gcnn-tensor", "gcnn-fft", "gcnn-gemm", "rayon"]),
             hot_paths: vec![
                 HotPath {
                     file_suffix: "conv/src/unroll.rs".into(),

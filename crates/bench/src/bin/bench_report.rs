@@ -70,7 +70,9 @@ fn main() {
     // Warm-up: populate the thread-local pools and plan caches, then
     // drop everything recorded so far so the snapshot reflects only the
     // steady-state pass.
-    conv_round(&cfg, &x, &w);
+    // The conv round runs at pool width 1 both times: `alloc_scope`
+    // counts this thread only, so this thread must run all of it.
+    workspace::on_calling_thread(|| conv_round(&cfg, &x, &w));
     for net in &mut nets {
         net.train_batch(&imgs, &labels);
     }
@@ -78,7 +80,8 @@ fn main() {
 
     // Counted region: the arena-backed round only, so the gate matches
     // exactly what the zero-allocation tests guarantee.
-    let (_, steady) = workspace::alloc_scope(|| conv_round(&cfg, &x, &w));
+    let (_, steady) =
+        workspace::on_calling_thread(|| workspace::alloc_scope(|| conv_round(&cfg, &x, &w)));
 
     // Timed region: the same round through the shared timing util, so
     // this report and perf_smoke summarize wall clock identically.

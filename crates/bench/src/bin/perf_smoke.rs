@@ -503,9 +503,13 @@ fn bench_layout(repeats: Repeats) -> LayoutReport {
         };
         // The zero-alloc contract is part of what ships: a warm fused
         // call must be entirely arena-served.
-        fused_body(&mut pout);
-        fused_body(&mut pout);
-        let (_, fresh) = workspace::alloc_scope(|| fused_body(&mut pout));
+        // At width 1, so the thread that is counted is the thread that
+        // was warmed and runs every image.
+        let (_, fresh) = workspace::on_calling_thread(|| {
+            fused_body(&mut pout);
+            fused_body(&mut pout);
+            workspace::alloc_scope(|| fused_body(&mut pout))
+        });
         assert_eq!(
             fresh, 0,
             "{}: warm fused path allocated {fresh} fresh bytes",

@@ -8,7 +8,6 @@
 //! ordered so the innermost runs contiguously over a filter row.
 
 use crate::config::ConvConfig;
-use crate::reference;
 use crate::strategy::{ConvAlgorithm, Strategy};
 use gcnn_tensor::Tensor4;
 use rayon::prelude::*;
@@ -132,26 +131,47 @@ impl ConvAlgorithm for DirectConv {
 
     fn backward_filters(&self, cfg: &ConvConfig, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
         let _span = gcnn_trace::span("conv.direct.backward_filters");
-        // Parallel over images with a per-thread filter-gradient
-        // accumulator, reduced at the end (cuda-convnet2's
-        // conv_weight_acts kernels follow the same partial-sum scheme).
-        let partials: Vec<Tensor4> = (0..cfg.batch)
-            .into_par_iter()
-            .map(|n| {
-                let mut single = *cfg;
-                single.batch = 1;
-                let x1 = Tensor4::from_vec(single.input_shape(), input.image(n).to_vec())
-                    .expect("image slice has input shape");
-                let g1 = Tensor4::from_vec(single.output_shape(), grad_out.image(n).to_vec())
-                    .expect("image slice has output shape");
-                reference::backward_filters_ref(&single, &x1, &g1)
-            })
-            .collect();
+        let o = cfg.output();
+        let (k, s, p, i) = (cfg.kernel, cfg.stride, cfg.pad, cfg.input);
 
+        // One owner per filter's slice of ΔW, each element summed over
+        // (n, oy, ox) in that order: the gradient is the same bits at
+        // any pool width (and the reference's).
         let mut grad_w = Tensor4::zeros(cfg.filter_shape());
-        for part in partials {
-            grad_w.axpy(1.0, &part).expect("same filter shape");
-        }
+        grad_w
+            .as_mut_slice()
+            .par_chunks_mut(cfg.channels * k * k)
+            .enumerate()
+            .for_each(|(f, wf)| {
+                for n in 0..cfg.batch {
+                    let gplane = grad_out.plane(n, f);
+                    for oy in 0..o {
+                        for ox in 0..o {
+                            let g = gplane[oy * o + ox];
+                            if g == 0.0 {
+                                continue;
+                            }
+                            for c in 0..cfg.channels {
+                                let iplane = input.plane(n, c);
+                                for ky in 0..k {
+                                    let iy = oy * s + ky;
+                                    if iy < p || iy - p >= i {
+                                        continue;
+                                    }
+                                    for kx in 0..k {
+                                        let ix = ox * s + kx;
+                                        if ix < p || ix - p >= i {
+                                            continue;
+                                        }
+                                        wf[(c * k + ky) * k + kx] +=
+                                            g * iplane[(iy - p) * i + (ix - p)];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            });
         grad_w
     }
 }

@@ -477,12 +477,15 @@ mod tests {
             fused_conv_relu(&cfg, block, &pin, &pw, pout.as_mut_slice(), true);
             fused_conv_relu_pool(&cfg, block, 2, 2, &pin, &pw, &mut pooled);
         };
-        // Warm both fused drivers (and rayon's worker-local pools) with
-        // the checkout pattern that is measured.
-        for _ in 0..2 {
-            hot();
-        }
-        let (_, fresh) = workspace::alloc_scope(hot);
+        // Warm both fused drivers with the checkout pattern that is
+        // measured — at width 1, so that the thread `alloc_scope` counts
+        // is the thread that was warmed and runs every image.
+        let (_, fresh) = workspace::on_calling_thread(|| {
+            for _ in 0..2 {
+                hot();
+            }
+            workspace::alloc_scope(hot)
+        });
         assert_eq!(fresh, 0, "fused hot path must not allocate when warm");
     }
 
@@ -574,9 +577,13 @@ mod tests {
                         let check = |fused: &dyn Fn(&mut [f32]), want: Tensor4, what: &str| {
                             let len = nchwc::packed_len(want.shape(), block, 0);
                             let mut pout = vec![f32::NAN; len];
-                            fused(&mut pout);
                             let mut again = vec![1e30f32; len];
-                            let (_, fresh) = workspace::alloc_scope(|| fused(&mut again));
+                            // Width 1: the counted thread runs every image,
+                            // warm-up included.
+                            let (_, fresh) = workspace::on_calling_thread(|| {
+                                fused(&mut pout);
+                                workspace::alloc_scope(|| fused(&mut again))
+                            });
                             assert_eq!(fresh, 0, "{what}: warm call missed the arena");
                             assert!(
                                 pout.iter()

@@ -7,7 +7,7 @@
 //!
 //! * forward:           `Y(f × o²)  = W(f × ck²) · cols(ck² × o²)`
 //! * backward-data:     `cols       = Wᵀ · G`, then `col2im`
-//! * backward-weights:  `ΔW        += G · colsᵀ`, summed over the batch
+//! * backward-weights:  `ΔW        += G · colsᵀ`, image after image
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy};
@@ -126,39 +126,30 @@ impl ConvAlgorithm for UnrollConv {
         let o2 = cfg.output() * cfg.output();
         let ckk = cfg.channels * cfg.kernel * cfg.kernel;
 
-        // Per-image partial ΔW, tree-reduced: ΔW_n = G_n · cols_nᵀ.
-        let zero = || vec![0.0f32; cfg.filters * ckk];
-        let grad_w_flat = (0..cfg.batch)
-            .into_par_iter()
-            .fold(zero, |mut acc, n| {
-                let mut cols = workspace::take_f32(ckk * o2);
-                im2col_into(input.image(n), &geom, &mut cols);
-                sgemm(
-                    Transpose::No,
-                    Transpose::Yes,
-                    cfg.filters,
-                    ckk,
-                    o2,
-                    1.0,
-                    grad_out.image(n),
-                    o2,
-                    cols.as_slice(),
-                    o2,
-                    1.0,
-                    &mut acc,
-                    ckk,
-                );
-                acc
-            })
-            .reduce(zero, |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            });
-
-        Tensor4::from_vec(cfg.filter_shape(), grad_w_flat)
-            .expect("backward_filters: f×ck² buffer matches filter shape")
+        // One accumulator, images in batch order with `beta = 1`: the
+        // order of the sum, and so every bit of ΔW, is the same at any
+        // pool width. The parallelism is SGEMM's, over ΔW's row blocks.
+        let mut grad_w = Tensor4::zeros(cfg.filter_shape());
+        let mut cols = workspace::take_f32(ckk * o2);
+        for n in 0..cfg.batch {
+            im2col_into(input.image(n), &geom, &mut cols);
+            sgemm(
+                Transpose::No,
+                Transpose::Yes,
+                cfg.filters,
+                ckk,
+                o2,
+                1.0,
+                grad_out.image(n),
+                o2,
+                cols.as_slice(),
+                o2,
+                1.0,
+                grad_w.as_mut_slice(),
+                ckk,
+            );
+        }
+        grad_w
     }
 }
 

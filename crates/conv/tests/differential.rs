@@ -9,13 +9,16 @@
 //! must then draw all its scratch from those (zero pool misses) — so "the
 //! kernel overwrites all of its scratch" is tested, the FFT tiles' zeroed
 //! padding rows included; and runs twice, the second result bit-identical
-//! to the first. `scripts/verify.sh` repeats the suite under
-//! `GCNN_FORCE_SCALAR=1`.
+//! to the first. The poisoned runs are at pool width 1 (the poison and
+//! the miss counter are this thread's); the pass then runs at widths 2, 3
+//! and 4 and must give the same bits again — one owner per output and a
+//! fixed summation order, whatever the pool. `scripts/verify.sh` repeats
+//! the suite under `GCNN_FORCE_SCALAR=1`.
 
 use gcnn_conv::{reference, ConvAlgorithm, ConvConfig, FftConv, UnrollConv};
 use gcnn_fft::RfftPlan;
 use gcnn_tensor::init::uniform_tensor;
-use gcnn_tensor::workspace::{alloc_scope, take_f32};
+use gcnn_tensor::workspace::{alloc_scope, on_calling_thread, take_f32};
 use gcnn_tensor::Tensor4;
 
 /// The paths under test.
@@ -68,6 +71,9 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         ("T channel planes", cfg(1, t, 9, 1, 2)),
         ("T + 1 channel planes", cfg(1, t + 1, 9, 1, 2)),
         ("T + 1 filter planes", cfg(1, 1, 9, t + 1, 2)),
+        // Every pass's output is past the size below which the pool keeps
+        // a region on its caller: the one row whose regions are shared.
+        ("outputs the pool shares", cfg(5, 16, 24, 16, 3)),
     ]
 }
 
@@ -89,19 +95,29 @@ fn poison_arena() {
 }
 
 /// `run` out of a poisoned arena, twice: no scratch from anywhere else,
-/// within [`TOL`] of `want`, and the same bits both times.
+/// within [`TOL`] of `want`, and the same bits both times — and at every
+/// pool width.
 fn check(what: &str, want: &Tensor4, run: impl Fn() -> Tensor4) {
+    // Width 1: the poison is in this thread's arena and `alloc_scope`
+    // counts this thread's misses, so this thread must run every piece.
     let poisoned = || {
-        poison_arena();
-        let (got, misses) = alloc_scope(&run);
-        assert_eq!(misses, 0, "{what}: scratch beyond the poisoned classes");
-        got
+        on_calling_thread(|| {
+            poison_arena();
+            let (got, misses) = alloc_scope(&run);
+            assert_eq!(misses, 0, "{what}: scratch beyond the poisoned classes");
+            got
+        })
     };
     let got = poisoned();
     let dist = got.rel_l2_dist(want).expect("same output shape");
     assert!(dist < TOL, "{what}: rel l2 {dist} from the reference");
     let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&got), bits(&poisoned()), "{what}: second run differs");
+    for width in 2..=4 {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
+        let wide = pool.build().expect("pool").install(&run);
+        assert_eq!(bits(&got), bits(&wide), "{what}: differs at width {width}");
+    }
 }
 
 #[test]

@@ -255,6 +255,52 @@ fn boundary_shapes_match_reference() {
     }
 }
 
+/// The property above draws C no larger than 47×47, which the pool keeps
+/// on its caller; this C is past that size and has seven row blocks, so
+/// at widths 2 and 4 workers really take some of them. One owner per C
+/// row and a fixed k order: the result is the bits of width 1.
+#[test]
+fn row_blocks_on_a_real_pool_give_the_same_bits() {
+    let (m, n, k) = (190, 97, 45);
+    let a = lcg_vec(m * k, 11);
+    let b = lcg_vec(k * n, 12);
+    let c0: Vec<f32> = (0..m * n).map(|i| (i % 5) as f32 - 2.0).collect();
+    let run = |threads: usize| {
+        let mut c = c0.clone();
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build();
+        pool.expect("pool").install(|| {
+            sgemm_blocked(
+                Transpose::No,
+                Transpose::No,
+                m,
+                n,
+                k,
+                0.5,
+                &a,
+                k,
+                &b,
+                n,
+                -1.5,
+                &mut c,
+                n,
+                BlockSizes::tiny(),
+            )
+        });
+        c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let one = run(1);
+    let mut c_ref = c0.clone();
+    sgemm_ref(
+        false, false, m, n, k, 0.5, &a, k, &b, n, -1.5, &mut c_ref, n,
+    );
+    for (x, y) in one.iter().zip(&c_ref) {
+        assert!((f32::from_bits(*x) - y).abs() <= 1e-3 * (k as f32).sqrt());
+    }
+    for threads in [2, 4] {
+        assert!(run(threads) == one, "C differs at {threads} threads");
+    }
+}
+
 /// The second of two identical GEMM calls must run entirely out of the
 /// workspace arena: zero fresh pool allocations.
 #[test]
@@ -286,8 +332,12 @@ fn repeated_sgemm_is_steady_state_allocation_free() {
         )
     };
 
-    run(&mut c); // warm the thread-local pools
-    let (_, misses) = workspace::alloc_scope(|| run(&mut c));
+    // Width 1: `alloc_scope` counts this thread only, so this thread
+    // must be the one that warms up and the one that is counted.
+    let (_, misses) = workspace::on_calling_thread(|| {
+        run(&mut c); // warm the thread-local pools
+        workspace::alloc_scope(|| run(&mut c))
+    });
     assert_eq!(
         misses, 0,
         "second identical GEMM call took {misses} fresh allocations"
@@ -313,7 +363,9 @@ fn repeated_sgemm_is_steady_state_allocation_free() {
             blocks,
         )
     };
-    small(&mut c);
-    let (_, misses) = workspace::alloc_scope(|| small(&mut c));
+    let (_, misses) = workspace::on_calling_thread(|| {
+        small(&mut c);
+        workspace::alloc_scope(|| small(&mut c))
+    });
     assert_eq!(misses, 0, "small-M GEMM took {misses} fresh allocations");
 }

@@ -1238,11 +1238,14 @@ mod tests {
         }
         let x = synthetic_digits(4, 16, 4, 3).images;
         let mut ws = Workspace::new();
-        for _ in 0..2 {
-            let _ = net.infer_ws(&x, &mut ws);
-        }
-        let (_, fresh) = gcnn_tensor::workspace::alloc_scope(|| {
-            let _ = net.infer_ws(&x, &mut ws);
+        // Width 1: the counted thread is the one warmed, and runs it all.
+        let (_, fresh) = gcnn_tensor::workspace::on_calling_thread(|| {
+            for _ in 0..2 {
+                let _ = net.infer_ws(&x, &mut ws);
+            }
+            gcnn_tensor::workspace::alloc_scope(|| {
+                let _ = net.infer_ws(&x, &mut ws);
+            })
         });
         assert_eq!(fresh, 0, "warm blocked inference must not miss the arena");
     }

@@ -79,13 +79,25 @@ fn checkout_counter() -> &'static gcnn_trace::Counter {
 /// ```
 ///
 /// Counts the **calling thread's** misses only: the pools are
-/// thread-local and the vendored rayon runs every closure on the calling
-/// thread, so a sibling thread missing its own pool (parallel tests in
-/// one binary) must not show up here.
+/// thread-local, so a sibling thread missing its own pool (parallel tests
+/// in one binary) does not show up here — and neither does a pool worker
+/// that ran a piece of `body`'s regions. For the count to cover all of
+/// `body`, run it, and the warm-up before it, [`on_calling_thread`].
 pub fn alloc_scope<R>(body: impl FnOnce() -> R) -> (R, u64) {
     let before = THREAD_FRESH_ALLOCS.get();
     let out = body();
     (out, THREAD_FRESH_ALLOCS.get() - before)
+}
+
+/// Run `body` with every parallel region inside it on the calling thread
+/// (pool width 1): what [`alloc_scope`], or a test that poisons this
+/// thread's arena, needs to see every checkout `body` makes.
+pub fn on_calling_thread<R>(body: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a width is all a pool is")
+        .install(body)
 }
 
 /// Round a request up to its size class.
@@ -114,20 +126,24 @@ impl<T> Pool<T> {
         }
     }
 
-    /// Check out a buffer of exactly `class` capacity, allocating on miss.
-    // AUDIT: cold-path — this IS the arena: it allocates only on the first
-    // miss per size class, and every fresh allocation is counted by the
-    // fresh-alloc instrumentation the zero-alloc tests assert on.
+    /// Check out a buffer of at least `class` capacity: an idle one of
+    /// that class, else the smallest larger idle one — a thread that ran
+    /// a wide layer serves its narrower ones from the same buffer, so
+    /// each pool participant holds one column buffer, not one per layer.
+    /// Only when nothing idle is large enough is one allocated, and the
+    /// largest idle buffer that was too small is freed in exchange: the
+    /// new one serves its requests from now on, and a thread's arena
+    /// tracks what it needs at once, not every size it ever saw.
+    // AUDIT: cold-path — this IS the arena: it allocates only on a miss,
+    // and every fresh allocation is counted by the fresh-alloc
+    // instrumentation the zero-alloc tests assert on.
     fn take(&mut self, class: usize) -> Vec<T> {
-        let idx = self.classes.binary_search_by_key(&class, |(c, _)| *c);
-        match idx {
-            Ok(i) => {
-                if let Some(buf) = self.classes[i].1.pop() {
-                    return buf;
-                }
-            }
-            Err(i) => self.classes.insert(i, (class, Vec::new())),
+        let from = self.classes.partition_point(|(c, _)| *c < class);
+        let (smaller, fitting) = self.classes.split_at_mut(from);
+        if let Some(buf) = fitting.iter_mut().find_map(|(_, shelf)| shelf.pop()) {
+            return buf;
         }
+        drop(smaller.iter_mut().rev().find_map(|(_, shelf)| shelf.pop()));
         THREAD_FRESH_ALLOCS.set(THREAD_FRESH_ALLOCS.get() + 1);
         FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
         FRESH_ALLOC_BYTES.fetch_add((class * std::mem::size_of::<T>()) as u64, Ordering::Relaxed);
@@ -141,17 +157,9 @@ impl<T> Pool<T> {
         if class == 0 {
             return;
         }
-        if let Ok(i) = self.classes.binary_search_by_key(&class, |(c, _)| *c) {
-            self.classes[i].1.push(buf);
-        } else {
-            // A buffer whose capacity is not a known class (e.g. adopted
-            // from outside). Shelve it under its own capacity; future
-            // same-class requests will still hit.
-            let i = self
-                .classes
-                .binary_search_by_key(&class, |(c, _)| *c)
-                .unwrap_err();
-            self.classes.insert(i, (class, vec![buf]));
+        match self.classes.binary_search_by_key(&class, |(c, _)| *c) {
+            Ok(i) => self.classes[i].1.push(buf),
+            Err(i) => self.classes.insert(i, (class, vec![buf])),
         }
     }
 }
@@ -359,6 +367,28 @@ mod tests {
         });
         assert_eq!(misses, 0, "a sibling thread's miss leaked into the scope");
         assert!(fresh_allocs() - global_before >= 1);
+    }
+
+    /// The arena holds what a thread needs at once, not every size it
+    /// saw: a narrower request is served from a wider idle buffer, and a
+    /// miss retires the largest idle buffer that was too small.
+    #[test]
+    fn wider_idle_buffers_serve_narrower_requests() {
+        // On a thread of its own: the arena starts empty.
+        let check = || {
+            let misses = |body: &dyn Fn()| alloc_scope(body).1;
+            assert_eq!(misses(&|| drop(take_f32(5000))), 1); // class 8192
+            assert_eq!(misses(&|| drop(take_f32(1000))), 0, "8192 serves 1000");
+            // Two at once: the second needs a buffer of its own.
+            assert_eq!(misses(&|| drop((take_f32(1000), take_f32(1000)))), 1);
+            // Wider than anything idle: allocated, and the 8192 goes.
+            assert_eq!(misses(&|| drop(take_f32(20_000))), 1);
+            assert_eq!(misses(&|| drop(take_f32(5000))), 0, "32768 serves 5000");
+            let both = || drop((take_f32(20_000), take_f32(5000)));
+            assert_eq!(misses(&both), 1, "the 8192 buffer was retired");
+            assert_eq!(misses(&both), 0);
+        };
+        std::thread::spawn(check).join().expect("arena thread");
     }
 
     #[cfg(feature = "trace")]

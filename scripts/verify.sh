@@ -8,6 +8,17 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The pool's width is the cores the OS offers and nothing else (no
+# environment variable), so one core is how width 1 is exercised: the
+# pool itself and the two crates whose kernels open its regions.
+if command -v taskset >/dev/null; then
+  taskset -c 0 cargo test -q -p rayon -p gcnn-gemm -p gcnn-conv
+else
+  echo "verify: SKIPPED the width-1 pass (taskset not found): the pool ran at the default width only" >&2
+fi
+# The pool's stress loop and forced-interleaving tests again in release:
+# optimised code is what reorders around the job hand-off.
+cargo test -q --release -p rayon
 cargo clippy --workspace -- -D warnings
 cargo fmt --all -- --check
 # Soundness audit: call-graph lints (transitive arena, lock discipline,
