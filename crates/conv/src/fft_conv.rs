@@ -24,9 +24,12 @@
 //!    row-inverting only the rows inside the crop window, and writes the
 //!    crop straight into the output tensor.
 //!
-//! The two transforms' tile loops are serial by construction (see their
-//! docs for what a parallel split would own); the per-bin products are
-//! the one stage issued through rayon.
+//! All three stages are pool regions: the transforms' participants claim
+//! whole lane tiles, each with its own tile scratch and a disjoint lane
+//! range of the bin-major operand (a disjoint set of output planes, in the
+//! inverse), and the per-bin products split over bins. One owner per
+//! output float and a fixed order of arithmetic per lane and per bin, so a
+//! pass is the same bits at every pool width.
 //!
 //! Transforms are padded to the next power of two ≥ the (padded) input
 //! size — enough for *valid* correlation, since every needed output lag
@@ -44,7 +47,7 @@
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy, Unsupported};
-use gcnn_fft::RfftPlan;
+use gcnn_fft::{LaneOrder, RfftPlan};
 use gcnn_gemm::batched_cgemm_split;
 use gcnn_tensor::workspace::{self, Scratch};
 use gcnn_tensor::{Shape4, Tensor4};
@@ -101,21 +104,23 @@ impl Factor<'_> {
         let s = self.t.shape();
         let (kept, summed) = self.extents();
         let lanes = kept * summed;
-        let cols = if kept_is_row { summed } else { kept };
-        let row_is_c = kept_is_row != self.sum_c;
+        // The tensor's planes are `[n][c]`: a row axis of `c` reads them
+        // transposed.
+        let order = if kept_is_row != self.sum_c {
+            LaneOrder::Transposed {
+                rows: s.c,
+                cols: s.n,
+            }
+        } else {
+            LaneOrder::Identity
+        };
         let mut re = workspace::take_f32(plan.spectrum_len() * lanes);
         let mut im = workspace::take_f32(plan.spectrum_len() * lanes);
         plan.forward_lanes_into(
             self.t.as_slice(),
             (s.h, s.w),
             self.pad,
-            |lane| {
-                if row_is_c {
-                    (lane % cols) * s.c + lane / cols
-                } else {
-                    lane
-                }
-            },
+            order,
             lanes,
             &mut re,
             &mut im,
@@ -174,20 +179,15 @@ fn fft_pass(first: Factor<'_>, second: Factor<'_>, crop: Crop, plan: &RfftPlan) 
     }
 
     let mut out = Tensor4::zeros(Shape4::new(d0, d1, crop.size, crop.size));
-    plan.inverse_lanes_into(
-        &c_re,
-        &c_im,
-        m * n,
-        (crop.size, crop.offset),
-        |lane| {
-            if flip {
-                (lane % d0) * d1 + lane / d0
-            } else {
-                lane
-            }
-        },
-        out.as_mut_slice(),
-    );
+    // The product is `[m×n]`; flipped, that is the output's `[d0][d1]`
+    // planes transposed.
+    let order = if flip {
+        LaneOrder::Transposed { rows: m, cols: n }
+    } else {
+        LaneOrder::Identity
+    };
+    let window = (crop.size, crop.offset);
+    plan.inverse_lanes_into(&c_re, &c_im, m * n, window, order, out.as_mut_slice());
     out
 }
 

@@ -27,13 +27,15 @@ const PATHS: [(&str, &dyn ConvAlgorithm); 2] = [("fft", &FftConv), ("unroll", &U
 /// Largest relative L2 distance from the reference.
 const TOL: f32 = 1e-4;
 
-/// Largest scratch size class (in floats) a row may reach; the poisoned
-/// run's zero-miss assertion is what holds the table to it.
-const MAX_CLASS: usize = 1 << 18;
+/// Largest scratch size class (in floats) a row may reach — the lane
+/// tile of the 16×16 transform (row and tile scratch of 896 planes), and
+/// the operands of the rows that span three of them; the poisoned run's
+/// zero-miss assertion is what holds the table to it.
+const MAX_CLASS: usize = 1 << 19;
 
-/// Buffers poisoned per size class: more than any pass holds of one
-/// class at a time (the FFT pass peaks at eight: three split operands
-/// and the transform's two tile buffers).
+/// Buffers poisoned per size class: what a pass holds of one class at
+/// most (the FFT pass peaks at seven: three split operands and one
+/// participant's tile scratch) and one to spare.
 const PER_CLASS: usize = 8;
 
 fn cfg(batch: usize, channels: usize, input: usize, filters: usize, kernel: usize) -> ConvConfig {
@@ -50,6 +52,11 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
     // Planes per lane tile of the 16×16 transform the straddling rows use
     // (input 9 → n = 16).
     let t = RfftPlan::cached(16).tile_lanes();
+    // Batch, channel and filter counts any two of which multiply to more
+    // than two tiles, so every operand and every product of the two rows
+    // that use them is a region of three.
+    let (few, many) = (43, 44);
+    assert!(few * few > 2 * t && many * many <= 3 * t);
     vec![
         ("small pow2", cfg(2, 3, 8, 4, 3)),
         ("non-pow2 input 7", cfg(1, 1, 7, 2, 5)),
@@ -74,6 +81,17 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         // Every pass's output is past the size below which the pool keeps
         // a region on its caller: the one row whose regions are shared.
         ("outputs the pool shares", cfg(5, 16, 24, 16, 3)),
+        // `fft_pass` transposes the product when its first output axis is
+        // the longer one: the forward pass of the first row does and its
+        // inverse reads the lanes transposed, the second row's does not.
+        (
+            "3 tiles everywhere, batch > filters",
+            cfg(many, few, 9, few, 2),
+        ),
+        (
+            "3 tiles everywhere, batch < filters",
+            cfg(few, many, 9, many, 2),
+        ),
     ]
 }
 

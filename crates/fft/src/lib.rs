@@ -41,7 +41,7 @@ pub mod split;
 
 pub use batch::{rfft_forward_batch_split, rfft_inverse_batch_split};
 pub use plan::FftPlan;
-pub use rfft::RfftPlan;
+pub use rfft::{LaneOrder, RfftPlan};
 pub use split::fft_lanes_inplace;
 
 /// Direction of a transform.

@@ -34,6 +34,9 @@
 use crate::plan::{FftPlan, PlanLru, PLAN_CACHE_CAP};
 use crate::{simd, split, Direction};
 use gcnn_tensor::workspace;
+use rayon::prelude::*;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Plan for `n×n` real-input transforms (power-of-two `n`).
@@ -249,6 +252,68 @@ const TILE_BYTES: usize = 1 << 20;
 /// faster than 16 although the tile then fills the L2.
 const MIN_TILE_LANES: usize = 32;
 
+/// Which plane each lane of a lane-tile transform is: a permutation of
+/// `0..lanes` by construction, not a caller's closure — the parallel
+/// inverse gives each lane's plane to one writer on the strength of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneOrder {
+    /// Lane `l` is plane `l`.
+    Identity,
+    /// The lanes read a `rows × cols` grid row by row whose planes are
+    /// stored column by column: lane `r·cols + c` is plane `c·rows + r`.
+    Transposed { rows: usize, cols: usize },
+}
+
+impl LaneOrder {
+    fn plane_of(self, lane: usize) -> usize {
+        match self {
+            LaneOrder::Identity => lane,
+            LaneOrder::Transposed { rows, cols } => lane % cols * rows + lane / cols,
+        }
+    }
+
+    /// Panic unless the order permutes exactly `lanes` planes.
+    fn assert_covers(self, lanes: usize) {
+        if let LaneOrder::Transposed { rows, cols } = self {
+            let grid = rows.checked_mul(cols);
+            assert_eq!(grid, Some(lanes), "LaneOrder: the grid is not the lanes");
+        }
+    }
+}
+
+/// A `&mut [f32]` the participants of a tile region write side by side:
+/// each takes the runs of its own lanes — disjoint from the others' but
+/// interleaved with them (a `T`-float run per bin, a row per plane), which
+/// `split_at_mut` cannot express.
+struct SharedOut<'a>(*mut [f32], PhantomData<&'a mut [f32]>);
+
+// SAFETY: the pointer is the slice borrowed exclusively for `'a`, and an
+// `f32` may be written from any thread. A shared `SharedOut` gives access
+// through `run` only, whose caller guarantees that no two live runs
+// overlap, so the threads sharing one never touch the same float.
+unsafe impl Sync for SharedOut<'_> {}
+
+impl<'a> SharedOut<'a> {
+    /// Takes the borrow, so nothing else reaches the slice while `self` lives.
+    fn new(out: &'a mut [f32]) -> Self {
+        SharedOut(out, PhantomData)
+    }
+
+    /// The run `at..at + len` of the slice.
+    ///
+    /// # Safety
+    /// No two live runs overlap: while the returned borrow lives, no other
+    /// `run` of this output, on any thread, covers any of its floats.
+    #[allow(clippy::mut_from_ref)] // what the type is for; see `# Safety`
+    unsafe fn run(&self, at: usize, len: usize) -> &mut [f32] {
+        let all = self.0.len();
+        assert!(len <= all && at <= all - len, "SharedOut: run outside");
+        // SAFETY: the run lies inside the slice borrowed for `'a` (just
+        // asserted), and the caller guarantees nothing else aliases it.
+        unsafe { std::slice::from_raw_parts_mut(self.0.cast::<f32>().add(at), len) }
+    }
+}
+
 /// The lane-tile transforms: **the planes are the lanes**.
 ///
 /// `T` planes are transformed together in scratch laid out
@@ -262,14 +327,13 @@ const MIN_TILE_LANES: usize = 32;
 /// is the plane-major engine's, so the spectra are bit-identical to
 /// [`RfftPlan::forward_split_into`] on the zero-padded plane.
 ///
-/// The tile loop is **serial**: tiles share the two scratch buffers, so
-/// the transforms run on one core while the per-bin products they feed use
-/// the pool. Parallelising it is the follow-up — each worker its own
-/// scratch and a disjoint range of lanes: tile `lane0..lane0 + T` touches
-/// only columns `lane0..lane0 + T` of every bin's `lanes`-float row of the
-/// operand (and only the planes `plane_of` maps those lanes to), so
-/// workers never write the same float. A batch-split emulation of it read
-/// 250 → 195 ms per `table1_train_fft` step (Conv1 1.48×).
+/// The tile loop is a **pool region**: each participant holds one tile's
+/// scratch and claims whole tiles. Tile `lane0..lane0 + T` writes only
+/// columns `lane0..lane0 + T` of every bin's `lanes`-float row of the
+/// operand (forward) and only the planes its lanes are (inverse), so every
+/// output float has one owner, and a lane's arithmetic does not depend on
+/// who runs it: the same bits at every pool width. An operand of one tile
+/// (Conv1 forward's 12 input planes) stays on its caller.
 impl RfftPlan {
     /// Planes per tile, from the plan size and [`TILE_BYTES`]: a multiple
     /// of 16 (whole vectors on every ISA), at least [`MIN_TILE_LANES`].
@@ -277,26 +341,68 @@ impl RfftPlan {
         (TILE_BYTES / (8 * self.spectrum_len()) / 16 * 16).max(MIN_TILE_LANES)
     }
 
+    /// Run `body(row2, cols2, lane0, t)` once for each tile
+    /// `lane0..lane0 + t` — disjoint ranges that cover `0..lanes` — with
+    /// `2·n·t` floats of row scratch and `2·n·half·t` of tile scratch: one
+    /// chunk of it per participant, whose holder claims tiles until none is
+    /// left (a core the host takes away costs balance, not the step; at
+    /// width 1 the caller is the one participant of the same code).
+    fn for_each_tile(
+        &self,
+        lanes: usize,
+        body: impl Fn(&mut [f32], &mut [f32], usize, usize) + Sync,
+    ) {
+        if lanes == 0 {
+            return;
+        }
+        let (n, half) = (self.n, self.half);
+        let tile = self.tile_lanes().min(lanes);
+        let tiles = lanes.div_ceil(tile);
+        let per = 2 * n * (1 + half) * tile;
+        let mut scratch = workspace::take_f32(rayon::current_num_threads().min(tiles) * per);
+        // `fetch_add` gives each index to one claimant. Relaxed: it
+        // publishes nothing — a tile's inputs are borrows that outlive the
+        // region, its outputs reach the caller through the region's join.
+        let next = AtomicUsize::new(0);
+        scratch.par_chunks_mut(per).for_each(|own| {
+            let (row2, cols2) = own.split_at_mut(2 * n * tile);
+            loop {
+                let lane0 = next.fetch_add(1, Ordering::Relaxed).saturating_mul(tile);
+                if lane0 >= lanes {
+                    break;
+                }
+                let t = tile.min(lanes - lane0);
+                body(
+                    &mut row2[..2 * n * t],
+                    &mut cols2[..2 * n * half * t],
+                    lane0,
+                    t,
+                );
+            }
+        });
+    }
+
     /// Forward-transform `lanes` real `h×w` windows into bin-major split
     /// half-spectra `sre/sim[bin·lanes + lane]`, `bin = r·half + c`. Lane
-    /// `l` reads the row-major window `src[plane_of(l)·h·w ..][..h·w]`
-    /// (so the lane order is the caller's: any permutation of a tensor's
-    /// planes costs nothing) and lands it `offset` rows and columns into
-    /// the zero `n×n` plane — a layer's padding is a landing offset, not
-    /// a padded copy. Only the `h` rows that hold data get a row pass;
+    /// `l` reads the row-major window `src[order.plane_of(l)·h·w ..][..h·w]`
+    /// (so the lane order is the caller's: transposing a tensor's two
+    /// plane axes costs nothing) and lands it `offset` rows and columns
+    /// into the zero `n×n` plane — a layer's padding is a landing offset,
+    /// not a padded copy. Only the `h` rows that hold data get a row pass;
     /// the Hermitian half of each is a contiguous prefix of the row
     /// buffer; one column pass covers the tile.
     ///
     /// # Panics
-    /// Unless the window fits (`offset + h.max(w) <= n`), `sre`/`sim`
-    /// hold `spectrum_len()·lanes` floats and every window lies in `src`.
-    #[allow(clippy::too_many_arguments)] // two buffers, their geometry, the lane map
+    /// Before anything is written, unless the window fits (`offset +
+    /// h.max(w) <= n`), `src` is the `lanes` windows `order` permutes and
+    /// `sre`/`sim` hold `spectrum_len()·lanes` floats.
+    #[allow(clippy::too_many_arguments)] // two buffers, their geometry, the lane order
     pub fn forward_lanes_into(
         &self,
         src: &[f32],
         (h, w): (usize, usize),
         offset: usize,
-        plane_of: impl Fn(usize) -> usize,
+        order: LaneOrder,
         lanes: usize,
         sre: &mut [f32],
         sim: &mut [f32],
@@ -305,15 +411,14 @@ impl RfftPlan {
         gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
         let (n, half) = (self.n, self.half);
         assert!(offset + h.max(w) <= n, "forward_lanes: window exceeds plan");
+        assert_eq!(src.len(), lanes * h * w, "forward_lanes: src size");
         assert_eq!(sre.len(), n * half * lanes, "forward_lanes: re size");
         assert_eq!(sim.len(), n * half * lanes, "forward_lanes: im size");
-        let tile = self.tile_lanes().min(lanes);
-        let mut row2 = workspace::take_f32(2 * n * tile);
-        let mut cols2 = workspace::take_f32(2 * n * half * tile);
-        for lane0 in (0..lanes).step_by(tile.max(1)) {
-            let t = tile.min(lanes - lane0);
-            let (row_re, row_im) = row2[..2 * n * t].split_at_mut(n * t);
-            let (col_re, col_im) = cols2[..2 * n * half * t].split_at_mut(n * half * t);
+        order.assert_covers(lanes);
+        let (sre, sim) = (SharedOut::new(sre), SharedOut::new(sim));
+        self.for_each_tile(lanes, |row2, cols2, lane0, t| {
+            let (row_re, row_im) = row2.split_at_mut(n * t);
+            let (col_re, col_im) = cols2.split_at_mut(n * half * t);
             // Rows outside the window are zero and so are their row
             // transforms: cleared, never transformed.
             let data = offset * half * t..(offset + h) * half * t;
@@ -325,7 +430,7 @@ impl RfftPlan {
                 row_re.fill(0.0);
                 row_im.fill(0.0);
                 for l in 0..t {
-                    let at = plane_of(lane0 + l) * h * w + r * w;
+                    let at = order.plane_of(lane0 + l) * h * w + r * w;
                     let column = row_re[offset * t + l..].iter_mut().step_by(t);
                     for (slot, &v) in column.zip(&src[at..at + w]) {
                         *slot = v;
@@ -339,24 +444,31 @@ impl RfftPlan {
             split::fft_lanes_inplace(col_re, col_im, &self.plan, Direction::Forward, half * t);
             for bin in 0..n * half {
                 let at = bin * lanes + lane0;
-                sre[at..at + t].copy_from_slice(&col_re[bin * t..(bin + 1) * t]);
-                sim[at..at + t].copy_from_slice(&col_im[bin * t..(bin + 1) * t]);
+                // SAFETY: columns `lane0..lane0 + t` of row `bin`. The
+                // tiles of `for_each_tile` are disjoint lane ranges inside
+                // `0..lanes`, one call of this body each, so two tiles'
+                // runs share no column and none spills into the next row;
+                // this tile's earlier runs are other rows, and dead.
+                let (re, im) = unsafe { (sre.run(at, t), sim.run(at, t)) };
+                re.copy_from_slice(&col_re[bin * t..(bin + 1) * t]);
+                im.copy_from_slice(&col_im[bin * t..(bin + 1) * t]);
             }
-        }
+        });
     }
 
     /// Inverse of [`Self::forward_lanes_into`], cropped: from bin-major
     /// split half-spectra `sre/sim[bin·lanes + lane]`, write the
     /// `size×size` window `offset` rows and columns into each lane's
-    /// `n×n` real plane to `out[plane_of(l)·size² ..][..size²]`. One
+    /// `n×n` real plane to `out[order.plane_of(l)·size² ..][..size²]`. One
     /// column pass inverts the tile; then only the `size` rows inside the
     /// window are rebuilt from their Hermitian half (bin `c ≥ half` is
     /// `conj` of bin `n − c`), row-inverted and cropped straight into
     /// `out` — the other `n − size` rows are never computed.
     ///
     /// # Panics
-    /// Unless the window fits (`offset + size <= n`), `sre`/`sim` hold
-    /// `spectrum_len()·lanes` floats and every output plane lies in `out`.
+    /// Before anything is written, unless the window fits (`offset + size
+    /// <= n`), `sre`/`sim` hold `spectrum_len()·lanes` floats and `out` is
+    /// exactly the `lanes` cropped planes `order` permutes.
     #[allow(clippy::too_many_arguments)] // mirror of `forward_lanes_into`
     pub fn inverse_lanes_into(
         &self,
@@ -364,7 +476,7 @@ impl RfftPlan {
         sim: &[f32],
         lanes: usize,
         (size, offset): (usize, usize),
-        plane_of: impl Fn(usize) -> usize,
+        order: LaneOrder,
         out: &mut [f32],
     ) {
         let _span = gcnn_trace::span("fft.rfft_inverse");
@@ -373,13 +485,12 @@ impl RfftPlan {
         assert!(offset + size <= n, "inverse_lanes: window exceeds plan");
         assert_eq!(sre.len(), n * half * lanes, "inverse_lanes: re size");
         assert_eq!(sim.len(), n * half * lanes, "inverse_lanes: im size");
-        let tile = self.tile_lanes().min(lanes);
-        let mut row2 = workspace::take_f32(2 * n * tile);
-        let mut cols2 = workspace::take_f32(2 * n * half * tile);
-        for lane0 in (0..lanes).step_by(tile.max(1)) {
-            let t = tile.min(lanes - lane0);
-            let (row_re, row_im) = row2[..2 * n * t].split_at_mut(n * t);
-            let (col_re, col_im) = cols2[..2 * n * half * t].split_at_mut(n * half * t);
+        assert_eq!(out.len(), lanes * size * size, "inverse_lanes: out size");
+        order.assert_covers(lanes);
+        let out = SharedOut::new(out);
+        self.for_each_tile(lanes, |row2, cols2, lane0, t| {
+            let (row_re, row_im) = row2.split_at_mut(n * t);
+            let (col_re, col_im) = cols2.split_at_mut(n * half * t);
             for bin in 0..n * half {
                 let at = bin * lanes + lane0;
                 col_re[bin * t..(bin + 1) * t].copy_from_slice(&sre[at..at + t]);
@@ -401,14 +512,20 @@ impl RfftPlan {
                 split::fft_lanes_inplace(row_re, row_im, &self.plan, Direction::Inverse, t);
                 // The imaginary plane is zero up to fp noise: dropped.
                 for l in 0..t {
-                    let at = plane_of(lane0 + l) * size * size + r * size;
+                    let at = order.plane_of(lane0 + l) * size * size + r * size;
+                    // SAFETY: row `r` of the plane lane `lane0 + l` is.
+                    // `for_each_tile` gives each lane to one call of this
+                    // body and `order`, asserted to cover `lanes`, sends
+                    // distinct lanes to distinct planes — disjoint `size²`
+                    // blocks; this lane's earlier rows are dead.
+                    let row = unsafe { out.run(at, size) };
                     let column = row_re[offset * t + l..].iter().step_by(t);
-                    for (slot, &v) in out[at..at + size].iter_mut().zip(column) {
+                    for (slot, &v) in row.iter_mut().zip(column) {
                         *slot = v;
                     }
                 }
             }
-        }
+        });
     }
 }
 
@@ -561,54 +678,99 @@ mod tests {
         }
     }
 
+    /// Forward then cropped inverse of `lanes` windows at pool width
+    /// `width`, out of NaN-filled scratch into NaN-filled outputs.
+    #[allow(clippy::type_complexity)]
+    fn lane_tiles_at(
+        width: usize,
+        p: &RfftPlan,
+        src: &[f32],
+        (h, w, offset): (usize, usize, usize),
+        order: LaneOrder,
+        lanes: usize,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
+        pool.build().expect("pool").install(|| {
+            let (bins, tile) = (p.spectrum_len(), p.tile_lanes().min(lanes));
+            let parts = width.min(lanes.div_ceil(tile));
+            let poison = || {
+                workspace::take_f32(parts * 2 * p.n() * (1 + p.half_cols()) * tile).fill(f32::NAN)
+            };
+            poison();
+            let (mut sre, mut sim) = (vec![f32::NAN; bins * lanes], vec![f32::NAN; bins * lanes]);
+            p.forward_lanes_into(src, (h, w), offset, order, lanes, &mut sre, &mut sim);
+            poison();
+            let size = h.min(w);
+            let mut out = vec![f32::NAN; lanes * size * size];
+            p.inverse_lanes_into(&sre, &sim, lanes, (size, offset / 2), order, &mut out);
+            (sre, sim, out)
+        })
+    }
+
     /// The lane-tile transforms are the plane-major engine bit for bit:
     /// forward equals `forward_split_into` of the zero-padded plane,
-    /// inverse equals the cropped `inverse_split_into`, for windows that
-    /// land off the origin, a permuted lane order, a lane count of 1, and
-    /// lane counts on both sides of the tile — out of NaN-filled scratch.
+    /// inverse equals the cropped `inverse_split_into` — for windows that
+    /// land off the origin, both lane orders, a lane count of 1, lane
+    /// counts on both sides of the tile, more tiles than participants, a
+    /// ragged last tile and a tile count no width divides; at pool widths
+    /// 1 to 4, every width the same bits.
     #[test]
     fn lane_tiles_match_plane_major() {
-        for (n, h, w, offset) in [(1, 1, 1, 0), (2, 1, 2, 0), (8, 3, 5, 2), (16, 16, 16, 0)] {
+        // An interpreter (`scripts/verify.sh`'s miri pass) gets the first
+        // plan's two-tile count at widths 1 and 2.
+        let miri = cfg!(miri);
+        let plans = [(1, 1, 1, 0), (2, 1, 2, 0), (8, 3, 5, 2), (16, 16, 16, 0)];
+        for (n, h, w, offset) in plans.into_iter().take(if miri { 1 } else { 4 }) {
             let p = RfftPlan::new(n);
             let (bins, tile) = (p.spectrum_len(), p.tile_lanes());
-            for lanes in [1, 3, tile - 1, tile, tile + 1] {
+            let mut counts = vec![1, 3, tile - 1, tile, tile + 1];
+            if n >= 8 {
+                // Thousands of lanes: affordable where a tile is.
+                counts.extend([2 * tile, 3 * tile + 5, 7 * tile - 1]);
+            }
+            if miri {
+                counts = vec![tile + 1];
+            }
+            for lanes in counts {
                 let src: Vec<f32> = (0..lanes * h * w)
                     .map(|i| (i as f32 * 0.37).sin())
                     .collect();
-                // A lane order that is not the plane order.
-                let plane_of = |l: usize| lanes - 1 - l;
-                for len in [2 * n * tile.min(lanes), 2 * bins * tile.min(lanes)] {
-                    workspace::take_f32(len).fill(f32::NAN);
-                }
-                let (mut sre, mut sim) =
-                    (vec![f32::NAN; bins * lanes], vec![f32::NAN; bins * lanes]);
-                p.forward_lanes_into(&src, (h, w), offset, plane_of, lanes, &mut sre, &mut sim);
-
-                let (size, crop_at) = (h.min(w), offset / 2);
-                let mut out = vec![f32::NAN; lanes * size * size];
-                let crop = (size, crop_at);
-                p.inverse_lanes_into(&sre, &sim, lanes, crop, plane_of, &mut out);
-
-                for l in 0..lanes {
-                    let mut plane = vec![0.0f32; n * n];
-                    for r in 0..h {
-                        let at = plane_of(l) * h * w + r * w;
-                        plane[(offset + r) * n + offset..][..w].copy_from_slice(&src[at..at + w]);
+                // A grid with `rows ≠ cols` wherever `lanes` has a factor.
+                let rows = (2..lanes).find(|d| lanes % d == 0).unwrap_or(1);
+                let cols = lanes / rows;
+                for order in [LaneOrder::Identity, LaneOrder::Transposed { rows, cols }] {
+                    let geometry = (h, w, offset);
+                    let narrow = lane_tiles_at(1, &p, &src, geometry, order, lanes);
+                    for width in 2..=if miri { 2 } else { 4 } {
+                        let same = lane_tiles_at(width, &p, &src, geometry, order, lanes) == narrow;
+                        assert!(same, "n {n} lanes {lanes} {order:?}: width {width} differs");
                     }
-                    let (re, im) = forward(&p, &plane);
-                    let lane = |s: &[f32]| (0..bins).map(|b| s[b * lanes + l]).collect::<Vec<_>>();
-                    assert_eq!(
-                        (lane(&sre), lane(&sim)),
-                        (re.clone(), im.clone()),
-                        "n {n} lane {l}"
-                    );
-                    let back = inverse(&p, &re, &im);
-                    for r in 0..size {
+                    let (sre, sim, out) = narrow;
+
+                    let (size, crop_at) = (h.min(w), offset / 2);
+                    for l in 0..lanes {
+                        let mut plane = vec![0.0f32; n * n];
+                        for r in 0..h {
+                            let at = order.plane_of(l) * h * w + r * w;
+                            plane[(offset + r) * n + offset..][..w]
+                                .copy_from_slice(&src[at..at + w]);
+                        }
+                        let (re, im) = forward(&p, &plane);
+                        let lane =
+                            |s: &[f32]| (0..bins).map(|b| s[b * lanes + l]).collect::<Vec<_>>();
                         assert_eq!(
-                            out[plane_of(l) * size * size + r * size..][..size],
-                            back[(crop_at + r) * n + crop_at..][..size],
-                            "n {n} lanes {lanes} lane {l} row {r}"
+                            (lane(&sre), lane(&sim)),
+                            (re.clone(), im.clone()),
+                            "n {n} lanes {lanes} lane {l}"
                         );
+                        let back = inverse(&p, &re, &im);
+                        for r in 0..size {
+                            assert_eq!(
+                                out[order.plane_of(l) * size * size + r * size..][..size],
+                                back[(crop_at + r) * n + crop_at..][..size],
+                                "n {n} lanes {lanes} lane {l} row {r}"
+                            );
+                        }
                     }
                 }
             }

@@ -3,9 +3,12 @@
 //! stage geometry, a short twiddle table or a short transpose buffer
 //! must panic with a message at the API boundary — the raw bodies load and store through pointers
 //! on the strength of these checks, so they are `assert!`s, live in
-//! release builds too.
+//! release builds too. Likewise the lane-tile transforms, whose tiles
+//! write a shared output side by side: extents and lane order are
+//! rejected up front, before any tile has written anything.
 
 use gcnn_fft::simd::{lane_stage2_dit, lane_stage_dit, transpose_f32};
+use gcnn_fft::{LaneOrder, RfftPlan};
 use gcnn_tensor::simd::{isa, Isa};
 
 const N: usize = 8;
@@ -135,4 +138,99 @@ fn detected_isa_stays_callable_under_forced_scalar() {
     let mut dst = [0.0f32; 6];
     transpose_f32(&src, 2, 3, &mut dst, host.expect("scalar always runs"));
     assert_eq!(dst, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+}
+
+/// `lanes` windows of 2×2 through the 8×8 plan's lane-tile forward, with
+/// `src_len` source floats.
+fn forward_lanes(src_len: usize, order: LaneOrder, lanes: usize) {
+    let p = RfftPlan::new(N);
+    let mut sre = vec![0.0f32; p.spectrum_len() * lanes];
+    let mut sim = sre.clone();
+    let src = vec![1.0f32; src_len];
+    p.forward_lanes_into(&src, (2, 2), 0, order, lanes, &mut sre, &mut sim);
+}
+
+/// The cropped lane-tile inverse of `lanes` zero spectra into `out_len`
+/// floats.
+fn inverse_lanes(out_len: usize, size: usize, order: LaneOrder, lanes: usize) {
+    let p = RfftPlan::new(N);
+    let spectra = vec![0.0f32; p.spectrum_len() * lanes];
+    let mut out = vec![f32::NAN; out_len];
+    p.inverse_lanes_into(&spectra, &spectra, lanes, (size, 0), order, &mut out);
+}
+
+#[test]
+#[should_panic(expected = "forward_lanes: src size")]
+fn forward_lanes_rejects_a_window_outside_src() {
+    forward_lanes(6 * 4 - 1, LaneOrder::Identity, 6);
+}
+
+#[test]
+#[should_panic(expected = "the grid is not the lanes")]
+fn forward_lanes_rejects_a_grid_of_other_lanes() {
+    forward_lanes(6 * 4, LaneOrder::Transposed { rows: 2, cols: 2 }, 6);
+}
+
+#[test]
+#[should_panic(expected = "inverse_lanes: out size")]
+fn inverse_lanes_rejects_short_out() {
+    inverse_lanes(6 * 9 - 1, 3, LaneOrder::Identity, 6);
+}
+
+#[test]
+#[should_panic(expected = "inverse_lanes: out size")]
+fn inverse_lanes_rejects_long_out() {
+    inverse_lanes(6 * 9 + 1, 3, LaneOrder::Identity, 6);
+}
+
+#[test]
+#[should_panic(expected = "the grid is not the lanes")]
+fn inverse_lanes_rejects_a_grid_that_wraps() {
+    // 2⁶³·2 wraps to 0 and (2⁶³ + 3)·2 to 6: `checked_mul` sees both.
+    let rows = (1usize << (usize::BITS - 1)) + 3;
+    inverse_lanes(6 * 9, 3, LaneOrder::Transposed { rows, cols: 2 }, 6);
+}
+
+/// No lanes: nothing to check out, nothing written, no division by a
+/// zero tile.
+#[test]
+fn zero_lanes_is_a_no_op() {
+    forward_lanes(0, LaneOrder::Identity, 0);
+    inverse_lanes(0, 3, LaneOrder::Transposed { rows: 0, cols: 5 }, 0);
+}
+
+/// A rejected call panics before its region opens, with nothing
+/// written, and the pool serves the next call: three tiles at width 2
+/// give the bits width 1 gives.
+#[test]
+fn pool_serves_the_call_after_a_rejected_one() {
+    let p = RfftPlan::new(N);
+    let lanes = 2 * p.tile_lanes() + 7;
+    let src: Vec<f32> = (0..lanes * 4).map(|i| (i as f32 * 0.61).cos()).collect();
+    let spectra = |width: usize, src: &[f32]| {
+        let mut sre = vec![f32::NAN; p.spectrum_len() * lanes];
+        let mut sim = sre.clone();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
+        let outcome = pool.build().expect("pool").install(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                p.forward_lanes_into(
+                    src,
+                    (2, 2),
+                    1,
+                    LaneOrder::Identity,
+                    lanes,
+                    &mut sre,
+                    &mut sim,
+                )
+            }))
+        });
+        (outcome.is_ok(), sre, sim)
+    };
+    let (ok, sre, _) = spectra(2, &src[1..]);
+    assert!(
+        !ok && sre.iter().all(|v| v.is_nan()),
+        "rejected before any tile wrote"
+    );
+    let wide = spectra(2, &src);
+    assert!(wide.0 && wide == spectra(1, &src));
 }

@@ -154,7 +154,7 @@ pub struct SpanGuard {
 pub fn span(name: &'static str) -> SpanGuard {
     #[cfg(feature = "enabled")]
     {
-        span::span_cow(std::borrow::Cow::Borrowed(name))
+        span::span_named(name)
     }
     #[cfg(not(feature = "enabled"))]
     {
@@ -170,7 +170,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 pub fn span_owned<F: FnOnce() -> String>(make_name: F) -> SpanGuard {
     #[cfg(feature = "enabled")]
     {
-        span::span_cow(std::borrow::Cow::Owned(make_name()))
+        span::span_named(&make_name())
     }
     #[cfg(not(feature = "enabled"))]
     {

@@ -1,22 +1,24 @@
 //! RAII span timers with thread-local nesting (enabled mode).
 //!
-//! Each thread keeps a stack of open span paths. Opening a span pushes
-//! `parent_path + "/" + name`; dropping the guard pops it and merges
-//! the elapsed time into the global registry under that full path, so
-//! aggregation is keyed by *call context*, not just by name (the same
-//! way nvprof attributes kernel time to launch sites). Work farmed out
-//! to rayon workers opens fresh root spans on those threads — cross-
-//! thread parenthood is intentionally not tracked.
+//! Each thread keeps the path of its innermost open span in one growing
+//! `String`. Opening a span appends `"/" + name` to it; dropping the guard
+//! merges the elapsed time into the global registry under the path as it
+//! then stands and cuts the segment off again, so aggregation is keyed by
+//! *call context*, not just by name (the same way nvprof attributes kernel
+//! time to launch sites) and a span costs no heap allocation once its
+//! thread has been that deep and the registry has seen the path. Work
+//! farmed out to rayon workers opens fresh root spans on those threads —
+//! cross-thread parenthood is intentionally not tracked.
 
 use crate::registry::registry;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::time::Instant;
 
 thread_local! {
-    /// Stack of full paths of the spans currently open on this thread.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    /// Full path of the innermost span open on this thread; empty outside
+    /// any.
+    static PATH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// Guard for one open span; records elapsed time on drop.
@@ -27,44 +29,44 @@ thread_local! {
 #[must_use = "a span measures nothing unless the guard lives across the timed region"]
 pub struct SpanGuard {
     start: Instant,
-    path: String,
+    /// Length of the thread's path with this span's segment, and without.
+    len: usize,
+    parent_len: usize,
     /// Pins the guard to its creating thread.
     _not_send: PhantomData<*const ()>,
 }
 
 /// Open a span named `name`, nested under the innermost open span of
 /// the current thread.
-pub fn span_cow(name: Cow<'static, str>) -> SpanGuard {
-    let path = SPAN_STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let path = match stack.last() {
-            Some(parent) => format!("{parent}/{name}"),
-            None => name.into_owned(),
-        };
-        stack.push(path.clone());
-        path
+pub fn span_named(name: &str) -> SpanGuard {
+    let (parent_len, len) = PATH.with(|path| {
+        let mut path = path.borrow_mut();
+        let parent_len = path.len();
+        if parent_len > 0 {
+            path.push('/');
+        }
+        path.push_str(name);
+        (parent_len, path.len())
     });
     SpanGuard {
         start: Instant::now(),
-        path,
+        len,
+        parent_len,
         _not_send: PhantomData,
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        // Elapsed first: the stack pop and registry merge are overhead
-        // that should not count against this span.
+        // Elapsed first: the registry merge and the cut are overhead that
+        // should not count against this span.
         let elapsed_ns = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        SPAN_STACK.with(|stack| {
-            let popped = stack.borrow_mut().pop();
-            debug_assert_eq!(
-                popped.as_deref(),
-                Some(self.path.as_str()),
-                "span guards must drop in LIFO order"
-            );
+        PATH.with(|path| {
+            let mut path = path.borrow_mut();
+            debug_assert_eq!(path.len(), self.len, "span guards must drop in LIFO order");
+            registry().record_span(&path, elapsed_ns);
+            path.truncate(self.parent_len);
         });
-        registry().record_span(&self.path, elapsed_ns);
     }
 }
 
@@ -74,17 +76,16 @@ mod tests {
 
     #[test]
     fn paths_nest_and_unwind() {
+        let top = || PATH.with(|p| p.borrow().clone());
         {
-            let _a = span_cow(Cow::Borrowed("span_test_outer"));
-            let depth_inside = SPAN_STACK.with(|s| (s.borrow().len(), s.borrow().last().cloned()));
-            assert_eq!(depth_inside.1.as_deref(), Some("span_test_outer"));
+            let _a = span_named("span_test_outer");
+            assert_eq!(top(), "span_test_outer");
             {
-                let _b = span_cow(Cow::Borrowed("inner"));
-                let top = SPAN_STACK.with(|s| s.borrow().last().cloned());
-                assert_eq!(top.as_deref(), Some("span_test_outer/inner"));
+                let _b = span_named("inner");
+                assert_eq!(top(), "span_test_outer/inner");
             }
+            assert_eq!(top(), "span_test_outer");
         }
-        let depth_after = SPAN_STACK.with(|s| s.borrow().len());
-        assert_eq!(depth_after, 0, "stack must unwind fully");
+        assert_eq!(top(), "", "path must unwind fully");
     }
 }

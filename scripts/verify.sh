@@ -10,15 +10,26 @@ cargo build --release
 cargo test -q
 # The pool's width is the cores the OS offers and nothing else (no
 # environment variable), so one core is how width 1 is exercised: the
-# pool itself and the two crates whose kernels open its regions.
+# pool itself and the three crates whose kernels open its regions.
 if command -v taskset >/dev/null; then
-  taskset -c 0 cargo test -q -p rayon -p gcnn-gemm -p gcnn-conv
+  taskset -c 0 cargo test -q -p rayon -p gcnn-fft -p gcnn-gemm -p gcnn-conv
 else
   echo "verify: SKIPPED the width-1 pass (taskset not found): the pool ran at the default width only" >&2
 fi
 # The pool's stress loop and forced-interleaving tests again in release:
-# optimised code is what reorders around the job hand-off.
+# optimised code is what reorders around the job hand-off — and around
+# the lane tiles' shared output, so their width loops too.
 cargo test -q --release -p rayon
+cargo test -q --release -p gcnn-fft lane_tiles_match_plane_major
+cargo test -q --release -p gcnn-fft --test preconditions pool_serves
+# Under miri where it is installed (two tiles of the smallest plan at
+# widths 1 and 2): aliasing of the shared output's runs is what no test
+# result shows.
+if cargo miri --version >/dev/null 2>&1; then
+  cargo miri test -p gcnn-fft --lib lane_tiles_match_plane_major
+else
+  echo "verify: SKIPPED the miri pass over the lane tiles (cargo-miri not installed)" >&2
+fi
 cargo clippy --workspace -- -D warnings
 cargo fmt --all -- --check
 # Soundness audit: call-graph lints (transitive arena, lock discipline,
