@@ -154,10 +154,11 @@ impl ConvConfig {
     }
 
     /// FFT transform size for this configuration: the next power of two
-    /// that holds the input (§4.4 of DESIGN.md — the source of the
-    /// paper's Fig. 5 memory fluctuations).
+    /// that holds the padded input, `input + 2·pad` (§4.4 of DESIGN.md —
+    /// the source of the paper's Fig. 5 memory fluctuations). `FftConv`
+    /// plans at this size and the fbfft model charges it.
     pub const fn fft_size(&self) -> usize {
-        self.input.next_power_of_two()
+        (self.input + 2 * self.pad).next_power_of_two()
     }
 }
 
@@ -261,6 +262,18 @@ mod tests {
         assert_eq!(ConvConfig::from_tuple(1, 128, 1, 3, 1).fft_size(), 128);
         assert_eq!(ConvConfig::from_tuple(1, 130, 1, 3, 1).fft_size(), 256);
         assert_eq!(ConvConfig::with_channels(1, 1, 13, 1, 3, 1).fft_size(), 16);
+    }
+
+    /// Padding that carries the input past a power of two takes the
+    /// transform with it: input 31 + 2·1 needs 64, not 32.
+    #[test]
+    fn fft_size_covers_the_padding() {
+        let mut c = ConvConfig::with_channels(1, 1, 31, 1, 3, 1);
+        assert_eq!(c.fft_size(), 32);
+        c.pad = 1;
+        assert_eq!(c.fft_size(), 64);
+        c.input = 30;
+        assert_eq!(c.fft_size(), 32);
     }
 
     #[test]

@@ -10,37 +10,38 @@
 //! no pass that only moves data:
 //!
 //! 1. both operands go through [`RfftPlan::forward_lanes_into`], which
-//!    transforms a tile of planes at once **with the planes as the
-//!    lanes** and stores it as a run of the bin-major `[bin][rows×cols]`
-//!    operand. Each plane's real window is read straight from the
-//!    tensor — the layer's `pad` is a landing offset, the plane-axis swap
-//!    an operand may need is the lane order — and padding rows are never
-//!    transformed;
+//!    transforms the planes **with the planes as the lanes** straight
+//!    into the bin-major `[bin][rows×cols]` operand: a row pass writes
+//!    whole bin rows of it, a column pass transforms it in place. Each
+//!    plane's real window is read straight from the tensor — the layer's
+//!    `pad` is a landing offset, the plane-axis swap an operand may need
+//!    is the lane order — and padding rows are never transformed;
 //! 2. one split-complex GEMM per frequency bin
 //!    ([`batched_cgemm_split`]), oriented so that the longer of the
 //!    product's two output axes is the kernel's contiguous, vectorized
 //!    `n` (conjugation travels with the operand: `conj_a` or `conj_b`);
-//! 3. [`RfftPlan::inverse_lanes_into`] inverts the product tile by tile,
-//!    row-inverting only the rows inside the crop window, and writes the
-//!    crop straight into the output tensor.
+//! 3. [`RfftPlan::inverse_lanes_into`] inverts the product in place — a
+//!    column pass, then row-inverting only the rows inside the crop
+//!    window — and writes the crop straight into the output tensor.
 //!
 //! All three stages are pool regions: the transforms' participants claim
-//! whole lane tiles, each with its own tile scratch and a disjoint lane
-//! range of the bin-major operand (a disjoint set of output planes, in the
-//! inverse), and the per-bin products split over bins. One owner per
-//! output float and a fixed order of arithmetic per lane and per bin, so a
-//! pass is the same bits at every pool width.
+//! units of one row or column × a block of lanes, each with its own unit
+//! buffer, writing disjoint runs of the bin-major operand (disjoint rows
+//! of output planes, in the inverse), and the per-bin products split over
+//! bins. One owner per output float and a fixed order of arithmetic per
+//! lane and per bin, so a pass is the same bits at every pool width.
 //!
-//! Transforms are padded to the next power of two ≥ the (padded) input
-//! size — enough for *valid* correlation, since every needed output lag
-//! stays below the transform size and circular wrap-around never
-//! contaminates it. The kernel size does not enter the transform size at
-//! all, which is exactly why the paper's Fig. 3d shows fbfft's runtime
-//! flat in `k` while the unrolling strategies grow as `k²`.
+//! Transforms are padded to [`ConvConfig::fft_size`], the next power of
+//! two ≥ the (padded) input size — enough for *valid* correlation, since
+//! every needed output lag stays below the transform size and circular
+//! wrap-around never contaminates it. The kernel size does not enter the
+//! transform size at all, which is exactly why the paper's Fig. 3d shows
+//! fbfft's runtime flat in `k` while the unrolling strategies grow as
+//! `k²`.
 //!
 //! Plans come from the process-wide [`RfftPlan`] cache and every
-//! intermediate (the three bin-major operands, the transforms' tile
-//! scratch) is checked out of the thread-local
+//! intermediate (the three bin-major operands, the transforms' unit
+//! buffers) is checked out of the thread-local
 //! [`gcnn_tensor::workspace`] arena, so repeated passes at one
 //! configuration are steady-state allocation-free apart from the output
 //! tensor itself.
@@ -187,14 +188,14 @@ fn fft_pass(first: Factor<'_>, second: Factor<'_>, crop: Crop, plan: &RfftPlan) 
         LaneOrder::Identity
     };
     let window = (crop.size, crop.offset);
-    plan.inverse_lanes_into(&c_re, &c_im, m * n, window, order, out.as_mut_slice());
+    let planes = out.as_mut_slice();
+    plan.inverse_lanes_into(&mut c_re, &mut c_im, m * n, window, order, planes);
     out
 }
 
-/// The cached plan for `cfg`'s transform size: the next power of two ≥
-/// the padded input.
+/// The cached plan for `cfg`'s transform size, [`ConvConfig::fft_size`].
 fn plan_for(cfg: &ConvConfig) -> std::sync::Arc<RfftPlan> {
-    RfftPlan::cached((cfg.input + 2 * cfg.pad).next_power_of_two())
+    RfftPlan::cached(cfg.fft_size())
 }
 
 impl ConvAlgorithm for FftConv {
@@ -316,6 +317,21 @@ mod tests {
             FftConv.supports(&cfg),
             Err(Unsupported::StrideNotOne { stride: 2 })
         ));
+    }
+
+    /// Every pass plans at [`ConvConfig::fft_size`], the smallest power of
+    /// two that holds the padded input — also where the padding crosses
+    /// one (31 + 2·1 → 64).
+    #[test]
+    fn plans_at_the_config_fft_size() {
+        for (input, pad) in [(31, 1), (30, 1), (9, 0), (1, 3), (13, 1), (128, 0)] {
+            let mut cfg = ConvConfig::with_channels(1, 1, input, 1, 3, 1);
+            cfg.pad = pad;
+            let n = plan_for(&cfg).n();
+            assert_eq!(n, cfg.fft_size(), "input {input} pad {pad}");
+            let padded = input + 2 * pad;
+            assert!(n.is_power_of_two() && n >= padded && n / 2 < padded);
+        }
     }
 
     #[test]

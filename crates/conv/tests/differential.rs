@@ -7,16 +7,17 @@
 //! Every pass runs out of a **NaN-poisoned arena** — each size class the
 //! rows can reach is refilled with NaN-filled buffers first, and the pass
 //! must then draw all its scratch from those (zero pool misses) — so "the
-//! kernel overwrites all of its scratch" is tested, the FFT tiles' zeroed
-//! padding rows included; and runs twice, the second result bit-identical
-//! to the first. The poisoned runs are at pool width 1 (the poison and
-//! the miss counter are this thread's); the pass then runs at widths 2, 3
-//! and 4 and must give the same bits again — one owner per output and a
-//! fixed summation order, whatever the pool. `scripts/verify.sh` repeats
+//! kernel overwrites all of its scratch" is tested, the zero padding rows
+//! and lanes of the FFT passes' buffers included; and runs twice, the
+//! second result bit-identical to the first. The poisoned runs are at
+//! pool width 1 (the poison and the miss counter are this thread's); the
+//! pass then runs at widths 2, 3 and 4 and must give the same bits again —
+//! one owner per output and a fixed summation order, whatever the pool.
+//! `scripts/verify.sh` repeats
 //! the suite under `GCNN_FORCE_SCALAR=1`.
 
 use gcnn_conv::{reference, ConvAlgorithm, ConvConfig, FftConv, UnrollConv};
-use gcnn_fft::RfftPlan;
+use gcnn_fft::rfft::BLOCK_LANES;
 use gcnn_tensor::init::uniform_tensor;
 use gcnn_tensor::workspace::{alloc_scope, on_calling_thread, take_f32};
 use gcnn_tensor::Tensor4;
@@ -27,15 +28,15 @@ const PATHS: [(&str, &dyn ConvAlgorithm); 2] = [("fft", &FftConv), ("unroll", &U
 /// Largest relative L2 distance from the reference.
 const TOL: f32 = 1e-4;
 
-/// Largest scratch size class (in floats) a row may reach — the lane
-/// tile of the 16×16 transform (row and tile scratch of 896 planes), and
-/// the operands of the rows that span three of them; the poisoned run's
-/// zero-miss assertion is what holds the table to it.
+/// Largest scratch size class (in floats) a row may reach — the operands
+/// of the rows that span three lane blocks of the 16×16 transform (up to
+/// 2 209 planes, 318 096 floats; a unit's buffer pair there is 33 280);
+/// the poisoned run's zero-miss assertion is what holds the table to it.
 const MAX_CLASS: usize = 1 << 19;
 
 /// Buffers poisoned per size class: what a pass holds of one class at
 /// most (the FFT pass peaks at seven: three split operands and one
-/// participant's tile scratch) and one to spare.
+/// participant's unit buffer) and one to spare.
 const PER_CLASS: usize = 8;
 
 fn cfg(batch: usize, channels: usize, input: usize, filters: usize, kernel: usize) -> ConvConfig {
@@ -49,14 +50,14 @@ fn padded(pad: usize, mut cfg: ConvConfig) -> ConvConfig {
 
 /// The shape table.
 fn rows() -> Vec<(&'static str, ConvConfig)> {
-    // Planes per lane tile of the 16×16 transform the straddling rows use
-    // (input 9 → n = 16).
-    let t = RfftPlan::cached(16).tile_lanes();
+    // Planes per lane block of the transforms' passes (the straddling rows
+    // use input 9 → the 16×16 plan).
+    let b = BLOCK_LANES;
     // Batch, channel and filter counts any two of which multiply to more
-    // than two tiles, so every operand and every product of the two rows
-    // that use them is a region of three.
-    let (few, many) = (43, 44);
-    assert!(few * few > 2 * t && many * many <= 3 * t);
+    // than two blocks, so every operand and every product of the two rows
+    // that use them is three blocks wide.
+    let (few, many) = (46, 47);
+    assert!(few * few > 2 * b && many * many <= 3 * b);
     vec![
         ("small pow2", cfg(2, 3, 8, 4, 3)),
         ("non-pow2 input 7", cfg(1, 1, 7, 2, 5)),
@@ -74,10 +75,10 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         ("c = f = 1", cfg(3, 1, 7, 1, 3)),
         ("batch 5 > f > c", padded(1, cfg(5, 2, 9, 3, 3))),
         ("batch 7", cfg(7, 3, 6, 2, 2)),
-        ("T - 1 channel planes", cfg(1, t - 1, 9, 1, 2)),
-        ("T channel planes", cfg(1, t, 9, 1, 2)),
-        ("T + 1 channel planes", cfg(1, t + 1, 9, 1, 2)),
-        ("T + 1 filter planes", cfg(1, 1, 9, t + 1, 2)),
+        ("B - 1 channel planes", cfg(1, b - 1, 9, 1, 2)),
+        ("B channel planes", cfg(1, b, 9, 1, 2)),
+        ("B + 1 channel planes", cfg(1, b + 1, 9, 1, 2)),
+        ("B + 1 filter planes", cfg(1, 1, 9, b + 1, 2)),
         // Every pass's output is past the size below which the pool keeps
         // a region on its caller: the one row whose regions are shared.
         ("outputs the pool shares", cfg(5, 16, 24, 16, 3)),
@@ -85,14 +86,26 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         // the longer one: the forward pass of the first row does and its
         // inverse reads the lanes transposed, the second row's does not.
         (
-            "3 tiles everywhere, batch > filters",
+            "3 blocks everywhere, batch > filters",
             cfg(many, few, 9, few, 2),
         ),
         (
-            "3 tiles everywhere, batch < filters",
+            "3 blocks everywhere, batch < filters",
             cfg(few, many, 9, many, 2),
         ),
     ]
+}
+
+/// Every row's transform size is the one rule `FftConv` plans with
+/// (`fft_conv.rs` pins that it does): the smallest power of two that
+/// holds the padded input.
+#[test]
+fn fft_size_is_the_padded_rule() {
+    for (row, cfg) in rows() {
+        let (n, padded) = (cfg.fft_size(), cfg.input + 2 * cfg.pad);
+        let smallest = (0..).map(|e| 1usize << e).find(|&p| p >= padded);
+        assert_eq!(Some(n), smallest, "{row} ({cfg})");
+    }
 }
 
 /// Leave [`PER_CLASS`] NaN-filled buffers on top of every size class up

@@ -18,14 +18,15 @@
 //!   blocked transpose), each with AVX2+FMA, NEON and scalar bodies; the
 //!   scalar bodies are what runs under `GCNN_FORCE_SCALAR=1`.
 //! * [`rfft`] — 2-D real transforms with Hermitian half-spectra, two
-//!   lane passes each. The **lane-tile** pair
+//!   lane passes each. The **lane** pair
 //!   ([`RfftPlan::forward_lanes_into`] / [`RfftPlan::inverse_lanes_into`])
-//!   is what the convolution runs: a tile of planes *as the lanes*,
-//!   bin-major in and out, no transpose between the passes, padding
-//!   rows never transformed. The **plane-major** methods and their
-//!   [`batch`] drivers (one plane per call, the passes joined by
-//!   transposes) are what the benchmarks time and the oracle the lane
-//!   tiles are pinned to.
+//!   is what the convolution runs: the planes *as the lanes*, a row pass
+//!   that writes whole bin rows of the bin-major operand and a column pass
+//!   in place on it, in units of one row or column × a block of lanes;
+//!   no transpose, no tile, padding rows never transformed. The
+//!   **plane-major** methods and their [`batch`] drivers (one plane per
+//!   call, the passes joined by transposes) are what the benchmarks time
+//!   and the oracle the lane passes are pinned to.
 //! * [`dft`] — the O(n²) reference the engine is tested against.
 //!
 //! All transforms are power-of-two only, like fbfft itself — this is the

@@ -20,11 +20,11 @@
 //!   inverses): one plane per call, the plane's own rows and columns are
 //!   the lanes, and blocked transposes join the passes. Kept for the
 //!   benchmarks that time it and as the oracle of the next;
-//! * **lane tiles** ([`RfftPlan::forward_lanes_into`],
+//! * **lane passes** ([`RfftPlan::forward_lanes_into`],
 //!   [`RfftPlan::inverse_lanes_into`]): many planes per call with *the
 //!   planes* as the lanes, spectra bin-major across planes
 //!   (`[bin][lane]`) — the layout the per-bin complex GEMM of the FFT
-//!   convolution consumes, so nothing is transposed anywhere.
+//!   convolution consumes, written and then transformed in place.
 //!
 //! Every butterfly is a broadcast-twiddle FMA over contiguous lanes. The
 //! same code runs on every ISA; under scalar dispatch
@@ -36,6 +36,7 @@ use crate::{simd, split, Direction};
 use gcnn_tensor::workspace;
 use rayon::prelude::*;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -236,23 +237,27 @@ impl RfftPlan {
     }
 }
 
-/// Scratch one lane tile of [`RfftPlan::forward_lanes_into`] /
-/// [`RfftPlan::inverse_lanes_into`] may occupy: the tile's split
-/// half-spectra (`n·half·T·8` bytes) are written by the row passes, swept
-/// by every stage of the column pass and read once more by the store, so
-/// they should stay in the last private cache level. 1 MiB — half the
-/// build host's L2 — is where the 32×32 planes of Table I ran fastest
-/// (0.25, 0.5, 2 and 4 MiB were all slower).
-const TILE_BYTES: usize = 1 << 20;
+/// Lanes per block of the lane passes (`B`): a unit's buffers are `8·n·B`
+/// bytes, half the build host's L2 at 128×128. Swept on Table I: 256 and
+/// 512 ran slower (more, shorter units), 1024 and 2048 tied, 8192 slower.
+pub const BLOCK_LANES: usize = 1 << 10;
 
-/// Fewest lanes a tile is cut to, however large the plane. A tile enters
-/// and leaves the bin-major operand as one `T`-float run per bin, and
-/// runs of a single cache line are the slowest way to touch memory: at
-/// 128×128, where the budget alone would give 15 lanes, 32 ran 5 %
-/// faster than 16 although the tile then fills the L2.
-const MIN_TILE_LANES: usize = 32;
+/// Floats per bin row of a unit's buffer for `b` lanes: an odd number of
+/// cache lines, so a lane's column (what the gather stores and the crop
+/// loads) spreads over every L1 set — at 384 lanes, 24 lines, it fell on 8
+/// and the gather ran at half speed. Lanes past `b` are zero, never stored.
+fn lane_stride(b: usize) -> usize {
+    (b.div_ceil(16) | 1) * 16
+}
 
-/// Which plane each lane of a lane-tile transform is: a permutation of
+/// `row` ← the lanes `from`, then zeros up to the stride.
+fn load(row: &mut [f32], from: &[f32]) {
+    let (lanes, pad) = row.split_at_mut(from.len());
+    lanes.copy_from_slice(from);
+    pad.fill(0.0);
+}
+
+/// Which plane each lane of a lane transform is: a permutation of
 /// `0..lanes` by construction, not a caller's closure — the parallel
 /// inverse gives each lane's plane to one writer on the strength of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,10 +286,10 @@ impl LaneOrder {
     }
 }
 
-/// A `&mut [f32]` the participants of a tile region write side by side:
-/// each takes the runs of its own lanes — disjoint from the others' but
-/// interleaved with them (a `T`-float run per bin, a row per plane), which
-/// `split_at_mut` cannot express.
+/// A `&mut [f32]` the participants of a pass region write side by side:
+/// each takes the runs of its own units — disjoint from the others' but
+/// interleaved with them (a block's run of a bin row, a row of a plane),
+/// which `split_at_mut` cannot express.
 struct SharedOut<'a>(*mut [f32], PhantomData<&'a mut [f32]>);
 
 // SAFETY: the pointer is the slice borrowed exclusively for `'a`, and an
@@ -314,83 +319,97 @@ impl<'a> SharedOut<'a> {
     }
 }
 
-/// The lane-tile transforms: **the planes are the lanes**.
-///
-/// `T` planes are transformed together in scratch laid out
-/// `[row][col][T]`, which *is* the bin-major `[bin][lane]` layout of
-/// [`split::fft_lanes_inplace`] for both passes: one data row is `n` bins
-/// of `T` lanes, the whole tile is `n` bins of `half·T` lanes. Nothing is
-/// transposed between the passes, and a tile leaves as a `T`-float run
-/// per bin of the `[bin][lanes]` operand the per-bin complex GEMM
-/// consumes — fbfft's batch-major layout (PAPERS.md arXiv:1412.7580)
-/// with the FFT emitting what the product reads. Each lane's arithmetic
-/// is the plane-major engine's, so the spectra are bit-identical to
-/// [`RfftPlan::forward_split_into`] on the zero-padded plane.
-///
-/// The tile loop is a **pool region**: each participant holds one tile's
-/// scratch and claims whole tiles. Tile `lane0..lane0 + T` writes only
-/// columns `lane0..lane0 + T` of every bin's `lanes`-float row of the
-/// operand (forward) and only the planes its lanes are (inverse), so every
-/// output float has one owner, and a lane's arithmetic does not depend on
-/// who runs it: the same bits at every pool width. An operand of one tile
-/// (Conv1 forward's 12 input planes) stays on its caller.
+/// The lane transforms: **the planes are the lanes**, and both passes work
+/// in the bin-major operand `[bin][lanes]` the per-bin GEMM reads (fbfft's
+/// layout, PAPERS.md arXiv:1412.7580). A pass is a pool region of
+/// **units**, one row or column of the plane × a block of lanes, each
+/// transformed in an `[n][stride]` buffer in [`split::fft_lanes_inplace`]'s
+/// layout. Units own disjoint bin rows × lanes of the operand (rows of
+/// `out`, in the crop), and a lane's arithmetic is the plane-major engine's
+/// whoever runs it: the spectra equal [`RfftPlan::forward_split_into`] of
+/// the zero-padded plane bit for bit, at every pool width.
 impl RfftPlan {
-    /// Planes per tile, from the plan size and [`TILE_BYTES`]: a multiple
-    /// of 16 (whole vectors on every ISA), at least [`MIN_TILE_LANES`].
-    pub fn tile_lanes(&self) -> usize {
-        (TILE_BYTES / (8 * self.spectrum_len()) / 16 * 16).max(MIN_TILE_LANES)
-    }
-
-    /// Run `body(row2, cols2, lane0, t)` once for each tile
-    /// `lane0..lane0 + t` — disjoint ranges that cover `0..lanes` — with
-    /// `2·n·t` floats of row scratch and `2·n·half·t` of tile scratch: one
-    /// chunk of it per participant, whose holder claims tiles until none is
-    /// left (a core the host takes away costs balance, not the step; at
-    /// width 1 the caller is the one participant of the same code).
-    fn for_each_tile(
+    /// Run `body(re, im, i, lane0, b)` for each unit — `i` in `0..count` ×
+    /// block `lane0..lane0 + b`, the fewest of at most [`BLOCK_LANES`] lanes
+    /// and equal to within one — in buffers of `n` rows of
+    /// [`lane_stride`]`(b)` floats: one per participant, which claims units.
+    fn for_each_unit(
         &self,
+        count: usize,
         lanes: usize,
-        body: impl Fn(&mut [f32], &mut [f32], usize, usize) + Sync,
+        body: impl Fn(&mut [f32], &mut [f32], usize, usize, usize) + Sync,
     ) {
-        if lanes == 0 {
-            return;
-        }
-        let (n, half) = (self.n, self.half);
-        let tile = self.tile_lanes().min(lanes);
-        let tiles = lanes.div_ceil(tile);
-        let per = 2 * n * (1 + half) * tile;
-        let mut scratch = workspace::take_f32(rayon::current_num_threads().min(tiles) * per);
+        let blocks = lanes.div_ceil(BLOCK_LANES);
+        let units = count * blocks;
+        let edge = |k: usize| k * lanes / blocks; // block `k` is `edge(k)..edge(k + 1)`
+        let per = 2 * self.n * lane_stride(lanes.div_ceil(blocks.max(1)));
+        let mut scratch = workspace::take_f32(rayon::current_num_threads().min(units) * per);
         // `fetch_add` gives each index to one claimant. Relaxed: it
-        // publishes nothing — a tile's inputs are borrows that outlive the
+        // publishes nothing — a unit's inputs are borrows that outlive the
         // region, its outputs reach the caller through the region's join.
         let next = AtomicUsize::new(0);
         scratch.par_chunks_mut(per).for_each(|own| {
-            let (row2, cols2) = own.split_at_mut(2 * n * tile);
+            let (re, im) = own.split_at_mut(per / 2);
             loop {
-                let lane0 = next.fetch_add(1, Ordering::Relaxed).saturating_mul(tile);
-                if lane0 >= lanes {
+                let unit = next.fetch_add(1, Ordering::Relaxed);
+                if unit >= units {
                     break;
                 }
-                let t = tile.min(lanes - lane0);
-                body(
-                    &mut row2[..2 * n * t],
-                    &mut cols2[..2 * n * half * t],
-                    lane0,
-                    t,
-                );
+                let (k, i) = (unit % blocks, unit / blocks);
+                let (lane0, b) = (edge(k), edge(k + 1) - edge(k));
+                let len = self.n * lane_stride(b);
+                body(&mut re[..len], &mut im[..len], i, lane0, b);
+            }
+        });
+    }
+
+    /// The column pass, in place on a bin-major operand of `lanes` lanes:
+    /// column `c`'s bin rows `read` into a unit's buffer (the other rows
+    /// zero there), transformed, its bin rows `write` stored back.
+    fn column_pass(
+        &self,
+        (sre, sim): (&mut [f32], &mut [f32]),
+        lanes: usize,
+        read: Range<usize>,
+        dir: Direction,
+        write: Range<usize>,
+    ) {
+        let (sre, sim) = (SharedOut::new(sre), SharedOut::new(sim));
+        self.for_each_unit(self.half, lanes, |re, im, c, lane0, b| {
+            let s = lane_stride(b);
+            let bin_row = |r: usize| {
+                let at = (r * self.half + c) * lanes + lane0;
+                // SAFETY: columns `lane0..lane0 + b` of bin row `r·half +
+                // c`, which `for_each_unit` gives to this call alone (other
+                // columns' units own other bin rows, other blocks other
+                // columns); each run here dies before the next.
+                unsafe { (sre.run(at, b), sim.run(at, b)) }
+            };
+            for buf in [&mut *re, &mut *im] {
+                buf[..read.start * s].fill(0.0);
+                buf[read.end * s..].fill(0.0);
+            }
+            for r in read.clone() {
+                let (from_re, from_im) = bin_row(r);
+                load(&mut re[r * s..(r + 1) * s], from_re);
+                load(&mut im[r * s..(r + 1) * s], from_im);
+            }
+            split::fft_lanes_inplace(re, im, &self.plan, dir, s);
+            for r in write.clone() {
+                let (to_re, to_im) = bin_row(r);
+                to_re.copy_from_slice(&re[r * s..][..b]);
+                to_im.copy_from_slice(&im[r * s..][..b]);
             }
         });
     }
 
     /// Forward-transform `lanes` real `h×w` windows into bin-major split
     /// half-spectra `sre/sim[bin·lanes + lane]`, `bin = r·half + c`. Lane
-    /// `l` reads the row-major window `src[order.plane_of(l)·h·w ..][..h·w]`
-    /// (so the lane order is the caller's: transposing a tensor's two
-    /// plane axes costs nothing) and lands it `offset` rows and columns
-    /// into the zero `n×n` plane — a layer's padding is a landing offset,
-    /// not a padded copy. Only the `h` rows that hold data get a row pass;
-    /// the Hermitian half of each is a contiguous prefix of the row
-    /// buffer; one column pass covers the tile.
+    /// `l` is the row-major window `src[order.plane_of(l)·h·w ..][..h·w]`
+    /// (a tensor's plane axes swap for free) landed `offset` rows and
+    /// columns into the zero `n×n` plane (a layer's padding, with no padded
+    /// copy). Only the `h` data rows get a row pass, and only their
+    /// Hermitian half (a prefix of the buffer) is stored.
     ///
     /// # Panics
     /// Before anything is written, unless the window fits (`offset +
@@ -415,55 +434,43 @@ impl RfftPlan {
         assert_eq!(sre.len(), n * half * lanes, "forward_lanes: re size");
         assert_eq!(sim.len(), n * half * lanes, "forward_lanes: im size");
         order.assert_covers(lanes);
-        let (sre, sim) = (SharedOut::new(sre), SharedOut::new(sim));
-        self.for_each_tile(lanes, |row2, cols2, lane0, t| {
-            let (row_re, row_im) = row2.split_at_mut(n * t);
-            let (col_re, col_im) = cols2.split_at_mut(n * half * t);
-            // Rows outside the window are zero and so are their row
-            // transforms: cleared, never transformed.
-            let data = offset * half * t..(offset + h) * half * t;
-            for col in [&mut *col_re, &mut *col_im] {
-                col[..data.start].fill(0.0);
-                col[data.end..].fill(0.0);
+        let (to_re, to_im) = (SharedOut::new(&mut *sre), SharedOut::new(&mut *sim));
+        // Row pass: data row `r` of each lane of the block, its `half`
+        // kept bins stored as bin rows `(offset + r)·half + c`.
+        self.for_each_unit(h, lanes, |re, im, r, lane0, b| {
+            let s = lane_stride(b);
+            re.fill(0.0);
+            im.fill(0.0);
+            for l in 0..b {
+                let at = order.plane_of(lane0 + l) * h * w + r * w;
+                let column = re[offset * s + l..].iter_mut().step_by(s);
+                column
+                    .zip(&src[at..at + w])
+                    .for_each(|(slot, &v)| *slot = v);
             }
-            for r in 0..h {
-                row_re.fill(0.0);
-                row_im.fill(0.0);
-                for l in 0..t {
-                    let at = order.plane_of(lane0 + l) * h * w + r * w;
-                    let column = row_re[offset * t + l..].iter_mut().step_by(t);
-                    for (slot, &v) in column.zip(&src[at..at + w]) {
-                        *slot = v;
-                    }
-                }
-                split::fft_lanes_inplace(row_re, row_im, &self.plan, Direction::Forward, t);
-                let at = data.start + r * half * t;
-                col_re[at..at + half * t].copy_from_slice(&row_re[..half * t]);
-                col_im[at..at + half * t].copy_from_slice(&row_im[..half * t]);
-            }
-            split::fft_lanes_inplace(col_re, col_im, &self.plan, Direction::Forward, half * t);
-            for bin in 0..n * half {
-                let at = bin * lanes + lane0;
-                // SAFETY: columns `lane0..lane0 + t` of row `bin`. The
-                // tiles of `for_each_tile` are disjoint lane ranges inside
-                // `0..lanes`, one call of this body each, so two tiles'
-                // runs share no column and none spills into the next row;
-                // this tile's earlier runs are other rows, and dead.
-                let (re, im) = unsafe { (sre.run(at, t), sim.run(at, t)) };
-                re.copy_from_slice(&col_re[bin * t..(bin + 1) * t]);
-                im.copy_from_slice(&col_im[bin * t..(bin + 1) * t]);
+            split::fft_lanes_inplace(re, im, &self.plan, Direction::Forward, s);
+            for c in 0..half {
+                let at = ((offset + r) * half + c) * lanes + lane0;
+                // SAFETY: columns `lane0..lane0 + b` of bin row `(offset +
+                // r)·half + c`, which `for_each_unit` gives to this call
+                // alone (other rows' units own other bin rows, other blocks
+                // other columns); this unit's earlier runs are dead.
+                let (run_re, run_im) = unsafe { (to_re.run(at, b), to_im.run(at, b)) };
+                run_re.copy_from_slice(&re[c * s..][..b]);
+                run_im.copy_from_slice(&im[c * s..][..b]);
             }
         });
+        let window = offset..offset + h;
+        self.column_pass((sre, sim), lanes, window, Direction::Forward, 0..n);
     }
 
-    /// Inverse of [`Self::forward_lanes_into`], cropped: from bin-major
-    /// split half-spectra `sre/sim[bin·lanes + lane]`, write the
-    /// `size×size` window `offset` rows and columns into each lane's
-    /// `n×n` real plane to `out[order.plane_of(l)·size² ..][..size²]`. One
-    /// column pass inverts the tile; then only the `size` rows inside the
-    /// window are rebuilt from their Hermitian half (bin `c ≥ half` is
-    /// `conj` of bin `n − c`), row-inverted and cropped straight into
-    /// `out` — the other `n − size` rows are never computed.
+    /// Inverse of [`Self::forward_lanes_into`], cropped: write the
+    /// `size×size` window `offset` rows and columns into each lane's `n×n`
+    /// plane to `out[order.plane_of(l)·size² ..][..size²]`. The column pass
+    /// inverts the spectra in place (they are consumed) and stores back
+    /// only the window's bin rows; the row pass rebuilds each from its
+    /// Hermitian half (bin `c ≥ half` is `conj` of bin `n − c`), inverts it
+    /// and crops it into `out`.
     ///
     /// # Panics
     /// Before anything is written, unless the window fits (`offset + size
@@ -472,8 +479,8 @@ impl RfftPlan {
     #[allow(clippy::too_many_arguments)] // mirror of `forward_lanes_into`
     pub fn inverse_lanes_into(
         &self,
-        sre: &[f32],
-        sim: &[f32],
+        sre: &mut [f32],
+        sim: &mut [f32],
         lanes: usize,
         (size, offset): (usize, usize),
         order: LaneOrder,
@@ -487,43 +494,36 @@ impl RfftPlan {
         assert_eq!(sim.len(), n * half * lanes, "inverse_lanes: im size");
         assert_eq!(out.len(), lanes * size * size, "inverse_lanes: out size");
         order.assert_covers(lanes);
+        let window = offset..offset + size;
+        self.column_pass((sre, sim), lanes, 0..n, Direction::Inverse, window);
         let out = SharedOut::new(out);
-        self.for_each_tile(lanes, |row2, cols2, lane0, t| {
-            let (row_re, row_im) = row2.split_at_mut(n * t);
-            let (col_re, col_im) = cols2.split_at_mut(n * half * t);
-            for bin in 0..n * half {
-                let at = bin * lanes + lane0;
-                col_re[bin * t..(bin + 1) * t].copy_from_slice(&sre[at..at + t]);
-                col_im[bin * t..(bin + 1) * t].copy_from_slice(&sim[at..at + t]);
+        // Row pass: crop row `r` of each lane of the block.
+        self.for_each_unit(size, lanes, |re, im, r, lane0, b| {
+            let s = lane_stride(b);
+            for c in 0..half {
+                let at = ((offset + r) * half + c) * lanes + lane0;
+                load(&mut re[c * s..(c + 1) * s], &sre[at..at + b]);
+                load(&mut im[c * s..(c + 1) * s], &sim[at..at + b]);
             }
-            split::fft_lanes_inplace(col_re, col_im, &self.plan, Direction::Inverse, half * t);
-            for r in 0..size {
-                let at = (offset + r) * half * t;
-                row_re[..half * t].copy_from_slice(&col_re[at..at + half * t]);
-                row_im[..half * t].copy_from_slice(&col_im[at..at + half * t]);
-                for c in half..n {
-                    // After the column inverse each row is a real
-                    // signal's spectrum: T[r][c] = conj(T[r][n − c]).
-                    let from = (n - c) * t;
-                    row_re.copy_within(from..from + t, c * t);
-                    row_im.copy_within(from..from + t, c * t);
-                }
-                gcnn_tensor::simd::sscal(-1.0, &mut row_im[half * t..]);
-                split::fft_lanes_inplace(row_re, row_im, &self.plan, Direction::Inverse, t);
-                // The imaginary plane is zero up to fp noise: dropped.
-                for l in 0..t {
-                    let at = order.plane_of(lane0 + l) * size * size + r * size;
-                    // SAFETY: row `r` of the plane lane `lane0 + l` is.
-                    // `for_each_tile` gives each lane to one call of this
-                    // body and `order`, asserted to cover `lanes`, sends
-                    // distinct lanes to distinct planes — disjoint `size²`
-                    // blocks; this lane's earlier rows are dead.
-                    let row = unsafe { out.run(at, size) };
-                    let column = row_re[offset * t + l..].iter().step_by(t);
-                    for (slot, &v) in row.iter_mut().zip(column) {
-                        *slot = v;
-                    }
-                }
+            for c in half..n {
+                // After the column inverse each row is a real signal's
+                // spectrum: T[r][c] = conj(T[r][n − c]).
+                let from = (n - c) * s;
+                re.copy_within(from..from + s, c * s);
+                im.copy_within(from..from + s, c * s);
+            }
+            gcnn_tensor::simd::sscal(-1.0, &mut im[half * s..]);
+            split::fft_lanes_inplace(re, im, &self.plan, Direction::Inverse, s);
+            // The imaginary plane is zero up to fp noise: dropped.
+            for l in 0..b {
+                let at = order.plane_of(lane0 + l) * size * size + r * size;
+                // SAFETY: row `r` of the plane lane `lane0 + l` is: one call
+                // of this body per (row, block), and `order`, asserted to
+                // cover `lanes`, sends distinct lanes to distinct planes;
+                // this unit's earlier rows are dead.
+                let row = unsafe { out.run(at, size) };
+                let column = re[offset * s + l..].iter().step_by(s);
+                row.iter_mut().zip(column).for_each(|(slot, &v)| *slot = v);
             }
         });
     }
@@ -681,7 +681,7 @@ mod tests {
     /// Forward then cropped inverse of `lanes` windows at pool width
     /// `width`, out of NaN-filled scratch into NaN-filled outputs.
     #[allow(clippy::type_complexity)]
-    fn lane_tiles_at(
+    fn lane_passes_at(
         width: usize,
         p: &RfftPlan,
         src: &[f32],
@@ -691,46 +691,77 @@ mod tests {
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
         pool.build().expect("pool").install(|| {
-            let (bins, tile) = (p.spectrum_len(), p.tile_lanes().min(lanes));
-            let parts = width.min(lanes.div_ceil(tile));
+            // A NaN buffer of each class a region of 1 to `width`
+            // participants checks out.
+            let blocks = lanes.div_ceil(BLOCK_LANES).max(1);
+            let per = 2 * p.n() * lane_stride(lanes.div_ceil(blocks));
             let poison = || {
-                workspace::take_f32(parts * 2 * p.n() * (1 + p.half_cols()) * tile).fill(f32::NAN)
+                let held: Vec<_> = (1..=width)
+                    .map(|parts| {
+                        let mut buf = workspace::take_f32(parts * per);
+                        buf.fill(f32::NAN);
+                        buf
+                    })
+                    .collect();
+                drop(held);
             };
             poison();
+            let bins = p.spectrum_len();
             let (mut sre, mut sim) = (vec![f32::NAN; bins * lanes], vec![f32::NAN; bins * lanes]);
             p.forward_lanes_into(src, (h, w), offset, order, lanes, &mut sre, &mut sim);
             poison();
             let size = h.min(w);
             let mut out = vec![f32::NAN; lanes * size * size];
-            p.inverse_lanes_into(&sre, &sim, lanes, (size, offset / 2), order, &mut out);
+            let (mut pre, mut pim) = (sre.clone(), sim.clone());
+            p.inverse_lanes_into(
+                &mut pre,
+                &mut pim,
+                lanes,
+                (size, offset / 2),
+                order,
+                &mut out,
+            );
             (sre, sim, out)
         })
     }
 
-    /// The lane-tile transforms are the plane-major engine bit for bit:
-    /// forward equals `forward_split_into` of the zero-padded plane,
-    /// inverse equals the cropped `inverse_split_into` — for windows that
-    /// land off the origin, both lane orders, a lane count of 1, lane
-    /// counts on both sides of the tile, more tiles than participants, a
-    /// ragged last tile and a tile count no width divides; at pool widths
-    /// 1 to 4, every width the same bits.
+    /// The lane transforms are the plane-major engine bit for bit: forward
+    /// equals `forward_split_into` of the zero-padded plane, inverse equals
+    /// the cropped `inverse_split_into` — for odd and even window heights
+    /// and crops, windows that land off the origin, both lane orders, a
+    /// lane count of 1 and counts on both sides of one, two and three pass
+    /// blocks `B` (blocks of unequal width, a block count no width
+    /// divides); at pool widths 1 to 4, every width the same bits.
     #[test]
-    fn lane_tiles_match_plane_major() {
-        // An interpreter (`scripts/verify.sh`'s miri pass) gets the first
-        // plan's two-tile count at widths 1 and 2.
+    fn lane_passes_match_plane_major() {
+        // An interpreter (`scripts/verify.sh`'s miri pass) gets one block
+        // of the first plan — two row units, so at width 2 both
+        // participants write through one `SharedOut` — at widths 1 and 2.
         let miri = cfg!(miri);
-        let plans = [(1, 1, 1, 0), (2, 1, 2, 0), (8, 3, 5, 2), (16, 16, 16, 0)];
-        for (n, h, w, offset) in plans.into_iter().take(if miri { 1 } else { 4 }) {
+        // (n, h, w, offset); the crop is `h.min(w)` at `offset / 2`.
+        let plans = [
+            (2, 2, 1, 0),
+            (1, 1, 1, 0),
+            (8, 3, 5, 2),
+            (8, 6, 4, 2),
+            (16, 16, 16, 0),
+        ];
+        for (n, h, w, offset) in plans.into_iter().take(if miri { 1 } else { plans.len() }) {
             let p = RfftPlan::new(n);
-            let (bins, tile) = (p.spectrum_len(), p.tile_lanes());
-            let mut counts = vec![1, 3, tile - 1, tile, tile + 1];
-            if n >= 8 {
-                // Thousands of lanes: affordable where a tile is.
-                counts.extend([2 * tile, 3 * tile + 5, 7 * tile - 1]);
-            }
-            if miri {
-                counts = vec![tile + 1];
-            }
+            let (bins, block) = (p.spectrum_len(), BLOCK_LANES);
+            let counts = if miri {
+                vec![block]
+            } else {
+                vec![
+                    1,
+                    3,
+                    block - 1,
+                    block,
+                    block + 1,
+                    2 * block + 5,
+                    3 * block - 1,
+                ]
+            };
             for lanes in counts {
                 let src: Vec<f32> = (0..lanes * h * w)
                     .map(|i| (i as f32 * 0.37).sin())
@@ -740,9 +771,10 @@ mod tests {
                 let cols = lanes / rows;
                 for order in [LaneOrder::Identity, LaneOrder::Transposed { rows, cols }] {
                     let geometry = (h, w, offset);
-                    let narrow = lane_tiles_at(1, &p, &src, geometry, order, lanes);
+                    let narrow = lane_passes_at(1, &p, &src, geometry, order, lanes);
                     for width in 2..=if miri { 2 } else { 4 } {
-                        let same = lane_tiles_at(width, &p, &src, geometry, order, lanes) == narrow;
+                        let same =
+                            lane_passes_at(width, &p, &src, geometry, order, lanes) == narrow;
                         assert!(same, "n {n} lanes {lanes} {order:?}: width {width} differs");
                     }
                     let (sre, sim, out) = narrow;

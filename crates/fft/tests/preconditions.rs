@@ -3,10 +3,11 @@
 //! stage geometry, a short twiddle table or a short transpose buffer
 //! must panic with a message at the API boundary — the raw bodies load and store through pointers
 //! on the strength of these checks, so they are `assert!`s, live in
-//! release builds too. Likewise the lane-tile transforms, whose tiles
-//! write a shared output side by side: extents and lane order are
-//! rejected up front, before any tile has written anything.
+//! release builds too. Likewise the lane transforms, whose units write a
+//! shared output side by side: extents and lane order are rejected up
+//! front, before any unit has written anything.
 
+use gcnn_fft::rfft::BLOCK_LANES;
 use gcnn_fft::simd::{lane_stage2_dit, lane_stage_dit, transpose_f32};
 use gcnn_fft::{LaneOrder, RfftPlan};
 use gcnn_tensor::simd::{isa, Isa};
@@ -140,7 +141,7 @@ fn detected_isa_stays_callable_under_forced_scalar() {
     assert_eq!(dst, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
 }
 
-/// `lanes` windows of 2×2 through the 8×8 plan's lane-tile forward, with
+/// `lanes` windows of 2×2 through the 8×8 plan's lane forward, with
 /// `src_len` source floats.
 fn forward_lanes(src_len: usize, order: LaneOrder, lanes: usize) {
     let p = RfftPlan::new(N);
@@ -150,13 +151,14 @@ fn forward_lanes(src_len: usize, order: LaneOrder, lanes: usize) {
     p.forward_lanes_into(&src, (2, 2), 0, order, lanes, &mut sre, &mut sim);
 }
 
-/// The cropped lane-tile inverse of `lanes` zero spectra into `out_len`
+/// The cropped lane inverse of `lanes` zero spectra into `out_len`
 /// floats.
 fn inverse_lanes(out_len: usize, size: usize, order: LaneOrder, lanes: usize) {
     let p = RfftPlan::new(N);
-    let spectra = vec![0.0f32; p.spectrum_len() * lanes];
+    let mut sre = vec![0.0f32; p.spectrum_len() * lanes];
+    let mut sim = sre.clone();
     let mut out = vec![f32::NAN; out_len];
-    p.inverse_lanes_into(&spectra, &spectra, lanes, (size, 0), order, &mut out);
+    p.inverse_lanes_into(&mut sre, &mut sim, lanes, (size, 0), order, &mut out);
 }
 
 #[test]
@@ -184,6 +186,16 @@ fn inverse_lanes_rejects_long_out() {
 }
 
 #[test]
+#[should_panic(expected = "inverse_lanes: im size")]
+fn inverse_lanes_rejects_short_spectra() {
+    let p = RfftPlan::new(N);
+    let mut sre = vec![0.0f32; p.spectrum_len() * 6];
+    let mut sim = vec![0.0f32; p.spectrum_len() * 6 - 1];
+    let mut out = [0.0f32; 6 * 9];
+    p.inverse_lanes_into(&mut sre, &mut sim, 6, (3, 0), LaneOrder::Identity, &mut out);
+}
+
+#[test]
 #[should_panic(expected = "the grid is not the lanes")]
 fn inverse_lanes_rejects_a_grid_that_wraps() {
     // 2⁶³·2 wraps to 0 and (2⁶³ + 3)·2 to 6: `checked_mul` sees both.
@@ -192,20 +204,20 @@ fn inverse_lanes_rejects_a_grid_that_wraps() {
 }
 
 /// No lanes: nothing to check out, nothing written, no division by a
-/// zero tile.
+/// zero block.
 #[test]
 fn zero_lanes_is_a_no_op() {
     forward_lanes(0, LaneOrder::Identity, 0);
     inverse_lanes(0, 3, LaneOrder::Transposed { rows: 0, cols: 5 }, 0);
 }
 
-/// A rejected call panics before its region opens, with nothing
-/// written, and the pool serves the next call: three tiles at width 2
-/// give the bits width 1 gives.
+/// A rejected call panics before its first region opens, with nothing
+/// written, and the pool serves the next call: three lane blocks at width
+/// 2 give the bits width 1 gives.
 #[test]
 fn pool_serves_the_call_after_a_rejected_one() {
     let p = RfftPlan::new(N);
-    let lanes = 2 * p.tile_lanes() + 7;
+    let lanes = 2 * BLOCK_LANES + 7;
     let src: Vec<f32> = (0..lanes * 4).map(|i| (i as f32 * 0.61).cos()).collect();
     let spectra = |width: usize, src: &[f32]| {
         let mut sre = vec![f32::NAN; p.spectrum_len() * lanes];
@@ -229,8 +241,35 @@ fn pool_serves_the_call_after_a_rejected_one() {
     let (ok, sre, _) = spectra(2, &src[1..]);
     assert!(
         !ok && sre.iter().all(|v| v.is_nan()),
-        "rejected before any tile wrote"
+        "rejected before any unit wrote"
     );
     let wide = spectra(2, &src);
     assert!(wide.0 && wide == spectra(1, &src));
+}
+
+/// The inverse consumes its spectra, but only once it runs: a call
+/// rejected on its last check (the lane order) leaves the spectra and `out`
+/// as they were.
+#[test]
+fn rejected_inverse_leaves_spectra_and_out_untouched() {
+    let p = RfftPlan::new(N);
+    let lanes = 2 * BLOCK_LANES + 7;
+    let spectra: Vec<f32> = (0..p.spectrum_len() * lanes)
+        .map(|i| (i as f32 * 0.29).sin())
+        .collect();
+    let (mut sre, mut sim) = (spectra.clone(), spectra.clone());
+    let mut out = vec![f32::NAN; lanes * 9];
+    let wraps = LaneOrder::Transposed {
+        rows: 2,
+        cols: lanes / 2 + 1,
+    };
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(2);
+    let outcome = pool.build().expect("pool").install(|| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.inverse_lanes_into(&mut sre, &mut sim, lanes, (3, 0), wraps, &mut out)
+        }))
+    });
+    assert!(outcome.is_err(), "a grid of other lanes is rejected");
+    assert!(sre == spectra && sim == spectra, "spectra untouched");
+    assert!(out.iter().all(|v| v.is_nan()), "out untouched");
 }

@@ -43,7 +43,7 @@ impl Fbfft {
     /// Transform size: next power of two covering the (padded) input —
     /// valid correlation needs no k-dependent padding (DESIGN.md §4.4).
     pub fn transform_size(cfg: &ConvConfig) -> u64 {
-        ((cfg.input + 2 * cfg.pad) as u64).next_power_of_two()
+        cfg.fft_size() as u64
     }
 
     /// Total spectrum bytes held live: all (batch×channel),

@@ -18,17 +18,17 @@ else
 fi
 # The pool's stress loop and forced-interleaving tests again in release:
 # optimised code is what reorders around the job hand-off — and around
-# the lane tiles' shared output, so their width loops too.
+# the lane transforms' shared output, so their width loops too.
 cargo test -q --release -p rayon
-cargo test -q --release -p gcnn-fft lane_tiles_match_plane_major
+cargo test -q --release -p gcnn-fft lane_passes_match_plane_major
 cargo test -q --release -p gcnn-fft --test preconditions pool_serves
-# Under miri where it is installed (two tiles of the smallest plan at
-# widths 1 and 2): aliasing of the shared output's runs is what no test
-# result shows.
+# Under miri where it is installed (one lane block of the smallest plan
+# with two row units, at widths 1 and 2): aliasing of the shared output's
+# runs is what no test result shows.
 if cargo miri --version >/dev/null 2>&1; then
-  cargo miri test -p gcnn-fft --lib lane_tiles_match_plane_major
+  cargo miri test -p gcnn-fft --lib lane_passes_match_plane_major
 else
-  echo "verify: SKIPPED the miri pass over the lane tiles (cargo-miri not installed)" >&2
+  echo "verify: SKIPPED the miri pass over the lane transforms (cargo-miri not installed)" >&2
 fi
 cargo clippy --workspace -- -D warnings
 cargo fmt --all -- --check
