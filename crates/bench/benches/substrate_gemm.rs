@@ -85,6 +85,7 @@ fn bench_cgemm(c: &mut Criterion) {
     c.bench_function("cgemm_split_96", |bench| {
         bench.iter(|| {
             cgemm_split(
+                Transpose::No,
                 false,
                 false,
                 n,

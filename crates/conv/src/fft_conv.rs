@@ -11,22 +11,26 @@
 //!
 //! 1. both operands go through [`RfftPlan::forward_lanes_into`], which
 //!    transforms the planes **with the planes as the lanes** straight
-//!    into the bin-major `[bin][rows×cols]` operand: a row pass writes
-//!    whole bin rows of it, a column pass transforms it in place. Each
-//!    plane's real window is read straight from the tensor — the layer's
+//!    into the bin-major `[bin][rows×cols]` operand: a row pass, two real
+//!    rows to a complex transform, writes whole bin rows of it, a column
+//!    pass transforms it in place. Each plane's real window is read
+//!    straight from the tensor — the layer's
 //!    `pad` is a landing offset, the plane-axis swap an operand may need
 //!    is the lane order — and padding rows are never transformed;
 //! 2. one split-complex GEMM per frequency bin
-//!    ([`batched_cgemm_split`]), oriented so that the longer of the
-//!    product's two output axes is the kernel's contiguous, vectorized
-//!    `n` (conjugation travels with the operand: `conj_a` or `conj_b`);
+//!    ([`batched_cgemm_split_op`]), oriented by the shapes: the longer of
+//!    the product's two output axes is the kernel's vectorized `n`, unless
+//!    both are shorter than one row tile — then the summed axis is the
+//!    vector, each output one dot product (conjugation travels with the
+//!    operand: `conj_a` or `conj_b`);
 //! 3. [`RfftPlan::inverse_lanes_into`] inverts the product in place — a
 //!    column pass, then row-inverting only the rows inside the crop
-//!    window — and writes the crop straight into the output tensor.
+//!    window, two to a transform — and writes the crop straight into the
+//!    output tensor.
 //!
 //! All three stages are pool regions: the transforms' participants claim
-//! units of one row or column × a block of lanes, each with its own unit
-//! buffer, writing disjoint runs of the bin-major operand (disjoint rows
+//! units of a row pair or a column × a block of lanes, each with its own
+//! unit buffer, writing disjoint runs of the bin-major operand (disjoint rows
 //! of output planes, in the inverse), and the per-bin products split over
 //! bins. One owner per output float and a fixed order of arithmetic per
 //! lane and per bin, so a pass is the same bits at every pool width.
@@ -49,7 +53,8 @@
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy, Unsupported};
 use gcnn_fft::{LaneOrder, RfftPlan};
-use gcnn_gemm::batched_cgemm_split;
+use gcnn_gemm::cgemm::ROW_TILE;
+use gcnn_gemm::{batched_cgemm_split_op, Transpose};
 use gcnn_tensor::workspace::{self, Scratch};
 use gcnn_tensor::{Shape4, Tensor4};
 
@@ -98,9 +103,10 @@ impl Factor<'_> {
     }
 
     /// Transform every plane into the bin-major operand
-    /// `[bin][rows×cols]` of the per-bin GEMM: `[kept×summed]` as its A
-    /// (`kept_is_row`), `[summed×kept]` as its B. Which tensor axis ends
-    /// up as the row is only the order the planes are read in.
+    /// `[bin][rows×cols]` of the per-bin GEMM: `[kept×summed]` when
+    /// `kept_is_row` (its A, or its B stored `[n×k]`), else
+    /// `[summed×kept]`. Which tensor axis ends up as the row is only the
+    /// order the planes are read in.
     fn spectra(&self, plan: &RfftPlan, kept_is_row: bool) -> (Scratch<f32>, Scratch<f32>) {
         let s = self.t.shape();
         let (kept, summed) = self.extents();
@@ -135,20 +141,23 @@ impl Factor<'_> {
 /// and cropped into a tensor of shape `(i, j, size, size)`. The passes
 /// differ only in factors and crop.
 ///
-/// The CGEMM vectorizes along its `n`, so the product is issued as
-/// `first·second` when `j` is the longer output axis and as
+/// The orientation is a function of the shapes alone ([`dot_products`]).
+/// The CGEMM's row body vectorizes along its `n`, so the product is
+/// issued as `first·second` when `j` is the longer output axis and as
 /// `secondᵀ·firstᵀ` otherwise (complex multiplication commutes, so each
 /// factor keeps its own conjugation); the inverse then reads the
-/// transposed product in the output's plane order. A function of the
-/// shapes alone: at Table I's extents and batch 4 the long axis is the
-/// filter or channel axis (64–128) in eight of the nine products; Conv1
-/// backward-data (`c = 3` against batch 4) has none, and is the one
-/// product left in the CGEMM's scalar remainder.
+/// transposed product in the output's plane order. When both output axes
+/// are short, both factors are transformed with their kept axis as the
+/// row, `[m×k]` and `[n×k]`, and the dot body sums along the vector. At
+/// Table I's extents and batch 4 the long axis is the filter or channel
+/// axis (64–128) in eight of the nine products; Conv1 backward-data
+/// (`c = 3` against batch 4) has none, and runs the dot body.
 fn fft_pass(first: Factor<'_>, second: Factor<'_>, crop: Crop, plan: &RfftPlan) -> Tensor4 {
     let bins = plan.spectrum_len();
     let ((d0, k), (d1, k2)) = (first.extents(), second.extents());
     assert_eq!(k, k2, "fft_pass: summed extents");
-    let flip = d0 > d1;
+    let dots = dot_products(d0, d1);
+    let flip = !dots && d0 > d1;
     let (a, b, m, n) = if flip {
         (second, first, d1, d0)
     } else {
@@ -159,24 +168,11 @@ fn fft_pass(first: Factor<'_>, second: Factor<'_>, crop: Crop, plan: &RfftPlan) 
     let mut c_im = workspace::take_f32(bins * m * n);
     {
         let (a_re, a_im) = a.spectra(plan, true); // [bin][m×k]
-        let (b_re, b_im) = b.spectra(plan, false); // [bin][k×n]
-        batched_cgemm_split(
-            a.conj,
-            b.conj,
-            m,
-            n,
-            k,
-            bins,
-            &a_re,
-            &a_im,
-            m * k,
-            &b_re,
-            &b_im,
-            k * n,
-            &mut c_re,
-            &mut c_im,
-            m * n,
-        );
+        let (b_re, b_im) = b.spectra(plan, dots); // [bin][n×k] or [bin][k×n]
+        let transb = if dots { Transpose::Yes } else { Transpose::No };
+        let (a_op, b_op) = ((&a_re[..], &a_im[..], m * k), (&b_re[..], &b_im[..], k * n));
+        let c = (&mut c_re[..], &mut c_im[..], m * n);
+        batched_cgemm_split_op(transb, a.conj, b.conj, m, n, k, bins, a_op, b_op, c);
     }
 
     let mut out = Tensor4::zeros(Shape4::new(d0, d1, crop.size, crop.size));
@@ -191,6 +187,17 @@ fn fft_pass(first: Factor<'_>, second: Factor<'_>, crop: Crop, plan: &RfftPlan) 
     let planes = out.as_mut_slice();
     plan.inverse_lanes_into(&mut c_re, &mut c_im, m * n, window, order, planes);
     out
+}
+
+/// Whether the per-bin products of `d0×d1` outputs run as dot products
+/// along the summed axis (B stored `[n×k]`): when both output axes are
+/// shorter than the CGEMM's row tile, which would otherwise run only its
+/// `f32` leftover path. Neither the ISA nor the pool width enters,
+/// and neither does the sum's length (EXPERIMENTS, "Two real rows per
+/// transform, dot products for short outputs", sweeps the two bodies over
+/// `n` at `k = 96`).
+fn dot_products(d0: usize, d1: usize) -> bool {
+    d0.max(d1) < ROW_TILE
 }
 
 /// The cached plan for `cfg`'s transform size, [`ConvConfig::fft_size`].
@@ -331,6 +338,19 @@ mod tests {
             assert_eq!(n, cfg.fft_size(), "input {input} pad {pad}");
             let padded = input + 2 * pad;
             assert!(n.is_power_of_two() && n >= padded && n / 2 < padded);
+        }
+    }
+
+    /// The dot body takes a product exactly when its longer output axis
+    /// is below one row tile (32 outputs, on every ISA).
+    #[test]
+    fn dot_products_below_one_row_tile() {
+        assert_eq!(ROW_TILE, 32);
+        for (d0, d1) in [(4, 3), (1, 1), (31, 4), (4, 31), (31, 31)] {
+            assert!(dot_products(d0, d1), "{d0}x{d1}");
+        }
+        for (d0, d1) in [(32, 4), (4, 32), (33, 1), (32, 32), (96, 4), (4, 128)] {
+            assert!(!dot_products(d0, d1), "{d0}x{d1}");
         }
     }
 

@@ -79,6 +79,20 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         ("B channel planes", cfg(1, b, 9, 1, 2)),
         ("B + 1 channel planes", cfg(1, b + 1, 9, 1, 2)),
         ("B + 1 filter planes", cfg(1, 1, 9, b + 1, 2)),
+        // The transforms' row passes carry two rows per transform: odd
+        // data heights and crops end on a lone row, a one-row gradient is
+        // nothing else.
+        ("odd heights, odd crops", cfg(2, 3, 11, 4, 5)),
+        ("padded odd input", padded(1, cfg(3, 2, 5, 3, 2))),
+        ("one-row gradient", cfg(3, 2, 3, 3, 3)),
+        // `fft_pass` runs a product as dot products when both its output
+        // axes are under the CGEMM's 32-column row tile: every pass of the
+        // first row (Conv1's backward-data shape, c = 3 at batch 4), and
+        // around the tile the forward pass (batch × filters) of the next.
+        ("dot products, c = 3, batch 4", cfg(4, 3, 12, 16, 5)),
+        ("31 filters", cfg(4, 2, 6, 31, 3)),
+        ("32 filters", cfg(4, 2, 6, 32, 3)),
+        ("33 filters", cfg(4, 2, 6, 33, 3)),
         // Every pass's output is past the size below which the pool keeps
         // a region on its caller: the one row whose regions are shared.
         ("outputs the pool shares", cfg(5, 16, 24, 16, 3)),

@@ -21,12 +21,13 @@
 //!   lane passes each. The **lane** pair
 //!   ([`RfftPlan::forward_lanes_into`] / [`RfftPlan::inverse_lanes_into`])
 //!   is what the convolution runs: the planes *as the lanes*, a row pass
-//!   that writes whole bin rows of the bin-major operand and a column pass
-//!   in place on it, in units of one row or column × a block of lanes;
-//!   no transpose, no tile, padding rows never transformed. The
-//!   **plane-major** methods and their [`batch`] drivers (one plane per
-//!   call, the passes joined by transposes) are what the benchmarks time
-//!   and the oracle the lane passes are pinned to.
+//!   that carries two real rows per complex transform and writes whole bin
+//!   rows of the bin-major operand, and a column pass in place on it, in
+//!   units of a row pair or a column × a block of lanes; no transpose, no
+//!   tile, padding rows never transformed. The **plane-major** methods and
+//!   their [`batch`] entry points (one plane per call, the passes joined by
+//!   transposes) are what the benchmarks time and the oracle the lane
+//!   passes are held to, within a stated tolerance.
 //! * [`dft`] — the O(n²) reference the engine is tested against.
 //!
 //! All transforms are power-of-two only, like fbfft itself — this is the

@@ -257,6 +257,18 @@ fn load(row: &mut [f32], from: &[f32]) {
     pad.fill(0.0);
 }
 
+/// `to[l] ← scale·(a[l] + sign·b[l])` over the lanes of `a`, then zeros:
+/// the one step of the row-pair split and its inverse.
+fn mix(to: &mut [f32], scale: f32, a: &[f32], sign: f32, b: &[f32]) {
+    for (t, (&a, &b)) in to.iter_mut().zip(a.iter().zip(b)) {
+        *t = scale * (a + sign * b);
+    }
+    to[a.len()..].fill(0.0);
+}
+
+/// The missing partner of an odd row count's last row pair.
+static ZEROS: [f32; BLOCK_LANES] = [0.0; BLOCK_LANES];
+
 /// Which plane each lane of a lane transform is: a permutation of
 /// `0..lanes` by construction, not a caller's closure — the parallel
 /// inverse gives each lane's plane to one writer on the strength of it.
@@ -325,9 +337,18 @@ impl<'a> SharedOut<'a> {
 /// **units**, one row or column of the plane × a block of lanes, each
 /// transformed in an `[n][stride]` buffer in [`split::fft_lanes_inplace`]'s
 /// layout. Units own disjoint bin rows × lanes of the operand (rows of
-/// `out`, in the crop), and a lane's arithmetic is the plane-major engine's
-/// whoever runs it: the spectra equal [`RfftPlan::forward_split_into`] of
-/// the zero-padded plane bit for bit, at every pool width.
+/// `out`, in the crop), and a lane's arithmetic does not depend on who runs
+/// it, so a call gives the same bits at every pool width.
+///
+/// A row unit carries two real rows `x`, `y` (the second zero past an odd
+/// count) as one complex row `z = x + i·y`. With `m = (n − c) mod n`, the
+/// forward splits `X_c = (Z_c + conj Z_m)/2`, `Y_c = (Z_c − conj Z_m)/2i`;
+/// the inverse rebuilds `Z` from both Hermitian halves (a bin that is its
+/// own mirror is real) and crops `x`, `y` from its two planes. So results
+/// are the plane-major engine's ([`RfftPlan::forward_split_into`] of the
+/// padded plane, the cropped [`RfftPlan::inverse_split_into`]) to within
+/// rounding: spectrum bins within `ε·(log2 n + 1)·n·‖x‖₂`, cropped samples
+/// within `ε·(log2 n + 1)·‖x‖₂` of the plane `x`'s (`ε` = `f32::EPSILON`).
 impl RfftPlan {
     /// Run `body(re, im, i, lane0, b)` for each unit — `i` in `0..count` ×
     /// block `lane0..lane0 + b`, the fewest of at most [`BLOCK_LANES`] lanes
@@ -408,8 +429,8 @@ impl RfftPlan {
     /// `l` is the row-major window `src[order.plane_of(l)·h·w ..][..h·w]`
     /// (a tensor's plane axes swap for free) landed `offset` rows and
     /// columns into the zero `n×n` plane (a layer's padding, with no padded
-    /// copy). Only the `h` data rows get a row pass, and only their
-    /// Hermitian half (a prefix of the buffer) is stored.
+    /// copy). Only the `h` data rows get a row pass, two to a transform, and
+    /// only their Hermitian halves are stored.
     ///
     /// # Panics
     /// Before anything is written, unless the window fits (`offset +
@@ -435,29 +456,39 @@ impl RfftPlan {
         assert_eq!(sim.len(), n * half * lanes, "forward_lanes: im size");
         order.assert_covers(lanes);
         let (to_re, to_im) = (SharedOut::new(&mut *sre), SharedOut::new(&mut *sim));
-        // Row pass: data row `r` of each lane of the block, its `half`
-        // kept bins stored as bin rows `(offset + r)·half + c`.
-        self.for_each_unit(h, lanes, |re, im, r, lane0, b| {
-            let s = lane_stride(b);
+        // Row pass: data rows `2p` and `2p + 1` of each lane of the block as
+        // the real and imaginary planes of one row, its `half` kept bins
+        // split into bin rows `(offset + 2p + t)·half + c`, `t` in `0..pair`.
+        self.for_each_unit(h.div_ceil(2), lanes, |re, im, p, lane0, b| {
+            let (s, pair) = (lane_stride(b), (h - 2 * p).min(2));
             re.fill(0.0);
             im.fill(0.0);
             for l in 0..b {
-                let at = order.plane_of(lane0 + l) * h * w + r * w;
-                let column = re[offset * s + l..].iter_mut().step_by(s);
-                column
-                    .zip(&src[at..at + w])
-                    .for_each(|(slot, &v)| *slot = v);
+                let plane = order.plane_of(lane0 + l) * h * w;
+                for (t, buf) in [&mut *re, &mut *im].into_iter().take(pair).enumerate() {
+                    let row = &src[plane + (2 * p + t) * w..][..w];
+                    let column = buf[offset * s + l..].iter_mut().step_by(s);
+                    column.zip(row).for_each(|(slot, &v)| *slot = v);
+                }
             }
             split::fft_lanes_inplace(re, im, &self.plan, Direction::Forward, s);
             for c in 0..half {
-                let at = ((offset + r) * half + c) * lanes + lane0;
-                // SAFETY: columns `lane0..lane0 + b` of bin row `(offset +
-                // r)·half + c`, which `for_each_unit` gives to this call
-                // alone (other rows' units own other bin rows, other blocks
-                // other columns); this unit's earlier runs are dead.
-                let (run_re, run_im) = unsafe { (to_re.run(at, b), to_im.run(at, b)) };
-                run_re.copy_from_slice(&re[c * s..][..b]);
-                run_im.copy_from_slice(&im[c * s..][..b]);
+                let m = (n - c) % n;
+                // Z_c and Z_m. X_c = (Z_c + conj Z_m)/2 and Y_c = (Z_c − conj
+                // Z_m)/2i are (re, im) = (½(a + b), ½(a' − b')) over the pairs.
+                let (cr, ci) = (&re[c * s..][..b], &im[c * s..][..b]);
+                let (mr, mi) = (&re[m * s..][..b], &im[m * s..][..b]);
+                let halves = [[(cr, mr), (ci, mi)], [(ci, mi), (mr, cr)]];
+                for (t, [(re_a, re_b), (im_a, im_b)]) in halves.into_iter().take(pair).enumerate() {
+                    let at = ((offset + 2 * p + t) * half + c) * lanes + lane0;
+                    // SAFETY: columns `lane0..lane0 + b` of bin row `(offset +
+                    // 2p + t)·half + c`, which `for_each_unit` gives to this
+                    // call alone (other pairs' units own other bin rows, other
+                    // blocks other columns); this unit's earlier runs are dead.
+                    let (run_re, run_im) = unsafe { (to_re.run(at, b), to_im.run(at, b)) };
+                    mix(run_re, 0.5, re_a, 1.0, re_b);
+                    mix(run_im, 0.5, im_a, -1.0, im_b);
+                }
             }
         });
         let window = offset..offset + h;
@@ -468,9 +499,9 @@ impl RfftPlan {
     /// `size×size` window `offset` rows and columns into each lane's `n×n`
     /// plane to `out[order.plane_of(l)·size² ..][..size²]`. The column pass
     /// inverts the spectra in place (they are consumed) and stores back
-    /// only the window's bin rows; the row pass rebuilds each from its
-    /// Hermitian half (bin `c ≥ half` is `conj` of bin `n − c`), inverts it
-    /// and crops it into `out`.
+    /// only the window's bin rows; the row pass rebuilds them two at a time
+    /// as one complex row from their Hermitian halves, inverts it and crops
+    /// both into `out`.
     ///
     /// # Panics
     /// Before anything is written, unless the window fits (`offset + size
@@ -497,33 +528,42 @@ impl RfftPlan {
         let window = offset..offset + size;
         self.column_pass((sre, sim), lanes, 0..n, Direction::Inverse, window);
         let out = SharedOut::new(out);
-        // Row pass: crop row `r` of each lane of the block.
-        self.for_each_unit(size, lanes, |re, im, r, lane0, b| {
-            let s = lane_stride(b);
+        // Row pass: crop rows `2p` and `2p + 1` of each lane of the block,
+        // inverted as the real and imaginary planes of one row.
+        self.for_each_unit(size.div_ceil(2), lanes, |re, im, p, lane0, b| {
+            let (s, pair) = (lane_stride(b), (size - 2 * p).min(2));
+            // Bin `c` of crop row `2p + t`, a real row's spectrum; zero past the pair.
+            let bin = |t: usize, c: usize| match ((offset + 2 * p + t) * half + c) * lanes + lane0 {
+                at if t < pair => (&sre[at..at + b], &sim[at..at + b]),
+                _ => (&ZEROS[..b], &ZEROS[..b]),
+            };
             for c in 0..half {
-                let at = ((offset + r) * half + c) * lanes + lane0;
-                load(&mut re[c * s..(c + 1) * s], &sre[at..at + b]);
-                load(&mut im[c * s..(c + 1) * s], &sim[at..at + b]);
+                let ((x_re, x_im), (y_re, y_im)) = (bin(0, c), bin(1, c));
+                let m = (n - c) % n;
+                if m == c {
+                    // Its own mirror: X_c and Y_c are real.
+                    load(&mut re[c * s..][..s], x_re);
+                    load(&mut im[c * s..][..s], y_re);
+                } else {
+                    // Z_c = X_c + i·Y_c and Z_m = conj X_c + i·conj Y_c.
+                    mix(&mut re[c * s..][..s], 1.0, x_re, -1.0, y_im);
+                    mix(&mut im[c * s..][..s], 1.0, x_im, 1.0, y_re);
+                    mix(&mut re[m * s..][..s], 1.0, x_re, 1.0, y_im);
+                    mix(&mut im[m * s..][..s], 1.0, y_re, -1.0, x_im);
+                }
             }
-            for c in half..n {
-                // After the column inverse each row is a real signal's
-                // spectrum: T[r][c] = conj(T[r][n − c]).
-                let from = (n - c) * s;
-                re.copy_within(from..from + s, c * s);
-                im.copy_within(from..from + s, c * s);
-            }
-            gcnn_tensor::simd::sscal(-1.0, &mut im[half * s..]);
             split::fft_lanes_inplace(re, im, &self.plan, Direction::Inverse, s);
-            // The imaginary plane is zero up to fp noise: dropped.
             for l in 0..b {
-                let at = order.plane_of(lane0 + l) * size * size + r * size;
-                // SAFETY: row `r` of the plane lane `lane0 + l` is: one call
-                // of this body per (row, block), and `order`, asserted to
-                // cover `lanes`, sends distinct lanes to distinct planes;
-                // this unit's earlier rows are dead.
-                let row = unsafe { out.run(at, size) };
-                let column = re[offset * s + l..].iter().step_by(s);
-                row.iter_mut().zip(column).for_each(|(slot, &v)| *slot = v);
+                let plane = order.plane_of(lane0 + l) * size * size;
+                for (t, buf) in [&*re, &*im].into_iter().take(pair).enumerate() {
+                    // SAFETY: row `2p + t` of the plane lane `lane0 + l` is:
+                    // one call of this body per (pair, block), and `order`,
+                    // asserted to cover `lanes`, sends distinct lanes to
+                    // distinct planes; this unit's earlier rows are dead.
+                    let row = unsafe { out.run(plane + (2 * p + t) * size, size) };
+                    let column = buf[offset * s + l..].iter().step_by(s);
+                    row.iter_mut().zip(column).for_each(|(slot, &v)| *slot = v);
+                }
             }
         });
     }
@@ -725,11 +765,21 @@ mod tests {
         })
     }
 
-    /// The lane transforms are the plane-major engine bit for bit: forward
-    /// equals `forward_split_into` of the zero-padded plane, inverse equals
-    /// the cropped `inverse_split_into` — for odd and even window heights
-    /// and crops, windows that land off the origin, both lane orders, a
-    /// lane count of 1 and counts on both sides of one, two and three pass
+    /// How far a lane pass may sit from the plane-major engine, in units of
+    /// the plane's norm `‖x‖₂`: `ε·(log2 n + 1)` (`ε` = `f32::EPSILON`) for
+    /// a cropped sample and `n` times that for a spectrum bin (the
+    /// spectrum's norm is `n·‖x‖₂`). The largest seen is about a fifth of it.
+    fn tolerance(n: usize) -> f32 {
+        f32::EPSILON * (n.trailing_zeros() + 1) as f32
+    }
+
+    /// The lane transforms are the plane-major engine to within
+    /// [`tolerance`], lane by lane: forward against `forward_split_into` of
+    /// the zero-padded plane, inverse against the cropped
+    /// `inverse_split_into` — for windows of one, two and three rows (one
+    /// row pair, one pair and a lone row), odd and even window heights and
+    /// crops, windows that land off the origin, both lane orders, a lane
+    /// count of 1 and counts on both sides of one, two and three pass
     /// blocks `B` (blocks of unequal width, a block count no width
     /// divides); at pool widths 1 to 4, every width the same bits.
     #[test]
@@ -740,17 +790,21 @@ mod tests {
         let miri = cfg!(miri);
         // (n, h, w, offset); the crop is `h.min(w)` at `offset / 2`.
         let plans = [
+            (8, 3, 5, 2),
             (2, 2, 1, 0),
             (1, 1, 1, 0),
-            (8, 3, 5, 2),
             (8, 6, 4, 2),
+            (16, 1, 5, 3),
+            (16, 2, 9, 5),
+            (16, 3, 3, 13),
             (16, 16, 16, 0),
         ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (n, h, w, offset) in plans.into_iter().take(if miri { 1 } else { plans.len() }) {
             let p = RfftPlan::new(n);
             let (bins, block) = (p.spectrum_len(), BLOCK_LANES);
             let counts = if miri {
-                vec![block]
+                vec![3]
             } else {
                 vec![
                     1,
@@ -773,8 +827,14 @@ mod tests {
                     let geometry = (h, w, offset);
                     let narrow = lane_passes_at(1, &p, &src, geometry, order, lanes);
                     for width in 2..=if miri { 2 } else { 4 } {
-                        let same =
-                            lane_passes_at(width, &p, &src, geometry, order, lanes) == narrow;
+                        let wide = lane_passes_at(width, &p, &src, geometry, order, lanes);
+                        let same = [
+                            (&wide.0, &narrow.0),
+                            (&wide.1, &narrow.1),
+                            (&wide.2, &narrow.2),
+                        ]
+                        .iter()
+                        .all(|(a, b)| bits(a) == bits(b));
                         assert!(same, "n {n} lanes {lanes} {order:?}: width {width} differs");
                     }
                     let (sre, sim, out) = narrow;
@@ -787,21 +847,23 @@ mod tests {
                             plane[(offset + r) * n + offset..][..w]
                                 .copy_from_slice(&src[at..at + w]);
                         }
+                        let norm = plane.iter().map(|v| v * v).sum::<f32>().sqrt();
+                        let what = format!("n {n} h {h} lanes {lanes} {order:?} lane {l}");
                         let (re, im) = forward(&p, &plane);
-                        let lane =
-                            |s: &[f32]| (0..bins).map(|b| s[b * lanes + l]).collect::<Vec<_>>();
-                        assert_eq!(
-                            (lane(&sre), lane(&sim)),
-                            (re.clone(), im.clone()),
-                            "n {n} lanes {lanes} lane {l}"
-                        );
+                        for b in 0..bins {
+                            let (dr, di) = (sre[b * lanes + l] - re[b], sim[b * lanes + l] - im[b]);
+                            let (off, most) =
+                                (dr.abs().max(di.abs()), tolerance(n) * n as f32 * norm);
+                            assert!(off <= most, "{what} bin {b}: {off} > {most}");
+                        }
                         let back = inverse(&p, &re, &im);
                         for r in 0..size {
-                            assert_eq!(
-                                out[order.plane_of(l) * size * size + r * size..][..size],
-                                back[(crop_at + r) * n + crop_at..][..size],
-                                "n {n} lanes {lanes} lane {l} row {r}"
-                            );
+                            let got = &out[order.plane_of(l) * size * size + r * size..][..size];
+                            let want = &back[(crop_at + r) * n + crop_at..][..size];
+                            for (g, w) in got.iter().zip(want) {
+                                let (off, most) = ((g - w).abs(), tolerance(n) * norm);
+                                assert!(off <= most, "{what} row {r}: {off} > {most}");
+                            }
                         }
                     }
                 }

@@ -6,39 +6,39 @@
 //! complex matrix product, one `[f×c]·[c×b]` GEMM per frequency bin.
 //! This module provides that product on the CPU in the split-complex
 //! layout the FFT lane engine emits, parallelized by the caller over
-//! bins: one generic row-tile body over [`Lanes`]
-//! (`cgemm_split_rows`), instantiated at `__m256` and `float32x4_t`
-//! inside a `#[target_feature]` shim per ISA, above a scalar kernel.
-//! [`crate::naive::cgemm_ref`] is its oracle.
+//! bins, as two generic bodies over [`Lanes`] (`__m256`/`float32x4_t` in
+//! a `#[target_feature]` shim per ISA, `f32` for leftovers and the scalar
+//! tier): with B stored `[k×n]` the **row** body puts output columns on
+//! the vector, with B `[n×k]` the **dot** body the summed axis. The caller
+//! picks by shape alone: with both output axes under [`ROW_TILE`], the
+//! row body would be all remainder. [`crate::naive::cgemm_ref`] is the
+//! oracle of both.
 
-use crate::sgemm::check_operand;
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-use gcnn_tensor::simd::Lanes;
-use gcnn_tensor::simd::{self, Isa};
-use gcnn_tensor::Complex32;
+use crate::sgemm::{check_operand, Transpose};
+use gcnn_tensor::simd::{self, Isa, Lanes};
+use std::ops::Range;
+
+/// Output columns of a row-body tile at `__m256`: fixed, so a caller's
+/// choice of body does not depend on the ISA.
+pub const ROW_TILE: usize = 32;
 
 /// `C ← opa(A)·opb(B)` for **split-complex** row-major matrices: every
 /// operand is a pair of f32 planes (`re`, `im`) sharing one leading
 /// dimension. Overwrite semantics (the batched frequency-domain product
 /// always runs with `alpha = 1, beta = 0`). `conj_a`/`conj_b` conjugate
-/// the operand elementwise (no transpose) — exactly the variant the
-/// FFT-convolution passes need, where correlation in the spatial domain
-/// is conjugation in the Fourier domain.
-///
-/// This is the split-complex CGEMM row kernel of the fbfft-style
-/// pipeline: per k-step the SIMD body broadcasts `a.re`/`a.im` and runs
-/// four FMAs per vector of bins — no `permute`, no `addsub`, no
-/// interleaved loads. Conjugation is a sign flip folded into the
-/// broadcast (`conj_a`) or the choice between an FMA and its negated
-/// twin (`conj_b`), never a shuffle or a pass over an operand.
+/// the operand elementwise — exactly the variant the FFT-convolution
+/// passes need, where correlation in the spatial domain is conjugation in
+/// the Fourier domain; `transb` stores B `[k×n]` (`No`, the row body) or
+/// `[n×k]` (`Yes`, the dot body).
 ///
 /// # Panics
 /// If `lda`, `ldb` or `ldc` is smaller than the stored row of its
-/// matrix (`k`, `n`, `n`), or a plane is shorter than
-/// `(rows − 1)·ld + cols` of its matrix — the raw body loads B and
-/// stores C through pointers on the strength of these checks.
+/// matrix, or a plane is shorter than `(rows − 1)·ld + cols` of its
+/// matrix — the raw bodies load and store through pointers on the
+/// strength of these checks.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn cgemm_split(
+    transb: Transpose,
     conj_a: bool,
     conj_b: bool,
     m: usize,
@@ -54,10 +54,12 @@ pub fn cgemm_split(
     c_im: &mut [f32],
     ldc: usize,
 ) {
+    let dots = transb == Transpose::Yes;
+    let (b_rows, b_cols) = if dots { (n, k) } else { (k, n) };
     check_operand("cgemm_split", "a", a_re, m, k, lda);
     check_operand("cgemm_split", "a", a_im, m, k, lda);
-    check_operand("cgemm_split", "b", b_re, k, n, ldb);
-    check_operand("cgemm_split", "b", b_im, k, n, ldb);
+    check_operand("cgemm_split", "b", b_re, b_rows, b_cols, ldb);
+    check_operand("cgemm_split", "b", b_im, b_rows, b_cols, ldb);
     check_operand("cgemm_split", "c", c_re, m, n, ldc);
     check_operand("cgemm_split", "c", c_im, m, n, ldc);
     if k == 0 {
@@ -69,6 +71,7 @@ pub fn cgemm_split(
         return;
     }
     let p = Product {
+        dots,
         m,
         n,
         k,
@@ -91,8 +94,10 @@ pub fn cgemm_split(
 }
 
 /// One product with `k ≥ 1` whose operands [`cgemm_split`] has checked:
-/// each plane covers `(rows − 1)·ld + cols` of its matrix, `ld ≥ cols`.
+/// each plane covers `(rows − 1)·ld + cols` of its matrix, `ld ≥ cols`,
+/// B being `[n×k]` if `dots`, else `[k×n]`.
 struct Product<'a> {
+    dots: bool,
     m: usize,
     n: usize,
     k: usize,
@@ -113,60 +118,54 @@ impl Product<'_> {
         match simd::isa() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx2Fma` is only selected after runtime AVX2+FMA
-            // detection; `self` carries the body's extent contract.
-            Isa::Avx2Fma => unsafe { cgemm_split_rows_avx2::<CONJ_A, CONJ_B>(self) },
+            // detection; `self` carries the bodies' extent contract.
+            Isa::Avx2Fma => unsafe { cgemm_split_avx2::<CONJ_A, CONJ_B>(self) },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON is baseline on AArch64; contract as above.
-            Isa::Neon => unsafe { cgemm_split_rows_neon::<CONJ_A, CONJ_B>(self) },
-            _ => cgemm_split_kernel::<CONJ_A, CONJ_B>(self, 0),
+            Isa::Neon => unsafe { cgemm_split_neon::<CONJ_A, CONJ_B>(self) },
+            // SAFETY: `f32` lanes need no ISA; contract as above.
+            _ => unsafe { cgemm_split_body::<f32, CONJ_A, CONJ_B>(self) },
         }
     }
 }
 
-/// Monomorphized scalar body of [`cgemm_split`] over columns `j0..n`, in
-/// per-element [`Complex32`] arithmetic: the scalar tier (`j0 = 0`),
-/// and what the SIMD body hands the columns past its last whole tile.
-/// `CONJ_A`/`CONJ_B` are const so conjugation costs nothing on the
-/// `(false, false)` path.
-fn cgemm_split_kernel<const CONJ_A: bool, const CONJ_B: bool>(p: Product<'_>, j0: usize) {
-    for i in 0..p.m {
-        for j in j0..p.n {
-            let mut acc = Complex32::ZERO;
-            for q in 0..p.k {
-                let ai = p.a_im[i * p.lda + q];
-                let av = Complex32::new(p.a_re[i * p.lda + q], if CONJ_A { -ai } else { ai });
-                let bi = p.b_im[q * p.ldb + j];
-                let bv = Complex32::new(p.b_re[q * p.ldb + j], if CONJ_B { -bi } else { bi });
-                acc = acc.mul_add(av, bv);
-            }
-            p.c_re[i * p.ldc + j] = acc.re;
-            p.c_im[i * p.ldc + j] = acc.im;
-        }
-    }
-}
-
-/// SIMD body of [`cgemm_split`]: row tiles of `VECS` vectors of bins
-/// per plane. Per k-step it broadcasts `a.re`/`±a.im` and issues
-/// `c_re += ar·br − ai·bi`, `c_im += ar·bi + ai·br` — four FMAs per
-/// vector of complex bins and zero shuffles. Columns past the last
-/// whole tile go to the scalar kernel.
+/// The body of `p`'s orientation at `V`.
 ///
 /// # Safety
 /// The CPU must support `V`'s ISA and `p` must hold what [`Product`]
-/// documents. `#[inline(always)]` so the intrinsics inline into the
-/// `#[target_feature]` caller.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+/// documents.
 #[inline(always)]
-unsafe fn cgemm_split_rows<V: Lanes, const CONJ_A: bool, const CONJ_B: bool>(p: Product<'_>) {
-    // Vectors per plane of one row tile: with the imaginary plane, eight
-    // independent FMA chains.
-    const VECS: usize = 4;
+unsafe fn cgemm_split_body<V: Lanes, const CONJ_A: bool, const CONJ_B: bool>(p: Product<'_>) {
+    // SAFETY: forwarded contract.
+    unsafe {
+        match p.dots {
+            true => cgemm_split_dots::<V, CONJ_A, CONJ_B>(p),
+            false => cgemm_split_rows::<V, 4, CONJ_A, CONJ_B>(0..p.n, p),
+        }
+    }
+}
+
+/// Row body of [`cgemm_split`] (B `[k×n]`) over output columns `cols`, in
+/// tiles of `VECS` vectors: per k-step it broadcasts `a.re`/`±a.im` and
+/// issues `c_re += ar·br − ai·bi`, `c_im += ar·bi + ai·br` — four FMAs per
+/// vector and zero shuffles. Columns past the last whole tile run as this
+/// body at `f32` lanes.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA, `p` must hold what [`Product`]
+/// documents and `cols` lie inside `0..n`. `#[inline(always)]` so the
+/// intrinsics inline into the `#[target_feature]` caller.
+#[inline(always)]
+unsafe fn cgemm_split_rows<V: Lanes, const VECS: usize, const CONJ_A: bool, const CONJ_B: bool>(
+    cols: Range<usize>,
+    p: Product<'_>,
+) {
     let tile = VECS * V::N;
-    let tiled = p.n - p.n % tile;
+    let tiled = cols.end - cols.len() % tile;
     for i in 0..p.m {
         // In bounds: A covers `(m − 1)·lda + k`.
         let (a_re, a_im) = (&p.a_re[i * p.lda..][..p.k], &p.a_im[i * p.lda..][..p.k]);
-        for j0 in (0..tiled).step_by(tile) {
+        for j0 in (cols.start..tiled).step_by(tile) {
             // SAFETY: the tile is columns `[j0, j0 + tile)` with
             // `j0 + tile <= n`, of B rows `q < k` and C row `i < m`:
             // inside the `(rows − 1)·ld + cols` extents `Product`
@@ -198,33 +197,105 @@ unsafe fn cgemm_split_rows<V: Lanes, const CONJ_A: bool, const CONJ_B: bool>(p: 
             }
         }
     }
-    if tiled < p.n {
-        cgemm_split_kernel::<CONJ_A, CONJ_B>(p, tiled);
+    let rest = tiled..cols.end;
+    // SAFETY: the columns left over, at `f32` lanes: four a tile, then one.
+    unsafe {
+        match tile > 4 {
+            _ if rest.is_empty() => {}
+            true => cgemm_split_rows::<f32, 4, CONJ_A, CONJ_B>(rest, p),
+            false => cgemm_split_rows::<f32, 1, CONJ_A, CONJ_B>(rest, p),
+        }
+    }
+}
+
+/// Dot body of [`cgemm_split`] (B `[n×k]`): each output is one dot
+/// product of an A row and a B row — whole vectors through [`split_dot`]
+/// at `V`, the `k % V::N` remainder through it at `V = f32`, added last.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA and `p` must hold what [`Product`]
+/// documents. `#[inline(always)]` as for the row body.
+#[inline(always)]
+unsafe fn cgemm_split_dots<V: Lanes, const CONJ_A: bool, const CONJ_B: bool>(p: Product<'_>) {
+    let main = p.k - p.k % V::N;
+    for i in 0..p.m {
+        // In bounds: A covers `(m − 1)·lda + k`, B `(n − 1)·ldb + k`.
+        let a = (&p.a_re[i * p.lda..][..p.k], &p.a_im[i * p.lda..][..p.k]);
+        for j in 0..p.n {
+            let b = (&p.b_re[j * p.ldb..][..p.k], &p.b_im[j * p.ldb..][..p.k]);
+            // SAFETY: whole vectors of `V` inside rows of `k` floats; the
+            // caller vouches for `V`'s ISA.
+            let (re, im) = unsafe { split_dot::<V, CONJ_A, CONJ_B>(a, b, 0..main) };
+            // SAFETY: the rest, at one `f32` lane.
+            let (tail_re, tail_im) = unsafe { split_dot::<f32, CONJ_A, CONJ_B>(a, b, main..p.k) };
+            p.c_re[i * p.ldc + j] = re + tail_re;
+            p.c_im[i * p.ldc + j] = im + tail_im;
+        }
+    }
+}
+
+/// `Σ_q opa(a_q)·opb(b_q)` over `q` in `range`, as `(re, im)`: four
+/// accumulators (`re·re`, `im·im`, `re·im`, `im·re`), combined by the
+/// conjugations' signs (`re = rr − sa·sb·ii`, `im = sb·ri + sa·ir`), each
+/// sum's lanes then added in order.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA, and `range` must be whole `V` vectors
+/// inside all four rows.
+#[inline(always)]
+unsafe fn split_dot<V: Lanes, const CONJ_A: bool, const CONJ_B: bool>(
+    (a_re, a_im): (&[f32], &[f32]),
+    (b_re, b_im): (&[f32], &[f32]),
+    range: Range<usize>,
+) -> (f32, f32) {
+    // SAFETY: every load reads `[q, q + V::N)` inside `range`, which the
+    // caller keeps inside the rows; a store writes `V::N <= 16` floats
+    // into a 16-float array.
+    unsafe {
+        let mut acc = [V::splat(0.0); 4];
+        for q in range.step_by(V::N) {
+            let [ar, ai, br, bi] = [a_re, a_im, b_re, b_im].map(|row| V::load(row.as_ptr().add(q)));
+            for (acc, (x, y)) in acc.iter_mut().zip([(ar, br), (ai, bi), (ar, bi), (ai, br)]) {
+                *acc = acc.fma(x, y);
+            }
+        }
+        let [rr, ii, ri, ir] = acc;
+        let (re, im) = match (CONJ_A, CONJ_B) {
+            (false, false) | (true, true) => (rr.sub(ii), ri.add(ir)),
+            (true, false) => (rr.add(ii), ri.sub(ir)),
+            (false, true) => (rr.add(ii), ir.sub(ri)),
+        };
+        let mut lanes = [[0.0f32; 16]; 2];
+        re.store(lanes[0].as_mut_ptr());
+        im.store(lanes[1].as_mut_ptr());
+        let [re, im] = lanes.map(|l| l.iter().take(V::N).sum::<f32>());
+        (re, if CONJ_A && CONJ_B { -im } else { im })
     }
 }
 
 /// # Safety
-/// [`cgemm_split_rows`]'s contract; AVX2 and FMA detected.
+/// The bodies' contract; AVX2 and FMA detected.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn cgemm_split_rows_avx2<const CONJ_A: bool, const CONJ_B: bool>(p: Product<'_>) {
+unsafe fn cgemm_split_avx2<const CONJ_A: bool, const CONJ_B: bool>(p: Product<'_>) {
     // SAFETY: forwarded contract; this fn enables `__m256`'s ISA.
-    unsafe { cgemm_split_rows::<std::arch::x86_64::__m256, CONJ_A, CONJ_B>(p) }
+    unsafe { cgemm_split_body::<std::arch::x86_64::__m256, CONJ_A, CONJ_B>(p) }
 }
 
 /// # Safety
-/// [`cgemm_split_rows`]'s contract; NEON is baseline on AArch64.
+/// The bodies' contract; NEON is baseline on AArch64.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn cgemm_split_rows_neon<const CONJ_A: bool, const CONJ_B: bool>(p: Product<'_>) {
+unsafe fn cgemm_split_neon<const CONJ_A: bool, const CONJ_B: bool>(p: Product<'_>) {
     // SAFETY: forwarded contract; this fn enables the NEON ISA.
-    unsafe { cgemm_split_rows::<std::arch::aarch64::float32x4_t, CONJ_A, CONJ_B>(p) }
+    unsafe { cgemm_split_body::<std::arch::aarch64::float32x4_t, CONJ_A, CONJ_B>(p) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::cgemm_ref;
+    use gcnn_tensor::Complex32;
 
     fn rand_cvec(len: usize, seed: u64) -> Vec<Complex32> {
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
@@ -257,97 +328,123 @@ mod tests {
         out
     }
 
-    /// Every instantiation of the row body this host can run — the
-    /// host's vector through the dispatcher (scalar under
-    /// `GCNN_FORCE_SCALAR=1`), and `f32` called directly — matches the
-    /// reference for all four conjugations, on widths around the
-    /// 32-bin and 4-bin tiles (all-remainder, exact, one over, several
-    /// tiles), with padded leading dimensions and a NaN-poisoned C;
-    /// and two runs agree bit for bit.
-    #[test]
-    fn split_matches_reference_all_conj() {
+    /// One product of `m×n` outputs over `k`, with B stored as `transb`
+    /// says, for all four conjugations: every instantiation of its body
+    /// this host can run — the host's vector through the dispatcher
+    /// (scalar under `GCNN_FORCE_SCALAR=1`), and `f32` called directly —
+    /// matches the reference, with every leading dimension padded by
+    /// `pad` (the gutters NaN) and a NaN-poisoned C whose gutter stays
+    /// NaN; and two runs agree bit for bit.
+    fn check_product(transb: Transpose, (m, n, k): (usize, usize, usize), pad: usize) {
         /// # Safety
-        /// [`cgemm_split_rows`]'s contract.
-        type Rows = unsafe fn(Product<'_>);
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        let one_lane: [[Rows; 2]; 2] = [
+        /// [`cgemm_split_body`]'s contract.
+        type Body = unsafe fn(Product<'_>);
+        let one_lane: [[Body; 2]; 2] = [
             [
-                cgemm_split_rows::<f32, false, false>,
-                cgemm_split_rows::<f32, false, true>,
+                cgemm_split_body::<f32, false, false>,
+                cgemm_split_body::<f32, false, true>,
             ],
             [
-                cgemm_split_rows::<f32, true, false>,
-                cgemm_split_rows::<f32, true, true>,
+                cgemm_split_body::<f32, true, false>,
+                cgemm_split_body::<f32, true, true>,
             ],
         ];
-        let (m, k) = (3, 7);
-        for (n, pad) in [(1usize, 0usize), (4, 2), (31, 0), (32, 3), (33, 1), (96, 5)] {
-            let (lda, ldb, ldc) = (k + pad, n + pad, n + pad);
-            let a = rand_cvec(m * k, 11 + n as u64);
-            let b = rand_cvec(k * n, 12 + n as u64);
-            let ((a_re, a_im), (b_re, b_im)) = (planes(&a, k, lda), planes(&b, n, ldb));
-            for (conj_a, conj_b) in [(false, false), (false, true), (true, false), (true, true)] {
-                let conj = |z: &[Complex32], on: bool| -> Vec<Complex32> {
-                    z.iter().map(|z| if on { z.conj() } else { *z }).collect()
-                };
-                let (aj, bj) = (conj(&a, conj_a), conj(&b, conj_b));
-                let mut want = vec![Complex32::ZERO; m * n];
-                let (one, zero) = (Complex32::ONE, Complex32::ZERO);
-                cgemm_ref(m, n, k, one, &aj, k, &bj, n, zero, &mut want, n);
+        let dots = transb == Transpose::Yes;
+        let b_cols = if dots { k } else { n };
+        let (lda, ldb, ldc) = (k + pad, b_cols + pad, n + pad);
+        let seed = (m * 1000 + n * 100 + k) as u64;
+        let (a, b) = (rand_cvec(m * k, seed), rand_cvec(k * n, seed + 1));
+        // `b` is `[k×n]`; stored `[n×k]`, it is transposed.
+        let stored: Vec<Complex32> = match transb {
+            Transpose::No => b.clone(),
+            Transpose::Yes => (0..n * k).map(|e| b[e % k * n + e / k]).collect(),
+        };
+        let ((a_re, a_im), (b_re, b_im)) = (planes(&a, k, lda), planes(&stored, b_cols, ldb));
+        for (conj_a, conj_b) in [(false, false), (false, true), (true, false), (true, true)] {
+            let conj = |z: &[Complex32], on: bool| -> Vec<Complex32> {
+                z.iter().map(|z| if on { z.conj() } else { *z }).collect()
+            };
+            let (aj, bj) = (conj(&a, conj_a), conj(&b, conj_b));
+            let mut want = vec![Complex32::ZERO; m * n];
+            let (one, zero) = (Complex32::ONE, Complex32::ZERO);
+            cgemm_ref(m, n, k, one, &aj, k, &bj, n, zero, &mut want, n);
 
-                let check = |what: &str, product: &dyn Fn(&mut [f32], &mut [f32])| {
-                    // NaN prefill proves overwrite semantics, and that
-                    // the gutter columns stay untouched.
-                    let run = || {
-                        let mut c = (vec![f32::NAN; m * ldc], vec![f32::NAN; m * ldc]);
-                        product(&mut c.0, &mut c.1);
-                        c
-                    };
-                    let (c_re, c_im) = run();
-                    let bits = |c: &(Vec<f32>, Vec<f32>)| -> Vec<u32> {
-                        c.0.iter().chain(&c.1).map(|v| v.to_bits()).collect()
-                    };
-                    let what = format!("{what} n {n} pad {pad} conj ({conj_a},{conj_b})");
-                    assert_eq!(bits(&(c_re.clone(), c_im.clone())), bits(&run()), "{what}");
-                    for (i, (re, im)) in c_re.iter().zip(&c_im).enumerate() {
-                        if i % ldc < n {
-                            let z = want[i / ldc * n + i % ldc];
-                            assert!(
-                                (re - z.re).abs() < 1e-4 && (im - z.im).abs() < 1e-4,
-                                "{what} elem {i}: ({re},{im}) vs {z:?}"
-                            );
-                        } else {
-                            assert!(re.is_nan() && im.is_nan(), "{what}: gutter {i} written");
-                        }
-                    }
+            let check = |what: &str, product: &dyn Fn(&mut [f32], &mut [f32])| {
+                // NaN prefill proves overwrite semantics, and that the
+                // gutter columns stay untouched.
+                let run = || {
+                    let mut c = (vec![f32::NAN; m * ldc], vec![f32::NAN; m * ldc]);
+                    product(&mut c.0, &mut c.1);
+                    c
                 };
-                check("dispatched", &|c_re, c_im| {
-                    cgemm_split(
-                        conj_a, conj_b, m, n, k, &a_re, &a_im, lda, &b_re, &b_im, ldb, c_re, c_im,
-                        ldc,
-                    )
-                });
-                #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-                check("f32", &|c_re, c_im| {
-                    let (a_re, a_im, b_re, b_im) = (&a_re[..], &a_im[..], &b_re[..], &b_im[..]);
-                    let p = Product {
-                        m,
-                        n,
-                        k,
-                        a_re,
-                        a_im,
-                        lda,
-                        b_re,
-                        b_im,
-                        ldb,
-                        c_re,
-                        c_im,
-                        ldc,
-                    };
-                    // SAFETY: `f32` lanes need no ISA; every plane
-                    // covers `(rows − 1)·ld + cols` of its matrix.
-                    unsafe { one_lane[conj_a as usize][conj_b as usize](p) }
-                });
+                let (c_re, c_im) = run();
+                let bits = |c: &(Vec<f32>, Vec<f32>)| -> Vec<u32> {
+                    c.0.iter().chain(&c.1).map(|v| v.to_bits()).collect()
+                };
+                let what = format!("{what} {transb:?} m {m} n {n} k {k} conj ({conj_a},{conj_b})");
+                assert_eq!(bits(&(c_re.clone(), c_im.clone())), bits(&run()), "{what}");
+                for (i, (re, im)) in c_re.iter().zip(&c_im).enumerate() {
+                    if i % ldc < n {
+                        let z = want[i / ldc * n + i % ldc];
+                        assert!(
+                            (re - z.re).abs() < 1e-4 && (im - z.im).abs() < 1e-4,
+                            "{what} elem {i}: ({re},{im}) vs {z:?}"
+                        );
+                    } else {
+                        assert!(re.is_nan() && im.is_nan(), "{what}: gutter {i} written");
+                    }
+                }
+            };
+            check("dispatched", &|c_re, c_im| {
+                cgemm_split(
+                    transb, conj_a, conj_b, m, n, k, &a_re, &a_im, lda, &b_re, &b_im, ldb, c_re,
+                    c_im, ldc,
+                )
+            });
+            check("f32", &|c_re, c_im| {
+                let (a_re, a_im, b_re, b_im) = (&a_re[..], &a_im[..], &b_re[..], &b_im[..]);
+                let p = Product {
+                    dots,
+                    m,
+                    n,
+                    k,
+                    a_re,
+                    a_im,
+                    lda,
+                    b_re,
+                    b_im,
+                    ldb,
+                    c_re,
+                    c_im,
+                    ldc,
+                };
+                // SAFETY: `f32` lanes need no ISA; every plane covers
+                // `(rows − 1)·ld + cols` of its matrix.
+                unsafe { one_lane[conj_a as usize][conj_b as usize](p) }
+            });
+        }
+    }
+
+    /// The row body (B `[k×n]`) on widths around the 32-column and
+    /// 4-column tiles: all remainder, exact, one over, several tiles.
+    #[test]
+    fn split_matches_reference_all_conj() {
+        for (n, pad) in [(1usize, 0usize), (4, 2), (31, 0), (32, 3), (33, 1), (96, 5)] {
+            check_product(Transpose::No, (3, n, 7), pad);
+        }
+    }
+
+    /// The dot body (B `[n×k]`) on sums around the vector widths — all
+    /// remainder, whole vectors, one over — and up to Conv1's 96 filters
+    /// and one past, at every output shape of `m, n ∈ {1, 3, 4}`.
+    #[test]
+    fn transposed_matches_reference_all_conj() {
+        for k in [1, 7, 8, 9, 16, 17, 96, 97] {
+            for (m, n) in [1, 3, 4]
+                .into_iter()
+                .flat_map(|m| [1, 3, 4].map(|n| (m, n)))
+            {
+                check_product(Transpose::Yes, (m, n, k), 1 + k % 3);
             }
         }
     }
@@ -357,6 +454,7 @@ mod tests {
         let mut c_re = vec![f32::NAN; 6];
         let mut c_im = vec![f32::NAN; 6];
         cgemm_split(
+            Transpose::No,
             false,
             false,
             2,
@@ -386,7 +484,21 @@ mod tests {
         let mut c_re = vec![7.0f32; m * ldc];
         let mut c_im = vec![7.0f32; m * ldc];
         cgemm_split(
-            false, false, m, n, k, &a_re, &a_im, k, &b_re, &b_im, n, &mut c_re, &mut c_im, ldc,
+            Transpose::No,
+            false,
+            false,
+            m,
+            n,
+            k,
+            &a_re,
+            &a_im,
+            k,
+            &b_re,
+            &b_im,
+            n,
+            &mut c_re,
+            &mut c_im,
+            ldc,
         );
         let mut c_ref = vec![Complex32::ZERO; m * n];
         cgemm_ref(

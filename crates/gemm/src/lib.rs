@@ -14,7 +14,8 @@
 //!   cache blocking, `MR×NR` register micro-tiles, explicit operand
 //!   packing, and rayon parallelism over row blocks.
 //! * [`cgemm_split`] — complex GEMM over split-complex (separate re/im)
-//!   planes, used per frequency bin by the FFT convolution strategy.
+//!   planes, used per frequency bin by the FFT convolution strategy: a
+//!   row body for B stored `[k×n]`, a dot body for B stored `[n×k]`.
 //! * [`naive`] — trivially-correct reference implementations every
 //!   optimized path is tested against.
 
@@ -26,7 +27,7 @@ pub mod naive;
 pub mod pack;
 pub mod sgemm;
 
-pub use batched::{batched_cgemm_split, batched_sgemm, BatchedGemmDesc};
+pub use batched::{batched_cgemm_split, batched_cgemm_split_op};
 pub use blocking::BlockSizes;
 pub use cgemm::cgemm_split;
 pub use sgemm::{sgemm, sgemm_mat, Transpose};

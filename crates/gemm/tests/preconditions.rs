@@ -134,13 +134,14 @@ fn sgemm_rejects_short_c() {
     faulty_sgemm(Transpose::No, Transpose::No, 'c', "len");
 }
 
-/// A 5×7 · 7×3 split-complex product, B conjugated, whose operand
-/// `which` is wrong in the way `fault` says: a leading dimension one
-/// below the stored row, or an imaginary plane one float short (the
-/// real plane is whole, so both planes must be checked).
-fn faulty_cgemm(which: char, fault: &str) {
+/// A 5×7 · 7×3 split-complex product, B conjugated and stored as `tb`
+/// says, whose operand `which` is wrong in the way `fault` says: a
+/// leading dimension one below the stored row, or an imaginary plane one
+/// float short (the real plane is whole, so both planes must be checked).
+fn faulty_cgemm(tb: Transpose, which: char, fault: &str) {
     let (m, n, k) = (5usize, 3usize, 7usize);
-    let (mut lda, mut ldb, mut ldc) = (k, n, n);
+    let b_cols = if tb == Transpose::Yes { k } else { n };
+    let (mut lda, mut ldb, mut ldc) = (k, b_cols, n);
     let (mut a_cut, mut b_cut, mut c_cut) = (0, 0, 0);
     let (ld, cut) = match which {
         'a' => (&mut lda, &mut a_cut),
@@ -155,42 +156,54 @@ fn faulty_cgemm(which: char, fault: &str) {
     let (mut c_re, mut c_im) = (vec![0.0f32; m * n], vec![0.0f32; m * n - c_cut]);
     let (a_im, b_im) = (&a[..m * k - a_cut], &b[..k * n - b_cut]);
     cgemm_split(
-        false, true, m, n, k, &a, a_im, lda, &b, b_im, ldb, &mut c_re, &mut c_im, ldc,
+        tb, false, true, m, n, k, &a, a_im, lda, &b, b_im, ldb, &mut c_re, &mut c_im, ldc,
     );
 }
 
 #[test]
 #[should_panic(expected = "cgemm_split: lda 6 < stored row length 7")]
 fn cgemm_split_rejects_small_lda() {
-    faulty_cgemm('a', "ld");
+    faulty_cgemm(Transpose::No, 'a', "ld");
 }
 
 #[test]
 #[should_panic(expected = "cgemm_split: ldb 2 < stored row length 3")]
 fn cgemm_split_rejects_small_ldb() {
-    faulty_cgemm('b', "ld");
+    faulty_cgemm(Transpose::No, 'b', "ld");
+}
+
+#[test]
+#[should_panic(expected = "cgemm_split: ldb 6 < stored row length 7")]
+fn cgemm_split_rejects_small_ldb_transposed() {
+    faulty_cgemm(Transpose::Yes, 'b', "ld");
 }
 
 #[test]
 #[should_panic(expected = "cgemm_split: ldc 2 < stored row length 3")]
 fn cgemm_split_rejects_small_ldc() {
-    faulty_cgemm('c', "ld");
+    faulty_cgemm(Transpose::No, 'c', "ld");
 }
 
 #[test]
 #[should_panic(expected = "cgemm_split: a has 34 elements, stored 5x7 (ld 7) needs 35")]
 fn cgemm_split_rejects_short_a() {
-    faulty_cgemm('a', "len");
+    faulty_cgemm(Transpose::No, 'a', "len");
 }
 
 #[test]
 #[should_panic(expected = "cgemm_split: b has 20 elements, stored 7x3 (ld 3) needs 21")]
 fn cgemm_split_rejects_short_b() {
-    faulty_cgemm('b', "len");
+    faulty_cgemm(Transpose::No, 'b', "len");
+}
+
+#[test]
+#[should_panic(expected = "cgemm_split: b has 20 elements, stored 3x7 (ld 7) needs 21")]
+fn cgemm_split_rejects_short_b_transposed() {
+    faulty_cgemm(Transpose::Yes, 'b', "len");
 }
 
 #[test]
 #[should_panic(expected = "cgemm_split: c has 14 elements, stored 5x3 (ld 3) needs 15")]
 fn cgemm_split_rejects_short_c() {
-    faulty_cgemm('c', "len");
+    faulty_cgemm(Transpose::No, 'c', "len");
 }

@@ -187,8 +187,9 @@ proptest! {
     }
 
     /// Split-complex GEMM (AVX2 plane FMAs on capable hosts) vs the naive
-    /// reference, across both conjugation flags, vector-tail widths and
-    /// a padded `ldc` whose gutter must stay untouched.
+    /// reference, across both conjugation flags, both storages of B (so
+    /// both bodies), vector-tail widths and a padded `ldc` whose gutter
+    /// must stay untouched.
     #[test]
     fn cgemm_split_matches_reference(
         m in 1usize..12,
@@ -197,18 +198,26 @@ proptest! {
         ldc_pad in 0usize..4,
         conj_a in any::<bool>(),
         conj_b in any::<bool>(),
+        b_by_rows in any::<bool>(),
         seed in 0u64..1u64 << 32,
     ) {
         let ldc = n + ldc_pad;
         let a = lcg_cvec(m * k, seed);
         let b = lcg_cvec(k * n, seed ^ 0x33);
+        // `b` is `[k×n]`; `Transpose::Yes` stores its transpose.
+        let (transb, stored, ldb) = if b_by_rows {
+            (Transpose::No, b.clone(), n)
+        } else {
+            (Transpose::Yes, (0..n * k).map(|e| b[e % k * n + e / k]).collect(), k)
+        };
         let (a_re, a_im): (Vec<f32>, Vec<f32>) = a.iter().map(|z| (z.re, z.im)).unzip();
-        let (b_re, b_im): (Vec<f32>, Vec<f32>) = b.iter().map(|z| (z.re, z.im)).unzip();
+        let (b_re, b_im): (Vec<f32>, Vec<f32>) = stored.iter().map(|z| (z.re, z.im)).unzip();
 
         let mut c_re = vec![7.0f32; m * ldc];
         let mut c_im = vec![7.0f32; m * ldc];
         cgemm_split(
-            conj_a, conj_b, m, n, k, &a_re, &a_im, k, &b_re, &b_im, n, &mut c_re, &mut c_im, ldc,
+            transb, conj_a, conj_b, m, n, k, &a_re, &a_im, k, &b_re, &b_im, ldb,
+            &mut c_re, &mut c_im, ldc,
         );
 
         // Reference on pre-conjugated operands (cgemm_ref has no flags).

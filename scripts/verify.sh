@@ -18,13 +18,14 @@ else
 fi
 # The pool's stress loop and forced-interleaving tests again in release:
 # optimised code is what reorders around the job hand-off — and around
-# the lane transforms' shared output, so their width loops too.
+# the lane transforms' shared output, so their width loops (and their
+# tolerance against the plane-major engine) too.
 cargo test -q --release -p rayon
 cargo test -q --release -p gcnn-fft lane_passes_match_plane_major
 cargo test -q --release -p gcnn-fft --test preconditions pool_serves
-# Under miri where it is installed (one lane block of the smallest plan
-# with two row units, at widths 1 and 2): aliasing of the shared output's
-# runs is what no test result shows.
+# Under miri where it is installed (three lanes of a plan whose row passes
+# have two row-pair units, at widths 1 and 2): aliasing of the shared
+# output's runs is what no test result shows.
 if cargo miri --version >/dev/null 2>&1; then
   cargo miri test -p gcnn-fft --lib lane_passes_match_plane_major
 else
