@@ -236,10 +236,9 @@ fn bench_nchwc_alexnet(repeats: Repeats) -> Vec<Section> {
 }
 
 /// Batched 2-D real FFT round-trip over the fft-conv input plane set
-/// (`b·c` planes, padded size = next pow2 ≥ `i + k − 1`).
+/// (`b·c` planes of the size `FftConv` plans, [`ConvConfig::fft_size`]).
 fn bench_batched_fft(cfg: &ConvConfig, repeats: Repeats) -> Section {
-    let min_size = cfg.input + cfg.kernel - 1;
-    let fft_n = min_size.next_power_of_two();
+    let fft_n = cfg.fft_size();
     let planes = cfg.batch * cfg.channels;
     let plan = RfftPlan::cached(fft_n);
     let data = uniform_tensor(

@@ -16,7 +16,9 @@
 //!    pass transforms it in place. Each plane's real window is read
 //!    straight from the tensor — the layer's
 //!    `pad` is a landing offset, the plane-axis swap an operand may need
-//!    is the lane order — and padding rows are never transformed;
+//!    is the lane order — and only its data rows get a row pass. A window
+//!    that ends at or before `n/2`, every filter bank at Table I, skips the
+//!    DIT stages that would add only zeros, in both passes;
 //! 2. one split-complex GEMM per frequency bin
 //!    ([`batched_cgemm_split_op`]), oriented by the shapes: the longer of
 //!    the product's two output axes is the kernel's vectorized `n`, unless

@@ -93,6 +93,12 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         ("31 filters", cfg(4, 2, 6, 31, 3)),
         ("32 filters", cfg(4, 2, 6, 32, 3)),
         ("33 filters", cfg(4, 2, 6, 33, 3)),
+        // A forward transform whose window ends at `e ≤ n/2` skips its
+        // first `log2(n / e.next_power_of_two())` stages: the filters here
+        // do not, but the gradients (8×8 and 5×5 in the 16×16 plan) do, in
+        // backward-data and backward-filters.
+        ("gradient window 8 of 16", cfg(3, 2, 16, 4, 9)),
+        ("gradient window 5 of 16", cfg(2, 3, 16, 3, 12)),
         // Every pass's output is past the size below which the pool keeps
         // a region on its caller: the one row whose regions are shared.
         ("outputs the pool shares", cfg(5, 16, 24, 16, 3)),

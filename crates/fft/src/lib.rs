@@ -24,7 +24,9 @@
 //!   that carries two real rows per complex transform and writes whole bin
 //!   rows of the bin-major operand, and a column pass in place on it, in
 //!   units of a row pair or a column × a block of lanes; no transpose, no
-//!   tile, padding rows never transformed. The **plane-major** methods and
+//!   tile. Row passes transform only the window's (the crop's) rows, and a
+//!   forward whose input ends at `e` skips the DIT stages below span
+//!   `n / e.next_power_of_two()`. The **plane-major** methods and
 //!   their [`batch`] entry points (one plane per call, the passes joined by
 //!   transposes) are what the benchmarks time and the oracle the lane
 //!   passes are held to, within a stated tolerance.

@@ -240,6 +240,8 @@ impl RfftPlan {
 /// Lanes per block of the lane passes (`B`): a unit's buffers are `8·n·B`
 /// bytes, half the build host's L2 at 128×128. Swept on Table I: 256 and
 /// 512 ran slower (more, shorter units), 1024 and 2048 tied, 8192 slower.
+/// Between its bit-reversed load and its store (with an inverse's `1/n`), only
+/// a unit's DIT stages and a pruned window's head copies touch its buffers.
 pub const BLOCK_LANES: usize = 1 << 10;
 
 /// Floats per bin row of a unit's buffer for `b` lanes: an odd number of
@@ -340,6 +342,12 @@ impl<'a> SharedOut<'a> {
 /// `out`, in the crop), and a lane's arithmetic does not depend on who runs
 /// it, so a call gives the same bits at every pool width.
 ///
+/// Every pass over a unit's buffer is butterflies: a load lands natural row
+/// `r` at row `rev[r]`, an inverse applies its `1/n` as it stores (column
+/// pass: its window's bin rows; row pass: its crop), and a forward unit
+/// whose input ends at `e` (`offset + w` along a row, `offset + h` along a
+/// column) skips the stages below span `n / e.next_power_of_two()`.
+///
 /// A row unit carries two real rows `x`, `y` (the second zero past an odd
 /// count) as one complex row `z = x + i·y`. With `m = (n − c) mod n`, the
 /// forward splits `X_c = (Z_c + conj Z_m)/2`, `Y_c = (Z_c − conj Z_m)/2i`;
@@ -384,9 +392,36 @@ impl RfftPlan {
         });
     }
 
+    /// Transform, unscaled, a unit's buffers (rows of `s` floats) whose load
+    /// landed lanes `..from` of natural rows `window` at rows `rev[r]`. With
+    /// `g = n / window.end.next_power_of_two()`, the heads `rev[y]`, `y <
+    /// n/g`, get zeros where the load left none, each fills the `g − 1` rows
+    /// after it, and the stages start at span `g`.
+    fn transform(
+        &self,
+        (re, im): (&mut [f32], &mut [f32]),
+        dir: Direction,
+        s: usize,
+        window: Range<usize>,
+        from: [usize; 2],
+    ) {
+        let rev = self.plan.bitrev_table();
+        let g = self.n / window.end.next_power_of_two();
+        for (buf, from) in [&mut *re, &mut *im].into_iter().zip(from) {
+            for y in 0..self.n / g {
+                let loaded = if window.contains(&y) { from } else { 0 };
+                buf[rev[y] as usize * s + loaded..][..s - loaded].fill(0.0);
+            }
+            for r in (0..self.n).filter(|r| r % g != 0) {
+                buf.copy_within((r - r % g) * s..(r - r % g + 1) * s, r * s);
+            }
+        }
+        split::stages_from(re, im, &self.plan, dir, s, g);
+    }
+
     /// The column pass, in place on a bin-major operand of `lanes` lanes:
-    /// column `c`'s bin rows `read` into a unit's buffer (the other rows
-    /// zero there), transformed, its bin rows `write` stored back.
+    /// column `c`'s bin rows `read` into a unit's buffer (zero elsewhere),
+    /// transformed, its bin rows `write` stored back with an inverse's `1/n`.
     fn column_pass(
         &self,
         (sre, sim): (&mut [f32], &mut [f32]),
@@ -396,6 +431,11 @@ impl RfftPlan {
         write: Range<usize>,
     ) {
         let (sre, sim) = (SharedOut::new(sre), SharedOut::new(sim));
+        let rev = self.plan.bitrev_table();
+        let scale = match dir {
+            Direction::Forward => 1.0,
+            Direction::Inverse => 1.0 / self.n as f32,
+        };
         self.for_each_unit(self.half, lanes, |re, im, c, lane0, b| {
             let s = lane_stride(b);
             let bin_row = |r: usize| {
@@ -406,20 +446,18 @@ impl RfftPlan {
                 // columns); each run here dies before the next.
                 unsafe { (sre.run(at, b), sim.run(at, b)) }
             };
-            for buf in [&mut *re, &mut *im] {
-                buf[..read.start * s].fill(0.0);
-                buf[read.end * s..].fill(0.0);
-            }
             for r in read.clone() {
                 let (from_re, from_im) = bin_row(r);
-                load(&mut re[r * s..(r + 1) * s], from_re);
-                load(&mut im[r * s..(r + 1) * s], from_im);
+                let at = rev[r] as usize * s;
+                load(&mut re[at..at + s], from_re);
+                load(&mut im[at..at + s], from_im);
             }
-            split::fft_lanes_inplace(re, im, &self.plan, dir, s);
+            self.transform((re, im), dir, s, read.clone(), [s, s]);
             for r in write.clone() {
                 let (to_re, to_im) = bin_row(r);
-                to_re.copy_from_slice(&re[r * s..][..b]);
-                to_im.copy_from_slice(&im[r * s..][..b]);
+                for (to, from) in [(to_re, &re[r * s..][..b]), (to_im, &im[r * s..][..b])] {
+                    to.iter_mut().zip(from).for_each(|(t, &v)| *t = v * scale);
+                }
             }
         });
     }
@@ -456,22 +494,23 @@ impl RfftPlan {
         assert_eq!(sim.len(), n * half * lanes, "forward_lanes: im size");
         order.assert_covers(lanes);
         let (to_re, to_im) = (SharedOut::new(&mut *sre), SharedOut::new(&mut *sim));
+        let landing = &self.plan.bitrev_table()[offset..offset + w];
         // Row pass: data rows `2p` and `2p + 1` of each lane of the block as
         // the real and imaginary planes of one row, its `half` kept bins
         // split into bin rows `(offset + 2p + t)·half + c`, `t` in `0..pair`.
         self.for_each_unit(h.div_ceil(2), lanes, |re, im, p, lane0, b| {
             let (s, pair) = (lane_stride(b), (h - 2 * p).min(2));
-            re.fill(0.0);
-            im.fill(0.0);
             for l in 0..b {
                 let plane = order.plane_of(lane0 + l) * h * w;
                 for (t, buf) in [&mut *re, &mut *im].into_iter().take(pair).enumerate() {
                     let row = &src[plane + (2 * p + t) * w..][..w];
-                    let column = buf[offset * s + l..].iter_mut().step_by(s);
-                    column.zip(row).for_each(|(slot, &v)| *slot = v);
+                    for (&r, &v) in landing.iter().zip(row) {
+                        buf[r as usize * s + l] = v;
+                    }
                 }
             }
-            split::fft_lanes_inplace(re, im, &self.plan, Direction::Forward, s);
+            let from = [b, if pair == 2 { b } else { 0 }]; // a lone row's `im` is zero
+            self.transform((re, im), Direction::Forward, s, offset..offset + w, from);
             for c in 0..half {
                 let m = (n - c) % n;
                 // Z_c and Z_m. X_c = (Z_c + conj Z_m)/2 and Y_c = (Z_c − conj
@@ -528,6 +567,7 @@ impl RfftPlan {
         let window = offset..offset + size;
         self.column_pass((sre, sim), lanes, 0..n, Direction::Inverse, window);
         let out = SharedOut::new(out);
+        let (rev, scale) = (self.plan.bitrev_table(), 1.0 / n as f32);
         // Row pass: crop rows `2p` and `2p + 1` of each lane of the block,
         // inverted as the real and imaginary planes of one row.
         self.for_each_unit(size.div_ceil(2), lanes, |re, im, p, lane0, b| {
@@ -540,19 +580,20 @@ impl RfftPlan {
             for c in 0..half {
                 let ((x_re, x_im), (y_re, y_im)) = (bin(0, c), bin(1, c));
                 let m = (n - c) % n;
+                let (zc, zm) = (rev[c] as usize * s, rev[m] as usize * s);
                 if m == c {
                     // Its own mirror: X_c and Y_c are real.
-                    load(&mut re[c * s..][..s], x_re);
-                    load(&mut im[c * s..][..s], y_re);
+                    load(&mut re[zc..][..s], x_re);
+                    load(&mut im[zc..][..s], y_re);
                 } else {
                     // Z_c = X_c + i·Y_c and Z_m = conj X_c + i·conj Y_c.
-                    mix(&mut re[c * s..][..s], 1.0, x_re, -1.0, y_im);
-                    mix(&mut im[c * s..][..s], 1.0, x_im, 1.0, y_re);
-                    mix(&mut re[m * s..][..s], 1.0, x_re, 1.0, y_im);
-                    mix(&mut im[m * s..][..s], 1.0, y_re, -1.0, x_im);
+                    mix(&mut re[zc..][..s], 1.0, x_re, -1.0, y_im);
+                    mix(&mut im[zc..][..s], 1.0, x_im, 1.0, y_re);
+                    mix(&mut re[zm..][..s], 1.0, x_re, 1.0, y_im);
+                    mix(&mut im[zm..][..s], 1.0, y_re, -1.0, x_im);
                 }
             }
-            split::fft_lanes_inplace(re, im, &self.plan, Direction::Inverse, s);
+            self.transform((re, im), Direction::Inverse, s, 0..n, [s, s]);
             for l in 0..b {
                 let plane = order.plane_of(lane0 + l) * size * size;
                 for (t, buf) in [&*re, &*im].into_iter().take(pair).enumerate() {
@@ -561,8 +602,8 @@ impl RfftPlan {
                     // asserted to cover `lanes`, sends distinct lanes to
                     // distinct planes; this unit's earlier rows are dead.
                     let row = unsafe { out.run(plane + (2 * p + t) * size, size) };
-                    let column = buf[offset * s + l..].iter().step_by(s);
-                    row.iter_mut().zip(column).for_each(|(slot, &v)| *slot = v);
+                    let col = buf[offset * s + l..].iter().step_by(s);
+                    row.iter_mut().zip(col).for_each(|(o, &v)| *o = v * scale);
                 }
             }
         });
@@ -778,8 +819,9 @@ mod tests {
     /// the zero-padded plane, inverse against the cropped
     /// `inverse_split_into` — for windows of one, two and three rows (one
     /// row pair, one pair and a lone row), odd and even window heights and
-    /// crops, windows that land off the origin, both lane orders, a lane
-    /// count of 1 and counts on both sides of one, two and three pass
+    /// crops, windows that land off the origin, windows whose stages skip
+    /// their first one to three, both lane orders, a lane count of 1 and
+    /// (below `n = 32`) counts on both sides of one, two and three pass
     /// blocks `B` (blocks of unequal width, a block count no width
     /// divides); at pool widths 1 to 4, every width the same bits.
     #[test]
@@ -798,6 +840,14 @@ mod tests {
             (16, 2, 9, 5),
             (16, 3, 3, 13),
             (16, 16, 16, 0),
+            // Table I's filter windows, whose forward stages start at span
+            // 8 (Conv1) and 2 (Conv3, Conv4), and windows ending on a power
+            // of two (span 2) and just past one (span 1).
+            (128, 11, 11, 0),
+            (32, 9, 9, 0),
+            (16, 7, 7, 0),
+            (32, 9, 9, 7),
+            (32, 9, 9, 8),
         ];
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (n, h, w, offset) in plans.into_iter().take(if miri { 1 } else { plans.len() }) {
@@ -805,6 +855,9 @@ mod tests {
             let (bins, block) = (p.spectrum_len(), BLOCK_LANES);
             let counts = if miri {
                 vec![3]
+            } else if n >= 32 {
+                // The plane-major oracle costs an `n×n` transform per lane.
+                vec![1, 3, 17]
             } else {
                 vec![
                     1,

@@ -9,9 +9,10 @@
 //! design (PAPERS.md arXiv:1412.7580) mapped onto CPU vectors; the
 //! batch dimension the lanes come from is the paper's first sweep axis.
 //!
-//! [`fft_lanes_inplace`] is the whole engine; the 2-D real transforms
-//! in [`crate::rfft`] are two lane passes joined by blocked SIMD
-//! transposes. The O(n²) [`crate::dft`] is its oracle.
+//! [`fft_lanes_inplace`] is the whole engine: a bit-reversal, the DIT
+//! stages and the inverse's `1/n`; the lane passes of [`crate::rfft`] run
+//! the stages alone, between loads and stores that do the other two. The
+//! O(n²) [`crate::dft`] is its oracle.
 
 use crate::plan::FftPlan;
 use crate::{simd, Direction};
@@ -53,6 +54,26 @@ pub fn fft_lanes_inplace(
         return;
     }
     bitrev_rows(re, im, plan, lanes);
+    stages_from(re, im, plan, dir, lanes, 1);
+    if dir == Direction::Inverse {
+        let s = 1.0 / n as f32;
+        gcnn_tensor::simd::sscal(s, re);
+        gcnn_tensor::simd::sscal(s, im);
+    }
+}
+
+/// The DIT stages of [`fft_lanes_inplace`] from span `g` on, over rows in
+/// bit-reversed order, unscaled: with each row `g·j` copied over the `g − 1`
+/// after it, the transform of a signal that is zero from bin `n/g` on.
+pub(crate) fn stages_from(
+    re: &mut [f32],
+    im: &mut [f32],
+    plan: &FftPlan,
+    dir: Direction,
+    lanes: usize,
+    g: usize,
+) {
+    let n = plan.len();
     // One dispatch read and one split-table borrow per transform pass;
     // each stage then runs as a single kernel call with the whole block
     // × butterfly-row schedule inside the dispatch boundary
@@ -62,8 +83,8 @@ pub fn fft_lanes_inplace(
     let (tw_re, tw_im) = plan.table_split();
     let conj_w = dir == Direction::Inverse;
     // Fused double stages (the radix-4 data flow) as long as two whole
-    // stages remain, then at most one single stage for odd log2(n).
-    let mut span = 1usize;
+    // stages remain, then at most one single stage for an odd count.
+    let mut span = g;
     while span * 4 <= n {
         let stride_a = n / (span * 2);
         let stride_b = n / (span * 4);
@@ -75,11 +96,6 @@ pub fn fft_lanes_inplace(
     if span * 2 <= n {
         let stride = n / (span * 2);
         simd::lane_stage_dit(re, im, n, lanes, span, stride, tw_re, tw_im, conj_w, isa);
-    }
-    if conj_w {
-        let s = 1.0 / n as f32;
-        gcnn_tensor::simd::sscal(s, re);
-        gcnn_tensor::simd::sscal(s, im);
     }
 }
 
@@ -151,6 +167,58 @@ mod tests {
         for i in 0..n * lanes {
             assert!((re[i] - re0[i]).abs() < 1e-4, "re[{i}]");
             assert!((im[i] - im0[i]).abs() < 1e-4, "im[{i}]");
+        }
+    }
+
+    /// From span `g`, over a signal zero from bin `n/g` on that landed
+    /// bit-reversed with each row `g·j` copied over the `g − 1` rows after
+    /// it, the stages are [`fft_lanes_inplace`] of that signal (the inverse
+    /// scaled here): the same bits at `g = 1`, within 1e-5 of the bins'
+    /// scale at every larger first span.
+    #[test]
+    fn stages_from_span_g_skip_the_zero_stages() {
+        for n in [1usize, 2, 4, 8, 16, 32, 64, 128] {
+            let plan = FftPlan::new(n);
+            let rev = plan.bitrev_table();
+            for lanes in [1usize, 3, 8, 33] {
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    for g in (0..=n.trailing_zeros()).map(|e| 1usize << e) {
+                        let (mut re, mut im) = lane_signal(n, lanes, 0.43);
+                        re[n / g * lanes..].fill(0.0);
+                        im[n / g * lanes..].fill(0.0);
+                        let (mut got_re, mut got_im) =
+                            (vec![f32::NAN; n * lanes], vec![f32::NAN; n * lanes]);
+                        for (y, &head) in rev[..n / g].iter().enumerate() {
+                            let from = y * lanes..(y + 1) * lanes;
+                            for r in head as usize..head as usize + g {
+                                got_re[r * lanes..][..lanes].copy_from_slice(&re[from.clone()]);
+                                got_im[r * lanes..][..lanes].copy_from_slice(&im[from.clone()]);
+                            }
+                        }
+                        stages_from(&mut got_re, &mut got_im, &plan, dir, lanes, g);
+                        let scale = if dir == Direction::Inverse {
+                            let s = 1.0 / n as f32;
+                            gcnn_tensor::simd::sscal(s, &mut got_re);
+                            gcnn_tensor::simd::sscal(s, &mut got_im);
+                            1.0
+                        } else {
+                            n as f32
+                        };
+                        fft_lanes_inplace(&mut re, &mut im, &plan, dir, lanes);
+                        let what = format!("n {n} lanes {lanes} {dir:?} g {g}");
+                        if g == 1 {
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&got_re), bits(&re), "{what}: re");
+                            assert_eq!(bits(&got_im), bits(&im), "{what}: im");
+                        }
+                        for i in 0..n * lanes {
+                            let off = (got_re[i] - re[i]).abs().max((got_im[i] - im[i]).abs());
+                            assert!(off < 1e-5 * scale, "{what} elem {i}: {off}");
+                        }
+                    }
+                }
+            }
         }
     }
 

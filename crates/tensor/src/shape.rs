@@ -113,13 +113,6 @@ impl fmt::Display for Shape2 {
     }
 }
 
-/// Round `n` up to the next power of two (used by the FFT convolution
-/// strategy, whose transforms pad to power-of-two sizes — this padding is
-/// the cause of the memory-usage fluctuations in the paper's Fig. 5b/5d).
-pub const fn next_pow2(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,15 +147,5 @@ mod tests {
         assert!(Shape4::new(0, 3, 4, 5).is_empty());
         assert!(!Shape4::new(1, 1, 1, 1).is_empty());
         assert!(Shape2::new(3, 0).is_empty());
-    }
-
-    #[test]
-    fn next_pow2_values() {
-        assert_eq!(next_pow2(1), 1);
-        assert_eq!(next_pow2(2), 2);
-        assert_eq!(next_pow2(3), 4);
-        assert_eq!(next_pow2(127), 128);
-        assert_eq!(next_pow2(128), 128);
-        assert_eq!(next_pow2(129), 256);
     }
 }
