@@ -9,33 +9,34 @@
 //! per-bin product consumes. That is the pipeline here, three stages and
 //! no pass that only moves data:
 //!
-//! 1. both operands go through [`RfftPlan::forward_lanes_into`], which
-//!    transforms the planes **with the planes as the lanes** straight
-//!    into the bin-major `[bin][rows×cols]` operand: a row pass, two real
-//!    rows to a complex transform, writes whole bin rows of it, a column
-//!    pass transforms it in place. Each plane's real window is read
-//!    straight from the tensor — the layer's
-//!    `pad` is a landing offset, the plane-axis swap an operand may need
-//!    is the lane order — and only its data rows get a row pass. A window
-//!    that ends at or before `n/2`, every filter bank at Table I, skips the
-//!    DIT stages that would add only zeros, in both passes;
-//! 2. one split-complex GEMM per frequency bin
-//!    ([`batched_cgemm_split_op`]), oriented by the shapes: the longer of
-//!    the product's two output axes is the kernel's vectorized `n`, unless
-//!    both are shorter than one row tile — then the summed axis is the
-//!    vector, each output one dot product (conjugation travels with the
-//!    operand: `conj_a` or `conj_b`);
-//! 3. [`RfftPlan::inverse_lanes_into`] inverts the product in place — a
-//!    column pass, then row-inverting only the rows inside the crop
-//!    window, two to a transform — and writes the crop straight into the
-//!    output tensor.
+//! 1. **row passes**: both operands go through
+//!    [`RfftPlan::forward_rows_into`], which row-transforms the planes
+//!    **with the planes as the lanes**, two real rows to a complex
+//!    transform. Each plane's real window is read straight from the
+//!    tensor — the layer's `pad` is a landing offset, the plane-axis swap
+//!    an operand may need is the lane order — and only its data rows are
+//!    transformed and stored, as the [`Columns`] of the half-spectrum;
+//! 2. **fused column stage**: [`RfftPlan::product_columns`] runs the rest
+//!    of the Fourier domain one spectrum column at a time, in one
+//!    participant's buffers: it column-transforms both factors' column (a
+//!    window that ends at or before `n/2`, every filter bank at Table I,
+//!    skips the DIT stages that would add only zeros), runs one
+//!    split-complex GEMM per frequency bin ([`cgemm_split`]), inverts the
+//!    product's column and stores only its crop rows. The GEMM is oriented
+//!    by the shapes: the longer of the product's two output axes is the
+//!    kernel's vectorized `n`, unless both are shorter than one row tile —
+//!    then the summed axis is the vector, each output one dot product
+//!    (conjugation travels with the operand: `conj_a` or `conj_b`);
+//! 3. **inverse row pass**: [`RfftPlan::inverse_rows_into`] row-inverts
+//!    those crop rows, two to a transform, and writes the crop straight
+//!    into the output tensor.
 //!
-//! All three stages are pool regions: the transforms' participants claim
-//! units of a row pair or a column × a block of lanes, each with its own
-//! unit buffer, writing disjoint runs of the bin-major operand (disjoint rows
-//! of output planes, in the inverse), and the per-bin products split over
-//! bins. One owner per output float and a fixed order of arithmetic per
-//! lane and per bin, so a pass is the same bits at every pool width.
+//! All three stages are pool regions: the row passes' participants claim
+//! units of a row pair × a block of lanes, the column stage's a whole
+//! column, each with its own unit buffers, writing disjoint runs of their
+//! output (disjoint rows of output planes, in the inverse). One owner per
+//! output float and a fixed order of arithmetic per lane and per bin, so a
+//! pass is the same bits at every pool width.
 //!
 //! Transforms are padded to [`ConvConfig::fft_size`], the next power of
 //! two ≥ the (padded) input size — enough for *valid* correlation, since
@@ -46,17 +47,20 @@
 //! `k²`.
 //!
 //! Plans come from the process-wide [`RfftPlan`] cache and every
-//! intermediate (the three bin-major operands, the transforms' unit
-//! buffers) is checked out of the thread-local
+//! intermediate is checked out of the thread-local
 //! [`gcnn_tensor::workspace`] arena, so repeated passes at one
 //! configuration are steady-state allocation-free apart from the output
-//! tensor itself.
+//! tensor itself (`gcnn-fft`'s `conv_allocs` test counts the heap). The
+//! intermediates are only rows that exist: the factors' data rows and the
+//! product's crop rows, `n/2 + 1` columns each, and one column of all three
+//! operands per participant of the column stage. No operand's full
+//! `n·(n/2 + 1)`-bin spectrum is ever stored.
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy, Unsupported};
-use gcnn_fft::{LaneOrder, RfftPlan};
+use gcnn_fft::{Columns, LaneOrder, RfftPlan};
 use gcnn_gemm::cgemm::ROW_TILE;
-use gcnn_gemm::{batched_cgemm_split_op, Transpose};
+use gcnn_gemm::{cgemm_split, Transpose};
 use gcnn_tensor::workspace::{self, Scratch};
 use gcnn_tensor::{Shape4, Tensor4};
 
@@ -104,8 +108,8 @@ impl Factor<'_> {
         }
     }
 
-    /// Transform every plane into the bin-major operand
-    /// `[bin][rows×cols]` of the per-bin GEMM: `[kept×summed]` when
+    /// Row-transform every plane into the column-major data rows of the
+    /// fused stage's factor, over `[rows×cols]` lanes: `[kept×summed]` when
     /// `kept_is_row` (its A, or its B stored `[n×k]`), else
     /// `[summed×kept]`. Which tensor axis ends up as the row is only the
     /// order the planes are read in.
@@ -123,9 +127,9 @@ impl Factor<'_> {
         } else {
             LaneOrder::Identity
         };
-        let mut re = workspace::take_f32(plan.spectrum_len() * lanes);
-        let mut im = workspace::take_f32(plan.spectrum_len() * lanes);
-        plan.forward_lanes_into(
+        let mut re = workspace::take_f32(plan.half_cols() * s.h * lanes);
+        let mut im = workspace::take_f32(plan.half_cols() * s.h * lanes);
+        plan.forward_rows_into(
             self.t.as_slice(),
             (s.h, s.w),
             self.pad,
@@ -135,6 +139,19 @@ impl Factor<'_> {
             &mut im,
         );
         (re, im)
+    }
+
+    /// What [`Self::spectra`] wrote, as a factor of the column stage: its
+    /// planes' data rows, `pad` rows into the plan.
+    fn columns<'s>(&self, (re, im): &'s (Scratch<f32>, Scratch<f32>)) -> Columns<&'s [f32]> {
+        let (kept, summed) = self.extents();
+        let h = self.t.shape().h;
+        Columns {
+            re,
+            im,
+            lanes: kept * summed,
+            rows: self.pad..self.pad + h,
+        }
     }
 }
 
@@ -155,7 +172,6 @@ impl Factor<'_> {
 /// axis (64–128) in eight of the nine products; Conv1 backward-data
 /// (`c = 3` against batch 4) has none, and runs the dot body.
 fn fft_pass(first: Factor<'_>, second: Factor<'_>, crop: Crop, plan: &RfftPlan) -> Tensor4 {
-    let bins = plan.spectrum_len();
     let ((d0, k), (d1, k2)) = (first.extents(), second.extents());
     assert_eq!(k, k2, "fft_pass: summed extents");
     let dots = dot_products(d0, d1);
@@ -166,15 +182,33 @@ fn fft_pass(first: Factor<'_>, second: Factor<'_>, crop: Crop, plan: &RfftPlan) 
         (first, second, d0, d1)
     };
 
-    let mut c_re = workspace::take_f32(bins * m * n); // [bin][m×n]
-    let mut c_im = workspace::take_f32(bins * m * n);
+    let crop_rows = crop.offset..crop.offset + crop.size;
+    let mut c_re = workspace::take_f32(plan.half_cols() * crop.size * m * n); // [c][row][m×n]
+    let mut c_im = workspace::take_f32(plan.half_cols() * crop.size * m * n);
     {
-        let (a_re, a_im) = a.spectra(plan, true); // [bin][m×k]
-        let (b_re, b_im) = b.spectra(plan, dots); // [bin][n×k] or [bin][k×n]
-        let transb = if dots { Transpose::Yes } else { Transpose::No };
-        let (a_op, b_op) = ((&a_re[..], &a_im[..], m * k), (&b_re[..], &b_im[..], k * n));
-        let c = (&mut c_re[..], &mut c_im[..], m * n);
-        batched_cgemm_split_op(transb, a.conj, b.conj, m, n, k, bins, a_op, b_op, c);
+        let a_rows = a.spectra(plan, true); // [c][row][m×k]
+        let b_rows = b.spectra(plan, dots); // [c][row][n×k] or [c][row][k×n]
+        let (transb, ldb) = if dots {
+            (Transpose::Yes, k)
+        } else {
+            (Transpose::No, n)
+        };
+        let (conj_a, conj_b) = (a.conj, b.conj);
+        plan.product_columns(
+            a.columns(&a_rows),
+            b.columns(&b_rows),
+            Columns {
+                re: &mut c_re[..],
+                im: &mut c_im[..],
+                lanes: m * n,
+                rows: crop_rows,
+            },
+            |(ar, ai), (br, bi), (cr, ci)| {
+                cgemm_split(
+                    transb, conj_a, conj_b, m, n, k, ar, ai, k, br, bi, ldb, cr, ci, n,
+                )
+            },
+        );
     }
 
     let mut out = Tensor4::zeros(Shape4::new(d0, d1, crop.size, crop.size));
@@ -187,7 +221,7 @@ fn fft_pass(first: Factor<'_>, second: Factor<'_>, crop: Crop, plan: &RfftPlan) 
     };
     let window = (crop.size, crop.offset);
     let planes = out.as_mut_slice();
-    plan.inverse_lanes_into(&mut c_re, &mut c_im, m * n, window, order, planes);
+    plan.inverse_rows_into(&c_re, &c_im, m * n, window, order, planes);
     out
 }
 
@@ -266,6 +300,11 @@ impl ConvAlgorithm for FftConv {
             cfg.output_shape(),
             "FftConv::backward_data: grad"
         );
+        assert_eq!(
+            filters.shape(),
+            cfg.filter_shape(),
+            "FftConv::backward_data: filters"
+        );
         // gin[n,c] = Σ_f gout[n,f] · filt[f,c] per bin (true convolution
         // — no conjugation); crop the interior when the forward pass
         // padded the input.
@@ -292,6 +331,16 @@ impl ConvAlgorithm for FftConv {
         let _span = gcnn_trace::span("conv.fft.backward_filters");
         self.supports(cfg)
             .expect("FftConv::backward_filters: unsupported config");
+        assert_eq!(
+            input.shape(),
+            cfg.input_shape(),
+            "FftConv::backward_filters: input"
+        );
+        assert_eq!(
+            grad_out.shape(),
+            cfg.output_shape(),
+            "FftConv::backward_filters: grad"
+        );
         // gw[f,c] = Σ_n conj(gout[n,f]) · in[n,c] per bin: correlation of
         // the (padded) input with the output gradient, reduced over the
         // batch axis.
@@ -363,5 +412,38 @@ mod tests {
         let x = Tensor4::zeros(cfg.input_shape());
         let w = Tensor4::zeros(cfg.filter_shape());
         FftConv.forward(&cfg, &x, &w);
+    }
+
+    /// Batch 2, 3 channels, 8×8 input, 4 filters of 3×3: the right input
+    /// and output gradient.
+    fn operands() -> (ConvConfig, Tensor4, Tensor4) {
+        let cfg = ConvConfig::with_channels(2, 3, 8, 4, 3, 1);
+        let (x, g) = (cfg.input_shape(), cfg.output_shape());
+        (cfg, Tensor4::zeros(x), Tensor4::zeros(g))
+    }
+
+    #[test]
+    #[should_panic(expected = "FftConv::backward_data: filters")]
+    fn backward_data_checks_filters() {
+        let (cfg, _, g) = operands();
+        let two_channels = Shape4::new(4, 2, 3, 3);
+        FftConv.backward_data(&cfg, &g, &Tensor4::zeros(two_channels));
+    }
+
+    #[test]
+    #[should_panic(expected = "FftConv::backward_filters: input")]
+    fn backward_filters_checks_input() {
+        let (cfg, _, g) = operands();
+        let larger = Shape4::new(2, 3, 10, 10);
+        FftConv.backward_filters(&cfg, &Tensor4::zeros(larger), &g);
+    }
+
+    /// A smaller gradient ran unchecked and gave a wrong filter gradient.
+    #[test]
+    #[should_panic(expected = "FftConv::backward_filters: grad")]
+    fn backward_filters_checks_grad() {
+        let (cfg, x, _) = operands();
+        let smaller = Shape4::new(2, 4, 5, 5);
+        FftConv.backward_filters(&cfg, &x, &Tensor4::zeros(smaller));
     }
 }

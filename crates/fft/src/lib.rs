@@ -17,19 +17,26 @@
 //! * [`simd`] — its three kernels (single stage, fused double stage,
 //!   blocked transpose), each with AVX2+FMA, NEON and scalar bodies; the
 //!   scalar bodies are what runs under `GCNN_FORCE_SCALAR=1`.
-//! * [`rfft`] — 2-D real transforms with Hermitian half-spectra, two
-//!   lane passes each. The **lane** pair
-//!   ([`RfftPlan::forward_lanes_into`] / [`RfftPlan::inverse_lanes_into`])
-//!   is what the convolution runs: the planes *as the lanes*, a row pass
-//!   that carries two real rows per complex transform and writes whole bin
-//!   rows of the bin-major operand, and a column pass in place on it, in
-//!   units of a row pair or a column × a block of lanes; no transpose, no
-//!   tile. Row passes transform only the window's (the crop's) rows, and a
-//!   forward whose input ends at `e` skips the DIT stages below span
-//!   `n / e.next_power_of_two()`. The **plane-major** methods and
-//!   their [`batch`] entry points (one plane per call, the passes joined by
-//!   transposes) are what the benchmarks time and the oracle the lane
-//!   passes are held to, within a stated tolerance.
+//! * [`rfft`] — 2-D real transforms with Hermitian half-spectra. What the
+//!   convolution runs takes the planes *as the lanes*: a row pass per
+//!   factor ([`RfftPlan::forward_rows_into`]) that carries two real rows
+//!   per complex transform, one fused column stage
+//!   ([`RfftPlan::product_columns`]) whose unit is a whole spectrum column
+//!   — both factors' column transforms, the caller's per-bin product and
+//!   the product's inverse in one participant's buffers — and a row pass
+//!   over the product's crop rows ([`RfftPlan::inverse_rows_into`]).
+//!   Between them only rows that exist are stored, column-major
+//!   ([`Columns`]); no transpose, no tile, no bin-major spectrum. Row
+//!   passes transform only the window's (the crop's) rows, and a forward
+//!   whose input ends at `e` skips the DIT stages below span
+//!   `n / e.next_power_of_two()`. The **lane** pair
+//!   ([`RfftPlan::forward_lanes_into`] / [`RfftPlan::inverse_lanes_into`]:
+//!   the same row passes around a column pass in place on a bin-major
+//!   operand) is the fused stage's oracle, with no production caller. The
+//!   **plane-major** methods and their [`batch`] entry points (one plane
+//!   per call, the passes joined by transposes) are what the benchmarks
+//!   time and the oracle the lane passes are held to, within a stated
+//!   tolerance.
 //! * [`dft`] — the O(n²) reference the engine is tested against.
 //!
 //! All transforms are power-of-two only, like fbfft itself — this is the
@@ -45,7 +52,7 @@ pub mod split;
 
 pub use batch::{rfft_forward_batch_split, rfft_inverse_batch_split};
 pub use plan::FftPlan;
-pub use rfft::{LaneOrder, RfftPlan};
+pub use rfft::{Columns, LaneOrder, RfftPlan};
 pub use split::fft_lanes_inplace;
 
 /// Direction of a transform.

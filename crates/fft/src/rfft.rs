@@ -20,11 +20,17 @@
 //!   inverses): one plane per call, the plane's own rows and columns are
 //!   the lanes, and blocked transposes join the passes. Kept for the
 //!   benchmarks that time it and as the oracle of the next;
-//! * **lane passes** ([`RfftPlan::forward_lanes_into`],
-//!   [`RfftPlan::inverse_lanes_into`]): many planes per call with *the
-//!   planes* as the lanes, spectra bin-major across planes
-//!   (`[bin][lane]`) — the layout the per-bin complex GEMM of the FFT
-//!   convolution consumes, written and then transformed in place.
+//! * **lane passes**: many planes per call with *the planes* as the lanes.
+//!   What the FFT convolution runs is a row pass per factor
+//!   ([`RfftPlan::forward_rows_into`]), one fused column stage
+//!   ([`RfftPlan::product_columns`]: each spectrum column's forward
+//!   transforms, per-bin products and inverse in one participant's
+//!   buffers) and a row pass over the product's crop
+//!   ([`RfftPlan::inverse_rows_into`]); between them only rows that exist
+//!   are stored, column-major ([`Columns`]). The same row passes around a
+//!   column pass in place on a bin-major operand (`[bin][lane]`) are
+//!   [`RfftPlan::forward_lanes_into`] / [`RfftPlan::inverse_lanes_into`],
+//!   the oracle of the fused stage.
 //!
 //! Every butterfly is a broadcast-twiddle FMA over contiguous lanes. The
 //! same code runs on every ISA; under scalar dispatch
@@ -333,20 +339,103 @@ impl<'a> SharedOut<'a> {
     }
 }
 
-/// The lane transforms: **the planes are the lanes**, and both passes work
-/// in the bin-major operand `[bin][lanes]` the per-bin GEMM reads (fbfft's
-/// layout, PAPERS.md arXiv:1412.7580). A pass is a pool region of
-/// **units**, one row or column of the plane × a block of lanes, each
-/// transformed in an `[n][stride]` buffer in [`split::fft_lanes_inplace`]'s
-/// layout. Units own disjoint bin rows × lanes of the operand (rows of
-/// `out`, in the crop), and a lane's arithmetic does not depend on who runs
-/// it, so a call gives the same bits at every pool width.
+/// Where bin `c` of row `t` of an operand's first lane sits, `t·row +
+/// c·col`, its lanes the run after it. Both layouts give distinct `(t, c)`
+/// disjoint runs of `lanes` floats: bin-major has `col = lanes` under `row =
+/// half·lanes`, column-major `row = lanes` under `col = rows·lanes`.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    row: usize,
+    col: usize,
+}
+
+impl Layout {
+    /// Bin-major `[t·half + c][lanes]`, the lane passes' operand.
+    fn bin_major(half: usize, lanes: usize) -> Self {
+        Layout {
+            row: half * lanes,
+            col: lanes,
+        }
+    }
+
+    /// Column-major `[c][t][lanes]` over `rows` rows, a [`Columns`].
+    fn columns(rows: usize, lanes: usize) -> Self {
+        Layout {
+            row: lanes,
+            col: rows * lanes,
+        }
+    }
+
+    fn bin(self, t: usize, c: usize) -> usize {
+        t * self.row + c * self.col
+    }
+}
+
+/// An operand of [`RfftPlan::product_columns`]: the half-spectra of plan
+/// rows `rows` of `lanes` planes, column-major — `re`/`im[(c·rows.len() +
+/// t)·lanes + l]` is bin `c` of row `rows.start + t` of plane `l` — so a
+/// spectrum column is one run. A factor is what
+/// [`RfftPlan::forward_rows_into`] writes for a window's data rows, the
+/// product the crop rows [`RfftPlan::inverse_rows_into`] reads.
+#[derive(Debug)]
+pub struct Columns<S> {
+    /// Real parts.
+    pub re: S,
+    /// Imaginary parts.
+    pub im: S,
+    /// Planes, the lanes of every bin.
+    pub lanes: usize,
+    /// The plan rows held.
+    pub rows: Range<usize>,
+}
+
+impl<S: AsRef<[f32]>> Columns<S> {
+    /// Panic unless `rows` lie in an `n`-row plan and `re`/`im` hold them
+    /// for `half` columns.
+    fn assert_fits(&self, n: usize, half: usize, what: &str) {
+        let rows = &self.rows;
+        let inside = rows.start <= rows.end && rows.end <= n;
+        assert!(inside, "product_columns: {what} rows exceed plan");
+        let len = half * rows.len() * self.lanes;
+        let (re, im) = (self.re.as_ref().len(), self.im.as_ref().len());
+        assert_eq!(re, len, "product_columns: {what} re size");
+        assert_eq!(im, len, "product_columns: {what} im size");
+    }
+}
+
+/// Run `body(own, unit)` for each `unit` of `0..units` in a buffer `own` of
+/// `per` floats: one per participant of a pool region, which claims units.
+fn claim(units: usize, per: usize, body: impl Fn(&mut [f32], usize) + Sync) {
+    let mut scratch = workspace::take_f32(rayon::current_num_threads().min(units) * per);
+    // `fetch_add` gives each index to one claimant. Relaxed: it publishes
+    // nothing — a unit's inputs are borrows that outlive the region, its
+    // outputs reach the caller through the region's join.
+    let next = AtomicUsize::new(0);
+    scratch.par_chunks_mut(per).for_each(|own| loop {
+        let unit = next.fetch_add(1, Ordering::Relaxed);
+        if unit >= units {
+            break;
+        }
+        body(own, unit);
+    });
+}
+
+/// The lane transforms: **the planes are the lanes** (fbfft's layout,
+/// PAPERS.md arXiv:1412.7580). A pass is a pool region of **units**, each
+/// transformed in `[n][stride]` buffers in [`split::fft_lanes_inplace`]'s
+/// layout: one row of the plane × a block of lanes in a row pass, a column
+/// × a block in a column pass over the bin-major operand `[bin][lanes]`,
+/// one whole spectrum column of all three operands in the fused stage.
+/// Units own disjoint runs of their output (rows of `out`, in the crop),
+/// and a lane's arithmetic does not depend on who runs it, so a call gives
+/// the same bits at every pool width.
 ///
 /// Every pass over a unit's buffer is butterflies: a load lands natural row
-/// `r` at row `rev[r]`, an inverse applies its `1/n` as it stores (column
-/// pass: its window's bin rows; row pass: its crop), and a forward unit
-/// whose input ends at `e` (`offset + w` along a row, `offset + h` along a
-/// column) skips the stages below span `n / e.next_power_of_two()`.
+/// `r` at row `rev[r]` (the fused stage's products write bin `r` there), an
+/// inverse applies its `1/n` as it stores (column: the rows it keeps; row
+/// pass: its crop), and a forward unit whose input ends at `e` (`offset +
+/// w` along a row, `offset + h` along a column) skips the stages below span
+/// `n / e.next_power_of_two()`.
 ///
 /// A row unit carries two real rows `x`, `y` (the second zero past an odd
 /// count) as one complex row `z = x + i·y`. With `m = (n − c) mod n`, the
@@ -361,7 +450,7 @@ impl RfftPlan {
     /// Run `body(re, im, i, lane0, b)` for each unit — `i` in `0..count` ×
     /// block `lane0..lane0 + b`, the fewest of at most [`BLOCK_LANES`] lanes
     /// and equal to within one — in buffers of `n` rows of
-    /// [`lane_stride`]`(b)` floats: one per participant, which claims units.
+    /// [`lane_stride`]`(b)` floats, one per participant ([`claim`]).
     fn for_each_unit(
         &self,
         count: usize,
@@ -369,26 +458,14 @@ impl RfftPlan {
         body: impl Fn(&mut [f32], &mut [f32], usize, usize, usize) + Sync,
     ) {
         let blocks = lanes.div_ceil(BLOCK_LANES);
-        let units = count * blocks;
         let edge = |k: usize| k * lanes / blocks; // block `k` is `edge(k)..edge(k + 1)`
         let per = 2 * self.n * lane_stride(lanes.div_ceil(blocks.max(1)));
-        let mut scratch = workspace::take_f32(rayon::current_num_threads().min(units) * per);
-        // `fetch_add` gives each index to one claimant. Relaxed: it
-        // publishes nothing — a unit's inputs are borrows that outlive the
-        // region, its outputs reach the caller through the region's join.
-        let next = AtomicUsize::new(0);
-        scratch.par_chunks_mut(per).for_each(|own| {
+        claim(count * blocks, per, |own, unit| {
             let (re, im) = own.split_at_mut(per / 2);
-            loop {
-                let unit = next.fetch_add(1, Ordering::Relaxed);
-                if unit >= units {
-                    break;
-                }
-                let (k, i) = (unit % blocks, unit / blocks);
-                let (lane0, b) = (edge(k), edge(k + 1) - edge(k));
-                let len = self.n * lane_stride(b);
-                body(&mut re[..len], &mut im[..len], i, lane0, b);
-            }
+            let (k, i) = (unit % blocks, unit / blocks);
+            let (lane0, b) = (edge(k), edge(k + 1) - edge(k));
+            let len = self.n * lane_stride(b);
+            body(&mut re[..len], &mut im[..len], i, lane0, b);
         });
     }
 
@@ -468,7 +545,9 @@ impl RfftPlan {
     /// (a tensor's plane axes swap for free) landed `offset` rows and
     /// columns into the zero `n×n` plane (a layer's padding, with no padded
     /// copy). Only the `h` data rows get a row pass, two to a transform, and
-    /// only their Hermitian halves are stored.
+    /// only their Hermitian halves are stored. No production caller: with
+    /// the per-bin products and [`Self::inverse_lanes_into`] it is the
+    /// oracle of [`Self::product_columns`].
     ///
     /// # Panics
     /// Before anything is written, unless the window fits (`offset +
@@ -493,11 +572,160 @@ impl RfftPlan {
         assert_eq!(sre.len(), n * half * lanes, "forward_lanes: re size");
         assert_eq!(sim.len(), n * half * lanes, "forward_lanes: im size");
         order.assert_covers(lanes);
-        let (to_re, to_im) = (SharedOut::new(&mut *sre), SharedOut::new(&mut *sim));
+        let from = offset * half * lanes; // data row 0 is plan row `offset`
+        let to = (
+            SharedOut::new(&mut sre[from..]),
+            SharedOut::new(&mut sim[from..]),
+        );
+        let layout = Layout::bin_major(half, lanes);
+        self.forward_row_pass(src, (h, w), offset, order, lanes, to, layout);
+        let window = offset..offset + h;
+        self.column_pass((sre, sim), lanes, window, Direction::Forward, 0..n);
+    }
+
+    /// The row pass of [`Self::forward_lanes_into`] alone, into a
+    /// [`Columns`] of rows `offset..offset + h`: bin `c` of data row `t` of
+    /// lane `l` goes to `re`/`im[(c·h + t)·lanes + l]` — a factor of
+    /// [`Self::product_columns`]. Windows, lane order and pairing as there.
+    ///
+    /// # Panics
+    /// Before anything is written, unless the window fits (`offset +
+    /// h.max(w) <= n`), `src` is the `lanes` windows `order` permutes and
+    /// `re`/`im` hold `half_cols()·h·lanes` floats.
+    #[allow(clippy::too_many_arguments)] // mirror of `forward_lanes_into`
+    pub fn forward_rows_into(
+        &self,
+        src: &[f32],
+        (h, w): (usize, usize),
+        offset: usize,
+        order: LaneOrder,
+        lanes: usize,
+        re: &mut [f32],
+        im: &mut [f32],
+    ) {
+        let _span = gcnn_trace::span("fft.rfft_forward");
+        gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
+        assert!(
+            offset + h.max(w) <= self.n,
+            "forward_rows: window exceeds plan"
+        );
+        assert_eq!(src.len(), lanes * h * w, "forward_rows: src size");
+        assert_eq!(re.len(), self.half * h * lanes, "forward_rows: re size");
+        assert_eq!(im.len(), self.half * h * lanes, "forward_rows: im size");
+        order.assert_covers(lanes);
+        let to = (SharedOut::new(re), SharedOut::new(im));
+        let layout = Layout::columns(h, lanes);
+        self.forward_row_pass(src, (h, w), offset, order, lanes, to, layout);
+    }
+
+    /// The fused column stage of a per-bin product `C = A·B` of two
+    /// factors' half-spectra: one pool region whose unit is a spectrum
+    /// column `c`. In its participant's buffers a unit lands column `c` of
+    /// both factors' rows bit-reversed and transforms them forward, calls
+    /// `product(a, b, c)` for each of the `n` bins — `a`, `b` the factors'
+    /// lanes of bin `r`, `c` the product's, landed bit-reversed for the
+    /// inverse — inverts the product and stores its rows `c.rows`, scaled
+    /// by `1/n`. No bin-major operand exists: a unit's buffers are `2·n`
+    /// rows of [`lane_stride`] of each operand's lanes, zero in the
+    /// factors' rows outside their windows. `product` must overwrite all
+    /// of its `c`.
+    ///
+    /// # Panics
+    /// Before anything is written, unless every operand's rows lie in the
+    /// plan and its `re`/`im` hold those rows for `half_cols()` columns.
+    pub fn product_columns(
+        &self,
+        a: Columns<&[f32]>,
+        b: Columns<&[f32]>,
+        c: Columns<&mut [f32]>,
+        product: impl Fn((&[f32], &[f32]), (&[f32], &[f32]), (&mut [f32], &mut [f32])) + Sync,
+    ) {
+        let _span = gcnn_trace::span("fft.product_columns");
+        let (n, half) = (self.n, self.half);
+        a.assert_fits(n, half, "a");
+        b.assert_fits(n, half, "b");
+        c.assert_fits(n, half, "c");
+        let (rev, scale) = (self.plan.bitrev_table(), 1.0 / n as f32);
+        let [sa, sb, sc] = [a.lanes, b.lanes, c.lanes].map(lane_stride);
+        let Columns {
+            re,
+            im,
+            lanes,
+            rows,
+        } = c;
+        let run = rows.len() * lanes;
+        let (to_re, to_im) = (SharedOut::new(re), SharedOut::new(im));
+        claim(half, 2 * n * (sa + sb + sc), |own, col| {
+            let (own_a, own) = own.split_at_mut(2 * n * sa);
+            let (own_b, own_c) = own.split_at_mut(2 * n * sb);
+            let (a_re, a_im) = self.column_forward(&a, col, own_a);
+            let (b_re, b_im) = self.column_forward(&b, col, own_b);
+            let (c_re, c_im) = own_c.split_at_mut(n * sc);
+            for r in 0..n {
+                let z = rev[r] as usize * sc;
+                product(
+                    (&a_re[r * sa..][..a.lanes], &a_im[r * sa..][..a.lanes]),
+                    (&b_re[r * sb..][..b.lanes], &b_im[r * sb..][..b.lanes]),
+                    (&mut c_re[z..][..lanes], &mut c_im[z..][..lanes]),
+                );
+            }
+            let inverse = (&mut *c_re, &mut *c_im);
+            self.transform(inverse, Direction::Inverse, sc, 0..n, [lanes, lanes]);
+            // SAFETY: column `col`'s run of the product, which `claim` gives
+            // to this call alone (other columns' units own other runs).
+            let (to_re, to_im) = unsafe { (to_re.run(col * run, run), to_im.run(col * run, run)) };
+            for (t, r) in rows.clone().enumerate() {
+                for (to, from) in [(&mut *to_re, &*c_re), (&mut *to_im, &*c_im)] {
+                    let row = to[t * lanes..][..lanes].iter_mut();
+                    row.zip(&from[r * sc..]).for_each(|(o, &v)| *o = v * scale);
+                }
+            }
+        });
+    }
+
+    /// Column `col` of the factor `x` landed bit-reversed in `own` — `2·n`
+    /// rows of [`lane_stride`]`(x.lanes)` floats, real then imaginary — and
+    /// transformed: row `r` holds bin `r`'s lanes.
+    fn column_forward<'o>(
+        &self,
+        x: &Columns<&[f32]>,
+        col: usize,
+        own: &'o mut [f32],
+    ) -> (&'o [f32], &'o [f32]) {
+        let (rev, s) = (self.plan.bitrev_table(), lane_stride(x.lanes));
+        let (re, im) = own.split_at_mut(self.n * s);
+        for (t, r) in x.rows.clone().enumerate() {
+            let (at, row) = ((col * x.rows.len() + t) * x.lanes, rev[r] as usize * s);
+            load(&mut re[row..][..s], &x.re[at..][..x.lanes]);
+            load(&mut im[row..][..s], &x.im[at..][..x.lanes]);
+        }
+        self.transform(
+            (&mut *re, &mut *im),
+            Direction::Forward,
+            s,
+            x.rows.clone(),
+            [s, s],
+        );
+        (re, im)
+    }
+
+    /// The forward row pass: data rows `2p` and `2p + 1` of each lane of a
+    /// block as the real and imaginary planes of one row, its `half` kept
+    /// bins split into those of data rows `2p + t`, `t` in `0..pair`, and
+    /// stored at `layout` through `to`.
+    #[allow(clippy::too_many_arguments)] // an entry's window and its output
+    fn forward_row_pass(
+        &self,
+        src: &[f32],
+        (h, w): (usize, usize),
+        offset: usize,
+        order: LaneOrder,
+        lanes: usize,
+        (to_re, to_im): (SharedOut<'_>, SharedOut<'_>),
+        layout: Layout,
+    ) {
+        let (n, half) = (self.n, self.half);
         let landing = &self.plan.bitrev_table()[offset..offset + w];
-        // Row pass: data rows `2p` and `2p + 1` of each lane of the block as
-        // the real and imaginary planes of one row, its `half` kept bins
-        // split into bin rows `(offset + 2p + t)·half + c`, `t` in `0..pair`.
         self.for_each_unit(h.div_ceil(2), lanes, |re, im, p, lane0, b| {
             let (s, pair) = (lane_stride(b), (h - 2 * p).min(2));
             for l in 0..b {
@@ -519,19 +747,18 @@ impl RfftPlan {
                 let (mr, mi) = (&re[m * s..][..b], &im[m * s..][..b]);
                 let halves = [[(cr, mr), (ci, mi)], [(ci, mi), (mr, cr)]];
                 for (t, [(re_a, re_b), (im_a, im_b)]) in halves.into_iter().take(pair).enumerate() {
-                    let at = ((offset + 2 * p + t) * half + c) * lanes + lane0;
-                    // SAFETY: columns `lane0..lane0 + b` of bin row `(offset +
-                    // 2p + t)·half + c`, which `for_each_unit` gives to this
-                    // call alone (other pairs' units own other bin rows, other
-                    // blocks other columns); this unit's earlier runs are dead.
+                    let at = layout.bin(2 * p + t, c) + lane0;
+                    // SAFETY: columns `lane0..lane0 + b` of bin `c` of data
+                    // row `2p + t`, which `for_each_unit` gives to this call
+                    // alone (other pairs' units own other rows, other blocks
+                    // other columns, and `layout` gives distinct bins
+                    // disjoint runs); this unit's earlier runs are dead.
                     let (run_re, run_im) = unsafe { (to_re.run(at, b), to_im.run(at, b)) };
                     mix(run_re, 0.5, re_a, 1.0, re_b);
                     mix(run_im, 0.5, im_a, -1.0, im_b);
                 }
             }
         });
-        let window = offset..offset + h;
-        self.column_pass((sre, sim), lanes, window, Direction::Forward, 0..n);
     }
 
     /// Inverse of [`Self::forward_lanes_into`], cropped: write the
@@ -540,7 +767,7 @@ impl RfftPlan {
     /// inverts the spectra in place (they are consumed) and stores back
     /// only the window's bin rows; the row pass rebuilds them two at a time
     /// as one complex row from their Hermitian halves, inverts it and crops
-    /// both into `out`.
+    /// both into `out`. No production caller, like the forward.
     ///
     /// # Panics
     /// Before anything is written, unless the window fits (`offset + size
@@ -566,14 +793,67 @@ impl RfftPlan {
         order.assert_covers(lanes);
         let window = offset..offset + size;
         self.column_pass((sre, sim), lanes, 0..n, Direction::Inverse, window);
+        let from = offset * half * lanes; // crop row 0 is plan row `offset`
+        let layout = Layout::bin_major(half, lanes);
+        self.inverse_row_pass(
+            (&sre[from..], &sim[from..]),
+            layout,
+            lanes,
+            (size, offset),
+            order,
+            out,
+        );
+    }
+
+    /// The row pass of [`Self::inverse_lanes_into`] alone, out of a
+    /// [`Columns`] of the crop's rows `offset..offset + size` — the product
+    /// of [`Self::product_columns`], bin `c` of crop row `t` of lane `l` at
+    /// `re`/`im[(c·size + t)·lanes + l]` — cropped into `out` as there.
+    ///
+    /// # Panics
+    /// Before anything is written, unless the window fits (`offset + size
+    /// <= n`), `re`/`im` hold `half_cols()·size·lanes` floats and `out` is
+    /// exactly the `lanes` cropped planes `order` permutes.
+    pub fn inverse_rows_into(
+        &self,
+        re: &[f32],
+        im: &[f32],
+        lanes: usize,
+        (size, offset): (usize, usize),
+        order: LaneOrder,
+        out: &mut [f32],
+    ) {
+        let _span = gcnn_trace::span("fft.rfft_inverse");
+        gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
+        assert!(offset + size <= self.n, "inverse_rows: window exceeds plan");
+        assert_eq!(re.len(), self.half * size * lanes, "inverse_rows: re size");
+        assert_eq!(im.len(), self.half * size * lanes, "inverse_rows: im size");
+        assert_eq!(out.len(), lanes * size * size, "inverse_rows: out size");
+        order.assert_covers(lanes);
+        let layout = Layout::columns(size, lanes);
+        self.inverse_row_pass((re, im), layout, lanes, (size, offset), order, out);
+    }
+
+    /// The inverse row pass: crop rows `2p` and `2p + 1` of each lane of a
+    /// block, rebuilt as one complex row from their Hermitian halves at
+    /// `layout` in `sre`/`sim`, inverted and cropped to columns `offset..
+    /// offset + size` of rows `2p`, `2p + 1` of `out`'s planes.
+    fn inverse_row_pass(
+        &self,
+        (sre, sim): (&[f32], &[f32]),
+        layout: Layout,
+        lanes: usize,
+        (size, offset): (usize, usize),
+        order: LaneOrder,
+        out: &mut [f32],
+    ) {
+        let (n, half) = (self.n, self.half);
         let out = SharedOut::new(out);
         let (rev, scale) = (self.plan.bitrev_table(), 1.0 / n as f32);
-        // Row pass: crop rows `2p` and `2p + 1` of each lane of the block,
-        // inverted as the real and imaginary planes of one row.
         self.for_each_unit(size.div_ceil(2), lanes, |re, im, p, lane0, b| {
             let (s, pair) = (lane_stride(b), (size - 2 * p).min(2));
             // Bin `c` of crop row `2p + t`, a real row's spectrum; zero past the pair.
-            let bin = |t: usize, c: usize| match ((offset + 2 * p + t) * half + c) * lanes + lane0 {
+            let bin = |t: usize, c: usize| match layout.bin(2 * p + t, c) + lane0 {
                 at if t < pair => (&sre[at..at + b], &sim[at..at + b]),
                 _ => (&ZEROS[..b], &ZEROS[..b]),
             };

@@ -9,7 +9,7 @@
 
 use gcnn_fft::rfft::BLOCK_LANES;
 use gcnn_fft::simd::{lane_stage2_dit, lane_stage_dit, transpose_f32};
-use gcnn_fft::{LaneOrder, RfftPlan};
+use gcnn_fft::{Columns, LaneOrder, RfftPlan};
 use gcnn_tensor::simd::{isa, Isa};
 
 const N: usize = 8;
@@ -245,6 +245,115 @@ fn pool_serves_the_call_after_a_rejected_one() {
     );
     let wide = spectra(2, &src);
     assert!(wide.0 && wide == spectra(1, &src));
+}
+
+/// The fused column stage of the 8×8 plan (5 columns): factors of 6 and 4
+/// lanes over rows `1..3` and `0..2`, the product's 3 lanes over crop rows
+/// `crop`; `cut` drops that many floats from the operand it names. A
+/// rejected call must leave the product's NaN planes untouched; its panic
+/// is then passed on.
+fn product_columns(
+    cut: (&str, usize),
+    a_rows: std::ops::Range<usize>,
+    crop: std::ops::Range<usize>,
+) {
+    let p = RfftPlan::new(N);
+    let half = p.half_cols();
+    let len = |what: &str, lanes: usize, rows: usize| {
+        half * rows * lanes - if cut.0 == what { cut.1 } else { 0 }
+    };
+    let (a, b) = (vec![1.0f32; len("a", 6, 2)], vec![1.0f32; len("b", 4, 2)]);
+    let mut c_re = vec![f32::NAN; half * crop.len() * 3];
+    let mut c_im = vec![f32::NAN; len("c", 3, crop.len())];
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        p.product_columns(
+            Columns {
+                re: &a[..],
+                im: &a[..],
+                lanes: 6,
+                rows: a_rows.clone(),
+            },
+            Columns {
+                re: &b[..],
+                im: &b[..],
+                lanes: 4,
+                rows: 0..2,
+            },
+            Columns {
+                re: &mut c_re[..],
+                im: &mut c_im[..],
+                lanes: 3,
+                rows: crop.clone(),
+            },
+            |_, _, (re, im)| {
+                re.fill(0.0);
+                im.fill(0.0);
+            },
+        )
+    }));
+    assert!(
+        c_re.iter().all(|v| v.is_nan()),
+        "rejected before any unit wrote"
+    );
+    if let Err(panic) = outcome {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+#[test]
+#[should_panic(expected = "product_columns: a re size")]
+fn product_columns_rejects_short_factor_rows() {
+    product_columns(("a", 1), 1..3, 5..8);
+}
+
+#[test]
+#[should_panic(expected = "product_columns: b re size")]
+fn product_columns_rejects_short_second_factor() {
+    product_columns(("b", 1), 1..3, 5..8);
+}
+
+#[test]
+#[should_panic(expected = "product_columns: c im size")]
+fn product_columns_rejects_short_product() {
+    product_columns(("c", 1), 1..3, 5..8);
+}
+
+#[test]
+#[should_panic(expected = "product_columns: a rows exceed plan")]
+fn product_columns_rejects_a_window_outside_the_plan() {
+    product_columns(("", 0), 7..9, 5..8);
+}
+
+#[test]
+#[should_panic(expected = "product_columns: c rows exceed plan")]
+fn product_columns_rejects_a_crop_outside_the_plan() {
+    product_columns(("", 0), 1..3, 6..9);
+}
+
+#[test]
+#[should_panic(expected = "forward_rows: re size")]
+fn forward_rows_rejects_rows_of_another_height() {
+    let p = RfftPlan::new(N);
+    let mut re = vec![0.0f32; p.half_cols() * 3 * 6];
+    let mut im = re.clone();
+    p.forward_rows_into(
+        &[1.0; 6 * 4],
+        (2, 2),
+        0,
+        LaneOrder::Identity,
+        6,
+        &mut re,
+        &mut im,
+    );
+}
+
+#[test]
+#[should_panic(expected = "inverse_rows: out size")]
+fn inverse_rows_rejects_short_out() {
+    let p = RfftPlan::new(N);
+    let rows = vec![0.0f32; p.half_cols() * 3 * 6];
+    let mut out = vec![0.0f32; 6 * 9 - 1];
+    p.inverse_rows_into(&rows, &rows, 6, (3, 0), LaneOrder::Identity, &mut out);
 }
 
 /// The inverse consumes its spectra, but only once it runs: a call

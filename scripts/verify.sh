@@ -11,8 +11,9 @@ cargo test -q
 # The pool's width is the cores the OS offers and nothing else (no
 # environment variable), so one core is how width 1 is exercised: the
 # pool itself and the three crates whose kernels open its regions —
-# gcnn-fft's suite includes `lane_allocs`, the heap count of a warmed-up
-# lane transform pair, here with both of its pool widths on one core.
+# gcnn-fft's suite includes `lane_allocs` and `conv_allocs`, the heap
+# counts of a warmed-up lane transform pair and of each `FftConv` pass (its
+# output tensor only), here with both of their pool widths on one core.
 if command -v taskset >/dev/null; then
   taskset -c 0 cargo test -q -p rayon -p gcnn-fft -p gcnn-gemm -p gcnn-conv
 else
