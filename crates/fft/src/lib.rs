@@ -29,14 +29,11 @@
 //!   ([`Columns`]); no transpose, no tile, no bin-major spectrum. Row
 //!   passes transform only the window's (the crop's) rows, and a forward
 //!   whose input ends at `e` skips the DIT stages below span
-//!   `n / e.next_power_of_two()`. The **lane** pair
-//!   ([`RfftPlan::forward_lanes_into`] / [`RfftPlan::inverse_lanes_into`]:
-//!   the same row passes around a column pass in place on a bin-major
-//!   operand) is the fused stage's oracle, with no production caller. The
-//!   **plane-major** methods and their [`batch`] entry points (one plane
-//!   per call, the passes joined by transposes) are what the benchmarks
-//!   time and the oracle the lane passes are held to, within a stated
-//!   tolerance.
+//!   `n / e.next_power_of_two()`. The **plane-major** methods and their
+//!   [`batch`] entry points (one plane per call, the passes joined by
+//!   transposes) are what the benchmarks time and, with a written-out
+//!   per-bin product, the oracle the lane passes are held to, within a
+//!   stated tolerance.
 //! * [`dft`] — the O(n²) reference the engine is tested against.
 //!
 //! All transforms are power-of-two only, like fbfft itself — this is the

@@ -16,10 +16,11 @@
 //! A transform is two passes of the batch-major lane engine
 //! ([`crate::split`]), in one of two arrangements:
 //!
-//! * **plane-major** ([`RfftPlan::forward_split_into`] and its
-//!   inverses): one plane per call, the plane's own rows and columns are
-//!   the lanes, and blocked transposes join the passes. Kept for the
-//!   benchmarks that time it and as the oracle of the next;
+//! * **plane-major** ([`RfftPlan::forward_split_into`] /
+//!   [`RfftPlan::inverse_split_into`]): one plane per call, the plane's own
+//!   rows and columns are the lanes, and blocked transposes join the
+//!   passes. Kept for the benchmarks that time it and, with a written-out
+//!   per-bin product, as the oracle of the next;
 //! * **lane passes**: many planes per call with *the planes* as the lanes.
 //!   What the FFT convolution runs is a row pass per factor
 //!   ([`RfftPlan::forward_rows_into`]), one fused column stage
@@ -27,10 +28,7 @@
 //!   transforms, per-bin products and inverse in one participant's
 //!   buffers) and a row pass over the product's crop
 //!   ([`RfftPlan::inverse_rows_into`]); between them only rows that exist
-//!   are stored, column-major ([`Columns`]). The same row passes around a
-//!   column pass in place on a bin-major operand (`[bin][lane]`) are
-//!   [`RfftPlan::forward_lanes_into`] / [`RfftPlan::inverse_lanes_into`],
-//!   the oracle of the fused stage.
+//!   are stored, column-major ([`Columns`]).
 //!
 //! Every butterfly is a broadcast-twiddle FMA over contiguous lanes. The
 //! same code runs on every ISA; under scalar dispatch
@@ -181,50 +179,23 @@ impl RfftPlan {
             self.n * self.n,
             "RfftPlan::inverse_split: plane size"
         );
-        // Column inverses run on a scratch copy — the caller's spectrum
-        // is borrowed immutably. Callers that own their spectrum planes
-        // (the conv pipeline) use [`Self::inverse_split_inplace`] and
-        // skip this copy.
-        let mut cols2 = workspace::take_f32(2 * self.spectrum_len());
-        let (col_re, col_im) = cols2.split_at_mut(self.spectrum_len());
-        col_re.copy_from_slice(sre);
-        col_im.copy_from_slice(sim);
-        self.inverse_split_inplace(col_re, col_im, out);
-    }
-
-    /// [`Self::inverse_split_into`] minus the defensive spectrum copy:
-    /// the column lane pass runs **in place** on the caller's spectrum
-    /// planes, destroying them. For callers whose split spectra are
-    /// scratch they own anyway, this removes a `2·n·(n/2+1)`-float copy
-    /// per plane from the hot path.
-    pub fn inverse_split_inplace(&self, sre: &mut [f32], sim: &mut [f32], out: &mut [f32]) {
-        assert_eq!(
-            sre.len(),
-            self.spectrum_len(),
-            "RfftPlan::inverse_split: re plane size"
-        );
-        assert_eq!(
-            sim.len(),
-            self.spectrum_len(),
-            "RfftPlan::inverse_split: im plane size"
-        );
-        assert_eq!(
-            out.len(),
-            self.n * self.n,
-            "RfftPlan::inverse_split: plane size"
-        );
         // No per-plane trace span — same reasoning as the forward path.
         let (n, half) = (self.n, self.half);
         let isa = gcnn_tensor::simd::isa();
 
-        // Column inverses in place: bins r over lanes c.
-        split::fft_lanes_inplace(sre, sim, &self.plan, Direction::Inverse, half);
+        // Column inverses (bins r over lanes c) on a scratch copy: the
+        // caller's spectrum is borrowed immutably.
+        let mut cols2 = workspace::take_f32(2 * self.spectrum_len());
+        let (col_re, col_im) = cols2.split_at_mut(self.spectrum_len());
+        col_re.copy_from_slice(sre);
+        col_im.copy_from_slice(sim);
+        split::fft_lanes_inplace(col_re, col_im, &self.plan, Direction::Inverse, half);
 
         // Rebuild full rows in lane layout (bins c over lanes r).
         let mut rows2 = workspace::take_f32(2 * n * n);
         let (row_re, row_im) = rows2.split_at_mut(n * n);
-        simd::transpose_f32(sre, n, half, &mut row_re[..half * n], isa);
-        simd::transpose_f32(sim, n, half, &mut row_im[..half * n], isa);
+        simd::transpose_f32(col_re, n, half, &mut row_re[..half * n], isa);
+        simd::transpose_f32(col_im, n, half, &mut row_im[..half * n], isa);
         for c in half..n {
             // After the column inverse each row is a real signal's
             // spectrum again, hence Hermitian within the row:
@@ -243,7 +214,7 @@ impl RfftPlan {
     }
 }
 
-/// Lanes per block of the lane passes (`B`): a unit's buffers are `8·n·B`
+/// Lanes per block of the row passes (`B`): a unit's buffers are `8·n·B`
 /// bytes, half the build host's L2 at 128×128. Swept on Table I: 256 and
 /// 512 ran slower (more, shorter units), 1024 and 2048 tied, 8192 slower.
 /// Between its bit-reversed load and its store (with an inverse's `1/n`), only
@@ -308,7 +279,7 @@ impl LaneOrder {
 
 /// A `&mut [f32]` the participants of a pass region write side by side:
 /// each takes the runs of its own units — disjoint from the others' but
-/// interleaved with them (a block's run of a bin row, a row of a plane),
+/// interleaved with them (a block's lanes of one bin, a row of a plane),
 /// which `split_at_mut` cannot express.
 struct SharedOut<'a>(*mut [f32], PhantomData<&'a mut [f32]>);
 
@@ -336,38 +307,6 @@ impl<'a> SharedOut<'a> {
         // SAFETY: the run lies inside the slice borrowed for `'a` (just
         // asserted), and the caller guarantees nothing else aliases it.
         unsafe { std::slice::from_raw_parts_mut(self.0.cast::<f32>().add(at), len) }
-    }
-}
-
-/// Where bin `c` of row `t` of an operand's first lane sits, `t·row +
-/// c·col`, its lanes the run after it. Both layouts give distinct `(t, c)`
-/// disjoint runs of `lanes` floats: bin-major has `col = lanes` under `row =
-/// half·lanes`, column-major `row = lanes` under `col = rows·lanes`.
-#[derive(Debug, Clone, Copy)]
-struct Layout {
-    row: usize,
-    col: usize,
-}
-
-impl Layout {
-    /// Bin-major `[t·half + c][lanes]`, the lane passes' operand.
-    fn bin_major(half: usize, lanes: usize) -> Self {
-        Layout {
-            row: half * lanes,
-            col: lanes,
-        }
-    }
-
-    /// Column-major `[c][t][lanes]` over `rows` rows, a [`Columns`].
-    fn columns(rows: usize, lanes: usize) -> Self {
-        Layout {
-            row: lanes,
-            col: rows * lanes,
-        }
-    }
-
-    fn bin(self, t: usize, c: usize) -> usize {
-        t * self.row + c * self.col
     }
 }
 
@@ -423,29 +362,29 @@ fn claim(units: usize, per: usize, body: impl Fn(&mut [f32], usize) + Sync) {
 /// The lane transforms: **the planes are the lanes** (fbfft's layout,
 /// PAPERS.md arXiv:1412.7580). A pass is a pool region of **units**, each
 /// transformed in `[n][stride]` buffers in [`split::fft_lanes_inplace`]'s
-/// layout: one row of the plane × a block of lanes in a row pass, a column
-/// × a block in a column pass over the bin-major operand `[bin][lanes]`,
-/// one whole spectrum column of all three operands in the fused stage.
-/// Units own disjoint runs of their output (rows of `out`, in the crop),
-/// and a lane's arithmetic does not depend on who runs it, so a call gives
-/// the same bits at every pool width.
+/// layout: a row pair of the plane × a block of lanes in a row pass, one
+/// whole spectrum column of all three operands in the fused stage. Units
+/// own disjoint runs of their output (rows of `out`, in the crop), and a
+/// lane's arithmetic does not depend on who runs it, so a call gives the
+/// same bits at every pool width.
 ///
 /// Every pass over a unit's buffer is butterflies: a load lands natural row
 /// `r` at row `rev[r]` (the fused stage's products write bin `r` there), an
-/// inverse applies its `1/n` as it stores (column: the rows it keeps; row
-/// pass: its crop), and a forward unit whose input ends at `e` (`offset +
-/// w` along a row, `offset + h` along a column) skips the stages below span
-/// `n / e.next_power_of_two()`.
+/// inverse applies its `1/n` as it stores (the fused stage: the crop rows
+/// it keeps; the row pass: its crop), and a forward unit whose input ends at
+/// `e` (`offset + w` along a row, `offset + h` along a column) skips the
+/// stages below span `n / e.next_power_of_two()`.
 ///
 /// A row unit carries two real rows `x`, `y` (the second zero past an odd
 /// count) as one complex row `z = x + i·y`. With `m = (n − c) mod n`, the
 /// forward splits `X_c = (Z_c + conj Z_m)/2`, `Y_c = (Z_c − conj Z_m)/2i`;
 /// the inverse rebuilds `Z` from both Hermitian halves (a bin that is its
-/// own mirror is real) and crops `x`, `y` from its two planes. So results
-/// are the plane-major engine's ([`RfftPlan::forward_split_into`] of the
-/// padded plane, the cropped [`RfftPlan::inverse_split_into`]) to within
-/// rounding: spectrum bins within `ε·(log2 n + 1)·n·‖x‖₂`, cropped samples
-/// within `ε·(log2 n + 1)·‖x‖₂` of the plane `x`'s (`ε` = `f32::EPSILON`).
+/// own mirror is real) and crops `x`, `y` from its two planes. So a
+/// product's crop is the plane-major engine's (the same per-bin products of
+/// [`RfftPlan::forward_split_into`] of the padded planes, the cropped
+/// [`RfftPlan::inverse_split_into`]) to within rounding: every sample of
+/// product plane `(i, j)` within `ε·(log2 n + 1)·Σ_s ‖a_is‖₂·‖b_sj‖₂`, the
+/// sum over the pairs of factor planes it multiplies (`ε` = `f32::EPSILON`).
 impl RfftPlan {
     /// Run `body(re, im, i, lane0, b)` for each unit — `i` in `0..count` ×
     /// block `lane0..lane0 + b`, the fewest of at most [`BLOCK_LANES`] lanes
@@ -496,103 +435,21 @@ impl RfftPlan {
         split::stages_from(re, im, &self.plan, dir, s, g);
     }
 
-    /// The column pass, in place on a bin-major operand of `lanes` lanes:
-    /// column `c`'s bin rows `read` into a unit's buffer (zero elsewhere),
-    /// transformed, its bin rows `write` stored back with an inverse's `1/n`.
-    fn column_pass(
-        &self,
-        (sre, sim): (&mut [f32], &mut [f32]),
-        lanes: usize,
-        read: Range<usize>,
-        dir: Direction,
-        write: Range<usize>,
-    ) {
-        let (sre, sim) = (SharedOut::new(sre), SharedOut::new(sim));
-        let rev = self.plan.bitrev_table();
-        let scale = match dir {
-            Direction::Forward => 1.0,
-            Direction::Inverse => 1.0 / self.n as f32,
-        };
-        self.for_each_unit(self.half, lanes, |re, im, c, lane0, b| {
-            let s = lane_stride(b);
-            let bin_row = |r: usize| {
-                let at = (r * self.half + c) * lanes + lane0;
-                // SAFETY: columns `lane0..lane0 + b` of bin row `r·half +
-                // c`, which `for_each_unit` gives to this call alone (other
-                // columns' units own other bin rows, other blocks other
-                // columns); each run here dies before the next.
-                unsafe { (sre.run(at, b), sim.run(at, b)) }
-            };
-            for r in read.clone() {
-                let (from_re, from_im) = bin_row(r);
-                let at = rev[r] as usize * s;
-                load(&mut re[at..at + s], from_re);
-                load(&mut im[at..at + s], from_im);
-            }
-            self.transform((re, im), dir, s, read.clone(), [s, s]);
-            for r in write.clone() {
-                let (to_re, to_im) = bin_row(r);
-                for (to, from) in [(to_re, &re[r * s..][..b]), (to_im, &im[r * s..][..b])] {
-                    to.iter_mut().zip(from).for_each(|(t, &v)| *t = v * scale);
-                }
-            }
-        });
-    }
-
-    /// Forward-transform `lanes` real `h×w` windows into bin-major split
-    /// half-spectra `sre/sim[bin·lanes + lane]`, `bin = r·half + c`. Lane
-    /// `l` is the row-major window `src[order.plane_of(l)·h·w ..][..h·w]`
-    /// (a tensor's plane axes swap for free) landed `offset` rows and
-    /// columns into the zero `n×n` plane (a layer's padding, with no padded
-    /// copy). Only the `h` data rows get a row pass, two to a transform, and
-    /// only their Hermitian halves are stored. No production caller: with
-    /// the per-bin products and [`Self::inverse_lanes_into`] it is the
-    /// oracle of [`Self::product_columns`].
-    ///
-    /// # Panics
-    /// Before anything is written, unless the window fits (`offset +
-    /// h.max(w) <= n`), `src` is the `lanes` windows `order` permutes and
-    /// `sre`/`sim` hold `spectrum_len()·lanes` floats.
-    #[allow(clippy::too_many_arguments)] // two buffers, their geometry, the lane order
-    pub fn forward_lanes_into(
-        &self,
-        src: &[f32],
-        (h, w): (usize, usize),
-        offset: usize,
-        order: LaneOrder,
-        lanes: usize,
-        sre: &mut [f32],
-        sim: &mut [f32],
-    ) {
-        let _span = gcnn_trace::span("fft.rfft_forward");
-        gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
-        let (n, half) = (self.n, self.half);
-        assert!(offset + h.max(w) <= n, "forward_lanes: window exceeds plan");
-        assert_eq!(src.len(), lanes * h * w, "forward_lanes: src size");
-        assert_eq!(sre.len(), n * half * lanes, "forward_lanes: re size");
-        assert_eq!(sim.len(), n * half * lanes, "forward_lanes: im size");
-        order.assert_covers(lanes);
-        let from = offset * half * lanes; // data row 0 is plan row `offset`
-        let to = (
-            SharedOut::new(&mut sre[from..]),
-            SharedOut::new(&mut sim[from..]),
-        );
-        let layout = Layout::bin_major(half, lanes);
-        self.forward_row_pass(src, (h, w), offset, order, lanes, to, layout);
-        let window = offset..offset + h;
-        self.column_pass((sre, sim), lanes, window, Direction::Forward, 0..n);
-    }
-
-    /// The row pass of [`Self::forward_lanes_into`] alone, into a
-    /// [`Columns`] of rows `offset..offset + h`: bin `c` of data row `t` of
-    /// lane `l` goes to `re`/`im[(c·h + t)·lanes + l]` — a factor of
-    /// [`Self::product_columns`]. Windows, lane order and pairing as there.
+    /// Forward-transform the data rows of `lanes` real `h×w` windows into a
+    /// [`Columns`] of plan rows `offset..offset + h`, a factor of
+    /// [`Self::product_columns`]: bin `c` of data row `t` of lane `l` goes to
+    /// `re`/`im[(c·h + t)·lanes + l]`. Lane `l` is the row-major window
+    /// `src[order.plane_of(l)·h·w ..][..h·w]` (a tensor's plane axes swap
+    /// for free) landed `offset` rows and columns into the zero `n×n` plane
+    /// (a layer's padding, with no padded copy). A unit takes data rows `2p`
+    /// and `2p + 1` of each lane of a block as the real and imaginary planes
+    /// of one row and splits its `half` kept bins into theirs.
     ///
     /// # Panics
     /// Before anything is written, unless the window fits (`offset +
     /// h.max(w) <= n`), `src` is the `lanes` windows `order` permutes and
     /// `re`/`im` hold `half_cols()·h·lanes` floats.
-    #[allow(clippy::too_many_arguments)] // mirror of `forward_lanes_into`
+    #[allow(clippy::too_many_arguments)] // the windows, their geometry and order, the output
     pub fn forward_rows_into(
         &self,
         src: &[f32],
@@ -605,17 +462,46 @@ impl RfftPlan {
     ) {
         let _span = gcnn_trace::span("fft.rfft_forward");
         gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
-        assert!(
-            offset + h.max(w) <= self.n,
-            "forward_rows: window exceeds plan"
-        );
+        let (n, half) = (self.n, self.half);
+        assert!(offset + h.max(w) <= n, "forward_rows: window exceeds plan");
         assert_eq!(src.len(), lanes * h * w, "forward_rows: src size");
-        assert_eq!(re.len(), self.half * h * lanes, "forward_rows: re size");
-        assert_eq!(im.len(), self.half * h * lanes, "forward_rows: im size");
+        assert_eq!(re.len(), half * h * lanes, "forward_rows: re size");
+        assert_eq!(im.len(), half * h * lanes, "forward_rows: im size");
         order.assert_covers(lanes);
-        let to = (SharedOut::new(re), SharedOut::new(im));
-        let layout = Layout::columns(h, lanes);
-        self.forward_row_pass(src, (h, w), offset, order, lanes, to, layout);
+        let (to_re, to_im) = (SharedOut::new(re), SharedOut::new(im));
+        let landing = &self.plan.bitrev_table()[offset..offset + w];
+        self.for_each_unit(h.div_ceil(2), lanes, |re, im, p, lane0, b| {
+            let (s, pair) = (lane_stride(b), (h - 2 * p).min(2));
+            for l in 0..b {
+                let plane = order.plane_of(lane0 + l) * h * w;
+                for (t, buf) in [&mut *re, &mut *im].into_iter().take(pair).enumerate() {
+                    let row = &src[plane + (2 * p + t) * w..][..w];
+                    for (&r, &v) in landing.iter().zip(row) {
+                        buf[r as usize * s + l] = v;
+                    }
+                }
+            }
+            let from = [b, if pair == 2 { b } else { 0 }]; // a lone row's `im` is zero
+            self.transform((re, im), Direction::Forward, s, offset..offset + w, from);
+            for c in 0..half {
+                let m = (n - c) % n;
+                // Z_c and Z_m. X_c = (Z_c + conj Z_m)/2 and Y_c = (Z_c − conj
+                // Z_m)/2i are (re, im) = (½(a + b), ½(a' − b')) over the pairs.
+                let (cr, ci) = (&re[c * s..][..b], &im[c * s..][..b]);
+                let (mr, mi) = (&re[m * s..][..b], &im[m * s..][..b]);
+                let halves = [[(cr, mr), (ci, mi)], [(ci, mi), (mr, cr)]];
+                for (t, [(re_a, re_b), (im_a, im_b)]) in halves.into_iter().take(pair).enumerate() {
+                    let at = (c * h + 2 * p + t) * lanes + lane0;
+                    // SAFETY: columns `lane0..lane0 + b` of bin `c` of data
+                    // row `2p + t`, which `for_each_unit` gives to this call
+                    // alone (other pairs' units own other rows, other blocks
+                    // other columns); this unit's earlier runs are dead.
+                    let (run_re, run_im) = unsafe { (to_re.run(at, b), to_im.run(at, b)) };
+                    mix(run_re, 0.5, re_a, 1.0, re_b);
+                    mix(run_im, 0.5, im_a, -1.0, im_b);
+                }
+            }
+        });
     }
 
     /// The fused column stage of a per-bin product `C = A·B` of two
@@ -625,7 +511,7 @@ impl RfftPlan {
     /// `product(a, b, c)` for each of the `n` bins — `a`, `b` the factors'
     /// lanes of bin `r`, `c` the product's, landed bit-reversed for the
     /// inverse — inverts the product and stores its rows `c.rows`, scaled
-    /// by `1/n`. No bin-major operand exists: a unit's buffers are `2·n`
+    /// by `1/n`. No operand's full spectrum exists: a unit's buffers are `2·n`
     /// rows of [`lane_stride`] of each operand's lanes, zero in the
     /// factors' rows outside their windows. `product` must overwrite all
     /// of its `c`.
@@ -709,115 +595,22 @@ impl RfftPlan {
         (re, im)
     }
 
-    /// The forward row pass: data rows `2p` and `2p + 1` of each lane of a
-    /// block as the real and imaginary planes of one row, its `half` kept
-    /// bins split into those of data rows `2p + t`, `t` in `0..pair`, and
-    /// stored at `layout` through `to`.
-    #[allow(clippy::too_many_arguments)] // an entry's window and its output
-    fn forward_row_pass(
-        &self,
-        src: &[f32],
-        (h, w): (usize, usize),
-        offset: usize,
-        order: LaneOrder,
-        lanes: usize,
-        (to_re, to_im): (SharedOut<'_>, SharedOut<'_>),
-        layout: Layout,
-    ) {
-        let (n, half) = (self.n, self.half);
-        let landing = &self.plan.bitrev_table()[offset..offset + w];
-        self.for_each_unit(h.div_ceil(2), lanes, |re, im, p, lane0, b| {
-            let (s, pair) = (lane_stride(b), (h - 2 * p).min(2));
-            for l in 0..b {
-                let plane = order.plane_of(lane0 + l) * h * w;
-                for (t, buf) in [&mut *re, &mut *im].into_iter().take(pair).enumerate() {
-                    let row = &src[plane + (2 * p + t) * w..][..w];
-                    for (&r, &v) in landing.iter().zip(row) {
-                        buf[r as usize * s + l] = v;
-                    }
-                }
-            }
-            let from = [b, if pair == 2 { b } else { 0 }]; // a lone row's `im` is zero
-            self.transform((re, im), Direction::Forward, s, offset..offset + w, from);
-            for c in 0..half {
-                let m = (n - c) % n;
-                // Z_c and Z_m. X_c = (Z_c + conj Z_m)/2 and Y_c = (Z_c − conj
-                // Z_m)/2i are (re, im) = (½(a + b), ½(a' − b')) over the pairs.
-                let (cr, ci) = (&re[c * s..][..b], &im[c * s..][..b]);
-                let (mr, mi) = (&re[m * s..][..b], &im[m * s..][..b]);
-                let halves = [[(cr, mr), (ci, mi)], [(ci, mi), (mr, cr)]];
-                for (t, [(re_a, re_b), (im_a, im_b)]) in halves.into_iter().take(pair).enumerate() {
-                    let at = layout.bin(2 * p + t, c) + lane0;
-                    // SAFETY: columns `lane0..lane0 + b` of bin `c` of data
-                    // row `2p + t`, which `for_each_unit` gives to this call
-                    // alone (other pairs' units own other rows, other blocks
-                    // other columns, and `layout` gives distinct bins
-                    // disjoint runs); this unit's earlier runs are dead.
-                    let (run_re, run_im) = unsafe { (to_re.run(at, b), to_im.run(at, b)) };
-                    mix(run_re, 0.5, re_a, 1.0, re_b);
-                    mix(run_im, 0.5, im_a, -1.0, im_b);
-                }
-            }
-        });
-    }
-
-    /// Inverse of [`Self::forward_lanes_into`], cropped: write the
+    /// Inverse of a [`Columns`] of the crop's rows `offset..offset + size`
+    /// (the product of [`Self::product_columns`]: bin `c` of crop row `t` of
+    /// lane `l` at `sre`/`sim[(c·size + t)·lanes + l]`), cropped: write the
     /// `size×size` window `offset` rows and columns into each lane's `n×n`
-    /// plane to `out[order.plane_of(l)·size² ..][..size²]`. The column pass
-    /// inverts the spectra in place (they are consumed) and stores back
-    /// only the window's bin rows; the row pass rebuilds them two at a time
-    /// as one complex row from their Hermitian halves, inverts it and crops
-    /// both into `out`. No production caller, like the forward.
+    /// plane to `out[order.plane_of(l)·size² ..][..size²]`. A unit rebuilds
+    /// crop rows `2p` and `2p + 1` of each lane of a block as one complex row
+    /// from their Hermitian halves, inverts it and crops both into `out`.
     ///
     /// # Panics
     /// Before anything is written, unless the window fits (`offset + size
-    /// <= n`), `sre`/`sim` hold `spectrum_len()·lanes` floats and `out` is
-    /// exactly the `lanes` cropped planes `order` permutes.
-    #[allow(clippy::too_many_arguments)] // mirror of `forward_lanes_into`
-    pub fn inverse_lanes_into(
-        &self,
-        sre: &mut [f32],
-        sim: &mut [f32],
-        lanes: usize,
-        (size, offset): (usize, usize),
-        order: LaneOrder,
-        out: &mut [f32],
-    ) {
-        let _span = gcnn_trace::span("fft.rfft_inverse");
-        gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
-        let (n, half) = (self.n, self.half);
-        assert!(offset + size <= n, "inverse_lanes: window exceeds plan");
-        assert_eq!(sre.len(), n * half * lanes, "inverse_lanes: re size");
-        assert_eq!(sim.len(), n * half * lanes, "inverse_lanes: im size");
-        assert_eq!(out.len(), lanes * size * size, "inverse_lanes: out size");
-        order.assert_covers(lanes);
-        let window = offset..offset + size;
-        self.column_pass((sre, sim), lanes, 0..n, Direction::Inverse, window);
-        let from = offset * half * lanes; // crop row 0 is plan row `offset`
-        let layout = Layout::bin_major(half, lanes);
-        self.inverse_row_pass(
-            (&sre[from..], &sim[from..]),
-            layout,
-            lanes,
-            (size, offset),
-            order,
-            out,
-        );
-    }
-
-    /// The row pass of [`Self::inverse_lanes_into`] alone, out of a
-    /// [`Columns`] of the crop's rows `offset..offset + size` — the product
-    /// of [`Self::product_columns`], bin `c` of crop row `t` of lane `l` at
-    /// `re`/`im[(c·size + t)·lanes + l]` — cropped into `out` as there.
-    ///
-    /// # Panics
-    /// Before anything is written, unless the window fits (`offset + size
-    /// <= n`), `re`/`im` hold `half_cols()·size·lanes` floats and `out` is
+    /// <= n`), `sre`/`sim` hold `half_cols()·size·lanes` floats and `out` is
     /// exactly the `lanes` cropped planes `order` permutes.
     pub fn inverse_rows_into(
         &self,
-        re: &[f32],
-        im: &[f32],
+        sre: &[f32],
+        sim: &[f32],
         lanes: usize,
         (size, offset): (usize, usize),
         order: LaneOrder,
@@ -825,35 +618,18 @@ impl RfftPlan {
     ) {
         let _span = gcnn_trace::span("fft.rfft_inverse");
         gcnn_trace::counter_add("fft.batch_planes", lanes as u64);
-        assert!(offset + size <= self.n, "inverse_rows: window exceeds plan");
-        assert_eq!(re.len(), self.half * size * lanes, "inverse_rows: re size");
-        assert_eq!(im.len(), self.half * size * lanes, "inverse_rows: im size");
+        let (n, half) = (self.n, self.half);
+        assert!(offset + size <= n, "inverse_rows: window exceeds plan");
+        assert_eq!(sre.len(), half * size * lanes, "inverse_rows: re size");
+        assert_eq!(sim.len(), half * size * lanes, "inverse_rows: im size");
         assert_eq!(out.len(), lanes * size * size, "inverse_rows: out size");
         order.assert_covers(lanes);
-        let layout = Layout::columns(size, lanes);
-        self.inverse_row_pass((re, im), layout, lanes, (size, offset), order, out);
-    }
-
-    /// The inverse row pass: crop rows `2p` and `2p + 1` of each lane of a
-    /// block, rebuilt as one complex row from their Hermitian halves at
-    /// `layout` in `sre`/`sim`, inverted and cropped to columns `offset..
-    /// offset + size` of rows `2p`, `2p + 1` of `out`'s planes.
-    fn inverse_row_pass(
-        &self,
-        (sre, sim): (&[f32], &[f32]),
-        layout: Layout,
-        lanes: usize,
-        (size, offset): (usize, usize),
-        order: LaneOrder,
-        out: &mut [f32],
-    ) {
-        let (n, half) = (self.n, self.half);
         let out = SharedOut::new(out);
         let (rev, scale) = (self.plan.bitrev_table(), 1.0 / n as f32);
         self.for_each_unit(size.div_ceil(2), lanes, |re, im, p, lane0, b| {
             let (s, pair) = (lane_stride(b), (size - 2 * p).min(2));
             // Bin `c` of crop row `2p + t`, a real row's spectrum; zero past the pair.
-            let bin = |t: usize, c: usize| match layout.bin(2 * p + t, c) + lane0 {
+            let bin = |t: usize, c: usize| match (c * size + 2 * p + t) * lanes + lane0 {
                 at if t < pair => (&sre[at..at + b], &sim[at..at + b]),
                 _ => (&ZEROS[..b], &ZEROS[..b]),
             };
@@ -938,19 +714,8 @@ mod tests {
         for n in [1usize, 2, 4, 8, 16, 32] {
             let p = RfftPlan::new(n);
             let x = plane(n, 1);
-            let (mut re, mut im) = forward(&p, &x);
-            // The copying inverse leaves the spectrum intact …
-            let spectrum = (re.clone(), im.clone());
+            let (re, im) = forward(&p, &x);
             let back = inverse(&p, &re, &im);
-            assert_eq!(
-                (&re, &im),
-                (&spectrum.0, &spectrum.1),
-                "n={n}: spectrum clobbered"
-            );
-            // … and the in-place inverse produces the same plane.
-            let mut back_inplace = vec![0.0f32; n * n];
-            p.inverse_split_inplace(&mut re, &mut im, &mut back_inplace);
-            assert_eq!(back, back_inplace, "n={n}");
             for (a, b) in x.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-3, "n={n}: {a} vs {b}");
             }
@@ -1039,79 +804,275 @@ mod tests {
         }
     }
 
-    /// Forward then cropped inverse of `lanes` windows at pool width
-    /// `width`, out of NaN-filled scratch into NaN-filled outputs.
-    #[allow(clippy::type_complexity)]
-    fn lane_passes_at(
-        width: usize,
-        p: &RfftPlan,
-        src: &[f32],
-        (h, w, offset): (usize, usize, usize),
+    /// One factor of a per-bin product: `lanes` row-major `h×w` windows of
+    /// `src`, lane `l` the window `order.plane_of(l)`, landed `offset` rows
+    /// and columns into the plan.
+    struct Factor<'a> {
+        src: &'a [f32],
+        hw: (usize, usize),
+        offset: usize,
         order: LaneOrder,
         lanes: usize,
-    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    }
+
+    impl Factor<'_> {
+        fn window(&self, l: usize) -> &[f32] {
+            let len = self.hw.0 * self.hw.1;
+            &self.src[self.order.plane_of(l) * len..][..len]
+        }
+
+        /// Lane `l`'s window in the zero `n×n` plane.
+        fn plane(&self, n: usize, l: usize) -> Vec<f32> {
+            let mut plane = vec![0.0f32; n * n];
+            for (r, row) in self.window(l).chunks(self.hw.1).enumerate() {
+                plane[(self.offset + r) * n + self.offset..][..row.len()].copy_from_slice(row);
+            }
+            plane
+        }
+
+        fn norm(&self, l: usize) -> f32 {
+            self.window(l).iter().map(|v| v * v).sum::<f32>().sqrt()
+        }
+
+        /// Its data rows through [`RfftPlan::forward_rows_into`], into
+        /// NaN-filled rows.
+        fn data_rows(&self, p: &RfftPlan) -> (Vec<f32>, Vec<f32>) {
+            let len = p.half_cols() * self.hw.0 * self.lanes;
+            let (mut re, mut im) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+            let (src, order, lanes) = (self.src, self.order, self.lanes);
+            p.forward_rows_into(src, self.hw, self.offset, order, lanes, &mut re, &mut im);
+            (re, im)
+        }
+
+        /// Those rows as a factor of [`RfftPlan::product_columns`].
+        fn columns<'s>(&self, (re, im): &'s (Vec<f32>, Vec<f32>)) -> Columns<&'s [f32]> {
+            Columns {
+                re,
+                im,
+                lanes: self.lanes,
+                rows: self.offset..self.offset + self.hw.0,
+            }
+        }
+    }
+
+    /// The per-bin product `C[m×n] = A[m×k]·B` over lanes, written out: A's
+    /// lane `i·k + s`, B stored `[k×n]` (lane `s·n + j`) or, `dots`, `[n×k]`
+    /// (lane `j·k + s`), each factor conjugated as `conj` says.
+    #[derive(Debug, Clone, Copy)]
+    struct Product {
+        mnk: (usize, usize, usize),
+        dots: bool,
+        conj: (bool, bool),
+    }
+
+    impl Product {
+        fn b_lane(&self, s: usize, j: usize) -> usize {
+            let (_, n, k) = self.mnk;
+            if self.dots {
+                j * k + s
+            } else {
+                s * n + j
+            }
+        }
+
+        fn bin(
+            &self,
+            (ar, ai): (&[f32], &[f32]),
+            (br, bi): (&[f32], &[f32]),
+            (cr, ci): (&mut [f32], &mut [f32]),
+        ) {
+            let (m, n, k) = self.mnk;
+            let z = |re: &[f32], im: &[f32], l: usize, conj: bool| {
+                let z = Complex32::new(re[l], im[l]);
+                if conj {
+                    z.conj()
+                } else {
+                    z
+                }
+            };
+            for i in 0..m {
+                for j in 0..n {
+                    let c: Complex32 = (0..k)
+                        .map(|s| {
+                            let a = z(ar, ai, i * k + s, self.conj.0);
+                            a * z(br, bi, self.b_lane(s, j), self.conj.1)
+                        })
+                        .sum();
+                    (cr[i * n + j], ci[i * n + j]) = (c.re, c.im);
+                }
+            }
+        }
+    }
+
+    /// The product's `size×size` crop at `offset`, its planes in `order`.
+    struct Crop {
+        size: usize,
+        offset: usize,
+        order: LaneOrder,
+    }
+
+    /// The lane passes: each factor's row pass, the fused column stage with
+    /// the product `g` and the crop's row pass, at pool width `width`, out of
+    /// an arena whose buffers of every class they check out are NaN, into
+    /// NaN-filled rows and output.
+    fn lane_passes(
+        width: usize,
+        p: &RfftPlan,
+        [a, b]: [&Factor; 2],
+        g: Product,
+        crop: &Crop,
+    ) -> Vec<f32> {
+        let (half, lanes) = (p.half_cols(), g.mnk.0 * g.mnk.1);
         let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
         pool.build().expect("pool").install(|| {
-            // A NaN buffer of each class a region of 1 to `width`
-            // participants checks out.
-            let blocks = lanes.div_ceil(BLOCK_LANES).max(1);
-            let per = 2 * p.n() * lane_stride(lanes.div_ceil(blocks));
-            let poison = || {
-                let held: Vec<_> = (1..=width)
-                    .map(|parts| {
-                        let mut buf = workspace::take_f32(parts * per);
-                        buf.fill(f32::NAN);
-                        buf
-                    })
-                    .collect();
-                drop(held);
-            };
-            poison();
-            let bins = p.spectrum_len();
-            let (mut sre, mut sim) = (vec![f32::NAN; bins * lanes], vec![f32::NAN; bins * lanes]);
-            p.forward_lanes_into(src, (h, w), offset, order, lanes, &mut sre, &mut sim);
-            poison();
-            let size = h.min(w);
-            let mut out = vec![f32::NAN; lanes * size * size];
-            let (mut pre, mut pim) = (sre.clone(), sim.clone());
-            p.inverse_lanes_into(
-                &mut pre,
-                &mut pim,
+            // The fused stage's unit buffers are the largest checkout. Two
+            // of every class up to theirs, taken largest first and held
+            // together, so each is a buffer of its own class.
+            let strides = [a.lanes, b.lanes, lanes].map(lane_stride);
+            let most = width * 2 * p.n() * strides.iter().sum::<usize>();
+            let held: Vec<_> = (0..=most.next_power_of_two().trailing_zeros())
+                .rev()
+                .flat_map(|e| [workspace::take_f32(1 << e), workspace::take_f32(1 << e)])
+                .map(|mut buf| {
+                    buf.fill(f32::NAN);
+                    buf
+                })
+                .collect();
+            drop(held);
+            let (a_rows, b_rows) = (a.data_rows(p), b.data_rows(p));
+            let len = half * crop.size * lanes;
+            let (mut c_re, mut c_im) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+            let c = Columns {
+                re: &mut c_re[..],
+                im: &mut c_im[..],
                 lanes,
-                (size, offset / 2),
-                order,
-                &mut out,
-            );
-            (sre, sim, out)
+                rows: crop.offset..crop.offset + crop.size,
+            };
+            let (a_cols, b_cols) = (a.columns(&a_rows), b.columns(&b_rows));
+            p.product_columns(a_cols, b_cols, c, |a, b, c| g.bin(a, b, c));
+            let mut out = vec![f32::NAN; lanes * crop.size * crop.size];
+            let window = (crop.size, crop.offset);
+            p.inverse_rows_into(&c_re, &c_im, lanes, window, crop.order, &mut out);
+            out
         })
     }
 
-    /// How far a lane pass may sit from the plane-major engine, in units of
-    /// the plane's norm `‖x‖₂`: `ε·(log2 n + 1)` (`ε` = `f32::EPSILON`) for
-    /// a cropped sample and `n` times that for a spectrum bin (the
-    /// spectrum's norm is `n·‖x‖₂`). The largest seen is about a fifth of it.
-    fn tolerance(n: usize) -> f32 {
-        f32::EPSILON * (n.trailing_zeros() + 1) as f32
+    /// The same product through the plane-major engine: every lane's padded
+    /// plane through [`RfftPlan::forward_split_into`], the per-bin products,
+    /// every product lane through [`RfftPlan::inverse_split_into`], cropped.
+    fn plane_major(p: &RfftPlan, [a, b]: [&Factor; 2], g: Product, crop: &Crop) -> Vec<f32> {
+        let (n, bins, lanes) = (p.n(), p.spectrum_len(), g.mnk.0 * g.mnk.1);
+        // `[bin][lane]`: a bin's lanes are one run, as the product reads them.
+        let spectra = |x: &Factor| {
+            let (mut re, mut im) = (vec![0.0; bins * x.lanes], vec![0.0; bins * x.lanes]);
+            for l in 0..x.lanes {
+                let (lane_re, lane_im) = forward(p, &x.plane(n, l));
+                for q in 0..bins {
+                    (re[q * x.lanes + l], im[q * x.lanes + l]) = (lane_re[q], lane_im[q]);
+                }
+            }
+            (re, im)
+        };
+        let ((a_re, a_im), (b_re, b_im)) = (spectra(a), spectra(b));
+        let (mut c_re, mut c_im) = (vec![0.0; bins * lanes], vec![0.0; bins * lanes]);
+        for q in 0..bins {
+            let (la, lb) = (a.lanes, b.lanes);
+            g.bin(
+                (&a_re[q * la..][..la], &a_im[q * la..][..la]),
+                (&b_re[q * lb..][..lb], &b_im[q * lb..][..lb]),
+                (
+                    &mut c_re[q * lanes..][..lanes],
+                    &mut c_im[q * lanes..][..lanes],
+                ),
+            );
+        }
+        let size = crop.size;
+        let mut out = vec![0.0f32; lanes * size * size];
+        for l in 0..lanes {
+            let lane = |v: &[f32]| (0..bins).map(|q| v[q * lanes + l]).collect::<Vec<_>>();
+            let back = inverse(p, &lane(&c_re), &lane(&c_im));
+            let to = &mut out[crop.order.plane_of(l) * size * size..][..size * size];
+            for (r, row) in to.chunks_mut(size).enumerate() {
+                row.copy_from_slice(&back[(crop.offset + r) * n + crop.offset..][..size]);
+            }
+        }
+        out
     }
 
-    /// The lane transforms are the plane-major engine to within
-    /// [`tolerance`], lane by lane: forward against `forward_split_into` of
-    /// the zero-padded plane, inverse against the cropped
-    /// `inverse_split_into` — for windows of one, two and three rows (one
-    /// row pair, one pair and a lone row), odd and even window heights and
-    /// crops, windows that land off the origin, windows whose stages skip
-    /// their first one to three, both lane orders, a lane count of 1 and
-    /// (below `n = 32`) counts on both sides of one, two and three pass
-    /// blocks `B` (blocks of unequal width, a block count no width
-    /// divides); at pool widths 1 to 4, every width the same bits.
+    /// [`lane_passes`] at pool widths 1 to `widths`, every width the same
+    /// bits, against [`plane_major`]: every sample of product plane `(i, j)`
+    /// within `ε·(log2 n + 1)·Σ_s ‖a_is‖₂·‖b_sj‖₂` (`ε` = `f32::EPSILON`).
+    /// Returns the largest error as a share of that.
+    fn check(p: &RfftPlan, factors: [&Factor; 2], g: Product, crop: &Crop, widths: usize) -> f32 {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let what = format!("n {} {g:?} {:?}", p.n(), crop.order);
+        let got = lane_passes(1, p, factors, g, crop);
+        for width in 2..=widths {
+            let wide = lane_passes(width, p, factors, g, crop);
+            assert_eq!(bits(&wide), bits(&got), "{what}: width {width} differs");
+        }
+        let want = plane_major(p, factors, g, crop);
+        let ([a, b], (m, n, k)) = (factors, g.mnk);
+        let tolerance = f32::EPSILON * (p.n().trailing_zeros() + 1) as f32;
+        let plane = crop.size * crop.size;
+        let mut worst = 0.0f32;
+        for i in 0..m {
+            for j in 0..n {
+                let norms: f32 = (0..k)
+                    .map(|s| a.norm(i * k + s) * b.norm(g.b_lane(s, j)))
+                    .sum();
+                let most = tolerance * norms;
+                let at = crop.order.plane_of(i * n + j) * plane;
+                for (x, y) in got[at..][..plane].iter().zip(&want[at..][..plane]) {
+                    let off = (x - y).abs();
+                    assert!(off <= most, "{what} ({i}, {j}): {x} vs {y}, over {most}");
+                    worst = worst.max(off / most);
+                }
+            }
+        }
+        worst
+    }
+
+    /// The lane passes ([`lane_passes`]) are the plane-major engine with the
+    /// same written-out per-bin product to within the tolerance [`check`]
+    /// states, out of NaN-poisoned scratch, at pool widths 1 to 4, every
+    /// width the same bits; the largest error seen is printed.
+    ///
+    /// The windows part: a factor of `lanes` windows times one plane of the
+    /// same window — windows of one, two and three rows (one row pair, one
+    /// pair and a lone row), odd and even window heights and crops, windows
+    /// off the origin, windows whose forward skips its first one to three
+    /// stages (Table I's filter windows among them), both lane orders, and
+    /// (below `n = 32`) row passes of 1, 3 and `B ± 1` to `3·B − 1` lanes:
+    /// blocks of unequal width, a block count no width divides. The
+    /// products part: both storages of B, all four conjugation pairs, every
+    /// operand's planes in both lane orders, plans 2 to 128 and a product of
+    /// 33·32 lanes, more than one row-pass block.
     #[test]
     fn lane_passes_match_plane_major() {
-        // An interpreter (`scripts/verify.sh`'s miri pass) gets one block
-        // of the first plan — two row units, so at width 2 both
-        // participants write through one `SharedOut` — at widths 1 and 2.
+        // An interpreter (`scripts/verify.sh`'s miri pass) gets one case at
+        // widths 1 and 2 in which the first factor's row pass, the fused
+        // stage and the crop's row pass each have several units and, at
+        // width 2, at least 8 Ki floats of unit buffers: the pool shares
+        // each of those regions, so both participants write through one
+        // `SharedOut`.
         let miri = cfg!(miri);
-        // (n, h, w, offset); the crop is `h.min(w)` at `offset / 2`.
-        let plans = [
+        let signal =
+            |len: usize, f: f32| (0..len).map(|i| (i as f32 * f).cos()).collect::<Vec<_>>();
+        // A grid with `rows ≠ cols` wherever `lanes` has a factor.
+        let grid = |lanes: usize| {
+            let rows = (2..lanes).find(|&d| lanes.is_multiple_of(d)).unwrap_or(1);
+            LaneOrder::Transposed {
+                rows,
+                cols: lanes / rows,
+            }
+        };
+        let mut worst = 0.0f32;
+
+        // (n, h, w, offset): `lanes` windows times one, the crop `h.min(w)`
+        // at `offset / 2`, the product `[lanes×1]`.
+        let windows = [
+            (16, 5, 5, 2),
             (8, 3, 5, 2),
             (2, 2, 1, 0),
             (1, 1, 1, 0),
@@ -1129,14 +1090,17 @@ mod tests {
             (32, 9, 9, 7),
             (32, 9, 9, 8),
         ];
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (n, h, w, offset) in plans.into_iter().take(if miri { 1 } else { plans.len() }) {
+        for (n, h, w, offset) in windows
+            .into_iter()
+            .take(if miri { 1 } else { windows.len() })
+        {
             let p = RfftPlan::new(n);
-            let (bins, block) = (p.spectrum_len(), BLOCK_LANES);
+            let block = BLOCK_LANES;
             let counts = if miri {
-                vec![3]
+                // Buffer rows of 144 floats: two row units' are 9 Ki floats.
+                vec![114]
             } else if n >= 32 {
-                // The plane-major oracle costs an `n×n` transform per lane.
+                // The plane-major oracle costs two `n×n` transforms per lane.
                 vec![1, 3, 17]
             } else {
                 vec![
@@ -1150,58 +1114,97 @@ mod tests {
                 ]
             };
             for lanes in counts {
-                let src: Vec<f32> = (0..lanes * h * w)
-                    .map(|i| (i as f32 * 0.37).sin())
-                    .collect();
-                // A grid with `rows ≠ cols` wherever `lanes` has a factor.
-                let rows = (2..lanes).find(|d| lanes % d == 0).unwrap_or(1);
-                let cols = lanes / rows;
-                for order in [LaneOrder::Identity, LaneOrder::Transposed { rows, cols }] {
-                    let geometry = (h, w, offset);
-                    let narrow = lane_passes_at(1, &p, &src, geometry, order, lanes);
-                    for width in 2..=if miri { 2 } else { 4 } {
-                        let wide = lane_passes_at(width, &p, &src, geometry, order, lanes);
-                        let same = [
-                            (&wide.0, &narrow.0),
-                            (&wide.1, &narrow.1),
-                            (&wide.2, &narrow.2),
-                        ]
-                        .iter()
-                        .all(|(a, b)| bits(a) == bits(b));
-                        assert!(same, "n {n} lanes {lanes} {order:?}: width {width} differs");
-                    }
-                    let (sre, sim, out) = narrow;
+                let (src_a, src_b) = (signal(lanes * h * w, 0.37), signal(h * w, 0.61));
+                let orders = [grid(lanes), LaneOrder::Identity];
+                for order in orders.into_iter().take(if miri { 1 } else { 2 }) {
+                    let a = Factor {
+                        src: &src_a,
+                        hw: (h, w),
+                        offset,
+                        order,
+                        lanes,
+                    };
+                    let b = Factor {
+                        src: &src_b,
+                        hw: (h, w),
+                        offset,
+                        order: LaneOrder::Identity,
+                        lanes: 1,
+                    };
+                    let crop = Crop {
+                        size: h.min(w),
+                        offset: offset / 2,
+                        order,
+                    };
+                    let g = Product {
+                        mnk: (lanes, 1, 1),
+                        dots: false,
+                        conj: (false, true),
+                    };
+                    let widths = if miri { 2 } else { 4 };
+                    worst = worst.max(check(&p, [&a, &b], g, &crop, widths));
+                }
+            }
+        }
+        if miri {
+            return;
+        }
 
-                    let (size, crop_at) = (h.min(w), offset / 2);
-                    for l in 0..lanes {
-                        let mut plane = vec![0.0f32; n * n];
-                        for r in 0..h {
-                            let at = order.plane_of(l) * h * w + r * w;
-                            plane[(offset + r) * n + offset..][..w]
-                                .copy_from_slice(&src[at..at + w]);
-                        }
-                        let norm = plane.iter().map(|v| v * v).sum::<f32>().sqrt();
-                        let what = format!("n {n} h {h} lanes {lanes} {order:?} lane {l}");
-                        let (re, im) = forward(&p, &plane);
-                        for b in 0..bins {
-                            let (dr, di) = (sre[b * lanes + l] - re[b], sim[b * lanes + l] - im[b]);
-                            let (off, most) =
-                                (dr.abs().max(di.abs()), tolerance(n) * n as f32 * norm);
-                            assert!(off <= most, "{what} bin {b}: {off} > {most}");
-                        }
-                        let back = inverse(&p, &re, &im);
-                        for r in 0..size {
-                            let got = &out[order.plane_of(l) * size * size + r * size..][..size];
-                            let want = &back[(crop_at + r) * n + crop_at..][..size];
-                            for (g, w) in got.iter().zip(want) {
-                                let (off, most) = ((g - w).abs(), tolerance(n) * norm);
-                                assert!(off <= most, "{what} row {r}: {off} > {most}");
-                            }
-                        }
+        // (n, A window, B window, crop, (m, n, k)), a window `(h, w, offset)`
+        // and the crop `(size, offset)`: windows whose forward skips its
+        // first stages (ending at or before `n/2`: A in the first and last
+        // rows, B in the second, fourth and fifth) and windows off the
+        // origin; odd crops at odd and even offsets.
+        type Case = (usize, [usize; 3], [usize; 3], [usize; 2], [usize; 3]);
+        let products: [Case; 6] = [
+            (2, [1, 1, 0], [2, 2, 0], [1, 1], [2, 3, 2]),
+            (4, [2, 2, 1], [1, 1, 0], [3, 1], [3, 2, 5]),
+            (4, [3, 3, 0], [2, 2, 1], [3, 0], [33, 32, 2]),
+            (16, [9, 9, 3], [7, 7, 0], [5, 2], [4, 3, 33]),
+            (32, [17, 13, 2], [9, 9, 0], [11, 3], [2, 5, 3]),
+            (128, [11, 11, 0], [118, 118, 5], [7, 0], [2, 2, 2]),
+        ];
+        for (n, [ha, wa, oa], [hb, wb, ob], [size, offset], [m, nn, k]) in products {
+            let p = RfftPlan::new(n);
+            let (la, lb) = (m * k, k * nn);
+            let (src_a, src_b) = (signal(la * ha * wa, 0.37), signal(lb * hb * wb, 0.61));
+            for transposed in [false, true] {
+                let order = |rows: usize, cols: usize| match transposed {
+                    true => LaneOrder::Transposed { rows, cols },
+                    false => LaneOrder::Identity,
+                };
+                let a = Factor {
+                    src: &src_a,
+                    hw: (ha, wa),
+                    offset: oa,
+                    order: order(k, m),
+                    lanes: la,
+                };
+                let b = Factor {
+                    src: &src_b,
+                    hw: (hb, wb),
+                    offset: ob,
+                    order: order(nn, k),
+                    lanes: lb,
+                };
+                let crop = Crop {
+                    size,
+                    offset,
+                    order: order(m, nn),
+                };
+                for dots in [false, true] {
+                    for conj in [(false, false), (false, true), (true, false), (true, true)] {
+                        let g = Product {
+                            mnk: (m, nn, k),
+                            dots,
+                            conj,
+                        };
+                        worst = worst.max(check(&p, [&a, &b], g, &crop, 4));
                     }
                 }
             }
         }
+        eprintln!("lane passes vs plane-major: largest error {worst:.3} of the tolerance");
     }
 
     #[test]

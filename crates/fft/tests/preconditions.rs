@@ -3,9 +3,10 @@
 //! stage geometry, a short twiddle table or a short transpose buffer
 //! must panic with a message at the API boundary — the raw bodies load and store through pointers
 //! on the strength of these checks, so they are `assert!`s, live in
-//! release builds too. Likewise the lane transforms, whose units write a
-//! shared output side by side: extents and lane order are rejected up
-//! front, before any unit has written anything.
+//! release builds too. Likewise the lane passes (the row passes and the
+//! fused column stage), whose units write a shared output side by side:
+//! extents and lane order are rejected up front, before any unit has
+//! written anything.
 
 use gcnn_fft::rfft::BLOCK_LANES;
 use gcnn_fft::simd::{lane_stage2_dit, lane_stage_dit, transpose_f32};
@@ -141,58 +142,50 @@ fn detected_isa_stays_callable_under_forced_scalar() {
     assert_eq!(dst, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
 }
 
-/// `lanes` windows of 2×2 through the 8×8 plan's lane forward, with
+/// `lanes` windows of 2×2 through the 8×8 plan's forward row pass, with
 /// `src_len` source floats.
-fn forward_lanes(src_len: usize, order: LaneOrder, lanes: usize) {
+fn forward_rows(src_len: usize, order: LaneOrder, lanes: usize) {
     let p = RfftPlan::new(N);
-    let mut sre = vec![0.0f32; p.spectrum_len() * lanes];
-    let mut sim = sre.clone();
+    let mut re = vec![0.0f32; p.half_cols() * 2 * lanes];
+    let mut im = re.clone();
     let src = vec![1.0f32; src_len];
-    p.forward_lanes_into(&src, (2, 2), 0, order, lanes, &mut sre, &mut sim);
+    p.forward_rows_into(&src, (2, 2), 0, order, lanes, &mut re, &mut im);
 }
 
-/// The cropped lane inverse of `lanes` zero spectra into `out_len`
-/// floats.
-fn inverse_lanes(out_len: usize, size: usize, order: LaneOrder, lanes: usize) {
+/// The cropped inverse row pass of `lanes` planes' zero crop rows into
+/// `out_len` floats.
+fn inverse_rows(out_len: usize, size: usize, order: LaneOrder, lanes: usize) {
     let p = RfftPlan::new(N);
-    let mut sre = vec![0.0f32; p.spectrum_len() * lanes];
-    let mut sim = sre.clone();
+    let rows = vec![0.0f32; p.half_cols() * size * lanes];
     let mut out = vec![f32::NAN; out_len];
-    p.inverse_lanes_into(&mut sre, &mut sim, lanes, (size, 0), order, &mut out);
+    p.inverse_rows_into(&rows, &rows, lanes, (size, 0), order, &mut out);
 }
 
 #[test]
-#[should_panic(expected = "forward_lanes: src size")]
+#[should_panic(expected = "forward_rows: src size")]
 fn forward_lanes_rejects_a_window_outside_src() {
-    forward_lanes(6 * 4 - 1, LaneOrder::Identity, 6);
+    forward_rows(6 * 4 - 1, LaneOrder::Identity, 6);
 }
 
 #[test]
 #[should_panic(expected = "the grid is not the lanes")]
 fn forward_lanes_rejects_a_grid_of_other_lanes() {
-    forward_lanes(6 * 4, LaneOrder::Transposed { rows: 2, cols: 2 }, 6);
+    forward_rows(6 * 4, LaneOrder::Transposed { rows: 2, cols: 2 }, 6);
 }
 
 #[test]
-#[should_panic(expected = "inverse_lanes: out size")]
-fn inverse_lanes_rejects_short_out() {
-    inverse_lanes(6 * 9 - 1, 3, LaneOrder::Identity, 6);
-}
-
-#[test]
-#[should_panic(expected = "inverse_lanes: out size")]
+#[should_panic(expected = "inverse_rows: out size")]
 fn inverse_lanes_rejects_long_out() {
-    inverse_lanes(6 * 9 + 1, 3, LaneOrder::Identity, 6);
+    inverse_rows(6 * 9 + 1, 3, LaneOrder::Identity, 6);
 }
 
 #[test]
-#[should_panic(expected = "inverse_lanes: im size")]
+#[should_panic(expected = "inverse_rows: im size")]
 fn inverse_lanes_rejects_short_spectra() {
     let p = RfftPlan::new(N);
-    let mut sre = vec![0.0f32; p.spectrum_len() * 6];
-    let mut sim = vec![0.0f32; p.spectrum_len() * 6 - 1];
+    let rows = vec![0.0f32; p.half_cols() * 3 * 6];
     let mut out = [0.0f32; 6 * 9];
-    p.inverse_lanes_into(&mut sre, &mut sim, 6, (3, 0), LaneOrder::Identity, &mut out);
+    p.inverse_rows_into(&rows, &rows[1..], 6, (3, 0), LaneOrder::Identity, &mut out);
 }
 
 #[test]
@@ -200,15 +193,15 @@ fn inverse_lanes_rejects_short_spectra() {
 fn inverse_lanes_rejects_a_grid_that_wraps() {
     // 2⁶³·2 wraps to 0 and (2⁶³ + 3)·2 to 6: `checked_mul` sees both.
     let rows = (1usize << (usize::BITS - 1)) + 3;
-    inverse_lanes(6 * 9, 3, LaneOrder::Transposed { rows, cols: 2 }, 6);
+    inverse_rows(6 * 9, 3, LaneOrder::Transposed { rows, cols: 2 }, 6);
 }
 
 /// No lanes: nothing to check out, nothing written, no division by a
 /// zero block.
 #[test]
 fn zero_lanes_is_a_no_op() {
-    forward_lanes(0, LaneOrder::Identity, 0);
-    inverse_lanes(0, 3, LaneOrder::Transposed { rows: 0, cols: 5 }, 0);
+    forward_rows(0, LaneOrder::Identity, 0);
+    inverse_rows(0, 3, LaneOrder::Transposed { rows: 0, cols: 5 }, 0);
 }
 
 /// A rejected call panics before its first region opens, with nothing
@@ -219,32 +212,24 @@ fn pool_serves_the_call_after_a_rejected_one() {
     let p = RfftPlan::new(N);
     let lanes = 2 * BLOCK_LANES + 7;
     let src: Vec<f32> = (0..lanes * 4).map(|i| (i as f32 * 0.61).cos()).collect();
-    let spectra = |width: usize, src: &[f32]| {
-        let mut sre = vec![f32::NAN; p.spectrum_len() * lanes];
-        let mut sim = sre.clone();
+    let rows = |width: usize, src: &[f32]| {
+        let mut re = vec![f32::NAN; p.half_cols() * 2 * lanes];
+        let mut im = re.clone();
         let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
         let outcome = pool.build().expect("pool").install(|| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                p.forward_lanes_into(
-                    src,
-                    (2, 2),
-                    1,
-                    LaneOrder::Identity,
-                    lanes,
-                    &mut sre,
-                    &mut sim,
-                )
+                p.forward_rows_into(src, (2, 2), 1, LaneOrder::Identity, lanes, &mut re, &mut im)
             }))
         });
-        (outcome.is_ok(), sre, sim)
+        (outcome.is_ok(), re, im)
     };
-    let (ok, sre, _) = spectra(2, &src[1..]);
+    let (ok, re, _) = rows(2, &src[1..]);
     assert!(
-        !ok && sre.iter().all(|v| v.is_nan()),
+        !ok && re.iter().all(|v| v.is_nan()),
         "rejected before any unit wrote"
     );
-    let wide = spectra(2, &src);
-    assert!(wide.0 && wide == spectra(1, &src));
+    let wide = rows(2, &src);
+    assert!(wide.0 && wide == rows(1, &src));
 }
 
 /// The fused column stage of the 8×8 plan (5 columns): factors of 6 and 4
@@ -350,23 +335,18 @@ fn forward_rows_rejects_rows_of_another_height() {
 #[test]
 #[should_panic(expected = "inverse_rows: out size")]
 fn inverse_rows_rejects_short_out() {
-    let p = RfftPlan::new(N);
-    let rows = vec![0.0f32; p.half_cols() * 3 * 6];
-    let mut out = vec![0.0f32; 6 * 9 - 1];
-    p.inverse_rows_into(&rows, &rows, 6, (3, 0), LaneOrder::Identity, &mut out);
+    inverse_rows(6 * 9 - 1, 3, LaneOrder::Identity, 6);
 }
 
-/// The inverse consumes its spectra, but only once it runs: a call
-/// rejected on its last check (the lane order) leaves the spectra and `out`
-/// as they were.
+/// A call rejected on its last check (the lane order) leaves `out` as it
+/// was: three lane blocks at width 2.
 #[test]
 fn rejected_inverse_leaves_spectra_and_out_untouched() {
     let p = RfftPlan::new(N);
     let lanes = 2 * BLOCK_LANES + 7;
-    let spectra: Vec<f32> = (0..p.spectrum_len() * lanes)
+    let rows: Vec<f32> = (0..p.half_cols() * 3 * lanes)
         .map(|i| (i as f32 * 0.29).sin())
         .collect();
-    let (mut sre, mut sim) = (spectra.clone(), spectra.clone());
     let mut out = vec![f32::NAN; lanes * 9];
     let wraps = LaneOrder::Transposed {
         rows: 2,
@@ -375,10 +355,9 @@ fn rejected_inverse_leaves_spectra_and_out_untouched() {
     let pool = rayon::ThreadPoolBuilder::new().num_threads(2);
     let outcome = pool.build().expect("pool").install(|| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.inverse_lanes_into(&mut sre, &mut sim, lanes, (3, 0), wraps, &mut out)
+            p.inverse_rows_into(&rows, &rows, lanes, (3, 0), wraps, &mut out)
         }))
     });
     assert!(outcome.is_err(), "a grid of other lanes is rejected");
-    assert!(sre == spectra && sim == spectra, "spectra untouched");
     assert!(out.iter().all(|v| v.is_nan()), "out untouched");
 }

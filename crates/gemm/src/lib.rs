@@ -27,7 +27,7 @@ pub mod naive;
 pub mod pack;
 pub mod sgemm;
 
-pub use batched::{batched_cgemm_split, batched_cgemm_split_op};
+pub use batched::batched_cgemm_split;
 pub use blocking::BlockSizes;
 pub use cgemm::cgemm_split;
 pub use sgemm::{sgemm, sgemm_mat, Transpose};

@@ -11,9 +11,9 @@ cargo test -q
 # The pool's width is the cores the OS offers and nothing else (no
 # environment variable), so one core is how width 1 is exercised: the
 # pool itself and the three crates whose kernels open its regions —
-# gcnn-fft's suite includes `lane_allocs` and `conv_allocs`, the heap
-# counts of a warmed-up lane transform pair and of each `FftConv` pass (its
-# output tensor only), here with both of their pool widths on one core.
+# gcnn-fft's suite includes `conv_allocs`, the heap count of each warmed-up
+# `FftConv` pass (its output tensor only), here with both of its pool
+# widths on one core.
 if command -v taskset >/dev/null; then
   taskset -c 0 cargo test -q -p rayon -p gcnn-fft -p gcnn-gemm -p gcnn-conv
 else
@@ -21,14 +21,15 @@ else
 fi
 # The pool's stress loop and forced-interleaving tests again in release:
 # optimised code is what reorders around the job hand-off — and around
-# the lane transforms' shared output, so their width loops (and their
-# tolerance against the plane-major engine) too.
+# the lane passes' shared output, so the oracle test's width loops (and
+# its tolerance against the plane-major engine) too.
 cargo test -q --release -p rayon
 cargo test -q --release -p gcnn-fft lane_passes_match_plane_major
 cargo test -q --release -p gcnn-fft --test preconditions pool_serves
-# Under miri where it is installed (three lanes of a plan whose row passes
-# have two row-pair units, at widths 1 and 2): aliasing of the shared
-# output's runs is what no test result shows.
+# Under miri where it is installed (the oracle test's one trimmed case, at
+# widths 1 and 2: both participants write through one shared output in a
+# row pass and in the fused column stage): aliasing of the shared output's
+# runs is what no test result shows.
 if cargo miri --version >/dev/null 2>&1; then
   cargo miri test -p gcnn-fft --lib lane_passes_match_plane_major
 else
