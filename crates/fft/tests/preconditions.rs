@@ -173,6 +173,14 @@ fn forward_lanes_rejects_a_grid_of_other_lanes() {
     forward_rows(6 * 4, LaneOrder::Transposed { rows: 2, cols: 2 }, 6);
 }
 
+/// One cropped plane short, under a grid that covers the lanes: the size
+/// is checked before the order.
+#[test]
+#[should_panic(expected = "inverse_rows: out size")]
+fn inverse_lanes_rejects_short_out() {
+    inverse_rows(5 * 9, 3, LaneOrder::Transposed { rows: 2, cols: 3 }, 6);
+}
+
 #[test]
 #[should_panic(expected = "inverse_rows: out size")]
 fn inverse_lanes_rejects_long_out() {
