@@ -1,59 +1,53 @@
-//! bench_compare — diff two `BENCH_hotpaths.json` reports and fail on
-//! regression. The CI bench job runs this after `perf_smoke`:
+//! bench_compare — run the CI bench regression gates over `BENCH_*.json`
+//! reports and fail on any regression:
 //!
 //! ```text
-//! bench_compare --baseline baseline.json [--current results/BENCH_hotpaths.json]
-//!               [--tolerance 0.25] [--trace results/BENCH_trace.json]
-//!               [--simd results/BENCH_simd.json] [--min-speedup 1.2]
-//!               [--fft results/BENCH_fft.json] [--fft-min-speedup 1.2]
-//!               [--layout results/BENCH_layout.json] [--layout-min-speedup 1.15]
-//!               [--serve baseline_serve.json] [--serve-current results/BENCH_serve.json]
-//!               [--serve-tolerance 0.35] [--serve-min-speedup 1.0]
+//! bench_compare --baseline <hotpaths baseline json> [--trace results/BENCH_trace.json]
+//!               [--simd results/BENCH_simd.json] [--fft results/BENCH_fft.json]
+//!               [--layout results/BENCH_layout.json]
+//!               [--serve <serve baseline json>] [--mtsim <mtsim baseline json>]
 //! ```
 //!
-//! A section whose p50 exceeds `baseline · (1 + tolerance)` fails, as
-//! does a measured baseline section missing from the current report.
-//! With `--trace`, a non-zero steady-state fresh-allocation count in
-//! the trace report fails too. With `--simd`, the scalar-vs-SIMD
-//! report must show the dispatched SGEMM kernel at least `--min-speedup`
-//! times faster than scalar (skipped on scalar-only hosts). With
-//! `--fft`, the per-size rfft sweep must show a geomean speedup of at
-//! least `--fft-min-speedup` with no cell below its floor (also skipped
-//! on scalar-only hosts). With `--layout`, the NCHWc layout A/B sweep
-//! must show the fused packed conv path beating the unfused planar path
-//! by `--layout-min-speedup` (geomean over headline entries, per-entry
-//! floor 1.0×; also skipped on scalar-only hosts).
-//! With `--serve`, a fresh `BENCH_serve.json` is
-//! gated against the committed baseline: the batched speedup must stay
-//! at or above `--serve-min-speedup`, and peak throughput / headline
-//! p50 must stay within `--serve-tolerance` (wider than the kernel
-//! tolerance — serving numbers come from a threaded closed loop).
-//! With `--mtsim`, a fresh `BENCH_mtsim.json` (`--mtsim-current`) is
-//! gated against the committed baseline: 2-tenant FIFO slowdown
-//! ≥ 1.8×, partition over round-robin ≥ 1.15× on the occupancy-limited
-//! workload, GM204 occupancy within 5% of maxDNN, and per-cell
-//! throughput within `--mtsim-tolerance` of baseline (tight default —
-//! the simulator is deterministic, so drift means the model changed).
-//! Exit codes: 0 clean, 1 regression, 2 usage or I/O error.
+//! Each flag runs one gate of `gcnn_bench::compare`, in the order above.
+//! `--baseline`, `--serve` and `--mtsim` name a committed baseline, held
+//! against the fresh report at its fixed path under `results/`; the
+//! other flags name the report itself. The bounds are the constants in
+//! `compare.rs`. Every gate prints one line per gated number.
+//! Exit codes: 0 clean, 1 regression, 2 usage, I/O or malformed report.
 
 #![forbid(unsafe_code)]
 
 use gcnn_bench::compare::{
-    diff_reports, fft_gate, layout_gate, mtsim_gate, serve_gate, simd_gate, steady_fresh_allocs,
+    failed, fft_gate, hotpaths_gate, layout_gate, mtsim_gate, render, serve_gate, simd_gate,
+    trace_gate, Check,
 };
 use serde_json::Value;
 use std::process::exit;
 
+type Gate = fn(&Value, &Value) -> Result<Vec<Check>, String>;
+
+/// Every gate: its flag, the fresh report a baseline flag is held against
+/// (`None`: the flag names the report itself), and the gate, called with
+/// the flag's report and the fresh one.
+const GATES: [(&str, Option<&str>, Gate); 7] = [
+    (
+        "--baseline",
+        Some("results/BENCH_hotpaths.json"),
+        hotpaths_gate,
+    ),
+    ("--trace", None, |_, r| trace_gate(r)),
+    ("--simd", None, |_, r| simd_gate(r)),
+    ("--fft", None, |_, r| fft_gate(r)),
+    ("--layout", None, |_, r| layout_gate(r)),
+    ("--serve", Some("results/BENCH_serve.json"), serve_gate),
+    ("--mtsim", Some("results/BENCH_mtsim.json"), mtsim_gate),
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_compare --baseline <json> [--current <json>] \
-         [--tolerance <frac>] [--trace <json>] [--simd <json>] \
-         [--min-speedup <ratio>] [--fft <json>] [--fft-min-speedup <ratio>] \
-         [--layout <json>] [--layout-min-speedup <ratio>] \
-         [--serve <baseline json>] [--serve-current <json>] \
-         [--serve-tolerance <frac>] [--serve-min-speedup <ratio>] \
-         [--mtsim <baseline json>] [--mtsim-current <json>] \
-         [--mtsim-tolerance <frac>]"
+        "usage: bench_compare --baseline <json> [--trace <json>] [--simd <json>] \
+         [--fft <json>] [--layout <json>] [--serve <baseline json>] \
+         [--mtsim <baseline json>]"
     );
     exit(2);
 }
@@ -70,181 +64,41 @@ fn load(path: &str) -> Value {
 }
 
 fn main() {
-    let mut baseline = None;
-    let mut current = "results/BENCH_hotpaths.json".to_string();
-    let mut tolerance = 0.25f64;
-    let mut trace = None;
-    let mut simd = None;
-    let mut min_speedup = 1.2f64;
-    let mut fft = None;
-    let mut fft_min_speedup = 1.2f64;
-    let mut layout = None;
-    let mut layout_min_speedup = 1.15f64;
-    let mut serve = None;
-    let mut serve_current = "results/BENCH_serve.json".to_string();
-    let mut serve_tolerance = 0.35f64;
-    let mut serve_min_speedup = 1.0f64;
-    let mut mtsim = None;
-    let mut mtsim_current = "results/BENCH_mtsim.json".to_string();
-    let mut mtsim_tolerance = 0.10f64;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--baseline" => baseline = Some(value()),
-            "--current" => current = value(),
-            "--tolerance" => {
-                tolerance = value().parse().unwrap_or_else(|_| usage());
-                if tolerance < 0.0 {
-                    usage();
-                }
-            }
-            "--trace" => trace = Some(value()),
-            "--simd" => simd = Some(value()),
-            "--min-speedup" => {
-                min_speedup = value().parse().unwrap_or_else(|_| usage());
-                if min_speedup < 1.0 {
-                    usage();
-                }
-            }
-            "--fft" => fft = Some(value()),
-            "--fft-min-speedup" => {
-                fft_min_speedup = value().parse().unwrap_or_else(|_| usage());
-                if fft_min_speedup < 1.0 {
-                    usage();
-                }
-            }
-            "--layout" => layout = Some(value()),
-            "--layout-min-speedup" => {
-                layout_min_speedup = value().parse().unwrap_or_else(|_| usage());
-                if layout_min_speedup < 1.0 {
-                    usage();
-                }
-            }
-            "--serve" => serve = Some(value()),
-            "--serve-current" => serve_current = value(),
-            "--serve-tolerance" => {
-                serve_tolerance = value().parse().unwrap_or_else(|_| usage());
-                if serve_tolerance < 0.0 {
-                    usage();
-                }
-            }
-            "--serve-min-speedup" => {
-                serve_min_speedup = value().parse().unwrap_or_else(|_| usage());
-                if serve_min_speedup < 0.0 {
-                    usage();
-                }
-            }
-            "--mtsim" => mtsim = Some(value()),
-            "--mtsim-current" => mtsim_current = value(),
-            "--mtsim-tolerance" => {
-                mtsim_tolerance = value().parse().unwrap_or_else(|_| usage());
-                if mtsim_tolerance < 0.0 {
-                    usage();
-                }
-            }
-            _ => usage(),
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut paths = [None; GATES.len()];
+    for pair in args.chunks(2) {
+        let [flag, path] = pair else { usage() };
+        let i = GATES
+            .iter()
+            .position(|g| g.0 == flag)
+            .unwrap_or_else(|| usage());
+        paths[i] = Some(path.as_str());
     }
-    let Some(baseline) = baseline else { usage() };
-
-    let diff = diff_reports(&load(&baseline), &load(&current), tolerance).unwrap_or_else(|e| {
-        eprintln!("bench_compare: {e}");
-        exit(2);
-    });
-    print!("{}", diff.render());
-    let mut failed = diff.regressed();
-
-    if let Some(trace_path) = trace {
-        match steady_fresh_allocs(&load(&trace_path)) {
-            Ok(0) => println!("steady-state allocations: 0 (ok)"),
-            Ok(n) => {
-                println!("steady-state allocations: {n} (REGRESSED — hot paths must not allocate)");
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("bench_compare: {e}");
-                exit(2);
-            }
-        }
+    // The hot-path baseline is required.
+    if paths[0].is_none() {
+        usage();
     }
 
-    if let Some(simd_path) = simd {
-        match simd_gate(&load(&simd_path), min_speedup) {
-            Ok(gate) => {
-                println!("{}", gate.render());
-                failed |= !gate.passed();
-            }
-            Err(e) => {
-                eprintln!("bench_compare: {e}");
-                exit(2);
-            }
+    let mut any_failed = false;
+    for ((flag, fresh, gate), path) in GATES.iter().zip(paths) {
+        let Some(path) = path else { continue };
+        let report = load(path);
+        let rows = match fresh {
+            Some(fresh) => gate(&report, &load(fresh)),
+            None => gate(&report, &report),
         }
+        .unwrap_or_else(|e| {
+            eprintln!("bench_compare: {e}");
+            exit(2);
+        });
+        if rows.is_empty() {
+            println!("{flag} {path}: nothing to gate");
+        }
+        print!("{}", render(&rows));
+        any_failed |= failed(&rows);
     }
 
-    if let Some(fft_path) = fft {
-        match fft_gate(&load(&fft_path), fft_min_speedup) {
-            Ok(gate) => {
-                println!("{}", gate.render());
-                failed |= !gate.passed();
-            }
-            Err(e) => {
-                eprintln!("bench_compare: {e}");
-                exit(2);
-            }
-        }
-    }
-
-    if let Some(layout_path) = layout {
-        match layout_gate(&load(&layout_path), layout_min_speedup) {
-            Ok(gate) => {
-                println!("{}", gate.render());
-                failed |= !gate.passed();
-            }
-            Err(e) => {
-                eprintln!("bench_compare: {e}");
-                exit(2);
-            }
-        }
-    }
-
-    if let Some(serve_baseline) = serve {
-        match serve_gate(
-            &load(&serve_baseline),
-            &load(&serve_current),
-            serve_tolerance,
-            serve_min_speedup,
-        ) {
-            Ok(gate) => {
-                println!("{}", gate.render());
-                failed |= !gate.passed();
-            }
-            Err(e) => {
-                eprintln!("bench_compare: {e}");
-                exit(2);
-            }
-        }
-    }
-
-    if let Some(mtsim_baseline) = mtsim {
-        match mtsim_gate(
-            &load(&mtsim_baseline),
-            &load(&mtsim_current),
-            mtsim_tolerance,
-        ) {
-            Ok(gate) => {
-                println!("{}", gate.render());
-                failed |= !gate.passed();
-            }
-            Err(e) => {
-                eprintln!("bench_compare: {e}");
-                exit(2);
-            }
-        }
-    }
-
-    if failed {
+    if any_failed {
         println!("bench_compare: FAILED");
         exit(1);
     }

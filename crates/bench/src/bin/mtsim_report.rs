@@ -30,6 +30,9 @@
 
 #![forbid(unsafe_code)]
 
+use gcnn_bench::compare::{
+    MTSIM_MAX_MAXWELL_REL_ERR, MTSIM_MIN_FIFO2_SLOWDOWN, MTSIM_MIN_PARTITION_OVER_RR,
+};
 use gcnn_conv::ConvConfig;
 use gcnn_frameworks::{implementation_by_name, PlannedKernel};
 use gcnn_gpusim::{occupancy, DeviceSpec, KernelDesc, LaunchConfig, OccupancyLimiter};
@@ -189,9 +192,10 @@ fn smoke() {
             }
             if policy == SchedPolicy::Fifo {
                 for s in &r.streams {
-                    if s.slowdown < 1.8 {
+                    if s.slowdown < MTSIM_MIN_FIFO2_SLOWDOWN {
                         fail(&format!(
-                            "{workload}/fifo: 2-tenant slowdown {:.2} below 1.8",
+                            "{workload}/fifo: 2-tenant slowdown {:.2} below \
+                             {MTSIM_MIN_FIFO2_SLOWDOWN}",
                             s.slowdown
                         ));
                     }
@@ -211,17 +215,19 @@ fn smoke() {
             SimConfig::new(SchedPolicy::SmPartition),
         );
         if workload == "occlimited"
-            && part.aggregate_throughput_jobs_per_s < 1.15 * rr.aggregate_throughput_jobs_per_s
+            && part.aggregate_throughput_jobs_per_s
+                < MTSIM_MIN_PARTITION_OVER_RR * rr.aggregate_throughput_jobs_per_s
         {
             fail(&format!(
-                "partition {:.2} jobs/s does not beat rr {:.2} jobs/s by 1.15x \
+                "partition {:.2} jobs/s does not beat rr {:.2} jobs/s by \
+                 {MTSIM_MIN_PARTITION_OVER_RR}x \
                  on the occupancy-limited workload",
                 part.aggregate_throughput_jobs_per_s, rr.aggregate_throughput_jobs_per_s
             ));
         }
     }
     let mw = maxwell_validation();
-    if mw.rel_err > 0.05 {
+    if mw.rel_err > MTSIM_MAX_MAXWELL_REL_ERR {
         fail(&format!(
             "GM204 occupancy {:.3} off maxDNN {:.2} by {:.1}%",
             mw.occupancy_model,

@@ -1,674 +1,399 @@
-//! Regression comparison of two `BENCH_hotpaths.json` reports, plus the
-//! steady-state allocation gate over `BENCH_trace.json`.
+//! The CI bench regression gates: one row type, one pass rule, one
+//! renderer, and seven gate functions that read `BENCH_*.json` reports
+//! into rows.
 //!
-//! The CI bench job runs `perf_smoke`, then `bench_compare` against the
-//! committed baseline: a section whose p50 grows by more than the
-//! tolerance fails the build, as does a tracked section missing from
-//! the current report, as does a non-zero steady-state fresh-allocation
-//! count. p50 is the compared statistic — it is robust to the one-off
+//! A gate parses its report completely — a malformed report is an
+//! `Err`, never a pass — and then returns one [`Check`] per gated
+//! number. Every number comes from one of two helpers: a field of the
+//! current report held to an absolute bound, or `current / baseline`
+//! over keyed lists (hot-path section p50s, mtsim cells, serve's peak
+//! throughput and headline p50). A key the baseline has and the current
+//! report lacks is a row with no value, and it fails. The SIMD-relative
+//! gates (simd, fft, layout) return no rows on a scalar-only host, where
+//! there is no vector path to regress.
+//!
+//! The bounds are the constants below; `bench_compare` takes only report
+//! paths. p50 is the hot-path statistic: it is robust to the one-off
 //! outliers that shared CI runners produce, which mean/p95 are not.
 
 use serde_json::Value;
 
-/// Verdict for one benchmark section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SectionStatus {
-    /// Current p50 is lower than the baseline.
-    Improved,
-    /// Within the tolerance band.
-    Within,
-    /// Slower than baseline by more than the tolerance.
-    Regressed,
-    /// Present in the baseline but absent from the current report.
-    Missing,
+/// Hot-path sections: current p50 at most `1 + HOTPATH_TOLERANCE` times
+/// the baseline's.
+pub const HOTPATH_TOLERANCE: f64 = 0.25;
+/// SIMD report: dispatched SGEMM over forced-scalar, at least.
+pub const SIMD_MIN_SGEMM_SPEEDUP: f64 = 1.2;
+/// SIMD report: the rfft geomean may not lose throughput outright (the
+/// butterflies are memory-bound, so parity is acceptable; the fft gate
+/// holds the real floor).
+pub const SIMD_MIN_RFFT_SPEEDUP: f64 = 0.9;
+/// FFT sweep: geomean of the per size×batch SIMD-over-scalar speedups.
+pub const FFT_MIN_OVERALL_SPEEDUP: f64 = 1.2;
+/// FFT sweep: floor of any one cell (small single-plane transforms are
+/// latency-bound and noisy; a dispatch regression lands far below it).
+pub const FFT_MIN_ENTRY_SPEEDUP: f64 = 0.75;
+/// Layout sweep: fused NCHWc over unfused planar, geomean of the
+/// headline entries (channel counts that fill the SIMD block).
+pub const LAYOUT_MIN_SPEEDUP: f64 = 1.15;
+/// Layout sweep: floor of any one headline entry. Non-headline entries
+/// (remainder-heavy shapes such as LeNet's) are reported, never gated.
+pub const LAYOUT_MIN_HEADLINE_SPEEDUP: f64 = 1.0;
+/// Serve sweep: throughput at the largest batch cap over cap 1 (batching
+/// must keep beating single-image serving).
+pub const SERVE_MIN_BATCHED_SPEEDUP: f64 = 1.0;
+/// Serve sweep: peak throughput at least `1 − SERVE_TOLERANCE` and
+/// headline p50 at most `1 + SERVE_TOLERANCE` of the baseline. Wider than
+/// the kernel gates: the numbers come from a threaded closed loop.
+pub const SERVE_TOLERANCE: f64 = 0.35;
+/// mtsim: each of two closed-loop FIFO tenants sees at least this
+/// multiple of its dedicated latency (contention is modelled).
+pub const MTSIM_MIN_FIFO2_SLOWDOWN: f64 = 1.8;
+/// mtsim: partition over round-robin aggregate throughput on the
+/// occupancy-limited workload.
+pub const MTSIM_MIN_PARTITION_OVER_RR: f64 = 1.15;
+/// mtsim: relative error of the GM204 occupancy model against maxDNN's
+/// published figure.
+pub const MTSIM_MAX_MAXWELL_REL_ERR: f64 = 0.05;
+/// mtsim: per-cell aggregate throughput at least `1 − MTSIM_TOLERANCE` of
+/// the baseline. Tight: the simulator is deterministic, so drift means
+/// the model changed — refresh the baseline deliberately (EXPERIMENTS.md).
+pub const MTSIM_TOLERANCE: f64 = 0.10;
+
+/// The side of a threshold a value must be on; the threshold passes.
+#[derive(Debug, Clone, Copy)]
+pub enum Bound {
+    AtLeast(f64),
+    AtMost(f64),
 }
 
-/// One row of the comparison: a section present in the baseline.
+/// One gated number.
 #[derive(Debug, Clone)]
-pub struct SectionDiff {
-    pub name: String,
-    pub base_p50_ms: f64,
-    /// `None` when the section is missing from the current report.
-    pub cur_p50_ms: Option<f64>,
-    pub status: SectionStatus,
+pub struct Check {
+    /// The gate that produced the row: `hotpaths`, `trace`, `simd`, …
+    pub gate: &'static str,
+    /// What was measured: a section, a sweep cell, a headline field.
+    pub subject: String,
+    /// The number held to `bound` (`current / baseline` on a relative
+    /// row); `None` when the baseline has the subject and the current
+    /// report does not.
+    pub value: Option<f64>,
+    pub bound: Bound,
 }
 
-impl SectionDiff {
-    /// `current / baseline`, when both sides exist.
-    pub fn ratio(&self) -> Option<f64> {
-        self.cur_p50_ms.map(|c| c / self.base_p50_ms)
-    }
-}
-
-/// Full comparison outcome.
-#[derive(Debug, Clone)]
-pub struct CompareReport {
-    pub tolerance: f64,
-    pub rows: Vec<SectionDiff>,
-}
-
-impl CompareReport {
-    /// True when any section regressed or went missing.
-    pub fn regressed(&self) -> bool {
-        self.rows
-            .iter()
-            .any(|r| matches!(r.status, SectionStatus::Regressed | SectionStatus::Missing))
-    }
-
-    /// Plain-text table of the comparison.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "{:<28} {:>12} {:>12} {:>8}  verdict (tolerance {:.0}%)\n",
-            "section",
-            "base p50",
-            "cur p50",
-            "ratio",
-            self.tolerance * 100.0
-        );
-        for row in &self.rows {
-            let (cur, ratio) = match (row.cur_p50_ms, row.ratio()) {
-                (Some(c), Some(q)) => (crate::ms(c), format!("{q:.2}x")),
-                _ => ("—".to_string(), "—".to_string()),
-            };
-            let verdict = match row.status {
-                SectionStatus::Improved => "improved",
-                SectionStatus::Within => "ok",
-                SectionStatus::Regressed => "REGRESSED",
-                SectionStatus::Missing => "MISSING",
-            };
-            out.push_str(&format!(
-                "{:<28} {:>12} {:>12} {:>8}  {verdict}\n",
-                row.name,
-                crate::ms(row.base_p50_ms),
-                cur,
-                ratio,
-            ));
+impl Check {
+    /// True when the value exists and meets the bound; NaN fails.
+    pub fn passed(&self) -> bool {
+        match (self.value, self.bound) {
+            (Some(v), Bound::AtLeast(x)) => v >= x,
+            (Some(v), Bound::AtMost(x)) => v <= x,
+            (None, _) => false,
         }
-        out
     }
 }
 
-/// Extract `(name, p50_ms)` for every *measured* section (skipped
-/// sections record `iters == 0` and carry no meaningful timings).
+/// True when any row failed.
+pub fn failed(checks: &[Check]) -> bool {
+    checks.iter().any(|c| !c.passed())
+}
+
+/// One line per row, for CI logs.
+pub fn render(checks: &[Check]) -> String {
+    checks
+        .iter()
+        .map(|c| {
+            let value = c.value.map_or("missing".to_string(), |v| format!("{v:.3}"));
+            let (op, x) = match c.bound {
+                Bound::AtLeast(x) => (">=", x),
+                Bound::AtMost(x) => ("<=", x),
+            };
+            let verdict = if c.passed() { "ok" } else { "FAILED" };
+            format!(
+                "{:<8} {:<40} {value:>10} {op} {x:<6.3} {verdict}\n",
+                c.gate, c.subject
+            )
+        })
+        .collect()
+}
+
+/// The value at the dotted `path` of `v`, read by `as_`; `what` names
+/// `v` in the error.
+fn get<'a, T>(
+    v: &'a Value,
+    path: &str,
+    as_: fn(&'a Value) -> Option<T>,
+    what: &str,
+) -> Result<T, String> {
+    path.split('.')
+        .try_fold(v, |v, key| v.get(key))
+        .and_then(as_)
+        .ok_or_else(|| format!("{what} has no `{path}`"))
+}
+
+/// The number at `path` of a current report (or one of its entries),
+/// held to an absolute bound.
+fn absolute(
+    gate: &'static str,
+    report: &Value,
+    path: &str,
+    subject: &str,
+    bound: Bound,
+) -> Result<Check, String> {
+    let value = get(
+        report,
+        path,
+        Value::as_f64,
+        &format!("{gate} report ({subject})"),
+    )?;
+    Ok(Check {
+        gate,
+        subject: subject.to_string(),
+        value: Some(value),
+        bound,
+    })
+}
+
+/// One row per baseline key: `current / baseline` held to `bound`, with
+/// no value where the current list lacks the key. Keys only the current
+/// list has are ignored (adding a benchmark is not a regression).
+fn ratios(
+    gate: &'static str,
+    base: &[(String, f64)],
+    cur: &[(String, f64)],
+    bound: Bound,
+) -> Result<Vec<Check>, String> {
+    base.iter()
+        .map(|(key, b)| {
+            if *b <= 0.0 {
+                return Err(format!("{gate} baseline: {key} is {b}, not positive"));
+            }
+            Ok(Check {
+                gate,
+                subject: key.clone(),
+                value: cur.iter().find(|(k, _)| k == key).map(|(_, c)| c / b),
+                bound,
+            })
+        })
+        .collect()
+}
+
+/// A SIMD-over-scalar gate's rows, or none when the report was produced
+/// on a scalar-only host, where there is no vector path to regress.
+fn unless_scalar(gate: &str, report: &Value, rows: Vec<Check>) -> Result<Vec<Check>, String> {
+    let isa = get(report, "isa", Value::as_str, &format!("{gate} report"))?;
+    Ok(if isa == "scalar" { Vec::new() } else { rows })
+}
+
+/// `(name, p50_ms)` of every measured section; a skipped section records
+/// `iters == 0` and no meaningful timing.
 fn sections(report: &Value) -> Result<Vec<(String, f64)>, String> {
-    let list = report
-        .get("sections")
-        .and_then(Value::as_array)
-        .ok_or("report has no `sections` array")?;
-    let mut out = Vec::with_capacity(list.len());
-    for (i, s) in list.iter().enumerate() {
-        let name = s
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("section {i}: missing `name`"))?;
-        let iters = s.get("iters").and_then(Value::as_u64).unwrap_or(0);
-        if iters == 0 {
-            continue;
+    let mut out = Vec::new();
+    for s in get(report, "sections", Value::as_array, "hotpaths report")? {
+        let name = get(s, "name", Value::as_str, "hotpaths section")?;
+        if s.get("iters").and_then(Value::as_u64).unwrap_or(0) > 0 {
+            out.push((name.to_string(), get(s, "p50_ms", Value::as_f64, name)?));
         }
-        let p50 = s
-            .get("p50_ms")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("section `{name}`: missing `p50_ms`"))?;
-        out.push((name.to_string(), p50));
     }
     Ok(out)
 }
 
-/// Compare a current hotpath report against a baseline.
-///
-/// `tolerance` is the allowed fractional slowdown: 0.25 passes anything
-/// up to 1.25× the baseline p50. Baseline sections with no measurements
-/// are ignored; extra sections in the current report are ignored too
-/// (adding a benchmark is not a regression).
-pub fn diff_reports(
-    baseline: &Value,
-    current: &Value,
-    tolerance: f64,
-) -> Result<CompareReport, String> {
-    assert!(tolerance >= 0.0, "negative tolerance");
-    let base = sections(baseline)?;
-    let cur = sections(current)?;
-    let rows = base
-        .into_iter()
-        .map(|(name, base_p50)| {
-            let cur_p50 = cur.iter().find(|(n, _)| *n == name).map(|(_, p)| *p);
-            let status = match cur_p50 {
-                None => SectionStatus::Missing,
-                Some(c) if c > base_p50 * (1.0 + tolerance) => SectionStatus::Regressed,
-                Some(c) if c < base_p50 => SectionStatus::Improved,
-                Some(_) => SectionStatus::Within,
-            };
-            SectionDiff {
-                name,
-                base_p50_ms: base_p50,
-                cur_p50_ms: cur_p50,
-                status,
-            }
-        })
-        .collect();
-    Ok(CompareReport { tolerance, rows })
+/// Hold a current `BENCH_hotpaths.json` against the baseline: each
+/// measured baseline section's p50 may grow by at most
+/// [`HOTPATH_TOLERANCE`], and may not go missing.
+pub fn hotpaths_gate(baseline: &Value, current: &Value) -> Result<Vec<Check>, String> {
+    let bound = Bound::AtMost(1.0 + HOTPATH_TOLERANCE);
+    ratios("hotpaths", &sections(baseline)?, &sections(current)?, bound)
 }
 
-/// Steady-state fresh-allocation count from a `BENCH_trace.json`
-/// report. Zero means the arena fully absorbed the workload after
-/// warm-up — the invariant the zero-allocation hot paths guarantee.
-pub fn steady_fresh_allocs(trace: &Value) -> Result<u64, String> {
-    trace
-        .get("steady_fresh_allocs")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "trace report has no `steady_fresh_allocs`".to_string())
+/// Gate a `BENCH_trace.json`: the steady-state fresh-allocation count
+/// must be zero, meaning the arena absorbed the workload after warm-up.
+pub fn trace_gate(trace: &Value) -> Result<Vec<Check>, String> {
+    Ok(vec![absolute(
+        "trace",
+        trace,
+        "steady_fresh_allocs",
+        "steady-state fresh allocations",
+        Bound::AtMost(0.0),
+    )?])
 }
 
-/// Outcome of the SIMD dispatch gate over a `BENCH_simd.json` report.
-#[derive(Debug, Clone)]
-pub struct SimdGate {
-    /// The ISA the report was produced under.
-    pub isa: String,
-    /// `scalar p50 / simd p50` of the SGEMM micro-bench.
-    pub sgemm_speedup: f64,
-    /// `scalar p50 / simd p50` of the batched rfft round-trip.
-    pub rfft_speedup: f64,
-    /// Human-readable reasons the gate failed; empty means pass.
-    pub failures: Vec<String>,
+/// Gate a `BENCH_simd.json`: the dispatched SGEMM and rfft over their
+/// forced-scalar arms ([`SIMD_MIN_SGEMM_SPEEDUP`],
+/// [`SIMD_MIN_RFFT_SPEEDUP`]).
+pub fn simd_gate(report: &Value) -> Result<Vec<Check>, String> {
+    let rows = vec![
+        absolute(
+            "simd",
+            report,
+            "sgemm_speedup",
+            "sgemm speedup over scalar",
+            Bound::AtLeast(SIMD_MIN_SGEMM_SPEEDUP),
+        )?,
+        absolute(
+            "simd",
+            report,
+            "rfft_speedup",
+            "rfft speedup over scalar",
+            Bound::AtLeast(SIMD_MIN_RFFT_SPEEDUP),
+        )?,
+    ];
+    unless_scalar("simd", report, rows)
 }
 
-impl SimdGate {
-    /// True when the dispatched kernels met their speedup floors (or the
-    /// host is scalar-only, where the gate is vacuous).
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+/// Gate a `BENCH_fft.json` sweep: the geomean ([`FFT_MIN_OVERALL_SPEEDUP`])
+/// and every size×batch cell ([`FFT_MIN_ENTRY_SPEEDUP`]), which catches
+/// "faster on average, slower at one size".
+pub fn fft_gate(report: &Value) -> Result<Vec<Check>, String> {
+    let mut rows = vec![absolute(
+        "fft",
+        report,
+        "overall_speedup",
+        "overall speedup (geomean)",
+        Bound::AtLeast(FFT_MIN_OVERALL_SPEEDUP),
+    )?];
+    for e in get(report, "entries", Value::as_array, "fft report")? {
+        let n = get(e, "n", Value::as_u64, "fft entry")?;
+        let batch = get(e, "batch", Value::as_u64, "fft entry")?;
+        let subject = format!("rfft {n}x{n} batch {batch}");
+        rows.push(absolute(
+            "fft",
+            e,
+            "speedup",
+            &subject,
+            Bound::AtLeast(FFT_MIN_ENTRY_SPEEDUP),
+        )?);
     }
+    unless_scalar("fft", report, rows)
+}
 
-    /// One-line summary for CI logs.
-    pub fn render(&self) -> String {
-        if self.failures.is_empty() {
-            format!(
-                "simd gate: isa {} — sgemm {:.2}x, rfft {:.2}x over scalar: ok",
-                self.isa, self.sgemm_speedup, self.rfft_speedup
-            )
-        } else {
-            format!("simd gate: isa {} — {}", self.isa, self.failures.join("; "))
+/// Gate a `BENCH_layout.json` sweep: fused NCHWc over unfused planar,
+/// the headline geomean ([`LAYOUT_MIN_SPEEDUP`]) and each headline entry
+/// ([`LAYOUT_MIN_HEADLINE_SPEEDUP`]).
+pub fn layout_gate(report: &Value) -> Result<Vec<Check>, String> {
+    let mut rows = vec![absolute(
+        "layout",
+        report,
+        "overall_speedup",
+        "headline speedup (geomean)",
+        Bound::AtLeast(LAYOUT_MIN_SPEEDUP),
+    )?];
+    for e in get(report, "entries", Value::as_array, "layout report")? {
+        let name = get(e, "name", Value::as_str, "layout entry")?;
+        let row = absolute(
+            "layout",
+            e,
+            "speedup",
+            name,
+            Bound::AtLeast(LAYOUT_MIN_HEADLINE_SPEEDUP),
+        )?;
+        // The vendored `Value` has no `as_bool` helper.
+        if matches!(e.get("headline"), Some(Value::Bool(true))) {
+            rows.push(row);
         }
     }
+    unless_scalar("layout", report, rows)
 }
 
-/// Gate a `BENCH_simd.json` report: on a SIMD-capable host the
-/// dispatched SGEMM micro-kernel must beat scalar by at least
-/// `min_sgemm_speedup` and the FFT path must not have *lost* throughput
-/// (floor 0.9× — the butterflies are memory-bound, so parity is
-/// acceptable; a real dispatch regression shows up well below it).
-/// Scalar-only hosts pass trivially: there is no SIMD path to regress.
-pub fn simd_gate(report: &Value, min_sgemm_speedup: f64) -> Result<SimdGate, String> {
-    const MIN_RFFT_SPEEDUP: f64 = 0.9;
-    let isa = report
-        .get("isa")
-        .and_then(Value::as_str)
-        .ok_or("simd report has no `isa`")?
-        .to_string();
-    let field = |name: &str| {
-        report
-            .get(name)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("simd report has no `{name}`"))
-    };
-    let sgemm_speedup = field("sgemm_speedup")?;
-    let rfft_speedup = field("rfft_speedup")?;
-    let mut failures = Vec::new();
-    if isa != "scalar" {
-        if sgemm_speedup < min_sgemm_speedup {
-            failures.push(format!(
-                "sgemm speedup {sgemm_speedup:.2}x below floor {min_sgemm_speedup:.2}x"
-            ));
-        }
-        if rfft_speedup < MIN_RFFT_SPEEDUP {
-            failures.push(format!(
-                "rfft speedup {rfft_speedup:.2}x below floor {MIN_RFFT_SPEEDUP:.2}x"
-            ));
-        }
-    }
-    Ok(SimdGate {
-        isa,
-        sgemm_speedup,
-        rfft_speedup,
-        failures,
-    })
-}
-
-/// Outcome of the FFT speedup gate over a `BENCH_fft.json` report.
-#[derive(Debug, Clone)]
-pub struct FftGate {
-    /// The ISA the report was produced under.
-    pub isa: String,
-    /// Geometric mean of the per-entry speedups.
-    pub overall_speedup: f64,
-    /// Human-readable reasons the gate failed; empty means pass.
-    pub failures: Vec<String>,
-}
-
-impl FftGate {
-    /// True when the sweep met its floors (or the host is scalar-only,
-    /// where the gate is vacuous).
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line summary for CI logs.
-    pub fn render(&self) -> String {
-        if self.failures.is_empty() {
-            format!(
-                "fft gate: isa {} — {:.2}x over scalar (geomean): ok",
-                self.isa, self.overall_speedup
-            )
-        } else {
-            format!("fft gate: isa {} — {}", self.isa, self.failures.join("; "))
-        }
-    }
-}
-
-/// Gate a `BENCH_fft.json` sweep: on a SIMD-capable host the geometric
-/// mean of the per-size×batch speedups must reach `min_overall_speedup`,
-/// and no single cell may have *lost* throughput (floor 0.75× — small
-/// single-plane transforms are latency-bound and noisy, but a genuine
-/// dispatch regression lands far below that). Scalar-only hosts pass
-/// trivially.
-pub fn fft_gate(report: &Value, min_overall_speedup: f64) -> Result<FftGate, String> {
-    const MIN_ENTRY_SPEEDUP: f64 = 0.75;
-    let isa = report
-        .get("isa")
-        .and_then(Value::as_str)
-        .ok_or("fft report has no `isa`")?
-        .to_string();
-    let overall_speedup = report
-        .get("overall_speedup")
-        .and_then(Value::as_f64)
-        .ok_or("fft report has no `overall_speedup`")?;
-    let entries = report
-        .get("entries")
-        .and_then(Value::as_array)
-        .ok_or("fft report has no `entries` array")?;
-    let mut failures = Vec::new();
-    if isa != "scalar" {
-        if overall_speedup < min_overall_speedup {
-            failures.push(format!(
-                "overall speedup {overall_speedup:.2}x below floor {min_overall_speedup:.2}x"
-            ));
-        }
-        for (i, e) in entries.iter().enumerate() {
-            let speedup = e
-                .get("speedup")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("fft entry {i}: missing `speedup`"))?;
-            if speedup < MIN_ENTRY_SPEEDUP {
-                let n = e.get("n").and_then(Value::as_u64).unwrap_or(0);
-                let batch = e.get("batch").and_then(Value::as_u64).unwrap_or(0);
-                failures.push(format!(
-                    "rfft {n}x{n} batch {batch}: {speedup:.2}x below per-cell floor \
-                     {MIN_ENTRY_SPEEDUP:.2}x"
-                ));
-            }
-        }
-    }
-    Ok(FftGate {
-        isa,
-        overall_speedup,
-        failures,
-    })
-}
-
-/// Outcome of the layout gate over a `BENCH_layout.json` report.
-#[derive(Debug, Clone)]
-pub struct LayoutGate {
-    /// The ISA the report was produced under.
-    pub isa: String,
-    /// Geometric mean of the headline-entry speedups (fused NCHWc over
-    /// the unfused planar path).
-    pub overall_speedup: f64,
-    /// Human-readable reasons the gate failed; empty means pass.
-    pub failures: Vec<String>,
-}
-
-impl LayoutGate {
-    /// True when the fused-layout win held up (or the host is
-    /// scalar-only, where the gate is vacuous).
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line summary for CI logs.
-    pub fn render(&self) -> String {
-        if self.failures.is_empty() {
-            format!(
-                "layout gate: isa {} — fused nchwc {:.2}x over planar (geomean): ok",
-                self.isa, self.overall_speedup
-            )
-        } else {
-            format!(
-                "layout gate: isa {} — {}",
-                self.isa,
-                self.failures.join("; ")
-            )
-        }
-    }
-}
-
-/// Gate a `BENCH_layout.json` sweep: on a SIMD-capable host the
-/// geometric mean of the *headline* entries (channel counts that fill
-/// the SIMD block) must show the fused NCHWc path at least
-/// `min_speedup` faster than the unfused planar path, and no headline
-/// entry may have lost outright (floor 1.0×). Non-headline entries —
-/// remainder-heavy shapes like LeNet's 1- and 6-channel layers, kept in
-/// the report for honesty — are informational and never gate. Scalar
-/// hosts pass trivially: without a vector block the packed layout is
-/// pure overhead and the autotuner will not pick it.
-pub fn layout_gate(report: &Value, min_speedup: f64) -> Result<LayoutGate, String> {
-    const MIN_HEADLINE_SPEEDUP: f64 = 1.0;
-    let isa = report
-        .get("isa")
-        .and_then(Value::as_str)
-        .ok_or("layout report has no `isa`")?
-        .to_string();
-    let overall_speedup = report
-        .get("overall_speedup")
-        .and_then(Value::as_f64)
-        .ok_or("layout report has no `overall_speedup`")?;
-    let entries = report
-        .get("entries")
-        .and_then(Value::as_array)
-        .ok_or("layout report has no `entries` array")?;
-    let mut failures = Vec::new();
-    if isa != "scalar" {
-        if overall_speedup < min_speedup {
-            failures.push(format!(
-                "headline speedup {overall_speedup:.2}x below floor {min_speedup:.2}x"
-            ));
-        }
-        for (i, e) in entries.iter().enumerate() {
-            // The vendored `Value` has no `as_bool` helper.
-            if !matches!(e.get("headline"), Some(Value::Bool(true))) {
-                continue;
-            }
-            let speedup = e
-                .get("speedup")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("layout entry {i}: missing `speedup`"))?;
-            if speedup < MIN_HEADLINE_SPEEDUP {
-                let name = e.get("name").and_then(Value::as_str).unwrap_or("?");
-                failures.push(format!(
-                    "{name}: {speedup:.2}x below per-entry floor {MIN_HEADLINE_SPEEDUP:.2}x"
-                ));
-            }
-        }
-    }
-    Ok(LayoutGate {
-        isa,
-        overall_speedup,
-        failures,
-    })
-}
-
-/// Outcome of the serving gate over a pair of `BENCH_serve.json`
-/// reports (committed baseline vs freshly measured).
-#[derive(Debug, Clone)]
-pub struct ServeGate {
-    /// Current batched speedup (largest cap vs cap 1 at peak load).
-    pub batched_speedup: f64,
-    /// Current peak throughput / baseline peak throughput.
-    pub throughput_ratio: f64,
-    /// Current headline-cell p50 / baseline headline-cell p50.
-    pub p50_ratio: f64,
-    /// Human-readable reasons the gate failed; empty means pass.
-    pub failures: Vec<String>,
-}
-
-impl ServeGate {
-    /// True when serving throughput, latency and the batching win all
-    /// held up.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line summary for CI logs.
-    pub fn render(&self) -> String {
-        if self.failures.is_empty() {
-            format!(
-                "serve gate: batched {:.2}x, throughput {:.2}x of baseline, p50 {:.2}x: ok",
-                self.batched_speedup, self.throughput_ratio, self.p50_ratio
-            )
-        } else {
-            format!("serve gate: {}", self.failures.join("; "))
-        }
-    }
-}
-
-/// The headline cell of a serve report: largest batch cap at the
-/// highest offered load — the configuration `batched_speedup` is
-/// computed from.
-fn serve_headline_p50(report: &Value) -> Result<f64, String> {
-    let cells = report
-        .get("cells")
-        .and_then(Value::as_array)
-        .ok_or("serve report has no `cells` array")?;
-    cells
+/// `[("headline p50", p50)]` of a serve report: the p50 of its headline
+/// cell, the largest batch cap at the highest offered load (where
+/// `batched_speedup` is measured).
+fn serve_headline_p50(report: &Value) -> Result<Vec<(String, f64)>, String> {
+    let cells = get(report, "cells", Value::as_array, "serve report")?
         .iter()
-        .max_by_key(|c| {
-            (
-                c.get("max_batch").and_then(Value::as_u64).unwrap_or(0),
-                c.get("offered_inflight")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-            )
+        .map(|c| {
+            let cap = get(c, "max_batch", Value::as_u64, "serve cell")?;
+            let load = get(c, "offered_inflight", Value::as_u64, "serve cell")?;
+            Ok(((cap, load), get(c, "p50_ms", Value::as_f64, "serve cell")?))
         })
-        .and_then(|c| c.get("p50_ms").and_then(Value::as_f64))
-        .ok_or_else(|| "serve report headline cell has no `p50_ms`".to_string())
+        .collect::<Result<Vec<_>, String>>()?;
+    let (_, p50) = cells
+        .into_iter()
+        .max_by_key(|(key, _)| *key)
+        .ok_or("serve report has no cells")?;
+    Ok(vec![("headline p50".to_string(), p50)])
 }
 
-/// Gate a freshly measured `BENCH_serve.json` against the committed
-/// baseline. Three checks:
-///
-/// 1. the batching win survives: `batched_speedup ≥ min_speedup`
-///    (throughput at the largest cap must beat cap 1 — the reason the
-///    serving layer exists);
-/// 2. peak throughput stays within `tolerance` of the baseline;
-/// 3. headline-cell p50 latency stays within `tolerance`.
-///
-/// Serving numbers are wall-clock over a threaded closed loop, so the
-/// tolerance is wider than the kernel gates' (CI default 0.35).
-pub fn serve_gate(
-    baseline: &Value,
-    current: &Value,
-    tolerance: f64,
-    min_speedup: f64,
-) -> Result<ServeGate, String> {
-    let field = |report: &Value, name: &str| {
-        report
-            .get(name)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("serve report has no `{name}`"))
+/// Hold a current `BENCH_serve.json` against the baseline: the batching
+/// win ([`SERVE_MIN_BATCHED_SPEEDUP`]), peak throughput and headline-cell
+/// p50 within [`SERVE_TOLERANCE`].
+pub fn serve_gate(baseline: &Value, current: &Value) -> Result<Vec<Check>, String> {
+    let peak = |r: &Value| {
+        let rps = get(r, "capmax_throughput_rps", Value::as_f64, "serve report")?;
+        Ok::<_, String>(vec![("peak throughput".to_string(), rps)])
     };
-    let batched_speedup = field(current, "batched_speedup")?;
-    let base_thru = field(baseline, "capmax_throughput_rps")?;
-    let cur_thru = field(current, "capmax_throughput_rps")?;
-    let base_p50 = serve_headline_p50(baseline)?;
-    let cur_p50 = serve_headline_p50(current)?;
-    if base_thru <= 0.0 || base_p50 <= 0.0 {
-        return Err("serve baseline has non-positive throughput or p50".to_string());
-    }
-    let throughput_ratio = cur_thru / base_thru;
-    let p50_ratio = cur_p50 / base_p50;
-
-    let mut failures = Vec::new();
-    if batched_speedup < min_speedup {
-        failures.push(format!(
-            "batched speedup {batched_speedup:.2}x below floor {min_speedup:.2}x \
-             — batching no longer beats single-image serving"
-        ));
-    }
-    if throughput_ratio < 1.0 - tolerance {
-        failures.push(format!(
-            "peak throughput {cur_thru:.0} rps is {throughput_ratio:.2}x of baseline \
-             {base_thru:.0} rps (floor {:.2}x)",
-            1.0 - tolerance
-        ));
-    }
-    if p50_ratio > 1.0 + tolerance {
-        failures.push(format!(
-            "headline p50 {cur_p50:.2} ms is {p50_ratio:.2}x of baseline {base_p50:.2} ms \
-             (ceiling {:.2}x)",
-            1.0 + tolerance
-        ));
-    }
-    Ok(ServeGate {
-        batched_speedup,
-        throughput_ratio,
-        p50_ratio,
-        failures,
-    })
+    let mut rows = vec![absolute(
+        "serve",
+        current,
+        "batched_speedup",
+        "batched speedup (cap max over cap 1)",
+        Bound::AtLeast(SERVE_MIN_BATCHED_SPEEDUP),
+    )?];
+    let floor = Bound::AtLeast(1.0 - SERVE_TOLERANCE);
+    rows.extend(ratios("serve", &peak(baseline)?, &peak(current)?, floor)?);
+    let (base_p50, cur_p50) = (serve_headline_p50(baseline)?, serve_headline_p50(current)?);
+    rows.extend(ratios(
+        "serve",
+        &base_p50,
+        &cur_p50,
+        Bound::AtMost(1.0 + SERVE_TOLERANCE),
+    )?);
+    Ok(rows)
 }
 
-/// Outcome of the multi-tenant simulator gate over a pair of
-/// `BENCH_mtsim.json` reports (committed baseline vs freshly
-/// generated).
-#[derive(Debug, Clone)]
-pub struct MtsimGate {
-    /// Worst per-stream slowdown of the 2-tenant FIFO cells.
-    pub fifo2_slowdown: f64,
-    /// Partition aggregate throughput over round-robin's, on the
-    /// occupancy-limited workload.
-    pub partition_over_rr: f64,
-    /// Relative error of the model's GM204 occupancy vs maxDNN's
-    /// published figure.
-    pub maxwell_rel_err: f64,
-    /// Human-readable reasons the gate failed; empty means pass.
-    pub failures: Vec<String>,
+/// `(workload/policy/tenants, aggregate throughput)` of every mtsim cell.
+fn mtsim_cells(report: &Value) -> Result<Vec<(String, f64)>, String> {
+    get(report, "cells", Value::as_array, "mtsim report")?
+        .iter()
+        .map(|c| {
+            let workload = get(c, "workload", Value::as_str, "mtsim cell")?;
+            let policy = get(c, "policy", Value::as_str, "mtsim cell")?;
+            let tenants = get(c, "tenants", Value::as_u64, "mtsim cell")?;
+            let thru = get(
+                c,
+                "aggregate_throughput_jobs_per_s",
+                Value::as_f64,
+                "mtsim cell",
+            )?;
+            Ok((format!("{workload}/{policy}/{tenants}"), thru))
+        })
+        .collect()
 }
 
-impl MtsimGate {
-    /// True when the interference physics and the Maxwell validation
-    /// all held, and no cell drifted beyond tolerance.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line summary for CI logs.
-    pub fn render(&self) -> String {
-        if self.failures.is_empty() {
-            format!(
-                "mtsim gate: fifo2 slowdown {:.2}x, partition/rr {:.2}x, \
-                 maxwell err {:.1}%: ok",
-                self.fifo2_slowdown,
-                self.partition_over_rr,
-                self.maxwell_rel_err * 100.0
-            )
-        } else {
-            format!("mtsim gate: {}", self.failures.join("; "))
-        }
-    }
-}
-
-/// Gate a freshly generated `BENCH_mtsim.json` against the committed
-/// baseline. Four checks:
-///
-/// 1. contention is real: each of two closed-loop FIFO tenants sees at
-///    least 1.8× its dedicated latency (`fifo2_slowdown ≥ 1.8`);
-/// 2. spatial sharing wins where the occupancy model says it must:
-///    partition aggregate throughput beats round-robin by ≥ 1.15× on
-///    the occupancy-limited workload;
-/// 3. the Maxwell descriptor reproduces maxDNN's published occupancy
-///    within 5%;
-/// 4. no sweep cell's aggregate throughput drifted below
-///    `baseline · (1 − tolerance)` (cells are matched on
-///    workload/policy/tenants; a baseline cell missing from the
-///    current report fails). The simulator is deterministic, so drift
-///    means the *model* changed — refresh the baseline deliberately,
-///    per EXPERIMENTS.md.
-pub fn mtsim_gate(baseline: &Value, current: &Value, tolerance: f64) -> Result<MtsimGate, String> {
-    const MIN_FIFO2_SLOWDOWN: f64 = 1.8;
-    const MIN_PARTITION_OVER_RR: f64 = 1.15;
-    const MAX_MAXWELL_REL_ERR: f64 = 0.05;
-    let field = |report: &Value, name: &str| {
-        report
-            .get(name)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("mtsim report has no `{name}`"))
-    };
-    let fifo2_slowdown = field(current, "fifo2_slowdown")?;
-    let partition_over_rr = field(current, "partition_over_rr_occlimited")?;
-    let maxwell_rel_err = current
-        .get("maxwell")
-        .and_then(|m| m.get("rel_err"))
-        .and_then(Value::as_f64)
-        .ok_or("mtsim report has no `maxwell.rel_err`")?;
-
-    let mut failures = Vec::new();
-    if fifo2_slowdown < MIN_FIFO2_SLOWDOWN {
-        failures.push(format!(
-            "2-tenant FIFO slowdown {fifo2_slowdown:.2}x below floor \
-             {MIN_FIFO2_SLOWDOWN:.2}x — interference model lost contention"
-        ));
-    }
-    if partition_over_rr < MIN_PARTITION_OVER_RR {
-        failures.push(format!(
-            "partition/rr aggregate {partition_over_rr:.2}x below floor \
-             {MIN_PARTITION_OVER_RR:.2}x on the occupancy-limited workload"
-        ));
-    }
-    if maxwell_rel_err > MAX_MAXWELL_REL_ERR {
-        failures.push(format!(
-            "GM204 occupancy off maxDNN by {:.1}% (ceiling {:.0}%)",
-            maxwell_rel_err * 100.0,
-            MAX_MAXWELL_REL_ERR * 100.0
-        ));
-    }
-
-    let cells = |report: &Value| -> Result<Vec<(String, f64)>, String> {
-        let list = report
-            .get("cells")
-            .and_then(Value::as_array)
-            .ok_or("mtsim report has no `cells` array")?;
-        let mut out = Vec::with_capacity(list.len());
-        for (i, c) in list.iter().enumerate() {
-            let workload = c
-                .get("workload")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("mtsim cell {i}: missing `workload`"))?;
-            let policy = c
-                .get("policy")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("mtsim cell {i}: missing `policy`"))?;
-            let tenants = c
-                .get("tenants")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("mtsim cell {i}: missing `tenants`"))?;
-            let thru = c
-                .get("aggregate_throughput_jobs_per_s")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("mtsim cell {i}: missing throughput"))?;
-            out.push((format!("{workload}/{policy}/{tenants}"), thru));
-        }
-        Ok(out)
-    };
-    let base_cells = cells(baseline)?;
-    let cur_cells = cells(current)?;
-    for (key, base_thru) in &base_cells {
-        match cur_cells.iter().find(|(k, _)| k == key) {
-            None => failures.push(format!("cell {key} missing from current report")),
-            Some((_, cur_thru)) if *cur_thru < base_thru * (1.0 - tolerance) => {
-                failures.push(format!(
-                    "cell {key}: throughput {cur_thru:.2} jobs/s is below baseline \
-                     {base_thru:.2} − {:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-
-    Ok(MtsimGate {
-        fifo2_slowdown,
-        partition_over_rr,
-        maxwell_rel_err,
-        failures,
-    })
+/// Hold a current `BENCH_mtsim.json` against the baseline: the three
+/// headline floors ([`MTSIM_MIN_FIFO2_SLOWDOWN`],
+/// [`MTSIM_MIN_PARTITION_OVER_RR`], [`MTSIM_MAX_MAXWELL_REL_ERR`]) and
+/// every baseline cell's throughput within [`MTSIM_TOLERANCE`].
+pub fn mtsim_gate(baseline: &Value, current: &Value) -> Result<Vec<Check>, String> {
+    let mut rows = vec![
+        absolute(
+            "mtsim",
+            current,
+            "fifo2_slowdown",
+            "2-tenant FIFO slowdown",
+            Bound::AtLeast(MTSIM_MIN_FIFO2_SLOWDOWN),
+        )?,
+        absolute(
+            "mtsim",
+            current,
+            "partition_over_rr_occlimited",
+            "partition/rr aggregate, occupancy-limited",
+            Bound::AtLeast(MTSIM_MIN_PARTITION_OVER_RR),
+        )?,
+        absolute(
+            "mtsim",
+            current,
+            "maxwell.rel_err",
+            "GM204 occupancy error vs maxDNN",
+            Bound::AtMost(MTSIM_MAX_MAXWELL_REL_ERR),
+        )?,
+    ];
+    let floor = Bound::AtLeast(1.0 - MTSIM_TOLERANCE);
+    rows.extend(ratios(
+        "mtsim",
+        &mtsim_cells(baseline)?,
+        &mtsim_cells(current)?,
+        floor,
+    )?);
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -686,44 +411,57 @@ mod tests {
         serde_json::from_str(&format!(r#"{{"sections":[{sections}]}}"#)).unwrap()
     }
 
+    /// The failing rows alone, rendered.
+    fn failures(rows: &[Check]) -> String {
+        render(
+            &rows
+                .iter()
+                .filter(|c| !c.passed())
+                .cloned()
+                .collect::<Vec<_>>(),
+        )
+    }
+
     #[test]
     fn improvement_passes() {
         let base = report(&[("sgemm", 10, 100.0)]);
         let cur = report(&[("sgemm", 10, 60.0)]);
-        let diff = diff_reports(&base, &cur, 0.25).unwrap();
-        assert!(!diff.regressed());
-        assert_eq!(diff.rows[0].status, SectionStatus::Improved);
-        assert!((diff.rows[0].ratio().unwrap() - 0.6).abs() < 1e-9);
+        let rows = hotpaths_gate(&base, &cur).unwrap();
+        assert!(!failed(&rows));
+        assert!((rows[0].value.unwrap() - 0.6).abs() < 1e-9);
     }
 
     #[test]
     fn within_tolerance_passes() {
-        let base = report(&[("sgemm", 10, 100.0)]);
-        let cur = report(&[("sgemm", 10, 120.0)]);
-        let diff = diff_reports(&base, &cur, 0.25).unwrap();
-        assert!(!diff.regressed());
-        assert_eq!(diff.rows[0].status, SectionStatus::Within);
+        // Exactly at the ceiling passes, as does anything below it.
+        let base = report(&[("sgemm", 10, 100.0), ("fft", 10, 50.0)]);
+        let ceiling = 1.0 + HOTPATH_TOLERANCE;
+        let cur = report(&[("sgemm", 10, 100.0 * ceiling), ("fft", 10, 55.0)]);
+        let rows = hotpaths_gate(&base, &cur).unwrap();
+        assert!(!failed(&rows), "{}", render(&rows));
+        assert_eq!(rows[0].value, Some(ceiling));
     }
 
     #[test]
     fn slowdown_beyond_tolerance_regresses() {
         let base = report(&[("sgemm", 10, 100.0), ("fft", 10, 50.0)]);
         let cur = report(&[("sgemm", 10, 130.0), ("fft", 10, 50.0)]);
-        let diff = diff_reports(&base, &cur, 0.25).unwrap();
-        assert!(diff.regressed());
-        assert_eq!(diff.rows[0].status, SectionStatus::Regressed);
-        assert_eq!(diff.rows[1].status, SectionStatus::Within);
-        assert!(diff.render().contains("REGRESSED"));
+        let rows = hotpaths_gate(&base, &cur).unwrap();
+        assert!(failed(&rows));
+        assert!(!rows[0].passed());
+        assert!(rows[1].passed());
+        assert!(failures(&rows).contains("sgemm"));
+        assert!(!failures(&rows).contains("fft"));
     }
 
     #[test]
     fn missing_section_regresses() {
         let base = report(&[("sgemm", 10, 100.0), ("fft", 10, 50.0)]);
         let cur = report(&[("sgemm", 10, 100.0)]);
-        let diff = diff_reports(&base, &cur, 0.25).unwrap();
-        assert!(diff.regressed());
-        assert_eq!(diff.rows[1].status, SectionStatus::Missing);
-        assert_eq!(diff.rows[1].cur_p50_ms, None);
+        let rows = hotpaths_gate(&base, &cur).unwrap();
+        assert!(failed(&rows));
+        assert_eq!(rows[1].value, None);
+        assert!(failures(&rows).contains("missing"));
     }
 
     #[test]
@@ -732,23 +470,22 @@ mod tests {
         // small runner) must not count as missing later.
         let base = report(&[("direct", 0, 0.0), ("sgemm", 10, 100.0)]);
         let cur = report(&[("sgemm", 10, 100.0)]);
-        let diff = diff_reports(&base, &cur, 0.25).unwrap();
-        assert!(!diff.regressed());
-        assert_eq!(diff.rows.len(), 1);
+        let rows = hotpaths_gate(&base, &cur).unwrap();
+        assert!(!failed(&rows));
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]
     fn baseline_vs_itself_is_clean() {
         let base = report(&[("sgemm", 10, 100.0), ("fft", 10, 50.0)]);
-        let diff = diff_reports(&base, &base, 0.0).unwrap();
-        assert!(!diff.regressed());
-        assert!(diff.rows.iter().all(|r| r.status == SectionStatus::Within));
+        let rows = hotpaths_gate(&base, &base).unwrap();
+        assert!(rows.iter().all(|r| r.passed() && r.value == Some(1.0)));
     }
 
     #[test]
     fn malformed_report_errors() {
         let bad: Value = serde_json::from_str(r#"{"nope": 1}"#).unwrap();
-        assert!(diff_reports(&bad, &bad, 0.25).is_err());
+        assert!(hotpaths_gate(&bad, &bad).is_err());
     }
 
     fn simd_report(isa: &str, sgemm: f64, rfft: f64) -> Value {
@@ -760,38 +497,45 @@ mod tests {
 
     #[test]
     fn simd_gate_passes_healthy_report() {
-        let gate = simd_gate(&simd_report("avx2+fma", 2.1, 1.3), 1.2).unwrap();
-        assert!(gate.passed());
-        assert!(gate.render().contains("ok"));
+        let rows = simd_gate(&simd_report("avx2+fma", 2.1, 1.3)).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert!(!failed(&rows));
+        assert!(render(&rows).contains("ok"));
     }
 
     #[test]
     fn simd_gate_fails_slow_sgemm() {
-        let gate = simd_gate(&simd_report("avx2+fma", 1.05, 1.3), 1.2).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("sgemm"));
+        let rows = simd_gate(&simd_report("avx2+fma", 1.05, 1.3)).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("sgemm"));
+        assert!(!failures(&rows).contains("rfft"));
     }
 
     #[test]
     fn simd_gate_fails_fft_throughput_loss() {
-        let gate = simd_gate(&simd_report("neon", 1.8, 0.5), 1.2).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("rfft"));
+        let rows = simd_gate(&simd_report("neon", 1.8, 0.5)).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("rfft"));
     }
 
     #[test]
     fn simd_gate_is_vacuous_on_scalar_hosts() {
         // A scalar-only host legitimately reports ~1.0x everywhere.
-        let gate = simd_gate(&simd_report("scalar", 1.0, 1.0), 1.2).unwrap();
-        assert!(gate.passed());
+        assert!(simd_gate(&simd_report("scalar", 1.0, 0.5))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn simd_gate_rejects_malformed_report() {
-        let bad: Value = serde_json::from_str(r#"{"isa":"avx2+fma"}"#).unwrap();
-        assert!(simd_gate(&bad, 1.2).is_err());
-        let no_isa: Value = serde_json::from_str(r#"{"sgemm_speedup":2.0}"#).unwrap();
-        assert!(simd_gate(&no_isa, 1.2).is_err());
+        for bad in [
+            r#"{"isa":"avx2+fma"}"#,
+            r#"{"sgemm_speedup":2.0,"rfft_speedup":1.3}"#,
+            r#"{"isa":"scalar","sgemm_speedup":1.0}"#,
+        ] {
+            let bad: Value = serde_json::from_str(bad).unwrap();
+            assert!(simd_gate(&bad).is_err());
+        }
     }
 
     fn fft_report(isa: &str, overall: f64, cells: &[(u64, u64, f64)]) -> Value {
@@ -809,42 +553,48 @@ mod tests {
     #[test]
     fn fft_gate_passes_healthy_sweep() {
         let rep = fft_report("avx2+fma", 4.2, &[(16, 1, 1.8), (64, 32, 6.0)]);
-        let gate = fft_gate(&rep, 2.0).unwrap();
-        assert!(gate.passed());
-        assert!(gate.render().contains("ok"));
+        let rows = fft_gate(&rep).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert!(!failed(&rows));
+        assert!(render(&rows).contains("ok"));
     }
 
     #[test]
     fn fft_gate_fails_low_overall() {
-        let rep = fft_report("avx2+fma", 1.4, &[(16, 1, 1.3), (64, 32, 1.5)]);
-        let gate = fft_gate(&rep, 2.0).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("overall"));
+        let rep = fft_report("avx2+fma", 1.1, &[(16, 1, 1.0), (64, 32, 1.2)]);
+        let rows = fft_gate(&rep).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("overall"));
+        assert!(!failures(&rows).contains("rfft"));
     }
 
     #[test]
     fn fft_gate_fails_regressed_cell_despite_good_overall() {
         let rep = fft_report("avx2+fma", 3.0, &[(16, 1, 0.5), (64, 32, 9.0)]);
-        let gate = fft_gate(&rep, 2.0).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("16x16 batch 1"));
+        let rows = fft_gate(&rep).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("16x16 batch 1"));
+        assert!(!failures(&rows).contains("64x64"));
     }
 
     #[test]
     fn fft_gate_is_vacuous_on_scalar_hosts() {
-        let rep = fft_report("scalar", 1.0, &[(16, 1, 1.0)]);
-        assert!(fft_gate(&rep, 2.0).unwrap().passed());
+        let rep = fft_report("scalar", 1.0, &[(16, 1, 0.5)]);
+        assert!(fft_gate(&rep).unwrap().is_empty());
     }
 
     #[test]
     fn fft_gate_rejects_malformed_report() {
         let bad: Value = serde_json::from_str(r#"{"isa":"avx2+fma"}"#).unwrap();
-        assert!(fft_gate(&bad, 2.0).is_err());
-        let no_speedup: Value = serde_json::from_str(
-            r#"{"isa":"avx2+fma","overall_speedup":3.0,"entries":[{"n":16,"batch":1}]}"#,
-        )
-        .unwrap();
-        assert!(fft_gate(&no_speedup, 2.0).is_err());
+        assert!(fft_gate(&bad).is_err());
+        // An entry without its speedup is malformed on a scalar host too.
+        for isa in ["avx2+fma", "scalar"] {
+            let no_speedup: Value = serde_json::from_str(&format!(
+                r#"{{"isa":"{isa}","overall_speedup":3.0,"entries":[{{"n":16,"batch":1}}]}}"#
+            ))
+            .unwrap();
+            assert!(fft_gate(&no_speedup).is_err(), "{isa}");
+        }
     }
 
     fn layout_report(isa: &str, overall: f64, cells: &[(&str, bool, f64)]) -> Value {
@@ -868,17 +618,18 @@ mod tests {
             1.6,
             &[("vgg3_like", true, 1.7), ("lenet_conv1", false, 0.6)],
         );
-        let gate = layout_gate(&rep, 1.15).unwrap();
-        assert!(gate.passed(), "{:?}", gate.failures);
-        assert!(gate.render().contains("ok"));
+        let rows = layout_gate(&rep).unwrap();
+        assert!(!failed(&rows), "{}", render(&rows));
+        assert!(render(&rows).contains("ok"));
     }
 
     #[test]
     fn layout_gate_fails_low_overall() {
         let rep = layout_report("avx2+fma", 1.05, &[("vgg3_like", true, 1.05)]);
-        let gate = layout_gate(&rep, 1.15).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("headline speedup"));
+        let rows = layout_gate(&rep).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("headline speedup"));
+        assert!(!failures(&rows).contains("vgg3_like"));
     }
 
     #[test]
@@ -888,9 +639,10 @@ mod tests {
             1.4,
             &[("vgg3_like", true, 2.1), ("alexnet_conv3", true, 0.9)],
         );
-        let gate = layout_gate(&rep, 1.15).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("alexnet_conv3"));
+        let rows = layout_gate(&rep).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("alexnet_conv3"));
+        assert!(!failures(&rows).contains("vgg3_like"));
     }
 
     #[test]
@@ -902,33 +654,42 @@ mod tests {
             1.5,
             &[("vgg3_like", true, 1.5), ("lenet_conv1", false, 0.4)],
         );
-        assert!(layout_gate(&rep, 1.15).unwrap().passed());
+        let rows = layout_gate(&rep).unwrap();
+        assert!(!failed(&rows));
+        assert!(!render(&rows).contains("lenet_conv1"));
     }
 
     #[test]
     fn layout_gate_is_vacuous_on_scalar_hosts() {
         let rep = layout_report("scalar", 0.8, &[("vgg3_like", true, 0.8)]);
-        assert!(layout_gate(&rep, 1.15).unwrap().passed());
+        assert!(layout_gate(&rep).unwrap().is_empty());
     }
 
     #[test]
     fn layout_gate_rejects_malformed_report() {
         let bad: Value = serde_json::from_str(r#"{"isa":"avx2+fma"}"#).unwrap();
-        assert!(layout_gate(&bad, 1.15).is_err());
-        let no_speedup: Value = serde_json::from_str(
-            r#"{"isa":"avx2+fma","overall_speedup":1.5,
-                "entries":[{"name":"x","headline":true}]}"#,
-        )
-        .unwrap();
-        assert!(layout_gate(&no_speedup, 1.15).is_err());
+        assert!(layout_gate(&bad).is_err());
+        // An entry without its speedup is malformed on a scalar host too.
+        for isa in ["avx2+fma", "scalar"] {
+            let no_speedup: Value = serde_json::from_str(&format!(
+                r#"{{"isa":"{isa}","overall_speedup":1.5,
+                    "entries":[{{"name":"x","headline":true}}]}}"#
+            ))
+            .unwrap();
+            assert!(layout_gate(&no_speedup).is_err(), "{isa}");
+        }
     }
 
     #[test]
     fn alloc_gate_reads_count() {
         let t: Value = serde_json::from_str(r#"{"steady_fresh_allocs": 3}"#).unwrap();
-        assert_eq!(steady_fresh_allocs(&t).unwrap(), 3);
+        let rows = trace_gate(&t).unwrap();
+        assert_eq!(rows[0].value, Some(3.0));
+        assert!(failures(&rows).contains("steady-state fresh allocations"));
+        let zero: Value = serde_json::from_str(r#"{"steady_fresh_allocs": 0}"#).unwrap();
+        assert!(!failed(&trace_gate(&zero).unwrap()));
         let missing: Value = serde_json::from_str("{}").unwrap();
-        assert!(steady_fresh_allocs(&missing).is_err());
+        assert!(trace_gate(&missing).is_err());
     }
 
     fn serve_report(speedup: f64, capmax_thru: f64, cells: &[(u64, u64, f64)]) -> Value {
@@ -950,27 +711,28 @@ mod tests {
     fn serve_gate_passes_when_everything_holds() {
         let base = serve_report(1.5, 20_000.0, &[(1, 16, 0.8), (8, 16, 0.5)]);
         let cur = serve_report(1.6, 21_000.0, &[(1, 16, 0.7), (8, 16, 0.45)]);
-        let gate = serve_gate(&base, &cur, 0.35, 1.0).unwrap();
-        assert!(gate.passed(), "{:?}", gate.failures);
-        assert!(gate.render().contains("ok"));
+        let rows = serve_gate(&base, &cur).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert!(!failed(&rows), "{}", render(&rows));
+        assert!(render(&rows).contains("ok"));
     }
 
     #[test]
     fn serve_gate_fails_when_batching_stops_winning() {
         let base = serve_report(1.5, 20_000.0, &[(8, 16, 0.5)]);
         let cur = serve_report(0.9, 21_000.0, &[(8, 16, 0.5)]);
-        let gate = serve_gate(&base, &cur, 0.35, 1.0).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("batched speedup"));
+        let rows = serve_gate(&base, &cur).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("batched speedup"));
     }
 
     #[test]
     fn serve_gate_fails_on_throughput_regression() {
         let base = serve_report(1.5, 20_000.0, &[(8, 16, 0.5)]);
         let cur = serve_report(1.5, 10_000.0, &[(8, 16, 0.5)]);
-        let gate = serve_gate(&base, &cur, 0.35, 1.0).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("peak throughput"));
+        let rows = serve_gate(&base, &cur).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("peak throughput"));
     }
 
     #[test]
@@ -979,20 +741,29 @@ mod tests {
         // low-load cells may regress freely.
         let base = serve_report(1.5, 20_000.0, &[(1, 4, 0.1), (8, 16, 0.5)]);
         let cur = serve_report(1.5, 20_000.0, &[(1, 4, 9.9), (8, 16, 0.5)]);
-        assert!(serve_gate(&base, &cur, 0.35, 1.0).unwrap().passed());
+        assert!(!failed(&serve_gate(&base, &cur).unwrap()));
         let cur_bad = serve_report(1.5, 20_000.0, &[(1, 4, 0.1), (8, 16, 1.5)]);
-        let gate = serve_gate(&base, &cur_bad, 0.35, 1.0).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("headline p50"));
+        let rows = serve_gate(&base, &cur_bad).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("headline p50"));
     }
 
     #[test]
     fn serve_gate_tolerance_is_honored() {
+        // `past` > 0 puts every number that far past its bound; < 0 inside.
         let base = serve_report(1.5, 20_000.0, &[(8, 16, 0.5)]);
-        // 30% worse on both axes: inside a 0.35 tolerance, outside 0.2.
-        let cur = serve_report(1.2, 14_000.0, &[(8, 16, 0.65)]);
-        assert!(serve_gate(&base, &cur, 0.35, 1.0).unwrap().passed());
-        assert!(!serve_gate(&base, &cur, 0.2, 1.0).unwrap().passed());
+        let probe = |past: f64| {
+            serve_report(
+                SERVE_MIN_BATCHED_SPEEDUP - past,
+                20_000.0 * (1.0 - SERVE_TOLERANCE - past),
+                &[(8, 16, 0.5 * (1.0 + SERVE_TOLERANCE + past))],
+            )
+        };
+        let inside = serve_gate(&base, &probe(-1e-3)).unwrap();
+        assert_eq!(inside.len(), 3);
+        assert!(!failed(&inside), "{}", render(&inside));
+        let outside = serve_gate(&base, &probe(1e-3)).unwrap();
+        assert!(outside.iter().all(|c| !c.passed()), "{}", render(&outside));
     }
 
     fn mtsim_report(
@@ -1021,36 +792,37 @@ mod tests {
     #[test]
     fn mtsim_gate_passes_healthy_report() {
         let rep = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 100.0)]);
-        let gate = mtsim_gate(&rep, &rep, 0.1).unwrap();
-        assert!(gate.passed(), "{:?}", gate.failures);
-        assert!(gate.render().contains("ok"));
+        let rows = mtsim_gate(&rep, &rep).unwrap();
+        assert_eq!(rows.len(), 4);
+        assert!(!failed(&rows), "{}", render(&rows));
+        assert!(render(&rows).contains("ok"));
     }
 
     #[test]
     fn mtsim_gate_fails_weak_interference() {
         let base = mtsim_report(2.0, 1.8, 0.0, &[]);
         let cur = mtsim_report(1.4, 1.8, 0.0, &[]);
-        let gate = mtsim_gate(&base, &cur, 0.1).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("FIFO slowdown"));
+        let rows = mtsim_gate(&base, &cur).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("FIFO slowdown"));
     }
 
     #[test]
     fn mtsim_gate_fails_when_partition_stops_winning() {
         let base = mtsim_report(2.0, 1.8, 0.0, &[]);
         let cur = mtsim_report(2.0, 1.0, 0.0, &[]);
-        let gate = mtsim_gate(&base, &cur, 0.1).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("partition/rr"));
+        let rows = mtsim_gate(&base, &cur).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("partition/rr"));
     }
 
     #[test]
     fn mtsim_gate_fails_maxwell_drift() {
         let base = mtsim_report(2.0, 1.8, 0.0, &[]);
         let cur = mtsim_report(2.0, 1.8, 0.08, &[]);
-        let gate = mtsim_gate(&base, &cur, 0.1).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("maxDNN"));
+        let rows = mtsim_gate(&base, &cur).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("maxDNN"));
     }
 
     #[test]
@@ -1067,22 +839,35 @@ mod tests {
             0.0,
             &[("occ", "fifo", 2, 80.0), ("occ", "rr", 2, 90.0)],
         );
-        let gate = mtsim_gate(&base, &slow, 0.1).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("occ/fifo/2"));
+        let rows = mtsim_gate(&base, &slow).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("occ/fifo/2"));
+        assert!(!failures(&rows).contains("occ/rr/2"));
 
         let missing = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 100.0)]);
-        let gate = mtsim_gate(&base, &missing, 0.1).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.render().contains("missing"));
+        let rows = mtsim_gate(&base, &missing).unwrap();
+        assert!(failed(&rows));
+        assert!(failures(&rows).contains("occ/rr/2"));
+        assert!(failures(&rows).contains("missing"));
     }
 
     #[test]
     fn mtsim_gate_tolerance_is_honored() {
+        // `past` > 0 puts every number that far past its bound; < 0 inside.
         let base = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 100.0)]);
-        let cur = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 92.0)]);
-        assert!(mtsim_gate(&base, &cur, 0.1).unwrap().passed());
-        assert!(!mtsim_gate(&base, &cur, 0.05).unwrap().passed());
+        let probe = |past: f64| {
+            mtsim_report(
+                MTSIM_MIN_FIFO2_SLOWDOWN - past,
+                MTSIM_MIN_PARTITION_OVER_RR - past,
+                MTSIM_MAX_MAXWELL_REL_ERR + past,
+                &[("occ", "fifo", 2, 100.0 * (1.0 - MTSIM_TOLERANCE - past))],
+            )
+        };
+        let inside = mtsim_gate(&base, &probe(-1e-3)).unwrap();
+        assert_eq!(inside.len(), 4);
+        assert!(!failed(&inside), "{}", render(&inside));
+        let outside = mtsim_gate(&base, &probe(1e-3)).unwrap();
+        assert!(outside.iter().all(|c| !c.passed()), "{}", render(&outside));
     }
 
     #[test]
@@ -1090,13 +875,13 @@ mod tests {
         let good = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 100.0)]);
         let no_headline: Value =
             serde_json::from_str(r#"{"partition_over_rr_occlimited":1.8}"#).unwrap();
-        assert!(mtsim_gate(&good, &no_headline, 0.1).is_err());
+        assert!(mtsim_gate(&good, &no_headline).is_err());
         let no_cells: Value = serde_json::from_str(
             r#"{"fifo2_slowdown":2.0,"partition_over_rr_occlimited":1.8,
                 "maxwell":{"rel_err":0.0}}"#,
         )
         .unwrap();
-        assert!(mtsim_gate(&no_cells, &good, 0.1).is_err());
+        assert!(mtsim_gate(&no_cells, &good).is_err());
     }
 
     #[test]
@@ -1104,9 +889,36 @@ mod tests {
         let good = serve_report(1.5, 20_000.0, &[(8, 16, 0.5)]);
         let no_cells: Value =
             serde_json::from_str(r#"{"batched_speedup":1.5,"capmax_throughput_rps":1.0}"#).unwrap();
-        assert!(serve_gate(&good, &no_cells, 0.35, 1.0).is_err());
-        assert!(serve_gate(&no_cells, &good, 0.35, 1.0).is_err());
+        assert!(serve_gate(&good, &no_cells).is_err());
+        assert!(serve_gate(&no_cells, &good).is_err());
         let zero_base = serve_report(1.5, 0.0, &[(8, 16, 0.5)]);
-        assert!(serve_gate(&zero_base, &good, 0.35, 1.0).is_err());
+        assert!(serve_gate(&zero_base, &good).is_err());
+    }
+
+    /// Every gate reads the committed `results/BENCH_*.json` as written:
+    /// held against themselves, each emits rows and none fails.
+    #[test]
+    fn committed_reports_pass_every_gate() {
+        let load = |name: &str| -> Value {
+            let path = format!(
+                "{}/../../results/BENCH_{name}.json",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap()
+        };
+        let (hot, serve, mtsim) = (load("hotpaths"), load("serve"), load("mtsim"));
+        for rows in [
+            hotpaths_gate(&hot, &hot),
+            trace_gate(&load("trace")),
+            simd_gate(&load("simd")),
+            fft_gate(&load("fft")),
+            layout_gate(&load("layout")),
+            serve_gate(&serve, &serve),
+            mtsim_gate(&mtsim, &mtsim),
+        ] {
+            let rows = rows.unwrap();
+            assert!(!rows.is_empty());
+            assert!(!failed(&rows), "{}", render(&rows));
+        }
     }
 }
