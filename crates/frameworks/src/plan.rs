@@ -2,7 +2,8 @@
 //! one training iteration.
 
 use gcnn_gpusim::{
-    DeviceSpec, KernelDesc, OomError, ProfileReport, ProfilerSession, Timeline, Transfer,
+    DeviceSpec, KernelDesc, OomError, ProfileReport, ProfilerSession, SpanKind, Timeline, Transfer,
+    TransferDirection,
 };
 use serde::{Deserialize, Serialize};
 
@@ -29,7 +30,7 @@ impl ResourceProfile {
 pub struct PlannedKernel {
     /// The launch description.
     pub desc: KernelDesc,
-    /// Number of identical launches.
+    /// Number of identical launches (0: never launched).
     pub count: u32,
 }
 
@@ -58,9 +59,12 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Total device bytes the plan holds at peak.
+    /// Total device bytes the plan holds at peak, saturating at
+    /// `u64::MAX`.
     pub fn peak_bytes(&self) -> u64 {
-        self.allocations.iter().map(|(_, b)| *b).sum()
+        self.allocations
+            .iter()
+            .fold(0u64, |sum, (_, b)| sum.saturating_add(*b))
     }
 
     /// Total useful FLOPs across all launches.
@@ -74,18 +78,32 @@ impl ExecutionPlan {
     /// Execute the plan on a fresh profiler session over `dev` for
     /// `iterations` iterations (allocations persist across iterations,
     /// as frameworks reuse their buffers; kernels and transfers repeat).
+    /// Each planned kernel is timed once per iteration and counted
+    /// `count` times; no timeline is built.
     pub fn execute(&self, dev: &DeviceSpec, iterations: u32) -> Result<ProfileReport, OomError> {
-        self.execute_traced(dev, iterations)
-            .map(|(report, _)| report)
+        self.run(dev, iterations, None)
     }
 
     /// [`ExecutionPlan::execute`], additionally returning the execution
-    /// [`Timeline`] (exportable to Chrome trace format).
+    /// [`Timeline`] (exportable to Chrome trace format): one span per
+    /// launch and per visible transfer, in schedule order. The report is
+    /// the one `execute` returns.
     pub fn execute_traced(
         &self,
         dev: &DeviceSpec,
         iterations: u32,
     ) -> Result<(ProfileReport, Timeline), OomError> {
+        let mut timeline = Timeline::new();
+        let report = self.run(dev, iterations, Some(&mut timeline))?;
+        Ok((report, timeline))
+    }
+
+    fn run(
+        &self,
+        dev: &DeviceSpec,
+        iterations: u32,
+        mut timeline: Option<&mut Timeline>,
+    ) -> Result<ProfileReport, OomError> {
         let mut session = ProfilerSession::new(dev.clone());
         for (label, bytes) in &self.allocations {
             session.alloc(label.clone(), *bytes)?;
@@ -93,22 +111,35 @@ impl ExecutionPlan {
         for _ in 0..iterations {
             for t in &self.transfers {
                 session.transfer(*t);
+                let Some(tl) = timeline.as_deref_mut() else {
+                    continue;
+                };
+                let visible = t.visible_time_ms(dev);
+                if visible > 0.0 {
+                    let label = match t.direction {
+                        TransferDirection::HostToDevice => "H2D copy",
+                        TransferDirection::DeviceToHost => "D2H copy",
+                    };
+                    tl.push(label, SpanKind::Transfer, visible);
+                }
             }
             for pk in &self.kernels {
-                for _ in 0..pk.count {
-                    session.launch(&pk.desc);
+                let result = session.launch_times(&pk.desc, pk.count);
+                if let Some(tl) = timeline.as_deref_mut() {
+                    for _ in 0..pk.count {
+                        tl.push(pk.desc.name.clone(), SpanKind::Kernel, result.time_ms);
+                    }
                 }
             }
         }
-        let timeline = session.timeline().clone();
-        Ok((session.report(), timeline))
+        Ok(session.report())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcnn_gpusim::{LaunchConfig, TransferDirection};
+    use gcnn_gpusim::LaunchConfig;
 
     fn plan() -> ExecutionPlan {
         let mut k = KernelDesc::new("work", LaunchConfig::new(512, 256));
@@ -135,6 +166,64 @@ mod tests {
         assert_eq!(report.kernels[0].launches, 6);
         assert_eq!(report.peak_mem_bytes, 3000);
         assert!(report.transfer_visible_ms > 0.0);
+    }
+
+    #[test]
+    fn traced_execution_reports_the_same_and_spans_every_launch() {
+        let dev = DeviceSpec::k40c();
+        let cfg = gcnn_conv::ConvConfig::paper_base();
+        for imp in crate::all_implementations() {
+            if imp.supports(&cfg).is_err() {
+                continue;
+            }
+            let plan = imp.plan(&cfg);
+            let report = plan.execute(&dev, 2).unwrap();
+            let (traced, timeline) = plan.execute_traced(&dev, 2).unwrap();
+            // Debug prints every float in round-trip form: equal text is equal bits.
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{traced:?}"),
+                "{}",
+                imp.name()
+            );
+
+            let mut expected = Vec::new();
+            for t in plan
+                .transfers
+                .iter()
+                .filter(|t| t.visible_time_ms(&dev) > 0.0)
+            {
+                let label = match t.direction {
+                    TransferDirection::HostToDevice => "H2D copy",
+                    TransferDirection::DeviceToHost => "D2H copy",
+                };
+                expected.push((label, SpanKind::Transfer, t.visible_time_ms(&dev)));
+            }
+            for pk in &plan.kernels {
+                let ms = gcnn_gpusim::timing::time_kernel(&dev, &pk.desc).time_ms;
+                let span = (pk.desc.name.as_str(), SpanKind::Kernel, ms);
+                expected.extend(std::iter::repeat_n(span, pk.count as usize));
+            }
+            // Two iterations: the schedule repeats.
+            let expected = [expected.clone(), expected].concat();
+            let spans = timeline.spans();
+            assert_eq!(spans.len(), expected.len(), "{}", imp.name());
+            let launches: u32 = plan.kernels.iter().map(|pk| pk.count).sum();
+            let kernel_spans = spans.iter().filter(|s| s.kind == SpanKind::Kernel).count();
+            assert_eq!(kernel_spans, 2 * launches as usize, "{}", imp.name());
+            for (span, (name, kind, ms)) in spans.iter().zip(&expected) {
+                assert_eq!((span.name.as_str(), span.kind), (*name, *kind));
+                assert_eq!(span.duration_us.to_bits(), (ms * 1e3).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn peak_bytes_saturates() {
+        let mut p = plan();
+        p.allocations.push(("huge".into(), u64::MAX));
+        assert_eq!(p.peak_bytes(), u64::MAX);
+        assert!(p.execute(&DeviceSpec::k40c(), 1).is_err());
     }
 
     #[test]

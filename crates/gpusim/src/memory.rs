@@ -67,15 +67,19 @@ impl MemoryTracker {
         bytes: u64,
     ) -> Result<AllocationId, OomError> {
         let label = label.into();
-        if self.in_use + bytes > self.capacity {
+        let Some(in_use) = self
+            .in_use
+            .checked_add(bytes)
+            .filter(|&n| n <= self.capacity)
+        else {
             return Err(OomError {
                 requested: bytes,
                 in_use: self.in_use,
                 capacity: self.capacity,
                 label,
             });
-        }
-        self.in_use += bytes;
+        };
+        self.in_use = in_use;
         self.peak = self.peak.max(self.in_use);
         self.live.push(Some((label, bytes)));
         Ok(AllocationId(self.live.len() - 1))
@@ -149,6 +153,17 @@ mod tests {
         assert_eq!(err.requested, 30);
         assert_eq!(err.in_use, 80);
         assert!(err.to_string().contains("'ws'"));
+    }
+
+    #[test]
+    fn overflowing_request_is_oom_and_leaves_in_use() {
+        let mut t = MemoryTracker::new(12 << 30);
+        t.alloc("a", 1000).unwrap();
+        let err = t.alloc("huge", u64::MAX - 10).unwrap_err();
+        assert_eq!(err.requested, u64::MAX - 10);
+        assert_eq!(err.in_use, 1000);
+        assert_eq!(t.in_use(), 1000);
+        assert_eq!(t.peak(), 1000);
     }
 
     #[test]

@@ -9,12 +9,18 @@
 //! hotspot-kernel runtime shares (Fig. 4), runtime-weighted top-kernel
 //! metrics (Fig. 6), transfer overhead fractions (Fig. 7) and peak
 //! memory (Fig. 5).
+//!
+//! nvprof times every launch; the model is pure, so
+//! [`ProfilerSession::launch_times`] times a planned kernel once and
+//! merges that result `count` times, with the same merge sequence as
+//! `count` separate launches. The session keeps aggregates only, no
+//! per-launch timeline: a caller that wants spans (e.g.
+//! `ExecutionPlan::execute_traced`) pushes them itself.
 
 use crate::device::DeviceSpec;
 use crate::kernel::KernelDesc;
 use crate::memory::{MemoryTracker, OomError};
 use crate::metrics::KernelMetrics;
-use crate::timeline::{SpanKind, Timeline};
 use crate::timing::{time_kernel, TimingResult};
 use crate::transfer::Transfer;
 use serde::{Deserialize, Serialize};
@@ -117,7 +123,6 @@ pub struct ProfilerSession {
     transfer_wire_ms: f64,
     transfer_visible_ms: f64,
     memory: MemoryTracker,
-    timeline: Timeline,
 }
 
 impl ProfilerSession {
@@ -130,7 +135,6 @@ impl ProfilerSession {
             transfer_wire_ms: 0.0,
             transfer_visible_ms: 0.0,
             memory,
-            timeline: Timeline::new(),
         }
     }
 
@@ -141,29 +145,42 @@ impl ProfilerSession {
 
     /// Record one kernel launch; returns the timing for the caller.
     pub fn launch(&mut self, kernel: &KernelDesc) -> TimingResult {
+        self.launch_times(kernel, 1)
+    }
+
+    /// Record `count` identical launches of `kernel`, timing it once;
+    /// returns the timing of one launch. Every record ends with the same
+    /// bits as after `count` calls of [`ProfilerSession::launch`];
+    /// `count == 0` records nothing.
+    pub fn launch_times(&mut self, kernel: &KernelDesc, count: u32) -> TimingResult {
         let result = time_kernel(&self.dev, kernel);
-        self.timeline
-            .push(kernel.name.clone(), SpanKind::Kernel, result.time_ms);
-        match self.kernels.iter_mut().find(|r| r.name == kernel.name) {
-            Some(rec) => {
-                // Merge metrics runtime-weighted.
-                let merged = KernelMetrics::weighted_average(&[
-                    (rec.total_ms, rec.metrics),
-                    (result.time_ms, result.metrics),
-                ]);
-                rec.launches += 1;
-                rec.total_ms += result.time_ms;
-                rec.metrics = KernelMetrics {
-                    runtime_ms: rec.total_ms,
-                    ..merged
-                };
+        let mut merges = count;
+        let rec = match self.kernels.iter().position(|r| r.name == kernel.name) {
+            Some(i) => &mut self.kernels[i],
+            None if count == 0 => return result,
+            None => {
+                merges -= 1;
+                self.kernels.push(KernelRecord {
+                    name: kernel.name.clone(),
+                    launches: 1,
+                    total_ms: result.time_ms,
+                    metrics: result.metrics,
+                });
+                self.kernels.last_mut().expect("just pushed")
             }
-            None => self.kernels.push(KernelRecord {
-                name: kernel.name.clone(),
-                launches: 1,
-                total_ms: result.time_ms,
-                metrics: result.metrics,
-            }),
+        };
+        for _ in 0..merges {
+            // Merge metrics runtime-weighted.
+            let merged = KernelMetrics::weighted_average(&[
+                (rec.total_ms, rec.metrics),
+                (result.time_ms, result.metrics),
+            ]);
+            rec.launches += 1;
+            rec.total_ms += result.time_ms;
+            rec.metrics = KernelMetrics {
+                runtime_ms: rec.total_ms,
+                ..merged
+            };
         }
         result
     }
@@ -171,15 +188,7 @@ impl ProfilerSession {
     /// Record a host↔device transfer.
     pub fn transfer(&mut self, t: Transfer) {
         self.transfer_wire_ms += t.wire_time_ms(&self.dev);
-        let visible = t.visible_time_ms(&self.dev);
-        self.transfer_visible_ms += visible;
-        if visible > 0.0 {
-            let label = match t.direction {
-                crate::transfer::TransferDirection::HostToDevice => "H2D copy",
-                crate::transfer::TransferDirection::DeviceToHost => "D2H copy",
-            };
-            self.timeline.push(label, SpanKind::Transfer, visible);
-        }
+        self.transfer_visible_ms += t.visible_time_ms(&self.dev);
     }
 
     /// Allocate device memory (tracked toward the peak).
@@ -199,12 +208,6 @@ impl ProfilerSession {
     /// The memory tracker (peak inspection).
     pub fn memory(&self) -> &MemoryTracker {
         &self.memory
-    }
-
-    /// The execution timeline recorded so far (one span per launch and
-    /// per visible transfer, serial single-stream schedule).
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
     }
 
     /// Render the report.
@@ -247,6 +250,52 @@ mod tests {
         assert_eq!(r.kernels[0].name, "gemm");
         assert_eq!(r.kernels[0].launches, 2);
         assert!(r.kernels[0].total_ms > r.kernels[1].total_ms);
+    }
+
+    /// Every field of every record, floats as bits.
+    fn record_bits(s: &ProfilerSession) -> Vec<(String, u64, [u64; 9])> {
+        s.kernels
+            .iter()
+            .map(|r| {
+                let m = &r.metrics;
+                let f = [
+                    r.total_ms,
+                    m.runtime_ms,
+                    m.achieved_occupancy,
+                    m.ipc,
+                    m.warp_execution_efficiency,
+                    m.gld_efficiency,
+                    m.gst_efficiency,
+                    m.shared_efficiency,
+                    m.flop_efficiency,
+                ];
+                (r.name.clone(), r.launches, f.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn launch_times_matches_repeated_launch_bit_for_bit() {
+        let mut gemm = kernel("gemm", 1_000_000_000);
+        gemm.warp_efficiency = 0.7;
+        let mut im2col = kernel("im2col", 30_000_000);
+        im2col.gmem_load_bytes = 1 << 24;
+        let kernels = [gemm, im2col];
+        let mut batched = ProfilerSession::new(DeviceSpec::k40c());
+        let mut single = ProfilerSession::new(DeviceSpec::k40c());
+        for n in [0u32, 1, 2, 7, 512] {
+            for k in &kernels {
+                let once = batched.launch_times(k, n);
+                for _ in 0..n {
+                    assert_eq!(single.launch(k).time_ms.to_bits(), once.time_ms.to_bits());
+                }
+                assert_eq!(record_bits(&batched), record_bits(&single), "n = {n}");
+            }
+            if n == 0 {
+                assert!(batched.report().kernels.is_empty());
+            }
+        }
+        assert_eq!(batched.report().kernels[0].launches, 522);
     }
 
     #[test]

@@ -147,8 +147,9 @@ pub fn model_breakdown(
                 // timing figure, not a memory figure.
                 let mut t = 0.0;
                 for pk in &plan.kernels {
+                    let time_ms = session.launch_times(&pk.desc, pk.count).time_ms;
                     for _ in 0..pk.count {
-                        t += session.launch(&pk.desc).time_ms;
+                        t += time_ms;
                     }
                 }
                 for tr in &plan.transfers {
