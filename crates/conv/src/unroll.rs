@@ -7,14 +7,24 @@
 //!
 //! * forward:           `Y(f × o²)  = W(f × ck²) · cols(ck² × o²)`
 //! * backward-data:     `cols       = Wᵀ · G`, then `col2im`
-//! * backward-weights:  `ΔW        += G · colsᵀ`, image after image
+//! * backward-weights:  `ΔW        += G · colsᵀ`, image after image in up to four parallel groups
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy};
 use gcnn_gemm::{sgemm, Transpose};
 use gcnn_tensor::im2col::{col2im_from, im2col_into};
-use gcnn_tensor::{workspace, Tensor4};
+use gcnn_tensor::simd::add_assign;
+use gcnn_tensor::{workspace, Shape4, Tensor4};
 use rayon::prelude::*;
+
+/// Groups of consecutive images `backward_filters` sums apart.
+const FILTER_GROUPS: usize = 4;
+
+/// Panic, naming `what` (`"<pass>: <operand>"`), unless `t` is `want`-shaped.
+#[track_caller]
+fn check(t: &Tensor4, want: Shape4, what: &str) {
+    assert_eq!(t.shape(), want, "UnrollConv::{what}");
+}
 
 /// The unrolling (im2col + GEMM) convolution algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,16 +44,8 @@ impl ConvAlgorithm for UnrollConv {
 
     fn forward(&self, cfg: &ConvConfig, input: &Tensor4, filters: &Tensor4) -> Tensor4 {
         let _span = gcnn_trace::span("conv.unrolling.forward");
-        assert_eq!(
-            input.shape(),
-            cfg.input_shape(),
-            "UnrollConv::forward: input"
-        );
-        assert_eq!(
-            filters.shape(),
-            cfg.filter_shape(),
-            "UnrollConv::forward: filters"
-        );
+        check(input, cfg.input_shape(), "forward: input");
+        check(filters, cfg.filter_shape(), "forward: filters");
         let geom = cfg.geometry();
         let o2 = cfg.output() * cfg.output();
         let ckk = cfg.channels * cfg.kernel * cfg.kernel;
@@ -82,11 +84,8 @@ impl ConvAlgorithm for UnrollConv {
 
     fn backward_data(&self, cfg: &ConvConfig, grad_out: &Tensor4, filters: &Tensor4) -> Tensor4 {
         let _span = gcnn_trace::span("conv.unrolling.backward_data");
-        assert_eq!(
-            grad_out.shape(),
-            cfg.output_shape(),
-            "UnrollConv::backward_data: grad"
-        );
+        check(grad_out, cfg.output_shape(), "backward_data: grad");
+        check(filters, cfg.filter_shape(), "backward_data: filters");
         let geom = cfg.geometry();
         let o2 = cfg.output() * cfg.output();
         let ckk = cfg.channels * cfg.kernel * cfg.kernel;
@@ -122,32 +121,59 @@ impl ConvAlgorithm for UnrollConv {
 
     fn backward_filters(&self, cfg: &ConvConfig, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
         let _span = gcnn_trace::span("conv.unrolling.backward_filters");
+        check(input, cfg.input_shape(), "backward_filters: input");
+        check(grad_out, cfg.output_shape(), "backward_filters: grad");
         let geom = cfg.geometry();
         let o2 = cfg.output() * cfg.output();
         let ckk = cfg.channels * cfg.kernel * cfg.kernel;
+        let dw = cfg.filters * ckk;
 
-        // One accumulator, images in batch order with `beta = 1`: the
-        // order of the sum, and so every bit of ΔW, is the same at any
-        // pool width. The parallelism is SGEMM's, over ΔW's row blocks.
+        // ΔW's f ≤ 128 rows are one SGEMM row block, so the region is
+        // over groups of images cut by the batch size alone. Each sums its
+        // images in order into its partial (ΔW itself for the first), and
+        // the partials add up in group order: the same bits at any width.
+        // The images ride in the region's source so that even LeNet's tiny
+        // ΔW crosses the pool's sharing threshold.
+        let per_group = cfg.batch.div_ceil(FILTER_GROUPS).max(1);
+        let groups = cfg.batch.div_ceil(per_group);
         let mut grad_w = Tensor4::zeros(cfg.filter_shape());
-        let mut cols = workspace::take_f32(ckk * o2);
-        for n in 0..cfg.batch {
-            im2col_into(input.image(n), &geom, &mut cols);
-            sgemm(
-                Transpose::No,
-                Transpose::Yes,
-                cfg.filters,
-                ckk,
-                o2,
-                1.0,
-                grad_out.image(n),
-                o2,
-                cols.as_slice(),
-                o2,
-                1.0,
-                grad_w.as_mut_slice(),
-                ckk,
-            );
+        let mut rest = workspace::take_f32(groups.saturating_sub(1) * dw);
+        let mut partials: [&mut [f32]; FILTER_GROUPS] = Default::default();
+        let parts = std::iter::once(grad_w.as_mut_slice()).chain(rest.chunks_mut(dw));
+        for (slot, part) in partials.iter_mut().zip(parts) {
+            *slot = part;
+        }
+        let (image_in, image_out) = (input.shape().image_len(), cfg.filters * o2);
+        partials[..groups]
+            .par_iter_mut()
+            .zip(input.as_slice().par_chunks(per_group * image_in))
+            .zip(grad_out.as_slice().par_chunks(per_group * image_out))
+            .for_each(|((acc, images), grads)| {
+                let mut cols = workspace::take_f32(ckk * o2);
+                let pairs = images.chunks(image_in).zip(grads.chunks(image_out));
+                for (i, (image, grad)) in pairs.enumerate() {
+                    im2col_into(image, &geom, &mut cols);
+                    // The first image overwrites the unzeroed scratch.
+                    let beta = if i == 0 { 0.0 } else { 1.0 };
+                    sgemm(
+                        Transpose::No,
+                        Transpose::Yes,
+                        cfg.filters,
+                        ckk,
+                        o2,
+                        1.0,
+                        grad,
+                        o2,
+                        cols.as_slice(),
+                        o2,
+                        beta,
+                        acc,
+                        ckk,
+                    );
+                }
+            });
+        for part in rest.chunks(dw) {
+            add_assign(grad_w.as_mut_slice(), part);
         }
         grad_w
     }
@@ -223,6 +249,37 @@ mod tests {
         let a = UnrollConv.forward(&cfg, &x, &w);
         let b = crate::direct::DirectConv.forward(&cfg, &x, &w);
         assert!(a.max_abs_diff(&b).unwrap() < 1e-3);
+    }
+
+    fn operands() -> (ConvConfig, Tensor4, Tensor4) {
+        let cfg = ConvConfig::with_channels(2, 3, 8, 4, 3, 1);
+        let (x, g) = (cfg.input_shape(), cfg.output_shape());
+        (cfg, Tensor4::zeros(x), Tensor4::zeros(g))
+    }
+
+    #[test]
+    #[should_panic(expected = "UnrollConv::backward_data: filters")]
+    fn backward_data_checks_filters() {
+        let (cfg, _, g) = operands();
+        let five_channels = Shape4::new(4, 5, 3, 3);
+        UnrollConv.backward_data(&cfg, &g, &Tensor4::zeros(five_channels));
+    }
+
+    #[test]
+    #[should_panic(expected = "UnrollConv::backward_filters: input")]
+    fn backward_filters_checks_input() {
+        let (cfg, _, g) = operands();
+        let larger = Shape4::new(2, 3, 10, 10);
+        UnrollConv.backward_filters(&cfg, &Tensor4::zeros(larger), &g);
+    }
+
+    /// A larger gradient ran unchecked and gave a wrong filter gradient.
+    #[test]
+    #[should_panic(expected = "UnrollConv::backward_filters: grad")]
+    fn backward_filters_checks_grad() {
+        let (cfg, x, _) = operands();
+        let larger = Shape4::new(2, 4, 7, 7);
+        UnrollConv.backward_filters(&cfg, &x, &Tensor4::zeros(larger));
     }
 
     #[test]

@@ -725,6 +725,9 @@ impl Network {
     /// [`Network::train`] owns one workspace for the whole run, so after
     /// the first batch every conv layer's scratch (im2col columns, GEMM
     /// pack buffers, FFT spectra) is recycled rather than reallocated.
+    ///
+    /// The backward walk stops at the lowest layer with parameters, and a
+    /// conv layer there (LeNet's conv1) computes no input gradient.
     pub fn train_batch_ws(
         &mut self,
         images: &Tensor4,
@@ -743,14 +746,19 @@ impl Network {
         let rate = (self.learning_rate, self.momentum);
         let decay = Some(self.weight_decay);
         let _bwd = gcnn_trace::span("network.backward");
-        for (i, (layer, cache)) in self.layers.iter_mut().zip(caches).enumerate().rev() {
+        let learns = |l: &Layer| !matches!(l.params, Params::None);
+        let lowest = self.layers.iter().position(learns).unwrap_or(0);
+        let layers = self.layers.iter_mut().zip(caches).enumerate().skip(lowest);
+        for (i, (layer, cache)) in layers.rev() {
             match (&layer.spec, &mut layer.params, cache) {
                 (_, Params::Conv(p), Cache::Input { input, conv }) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
                     let cfg = conv.expect("a conv layer caches its config");
                     let algo = algorithm_for(p.strategy);
                     let grad_w = algo.backward_filters_ws(&cfg, &input, &grad, ws);
-                    grad = algo.backward_data_ws(&cfg, &grad, &p.weights, ws);
+                    if i > lowest {
+                        grad = algo.backward_data_ws(&cfg, &grad, &p.weights, ws);
+                    }
                     momentum_step(
                         rate,
                         decay,

@@ -13,9 +13,10 @@ cargo test -q
 # pool itself and the three crates whose kernels open its regions —
 # gcnn-fft's suite includes `conv_allocs`, the heap count of each warmed-up
 # `FftConv` pass (its output tensor only), here with both of its pool
-# widths on one core.
+# widths on one core — and gcnn-models, so the training walker's tests
+# run at width 1 too.
 if command -v taskset >/dev/null; then
-  taskset -c 0 cargo test -q -p rayon -p gcnn-fft -p gcnn-gemm -p gcnn-conv
+  taskset -c 0 cargo test -q -p rayon -p gcnn-fft -p gcnn-gemm -p gcnn-conv -p gcnn-models
 else
   echo "verify: SKIPPED the width-1 pass (taskset not found): the pool ran at the default width only" >&2
 fi
