@@ -7,18 +7,14 @@
 //!
 //! * forward:           `Y(f × o²)  = W(f × ck²) · cols(ck² × o²)`
 //! * backward-data:     `cols       = Wᵀ · G`, then `col2im`
-//! * backward-weights:  `ΔW        += G · colsᵀ`, image after image in up to four parallel groups
+//! * backward-weights:  `ΔW        += G · colsᵀ`, image after image
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy};
 use gcnn_gemm::{sgemm, Transpose};
 use gcnn_tensor::im2col::{col2im_from, im2col_into};
-use gcnn_tensor::simd::add_assign;
 use gcnn_tensor::{workspace, Shape4, Tensor4};
 use rayon::prelude::*;
-
-/// Groups of consecutive images `backward_filters` sums apart.
-const FILTER_GROUPS: usize = 4;
 
 /// Panic, naming `what` (`"<pass>: <operand>"`), unless `t` is `want`-shaped.
 #[track_caller]
@@ -126,54 +122,33 @@ impl ConvAlgorithm for UnrollConv {
         let geom = cfg.geometry();
         let o2 = cfg.output() * cfg.output();
         let ckk = cfg.channels * cfg.kernel * cfg.kernel;
-        let dw = cfg.filters * ckk;
 
-        // ΔW's f ≤ 128 rows are one SGEMM row block, so the region is
-        // over groups of images cut by the batch size alone. Each sums its
-        // images in order into its partial (ΔW itself for the first), and
-        // the partials add up in group order: the same bits at any width.
-        // The images ride in the region's source so that even LeNet's tiny
-        // ΔW crosses the pool's sharing threshold.
-        let per_group = cfg.batch.div_ceil(FILTER_GROUPS).max(1);
-        let groups = cfg.batch.div_ceil(per_group);
+        // One accumulator, images in batch order with `beta = 1`: the
+        // order of the sum, and so every bit of ΔW, is the same at any
+        // pool width. ΔW's f ≤ 128 rows are one SGEMM row block, so the
+        // pass runs on one core. Summing image groups on both cores trained
+        // LeNet-5 faster, but its step time then depended on how busy a
+        // shared host kept the second core, run to run (EXPERIMENTS
+        // "LeNet-5's filter gradient back on one core").
         let mut grad_w = Tensor4::zeros(cfg.filter_shape());
-        let mut rest = workspace::take_f32(groups.saturating_sub(1) * dw);
-        let mut partials: [&mut [f32]; FILTER_GROUPS] = Default::default();
-        let parts = std::iter::once(grad_w.as_mut_slice()).chain(rest.chunks_mut(dw));
-        for (slot, part) in partials.iter_mut().zip(parts) {
-            *slot = part;
-        }
-        let (image_in, image_out) = (input.shape().image_len(), cfg.filters * o2);
-        partials[..groups]
-            .par_iter_mut()
-            .zip(input.as_slice().par_chunks(per_group * image_in))
-            .zip(grad_out.as_slice().par_chunks(per_group * image_out))
-            .for_each(|((acc, images), grads)| {
-                let mut cols = workspace::take_f32(ckk * o2);
-                let pairs = images.chunks(image_in).zip(grads.chunks(image_out));
-                for (i, (image, grad)) in pairs.enumerate() {
-                    im2col_into(image, &geom, &mut cols);
-                    // The first image overwrites the unzeroed scratch.
-                    let beta = if i == 0 { 0.0 } else { 1.0 };
-                    sgemm(
-                        Transpose::No,
-                        Transpose::Yes,
-                        cfg.filters,
-                        ckk,
-                        o2,
-                        1.0,
-                        grad,
-                        o2,
-                        cols.as_slice(),
-                        o2,
-                        beta,
-                        acc,
-                        ckk,
-                    );
-                }
-            });
-        for part in rest.chunks(dw) {
-            add_assign(grad_w.as_mut_slice(), part);
+        let mut cols = workspace::take_f32(ckk * o2);
+        for n in 0..cfg.batch {
+            im2col_into(input.image(n), &geom, &mut cols);
+            sgemm(
+                Transpose::No,
+                Transpose::Yes,
+                cfg.filters,
+                ckk,
+                o2,
+                1.0,
+                grad_out.image(n),
+                o2,
+                cols.as_slice(),
+                o2,
+                1.0,
+                grad_w.as_mut_slice(),
+                ckk,
+            );
         }
         grad_w
     }

@@ -102,9 +102,7 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         // Every pass's output is past the size below which the pool keeps
         // a region on its caller: the one row whose regions are shared.
         ("outputs the pool shares", cfg(5, 16, 24, 16, 3)),
-        // LeNet-5's two conv layers at its training batch: four full
-        // image groups of unrolling's backward-filters, whose region the
-        // pool shares (batch 5 and batch 7 above end on a short group).
+        // LeNet-5's two conv layers at its training batch.
         ("LeNet conv1, batch 32", cfg(32, 1, 32, 6, 5)),
         ("LeNet conv2, batch 32", cfg(32, 6, 14, 16, 5)),
         // `fft_pass` transposes the product when its first output axis is
