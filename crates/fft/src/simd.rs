@@ -17,9 +17,8 @@
 //! `lane_stage2`), instantiated at `__m256` and `float32x4_t` inside a
 //! `#[target_feature]` shim per ISA; the `lanes % V::N` floats a row
 //! has left over run through the same row code at `V = f32`, so every
-//! butterfly is written once. Only the transposes are per-ISA code
-//! (8×8 AVX2 unpack/shuffle/permute2f128, 4×4 NEON `vtrn1q/vtrn2q`):
-//! shuffles are outside the `Lanes` vocabulary.
+//! butterfly is written once. The transpose is `gcnn_tensor`'s strided
+//! [`gcnn_tensor::simd::transpose`], in [`Lanes::transpose`] blocks.
 //!
 //! Dispatch is on an [`Isa`] the caller resolves once per transform
 //! (`gcnn_tensor::simd::isa`); each entry asserts that the host runs it
@@ -279,12 +278,11 @@ unsafe fn lane_stage2<V: Lanes>(s: &Stage<'_>, span: usize, stride_a: usize, str
     }
 }
 
-/// The AVX2+FMA shims of the generic stages, and the 8×8 transpose
-/// block — the one kernel here that needs shuffles.
+/// The AVX2+FMA shims of the generic stages.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{lane_stage, lane_stage2, Stage};
-    use std::arch::x86_64::*;
+    use std::arch::x86_64::__m256;
 
     /// # Safety
     /// [`lane_stage`]'s contract; AVX2 and FMA detected.
@@ -301,112 +299,13 @@ mod avx2 {
         // SAFETY: forwarded contract; this fn enables `__m256`'s ISA.
         unsafe { lane_stage2::<__m256>(s, span, sa, sb) }
     }
-
-    /// In-register 8×8 f32 transpose (classic unpack → shuffle →
-    /// permute2f128 ladder).
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn transpose8x8(v: [__m256; 8]) -> [__m256; 8] {
-        // Pure register arithmetic inside a target-feature fn.
-        let t0 = _mm256_unpacklo_ps(v[0], v[1]);
-        let t1 = _mm256_unpackhi_ps(v[0], v[1]);
-        let t2 = _mm256_unpacklo_ps(v[2], v[3]);
-        let t3 = _mm256_unpackhi_ps(v[2], v[3]);
-        let t4 = _mm256_unpacklo_ps(v[4], v[5]);
-        let t5 = _mm256_unpackhi_ps(v[4], v[5]);
-        let t6 = _mm256_unpacklo_ps(v[6], v[7]);
-        let t7 = _mm256_unpackhi_ps(v[6], v[7]);
-        let s0 = _mm256_shuffle_ps(t0, t2, 0x44);
-        let s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
-        let s2 = _mm256_shuffle_ps(t1, t3, 0x44);
-        let s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
-        let s4 = _mm256_shuffle_ps(t4, t6, 0x44);
-        let s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
-        let s6 = _mm256_shuffle_ps(t5, t7, 0x44);
-        let s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
-        [
-            _mm256_permute2f128_ps(s0, s4, 0x20),
-            _mm256_permute2f128_ps(s1, s5, 0x20),
-            _mm256_permute2f128_ps(s2, s6, 0x20),
-            _mm256_permute2f128_ps(s3, s7, 0x20),
-            _mm256_permute2f128_ps(s0, s4, 0x31),
-            _mm256_permute2f128_ps(s1, s5, 0x31),
-            _mm256_permute2f128_ps(s2, s6, 0x31),
-            _mm256_permute2f128_ps(s3, s7, 0x31),
-        ]
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime and pass slices
-    /// covering `rows·cols`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn transpose_f32_avx2(
-        src: &[f32],
-        rows: usize,
-        cols: usize,
-        dst: &mut [f32],
-    ) {
-        let rb = rows / 8 * 8;
-        let cb = cols / 8 * 8;
-        // SAFETY: post-detection execution. Block loads read
-        // `src[(r + k)·cols + c .. + 8]` and stores write
-        // `dst[(c + k)·rows + r .. + 8]` with `r + 8 <= rb <= rows` and
-        // `c + 8 <= cb <= cols`, all inside the `rows·cols` extent the
-        // caller guarantees; edge elements are handled through safe
-        // indexing after the last raw-pointer access.
-        unsafe {
-            let sp = src.as_ptr();
-            let dp = dst.as_mut_ptr();
-            let mut r = 0;
-            while r < rb {
-                let mut c = 0;
-                while c < cb {
-                    let block = [
-                        _mm256_loadu_ps(sp.add(r * cols + c)),
-                        _mm256_loadu_ps(sp.add((r + 1) * cols + c)),
-                        _mm256_loadu_ps(sp.add((r + 2) * cols + c)),
-                        _mm256_loadu_ps(sp.add((r + 3) * cols + c)),
-                        _mm256_loadu_ps(sp.add((r + 4) * cols + c)),
-                        _mm256_loadu_ps(sp.add((r + 5) * cols + c)),
-                        _mm256_loadu_ps(sp.add((r + 6) * cols + c)),
-                        _mm256_loadu_ps(sp.add((r + 7) * cols + c)),
-                    ];
-                    let t = transpose8x8(block);
-                    for (k, row) in t.iter().enumerate() {
-                        _mm256_storeu_ps(dp.add((c + k) * rows + r), *row);
-                    }
-                    c += 8;
-                }
-                c = cb;
-                // Edge columns and rows: bounds-checked indexing.
-                while c < cols {
-                    for k in 0..8 {
-                        dst[c * rows + r + k] = src[(r + k) * cols + c];
-                    }
-                    c += 1;
-                }
-                r += 8;
-            }
-            // Bounds-checked indexing, as above.
-            while r < rows {
-                for c in 0..cols {
-                    dst[c * rows + r] = src[r * cols + c];
-                }
-                r += 1;
-            }
-        }
-    }
 }
 
-/// The NEON shims of the generic stages, and the 4×4 `vtrn1q/vtrn2q`
-/// transpose block.
+/// The NEON shims of the generic stages.
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use super::{lane_stage, lane_stage2, Stage};
-    use std::arch::aarch64::*;
+    use std::arch::aarch64::float32x4_t;
 
     /// # Safety
     /// [`lane_stage`]'s contract; NEON is baseline on AArch64.
@@ -422,98 +321,6 @@ mod neon {
     pub(super) unsafe fn lane_stage2_neon(s: &Stage<'_>, span: usize, sa: usize, sb: usize) {
         // SAFETY: forwarded contract; this fn enables the NEON ISA.
         unsafe { lane_stage2::<float32x4_t>(s, span, sa, sb) }
-    }
-
-    /// In-register 4×4 f32 transpose via the `vtrn1q/vtrn2q` lane
-    /// shuffles (f32 pairs, then f64-reinterpreted quads).
-    ///
-    /// # Safety
-    /// NEON must be available.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn transpose4x4(
-        a: float32x4_t,
-        b: float32x4_t,
-        c: float32x4_t,
-        d: float32x4_t,
-    ) -> (float32x4_t, float32x4_t, float32x4_t, float32x4_t) {
-        // Pure register arithmetic inside a target-feature fn.
-        let ab0 = vtrn1q_f32(a, b); // a0 b0 a2 b2
-        let ab1 = vtrn2q_f32(a, b); // a1 b1 a3 b3
-        let cd0 = vtrn1q_f32(c, d);
-        let cd1 = vtrn2q_f32(c, d);
-        let col0 = vreinterpretq_f32_f64(vtrn1q_f64(
-            vreinterpretq_f64_f32(ab0),
-            vreinterpretq_f64_f32(cd0),
-        ));
-        let col2 = vreinterpretq_f32_f64(vtrn2q_f64(
-            vreinterpretq_f64_f32(ab0),
-            vreinterpretq_f64_f32(cd0),
-        ));
-        let col1 = vreinterpretq_f32_f64(vtrn1q_f64(
-            vreinterpretq_f64_f32(ab1),
-            vreinterpretq_f64_f32(cd1),
-        ));
-        let col3 = vreinterpretq_f32_f64(vtrn2q_f64(
-            vreinterpretq_f64_f32(ab1),
-            vreinterpretq_f64_f32(cd1),
-        ));
-        (col0, col1, col2, col3)
-    }
-
-    /// # Safety
-    /// NEON must be available; slices must cover `rows·cols`.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn transpose_f32_neon(
-        src: &[f32],
-        rows: usize,
-        cols: usize,
-        dst: &mut [f32],
-    ) {
-        let rb = rows / 4 * 4;
-        let cb = cols / 4 * 4;
-        // SAFETY: block loads read `src[(r + k)·cols + c .. + 4]` and
-        // stores write `dst[(c + k)·rows + r .. + 4]` with
-        // `r + 4 <= rb <= rows`, `c + 4 <= cb <= cols`, inside the
-        // caller-guaranteed `rows·cols` extent; edges use safe
-        // indexing.
-        unsafe {
-            let sp = src.as_ptr();
-            let dp = dst.as_mut_ptr();
-            let mut r = 0;
-            while r < rb {
-                let mut c = 0;
-                while c < cb {
-                    let (c0, c1, c2, c3) = transpose4x4(
-                        vld1q_f32(sp.add(r * cols + c)),
-                        vld1q_f32(sp.add((r + 1) * cols + c)),
-                        vld1q_f32(sp.add((r + 2) * cols + c)),
-                        vld1q_f32(sp.add((r + 3) * cols + c)),
-                    );
-                    vst1q_f32(dp.add(c * rows + r), c0);
-                    vst1q_f32(dp.add((c + 1) * rows + r), c1);
-                    vst1q_f32(dp.add((c + 2) * rows + r), c2);
-                    vst1q_f32(dp.add((c + 3) * rows + r), c3);
-                    c += 4;
-                }
-                c = cb;
-                // Edge columns and rows: bounds-checked indexing.
-                while c < cols {
-                    for k in 0..4 {
-                        dst[c * rows + r + k] = src[(r + k) * cols + c];
-                    }
-                    c += 1;
-                }
-                r += 4;
-            }
-            // Bounds-checked indexing, as above.
-            while r < rows {
-                for c in 0..cols {
-                    dst[c * rows + r] = src[r * cols + c];
-                }
-                r += 1;
-            }
-        }
     }
 }
 
@@ -675,8 +482,9 @@ pub fn lane_stage2_dit(
 
 /// Out-of-place f32 transpose: `dst[c·rows + r] = src[r·cols + c]`.
 /// This is the lane-layout conversion between the row and column passes
-/// of the batch-major 2-D transform; the SIMD bodies work in 8×8 (AVX2
-/// unpack/shuffle/permute2f128) or 4×4 (NEON `vtrn1q/vtrn2q`) blocks.
+/// of the batch-major 2-D transform; a vector `isa` runs
+/// [`gcnn_tensor::simd::transpose`] (the host's widest block transpose),
+/// the scalar one [`transpose_f32_scalar`].
 ///
 /// # Panics
 /// If this host does not run `isa` ([`Isa::runs_here`]), or `src` or
@@ -685,24 +493,12 @@ pub fn lane_stage2_dit(
 #[inline]
 pub fn transpose_f32(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], isa: Isa) {
     assert!(isa.runs_here(), "transpose_f32: host lacks {isa:?}");
-    let len = rows.checked_mul(cols);
-    assert!(
-        len.is_some_and(|len| src.len() >= len),
-        "transpose_f32: src short"
-    );
-    assert!(
-        len.is_some_and(|len| dst.len() >= len),
-        "transpose_f32: dst short"
-    );
+    let short = |have: usize| rows.checked_mul(cols).is_none_or(|len| have < len);
+    assert!(!short(src.len()), "transpose_f32: src short");
+    assert!(!short(dst.len()), "transpose_f32: dst short");
     match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa.runs_here()` was asserted, so AVX2+FMA were
-        // detected; both slices cover `rows·cols` per the asserts.
-        Isa::Avx2Fma => unsafe { avx2::transpose_f32_avx2(src, rows, cols, dst) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on AArch64; extents as above.
-        Isa::Neon => unsafe { neon::transpose_f32_neon(src, rows, cols, dst) },
-        _ => transpose_f32_scalar(src, rows, cols, dst),
+        Isa::Scalar => transpose_f32_scalar(src, rows, cols, dst),
+        _ => gcnn_tensor::simd::transpose(src, cols, rows, cols, dst, rows),
     }
 }
 
@@ -869,6 +665,37 @@ mod tests {
                         // `n·lanes` floats and `s` is a fused stage of `n`.
                         unsafe { lane_stage2::<f32>(&st, s, sa, sb) }
                     });
+                }
+            }
+        }
+    }
+
+    /// The strided body under [`transpose_f32`] matches its scalar
+    /// oracle bit for bit at every row and column remainder of the
+    /// widest block (16) and past it, read and written at odd strides,
+    /// and writes nothing between the rows it owns.
+    #[test]
+    fn strided_transpose_matches_scalar_oracle() {
+        let extents: Vec<usize> = (0..=17).chain([31, 33]).collect();
+        for &rows in &extents {
+            for &cols in &extents {
+                let (sld, dld) = ((cols + 1) | 1, (rows + 1) | 1);
+                let strided = planes(rows * sld, 0.23).0;
+                let dense: Vec<f32> = (0..rows * cols)
+                    .map(|i| strided[i / cols * sld + i % cols])
+                    .collect();
+                let mut want = vec![0.0f32; rows * cols];
+                transpose_f32_scalar(&dense, rows, cols, &mut want);
+                let mut got = vec![f32::NAN; cols * dld];
+                gcnn_tensor::simd::transpose(&strided, sld, rows, cols, &mut got, dld);
+                for (i, v) in got.iter().enumerate() {
+                    let (c, r) = (i / dld, i % dld);
+                    let w = if r < rows {
+                        want[c * rows + r]
+                    } else {
+                        f32::NAN
+                    };
+                    assert_eq!(v.to_bits(), w.to_bits(), "{rows}x{cols} ({r}, {c})");
                 }
             }
         }

@@ -11,11 +11,14 @@
 //! (`w = mr` rows of A, `w = nr` columns of B), each strip holding `kc`
 //! groups of `w` values — and each of the four transpose combinations
 //! reduces to one of two source orders ([`pack_strips`]): lines stored
-//! contiguously along `k` (A as stored, B transposed) are read as
-//! slices and scattered with stride `w`; lines stored across `k` (A
-//! transposed, B as stored) are copied group by group as `w`-float
-//! slices. Neither touches an element through an index computation of
-//! its own.
+//! contiguously along `k` (A as stored, B transposed) are the one
+//! orientation that transposes — each strip is a `w × kc` block
+//! written `kc × w` by [`simd::transpose`]'s in-register blocks; lines
+//! stored across `k` (A transposed, B as stored) are copied group by
+//! group as `w`-float slices. Neither touches an element through an
+//! index computation of its own.
+
+use gcnn_tensor::simd;
 
 /// A read-only view of a (possibly transposed) row-major operand.
 #[derive(Clone, Copy)]
@@ -100,12 +103,7 @@ fn pack_strips(
             strip.fill(0.0);
         }
         if along_k {
-            for r in 0..w_eff {
-                let line = &data[(x + r) * ld + p0..][..kc];
-                for (dst, &v) in strip[r..].iter_mut().step_by(w).zip(line) {
-                    *dst = v;
-                }
-            }
+            simd::transpose(&data[x * ld + p0..], ld, w_eff, kc, strip, w);
         } else {
             for (p, group) in strip.chunks_exact_mut(w).enumerate() {
                 group[..w_eff].copy_from_slice(&data[(p0 + p) * ld + x..][..w_eff]);
@@ -187,6 +185,64 @@ mod tests {
         assert_eq!(buf[0], 9.0); // (2,1)
         assert_eq!(buf[1], 13.0); // (3,1)
         assert_eq!(buf[MR], 10.0); // (2,2)
+    }
+
+    /// Both operands in both storage orders, packed for every kernel this
+    /// host runs, equal the index formula bit for bit: `kc` around every
+    /// block width (4, 8, 16) and past 256, a whole strip then one of
+    /// `w_eff ∈ {1, w − 1, w}` lines, at a non-zero origin, into
+    /// NaN-poisoned buffers whose padding lanes must come back zero.
+    #[test]
+    fn pack_matches_index_oracle_for_every_kernel() {
+        let (x0, p0) = (3usize, 5usize);
+        for k in crate::kernel::available() {
+            for (operand, w) in [("a", k.mr()), ("b", k.nr())] {
+                for w_eff in [1, w - 1, w] {
+                    let len = w + w_eff;
+                    for kc in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 259] {
+                        for transposed in [false, true] {
+                            // Logical op(X) is `lines × depth` for A,
+                            // `depth × lines` for B; stored at an odd ld.
+                            let (lines, depth) = (x0 + len, p0 + kc);
+                            let (lr, lc) = if operand == "a" {
+                                (lines, depth)
+                            } else {
+                                (depth, lines)
+                            };
+                            let (sr, sc) = if transposed { (lc, lr) } else { (lr, lc) };
+                            let ld = (sc + 1) | 1;
+                            let data: Vec<f32> = (0..sr * ld).map(|i| i as f32).collect();
+                            let at = |i: usize, j: usize| {
+                                let (i, j) = if transposed { (j, i) } else { (i, j) };
+                                data[i * ld + j]
+                            };
+                            let v = OperandView::new(&data, ld, transposed);
+                            let mut buf = vec![f32::NAN; len.div_ceil(w) * w * kc];
+                            if operand == "a" {
+                                pack_a(&v, x0, p0, len, kc, w, &mut buf);
+                            } else {
+                                pack_b(&v, p0, x0, kc, len, w, &mut buf);
+                            }
+                            for (idx, got) in buf.iter().enumerate() {
+                                let (s, p, r) = (idx / (w * kc), idx % (w * kc) / w, idx % w);
+                                let line = s * w + r;
+                                let want = match (line < len, operand) {
+                                    (false, _) => 0.0,
+                                    (true, "a") => at(x0 + line, p0 + p),
+                                    (true, _) => at(p0 + p, x0 + line),
+                                };
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{} {operand} w_eff={w_eff} kc={kc} t={transposed} idx {idx}",
+                                    k.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Several strips with a partial last one, all four storage orders,

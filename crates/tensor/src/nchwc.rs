@@ -20,9 +20,10 @@
 //! contiguous, which is exactly the vector the convolution tile
 //! ([`simd::conv`]) broadcasts each input lane against.
 //!
-//! The pack kernels write every destination element exactly once:
-//! borders and remainder lanes are zeroed where they lie, never by a
-//! whole-buffer fill that the payload then overwrites.
+//! The pack kernels zero borders and remainder lanes where they lie,
+//! never by a whole-buffer fill that the payload then overwrites; the
+//! payload, like the unpack's, is a [`simd::transpose`] per row, plane
+//! or filter channel.
 
 use crate::layout::Layout;
 use crate::shape::Shape4;
@@ -92,18 +93,13 @@ pub fn pack_nchwc_into(src: &[f32], shape: Shape4, block: usize, pad: usize, dst
     for (p, plane) in dst.chunks_exact_mut(plane_len.max(1)).enumerate() {
         let (n, cb) = (p / blocks, p % blocks);
         let lanes = block.min(cc - cb * block);
+        let first = (n * cc + cb * block) * hh * ww;
         write_padded_plane(plane, (hh, ww), block, pad, |h, row| {
-            // The row stays cache-resident across the `lanes` strided
-            // passes, each of which reads one source row contiguously.
+            // Row `h` of the `lanes` channel planes, as `ww × block`.
             if lanes < block {
                 row.fill(0.0);
             }
-            for ci in 0..lanes {
-                let s = ((n * cc + cb * block + ci) * hh + h) * ww;
-                for (d, &v) in row[ci..].iter_mut().step_by(block).zip(&src[s..s + ww]) {
-                    *d = v;
-                }
-            }
+            simd::transpose(&src[first + h * ww..], hh * ww, lanes, ww, row, block);
         });
     }
 }
@@ -119,21 +115,14 @@ pub fn unpack_nchwc_from(src: &[f32], shape: Shape4, block: usize, dst: &mut [f3
         "unpack_nchwc_from: src length"
     );
     assert_eq!(dst.len(), shape.len(), "unpack_nchwc_from: dst length");
-    let (nn, cc, hh, ww) = (shape.n, shape.c, shape.h, shape.w);
+    let (cc, hw) = (shape.c, shape.h * shape.w);
     let blocks = cc.div_ceil(block);
-    for n in 0..nn {
-        for cb in 0..blocks {
-            let lanes = block.min(cc - cb * block);
-            for h in 0..hh {
-                let srow = ((n * blocks + cb) * hh + h) * ww * block;
-                for ci in 0..lanes {
-                    let drow = ((n * cc + cb * block + ci) * hh + h) * ww;
-                    for w in 0..ww {
-                        dst[drow + w] = src[srow + w * block + ci];
-                    }
-                }
-            }
-        }
+    // Each `hw × block` plane, transposed into its `lanes` channel planes.
+    for (p, plane) in src.chunks_exact((hw * block).max(1)).enumerate() {
+        let (n, cb) = (p / blocks, p % blocks);
+        let lanes = block.min(cc - cb * block);
+        let first = (n * cc + cb * block) * hw;
+        simd::transpose(plane, block, hw, lanes, &mut dst[first..], hw);
     }
 }
 
@@ -153,10 +142,9 @@ pub fn pack_filters_into(src: &[f32], shape: Shape4, block: usize, dst: &mut [f3
     let (ff, cc, taps) = (shape.n, shape.c, shape.h * shape.w);
     let cblocks = cc.div_ceil(block);
     let bb = block * block;
-    // One `[tap][ci][fo]` panel at a time: the panel stays
-    // cache-resident under the strided stores while each `(f, c)` run of
-    // `taps` source floats — `lanes·taps` of them back to back per
-    // filter — is read once, in order.
+    // One `[tap][ci][fo]` panel at a time; for each input channel, its
+    // `folanes × taps` taps (one run per filter) are transposed into the
+    // panel's `taps × block` column of that channel.
     for (p, panel) in dst.chunks_exact_mut((taps * bb).max(1)).enumerate() {
         let (fb, cb) = (p / cblocks, p % cblocks);
         let folanes = block.min(ff - fb * block);
@@ -164,14 +152,10 @@ pub fn pack_filters_into(src: &[f32], shape: Shape4, block: usize, dst: &mut [f3
         if folanes < block || cilanes < block {
             panel.fill(0.0);
         }
-        for fo in 0..folanes {
-            for ci in 0..cilanes {
-                let s = ((fb * block + fo) * cc + cb * block + ci) * taps;
-                let lane = panel[ci * block + fo..].iter_mut().step_by(bb);
-                for (d, &v) in lane.zip(&src[s..s + taps]) {
-                    *d = v;
-                }
-            }
+        for ci in 0..cilanes {
+            let first = (fb * block * cc + cb * block + ci) * taps;
+            let column = &mut panel[ci * block..];
+            simd::transpose(&src[first..], cc * taps, folanes, taps, column, bb);
         }
     }
 }

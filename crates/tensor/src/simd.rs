@@ -20,8 +20,10 @@
 //!   tile) ask for it.
 //! * Slice primitives ([`saxpy`], [`sscal`], [`add_assign`],
 //!   [`scale_add`], [`max_assign`]) used by `im2col`, the GEMM
-//!   writeback, the fused max-pool and the FFT lane engine's scaling:
-//!   generic bodies over [`Lanes`], instantiated per ISA.
+//!   writeback, the fused max-pool and the FFT lane engine's scaling,
+//!   and the strided [`transpose`] of SGEMM's along-`k` pack, the NCHWc
+//!   packs and the FFT's plane transposes: generic bodies over
+//!   [`Lanes`], instantiated per ISA.
 //! * [`Lanes`] — the vector trait every generic SIMD body in the
 //!   workspace is written over (one impl per ISA vector), and [`conv`],
 //!   the NCHWc convolution tile built on it.
@@ -305,6 +307,55 @@ pub fn max_assign_scalar(y: &mut [f32], x: &[f32]) {
     }
 }
 
+/// Strided out-of-place transpose: `dst[c·dst_ld + r] =
+/// src[r·src_ld + c]` for `r < rows`, `c < cols`, in the widest
+/// [`Lanes::transpose`] block the host runs. It only moves values, so
+/// every ISA writes the same bits.
+///
+/// # Panics
+/// Unless `cols <= src_ld`, `rows <= dst_ld` and each slice reaches its
+/// last row's end: the raw body relies on exactly this.
+pub fn transpose(
+    src: &[f32],
+    src_ld: usize,
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    dst_ld: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    // `n` rows of `w` floats at stride `ld` inside `len` floats.
+    let fits = |len: usize, n: usize, ld: usize, w: usize| {
+        let end = (n - 1).checked_mul(ld).and_then(|e| e.checked_add(w));
+        w <= ld && end.is_some_and(|end| end <= len)
+    };
+    assert!(fits(src.len(), rows, src_ld, cols), "transpose: src short");
+    assert!(fits(dst.len(), cols, dst_ld, rows), "transpose: dst short");
+    let t = Transpose {
+        src: src.as_ptr(),
+        src_ld,
+        rows,
+        cols,
+        dst: dst.as_mut_ptr(),
+        dst_ld,
+    };
+    // SAFETY: the asserts above are `t`'s extents; each vector arm runs
+    // only after its ISA's runtime detection.
+    unsafe {
+        match isa() {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma if avx512f() => avx2::transpose_avx512(t),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => avx2::transpose_avx2(t),
+            #[cfg(target_arch = "aarch64")]
+            Isa::Neon => neon::transpose_neon(t),
+            _ => transpose_lanes::<f32, f32, f32>(t),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Generic bodies of the slice primitives, and their per-ISA shims
 // ---------------------------------------------------------------------
@@ -404,11 +455,53 @@ unsafe fn sscal_lanes<V: Lanes>(alpha: f32, x: &mut [f32]) {
     }
 }
 
-/// The generic bodies at `__m256`.
+/// One [`transpose`] call in raw form: `rows` rows of `cols` floats at
+/// `src` (stride `src_ld`) go to `cols` rows of `rows` at `dst` (stride
+/// `dst_ld`), which must not overlap them.
+struct Transpose {
+    src: *const f32,
+    src_ld: usize,
+    rows: usize,
+    cols: usize,
+    dst: *mut f32,
+    dst_ld: usize,
+}
+
+/// SIMD body of [`transpose`]: whole `V` blocks, the last of each row
+/// and column pulled back to end at the edge (rewriting a few values with
+/// the same bits), and an extent under one `V` block through the same
+/// body at `R`, then `Q`, then `f32`.
+///
+/// # Safety
+/// The CPU must support `V`'s, `R`'s and `Q`'s ISA, and `t`'s extents
+/// must be readable at `src` and writable at `dst`.
+#[inline(always)]
+unsafe fn transpose_lanes<V: Lanes, R: Lanes, Q: Lanes>(t: Transpose) {
+    let (n, rows, cols) = (V::N, t.rows, t.cols);
+    if rows < n || cols < n {
+        if n > 1 {
+            // SAFETY: the caller's contract, at the narrower `R`.
+            unsafe { transpose_lanes::<R, Q, f32>(t) };
+        }
+        return;
+    }
+    for r in (0..rows).step_by(n).map(|r| r.min(rows - n)) {
+        for c in (0..cols).step_by(n).map(|c| c.min(cols - n)) {
+            // SAFETY: an `n × n` block at `(r, c)`, `r + n <= rows` and
+            // `c + n <= cols`: inside both extents.
+            unsafe {
+                let (src, dst) = (t.src.add(r * t.src_ld + c), t.dst.add(c * t.dst_ld + r));
+                V::transpose(src, t.src_ld, dst, t.dst_ld);
+            }
+        }
+    }
+}
+
+/// The generic bodies at `__m256`, and [`transpose_lanes`] at `__m512`.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{sscal_lanes, zip_lanes, Zip};
-    use std::arch::x86_64::{__m128, __m256};
+    use super::{sscal_lanes, transpose_lanes, zip_lanes, Transpose, Zip};
+    use std::arch::x86_64::{__m128, __m256, __m512};
 
     /// # Safety
     /// AVX2 and FMA detected.
@@ -425,12 +518,29 @@ mod avx2 {
         // SAFETY: this fn enables `__m256`'s ISA.
         unsafe { sscal_lanes::<__m256>(alpha, x) }
     }
+
+    /// # Safety
+    /// [`transpose_lanes`]'s contract; AVX2 and FMA detected.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn transpose_avx2(t: Transpose) {
+        // SAFETY: forwarded contract; this fn enables `__m256`'s ISA.
+        unsafe { transpose_lanes::<__m256, __m128, f32>(t) }
+    }
+
+    /// # Safety
+    /// [`transpose_lanes`]'s contract; AVX-512F detected.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn transpose_avx512(t: Transpose) {
+        // SAFETY: forwarded contract; this fn enables `__m512`'s ISA,
+        // which implies `__m256`'s and `__m128`'s.
+        unsafe { transpose_lanes::<__m512, __m256, __m128>(t) }
+    }
 }
 
 /// The generic bodies at `float32x4_t`.
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{sscal_lanes, zip_lanes, Zip};
+    use super::{sscal_lanes, transpose_lanes, zip_lanes, Transpose, Zip};
     use std::arch::aarch64::float32x4_t;
 
     /// # Safety
@@ -447,6 +557,14 @@ mod neon {
     pub(super) unsafe fn sscal_neon(alpha: f32, x: &mut [f32]) {
         // SAFETY: this fn enables the NEON ISA.
         unsafe { sscal_lanes::<float32x4_t>(alpha, x) }
+    }
+
+    /// # Safety
+    /// [`transpose_lanes`]'s contract; NEON is baseline on AArch64.
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn transpose_neon(t: Transpose) {
+        // SAFETY: forwarded contract; this fn enables the NEON ISA.
+        unsafe { transpose_lanes::<float32x4_t, f32, f32>(t) }
     }
 }
 
@@ -638,6 +756,63 @@ mod tests {
             let mut yref = y0.clone();
             max_assign_scalar(&mut yref, &x0);
             assert_eq!(y, yref, "max_assign len {len}");
+        }
+    }
+
+    /// Every block transpose the dispatcher can select on this host —
+    /// `__m512` (AVX-512F), `__m256` and its `__m128` step-down (AVX2),
+    /// `float32x4_t` (NEON) and `f32` — through the body that runs it, on
+    /// an index ramp at odd strides: at every extent from 0 past one
+    /// block, the pulled-back last blocks included, each value lands at
+    /// the index formula's place and nothing outside the extent is
+    /// written.
+    #[test]
+    fn transpose_bodies_match_index_formula() {
+        /// A [`transpose_lanes`] instantiation.
+        ///
+        /// # Safety
+        /// [`transpose_lanes`]'s.
+        type Body = unsafe fn(Transpose);
+        let mut bodies: Vec<(_, _, Body)> = vec![("f32", 1, transpose_lanes::<f32, f32, f32>)];
+        #[cfg(target_arch = "x86_64")]
+        if Isa::Avx2Fma.runs_here() {
+            bodies.push(("__m256 + __m128", 8, avx2::transpose_avx2));
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                bodies.push(("__m512", 16, avx2::transpose_avx512));
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        bodies.push(("float32x4_t", 4, neon::transpose_neon));
+        for (name, n, body) in bodies {
+            let extents: Vec<usize> = (0..=n + 1).chain([2 * n - 1, 2 * n + 1]).collect();
+            for &rows in &extents {
+                for &cols in &extents {
+                    let (sld, dld) = ((cols + 1) | 1, (rows + 1) | 1);
+                    let src: Vec<f32> = (0..rows * sld).map(|i| i as f32).collect();
+                    let mut dst = vec![f32::NAN; cols * dld];
+                    // SAFETY: the host runs `body`'s ISA (checked above);
+                    // both buffers hold their extents at these strides.
+                    unsafe {
+                        body(Transpose {
+                            src: src.as_ptr(),
+                            src_ld: sld,
+                            rows,
+                            cols,
+                            dst: dst.as_mut_ptr(),
+                            dst_ld: dld,
+                        })
+                    };
+                    for (i, v) in dst.iter().enumerate() {
+                        let (c, r) = (i / dld, i % dld);
+                        let want = if r < rows { src[r * sld + c] } else { f32::NAN };
+                        assert_eq!(
+                            v.to_bits(),
+                            want.to_bits(),
+                            "{name} {rows}x{cols} ({r}, {c})"
+                        );
+                    }
+                }
+            }
         }
     }
 
