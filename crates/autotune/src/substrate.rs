@@ -12,7 +12,7 @@
 //!
 //! [`ExecutionPlan`]: gcnn_frameworks::ExecutionPlan
 
-use gcnn_conv::{algorithm_for, nchwc, ConvConfig, Strategy};
+use gcnn_conv::{algorithm_for, nchwc, ConvAlgorithm, ConvConfig, DirectConv, Strategy};
 use gcnn_frameworks::{all_implementations, implementation_by_name};
 use gcnn_gpusim::DeviceSpec;
 use gcnn_tensor::Layout;
@@ -187,7 +187,7 @@ impl CpuSubstrate {
                 "nchwc packed path is forward-only, not {direction}"
             ));
         }
-        nchwc::supports(cfg).map_err(|e| e.to_string())?;
+        DirectConv.supports(cfg).map_err(|e| e.to_string())?;
         let block = gcnn_tensor::simd::preferred_block();
         let x = gcnn_tensor::init::uniform_tensor(cfg.input_shape(), -1.0, 1.0, 97);
         let w = gcnn_tensor::init::uniform_tensor(cfg.filter_shape(), -0.5, 0.5, 98);

@@ -17,9 +17,9 @@
 //! * `GCNN_PERF_ITERS` — iterations per section (default 10).
 //! * `GCNN_PERF_WARMUP` — untimed warmup iterations (default 1).
 //! * `GCNN_PERF_DIRECT_ITERS` — iterations for the `Direct` strategy
-//!   (default 2: it is the unoptimized O(n⁷) reference loop and costs
-//!   minutes per iteration at the base config on one core; it also
-//!   gets no warmup).
+//!   (default 2: its backward passes are still scalar loops and cost
+//!   tens of seconds per iteration at the base config; it also gets no
+//!   warmup).
 //!
 //! A second report, `results/BENCH_simd.json`, records scalar-vs-SIMD
 //! throughput of the GEMM and FFT micro-kernels: each micro-bench runs
@@ -674,7 +674,8 @@ fn main() {
         env_usize("GCNN_PERF_WARMUP", 1),
         env_usize("GCNN_PERF_ITERS", 10),
     );
-    // Direct is minutes per iteration: no warmup, few reps.
+    // Direct's scalar backward passes take tens of seconds: no warmup,
+    // few reps.
     let direct_repeats = Repeats::new(0, env_usize("GCNN_PERF_DIRECT_ITERS", 2));
     let cfg = ConvConfig::paper_base();
     println!(

@@ -3,14 +3,27 @@
 //! Paper §II-B: *"During direct convolution, a small window slides
 //! within an input feature map and a dot production between the filter
 //! bank and local patch of the input feature map is computed."* This is
-//! the strategy of cuda-convnet2 and Theano-legacy. On the CPU we
-//! parallelize across images of the mini-batch; per-image the loops are
-//! ordered so the innermost runs contiguously over a filter row.
+//! the strategy of cuda-convnet2 and Theano-legacy.
+//!
+//! The forward pass is the output-stationary register tile of
+//! [`crate::nchwc`]: pack the input and the filters channel-blocked,
+//! run [`nchwc::fused_conv_relu`] without its ReLU, unpack — the planar
+//! entry to the fused direct path, every buffer from the arena. The
+//! backward passes are still scalar loops, parallel across images
+//! (backward-data) or filters (backward-filters), with the innermost
+//! loop over a filter row.
 
 use crate::config::ConvConfig;
+use crate::nchwc;
 use crate::strategy::{ConvAlgorithm, Strategy};
-use gcnn_tensor::Tensor4;
+use gcnn_tensor::{simd, workspace, Shape4, Tensor4};
 use rayon::prelude::*;
+
+/// Panic, naming `what` (`"<pass>: <operand>"`), unless `t` is `want`-shaped.
+#[track_caller]
+fn check(t: &Tensor4, want: Shape4, what: &str) {
+    assert_eq!(t.shape(), want, "DirectConv::{what}");
+}
 
 /// The direct convolution algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,63 +43,36 @@ impl ConvAlgorithm for DirectConv {
 
     fn forward(&self, cfg: &ConvConfig, input: &Tensor4, filters: &Tensor4) -> Tensor4 {
         let _span = gcnn_trace::span("conv.direct.forward");
-        assert_eq!(
-            input.shape(),
-            cfg.input_shape(),
-            "DirectConv::forward: input"
+        check(input, cfg.input_shape(), "forward: input");
+        check(filters, cfg.filter_shape(), "forward: filters");
+        let block = simd::preferred_block();
+        let mut pin = workspace::take_f32(nchwc::packed_input_len(cfg, block));
+        let mut pw = workspace::take_f32(nchwc::packed_filter_len(cfg, block));
+        let mut pout = workspace::take_f32(nchwc::packed_output_len(cfg, block));
+        nchwc::pack_input(cfg, input, block, pin.as_mut_slice());
+        nchwc::pack_filters(cfg, filters, block, pw.as_mut_slice());
+        nchwc::fused_conv_relu(
+            cfg,
+            block,
+            pin.as_slice(),
+            pw.as_slice(),
+            pout.as_mut_slice(),
+            false,
         );
-        assert_eq!(
-            filters.shape(),
-            cfg.filter_shape(),
-            "DirectConv::forward: filters"
-        );
-        let o = cfg.output();
-        let (k, s, p, i) = (cfg.kernel, cfg.stride, cfg.pad, cfg.input);
-
         let mut out = Tensor4::zeros(cfg.output_shape());
-        let image_out = cfg.filters * o * o;
-        out.as_mut_slice()
-            .par_chunks_mut(image_out)
-            .enumerate()
-            .for_each(|(n, oimg)| {
-                for f in 0..cfg.filters {
-                    let oplane = &mut oimg[f * o * o..(f + 1) * o * o];
-                    for c in 0..cfg.channels {
-                        let iplane = input.plane(n, c);
-                        let fplane = filters.plane(f, c);
-                        for oy in 0..o {
-                            for ky in 0..k {
-                                let iy = oy * s + ky;
-                                if iy < p || iy - p >= i {
-                                    continue;
-                                }
-                                let irow = &iplane[(iy - p) * i..(iy - p + 1) * i];
-                                let frow = &fplane[ky * k..(ky + 1) * k];
-                                for ox in 0..o {
-                                    let mut acc = 0.0f32;
-                                    for (kx, &fv) in frow.iter().enumerate() {
-                                        let ix = ox * s + kx;
-                                        if ix >= p && ix - p < i {
-                                            acc += irow[ix - p] * fv;
-                                        }
-                                    }
-                                    oplane[oy * o + ox] += acc;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
+        gcnn_tensor::nchwc::unpack_nchwc_from(
+            pout.as_slice(),
+            out.shape(),
+            block,
+            out.as_mut_slice(),
+        );
         out
     }
 
     fn backward_data(&self, cfg: &ConvConfig, grad_out: &Tensor4, filters: &Tensor4) -> Tensor4 {
         let _span = gcnn_trace::span("conv.direct.backward_data");
-        assert_eq!(
-            grad_out.shape(),
-            cfg.output_shape(),
-            "DirectConv::backward_data: grad"
-        );
+        check(grad_out, cfg.output_shape(), "backward_data: grad");
+        check(filters, cfg.filter_shape(), "backward_data: filters");
         let o = cfg.output();
         let (k, s, p, i) = (cfg.kernel, cfg.stride, cfg.pad, cfg.input);
 
@@ -131,6 +117,8 @@ impl ConvAlgorithm for DirectConv {
 
     fn backward_filters(&self, cfg: &ConvConfig, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
         let _span = gcnn_trace::span("conv.direct.backward_filters");
+        check(input, cfg.input_shape(), "backward_filters: input");
+        check(grad_out, cfg.output_shape(), "backward_filters: grad");
         let o = cfg.output();
         let (k, s, p, i) = (cfg.kernel, cfg.stride, cfg.pad, cfg.input);
 
@@ -179,63 +167,38 @@ impl ConvAlgorithm for DirectConv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
-    use gcnn_tensor::init::uniform_tensor;
 
-    fn configs() -> Vec<ConvConfig> {
-        vec![
-            ConvConfig::with_channels(2, 3, 8, 4, 3, 1),
-            ConvConfig::with_channels(1, 1, 5, 1, 5, 1),
-            ConvConfig::with_channels(3, 2, 9, 5, 3, 2),
-            ConvConfig::with_channels(2, 4, 7, 2, 2, 3),
-            {
-                let mut c = ConvConfig::with_channels(2, 2, 6, 3, 3, 1);
-                c.pad = 1;
-                c
-            },
-        ]
+    fn operands() -> (ConvConfig, Tensor4, Tensor4) {
+        let cfg = ConvConfig::with_channels(2, 3, 8, 4, 3, 1);
+        let (x, g) = (cfg.input_shape(), cfg.output_shape());
+        (cfg, Tensor4::zeros(x), Tensor4::zeros(g))
     }
 
+    /// A five-channel bank ran unchecked and gave a wrong input gradient.
     #[test]
-    fn forward_matches_reference() {
-        for cfg in configs() {
-            let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 10);
-            let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 11);
-            let fast = DirectConv.forward(&cfg, &x, &w);
-            let slow = reference::forward_ref(&cfg, &x, &w);
-            assert!(
-                fast.max_abs_diff(&slow).unwrap() < 1e-4,
-                "forward mismatch at {cfg}"
-            );
-        }
+    #[should_panic(expected = "DirectConv::backward_data: filters")]
+    fn backward_data_checks_filters() {
+        let (cfg, _, g) = operands();
+        let five_channels = Shape4::new(4, 5, 3, 3);
+        DirectConv.backward_data(&cfg, &g, &Tensor4::zeros(five_channels));
     }
 
+    /// A larger input ran unchecked and gave a wrong filter gradient.
     #[test]
-    fn backward_data_matches_reference() {
-        for cfg in configs() {
-            let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 12);
-            let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 13);
-            let fast = DirectConv.backward_data(&cfg, &g, &w);
-            let slow = reference::backward_data_ref(&cfg, &g, &w);
-            assert!(
-                fast.max_abs_diff(&slow).unwrap() < 1e-4,
-                "backward_data mismatch at {cfg}"
-            );
-        }
+    #[should_panic(expected = "DirectConv::backward_filters: input")]
+    fn backward_filters_checks_input() {
+        let (cfg, _, g) = operands();
+        let larger = Shape4::new(2, 3, 10, 10);
+        DirectConv.backward_filters(&cfg, &Tensor4::zeros(larger), &g);
     }
 
+    /// A larger gradient ran unchecked and gave a wrong filter gradient.
     #[test]
-    fn backward_filters_matches_reference() {
-        for cfg in configs() {
-            let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 14);
-            let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 15);
-            let fast = DirectConv.backward_filters(&cfg, &x, &g);
-            let slow = reference::backward_filters_ref(&cfg, &x, &g);
-            assert!(
-                fast.max_abs_diff(&slow).unwrap() < 1e-3,
-                "backward_filters mismatch at {cfg}"
-            );
-        }
+    #[should_panic(expected = "DirectConv::backward_filters: grad")]
+    fn backward_filters_checks_grad() {
+        let (cfg, x, _) = operands();
+        let larger = Shape4::new(2, 4, 7, 7);
+        DirectConv.backward_filters(&cfg, &x, &Tensor4::zeros(larger));
     }
 
     #[test]

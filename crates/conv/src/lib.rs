@@ -17,7 +17,8 @@
 //! * [`ConvAlgorithm`] — the strategy trait, with implementations
 //!   [`DirectConv`], [`UnrollConv`] and [`FftConv`].
 //! * [`nchwc`] — the channel-blocked direct path with fused
-//!   conv+ReLU(+pool) execution for inference.
+//!   conv+ReLU(+pool) execution; [`DirectConv`]'s forward pass runs it
+//!   on planar tensors, a blocked layout runs it for inference.
 
 #![forbid(unsafe_code)]
 

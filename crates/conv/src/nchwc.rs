@@ -25,23 +25,14 @@
 //! accumulators pass through the output plane only between channel
 //! blocks. Spatial padding is baked into the packed input at pack time,
 //! so the hot loops are branch-free. This module is forward/inference
-//! only; training keeps the planar layouts and their backward kernels.
+//! only: `DirectConv::forward` is its planar entry (pack, run
+//! [`fused_conv_relu`] without ReLU, unpack), and training keeps the
+//! planar layouts and their backward kernels.
 
 use crate::config::ConvConfig;
-use crate::strategy::Unsupported;
 use gcnn_tensor::simd::conv::{ConvKernel, SweepGeom};
 use gcnn_tensor::{nchwc, simd, workspace, Tensor4};
 use rayon::prelude::*;
-
-/// Whether the packed direct path can run `cfg` (forward only).
-pub fn supports(cfg: &ConvConfig) -> Result<(), Unsupported> {
-    if !cfg.is_valid() {
-        return Err(Unsupported::InvalidGeometry {
-            reason: "kernel larger than padded input".into(),
-        });
-    }
-    Ok(())
-}
 
 /// Derived loop bounds of one packed convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -354,35 +345,12 @@ pub fn max_pool_tile(
     }
 }
 
-/// Planar-in, planar-out convenience wrapper: pack, run the fused
-/// packed path, unpack. All intermediates come from the arena, so a
-/// warm caller allocates only the output tensor. Used by equivalence
-/// tests and the autotune substrate's measurement setup.
-pub fn forward_planar(cfg: &ConvConfig, input: &Tensor4, filters: &Tensor4, relu: bool) -> Tensor4 {
-    let block = simd::preferred_block();
-    let mut pin = workspace::take_f32(packed_input_len(cfg, block));
-    let mut pw = workspace::take_f32(packed_filter_len(cfg, block));
-    let mut pout = workspace::take_f32(packed_output_len(cfg, block));
-    pack_input(cfg, input, block, pin.as_mut_slice());
-    pack_filters(cfg, filters, block, pw.as_mut_slice());
-    fused_conv_relu(
-        cfg,
-        block,
-        pin.as_slice(),
-        pw.as_slice(),
-        pout.as_mut_slice(),
-        relu,
-    );
-    let mut out = Tensor4::zeros(cfg.output_shape());
-    nchwc::unpack_nchwc_from(pout.as_slice(), out.shape(), block, out.as_mut_slice());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::direct::DirectConv;
     use crate::layers::{PoolKind, PoolLayer, ReluLayer};
+    use crate::reference;
     use crate::strategy::ConvAlgorithm;
     use gcnn_tensor::init::uniform_tensor;
 
@@ -392,42 +360,25 @@ mod tests {
         assert!(d <= tol, "{what}: max abs diff {d} > {tol}");
     }
 
-    /// The packed path must match the planar direct algorithm on
-    /// geometries covering remainder channels, stride > 1, and padding.
-    /// Accumulation orders differ ((cb, ky, kx, ci) vs (c, ky, kx)), so
-    /// the comparison budgets a few ulps, not bit equality.
-    #[test]
-    fn packed_forward_matches_direct() {
-        let cases = [
-            ConvConfig::with_channels(2, 3, 8, 4, 3, 1),
-            ConvConfig::with_channels(1, 1, 5, 1, 5, 1),
-            ConvConfig::with_channels(3, 2, 9, 5, 3, 2),
-            ConvConfig::with_channels(2, 8, 7, 16, 3, 1),
-            ConvConfig::with_channels(2, 10, 6, 9, 3, 3),
-        ];
-        for (i, mut cfg) in cases.into_iter().enumerate() {
-            if i == 3 {
-                cfg.pad = 1;
-            }
-            supports(&cfg).expect("valid geometry");
-            let input = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 41 + i as u64);
-            let filters = uniform_tensor(cfg.filter_shape(), -0.5, 0.5, 51 + i as u64);
-            let want = DirectConv::new().forward(&cfg, &input, &filters);
-            let got = forward_planar(&cfg, &input, &filters, false);
-            tolerance_check(&got, &want, 1e-4, "packed vs direct");
-        }
-    }
-
     #[test]
     fn fused_relu_matches_separate_relu() {
         let mut cfg = ConvConfig::with_channels(2, 6, 8, 10, 3, 1);
         cfg.pad = 1;
+        let block = simd::preferred_block();
         let input = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 7);
         let filters = uniform_tensor(cfg.filter_shape(), -0.5, 0.5, 8);
-        let unfused = ReluLayer.forward(&forward_planar(&cfg, &input, &filters, false));
-        let fused = forward_planar(&cfg, &input, &filters, true);
-        // Same conv numerics underneath: only the activation placement
-        // differs, so this comparison is exact.
+        let unfused = ReluLayer.forward(&DirectConv.forward(&cfg, &input, &filters));
+
+        let mut pin = vec![0.0; packed_input_len(&cfg, block)];
+        let mut pw = vec![0.0; packed_filter_len(&cfg, block)];
+        let mut pout = vec![0.0; packed_output_len(&cfg, block)];
+        pack_input(&cfg, &input, block, &mut pin);
+        pack_filters(&cfg, &filters, block, &mut pw);
+        fused_conv_relu(&cfg, block, &pin, &pw, &mut pout, true);
+        let mut fused = Tensor4::zeros(cfg.output_shape());
+        nchwc::unpack_nchwc_from(&pout, fused.shape(), block, fused.as_mut_slice());
+        // `DirectConv::forward` is this tile at the same block: only the
+        // activation placement differs, so this comparison is exact.
         assert_eq!(fused.as_slice(), unfused.as_slice());
     }
 
@@ -439,7 +390,7 @@ mod tests {
         let input = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 9);
         let filters = uniform_tensor(cfg.filter_shape(), -0.5, 0.5, 10);
 
-        let conv = forward_planar(&cfg, &input, &filters, true);
+        let conv = ReluLayer.forward(&DirectConv.forward(&cfg, &input, &filters));
         let want = PoolLayer::new(PoolKind::Max, window, stride)
             .forward(&conv)
             .output;
@@ -489,7 +440,7 @@ mod tests {
         assert_eq!(fresh, 0, "fused hot path must not allocate when warm");
     }
 
-    /// Planar reference for one fused chain: `DirectConv`, then
+    /// Planar reference for one fused chain: `reference.rs`, then
     /// `ReluLayer`, then `PoolLayer`, as a planar network runs them.
     fn reference_chain(
         cfg: &ConvConfig,
@@ -498,7 +449,7 @@ mod tests {
         relu: bool,
         pool: Option<(usize, usize)>,
     ) -> Tensor4 {
-        let mut y = DirectConv::new().forward(cfg, input, filters);
+        let mut y = reference::forward_ref(cfg, input, filters);
         if relu {
             y = ReluLayer.forward(&y);
         }
@@ -559,7 +510,7 @@ mod tests {
                         let batch = if case.is_multiple_of(4) { 3 } else { 1 };
                         let mut cfg = ConvConfig::with_channels(batch, c, input, f, k, stride);
                         cfg.pad = pad;
-                        supports(&cfg).expect("valid geometry");
+                        assert!(cfg.is_valid(), "{cfg:?}");
                         assert_eq!(cfg.output(), o);
                         let what = format!("{kernel:?} {cfg:?} relu={relu}");
                         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 100 + case as u64);

@@ -157,74 +157,6 @@ impl ConvAlgorithm for UnrollConv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
-    use gcnn_tensor::init::uniform_tensor;
-
-    fn configs() -> Vec<ConvConfig> {
-        vec![
-            ConvConfig::with_channels(2, 3, 8, 4, 3, 1),
-            ConvConfig::with_channels(1, 1, 6, 2, 1, 1),
-            ConvConfig::with_channels(3, 2, 9, 5, 3, 2),
-            ConvConfig::with_channels(2, 4, 7, 16, 2, 3),
-            {
-                let mut c = ConvConfig::with_channels(2, 2, 6, 3, 3, 1);
-                c.pad = 2;
-                c
-            },
-        ]
-    }
-
-    #[test]
-    fn forward_matches_reference() {
-        for cfg in configs() {
-            let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 20);
-            let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 21);
-            let fast = UnrollConv.forward(&cfg, &x, &w);
-            let slow = reference::forward_ref(&cfg, &x, &w);
-            assert!(
-                fast.max_abs_diff(&slow).unwrap() < 1e-3,
-                "forward mismatch at {cfg}"
-            );
-        }
-    }
-
-    #[test]
-    fn backward_data_matches_reference() {
-        for cfg in configs() {
-            let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 22);
-            let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 23);
-            let fast = UnrollConv.backward_data(&cfg, &g, &w);
-            let slow = reference::backward_data_ref(&cfg, &g, &w);
-            assert!(
-                fast.max_abs_diff(&slow).unwrap() < 1e-3,
-                "backward_data mismatch at {cfg}"
-            );
-        }
-    }
-
-    #[test]
-    fn backward_filters_matches_reference() {
-        for cfg in configs() {
-            let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 24);
-            let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 25);
-            let fast = UnrollConv.backward_filters(&cfg, &x, &g);
-            let slow = reference::backward_filters_ref(&cfg, &x, &g);
-            assert!(
-                fast.max_abs_diff(&slow).unwrap() < 1e-2,
-                "backward_filters mismatch at {cfg}"
-            );
-        }
-    }
-
-    #[test]
-    fn agrees_with_direct_strategy() {
-        let cfg = ConvConfig::with_channels(2, 3, 10, 6, 4, 2);
-        let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 26);
-        let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 27);
-        let a = UnrollConv.forward(&cfg, &x, &w);
-        let b = crate::direct::DirectConv.forward(&cfg, &x, &w);
-        assert!(a.max_abs_diff(&b).unwrap() < 1e-3);
-    }
 
     fn operands() -> (ConvConfig, Tensor4, Tensor4) {
         let cfg = ConvConfig::with_channels(2, 3, 8, 4, 3, 1);

@@ -16,14 +16,21 @@
 //! `scripts/verify.sh` repeats
 //! the suite under `GCNN_FORCE_SCALAR=1`.
 
-use gcnn_conv::{reference, ConvAlgorithm, ConvConfig, FftConv, UnrollConv};
+use gcnn_conv::{
+    reference, ConvAlgorithm, ConvConfig, DirectConv, FftConv, UnrollConv, WinogradConv,
+};
 use gcnn_fft::rfft::BLOCK_LANES;
 use gcnn_tensor::init::uniform_tensor;
 use gcnn_tensor::workspace::{alloc_scope, on_calling_thread, take_f32};
 use gcnn_tensor::Tensor4;
 
-/// The paths under test.
-const PATHS: [(&str, &dyn ConvAlgorithm); 2] = [("fft", &FftConv), ("unroll", &UnrollConv)];
+/// The paths under test. A path whose `supports` refuses a row skips it.
+const PATHS: [(&str, &dyn ConvAlgorithm); 4] = [
+    ("direct", &DirectConv),
+    ("fft", &FftConv),
+    ("unroll", &UnrollConv),
+    ("winograd", &WinogradConv),
+];
 
 /// Largest relative L2 distance from the reference.
 const TOL: f32 = 1e-4;
@@ -45,6 +52,11 @@ fn cfg(batch: usize, channels: usize, input: usize, filters: usize, kernel: usiz
 
 fn padded(pad: usize, mut cfg: ConvConfig) -> ConvConfig {
     cfg.pad = pad;
+    cfg
+}
+
+fn strided(stride: usize, mut cfg: ConvConfig) -> ConvConfig {
+    cfg.stride = stride;
     cfg
 }
 
@@ -102,6 +114,24 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         // Every pass's output is past the size below which the pool keeps
         // a region on its caller: the one row whose regions are shared.
         ("outputs the pool shares", cfg(5, 16, 24, 16, 3)),
+        // Strides above 1 (FFT and Winograd refuse them), at and above
+        // the kernel edge, with and without padding.
+        ("stride 2", strided(2, cfg(3, 2, 9, 5, 3))),
+        ("stride 2, even kernel", strided(2, cfg(2, 3, 10, 6, 4))),
+        ("stride 3 > kernel 2", strided(3, cfg(2, 4, 7, 2, 2))),
+        ("stride 4, k 11, c 3", strided(4, cfg(2, 3, 31, 17, 11))),
+        (
+            "stride 2, pad > kernel",
+            padded(3, strided(2, cfg(2, 10, 6, 9, 2))),
+        ),
+        (
+            "stride 5 > kernel 1, pad 2",
+            padded(2, strided(5, cfg(2, 3, 9, 3, 1))),
+        ),
+        // o² = 225 = nr·q + 1 for every `nr` in `kernel::available()`
+        // (8, 16, 32): one column past the last full SGEMM tile.
+        ("SGEMM edge o = 15", cfg(2, 3, 17, 5, 3)),
+        ("SGEMM edge o = 15, c 11, f 17", cfg(3, 11, 17, 17, 3)),
         // LeNet-5's two conv layers at its training batch.
         ("LeNet conv1, batch 32", cfg(32, 1, 32, 6, 5)),
         ("LeNet conv2, batch 32", cfg(32, 6, 14, 16, 5)),
@@ -119,12 +149,15 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
     ]
 }
 
-/// Every row's transform size is the one rule `FftConv` plans with
+/// Every FFT row's transform size is the one rule `FftConv` plans with
 /// (`fft_conv.rs` pins that it does): the smallest power of two that
 /// holds the padded input.
 #[test]
 fn fft_size_is_the_padded_rule() {
-    for (row, cfg) in rows() {
+    for (row, cfg) in rows()
+        .into_iter()
+        .filter(|(_, cfg)| FftConv.supports(cfg).is_ok())
+    {
         let (n, padded) = (cfg.fft_size(), cfg.input + 2 * cfg.pad);
         let smallest = (0..).map(|e| 1usize << e).find(|&p| p >= padded);
         assert_eq!(Some(n), smallest, "{row} ({cfg})");
@@ -174,13 +207,22 @@ fn check(what: &str, want: &Tensor4, run: impl Fn() -> Tensor4) {
     }
 }
 
+/// The [`PATHS`] that run `cfg`.
+fn paths(
+    cfg: &ConvConfig,
+) -> impl Iterator<Item = (&'static str, &'static dyn ConvAlgorithm)> + '_ {
+    PATHS
+        .into_iter()
+        .filter(|(_, algo)| algo.supports(cfg).is_ok())
+}
+
 #[test]
 fn forward_matches_reference() {
     for (row, cfg) in rows() {
         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 30);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 31);
         let want = reference::forward_ref(&cfg, &x, &w);
-        for (path, algo) in PATHS {
+        for (path, algo) in paths(&cfg) {
             check(&format!("{path} forward, {row} ({cfg})"), &want, || {
                 algo.forward(&cfg, &x, &w)
             });
@@ -194,7 +236,7 @@ fn backward_data_matches_reference() {
         let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 32);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 33);
         let want = reference::backward_data_ref(&cfg, &g, &w);
-        for (path, algo) in PATHS {
+        for (path, algo) in paths(&cfg) {
             check(
                 &format!("{path} backward-data, {row} ({cfg})"),
                 &want,
@@ -210,7 +252,7 @@ fn backward_filters_matches_reference() {
         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 34);
         let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 35);
         let want = reference::backward_filters_ref(&cfg, &x, &g);
-        for (path, algo) in PATHS {
+        for (path, algo) in paths(&cfg) {
             check(
                 &format!("{path} backward-filters, {row} ({cfg})"),
                 &want,

@@ -2,8 +2,9 @@
 //! strategies must agree with each other and with the naive reference on
 //! arbitrary valid geometries.
 
-use gcnn_conv::{reference, ConvAlgorithm, ConvConfig, DirectConv, FftConv, UnrollConv};
+use gcnn_conv::{nchwc, reference, ConvAlgorithm, ConvConfig, DirectConv, FftConv, UnrollConv};
 use gcnn_tensor::init::uniform_tensor;
+use gcnn_tensor::Tensor4;
 use proptest::prelude::*;
 
 fn small_config() -> impl Strategy<Value = ConvConfig> {
@@ -37,42 +38,34 @@ proptest! {
     }
 
     #[test]
-    fn unroll_equals_direct(cfg in small_config(), seed in 0u64..1000) {
+    fn unroll_equals_reference(cfg in small_config(), seed in 0u64..1000) {
         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, seed);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, seed + 2);
         let a = UnrollConv.forward(&cfg, &x, &w);
-        let b = DirectConv.forward(&cfg, &x, &w);
-        prop_assert!(a.max_abs_diff(&b).unwrap() < 1e-3, "at {cfg}");
-    }
-
-    /// The packed NCHWc direct path agrees with the planar direct
-    /// algorithm on arbitrary valid geometries — remainder channels,
-    /// stride, padding. Accumulation orders differ ((cb, ky, kx, ci)
-    /// packed vs (c, ky, kx) planar), so the bound budgets ulps; under
-    /// `GCNN_FORCE_SCALAR=1` (the CI force-scalar job) both sides run
-    /// the scalar kernels and the same bound pins scalar-vs-scalar.
-    #[test]
-    fn nchwc_equals_direct(cfg in small_config(), seed in 0u64..1000) {
-        prop_assume!(gcnn_conv::nchwc::supports(&cfg).is_ok());
-        let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, seed);
-        let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, seed + 7);
-        let a = gcnn_conv::nchwc::forward_planar(&cfg, &x, &w, false);
-        let b = DirectConv.forward(&cfg, &x, &w);
+        let b = reference::forward_ref(&cfg, &x, &w);
         prop_assert!(a.max_abs_diff(&b).unwrap() < 1e-3, "at {cfg}");
     }
 
     /// Fusing the activation into the conv tile must be *bit*-identical
-    /// to convolving and then applying ReLU separately: the conv
-    /// numerics are the same code path, only the activation placement
-    /// differs. Holds on every ISA, including `GCNN_FORCE_SCALAR=1`.
+    /// to convolving (`DirectConv::forward`, the same tile at the same
+    /// block) and then applying ReLU separately: only the activation
+    /// placement differs. Holds on every ISA, including
+    /// `GCNN_FORCE_SCALAR=1`.
     #[test]
     fn fused_relu_bitwise_equals_unfused(cfg in small_config(), seed in 0u64..1000) {
-        prop_assume!(gcnn_conv::nchwc::supports(&cfg).is_ok());
         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, seed);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, seed + 8);
-        let unfused = gcnn_conv::layers::ReluLayer
-            .forward(&gcnn_conv::nchwc::forward_planar(&cfg, &x, &w, false));
-        let fused = gcnn_conv::nchwc::forward_planar(&cfg, &x, &w, true);
+        let unfused = gcnn_conv::layers::ReluLayer.forward(&DirectConv.forward(&cfg, &x, &w));
+
+        let block = gcnn_tensor::simd::preferred_block();
+        let mut pin = vec![0.0; nchwc::packed_input_len(&cfg, block)];
+        let mut pw = vec![0.0; nchwc::packed_filter_len(&cfg, block)];
+        let mut pout = vec![0.0; nchwc::packed_output_len(&cfg, block)];
+        nchwc::pack_input(&cfg, &x, block, &mut pin);
+        nchwc::pack_filters(&cfg, &w, block, &mut pw);
+        nchwc::fused_conv_relu(&cfg, block, &pin, &pw, &mut pout, true);
+        let mut fused = Tensor4::zeros(cfg.output_shape());
+        gcnn_tensor::nchwc::unpack_nchwc_from(&pout, fused.shape(), block, fused.as_mut_slice());
         prop_assert_eq!(fused.as_slice(), unfused.as_slice(), "at {}", cfg);
     }
 

@@ -530,10 +530,7 @@ impl Network {
             match (&layer.spec, &layer.params) {
                 (LayerSpec::Conv { .. }, Params::Conv(p)) => {
                     let cfg = conv.expect("the shape rule resolves every conv");
-                    let blocked = p
-                        .layout
-                        .channel_block()
-                        .filter(|_| !keeping && packed::supports(&cfg).is_ok());
+                    let blocked = p.layout.channel_block().filter(|_| !keeping);
                     if let Some(block) = blocked {
                         let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv_nchwc"));
                         let (act, consumed) =
@@ -1189,10 +1186,10 @@ mod tests {
     fn blocked_layout_inference_matches_planar() {
         // LeNet-5 with every conv forced to the blocked layout: both
         // conv+relu+pool chains run fused, and the result must agree
-        // with the planar path. Accumulation orders differ between the
-        // packed and planar kernels, so the comparison budgets ulps.
+        // with the planar unrolling path. Accumulation orders differ
+        // between the two kernels, so the comparison budgets ulps.
         let x = synthetic_digits(5, 16, 4, 8).images;
-        let planar = Network::lenet5(16, 4, Strategy::Direct, 17);
+        let planar = Network::lenet5(16, 4, Strategy::Unrolling, 17);
         let mut blocked = Network::lenet5(16, 4, Strategy::Direct, 17);
         for (idx, _) in planar.conv_layouts() {
             blocked.set_conv_layout(idx, gcnn_tensor::nchwc::preferred_layout());
@@ -1211,18 +1208,19 @@ mod tests {
         // conv(pad=1)+relu → conv(pad=1)+relu → conv (no relu): the
         // activation stays packed across all three conv boundaries
         // (exercising the repad transition, since pad > 0), and the
-        // trailing unfused blocked conv unpacks only at the end.
-        let build = || {
+        // trailing unfused blocked conv unpacks only at the end. The
+        // planar side runs unrolling, so two kernels are compared.
+        let build = |s| {
             Network::new(0.05)
-                .conv(3, 10, 3, 1, 1, Strategy::Direct, 5)
+                .conv(3, 10, 3, 1, 1, s, 5)
                 .relu()
-                .conv(10, 8, 3, 1, 1, Strategy::Direct, 6)
+                .conv(10, 8, 3, 1, 1, s, 6)
                 .relu()
-                .conv(8, 4, 3, 1, 0, Strategy::Direct, 7)
+                .conv(8, 4, 3, 1, 0, s, 7)
         };
         let x = gcnn_tensor::init::uniform_tensor(Shape4::new(2, 3, 10, 10), -1.0, 1.0, 12);
-        let planar = build();
-        let mut blocked = build();
+        let planar = build(Strategy::Unrolling);
+        let mut blocked = build(Strategy::Direct);
         for (idx, _) in planar.conv_layouts() {
             blocked.set_conv_layout(idx, gcnn_tensor::nchwc::preferred_layout());
         }
