@@ -185,7 +185,7 @@ impl Default for AuditConfig {
             hot_paths: vec![
                 HotPath {
                     file_suffix: "conv/src/unroll.rs".into(),
-                    functions: s(&["forward", "backward_data"]),
+                    functions: s(&["forward", "backward_data", "backward_filters"]),
                 },
                 HotPath {
                     file_suffix: "conv/src/fft_conv.rs".into(),

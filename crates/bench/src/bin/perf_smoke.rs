@@ -269,7 +269,7 @@ struct SimdReport {
     /// The natively dispatched ISA ([`gcnn_tensor::simd::isa_name`]).
     isa: String,
     /// The SGEMM register-tile kernel the native table selects, e.g.
-    /// `avx512f 14x32` — wider than `isa` on an AVX-512 host.
+    /// `avx512f 8x32` — wider than `isa` on an AVX-512 host.
     sgemm_kernel: String,
     sections: Vec<Section>,
     /// `scalar p50 / simd p50` of the 256³ SGEMM micro-bench.

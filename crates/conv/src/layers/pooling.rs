@@ -31,6 +31,8 @@ pub struct PoolLayer {
 /// Forward result: pooled tensor plus (for max pooling) the flat input
 /// index each output element was taken from.
 pub struct PoolForward {
+    /// Shape of the input that was pooled.
+    pub input_shape: Shape4,
     /// Pooled output.
     pub output: Tensor4,
     /// For [`PoolKind::Max`]: per-output-element flat index into the
@@ -121,12 +123,21 @@ impl PoolLayer {
             }
         }
 
-        PoolForward { output, argmax }
+        PoolForward {
+            input_shape: s,
+            output,
+            argmax,
+        }
     }
 
     /// Backward pass: route `grad_out` back to the input positions.
+    ///
+    /// # Panics
+    /// Unless `input_shape` is the shape `fwd` pooled and `grad_out` is
+    /// `fwd.output`-shaped.
     pub fn backward(&self, input_shape: Shape4, fwd: &PoolForward, grad_out: &Tensor4) -> Tensor4 {
         let s = input_shape;
+        assert_eq!(s, fwd.input_shape, "PoolLayer::backward: input");
         let go = grad_out.shape();
         assert_eq!(go, fwd.output.shape(), "PoolLayer::backward: grad shape");
         let mut grad_in = Tensor4::zeros(s);
@@ -254,6 +265,27 @@ mod tests {
         let fwd = layer.forward(&input);
         assert_eq!(fwd.output.shape(), Shape4::new(2, 2, 2, 2));
         assert_eq!(fwd.output.get(1, 1, 1, 1), input.get(1, 1, 3, 3));
+    }
+
+    /// A backward pass for an input shape other than the pooled one:
+    /// max pooling read its argmax indices in the wrong plane width.
+    fn backward_for_another_input(kind: PoolKind) {
+        let layer = PoolLayer::new(kind, 2, 2);
+        let fwd = layer.forward(&Tensor4::full(Shape4::new(1, 1, 4, 4), 1.0));
+        let g = Tensor4::full(fwd.output.shape(), 1.0);
+        layer.backward(Shape4::new(1, 1, 5, 5), &fwd, &g);
+    }
+
+    #[test]
+    #[should_panic(expected = "PoolLayer::backward: input")]
+    fn max_backward_checks_input_shape() {
+        backward_for_another_input(PoolKind::Max);
+    }
+
+    #[test]
+    #[should_panic(expected = "PoolLayer::backward: input")]
+    fn avg_backward_checks_input_shape() {
+        backward_for_another_input(PoolKind::Average);
     }
 
     #[test]

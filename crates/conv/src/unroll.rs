@@ -8,10 +8,27 @@
 //! * forward:           `Y(f × o²)  = W(f × ck²) · cols(ck² × o²)`
 //! * backward-data:     `cols       = Wᵀ · G`, then `col2im`
 //! * backward-weights:  `ΔW        += G · colsᵀ`, image after image
+//!
+//! At stride 1 without padding, forward and backward-weights write no
+//! column matrix, as cuDNN's fused unroll does not: row `(c, ky, kx)`
+//! of `cols` is the image itself from `c·i² + ky·i + kx` on, taken at
+//! the image's row pitch, so the GEMM packs it straight from the image
+//! ([`OperandView::windows`]). That product has `(o − 1)·i + o` columns:
+//! the outputs, plus `i − o` positions per output row that no output
+//! uses. The forward pass drops those columns from its result. The
+//! weight gradient widens `G` to the same pitch with zeros there, so an
+//! Inf or NaN input pixel that no output reads still reaches `ΔW`
+//! (`0 · Inf` is NaN). Padded or strided layers unroll with `im2col` as
+//! before: a window over a zero-padded copy multiplies more padding than
+//! `im2col` costs. Backward-data keeps `cols` and `col2im`: the
+//! transposed product scatters into overlapping windows, which a view
+//! cannot sum.
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy};
-use gcnn_gemm::{sgemm, Transpose};
+use gcnn_gemm::pack::OperandView;
+use gcnn_gemm::sgemm::sgemm_blocked;
+use gcnn_gemm::{sgemm, BlockSizes, Transpose};
 use gcnn_tensor::im2col::{col2im_from, im2col_into};
 use gcnn_tensor::{workspace, Shape4, Tensor4};
 use rayon::prelude::*;
@@ -20,6 +37,18 @@ use rayon::prelude::*;
 #[track_caller]
 fn check(t: &Tensor4, want: Shape4, what: &str) {
     assert_eq!(t.shape(), want, "UnrollConv::{what}");
+}
+
+/// Columns of the product over image windows, `(o − 1)·i + o`, for a
+/// stride-1, unpadded layer; `None` for the layers `im2col` unrolls.
+fn window_span(cfg: &ConvConfig) -> Option<usize> {
+    let o = cfg.output();
+    (cfg.stride == 1 && cfg.pad == 0).then(|| (o - 1) * cfg.input + o)
+}
+
+/// `C(m × n) ← op(A)·op(B) + beta·C`, C dense, at the default blocking.
+fn gemm(m: usize, n: usize, k: usize, a: &OperandView, b: &OperandView, beta: f32, c: &mut [f32]) {
+    sgemm_blocked(m, n, k, 1.0, a, b, beta, c, n, BlockSizes::default());
 }
 
 /// The unrolling (im2col + GEMM) convolution algorithm.
@@ -43,8 +72,10 @@ impl ConvAlgorithm for UnrollConv {
         check(input, cfg.input_shape(), "forward: input");
         check(filters, cfg.filter_shape(), "forward: filters");
         let geom = cfg.geometry();
-        let o2 = cfg.output() * cfg.output();
+        let (i, o) = (cfg.input, cfg.output());
+        let o2 = o * o;
         let ckk = cfg.channels * cfg.kernel * cfg.kernel;
+        let w = OperandView::new(filters.as_slice(), ckk, false);
 
         let mut out = Tensor4::zeros(cfg.output_shape());
         let image_out = cfg.filters * o2;
@@ -52,28 +83,26 @@ impl ConvAlgorithm for UnrollConv {
             .par_chunks_mut(image_out)
             .enumerate()
             .for_each(|(n, oimg)| {
-                // Per-image unroll buffer — the `im2col_gpu_kernel`
-                // workspace the paper's Fig. 5 memory analysis charges to
-                // Caffe/Torch/Theano-CorrMM. Checked out of the
-                // thread-local arena: steady-state iterations allocate
-                // nothing. Not zeroed — im2col writes every element.
-                let mut cols = workspace::take_f32(ckk * o2);
-                im2col_into(input.image(n), &geom, &mut cols);
-                sgemm(
-                    Transpose::No,
-                    Transpose::No,
-                    cfg.filters,
-                    o2,
-                    ckk,
-                    1.0,
-                    filters.as_slice(),
-                    ckk,
-                    cols.as_slice(),
-                    o2,
-                    0.0,
-                    oimg,
-                    o2,
-                );
+                let image = input.image(n);
+                // Scratch from the thread-local arena, not zeroed: the
+                // product (beta = 0) or im2col writes every element.
+                if let Some(span) = window_span(cfg) {
+                    let mut wide = workspace::take_f32(cfg.filters * span);
+                    let cols = OperandView::windows(image, i, cfg.kernel, false);
+                    gemm(cfg.filters, span, ckk, &w, &cols, 0.0, &mut wide);
+                    for (oplane, wplane) in oimg.chunks_exact_mut(o2).zip(wide.chunks_exact(span)) {
+                        for (orow, wrow) in oplane.chunks_exact_mut(o).zip(wplane.chunks(i)) {
+                            orow.copy_from_slice(&wrow[..o]);
+                        }
+                    }
+                } else {
+                    // The `im2col_gpu_kernel` workspace the paper's Fig. 5
+                    // memory analysis charges to Caffe/Torch/Theano-CorrMM.
+                    let mut cols = workspace::take_f32(ckk * o2);
+                    im2col_into(image, &geom, &mut cols);
+                    let cols = OperandView::new(&cols, o2, false);
+                    gemm(cfg.filters, o2, ckk, &w, &cols, 0.0, oimg);
+                }
             });
         out
     }
@@ -120,7 +149,8 @@ impl ConvAlgorithm for UnrollConv {
         check(input, cfg.input_shape(), "backward_filters: input");
         check(grad_out, cfg.output_shape(), "backward_filters: grad");
         let geom = cfg.geometry();
-        let o2 = cfg.output() * cfg.output();
+        let (i, o) = (cfg.input, cfg.output());
+        let o2 = o * o;
         let ckk = cfg.channels * cfg.kernel * cfg.kernel;
 
         // One accumulator, images in batch order with `beta = 1`: the
@@ -131,24 +161,31 @@ impl ConvAlgorithm for UnrollConv {
         // shared host kept the second core, run to run (EXPERIMENTS
         // "LeNet-5's filter gradient back on one core").
         let mut grad_w = Tensor4::zeros(cfg.filter_shape());
-        let mut cols = workspace::take_f32(ckk * o2);
-        for n in 0..cfg.batch {
-            im2col_into(input.image(n), &geom, &mut cols);
-            sgemm(
-                Transpose::No,
-                Transpose::Yes,
-                cfg.filters,
-                ckk,
-                o2,
-                1.0,
-                grad_out.image(n),
-                o2,
-                cols.as_slice(),
-                o2,
-                1.0,
-                grad_w.as_mut_slice(),
-                ckk,
-            );
+        let dw = grad_w.as_mut_slice();
+        if let Some(span) = window_span(cfg) {
+            // G at the image's row pitch: the positions no output uses
+            // are zeroed once here and never written.
+            let mut wide = workspace::take_f32(cfg.filters * span);
+            wide.fill(0.0);
+            for n in 0..cfg.batch {
+                let g = grad_out.image(n);
+                for (wplane, gplane) in wide.chunks_exact_mut(span).zip(g.chunks_exact(o2)) {
+                    for (wrow, grow) in wplane.chunks_mut(i).zip(gplane.chunks_exact(o)) {
+                        wrow[..o].copy_from_slice(grow);
+                    }
+                }
+                let g = OperandView::new(&wide, span, false);
+                let cols = OperandView::windows(input.image(n), i, cfg.kernel, true);
+                gemm(cfg.filters, ckk, span, &g, &cols, 1.0, dw);
+            }
+        } else {
+            let mut cols = workspace::take_f32(ckk * o2);
+            for n in 0..cfg.batch {
+                im2col_into(input.image(n), &geom, &mut cols);
+                let g = OperandView::new(grad_out.image(n), o2, false);
+                let cols = OperandView::new(&cols, o2, true);
+                gemm(cfg.filters, ckk, o2, &g, &cols, 1.0, dw);
+            }
         }
         grad_w
     }

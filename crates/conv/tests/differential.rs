@@ -20,6 +20,8 @@ use gcnn_conv::{
     reference, ConvAlgorithm, ConvConfig, DirectConv, FftConv, UnrollConv, WinogradConv,
 };
 use gcnn_fft::rfft::BLOCK_LANES;
+use gcnn_gemm::{sgemm, Transpose};
+use gcnn_tensor::im2col::im2col_into;
 use gcnn_tensor::init::uniform_tensor;
 use gcnn_tensor::workspace::{alloc_scope, on_calling_thread, take_f32};
 use gcnn_tensor::Tensor4;
@@ -132,6 +134,10 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         // (8, 16, 32): one column past the last full SGEMM tile.
         ("SGEMM edge o = 15", cfg(2, 3, 17, 5, 3)),
         ("SGEMM edge o = 15, c 11, f 17", cfg(3, 11, 17, 17, 3)),
+        // Unrolling's window product: c·k² = 36 taps, so a run of `kx`
+        // taps straddles a 32-line strip; (o − 1)·i + o = 33 positions,
+        // one past a strip; 9 filters, one past the 8-row tile.
+        ("windows straddle strips", cfg(2, 4, 7, 9, 3)),
         // LeNet-5's two conv layers at its training batch.
         ("LeNet conv1, batch 32", cfg(32, 1, 32, 6, 5)),
         ("LeNet conv2, batch 32", cfg(32, 6, 14, 16, 5)),
@@ -227,6 +233,51 @@ fn forward_matches_reference() {
                 algo.forward(&cfg, &x, &w)
             });
         }
+    }
+}
+
+/// At stride 1 without padding `UnrollConv::forward` packs its columns
+/// straight from the image; it must give the bits of the written-out
+/// `im2col_into` + `sgemm` it replaces.
+#[test]
+fn windowed_forward_matches_im2col_bit_for_bit() {
+    for (row, cfg) in rows()
+        .into_iter()
+        .filter(|(_, cfg)| cfg.stride == 1 && cfg.pad == 0)
+    {
+        let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 30);
+        let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 31);
+        let (o2, ckk) = (
+            cfg.output() * cfg.output(),
+            cfg.filter_shape().len() / cfg.filters,
+        );
+        let mut cols = vec![0.0; ckk * o2];
+        let mut want = Tensor4::zeros(cfg.output_shape());
+        for (n, y) in want
+            .as_mut_slice()
+            .chunks_exact_mut(cfg.filters * o2)
+            .enumerate()
+        {
+            im2col_into(x.image(n), &cfg.geometry(), &mut cols);
+            sgemm(
+                Transpose::No,
+                Transpose::No,
+                cfg.filters,
+                o2,
+                ckk,
+                1.0,
+                w.as_slice(),
+                ckk,
+                &cols,
+                o2,
+                0.0,
+                y,
+                o2,
+            );
+        }
+        let got = UnrollConv.forward(&cfg, &x, &w);
+        let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&got) == bits(&want), "{row} ({cfg})");
     }
 }
 

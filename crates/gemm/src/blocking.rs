@@ -99,7 +99,7 @@ mod tests {
     fn tile_matches_arch() {
         let k = select();
         let expect = match k.name() {
-            "avx512f" => (14, 32),
+            "avx512f" => (8, 32),
             "avx2+fma" => (6, 16),
             "neon" | "scalar" => (8, 8),
             other => panic!("unknown kernel {other}"),

@@ -8,7 +8,7 @@
 //!
 //! | kernel     | tile  | registers                                      |
 //! |------------|-------|------------------------------------------------|
-//! | `avx512f`  | 14×32 | 28 zmm accumulators + 2 B loads + 1 broadcast  |
+//! | `avx512f`  | 8×32  | 16 zmm accumulators + 2 B loads + 1 broadcast  |
 //! | `avx2+fma` | 6×16  | 12 ymm accumulators + 2 B loads + 1 broadcast  |
 //! | `neon`     | 8×8   | 16 q accumulators + 2 B loads + 1 broadcast    |
 //! | `scalar`   | 8×8   | autovectorized; [`microkernel_scalar`] at 8×8  |
@@ -29,7 +29,7 @@ use gcnn_tensor::simd::{self, Isa};
 
 /// Largest `mr·nr` of any kernel in the table (the AVX-512 tile):
 /// sizes the stack scratch edge tiles are computed into.
-pub const MAX_TILE: usize = 14 * 32;
+pub const MAX_TILE: usize = 8 * 32;
 
 /// Raw tile body: `C[i·ldc + j] ← alpha·Σ_p a[p·mr + i]·b[p·nr + j] +
 /// beta·C[i·ldc + j]` for `i < mr`, `j < nr`; `beta == 0` stores
@@ -70,7 +70,7 @@ impl std::fmt::Debug for MicroKernel {
 
 impl MicroKernel {
     /// Stable lowercase name (`"avx512f"`, `"avx2+fma"`, `"neon"`,
-    /// `"scalar"`); the `Debug` form adds the tile (`avx512f 14x32`),
+    /// `"scalar"`); the `Debug` form adds the tile (`avx512f 8x32`),
     /// which is what `BENCH_simd.json` records.
     pub fn name(&self) -> &'static str {
         self.name
@@ -355,7 +355,7 @@ mod x86 {
 
     pub(super) const AVX512: MicroKernel = MicroKernel {
         name: "avx512f",
-        mr: 14,
+        mr: 8,
         nr: 32,
         body: tile_avx512,
     };
@@ -377,7 +377,7 @@ mod x86 {
     }
 
     /// # Safety
-    /// [`super::Body`] contract at 14×32; AVX-512F detected.
+    /// [`super::Body`] contract at 8×32; AVX-512F detected.
     #[target_feature(enable = "avx512f")]
     unsafe fn tile_avx512(
         kc: usize,
@@ -389,7 +389,7 @@ mod x86 {
         ldc: usize,
     ) {
         // SAFETY: forwarded contract; this fn enables `__m512`'s ISA.
-        unsafe { simd_tile::<__m512, 14>(kc, alpha, a, b, beta, c, ldc) }
+        unsafe { simd_tile::<__m512, 8>(kc, alpha, a, b, beta, c, ldc) }
     }
 
     /// # Safety

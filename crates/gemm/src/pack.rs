@@ -17,16 +17,26 @@
 //! stored across `k` (A transposed, B as stored) are copied group by
 //! group as `w`-float slices. Neither touches an element through an
 //! index computation of its own.
+//!
+//! A convolution's column matrix can be read out of its image
+//! ([`OperandView::windows`]): consecutive `kx` taps are rows one float
+//! apart, so each group packed as stored is one contiguous read, and
+//! each run of taps packed transposed is one overlapping-row block.
 
 use gcnn_tensor::simd;
 
-/// A read-only view of a (possibly transposed) row-major operand.
+/// A read-only view of a (possibly transposed) row-major operand whose
+/// stored row `t = (c, ky, kx)` (`c = t / taps²`, `ky = t / taps %
+/// taps`, `kx = t % taps`) starts at `c·plane + ky·pitch + kx`. A dense
+/// matrix is the one-tap case: row `t` starts at `t·ld`.
 #[derive(Clone, Copy)]
 pub struct OperandView<'a> {
     data: &'a [f32],
-    /// Leading dimension (row stride) of the *stored* matrix.
-    ld: usize,
-    transposed: bool,
+    /// Logical `(i, j)` is stored `(j, i)`.
+    pub(crate) transposed: bool,
+    taps: usize,
+    pitch: usize,
+    plane: usize,
 }
 
 impl<'a> OperandView<'a> {
@@ -35,9 +45,84 @@ impl<'a> OperandView<'a> {
     pub fn new(data: &'a [f32], ld: usize, transposed: bool) -> Self {
         OperandView {
             data,
-            ld,
             transposed,
+            taps: 1,
+            pitch: ld,
+            plane: ld,
         }
+    }
+
+    /// The `c·k² × ((o−1)·i + o)` column matrix of a stride-1, unpadded
+    /// `k × k` convolution over `image` (`c` planes of `i × i`, `o = i −
+    /// k + 1`), read in place: stored row `(c, ky, kx)` is the image from
+    /// `c·i² + ky·i + kx` on. Column `y·i + x` is output position `(y,
+    /// x)` for `x < o`; the `i − o` columns after each output row are
+    /// image values no output uses.
+    ///
+    /// # Panics
+    /// Unless `1 <= kernel <= input`.
+    pub fn windows(image: &'a [f32], input: usize, kernel: usize, transposed: bool) -> Self {
+        assert!((1..=input).contains(&kernel), "windows: kernel {kernel}");
+        OperandView {
+            data: image,
+            transposed,
+            taps: kernel,
+            pitch: input,
+            plane: input * input,
+        }
+    }
+
+    /// Offset of stored row `t` in the data.
+    #[inline]
+    fn row_origin(&self, t: usize) -> usize {
+        if self.taps == 1 {
+            return t * self.plane;
+        }
+        let k = self.taps;
+        (t / (k * k)) * self.plane + (t / k % k) * self.pitch + t % k
+    }
+
+    /// Offsets of stored rows `t, t + 1, …`, one addition each.
+    fn row_origins(&self, t: usize) -> impl Iterator<Item = usize> {
+        let Self {
+            taps, pitch, plane, ..
+        } = *self;
+        let (mut kx, mut ky, mut at) = (t % taps, t / taps % taps, self.row_origin(t));
+        std::iter::from_fn(move || {
+            let here = at;
+            (kx, at) = (kx + 1, at + 1);
+            if kx == taps {
+                (kx, ky, at) = (0, ky + 1, at + pitch - taps);
+                if ky == taps {
+                    (ky, at) = (0, at + plane - taps * pitch);
+                }
+            }
+            Some(here)
+        })
+    }
+
+    /// How many of the stored rows `t..t + max` are evenly spaced from
+    /// `t`, and their spacing: a run of `kx` taps one float apart, or
+    /// every row of a one-tap view.
+    fn row_run(&self, t: usize, max: usize) -> (usize, usize) {
+        if self.taps == 1 {
+            (max, self.plane)
+        } else {
+            (max.min(self.taps - t % self.taps), 1)
+        }
+    }
+
+    /// The stored row `t` of `cols` floats.
+    #[inline]
+    pub(crate) fn stored_row(&self, t: usize, cols: usize) -> &'a [f32] {
+        &self.data[self.row_origin(t)..][..cols]
+    }
+
+    /// Panic unless `rows` stored rows of `cols` floats lie inside the
+    /// data (row `rows − 1` ends last).
+    pub(crate) fn check(&self, name: &str, rows: usize, cols: usize) {
+        let fits = rows == 0 || cols == 0 || self.row_origin(rows - 1) + cols <= self.data.len();
+        assert!(fits, "sgemm: {name} short for {rows} stored rows of {cols}");
     }
 }
 
@@ -95,7 +180,6 @@ fn pack_strips(
     buf: &mut [f32],
 ) {
     assert_eq!(buf.len(), len.div_ceil(w) * w * kc, "pack: buffer size");
-    let (data, ld) = (src.data, src.ld);
     for (s, strip) in buf.chunks_exact_mut(w * kc).enumerate() {
         let x = x0 + s * w;
         let w_eff = w.min(len - s * w);
@@ -103,10 +187,18 @@ fn pack_strips(
             strip.fill(0.0);
         }
         if along_k {
-            simd::transpose(&data[x * ld + p0..], ld, w_eff, kc, strip, w);
+            // One block per run of evenly spaced stored rows.
+            let mut r = 0;
+            while r < w_eff {
+                let (run, step) = src.row_run(x + r, w_eff - r);
+                let from = &src.data[src.row_origin(x + r) + p0..];
+                simd::transpose(from, step, run, kc, &mut strip[r..], w);
+                r += run;
+            }
         } else {
-            for (p, group) in strip.chunks_exact_mut(w).enumerate() {
-                group[..w_eff].copy_from_slice(&data[(p0 + p) * ld + x..][..w_eff]);
+            let rows = src.row_origins(p0);
+            for (group, at) in strip.chunks_exact_mut(w).zip(rows) {
+                group[..w_eff].copy_from_slice(&src.data[at + x..][..w_eff]);
             }
         }
     }
@@ -240,6 +332,54 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// A window view packs as the column matrix it stands for, written
+    /// out: as stored and transposed, for every kernel's strip width, at
+    /// a non-zero origin, with `kx` runs cut by strip edges and one-tap
+    /// (channel-plane) rows.
+    #[test]
+    fn windows_pack_as_the_written_out_column_matrix() {
+        for (c, i, taps) in [(4usize, 7usize, 3usize), (2, 5, 1), (2, 9, 5)] {
+            let o = i - taps + 1;
+            let (rows, span) = (c * taps * taps, (o - 1) * i + o);
+            let image: Vec<f32> = (0..c * i * i).map(|v| v as f32).collect();
+            let mut cols = Vec::with_capacity(rows * span);
+            for ch in 0..c {
+                for ky in 0..taps {
+                    for kx in 0..taps {
+                        let at = ch * i * i + ky * i + kx;
+                        cols.extend_from_slice(&image[at..at + span]);
+                    }
+                }
+            }
+            for k in crate::kernel::available() {
+                let w = k.nr();
+                for transposed in [false, true] {
+                    let win = OperandView::windows(&image, i, taps, transposed);
+                    let dense = OperandView::new(&cols, span, transposed);
+                    // Logical op(B) is `depth × lines`.
+                    let (depth, lines) = if transposed {
+                        (span, rows)
+                    } else {
+                        (rows, span)
+                    };
+                    let (p0, j0) = (1, 2);
+                    let (kc, nc) = (depth - p0, lines - j0);
+                    let mut got = vec![f32::NAN; nc.div_ceil(w) * w * kc];
+                    let mut want = vec![f32::NAN; got.len()];
+                    pack_b(&win, p0, j0, kc, nc, w, &mut got);
+                    pack_b(&dense, p0, j0, kc, nc, w, &mut want);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{} c={c} i={i} k={taps} t={transposed}",
+                        k.name()
+                    );
                 }
             }
         }

@@ -66,8 +66,10 @@ impl Transpose {
 /// ```
 ///
 /// # Panics
-/// If a leading dimension is smaller than its stored row, or a slice
-/// does not cover its operand (see [`sgemm_blocked`]).
+/// If `lda`, `ldb` or `ldc` is smaller than the stored row of its
+/// matrix (`k`/`m` for A, `n`/`k` for B by transpose flag, `n` for C),
+/// or if `a`, `b` or `c` is shorter than `(rows − 1)·ld + cols` of its
+/// stored matrix.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn sgemm(
     transa: Transpose,
@@ -84,21 +86,23 @@ pub fn sgemm(
     c: &mut [f32],
     ldc: usize,
 ) {
+    let (a_rows, a_cols) = if transa.flag() { (k, m) } else { (m, k) };
+    let (b_rows, b_cols) = if transb.flag() { (n, k) } else { (k, n) };
+    check_operand("sgemm", "a", a, a_rows, a_cols, lda);
+    check_operand("sgemm", "b", b, b_rows, b_cols, ldb);
+    let av = OperandView::new(a, lda, transa.flag());
+    let bv = OperandView::new(b, ldb, transb.flag());
     sgemm_blocked(
-        transa,
-        transb,
         m,
         n,
         k,
         alpha,
-        a,
-        lda,
-        b,
-        ldb,
+        &av,
+        &bv,
         beta,
         c,
         ldc,
-        BlockSizes::default_sizes(),
+        BlockSizes::default(),
     );
 }
 
@@ -134,37 +138,35 @@ pub(crate) fn check_operand(
     );
 }
 
-/// [`sgemm`] with explicit nominal block sizes (exposed so tests can
-/// force edge tiles); the driver walks them
-/// [snapped](BlockSizes::snapped_to) to the selected kernel's tile.
+/// `C ← alpha·op(A)·op(B) + beta·C` over operand views, with nominal
+/// block sizes (exposed so tests can force edge tiles) that the loop nest
+/// walks [snapped](BlockSizes::snapped_to) to the selected kernel's
+/// tile. A view's stored rows may be windows of an image
+/// ([`OperandView::windows`]): a convolution's column matrix need not
+/// be written out.
 ///
 /// # Panics
-/// On invalid `blocks`; if `lda`, `ldb` or `ldc` is smaller than the
-/// stored row of its matrix (`k`/`m` for A, `n`/`k` for B by transpose
-/// flag, `n` for C); or if `a`, `b` or `c` is shorter than
-/// `(rows − 1)·ld + cols` of its stored matrix.
+/// On invalid `blocks`, if a view's stored rows (`k`/`m` of A, `n`/`k`
+/// of B by transpose flag) do not lie inside its data, or if `ldc < n`
+/// or `c` is shorter than `(m − 1)·ldc + n`.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn sgemm_blocked(
-    transa: Transpose,
-    transb: Transpose,
     m: usize,
     n: usize,
     k: usize,
     alpha: f32,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
+    av: &OperandView<'_>,
+    bv: &OperandView<'_>,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
     blocks: BlockSizes,
 ) {
     assert!(blocks.validate(), "sgemm: invalid block sizes {blocks:?}");
-    let (a_rows, a_cols) = if transa.flag() { (k, m) } else { (m, k) };
-    let (b_rows, b_cols) = if transb.flag() { (n, k) } else { (k, n) };
-    check_operand("sgemm", "a", a, a_rows, a_cols, lda);
-    check_operand("sgemm", "b", b, b_rows, b_cols, ldb);
+    let (a_rows, a_cols) = if av.transposed { (k, m) } else { (m, k) };
+    let (b_rows, b_cols) = if bv.transposed { (n, k) } else { (k, n) };
+    av.check("a", a_rows, a_cols);
+    bv.check("b", b_rows, b_cols);
     check_operand("sgemm", "c", c, m, n, ldc);
 
     let _span = gcnn_trace::span("gemm.sgemm");
@@ -182,13 +184,11 @@ pub fn sgemm_blocked(
     }
     let kernel = kernel::select();
     let (mr, nr) = (kernel.mr(), kernel.nr());
-    if !transa.flag() && transb.flag() && m <= mr {
-        small_m_dots(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    if !av.transposed && bv.transposed && m <= mr {
+        small_m_dots(m, n, k, alpha, av, bv, beta, c, ldc);
         return;
     }
 
-    let av = OperandView::new(a, lda, transa.flag());
-    let bv = OperandView::new(b, ldb, transb.flag());
     let BlockSizes { mc, kc, nc } = blocks.snapped_to(&kernel);
     // One checkout per buffer per call, sized to the largest block this
     // problem actually has.
@@ -200,7 +200,7 @@ pub fn sgemm_blocked(
         for p0 in (0..k).step_by(kc) {
             let kc_eff = kc.min(k - p0);
             let bpanel = &mut bbuf[..nc_eff.next_multiple_of(nr) * kc_eff];
-            pack_b(&bv, p0, j0, kc_eff, nc_eff, nr, bpanel);
+            pack_b(bv, p0, j0, kc_eff, nc_eff, nr, bpanel);
             let bpanel = &*bpanel;
             let beta = if p0 == 0 { beta } else { 1.0 };
 
@@ -214,7 +214,7 @@ pub fn sgemm_blocked(
                     let mc_eff = mc.min(m - i0);
                     let mut abuf = workspace::take_f32(a_len);
                     let apanel = &mut abuf[..mc_eff.next_multiple_of(mr) * kc_eff];
-                    pack_a(&av, i0, p0, mc_eff, kc_eff, mr, apanel);
+                    pack_a(av, i0, p0, mc_eff, kc_eff, mr, apanel);
 
                     for (sb, bstrip) in bpanel.chunks_exact(nr * kc_eff).enumerate() {
                         let col = sb * nr;
@@ -256,16 +256,14 @@ fn small_m_dots(
     n: usize,
     k: usize,
     alpha: f32,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
+    av: &OperandView<'_>,
+    bv: &OperandView<'_>,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
 ) {
-    let arow = |i: usize| &a[i * lda..][..k];
-    let brow = |j: usize| &b[j * ldb..][..k];
+    let arow = |i: usize| av.stored_row(i, k);
+    let brow = |j: usize| bv.stored_row(j, k);
     let mut dots = workspace::take_f32(n * m);
     dots.par_chunks_mut(SMALL_M_ROWS_PER_TASK * m)
         .enumerate()
@@ -413,9 +411,9 @@ mod tests {
         let c0 = rand_vec(m * n, 3);
 
         let mut c_opt = c0.clone();
-        sgemm_blocked(
-            transa, transb, m, n, k, alpha, &a, ac, &b, bc, beta, &mut c_opt, n, blocks,
-        );
+        let av = OperandView::new(&a, ac, transa.flag());
+        let bv = OperandView::new(&b, bc, transb.flag());
+        sgemm_blocked(m, n, k, alpha, &av, &bv, beta, &mut c_opt, n, blocks);
         let mut c_ref = c0;
         sgemm_ref(
             transa.flag(),

@@ -3,11 +3,16 @@
 use gcnn_gemm::blocking::BlockSizes;
 use gcnn_gemm::kernel;
 use gcnn_gemm::naive::sgemm_ref;
+use gcnn_gemm::pack::OperandView;
 use gcnn_gemm::sgemm::sgemm_blocked;
-use gcnn_gemm::Transpose;
 use gcnn_tensor::workspace;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
+
+/// A dense operand view (`t`: stored transposed).
+fn view(data: &[f32], ld: usize, t: bool) -> OperandView<'_> {
+    OperandView::new(data, ld, t)
+}
 
 /// Deterministic pseudo-random vector from a seed (keeps case sizes
 /// independent of proptest's value trees).
@@ -45,11 +50,9 @@ proptest! {
         let c0: Vec<f32> = (0..m * n).map(|i| (i % 11) as f32 - 5.0).collect();
 
         let blocks = if tiny { BlockSizes::tiny() } else { BlockSizes::default_sizes() };
-        let transa = if ta { Transpose::Yes } else { Transpose::No };
-        let transb = if tb { Transpose::Yes } else { Transpose::No };
 
         let mut c_opt = c0.clone();
-        sgemm_blocked(transa, transb, m, n, k, alpha, &a, ac, &b, bc, beta, &mut c_opt, n, blocks);
+        sgemm_blocked(m, n, k, alpha, &view(&a, ac, ta), &view(&b, bc, tb), beta, &mut c_opt, n, blocks);
         let mut c_ref = c0;
         sgemm_ref(ta, tb, m, n, k, alpha, &a, ac, &b, bc, beta, &mut c_ref, n);
 
@@ -66,9 +69,9 @@ proptest! {
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 17) % 5) as f32 - 2.0).collect();
 
         let mut c1 = vec![0.0f32; m * n];
-        sgemm_blocked(Transpose::No, Transpose::No, m, n, k, alpha, &a, k, &b, n, 0.0, &mut c1, n, BlockSizes::tiny());
+        sgemm_blocked(m, n, k, alpha, &view(&a, k, false), &view(&b, n, false), 0.0, &mut c1, n, BlockSizes::tiny());
         let mut c2 = vec![0.0f32; m * n];
-        sgemm_blocked(Transpose::No, Transpose::No, m, n, k, 2.0 * alpha, &a, k, &b, n, 0.0, &mut c2, n, BlockSizes::tiny());
+        sgemm_blocked(m, n, k, 2.0 * alpha, &view(&a, k, false), &view(&b, n, false), 0.0, &mut c2, n, BlockSizes::tiny());
 
         for (x, y) in c1.iter().zip(&c2) {
             prop_assert!((2.0 * x - y).abs() < 1e-3 * x.abs().max(1.0));
@@ -107,8 +110,8 @@ proptest! {
                 let mut c_opt = c0.clone();
                 pool.install(|| {
                     sgemm_blocked(
-                        Transpose::No, Transpose::No, m, n, k,
-                        alpha, &a, k, &b, n, beta, &mut c_opt, n, blocks,
+                        m, n, k, alpha, &view(&a, k, false), &view(&b, n, false),
+                        beta, &mut c_opt, n, blocks,
                     )
                 });
                 for (i, (x, y)) in c_opt.iter().zip(&c_ref).enumerate() {
@@ -128,11 +131,11 @@ proptest! {
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 23) % 11) as f32 - 5.0).collect();
 
         let mut ab = vec![0.0f32; m * n];
-        sgemm_blocked(Transpose::No, Transpose::No, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut ab, n, BlockSizes::tiny());
+        sgemm_blocked(m, n, k, 1.0, &view(&a, k, false), &view(&b, n, false), 0.0, &mut ab, n, BlockSizes::tiny());
 
         // Bᵀ·Aᵀ computed with transpose flags on the stored (untransposed) buffers.
         let mut btat = vec![0.0f32; n * m];
-        sgemm_blocked(Transpose::Yes, Transpose::Yes, n, m, k, 1.0, &b, n, &a, k, 0.0, &mut btat, m, BlockSizes::tiny());
+        sgemm_blocked(n, m, k, 1.0, &view(&b, n, true), &view(&a, k, true), 0.0, &mut btat, m, BlockSizes::tiny());
 
         for i in 0..m {
             for j in 0..n {
@@ -185,23 +188,8 @@ fn check_case(
             row[..n].fill(0.0);
         }
     }
-    let t = |flag| if flag { Transpose::Yes } else { Transpose::No };
-    sgemm_blocked(
-        t(ta),
-        t(tb),
-        m,
-        n,
-        k,
-        alpha,
-        &a,
-        lda,
-        &b,
-        ldb,
-        beta,
-        &mut c_opt,
-        ldc,
-        blocks,
-    );
+    let (av, bv) = (view(&a, lda, ta), view(&b, ldb, tb));
+    sgemm_blocked(m, n, k, alpha, &av, &bv, beta, &mut c_opt, ldc, blocks);
     sgemm_ref(
         ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_ref, ldc,
     );
@@ -269,22 +257,8 @@ fn row_blocks_on_a_real_pool_give_the_same_bits() {
         let mut c = c0.clone();
         let pool = ThreadPoolBuilder::new().num_threads(threads).build();
         pool.expect("pool").install(|| {
-            sgemm_blocked(
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                0.5,
-                &a,
-                k,
-                &b,
-                n,
-                -1.5,
-                &mut c,
-                n,
-                BlockSizes::tiny(),
-            )
+            let (av, bv) = (view(&a, k, false), view(&b, n, false));
+            sgemm_blocked(m, n, k, 0.5, &av, &bv, -1.5, &mut c, n, BlockSizes::tiny())
         });
         c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     };
@@ -315,16 +289,12 @@ fn repeated_sgemm_is_steady_state_allocation_free() {
 
     let run = |c: &mut [f32]| {
         sgemm_blocked(
-            Transpose::No,
-            Transpose::No,
             m,
             n,
             k,
             1.0,
-            &a,
-            k,
-            &b,
-            n,
+            &view(&a, k, false),
+            &view(&b, n, false),
             0.0,
             c,
             n,
@@ -346,22 +316,8 @@ fn repeated_sgemm_is_steady_state_allocation_free() {
     // Same for the no-pack small-M path (4 rows of A against Bᵀ).
     let bt = lcg_vec(n * k, 5);
     let small = |c: &mut [f32]| {
-        sgemm_blocked(
-            Transpose::No,
-            Transpose::Yes,
-            4,
-            n,
-            k,
-            1.0,
-            &a,
-            k,
-            &bt,
-            k,
-            0.0,
-            c,
-            n,
-            blocks,
-        )
+        let (av, bv) = (view(&a, k, false), view(&bt, k, true));
+        sgemm_blocked(4, n, k, 1.0, &av, &bv, 0.0, c, n, blocks)
     };
     let (_, misses) = workspace::on_calling_thread(|| {
         small(&mut c);

@@ -19,7 +19,7 @@
 use gcnn_gemm::blocking::BlockSizes;
 use gcnn_gemm::kernel::{self, microkernel_scalar, MicroKernel};
 use gcnn_gemm::naive::{cgemm_ref, sgemm_ref};
-use gcnn_gemm::{cgemm_split, sgemm::sgemm_blocked, Transpose};
+use gcnn_gemm::{cgemm_split, pack::OperandView, sgemm::sgemm_blocked, Transpose};
 use gcnn_tensor::Complex32;
 use proptest::prelude::*;
 
@@ -167,10 +167,8 @@ proptest! {
         let blocks = if tiny { BlockSizes::tiny() } else { BlockSizes::default_sizes() };
 
         let mut c_simd = c0.clone();
-        sgemm_blocked(
-            Transpose::No, Transpose::No, m, n, k, alpha,
-            &a, k, &b, n, beta, &mut c_simd, ldc, blocks,
-        );
+        let (av, bv) = (OperandView::new(&a, k, false), OperandView::new(&b, n, false));
+        sgemm_blocked(m, n, k, alpha, &av, &bv, beta, &mut c_simd, ldc, blocks);
         let mut c_ref = c0.clone();
         sgemm_ref(false, false, m, n, k, alpha, &a, k, &b, n, beta, &mut c_ref, ldc);
 

@@ -100,7 +100,6 @@ enum Cache<'a> {
         conv: Option<ConvConfig>,
     },
     MaxPool {
-        input_shape: Shape4,
         fwd: PoolForward,
     },
 }
@@ -562,8 +561,7 @@ impl Network {
                     );
                     x = Act::owned(if keeping {
                         let output = fwd.output.clone();
-                        let input_shape = input.shape();
-                        keep(Cache::MaxPool { input_shape, fwd });
+                        keep(Cache::MaxPool { fwd });
                         output
                     } else {
                         fwd.output
@@ -768,14 +766,10 @@ impl Network {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
                     grad = ReluLayer.backward(&input, &grad);
                 }
-                (
-                    LayerSpec::MaxPool { window, stride, .. },
-                    _,
-                    Cache::MaxPool { input_shape, fwd },
-                ) => {
+                (LayerSpec::MaxPool { window, stride, .. }, _, Cache::MaxPool { fwd }) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
                     let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
-                    grad = pool.backward(input_shape, &fwd, &grad);
+                    grad = pool.backward(fwd.input_shape, &fwd, &grad);
                 }
                 (_, Params::Fc(p), Cache::Input { input, .. }) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));

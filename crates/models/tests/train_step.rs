@@ -1,11 +1,13 @@
 //! The training walker on LeNet-5 at its benchmark shape (32×32 digits,
 //! batch 32, every conv on `UnrollConv`): its weights do not depend on
-//! the pool width, and its backward walk ends at conv1's filter gradient.
+//! the pool width, its backward walk ends at conv1's filter gradient, and
+//! only conv2's input gradient writes a column matrix.
 
 use gcnn_conv::Strategy;
 use gcnn_models::data::synthetic_digits;
 use gcnn_models::Network;
 use gcnn_tensor::Workspace;
+use gcnn_trace::SpanNode;
 
 const SIZE: usize = 32;
 const CLASSES: usize = 10;
@@ -57,4 +59,37 @@ fn conv1_computes_no_input_gradient() {
     let pass = |name: &str| snap.span(&format!("{layer0}/conv.unrolling.{name}"));
     assert!(pass("backward_filters").is_some_and(|s| s.count > 0));
     assert!(pass("backward_data").is_none());
+}
+
+/// Both convs are stride 1 and unpadded, so their forward and
+/// filter-gradient products read the image in place: a step runs no
+/// `im2col`. Conv2's input gradient still sums its columns with `col2im`.
+#[test]
+fn only_the_input_gradient_unrolls() {
+    // Width 1: every per-image pass nests under its layer's span.
+    at_width(1, || trained(1));
+    if !gcnn_trace::enabled() {
+        return;
+    }
+    fn named<'a>(node: &'a SpanNode, name: &str, out: &mut Vec<&'a SpanNode>) {
+        if node.name == name && node.count > 0 {
+            out.push(node);
+        }
+        node.children.iter().for_each(|c| named(c, name, out));
+    }
+    let snap = gcnn_trace::snapshot();
+    let (mut im2col, mut col2im) = (Vec::new(), Vec::new());
+    for root in &snap.spans {
+        named(root, "tensor.im2col", &mut im2col);
+        named(root, "tensor.col2im", &mut col2im);
+    }
+    let paths = |v: &[&SpanNode]| v.iter().map(|s| s.path.clone()).collect::<Vec<_>>();
+    assert!(im2col.is_empty(), "{:?}", paths(&im2col));
+    assert!(
+        col2im.iter().any(|s| s
+            .path
+            .ends_with("conv.unrolling.backward_data/tensor.col2im")),
+        "{:?}",
+        paths(&col2im)
+    );
 }

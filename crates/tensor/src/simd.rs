@@ -312,9 +312,13 @@ pub fn max_assign_scalar(y: &mut [f32], x: &[f32]) {
 /// [`Lanes::transpose`] block the host runs. It only moves values, so
 /// every ISA writes the same bits.
 ///
+/// Source rows may overlap (`src_ld < cols`, as in the rows of a
+/// convolution's column matrix read in place from its image): the
+/// source is only read.
+///
 /// # Panics
-/// Unless `cols <= src_ld`, `rows <= dst_ld` and each slice reaches its
-/// last row's end: the raw body relies on exactly this.
+/// Unless `rows <= dst_ld` and each slice reaches its last row's end:
+/// the raw body relies on exactly this.
 pub fn transpose(
     src: &[f32],
     src_ld: usize,
@@ -329,10 +333,13 @@ pub fn transpose(
     // `n` rows of `w` floats at stride `ld` inside `len` floats.
     let fits = |len: usize, n: usize, ld: usize, w: usize| {
         let end = (n - 1).checked_mul(ld).and_then(|e| e.checked_add(w));
-        w <= ld && end.is_some_and(|end| end <= len)
+        end.is_some_and(|end| end <= len)
     };
     assert!(fits(src.len(), rows, src_ld, cols), "transpose: src short");
-    assert!(fits(dst.len(), cols, dst_ld, rows), "transpose: dst short");
+    assert!(
+        rows <= dst_ld && fits(dst.len(), cols, dst_ld, rows),
+        "transpose: dst short"
+    );
     let t = Transpose {
         src: src.as_ptr(),
         src_ld,
@@ -762,10 +769,11 @@ mod tests {
     /// Every block transpose the dispatcher can select on this host —
     /// `__m512` (AVX-512F), `__m256` and its `__m128` step-down (AVX2),
     /// `float32x4_t` (NEON) and `f32` — through the body that runs it, on
-    /// an index ramp at odd strides: at every extent from 0 past one
-    /// block, the pulled-back last blocks included, each value lands at
-    /// the index formula's place and nothing outside the extent is
-    /// written.
+    /// an index ramp at odd strides and at source stride 1 (overlapping
+    /// rows, as a run of kernel taps read in place): at every extent from
+    /// 0 past one block, the pulled-back last blocks included, each value
+    /// lands at the index formula's place and nothing outside the extent
+    /// is written. `GCNN_FORCE_SCALAR=1` runs it too.
     #[test]
     fn transpose_bodies_match_index_formula() {
         /// A [`transpose_lanes`] instantiation.
@@ -786,9 +794,10 @@ mod tests {
         for (name, n, body) in bodies {
             let extents: Vec<usize> = (0..=n + 1).chain([2 * n - 1, 2 * n + 1]).collect();
             for &rows in &extents {
-                for &cols in &extents {
-                    let (sld, dld) = ((cols + 1) | 1, (rows + 1) | 1);
-                    let src: Vec<f32> = (0..rows * sld).map(|i| i as f32).collect();
+                // An odd stride, and stride 1: source rows that overlap.
+                for (cols, sld) in extents.iter().flat_map(|&c| [(c, (c + 1) | 1), (c, 1)]) {
+                    let dld = (rows + 1) | 1;
+                    let src: Vec<f32> = (0..rows * sld + cols).map(|i| i as f32).collect();
                     let mut dst = vec![f32::NAN; cols * dld];
                     // SAFETY: the host runs `body`'s ISA (checked above);
                     // both buffers hold their extents at these strides.
@@ -808,7 +817,7 @@ mod tests {
                         assert_eq!(
                             v.to_bits(),
                             want.to_bits(),
-                            "{name} {rows}x{cols} ({r}, {c})"
+                            "{name} {rows}x{cols} src_ld {sld} ({r}, {c})"
                         );
                     }
                 }

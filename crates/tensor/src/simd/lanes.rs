@@ -82,7 +82,8 @@ pub trait Lanes: Copy {
     ///
     /// # Safety
     /// The CPU must support the implementing ISA; `N` rows of `N` floats
-    /// readable at `src` and writable at `dst`, not overlapping.
+    /// readable at `src` and writable at `dst`, the source block not
+    /// overlapping the destination (source rows may overlap each other).
     unsafe fn transpose(src: *const f32, src_ld: usize, dst: *mut f32, dst_ld: usize);
 }
 
