@@ -1,8 +1,9 @@
 //! Pass 2 of the two-pass analyzer: workspace-wide dataflow lints over
 //! the call graph built from the pass-1 item table.
 //!
-//! Four lint families run here (the per-file token lints stay in the
-//! crate root):
+//! Four lint families run here, and the reachability lint of
+//! [`crate::reach`] over its own wider graph (the per-file token lints
+//! stay in the crate root):
 //!
 //! * **transitive-arena** — allocation reachability. The configured
 //!   hot paths are *roots*; a breadth-first walk over the call graph
@@ -47,7 +48,10 @@ pub(crate) struct FileData {
     pub crate_name: String,
     pub toks: Vec<Tok>,
     pub lines: Vec<String>,
-    /// Whole file is test/bench/example code.
+    /// `#[test]` / `#[cfg(test)]` token ranges.
+    pub regions: Vec<(usize, usize)>,
+    /// Whole file is outside the library: test, bench, example or
+    /// benchmark-harness code.
     pub test_file: bool,
 }
 
@@ -67,6 +71,7 @@ pub struct WorkspaceIndex {
 fn is_test_path(rel: &str) -> bool {
     rel.starts_with("tests/")
         || rel.starts_with("examples/")
+        || rel.starts_with("benchmark/")
         || rel.contains("/tests/")
         || rel.contains("/benches/")
         || rel.contains("/examples/")
@@ -87,6 +92,7 @@ impl WorkspaceIndex {
                 crate_name: s.crate_name.clone(),
                 toks,
                 lines: s.src.lines().map(|l| l.to_string()).collect(),
+                regions,
                 test_file,
             });
         }
@@ -138,7 +144,10 @@ impl WorkspaceIndex {
 
 /// Resolve one call site to item-table candidates via the narrowest
 /// non-empty scope tier: owner-qualified match, same file, same crate,
-/// whole workspace.
+/// whole workspace. A narrower tier with a candidate hides the wider
+/// ones, so a call can miss its real callee in another crate; the
+/// transitive-arena pass accepts that, the reachability lint does not
+/// use these edges.
 fn resolve(
     c: &CallSite,
     caller: &FnItem,
@@ -159,24 +168,27 @@ fn resolve(
             return owned;
         }
     }
-    let same_file: Vec<usize> = cands
-        .iter()
-        .copied()
-        .filter(|&t| fns[t].file == caller.file)
-        .collect();
-    if !same_file.is_empty() {
-        return same_file;
+    narrowest(cands.clone(), fns, files, caller.file)
+}
+
+/// The `cands` in the narrowest non-empty tier around `file`: the same
+/// file, the same crate, then the whole workspace.
+pub(crate) fn narrowest(
+    cands: Vec<usize>,
+    fns: &[FnItem],
+    files: &[FileData],
+    file: usize,
+) -> Vec<usize> {
+    let krate = &files[file].crate_name;
+    let tiers: [&dyn Fn(&FnItem) -> bool; 2] =
+        [&|f| f.file == file, &|f| &files[f.file].crate_name == krate];
+    for tier in tiers {
+        let hits: Vec<usize> = cands.iter().copied().filter(|&t| tier(&fns[t])).collect();
+        if !hits.is_empty() {
+            return hits;
+        }
     }
-    let caller_crate = &files[caller.file].crate_name;
-    let same_crate: Vec<usize> = cands
-        .iter()
-        .copied()
-        .filter(|&t| &files[fns[t].file].crate_name == caller_crate)
-        .collect();
-    if !same_crate.is_empty() {
-        return same_crate;
-    }
-    cands.clone()
+    cands
 }
 
 /// Receivers of lock-shaped calls plus `Mutex`/`RwLock`/`Condvar`
@@ -737,5 +749,6 @@ pub fn analyze_sources(
     lint_lock_discipline(&ix, cfg, &mut out);
     lint_panic_freedom(&ix, cfg, &mut out);
     lint_config_staleness(&ix, cfg, &mut out);
+    crate::reach::lint_reachability(&ix, cfg, &mut out);
     (out, ix.fns.len(), ix.call_edge_count)
 }

@@ -8,11 +8,18 @@
 //! span; the workspace index resolves them against the item table to
 //! build the intra-workspace call graph.
 //!
+//! [`item_spans`] finds the tokens outside any `fn` (`const`/`static`
+//! initializers, macros, type definitions) and [`ref_sites`] every
+//! identifier of a span, call or not; the reachability lint
+//! ([`crate::reach`]) walks those.
+//!
 //! This is deliberately *not* name resolution — no imports, no types.
-//! The resolver over-approximates (a method call links to every
-//! workspace `fn` of that name in the narrowest non-empty scope tier),
-//! which is the right direction for reachability lints: a false edge
-//! can only make the audit stricter, never blind.
+//! Each consumer picks its candidates by name and states what it
+//! resolves: the call graph keeps the narrowest non-empty scope tier
+//! (see [`crate::analysis`]), which drops wider candidates, so it is not
+//! an over-approximation; the reachability graph widens instead.
+
+use std::ops::Range;
 
 use crate::lexer::{Tok, TokKind};
 
@@ -25,6 +32,9 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl` type (last path segment), when inside one.
     pub owner: Option<String>,
+    /// Trait of the enclosing `impl Trait for Type` (with an `owner`) or
+    /// `trait Trait` declaration (without one), when inside one.
+    pub trait_name: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Token index of the `fn` keyword in the file's stream.
@@ -42,9 +52,10 @@ pub struct FnItem {
 }
 
 impl FnItem {
-    /// Display name: `Owner::name` inside an impl, bare name otherwise.
+    /// Display name: `Owner::name` inside an impl, `Trait::name` inside
+    /// a trait declaration, bare name otherwise.
     pub fn qname(&self) -> String {
-        match &self.owner {
+        match self.owner.as_ref().or(self.trait_name.as_ref()) {
             Some(o) => format!("{o}::{}", self.name),
             None => self.name.clone(),
         }
@@ -70,6 +81,9 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "let", "mut", "ref", "break", "continue", "where", "impl", "dyn", "use", "pub", "mod",
     "struct", "enum", "trait", "type", "const", "static", "await", "yield",
 ];
+
+/// Keywords whose next identifier is the name of the item they define.
+const DEFINING: &[&str] = &["fn", "mod", "struct", "enum", "union", "trait", "type"];
 
 fn in_regions(regions: &[(usize, usize)], idx: usize) -> bool {
     regions.iter().any(|&(s, e)| idx >= s && idx <= e)
@@ -163,11 +177,12 @@ fn modifiers_include_unsafe(toks: &[Tok], fn_idx: usize) -> bool {
     false
 }
 
-/// Owner type of an `impl` header starting just past the `impl`
-/// keyword: the last angle-depth-0 path segment before the body brace —
-/// of the `for` part when present (`impl Trait for Foo`), of the whole
-/// header otherwise (`impl Foo<T>`), never of the `where` clause.
-fn parse_impl_owner(toks: &[Tok], start: usize) -> Option<String> {
+/// `(trait, owner type)` of an `impl` header starting just past the
+/// `impl` keyword. The owner is the last angle-depth-0 path segment
+/// before the body brace — of the `for` part when present (`impl Trait
+/// for Foo`), of the whole header otherwise (`impl Foo<T>`), never of
+/// the `where` clause; the trait is the header's before `for`.
+fn parse_impl_header(toks: &[Tok], start: usize) -> (Option<String>, Option<String>) {
     let mut angle = 0i32;
     let mut j = start;
     let mut after_for = false;
@@ -197,7 +212,10 @@ fn parse_impl_owner(toks: &[Tok], start: usize) -> Option<String> {
         }
         j += 1;
     }
-    for_last.or(head_last)
+    match for_last {
+        Some(owner) => (head_last, Some(owner)),
+        None => (None, head_last),
+    }
 }
 
 /// Parse every `fn` item in one file. `force_test` marks the whole file
@@ -212,8 +230,11 @@ pub fn parse_fns(
 ) -> Vec<FnItem> {
     let mut out = Vec::new();
     let mut depth = 0i32;
-    let mut impl_stack: Vec<(Option<String>, i32)> = Vec::new();
-    let mut pending_impl: Option<Option<String>> = None;
+    // (trait, owner) of each open `impl` block, (trait, None) of each
+    // open `trait` block, with the brace depth it opened at.
+    type Header = (Option<String>, Option<String>);
+    let mut impl_stack: Vec<(Header, i32)> = Vec::new();
+    let mut pending_impl: Option<Header> = None;
     let mut pending_tf = false;
     let mut i = 0;
     while i < toks.len() {
@@ -232,8 +253,8 @@ pub fn parse_fns(
         }
         if t.is_punct('{') {
             depth += 1;
-            if let Some(owner) = pending_impl.take() {
-                impl_stack.push((owner, depth));
+            if let Some(header) = pending_impl.take() {
+                impl_stack.push((header, depth));
             }
             pending_tf = false;
         } else if t.is_punct('}') {
@@ -245,12 +266,16 @@ pub fn parse_fns(
         } else if t.is_punct(';') {
             pending_tf = false;
         } else if t.is_ident("impl") {
-            pending_impl = Some(parse_impl_owner(toks, i + 1));
+            pending_impl = Some(parse_impl_header(toks, i + 1));
+        } else if t.is_ident("trait") && toks.get(i + 1).map(|x| x.kind) == Some(TokKind::Ident) {
+            pending_impl = Some((Some(toks[i + 1].text.clone()), None));
         } else if t.is_ident("fn") && toks.get(i + 1).map(|x| x.kind) == Some(TokKind::Ident) {
+            let (trait_name, owner) = impl_stack.last().map_or((None, None), |(h, _)| h.clone());
             out.push(FnItem {
                 file,
                 name: toks[i + 1].text.clone(),
-                owner: impl_stack.last().and_then(|(o, _)| o.clone()),
+                owner,
+                trait_name,
                 line: toks[i].line,
                 fn_tok: i,
                 body: find_body(toks, i + 2),
@@ -267,20 +292,85 @@ pub fn parse_fns(
     out
 }
 
+/// The token ranges of one file outside every `fn` (signature and body)
+/// and every `use` item: `const`/`static` initializers, `macro_rules!`
+/// bodies, macro invocations at item level, type definitions.
+pub fn item_spans(toks: &[Tok]) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    let mut i = 0;
+    while i < toks.len() {
+        let skip_to = if toks[i].is_ident("fn")
+            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
+        {
+            Some(find_body(toks, i + 2).map_or(i + 2, |(_, e)| e + 1))
+        } else if toks[i].is_ident("use") {
+            Some(
+                toks[i..]
+                    .iter()
+                    .position(|t| t.is_punct(';'))
+                    .map_or(toks.len(), |p| i + p + 1),
+            )
+        } else {
+            None
+        };
+        match skip_to {
+            Some(next) => {
+                if i > start {
+                    out.push(start..i);
+                }
+                start = next;
+                i = next;
+            }
+            None => i += 1,
+        }
+    }
+    if toks.len() > start {
+        out.push(start..toks.len());
+    }
+    out
+}
+
 /// Extract call-shaped sites from a body token span.
 pub fn call_sites(toks: &[Tok], body: (usize, usize)) -> Vec<CallSite> {
-    let (bs, be) = body;
+    sites(toks, body.0 + 1..body.1, false)
+}
+
+/// Every identifier in a token span that could name a function: the
+/// call sites, plus a name without call syntax (a fn pointer, a table
+/// entry, a macro argument). Field accesses (`.name` without a call),
+/// macro names (`name!`) and `std::`/`core::`/`alloc::` paths are left
+/// out.
+pub fn ref_sites(toks: &[Tok], span: Range<usize>) -> Vec<CallSite> {
+    sites(toks, span, true)
+}
+
+/// The path ending at `i` starts at `std`, `core` or `alloc`, so it
+/// names nothing in the workspace.
+fn std_path(toks: &[Tok], mut i: usize) -> bool {
+    while i >= 3 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':') {
+        i -= 3;
+    }
+    i < toks.len()
+        && toks[i].kind == TokKind::Ident
+        && ["std", "core", "alloc"].contains(&toks[i].text.as_str())
+        && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+}
+
+fn sites(toks: &[Tok], span: Range<usize>, refs: bool) -> Vec<CallSite> {
+    let be = span.end;
     let mut out = Vec::new();
-    let mut i = bs + 1;
+    let mut i = span.start;
     while i < be {
         let t = &toks[i];
         if t.kind != TokKind::Ident || NON_CALL_KEYWORDS.iter().any(|k| t.is_ident(k)) {
             i += 1;
             continue;
         }
-        // Skip nested `fn` definitions — the definition site is not a
-        // call (the nested item is parsed separately by `parse_fns`).
-        if i > 0 && toks[i - 1].is_ident("fn") {
+        // Skip the name an item defines (`fn`, `mod`, `struct`, …): a
+        // definition site is not a use (a nested fn is parsed separately
+        // by `parse_fns`).
+        if i > 0 && DEFINING.iter().any(|k| toks[i - 1].is_ident(k)) {
             i += 1;
             continue;
         }
@@ -305,7 +395,16 @@ pub fn call_sites(toks: &[Tok], body: (usize, usize)) -> Vec<CallSite> {
         let is_call = toks.get(j).map(|x| x.is_punct('(')) == Some(true);
         // `name!(…)` is a macro, not a resolvable call.
         let is_macro = toks.get(i + 1).map(|x| x.is_punct('!')) == Some(true);
-        if is_call && !is_macro {
+        let is_method = i > 0 && toks[i - 1].is_punct('.');
+        // `name: …` declares a field or a binding's type; it names no fn.
+        let declared = toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+            && !toks.get(i + 2).is_some_and(|t| t.is_punct(':'));
+        let keep = if refs {
+            (is_call || !is_method) && !is_macro && !declared && !std_path(toks, i)
+        } else {
+            is_call && !is_macro
+        };
+        if keep {
             let qualifier = if i >= 3
                 && toks[i - 1].is_punct(':')
                 && toks[i - 2].is_punct(':')
@@ -315,7 +414,6 @@ pub fn call_sites(toks: &[Tok], body: (usize, usize)) -> Vec<CallSite> {
             } else {
                 None
             };
-            let is_method = i > 0 && toks[i - 1].is_punct('.');
             out.push(CallSite {
                 tok: i,
                 name: t.text.clone(),

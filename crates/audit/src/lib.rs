@@ -2,7 +2,8 @@
 //!
 //! Workspace soundness auditor — a two-pass, call-graph-aware static
 //! analyzer. It walks every `.rs` file under `crates/`, `vendor/`, the
-//! workspace `tests/`, and `examples/`; pass 1 ([`items`]) parses every
+//! workspace `tests/`, and `examples/` (and reads `benchmark/src/` for
+//! the call graph only); pass 1 ([`items`]) parses every
 //! `fn` into a lightweight item table and resolves call sites into an
 //! intra-workspace call graph, pass 2 ([`analysis`]) runs dataflow
 //! lints over that graph alongside the original per-file token lints.
@@ -39,7 +40,13 @@
 //!    `unsafe` / `#[target_feature]` kernel fns must be
 //!    `debug_assert`-guarded or carry a SAFETY/bounds comment.
 //! 8. **config-staleness** — every configured root, file, lock,
-//!    condvar, and trace fn must resolve against the parsed workspace.
+//!    condvar, trace fn, reachability root pattern and allow-list entry
+//!    must resolve against the parsed workspace.
+//! 9. **unreachable** / **test-only** — every library fn is reached
+//!    from what ships (the bins, `examples/`, the benchmark harness under
+//!    `benchmark/src/`, which is read for the graph only) or sits on the
+//!    allow-list with a reason; see [`reach`] for the roots and what the
+//!    name-based graph can and cannot see.
 //!
 //! The workspace vendors no parser crates, so the auditor runs on a
 //! hand-rolled lexer ([`lexer`]) rather than `syn`. Style lints skip
@@ -63,6 +70,7 @@
 pub mod analysis;
 pub mod items;
 pub mod lexer;
+pub mod reach;
 
 use std::fmt;
 use std::fs;
@@ -71,8 +79,8 @@ use std::path::{Path, PathBuf};
 pub use analysis::SourceFile;
 use lexer::{lex, Tok, TokKind};
 
-/// The audit lints: four per-file token lints and four call-graph
-/// dataflow lints.
+/// The audit lints: four per-file token lints, four call-graph
+/// dataflow lints and the two reachability verdicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
     /// `unsafe` without a `// SAFETY:` / `# Safety` justification.
@@ -96,6 +104,10 @@ pub enum Lint {
     /// A configured hot path, file, lock, condvar, or trace fn that no
     /// longer resolves against the parsed workspace.
     ConfigStaleness,
+    /// A library fn no root reaches, test code included.
+    Unreachable,
+    /// A library fn only test code reaches.
+    TestOnly,
 }
 
 impl fmt::Display for Lint {
@@ -109,6 +121,8 @@ impl fmt::Display for Lint {
             Lint::LockDiscipline => "lock-discipline",
             Lint::PanicFreedom => "panic-freedom",
             Lint::ConfigStaleness => "config-staleness",
+            Lint::Unreachable => "unreachable",
+            Lint::TestOnly => "test-only",
         })
     }
 }
@@ -170,6 +184,26 @@ pub struct AuditConfig {
     /// Condvar receiver identifiers whose `wait`/`wait_timeout` calls
     /// must sit inside a `while`/`loop` predicate re-check.
     pub condvars: Vec<String>,
+    /// Path patterns ([`reach::path_matches`]) of the files whose every
+    /// function is a live root of the reachability lint: what ships.
+    /// Empty turns the lint off.
+    pub live_roots: Vec<String>,
+    /// Path patterns of files that only measure: their functions are
+    /// test roots, and win over a [`AuditConfig::live_roots`] match.
+    pub test_roots: Vec<String>,
+    /// Library fns that stay although no live root reaches them; the
+    /// default reads the committed list in `crates/audit/keep.txt`.
+    pub keep: Vec<Keep>,
+}
+
+/// One allow-list entry of the reachability lint.
+#[derive(Debug, Clone)]
+pub struct Keep {
+    /// `file_suffix.rs` (every fn of the file) or
+    /// `file_suffix.rs::Owner::name` (one fn).
+    pub item: String,
+    /// Why it stays.
+    pub why: String,
 }
 
 impl Default for AuditConfig {
@@ -248,6 +282,27 @@ impl Default for AuditConfig {
             // a leaf no other lock may be taken under.
             lock_order: s(&["batcher", "counters", "gauges", "spans", "latencies_ms"]),
             condvars: s(&["available"]),
+            live_roots: s(&[
+                "crates/*/src/bin/",
+                "crates/audit/src/main.rs",
+                "examples/",
+                "benchmark/src/",
+            ]),
+            test_roots: s(&[
+                "crates/bench/src/bin/perf_smoke.rs",
+                "crates/bench/src/bin/ablations.rs",
+            ]),
+            keep: include_str!("../keep.txt")
+                .lines()
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .map(|l| {
+                    let (item, why) = l.split_once(" — ").unwrap_or((l, ""));
+                    Keep {
+                        item: item.into(),
+                        why: why.into(),
+                    }
+                })
+                .collect(),
         }
     }
 }
@@ -820,6 +875,23 @@ pub fn audit_workspace(root: &Path, cfg: &AuditConfig) -> std::io::Result<AuditR
                 true,
             )?;
         }
+    }
+    // The benchmark harness, a workspace of its own that only links the
+    // crates, is read for the call graph (its workloads are live roots)
+    // and audited by no per-file lint.
+    let mut bench = Vec::new();
+    if root.join("benchmark/src").is_dir() {
+        collect_rs(&root.join("benchmark/src"), &mut bench)?;
+    }
+    bench.sort();
+    for f in bench {
+        let rel = f.strip_prefix(root).unwrap_or(&f).to_string_lossy();
+        sources.push(SourceFile {
+            rel: rel.replace('\\', "/"),
+            crate_name: "gcnn-benchmark".into(),
+            is_root: false,
+            src: fs::read_to_string(&f)?,
+        });
     }
     let (graph_diags, fn_items, call_edges) = analysis::analyze_sources(&sources, cfg);
     report.diagnostics.extend(graph_diags);

@@ -2,8 +2,9 @@
 //!
 //! `cargo run -p gcnn-audit [--format text|json] [workspace-root]` —
 //! audits every `.rs` file under `crates/`, `vendor/`, `tests/`, and
-//! `examples/`. The default text mode prints `path:line: [lint]
-//! message` diagnostics (the format the CI problem matcher consumes);
+//! `examples/`, and reads `benchmark/src/` for the call graph. The
+//! default text mode prints `path:line: [lint] message` diagnostics (the
+//! format the CI problem matcher consumes);
 //! `--format json` emits a machine-readable report document instead.
 //! Exits non-zero if any policy is violated.
 

@@ -1,5 +1,5 @@
 //! Fixture tests for the call-graph lint families (transitive-arena,
-//! lock-discipline, panic-freedom, config-staleness). Each fixture
+//! lock-discipline, panic-freedom, config-staleness, reachability). Each fixture
 //! under `tests/fixtures/` is fed through [`analyze_sources`] as a
 //! miniature workspace with a narrow config; positive, negative, and
 //! escape-hatch cases are asserted per family.
@@ -7,7 +7,7 @@
 use std::path::Path;
 
 use gcnn_audit::analysis::analyze_sources;
-use gcnn_audit::{AuditConfig, Diagnostic, HotPath, Lint, SourceFile};
+use gcnn_audit::{AuditConfig, Diagnostic, HotPath, Keep, Lint, SourceFile};
 
 fn fixture(name: &str) -> String {
     let p = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -34,6 +34,9 @@ fn empty_cfg() -> AuditConfig {
         trace_fns: Vec::new(),
         lock_order: Vec::new(),
         condvars: Vec::new(),
+        live_roots: Vec::new(),
+        test_roots: Vec::new(),
+        keep: Vec::new(),
     }
 }
 
@@ -303,4 +306,149 @@ fn declared_lock_fields_satisfy_the_lock_namespace() {
     };
     let (diags, _, _) = analyze_sources(&[src], &cfg);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+// ---------------------------------------------------------------------------
+// reachability (unreachable / test-only)
+// ---------------------------------------------------------------------------
+
+/// The library fixture, a bin that uses the live half of it, and a
+/// measuring bin that is a test root.
+fn reach_workspace(measure: &str) -> Vec<SourceFile> {
+    let bin = |rel: &str, src: &str| SourceFile {
+        rel: rel.to_string(),
+        crate_name: "gcnn-fix".to_string(),
+        is_root: true,
+        src: src.to_string(),
+    };
+    vec![
+        sf("crates/fix/src/lib.rs", "reach_lib.rs"),
+        bin(
+            "crates/fix/src/bin/main.rs",
+            "fn main() {\n    let _ = gcnn_fix::generic_body(gcnn_fix::Wide);\n    \
+             let _ = (gcnn_fix::SCALAR.body)(1.0);\n    let _ = gcnn_fix::GATES.len();\n    \
+             let _ = gcnn_fix::through_macro();\n}\n",
+        ),
+        bin("crates/fix/src/bin/measure.rs", measure),
+    ]
+}
+
+fn reach_cfg(keep: &[&str]) -> AuditConfig {
+    AuditConfig {
+        live_roots: vec!["crates/*/src/bin/".into()],
+        test_roots: vec!["crates/fix/src/bin/measure.rs".into()],
+        keep: keep
+            .iter()
+            .map(|item| Keep {
+                item: item.to_string(),
+                why: "fixture".into(),
+            })
+            .collect(),
+        ..empty_cfg()
+    }
+}
+
+#[test]
+fn test_only_and_unreachable_are_told_apart() {
+    let ws = reach_workspace("fn main() {}\n");
+    let (diags, _, _) = analyze_sources(&ws, &reach_cfg(&["fix/src/lib.rs::kept_oracle"]));
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    let test_only = by_lint(&diags, Lint::TestOnly);
+    assert_eq!(test_only.len(), 1, "{diags:?}");
+    assert!(
+        test_only[0].message.contains("`fn only_tested`"),
+        "{}",
+        test_only[0]
+    );
+    assert!(
+        test_only[0].message.contains("uses_the_test_helpers"),
+        "{}",
+        test_only[0]
+    );
+    let unreachable = by_lint(&diags, Lint::Unreachable);
+    assert_eq!(unreachable.len(), 1, "{diags:?}");
+    assert!(
+        unreachable[0].message.contains("`fn nobody`"),
+        "{}",
+        unreachable[0]
+    );
+    assert_eq!(unreachable[0].file, "crates/fix/src/lib.rs");
+}
+
+#[test]
+fn a_measuring_bin_is_a_test_root() {
+    let ws = reach_workspace("fn main() {\n    let _ = gcnn_fix::nobody();\n}\n");
+    let (diags, _, _) = analyze_sources(&ws, &reach_cfg(&["fix/src/lib.rs::kept_oracle"]));
+    let test_only = by_lint(&diags, Lint::TestOnly);
+    assert!(
+        test_only.iter().any(|d| d.message.contains("`fn nobody`")),
+        "{diags:?}"
+    );
+    assert!(by_lint(&diags, Lint::Unreachable).is_empty(), "{diags:?}");
+}
+
+#[test]
+fn names_without_call_syntax_are_references() {
+    // A static initializer, a const table and a macro argument each
+    // reach their fn; none may read as dead.
+    let ws = reach_workspace("fn main() {}\n");
+    let (diags, _, _) = analyze_sources(&ws, &reach_cfg(&["fix/src/lib.rs::kept_oracle"]));
+    for live in ["scalar_body", "gate_speedup", "macro_arg", "through_macro"] {
+        assert!(
+            !diags
+                .iter()
+                .any(|d| d.message.contains(&format!("`fn {live}`"))),
+            "{live}: {diags:?}"
+        );
+    }
+}
+
+#[test]
+fn generic_and_std_trait_methods_are_live() {
+    let ws = reach_workspace("fn main() {}\n");
+    let (diags, _, _) = analyze_sources(&ws, &reach_cfg(&["fix/src/lib.rs::kept_oracle"]));
+    // `V::fma` reaches the impl's method and, through it, the trait's
+    // declaration; `Display::fmt` is std's to call.
+    for live in ["Wide::fma", "Lanes::fma", "Shown::fmt", "write_shown"] {
+        assert!(
+            !diags
+                .iter()
+                .any(|d| d.message.contains(&format!("`fn {live}`"))),
+            "{live}: {diags:?}"
+        );
+    }
+}
+
+#[test]
+fn stale_keep_entries_and_root_patterns_are_caught() {
+    let ws = reach_workspace("fn main() {}\n");
+    let mut cfg = reach_cfg(&[
+        "fix/src/lib.rs::kept_oracle",
+        "fix/src/lib.rs::deleted_long_ago",
+        "fix/src/lib.rs::scalar_body",
+    ]);
+    cfg.live_roots.push("examples/".into());
+    let (diags, _, _) = analyze_sources(&ws, &cfg);
+    let stale = by_lint(&diags, Lint::ConfigStaleness);
+    assert_eq!(stale.len(), 3, "{diags:?}");
+    assert!(stale
+        .iter()
+        .any(|d| d.message.contains("`fix/src/lib.rs::deleted_long_ago`")
+            && d.message.contains("resolves to no library fn")));
+    assert!(stale
+        .iter()
+        .any(|d| d.message.contains("`fix/src/lib.rs::scalar_body`")
+            && d.message.contains("live root now")));
+    assert!(stale
+        .iter()
+        .any(|d| d.message.contains("`examples/`") && d.message.contains("matches no")));
+    // Allow-list entries point at the list; root patterns at the config.
+    for d in stale {
+        let file = if d.message.contains("keep entry") {
+            "crates/audit/keep.txt"
+        } else {
+            "crates/audit/src/lib.rs"
+        };
+        assert_eq!(d.file, file, "{d}");
+    }
 }

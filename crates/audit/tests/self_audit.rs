@@ -202,3 +202,25 @@ fn default_policy_covers_mtsim_engine() {
         "the simulator is pure model code; it gets no unsafe allowance"
     );
 }
+
+/// The reachability allow-list can only shrink: each entry is a library
+/// fn kept although nothing that ships reaches it, and each says why.
+/// Deleting an entry's fn (or reaching it from a bin) already fails the
+/// audit through config-staleness; this pins the count from above.
+#[test]
+fn keep_list_only_shrinks() {
+    let cfg = AuditConfig::default();
+    assert!(
+        cfg.keep.len() <= 21,
+        "crates/audit/keep.txt grew to {} entries; reach the fn from a live \
+         root or delete it instead",
+        cfg.keep.len()
+    );
+    for k in &cfg.keep {
+        assert!(
+            !k.why.trim().is_empty(),
+            "keep entry `{}` gives no reason",
+            k.item
+        );
+    }
+}

@@ -99,12 +99,6 @@ impl Tuner {
         }
     }
 
-    /// Replace the constraint.
-    pub fn with_constraint(mut self, constraint: Constraint) -> Self {
-        self.constraint = constraint;
-        self
-    }
-
     /// Replace the measurement knobs.
     pub fn with_params(mut self, params: MeasureParams) -> Self {
         self.params = params;
@@ -250,6 +244,13 @@ mod tests {
         })
     }
 
+    fn constrained(policy: Policy, budget: u64) -> Tuner {
+        Tuner {
+            constraint: Constraint::SpeedWithinMemory(budget),
+            ..tuner(policy)
+        }
+    }
+
     #[test]
     fn measure_then_cache_hit() {
         let sub = SimSubstrate::k40c();
@@ -321,18 +322,23 @@ mod tests {
             .select(&sub, &mut cache, &cfg, Direction::Training)
             .unwrap();
         // Impossible budget → no selection at all.
-        let blocked = tuner(Policy::Measure)
-            .with_constraint(Constraint::SpeedWithinMemory(1))
-            .select(&sub, &mut TuningCache::new(), &cfg, Direction::Training);
+        let blocked = constrained(Policy::Measure, 1).select(
+            &sub,
+            &mut TuningCache::new(),
+            &cfg,
+            Direction::Training,
+        );
         assert!(blocked.is_none());
         // A budget just under the unconstrained winner's workspace must
         // not return anything exceeding it.
         if unconstrained.workspace_bytes > 1 {
             let budget = unconstrained.workspace_bytes - 1;
-            if let Some(sel) = tuner(Policy::Measure)
-                .with_constraint(Constraint::SpeedWithinMemory(budget))
-                .select(&sub, &mut TuningCache::new(), &cfg, Direction::Training)
-            {
+            if let Some(sel) = constrained(Policy::Measure, budget).select(
+                &sub,
+                &mut TuningCache::new(),
+                &cfg,
+                Direction::Training,
+            ) {
                 assert!(sel.workspace_bytes <= budget);
                 assert_ne!(sel.implementation, unconstrained.implementation);
             }
@@ -351,9 +357,8 @@ mod tests {
         assert!(warm.workspace_bytes > 1);
         // …then select under a budget the cached entry violates: the
         // hit must be ignored, not returned.
-        let sel = tuner(Policy::CacheOnly)
-            .with_constraint(Constraint::SpeedWithinMemory(1))
-            .select(&sub, &mut cache, &cfg, Direction::Training);
+        let sel =
+            constrained(Policy::CacheOnly, 1).select(&sub, &mut cache, &cfg, Direction::Training);
         assert!(sel.is_none() || sel.unwrap().workspace_bytes <= 1);
     }
 }

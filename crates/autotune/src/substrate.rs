@@ -365,7 +365,7 @@ mod tests {
         let nchwc = cands.iter().find(|c| c.name == "nchwc").unwrap();
         assert_eq!(nchwc.strategy, Strategy::Direct);
         assert!(
-            nchwc.layout.is_blocked(),
+            nchwc.layout.channel_block().is_some(),
             "nchwc must carry a blocked layout"
         );
         assert!(

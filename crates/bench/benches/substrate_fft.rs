@@ -3,10 +3,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gcnn_fft::{
-    fft_flops, fft_lanes_inplace, rfft_forward_batch_split, rfft_inverse_batch_split, Direction,
-    FftPlan, RfftPlan,
+    fft_lanes_inplace, rfft_forward_batch_split, rfft_inverse_batch_split, Direction, FftPlan,
+    RfftPlan,
 };
 use std::hint::black_box;
+
+/// FLOPs of one radix-2 complex FFT of size `n`: `5·n·log2(n)` (10 real
+/// ops per butterfly over `n/2·log2(n)` butterflies).
+fn fft_flops(n: usize) -> u64 {
+    5 * (n as u64) * (n.trailing_zeros() as u64)
+}
 
 fn signal(len: usize, seed: f32) -> Vec<f32> {
     (0..len).map(|i| (i as f32 * seed).sin()).collect()

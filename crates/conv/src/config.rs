@@ -133,14 +133,6 @@ impl ConvConfig {
         3 * self.forward_flops()
     }
 
-    /// im2col column-matrix shape for one image: `(c·k², o²)`.
-    pub const fn col_shape(&self) -> gcnn_tensor::Shape2 {
-        gcnn_tensor::Shape2::new(
-            self.channels * self.kernel * self.kernel,
-            self.output() * self.output(),
-        )
-    }
-
     /// The im2col geometry for this configuration.
     pub const fn geometry(&self) -> gcnn_tensor::im2col::ConvGeometry {
         gcnn_tensor::im2col::ConvGeometry {
@@ -282,7 +274,7 @@ mod tests {
         assert_eq!(c.input_shape().len(), 4 * 3 * 16 * 16);
         assert_eq!(c.filter_shape().len(), 8 * 3 * 25);
         assert_eq!(c.output_shape().len(), 4 * 8 * 12 * 12);
-        assert_eq!(c.col_shape().rows, 75);
-        assert_eq!(c.col_shape().cols, 144);
+        assert_eq!(c.geometry().col_rows(), 75);
+        assert_eq!(c.geometry().col_cols(), 144);
     }
 }

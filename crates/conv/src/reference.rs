@@ -78,7 +78,9 @@ pub fn backward_data_ref(cfg: &ConvConfig, grad_out: &Tensor4, filters: &Tensor4
                                 if ix < p || ix - p >= cfg.input {
                                     continue;
                                 }
-                                grad_in.add_at(n, c, iy - p, ix - p, g * filters.get(f, c, ky, kx));
+                                let (y, x) = (iy - p, ix - p);
+                                let v = grad_in.get(n, c, y, x) + g * filters.get(f, c, ky, kx);
+                                grad_in.set(n, c, y, x, v);
                             }
                         }
                     }
@@ -124,7 +126,9 @@ pub fn backward_filters_ref(cfg: &ConvConfig, input: &Tensor4, grad_out: &Tensor
                                 if ix < p || ix - p >= cfg.input {
                                     continue;
                                 }
-                                grad_w.add_at(f, c, ky, kx, g * input.get(n, c, iy - p, ix - p));
+                                let v =
+                                    grad_w.get(f, c, ky, kx) + g * input.get(n, c, iy - p, ix - p);
+                                grad_w.set(f, c, ky, kx, v);
                             }
                         }
                     }

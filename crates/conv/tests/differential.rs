@@ -4,6 +4,8 @@
 //!
 //! One table of shapes ([`rows`]) × one table of paths ([`PATHS`]); a
 //! later path is one more entry of `PATHS`, a later shape one more row.
+//! The NCHWc tile runs at both channel blocks: `direct` at the one
+//! `preferred_block()` picks, `nchwc-other-block` at the other.
 //! Every pass runs out of a **NaN-poisoned arena** — each size class the
 //! rows can reach is refilled with NaN-filled buffers first, and the pass
 //! must then draw all its scratch from those (zero pool misses) — so "the
@@ -17,22 +19,59 @@
 //! the suite under `GCNN_FORCE_SCALAR=1`.
 
 use gcnn_conv::{
-    reference, ConvAlgorithm, ConvConfig, DirectConv, FftConv, UnrollConv, WinogradConv,
+    nchwc, reference, ConvAlgorithm, ConvConfig, DirectConv, FftConv, Strategy, UnrollConv,
+    WinogradConv,
 };
 use gcnn_fft::rfft::BLOCK_LANES;
 use gcnn_gemm::{sgemm, Transpose};
 use gcnn_tensor::im2col::im2col_into;
 use gcnn_tensor::init::uniform_tensor;
+use gcnn_tensor::nchwc::unpack_nchwc_from;
+use gcnn_tensor::simd::preferred_block;
 use gcnn_tensor::workspace::{alloc_scope, on_calling_thread, take_f32};
 use gcnn_tensor::Tensor4;
 
 /// The paths under test. A path whose `supports` refuses a row skips it.
-const PATHS: [(&str, &dyn ConvAlgorithm); 4] = [
+const PATHS: [(&str, &dyn ConvAlgorithm); 5] = [
     ("direct", &DirectConv),
+    ("nchwc-other-block", &OtherBlock),
     ("fft", &FftConv),
     ("unroll", &UnrollConv),
     ("winograd", &WinogradConv),
 ];
+
+/// `DirectConv`'s forward — pack, `fused_conv_relu` without ReLU, unpack
+/// — at the channel block `preferred_block()` does *not* pick (8 on an
+/// AVX-512 host, 16 elsewhere), so both blocks' tiles meet every row.
+/// Its backward passes are `DirectConv`'s, so the backward tests skip it.
+struct OtherBlock;
+
+impl ConvAlgorithm for OtherBlock {
+    fn strategy(&self) -> Strategy {
+        Strategy::Direct
+    }
+
+    fn forward(&self, cfg: &ConvConfig, input: &Tensor4, filters: &Tensor4) -> Tensor4 {
+        let block = if preferred_block() == 16 { 8 } else { 16 };
+        let mut pin = take_f32(nchwc::packed_input_len(cfg, block));
+        let mut pw = take_f32(nchwc::packed_filter_len(cfg, block));
+        let mut pout = take_f32(nchwc::packed_output_len(cfg, block));
+        nchwc::pack_input(cfg, input, block, &mut pin);
+        nchwc::pack_filters(cfg, filters, block, &mut pw);
+        nchwc::fused_conv_relu(cfg, block, &pin, &pw, &mut pout, false);
+        let mut out = Tensor4::zeros(cfg.output_shape());
+        unpack_nchwc_from(&pout, out.shape(), block, out.as_mut_slice());
+        out
+    }
+
+    fn backward_data(&self, cfg: &ConvConfig, grad_out: &Tensor4, filters: &Tensor4) -> Tensor4 {
+        DirectConv.backward_data(cfg, grad_out, filters)
+    }
+
+    fn backward_filters(&self, cfg: &ConvConfig, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
+        DirectConv.backward_filters(cfg, input, grad_out)
+    }
+}
 
 /// Largest relative L2 distance from the reference.
 const TOL: f32 = 1e-4;
@@ -222,6 +261,13 @@ fn paths(
         .filter(|(_, algo)| algo.supports(cfg).is_ok())
 }
 
+/// The [`PATHS`] with backward passes of their own that run `cfg`.
+fn backward_paths(
+    cfg: &ConvConfig,
+) -> impl Iterator<Item = (&'static str, &'static dyn ConvAlgorithm)> + '_ {
+    paths(cfg).filter(|(path, _)| *path != "nchwc-other-block")
+}
+
 #[test]
 fn forward_matches_reference() {
     for (row, cfg) in rows() {
@@ -287,7 +333,7 @@ fn backward_data_matches_reference() {
         let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 32);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 33);
         let want = reference::backward_data_ref(&cfg, &g, &w);
-        for (path, algo) in paths(&cfg) {
+        for (path, algo) in backward_paths(&cfg) {
             check(
                 &format!("{path} backward-data, {row} ({cfg})"),
                 &want,
@@ -303,7 +349,7 @@ fn backward_filters_matches_reference() {
         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 34);
         let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 35);
         let want = reference::backward_filters_ref(&cfg, &x, &g);
-        for (path, algo) in paths(&cfg) {
+        for (path, algo) in backward_paths(&cfg) {
             check(
                 &format!("{path} backward-filters, {row} ({cfg})"),
                 &want,

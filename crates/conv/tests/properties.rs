@@ -112,12 +112,15 @@ proptest! {
         let x2 = uniform_tensor(cfg.input_shape(), -1.0, 1.0, seed + 6);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, seed + 7);
 
-        let mut xsum = x1.clone();
-        xsum.axpy(1.0, &x2).unwrap();
-
-        let mut ysum = UnrollConv.forward(&cfg, &x1, &w);
-        let y2 = UnrollConv.forward(&cfg, &x2, &w);
-        ysum.axpy(1.0, &y2).unwrap();
+        let add = |a: &Tensor4, b: &Tensor4| {
+            let sum = a.as_slice().iter().zip(b.as_slice()).map(|(a, b)| a + b).collect();
+            Tensor4::from_vec(a.shape(), sum).unwrap()
+        };
+        let xsum = add(&x1, &x2);
+        let ysum = add(
+            &UnrollConv.forward(&cfg, &x1, &w),
+            &UnrollConv.forward(&cfg, &x2, &w),
+        );
 
         let direct = UnrollConv.forward(&cfg, &xsum, &w);
         prop_assert!(direct.max_abs_diff(&ysum).unwrap() < 1e-3, "at {cfg}");

@@ -10,7 +10,6 @@
 //! two agree.
 
 use crate::compare::{evaluate, ComparisonCell};
-use gcnn_autotune::{CacheKey, Direction, SimSubstrate, Substrate, TuningCache};
 use gcnn_conv::ConvConfig;
 use gcnn_frameworks::all_implementations;
 use gcnn_gpusim::DeviceSpec;
@@ -105,53 +104,6 @@ pub fn advise(cfg: &ConvConfig, scenario: Scenario, dev: &DeviceSpec) -> Option<
     })
 }
 
-/// [`advise`], deferring to a measured result when the tuning cache
-/// holds one for this `(device, config)` pair.
-///
-/// A cached winner (from `gcnn-autotune`'s `Policy::Measure` on the
-/// simulator substrate) answers the speed scenarios directly; the
-/// returned advice then carries a single candidate row — the measured
-/// winner — rather than the full seven-way sweep, which is how callers
-/// can tell a measured verdict from a modeled one. The hit is ignored
-/// (and the full model-based sweep runs) when the scenario is
-/// [`Scenario::Memory`] — the cache stores speed winners — or when the
-/// cached workspace exceeds a [`Scenario::SpeedWithinMemory`] budget.
-pub fn advise_with_cache(
-    cfg: &ConvConfig,
-    scenario: Scenario,
-    dev: &DeviceSpec,
-    cache: &mut TuningCache,
-) -> Option<Advice> {
-    let measured = match scenario {
-        Scenario::Memory => None,
-        Scenario::Speed | Scenario::SpeedWithinMemory(_) => cache.lookup(&CacheKey {
-            device: SimSubstrate::new(dev.clone()).fingerprint(),
-            cfg: *cfg,
-            direction: Direction::Training,
-        }),
-    };
-    if let Some(entry) = measured {
-        let fits = match scenario {
-            Scenario::SpeedWithinMemory(budget) => entry.workspace_bytes <= budget,
-            _ => true,
-        };
-        if fits {
-            return Some(Advice {
-                implementation: entry.implementation.clone(),
-                time_ms: entry.time_ms,
-                peak_bytes: entry.workspace_bytes,
-                candidates: vec![(
-                    entry.implementation,
-                    Some(entry.time_ms),
-                    Some(entry.workspace_bytes),
-                    None,
-                )],
-            });
-        }
-    }
-    advise(cfg, scenario, dev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,66 +172,5 @@ mod tests {
         let cfg = ConvConfig::paper_base();
         let a = advise(&cfg, Scenario::Speed, &dev()).unwrap();
         assert_eq!(a.candidates.len(), 7);
-    }
-
-    #[test]
-    fn cached_measurement_overrides_model_sweep() {
-        use gcnn_autotune::{MeasureParams, Policy, Repeats, Tuner};
-
-        let cfg = ConvConfig::paper_base();
-        let sub = SimSubstrate::new(dev());
-        let mut cache = TuningCache::new();
-
-        // Empty cache: identical to plain advise (full 7-way sweep).
-        let cold = advise_with_cache(&cfg, Scenario::Speed, &dev(), &mut cache).unwrap();
-        assert_eq!(cold.candidates.len(), 7);
-        assert_eq!(cold.implementation, "fbfft");
-
-        // Measure-and-cache, then ask again: the measured winner
-        // answers, single candidate row.
-        let tuner = Tuner::new(Policy::Measure).with_params(MeasureParams {
-            repeats: Repeats::new(1, 3),
-            timeout_ms: None,
-        });
-        tuner
-            .select(&sub, &mut cache, &cfg, Direction::Training)
-            .unwrap();
-        let warm = advise_with_cache(&cfg, Scenario::Speed, &dev(), &mut cache).unwrap();
-        assert_eq!(warm.candidates.len(), 1, "cache hit skips the sweep");
-        assert_eq!(warm.implementation, cold.implementation);
-        assert!((warm.time_ms - cold.time_ms).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cache_hit_respects_memory_scenarios() {
-        use gcnn_autotune::{MeasureParams, Policy, Repeats, Tuner};
-
-        let cfg = ConvConfig::paper_base();
-        let sub = SimSubstrate::new(dev());
-        let mut cache = TuningCache::new();
-        Tuner::new(Policy::Measure)
-            .with_params(MeasureParams {
-                repeats: Repeats::new(1, 3),
-                timeout_ms: None,
-            })
-            .select(&sub, &mut cache, &cfg, Direction::Training)
-            .unwrap();
-
-        // Memory scenario never consults the speed cache.
-        let mem = advise_with_cache(&cfg, Scenario::Memory, &dev(), &mut cache).unwrap();
-        assert_eq!(mem.implementation, "cuda-convnet2");
-        assert_eq!(mem.candidates.len(), 7);
-
-        // A budget below the cached workspace falls back to the sweep.
-        let tight = advise_with_cache(
-            &cfg,
-            Scenario::SpeedWithinMemory(1 << 30),
-            &dev(),
-            &mut cache,
-        )
-        .unwrap();
-        assert_eq!(tight.candidates.len(), 7);
-        assert_ne!(tight.implementation, "fbfft");
-        assert!(tight.peak_bytes <= 1 << 30);
     }
 }

@@ -57,11 +57,6 @@ impl ComparisonTable {
         let idx = self.implementations.iter().position(|n| n == name)?;
         self.cells[point][idx].time()
     }
-
-    /// Speedup of `a` over `b` at a point (`t_b / t_a`).
-    pub fn speedup(&self, point: usize, a: &str, b: &str) -> Option<f64> {
-        Some(self.time_of(point, b)? / self.time_of(point, a)?)
-    }
 }
 
 /// Evaluate one implementation at one configuration: one training
@@ -127,7 +122,8 @@ mod tests {
         let t = table_for(SweepAxis::Batch);
         for p in 0..t.values.len() {
             for other in ["Caffe", "cuDNN", "Torch-cunn", "Theano-fft"] {
-                if let Some(s) = t.speedup(p, "fbfft", other) {
+                if let (Some(fb), Some(o)) = (t.time_of(p, "fbfft"), t.time_of(p, other)) {
+                    let s = o / fb;
                     assert!(
                         (1.2..=20.0).contains(&s),
                         "batch {}: fbfft vs {other} = {s:.2}",

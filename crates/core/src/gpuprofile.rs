@@ -48,14 +48,13 @@ pub fn gpu_profile(dev: &DeviceSpec) -> Vec<GpuProfileRow> {
     rows
 }
 
-/// Select the rows of one implementation.
-pub fn rows_of<'a>(rows: &'a [GpuProfileRow], imp: &str) -> Vec<&'a GpuProfileRow> {
-    rows.iter().filter(|r| r.implementation == imp).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rows_of<'a>(rows: &'a [GpuProfileRow], imp: &str) -> Vec<&'a GpuProfileRow> {
+        rows.iter().filter(|r| r.implementation == imp).collect()
+    }
 
     fn grid() -> Vec<GpuProfileRow> {
         gpu_profile(&DeviceSpec::k40c())

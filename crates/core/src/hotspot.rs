@@ -27,11 +27,6 @@ impl HotspotReport {
             .map(|(_, s)| *s)
             .unwrap_or(0.0)
     }
-
-    /// The dominant kernel.
-    pub fn top(&self) -> Option<&(String, f64)> {
-        self.kernel_shares.first()
-    }
 }
 
 /// Profile one implementation's hotspot kernels at a configuration.

@@ -38,7 +38,7 @@ pub mod report;
 pub mod sweep;
 pub mod transfer;
 
-pub use advisor::{advise, advise_with_cache, Advice, Scenario};
+pub use advisor::{advise, Advice, Scenario};
 pub use compare::{runtime_comparison, ComparisonCell, ComparisonTable};
 pub use gpuprofile::{gpu_profile, GpuProfileRow};
 pub use hotspot::{hotspot_kernels, HotspotReport};

@@ -1,6 +1,5 @@
 //! Fig. 5: peak GPU memory comparison.
 
-use crate::compare::ComparisonTable;
 use crate::sweep::Sweep;
 use gcnn_conv::ConvConfig;
 use gcnn_frameworks::{all_implementations, ConvImplementation};
@@ -44,15 +43,6 @@ impl MemoryTable {
         let idx = self.implementations.iter().position(|n| n == name)?;
         self.cells[point][idx].mb()
     }
-
-    /// The most memory-frugal implementation at a point.
-    pub fn most_frugal_at(&self, point: usize) -> Option<(&str, f64)> {
-        self.cells[point]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.mb().map(|m| (self.implementations[i].as_str(), m)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
 }
 
 /// Peak memory of one implementation at one configuration.
@@ -85,12 +75,6 @@ pub fn memory_comparison(sweep: &Sweep) -> MemoryTable {
     }
 }
 
-/// Convenience: does the runtime table agree with this memory table on
-/// the implementation set? (Used by report rendering.)
-pub fn columns_match(mem: &MemoryTable, time: &ComparisonTable) -> bool {
-    mem.implementations == time.implementations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +92,10 @@ mod tests {
         for axis in [SweepAxis::Batch, SweepAxis::Input, SweepAxis::Kernel] {
             let t = table_for(axis);
             for p in 0..t.values.len() {
-                if let Some((name, _)) = t.most_frugal_at(p) {
+                let frugal = (t.cells[p].iter().zip(&t.implementations))
+                    .filter_map(|(c, name)| c.mb().map(|m| (name, m)))
+                    .min_by(|a, b| a.1.total_cmp(&b.1));
+                if let Some((name, _)) = frugal {
                     assert_eq!(name, "cuda-convnet2", "{:?} point {p}", axis);
                 }
             }

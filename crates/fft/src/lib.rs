@@ -60,25 +60,3 @@ pub enum Direction {
     /// Fourier → spatial (scaled by `1/n`).
     Inverse,
 }
-
-/// FLOPs of one radix-2 complex FFT of size `n`: `5·n·log2(n)`
-/// (the standard operation count: 10 real ops per butterfly over
-/// `n/2·log2(n)` butterflies).
-pub fn fft_flops(n: usize) -> u64 {
-    if n <= 1 {
-        return 0;
-    }
-    5 * (n as u64) * (n.trailing_zeros() as u64)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flop_model() {
-        assert_eq!(fft_flops(1), 0);
-        assert_eq!(fft_flops(8), 5 * 8 * 3);
-        assert_eq!(fft_flops(1024), 5 * 1024 * 10);
-    }
-}

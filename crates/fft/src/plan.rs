@@ -22,13 +22,12 @@ pub const PLAN_CACHE_CAP: usize = 32;
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
-    log2n: u32,
     /// Real plane of the forward table: `cos(−2πk/n)`, `k ∈ [0, n/2)`.
     tw_re: Vec<f32>,
     /// Imaginary plane of the forward table: `sin(−2πk/n)`. The inverse
     /// table is this negated.
     tw_im: Vec<f32>,
-    /// `bitrev[i]` = bit-reversed `i` over `log2n` bits.
+    /// `bitrev[i]` = bit-reversed `i` over `log2(n)` bits.
     bitrev: Vec<u32>,
 }
 
@@ -60,7 +59,6 @@ impl FftPlan {
         }
         FftPlan {
             n,
-            log2n,
             tw_re,
             tw_im,
             bitrev,
@@ -107,12 +105,6 @@ impl FftPlan {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n <= 1
-    }
-
-    /// `log2(n)`.
-    #[inline]
-    pub fn log2n(&self) -> u32 {
-        self.log2n
     }
 
     /// The split-complex **forward** twiddle planes `(re, im)`,

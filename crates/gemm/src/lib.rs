@@ -30,7 +30,7 @@ pub mod sgemm;
 pub use batched::batched_cgemm_split;
 pub use blocking::BlockSizes;
 pub use cgemm::cgemm_split;
-pub use sgemm::{sgemm, sgemm_mat, Transpose};
+pub use sgemm::{sgemm, Transpose};
 
 /// FLOP count of a real `m×k · k×n` GEMM (one multiply + one add per
 /// inner-loop step) — the quantity GPU kernel plans report to the

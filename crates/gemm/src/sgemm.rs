@@ -30,7 +30,7 @@
 use crate::blocking::BlockSizes;
 use crate::kernel::{self, dot_tile};
 use crate::pack::{pack_a, pack_b, OperandView};
-use gcnn_tensor::{workspace, Matrix};
+use gcnn_tensor::workspace;
 use rayon::prelude::*;
 
 /// Transpose flag for a GEMM operand.
@@ -339,41 +339,41 @@ fn scale_row(row: &mut [f32], beta: f32) {
     }
 }
 
-/// Matrix-level convenience wrapper: returns `op(A)·op(B)` as a new
-/// [`Matrix`].
-pub fn sgemm_mat(transa: Transpose, a: &Matrix, transb: Transpose, b: &Matrix) -> Matrix {
-    let (m, ka) = match transa {
-        Transpose::No => (a.rows(), a.cols()),
-        Transpose::Yes => (a.cols(), a.rows()),
-    };
-    let (kb, n) = match transb {
-        Transpose::No => (b.rows(), b.cols()),
-        Transpose::Yes => (b.cols(), b.rows()),
-    };
-    assert_eq!(ka, kb, "sgemm_mat: inner dimensions {ka} vs {kb}");
-    let mut c = Matrix::zeros(m, n);
-    sgemm(
-        transa,
-        transb,
-        m,
-        n,
-        ka,
-        1.0,
-        a.as_slice(),
-        a.cols(),
-        b.as_slice(),
-        b.cols(),
-        0.0,
-        c.as_mut_slice(),
-        n,
-    );
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::sgemm_ref;
+    use gcnn_tensor::Matrix;
+
+    /// `op(A)·op(B)` of two [`Matrix`]es as a new one.
+    fn sgemm_mat(transa: Transpose, a: &Matrix, transb: Transpose, b: &Matrix) -> Matrix {
+        let (m, ka) = match transa {
+            Transpose::No => (a.rows(), a.cols()),
+            Transpose::Yes => (a.cols(), a.rows()),
+        };
+        let (kb, n) = match transb {
+            Transpose::No => (b.rows(), b.cols()),
+            Transpose::Yes => (b.cols(), b.rows()),
+        };
+        assert_eq!(ka, kb, "sgemm_mat: inner dimensions {ka} vs {kb}");
+        let mut c = Matrix::zeros(m, n);
+        sgemm(
+            transa,
+            transb,
+            m,
+            n,
+            ka,
+            1.0,
+            a.as_slice(),
+            a.cols(),
+            b.as_slice(),
+            b.cols(),
+            0.0,
+            c.as_mut_slice(),
+            n,
+        );
+        c
+    }
 
     fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn sgemm_mat_identity() {
-        let i = Matrix::identity(5);
+        let i = Matrix::from_fn(5, 5, |r, c| if r == c { 1.0 } else { 0.0 });
         let m = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32);
         let p = sgemm_mat(Transpose::No, &i, Transpose::No, &m);
         assert_eq!(p, m);

@@ -13,7 +13,8 @@
 //! bandwidth) is a [`DescriptorError`], never a silently-absurd model.
 //!
 //! The shipped descriptors live under `crates/gpusim/descriptors/` and
-//! are embedded at compile time; [`device_table`] exposes them by key.
+//! are embedded at compile time as [`K40C_DESCRIPTOR`] and
+//! [`GM204_DESCRIPTOR`].
 //! `k40c` is the golden file — parsing it must equal
 //! [`DeviceSpec::k40c`] field-for-field (a round-trip test pins this) —
 //! and `gm204` is the Maxwell generation validated against maxDNN's
@@ -338,24 +339,6 @@ pub fn parse_descriptor(text: &str) -> Result<DeviceSpec, DescriptorError> {
     Ok(spec)
 }
 
-/// The shipped device table: `(key, descriptor text)` pairs. Every
-/// entry parses and validates (pinned by tests); [`lookup_device`]
-/// resolves a key to its spec.
-pub fn device_table() -> &'static [(&'static str, &'static str)] {
-    &[("k40c", K40C_DESCRIPTOR), ("gm204", GM204_DESCRIPTOR)]
-}
-
-/// Parse the shipped descriptor registered under `key` (`"k40c"`,
-/// `"gm204"`), or `None` for an unknown key.
-pub fn lookup_device(key: &str) -> Option<DeviceSpec> {
-    device_table()
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case(key))
-        .map(|(_, text)| {
-            parse_descriptor(text).expect("shipped descriptors parse and validate (pinned by test)")
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,13 +356,6 @@ mod tests {
         assert_eq!(gm204.total_cores(), 2048);
         // maxDNN: "the GTX980 has a peak of 4612 GFLOPS".
         assert!((gm204.peak_flops() / 1e9 - 4612.0).abs() < 10.0);
-    }
-
-    #[test]
-    fn lookup_is_case_insensitive_and_total() {
-        assert!(lookup_device("K40C").is_some());
-        assert!(lookup_device("gm204").is_some());
-        assert!(lookup_device("h100").is_none());
     }
 
     #[test]

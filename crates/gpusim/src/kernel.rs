@@ -21,11 +21,6 @@ impl LaunchConfig {
             block_threads,
         }
     }
-
-    /// Total threads in the grid.
-    pub const fn total_threads(&self) -> u64 {
-        self.grid_blocks as u64 * self.block_threads as u64
-    }
 }
 
 /// Global-memory access pattern of a kernel's loads or stores.
@@ -151,12 +146,6 @@ impl KernelDesc {
             lane_utilization: 1.0,
         }
     }
-
-    /// Arithmetic intensity in FLOPs per useful global byte.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = (self.gmem_load_bytes + self.gmem_store_bytes).max(1);
-        self.flops as f64 / bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -164,25 +153,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn launch_totals() {
-        let l = LaunchConfig::new(100, 256);
-        assert_eq!(l.total_threads(), 25_600);
-    }
-
-    #[test]
     fn defaults_are_sane() {
         let k = KernelDesc::new("test", LaunchConfig::new(1, 32));
         assert_eq!(k.warp_efficiency, 1.0);
         assert_eq!(k.lane_utilization, 1.0);
         assert!(k.compute_efficiency > 0.0 && k.compute_efficiency <= 1.0);
-    }
-
-    #[test]
-    fn arithmetic_intensity_guards_zero_bytes() {
-        let mut k = KernelDesc::new("t", LaunchConfig::new(1, 32));
-        k.flops = 1000;
-        assert_eq!(k.arithmetic_intensity(), 1000.0);
-        k.gmem_load_bytes = 500;
-        assert_eq!(k.arithmetic_intensity(), 2.0);
     }
 }

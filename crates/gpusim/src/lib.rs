@@ -53,7 +53,7 @@ pub mod timeline;
 pub mod timing;
 pub mod transfer;
 
-pub use descriptor::{device_table, lookup_device, parse_descriptor, DescriptorError};
+pub use descriptor::{parse_descriptor, DescriptorError};
 pub use device::DeviceSpec;
 pub use kernel::{AccessPattern, KernelDesc, LaunchConfig, SharedAccessDesc};
 pub use memory::{MemoryTracker, OomError};

@@ -109,24 +109,6 @@ impl MemoryTracker {
     pub fn capacity(&self) -> u64 {
         self.capacity
     }
-
-    /// Labels and sizes of live allocations (for reports).
-    pub fn live_allocations(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.live
-            .iter()
-            .flatten()
-            .map(|(label, bytes)| (label.as_str(), *bytes))
-    }
-}
-
-/// Convenience: peak bytes of a plan that allocates everything up front
-/// and frees nothing (how the framework models express workspaces).
-pub fn peak_of_plan(capacity: u64, allocations: &[(&str, u64)]) -> Result<u64, OomError> {
-    let mut tracker = MemoryTracker::new(capacity);
-    for (label, bytes) in allocations {
-        tracker.alloc(*label, *bytes)?;
-    }
-    Ok(tracker.peak())
 }
 
 #[cfg(test)]
@@ -173,22 +155,5 @@ mod tests {
         let a = t.alloc("a", 10).unwrap();
         t.free(a);
         t.free(a);
-    }
-
-    #[test]
-    fn live_allocations_lists_labels() {
-        let mut t = MemoryTracker::new(100);
-        let a = t.alloc("x", 10).unwrap();
-        t.alloc("y", 20).unwrap();
-        t.free(a);
-        let live: Vec<_> = t.live_allocations().collect();
-        assert_eq!(live, vec![("y", 20)]);
-    }
-
-    #[test]
-    fn plan_peak_helper() {
-        let peak = peak_of_plan(1000, &[("in", 100), ("w", 50), ("out", 200)]).unwrap();
-        assert_eq!(peak, 350);
-        assert!(peak_of_plan(100, &[("big", 200)]).is_err());
     }
 }

@@ -138,11 +138,6 @@ impl ProfilerSession {
         }
     }
 
-    /// The device under test.
-    pub fn device(&self) -> &DeviceSpec {
-        &self.dev
-    }
-
     /// Record one kernel launch; returns the timing for the caller.
     pub fn launch(&mut self, kernel: &KernelDesc) -> TimingResult {
         self.launch_times(kernel, 1)
@@ -203,11 +198,6 @@ impl ProfilerSession {
     /// Free a device allocation.
     pub fn free(&mut self, id: crate::memory::AllocationId) {
         self.memory.free(id);
-    }
-
-    /// The memory tracker (peak inspection).
-    pub fn memory(&self) -> &MemoryTracker {
-        &self.memory
     }
 
     /// Render the report.

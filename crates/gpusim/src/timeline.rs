@@ -77,11 +77,6 @@ impl Timeline {
         &self.spans
     }
 
-    /// End time of the schedule, microseconds.
-    pub fn total_us(&self) -> f64 {
-        self.cursor_us
-    }
-
     /// Serialize to the Chrome trace-event JSON array format
     /// (`chrome://tracing` / Perfetto / speedscope all accept it).
     pub fn to_chrome_trace(&self) -> String {
@@ -126,7 +121,7 @@ mod tests {
         assert_eq!(t.spans()[0].start_us, 0.0);
         assert_eq!(t.spans()[1].start_us, 2000.0);
         assert_eq!(t.spans()[2].start_us, 3000.0);
-        assert_eq!(t.total_us(), 3500.0);
+        assert_eq!(t.cursor_us, 3500.0);
     }
 
     #[test]
@@ -151,7 +146,7 @@ mod tests {
     #[test]
     fn empty_timeline_serializes() {
         let t = Timeline::new();
-        assert_eq!(t.total_us(), 0.0);
+        assert_eq!(t.cursor_us, 0.0);
         let parsed: serde_json::Value = serde_json::from_str(&t.to_chrome_trace()).unwrap();
         assert!(parsed.as_array().unwrap().is_empty());
     }

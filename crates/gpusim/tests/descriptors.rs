@@ -16,7 +16,7 @@
 use gcnn_gpusim::descriptor::{
     parse_descriptor, DescriptorError, GM204_DESCRIPTOR, K40C_DESCRIPTOR,
 };
-use gcnn_gpusim::{device_table, lookup_device, occupancy, DeviceSpec, OccupancyLimiter};
+use gcnn_gpusim::{occupancy, DeviceSpec, OccupancyLimiter};
 use proptest::prelude::*;
 
 #[test]
@@ -39,19 +39,6 @@ fn gm204_descriptor_round_trips_through_the_shorthand() {
     let parsed = parse_descriptor(GM204_DESCRIPTOR).expect("gm204 descriptor parses");
     assert_eq!(parsed, DeviceSpec::gm204());
     parsed.validate().expect("shipped descriptor validates");
-}
-
-#[test]
-fn device_table_entries_all_parse_and_validate() {
-    let table = device_table();
-    assert!(table.len() >= 2, "need K40c plus at least one Maxwell");
-    for (key, text) in table {
-        let spec = parse_descriptor(text)
-            .unwrap_or_else(|e| panic!("shipped descriptor `{key}` rejected: {e}"));
-        spec.validate()
-            .unwrap_or_else(|v| panic!("shipped descriptor `{key}` invalid: {v:?}"));
-        assert_eq!(lookup_device(key).as_ref(), Some(&spec));
-    }
 }
 
 /// maxDNN's platform headline: "the GTX980 has a peak of 4612 GFLOPS".

@@ -1278,7 +1278,7 @@ mod tests {
             assert_eq!(t.layout, *layout);
             assert_eq!(
                 t.implementation == "nchwc",
-                t.layout.is_blocked(),
+                t.layout.channel_block().is_some(),
                 "only the nchwc candidate runs blocked"
             );
         }

@@ -55,13 +55,6 @@ pub struct SimReport {
     pub streams: Vec<StreamReport>,
 }
 
-impl SimReport {
-    /// The stream report for `name`, if present.
-    pub fn stream(&self, name: &str) -> Option<&StreamReport> {
-        self.streams.iter().find(|s| s.name == name)
-    }
-}
-
 /// Percentile of a sorted ascending sample set (nearest-rank), in the
 /// samples' unit. Empty input returns 0.
 pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {

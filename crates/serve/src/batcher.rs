@@ -88,8 +88,6 @@ impl BatchPolicy {
 pub struct Batcher<T> {
     queue: VecDeque<(T, Instant)>,
     policy: BatchPolicy,
-    accepted: u64,
-    shed: u64,
 }
 
 impl<T> Batcher<T> {
@@ -99,8 +97,6 @@ impl<T> Batcher<T> {
         Batcher {
             queue: VecDeque::with_capacity(policy.queue_cap.min(1024)),
             policy,
-            accepted: 0,
-            shed: 0,
         }
     }
 
@@ -122,29 +118,15 @@ impl<T> Batcher<T> {
         self.queue.is_empty()
     }
 
-    /// Total requests admitted so far.
-    #[inline]
-    pub fn accepted_count(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Total requests load-shed so far.
-    #[inline]
-    pub fn shed_count(&self) -> u64 {
-        self.shed
-    }
-
     /// Admit `item` at time `now`, or return it when the queue is at
     /// its admission bound (the caller turns that into a `Shed`
     /// response). FIFO order is arrival order; `now` is recorded as the
     /// enqueue time that [`Batcher::oldest_deadline`] derives from.
     pub fn offer(&mut self, item: T, now: Instant) -> Result<(), T> {
         if self.queue.len() >= self.policy.queue_cap {
-            self.shed += 1;
             return Err(item);
         }
         self.queue.push_back((item, now));
-        self.accepted += 1;
         Ok(())
     }
 
@@ -231,8 +213,6 @@ mod tests {
         assert!(b.offer(1u32, t0).is_ok());
         assert!(b.offer(2u32, t0).is_ok());
         assert_eq!(b.offer(3u32, t0), Err(3));
-        assert_eq!(b.accepted_count(), 2);
-        assert_eq!(b.shed_count(), 1);
         assert_eq!(b.len(), 2);
     }
 

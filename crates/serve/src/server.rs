@@ -34,8 +34,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gcnn_autotune::{CpuSubstrate, Direction, Tuner, TuningCache};
-use gcnn_models::{Network, TunedLayer};
+use gcnn_models::Network;
 use gcnn_tensor::{Shape4, Tensor4, Workspace};
 
 use crate::batcher::{BatchPolicy, Batcher};
@@ -53,13 +52,6 @@ pub struct ServeConfig {
     pub policy: BatchPolicy,
     /// The `(c, h, w)` image shape every request must carry.
     pub input: (usize, usize, usize),
-    /// Pre-serving autotune pass. When set, every worker's network is
-    /// tuned for `Direction::Forward` at the policy's `max_batch`
-    /// before any thread spawns, so the first real batch already runs
-    /// each layer's winning strategy. All workers share one tuning
-    /// cache: the first replica pays the measurement cost, the rest
-    /// boot from warm cache hits.
-    pub tune: Option<Tuner>,
 }
 
 impl ServeConfig {
@@ -70,14 +62,7 @@ impl ServeConfig {
             workers,
             policy,
             input,
-            tune: None,
         }
-    }
-
-    /// Enable the forward autotune pass with the given tuner.
-    pub fn with_tuning(mut self, tuner: Tuner) -> Self {
-        self.tune = Some(tuner);
-        self
     }
 }
 
@@ -108,9 +93,6 @@ pub struct Server {
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// Per-worker schedules from the pre-serving autotune pass; empty
-    /// vectors when [`ServeConfig::tune`] was `None`.
-    tuning: Vec<Vec<TunedLayer>>,
 }
 
 impl Server {
@@ -143,31 +125,9 @@ impl Server {
             input: cfg.input,
         });
 
-        // Build — and, with `cfg.tune`, autotune — every replica on
-        // the caller's thread before any worker spawns. One cache is
-        // threaded through all replicas: identical layer shapes mean
-        // worker 0's measurements answer everyone else's lookups.
-        let mut tuning: Vec<Vec<TunedLayer>> = Vec::with_capacity(cfg.workers);
-        let substrate = CpuSubstrate::new();
-        let mut cache = TuningCache::new();
-        let nets: Vec<Network> = (0..cfg.workers)
-            .map(|i| {
-                let mut net = factory(i);
-                if let Some(tuner) = &cfg.tune {
-                    let _span = gcnn_trace::span("serve.tune");
-                    tuning.push(net.tune_for(
-                        Shape4::new(cfg.policy.max_batch, c, h, w),
-                        tuner,
-                        &substrate,
-                        &mut cache,
-                        Direction::Forward,
-                    ));
-                } else {
-                    tuning.push(Vec::new());
-                }
-                net
-            })
-            .collect();
+        // Build every replica on the caller's thread before any worker
+        // spawns.
+        let nets: Vec<Network> = (0..cfg.workers).map(&mut factory).collect();
 
         let workers = nets
             .into_iter()
@@ -194,16 +154,7 @@ impl Server {
             addr,
             accept: Some(accept),
             workers,
-            tuning,
         })
-    }
-
-    /// Per-worker tuning schedules from the pre-serving autotune pass,
-    /// in worker order. All empty when tuning was not configured. The
-    /// `source` on each entry tells whether that worker measured or hit
-    /// the shared cache warmed by an earlier replica.
-    pub fn tune_report(&self) -> &[Vec<TunedLayer>] {
-        &self.tuning
     }
 
     /// The bound address (with the OS-assigned port resolved).
@@ -214,11 +165,6 @@ impl Server {
     /// Current metrics aggregate.
     pub fn stats(&self) -> ServeStats {
         self.shared.metrics.snapshot()
-    }
-
-    /// Pending requests in the batch queue right now.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.batcher.lock().expect("batcher poisoned").len()
     }
 
     /// Stop accepting, drain every admitted request, join all threads.

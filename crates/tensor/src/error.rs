@@ -14,14 +14,6 @@ pub enum TensorError {
         /// The shape that was provided.
         got: String,
     },
-    /// A dimension that must be non-zero was zero, or an index was out of
-    /// bounds.
-    InvalidDimension {
-        /// Human-readable description of the operation that failed.
-        op: &'static str,
-        /// Details of the offending dimension.
-        detail: String,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -29,9 +21,6 @@ impl fmt::Display for TensorError {
         match self {
             TensorError::ShapeMismatch { op, expected, got } => {
                 write!(f, "{op}: shape mismatch (expected {expected}, got {got})")
-            }
-            TensorError::InvalidDimension { op, detail } => {
-                write!(f, "{op}: invalid dimension ({detail})")
             }
         }
     }
@@ -48,14 +37,6 @@ impl TensorError {
             got: got.to_string(),
         }
     }
-
-    /// Construct a [`TensorError::InvalidDimension`].
-    pub fn dim(op: &'static str, detail: impl fmt::Display) -> Self {
-        TensorError::InvalidDimension {
-            op,
-            detail: detail.to_string(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -66,11 +47,5 @@ mod tests {
     fn display_shape_mismatch() {
         let e = TensorError::shape("add", "2x2", "3x3");
         assert_eq!(e.to_string(), "add: shape mismatch (expected 2x2, got 3x3)");
-    }
-
-    #[test]
-    fn display_invalid_dimension() {
-        let e = TensorError::dim("pool", "window 0");
-        assert_eq!(e.to_string(), "pool: invalid dimension (window 0)");
     }
 }

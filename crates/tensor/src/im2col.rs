@@ -12,8 +12,6 @@
 //! and Theano-CorrMM (Fig. 4).
 
 use crate::matrix::Matrix;
-use crate::shape::Shape4;
-use crate::tensor::Tensor4;
 
 /// Spatial geometry of an unrolled convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +84,7 @@ const fn tap_range(out_dim: usize, in_dim: usize, kt: usize, s: usize, p: usize)
     }
 }
 
-/// Unroll one image (`image` = the `c·h·w` slice of a [`Tensor4`]) into a
+/// Unroll one image (`image` = the `c·h·w` slice of a [`Tensor4`](crate::Tensor4)) into a
 /// row-major `(c·k·k) × (out_h·out_w)` column buffer.
 ///
 /// Row `(c, kh, kw)` and column `(oh, ow)` holds input element
@@ -213,25 +211,6 @@ pub fn col2im(cols: &Matrix, geom: &ConvGeometry, image: &mut [f32]) {
     col2im_from(cols.as_slice(), geom, image);
 }
 
-/// Unroll a filter bank `(f, c, k, k)` into the `(f, c·k·k)` row matrix
-/// that left-multiplies the im2col output.
-pub fn filters_to_rows(filters: &Tensor4) -> Matrix {
-    let s = filters.shape();
-    Matrix::from_vec(s.n, s.c * s.h * s.w, filters.as_slice().to_vec())
-        .expect("filters_to_rows: contiguous filter bank")
-}
-
-/// Re-roll a `(f, c·k·k)` row matrix into a filter bank tensor.
-pub fn rows_to_filters(rows: &Matrix, shape: Shape4) -> Tensor4 {
-    assert_eq!(rows.rows(), shape.n, "rows_to_filters: filter count");
-    assert_eq!(
-        rows.cols(),
-        shape.c * shape.h * shape.w,
-        "rows_to_filters: filter volume"
-    );
-    Tensor4::from_vec(shape, rows.as_slice().to_vec()).expect("rows_to_filters: size checked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,15 +306,5 @@ mod tests {
             let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
             assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "{g:?}");
         }
-    }
-
-    #[test]
-    fn filters_roundtrip() {
-        let shape = Shape4::new(4, 3, 2, 2);
-        let filters = Tensor4::from_fn(shape, |n, c, h, w| (n * 100 + c * 10 + h * 2 + w) as f32);
-        let rows = filters_to_rows(&filters);
-        assert_eq!(rows.rows(), 4);
-        assert_eq!(rows.cols(), 12);
-        assert_eq!(rows_to_filters(&rows, shape), filters);
     }
 }

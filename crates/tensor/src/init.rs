@@ -33,21 +33,6 @@ pub fn xavier_filters(shape: Shape4, seed: u64) -> Tensor4 {
     uniform_tensor(shape, -bound, bound, seed)
 }
 
-/// i.i.d. standard-normal-ish values via the sum of 4 uniforms
-/// (Irwin–Hall, variance-normalized) — cheap, deterministic, and good
-/// enough for synthetic image content.
-pub fn gaussian_tensor(shape: Shape4, mean: f32, std: f32, seed: u64) -> Tensor4 {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let data = (0..shape.len())
-        .map(|_| {
-            let s: f32 = (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).sum();
-            // Sum of 4 U(-1,1) has variance 4/3; normalize to unit.
-            mean + std * s * (3.0f32 / 4.0).sqrt()
-        })
-        .collect();
-    Tensor4::from_vec(shape, data).expect("gaussian_tensor: length matches shape")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,16 +60,6 @@ mod tests {
         let max_small = small.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         let max_large = large.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         assert!(max_large < max_small);
-    }
-
-    #[test]
-    fn gaussian_moments_roughly_match() {
-        let t = gaussian_tensor(Shape4::new(4, 4, 32, 32), 1.0, 2.0, 5);
-        let n = t.shape().len() as f32;
-        let mean = t.sum() / n;
-        let var = t.as_slice().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n;
-        assert!((mean - 1.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.2, "std {}", var.sqrt());
     }
 
     #[test]

@@ -50,25 +50,6 @@ impl Layout {
         }
     }
 
-    /// Whether this is a channel-blocked (NCHWc) layout.
-    #[inline]
-    pub const fn is_blocked(&self) -> bool {
-        self.channel_block().is_some()
-    }
-
-    /// Buffer length (in elements) a tensor of logical shape
-    /// `(nn, cc, hh, ww)` occupies in this layout. Planar layouts store
-    /// exactly `nn*cc*hh*ww`; blocked layouts round the channel count up
-    /// to a whole number of blocks, so remainder channels cost zero
-    /// padding rather than a scalar tail in every kernel.
-    #[inline]
-    pub const fn buffer_len(&self, (nn, cc, hh, ww): (usize, usize, usize, usize)) -> usize {
-        match self.channel_block() {
-            Some(b) => nn * cc.div_ceil(b) * b * hh * ww,
-            None => nn * cc * hh * ww,
-        }
-    }
-
     /// Linear offset of logical element `(n, c, h, w)` in a tensor of
     /// logical shape `(nn, cc, hh, ww)` stored in this layout.
     #[inline]
@@ -115,44 +96,17 @@ impl fmt::Display for Layout {
     }
 }
 
-/// Reorder a contiguous buffer from one layout to another.
-///
-/// This is the CPU analogue of fbfft's `Transpose` kernel; the GPU cost
-/// of that kernel is modeled separately in `gcnn-frameworks::fbfft`.
-pub fn relayout(
-    src: &[f32],
-    dst: &mut [f32],
-    shape: (usize, usize, usize, usize),
-    from: Layout,
-    to: Layout,
-) {
-    let (nn, cc, hh, ww) = shape;
-    assert!(
-        !from.is_blocked() && !to.is_blocked(),
-        "relayout handles planar layouts only; use gcnn_tensor::nchwc for \
-         blocked pack/unpack (the buffers differ in length when c % block != 0)"
-    );
-    assert_eq!(src.len(), nn * cc * hh * ww, "relayout: src length");
-    assert_eq!(dst.len(), src.len(), "relayout: dst length");
-    if from == to {
-        dst.copy_from_slice(src);
-        return;
-    }
-    for n in 0..nn {
-        for c in 0..cc {
-            for h in 0..hh {
-                for w in 0..ww {
-                    let idx = (n, c, h, w);
-                    dst[to.offset(shape, idx)] = src[from.offset(shape, idx)];
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Buffer length (in elements) a tensor of logical shape
+    /// `(nn, cc, hh, ww)` occupies in `layout`: blocked layouts round the
+    /// channel count up to whole blocks.
+    fn buffer_len(layout: Layout, (nn, cc, hh, ww): (usize, usize, usize, usize)) -> usize {
+        let b = layout.channel_block().unwrap_or(1);
+        nn * cc.div_ceil(b) * b * hh * ww
+    }
 
     #[test]
     fn nchw_offsets_are_row_major() {
@@ -185,7 +139,7 @@ mod tests {
         let shape = (2, 10, 3, 4);
         let l = Layout::Nchw8c;
         assert_eq!(l.channel_block(), Some(8));
-        assert_eq!(l.buffer_len(shape), 2 * 16 * 3 * 4);
+        assert_eq!(buffer_len(l, shape), 2 * 16 * 3 * 4);
         assert_eq!(l.offset(shape, (0, 0, 0, 0)), 0);
         // Channels within one block are adjacent...
         assert_eq!(l.offset(shape, (0, 1, 0, 0)), 1);
@@ -202,7 +156,7 @@ mod tests {
     fn blocked_offsets_are_injective_within_padded_buffer() {
         let shape = (2, 10, 3, 4);
         for layout in [Layout::Nchw8c, Layout::Nchw16c] {
-            let len = layout.buffer_len(shape);
+            let len = buffer_len(layout, shape);
             let mut seen = vec![false; len];
             for n in 0..2 {
                 for c in 0..10 {
@@ -217,14 +171,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "planar layouts only")]
-    fn relayout_rejects_blocked_layouts() {
-        let src = [0.0f32; 8];
-        let mut dst = [0.0f32; 8];
-        relayout(&src, &mut dst, (1, 2, 2, 2), Layout::Nchw, Layout::Nchw8c);
     }
 
     #[test]
@@ -245,25 +191,5 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s), "{layout}: not surjective");
         }
-    }
-
-    #[test]
-    fn relayout_roundtrip() {
-        let shape = (2, 3, 4, 5);
-        let src: Vec<f32> = (0..120).map(|i| i as f32).collect();
-        let mut mid = vec![0.0; 120];
-        let mut back = vec![0.0; 120];
-        relayout(&src, &mut mid, shape, Layout::Nchw, Layout::Hwcn);
-        relayout(&mid, &mut back, shape, Layout::Hwcn, Layout::Nchw);
-        assert_eq!(src, back);
-    }
-
-    #[test]
-    fn relayout_identity_is_copy() {
-        let shape = (1, 2, 2, 2);
-        let src: Vec<f32> = (0..8).map(|i| i as f32).collect();
-        let mut dst = [0.0; 8];
-        relayout(&src, &mut dst, shape, Layout::Chwn, Layout::Chwn);
-        assert_eq!(src, dst);
     }
 }

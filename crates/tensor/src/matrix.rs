@@ -50,11 +50,6 @@ impl Matrix {
         }
     }
 
-    /// The identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -85,11 +80,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -108,43 +98,6 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f32] {
         let start = r * self.shape.cols;
         &self.data[start..start + self.shape.cols]
-    }
-
-    /// Mutable view of row `r`.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        let start = r * self.shape.cols;
-        let cols = self.shape.cols;
-        &mut self.data[start..start + cols]
-    }
-
-    /// Out-of-place transpose.
-    pub fn transposed(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols(), self.rows());
-        for r in 0..self.rows() {
-            for c in 0..self.cols() {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
-    /// Maximum absolute difference against another matrix of the same
-    /// shape.
-    pub fn max_abs_diff(&self, other: &Matrix) -> Result<f32> {
-        if self.shape != other.shape {
-            return Err(TensorError::shape(
-                "Matrix::max_abs_diff",
-                self.shape,
-                other.shape,
-            ));
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max))
     }
 
     /// Fill with zeros, reusing the allocation.
@@ -170,39 +123,5 @@ mod tests {
     fn from_vec_validates() {
         assert!(Matrix::from_vec(2, 2, vec![0.0; 3]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![0.0; 4]).is_ok());
-    }
-
-    #[test]
-    fn identity_diagonal() {
-        let i = Matrix::identity(4);
-        for r in 0..4 {
-            for c in 0..4 {
-                assert_eq!(i.get(r, c), if r == c { 1.0 } else { 0.0 });
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32);
-        let t = m.transposed();
-        assert_eq!(t.rows(), 5);
-        assert_eq!(t.get(4, 2), m.get(2, 4));
-        assert_eq!(t.transposed(), m);
-    }
-
-    #[test]
-    fn row_mut_updates() {
-        let mut m = Matrix::zeros(2, 2);
-        m.row_mut(1).copy_from_slice(&[3.0, 4.0]);
-        assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.get(1, 1), 4.0);
-    }
-
-    #[test]
-    fn diff_checks_shape() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.max_abs_diff(&b).is_err());
     }
 }

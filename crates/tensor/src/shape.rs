@@ -54,11 +54,6 @@ impl Shape4 {
     pub const fn offset(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
         ((n * self.c + c) * self.h + h) * self.w + w
     }
-
-    /// Size of the tensor in bytes at `f32` precision.
-    pub const fn bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<f32>()
-    }
 }
 
 impl fmt::Display for Shape4 {
@@ -97,14 +92,6 @@ impl Shape2 {
     pub const fn offset(&self, r: usize, c: usize) -> usize {
         r * self.cols + c
     }
-
-    /// The transposed shape.
-    pub const fn transposed(&self) -> Self {
-        Shape2 {
-            rows: self.cols,
-            cols: self.rows,
-        }
-    }
 }
 
 impl fmt::Display for Shape2 {
@@ -126,7 +113,6 @@ mod tests {
         assert_eq!(s.offset(0, 0, 0, 0), 0);
         assert_eq!(s.offset(1, 2, 3, 4), 119);
         assert_eq!(s.offset(0, 1, 0, 0), 20);
-        assert_eq!(s.bytes(), 480);
     }
 
     #[test]
@@ -135,11 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn shape2_offsets_and_transpose() {
+    fn shape2_len_and_offsets() {
         let s = Shape2::new(3, 7);
         assert_eq!(s.len(), 21);
         assert_eq!(s.offset(2, 6), 20);
-        assert_eq!(s.transposed(), Shape2::new(7, 3));
     }
 
     #[test]

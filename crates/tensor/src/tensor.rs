@@ -80,11 +80,6 @@ impl Tensor4 {
         &mut self.data
     }
 
-    /// Consume the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
@@ -96,13 +91,6 @@ impl Tensor4 {
     pub fn set(&mut self, n: usize, c: usize, h: usize, w: usize, v: f32) {
         let off = self.shape.offset(n, c, h, w);
         self.data[off] = v;
-    }
-
-    /// Add `v` to element `(n, c, h, w)`.
-    #[inline]
-    pub fn add_at(&mut self, n: usize, c: usize, h: usize, w: usize, v: f32) {
-        let off = self.shape.offset(n, c, h, w);
-        self.data[off] += v;
     }
 
     /// The contiguous `h×w` plane of image `n`, channel `c`.
@@ -131,33 +119,15 @@ impl Tensor4 {
         &mut self.data[start..start + len]
     }
 
-    /// Split the tensor into per-image mutable chunks — the rayon-friendly
-    /// accessor used by parallel layer implementations.
-    pub fn images_mut(&mut self) -> std::slice::ChunksMut<'_, f32> {
-        let len = self.shape.image_len().max(1);
-        self.data.chunks_mut(len)
-    }
-
-    /// Reinterpret as a matrix of shape `(rows, cols)`; total element
-    /// count must match.
-    pub fn reshape_matrix(&self, rows: usize, cols: usize) -> Result<crate::Matrix> {
-        if rows * cols != self.data.len() {
-            return Err(TensorError::shape(
-                "Tensor4::reshape_matrix",
-                self.data.len(),
-                rows * cols,
-            ));
-        }
-        crate::Matrix::from_vec(rows, cols, self.data.clone())
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 
     /// Maximum absolute difference against another tensor of the same
-    /// shape. Used pervasively by cross-strategy correctness tests.
+    /// shape, the comparator of the cross-strategy correctness tests.
+    /// NaN when any difference is NaN, so a NaN output never reads as
+    /// close to a finite reference.
     pub fn max_abs_diff(&self, other: &Tensor4) -> Result<f32> {
         if self.shape != other.shape {
             return Err(TensorError::shape(
@@ -171,7 +141,7 @@ impl Tensor4 {
             .iter()
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max))
+            .fold(0.0f32, |m, d| if d > m || d.is_nan() { d } else { m }))
     }
 
     /// Relative L2 distance `‖a−b‖₂ / max(‖a‖₂, ε)` against another
@@ -192,17 +162,6 @@ impl Tensor4 {
             den += (*a as f64).powi(2);
         }
         Ok((num.sqrt() / den.sqrt().max(1e-12)) as f32)
-    }
-
-    /// In-place scaled add: `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor4) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(TensorError::shape("Tensor4::axpy", self.shape, other.shape));
-        }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
     }
 
     /// Fill with zeros, reusing the allocation.
@@ -234,8 +193,6 @@ mod tests {
         let mut t = Tensor4::zeros(Shape4::new(2, 3, 4, 5));
         t.set(1, 2, 3, 4, 7.5);
         assert_eq!(t.get(1, 2, 3, 4), 7.5);
-        t.add_at(1, 2, 3, 4, 0.5);
-        assert_eq!(t.get(1, 2, 3, 4), 8.0);
     }
 
     #[test]
@@ -258,19 +215,28 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_diff() {
+    fn max_abs_diff_sees_nan() {
         let a = Tensor4::full(Shape4::new(1, 1, 2, 2), 1.0);
-        let mut b = Tensor4::full(Shape4::new(1, 1, 2, 2), 2.0);
-        b.axpy(0.5, &a).unwrap();
-        assert_eq!(b.get(0, 0, 0, 0), 2.5);
+        let b = Tensor4::full(Shape4::new(1, 1, 2, 2), 2.5);
         assert_eq!(b.max_abs_diff(&a).unwrap(), 1.5);
+        // A NaN anywhere — first, last, or after a larger difference —
+        // fails every `< tol` check instead of folding away.
+        let s = Shape4::new(1, 1, 1, 2);
+        let finite = Tensor4::from_vec(s, vec![1.0, 2.0]).unwrap();
+        for data in [[f32::NAN, 2.0], [1.0, f32::NAN], [f32::NAN, 9.0]] {
+            let d = Tensor4::from_vec(s, data.to_vec())
+                .unwrap()
+                .max_abs_diff(&finite);
+            assert!(d.unwrap().is_nan(), "{data:?}");
+        }
+        let d = finite.max_abs_diff(&Tensor4::from_vec(s, vec![9.0, f32::NAN]).unwrap());
+        assert!(d.unwrap().is_nan());
     }
 
     #[test]
     fn shape_mismatch_errors() {
         let a = Tensor4::zeros(Shape4::new(1, 1, 2, 2));
-        let mut b = Tensor4::zeros(Shape4::new(1, 1, 2, 3));
-        assert!(b.axpy(1.0, &a).is_err());
+        let b = Tensor4::zeros(Shape4::new(1, 1, 2, 3));
         assert!(a.max_abs_diff(&b).is_err());
         assert!(a.rel_l2_dist(&b).is_err());
     }
@@ -281,25 +247,5 @@ mod tests {
             (n + c + h + w) as f32 * 0.1
         });
         assert_eq!(a.rel_l2_dist(&a).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn reshape_matrix() {
-        let t = Tensor4::from_fn(Shape4::new(1, 2, 2, 3), |_, c, h, w| {
-            (c * 6 + h * 3 + w) as f32
-        });
-        let m = t.reshape_matrix(2, 6).unwrap();
-        assert_eq!(m.get(1, 0), 6.0);
-        assert!(t.reshape_matrix(5, 5).is_err());
-    }
-
-    #[test]
-    fn images_mut_chunks() {
-        let mut t = Tensor4::zeros(Shape4::new(3, 1, 2, 2));
-        for (i, img) in t.images_mut().enumerate() {
-            img.iter_mut().for_each(|x| *x = i as f32);
-        }
-        assert_eq!(t.get(2, 0, 1, 1), 2.0);
-        assert_eq!(t.get(0, 0, 0, 0), 0.0);
     }
 }

@@ -7,7 +7,7 @@
 //! paths draw from:
 //!
 //! * a **thread-local, size-classed pool** of `f32` buffers
-//!   ([`take_f32`], [`take_f32_zeroed`]) handed out as RAII [`Scratch`]
+//!   ([`take`], [`take_f32`]) handed out as RAII [`Scratch`]
 //!   guards that return the buffer on drop,
 //! * a **fresh-allocation counter** — process-wide ([`fresh_allocs`])
 //!   for reports, per-thread ([`alloc_scope`]) so tests can assert that
@@ -253,21 +253,9 @@ pub fn take<T: PoolItem>(len: usize) -> Scratch<T> {
     Scratch { buf: Some(buf) }
 }
 
-/// Check out a buffer of `len` elements, all zeroed.
-pub fn take_zeroed<T: PoolItem>(len: usize) -> Scratch<T> {
-    let mut s = take::<T>(len);
-    s.as_mut_slice().fill(T::default());
-    s
-}
-
 /// Check out `len` `f32`s with unspecified contents.
 pub fn take_f32(len: usize) -> Scratch<f32> {
     take(len)
-}
-
-/// Check out `len` zeroed `f32`s.
-pub fn take_f32_zeroed(len: usize) -> Scratch<f32> {
-    take_zeroed(len)
 }
 
 /// Explicit workspace handle threaded through convolution forward and
@@ -292,11 +280,6 @@ impl Workspace {
     /// Check out `len` `f32`s with unspecified contents.
     pub fn take_f32(&mut self, len: usize) -> Scratch<f32> {
         take(len)
-    }
-
-    /// Check out `len` zeroed `f32`s.
-    pub fn take_f32_zeroed(&mut self, len: usize) -> Scratch<f32> {
-        take_zeroed(len)
     }
 }
 
@@ -333,16 +316,6 @@ mod tests {
         // 900 and 1024 both map to the 1024 class.
         let (_, misses) = alloc_scope(|| drop(take_f32(1024)));
         assert_eq!(misses, 0);
-    }
-
-    #[test]
-    fn zeroed_checkout_is_zeroed_after_reuse() {
-        {
-            let mut s = take_f32(64);
-            s.as_mut_slice().fill(7.5);
-        }
-        let s = take_f32_zeroed(64);
-        assert!(s.iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
 use gcnn_tensor::im2col::{col2im, im2col, ConvGeometry};
-use gcnn_tensor::layout::{relayout, Layout};
 use gcnn_tensor::{Matrix, Shape4};
 use proptest::prelude::*;
 
@@ -10,20 +9,6 @@ fn small_shape() -> impl Strategy<Value = Shape4> {
 }
 
 proptest! {
-    #[test]
-    fn relayout_roundtrip_any_pair(shape in small_shape(), seed in 0u64..1000,
-                                   a in 0usize..3, b in 0usize..3) {
-        let layouts = [Layout::Nchw, Layout::Chwn, Layout::Hwcn];
-        let (from, to) = (layouts[a], layouts[b]);
-        let t = gcnn_tensor::init::uniform_tensor(shape, -1.0, 1.0, seed);
-        let dims = (shape.n, shape.c, shape.h, shape.w);
-        let mut mid = vec![0.0; shape.len()];
-        let mut back = vec![0.0; shape.len()];
-        relayout(t.as_slice(), &mut mid, dims, from, to);
-        relayout(&mid, &mut back, dims, to, from);
-        prop_assert_eq!(back, t.as_slice().to_vec());
-    }
-
     /// NCHW → NCHWc → NCHW is the identity for any channel count,
     /// including remainders (`c % block != 0`), any block, and any baked
     /// spatial padding — the contract `Network::infer_ws` relies on at

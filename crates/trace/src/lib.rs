@@ -267,7 +267,7 @@ mod enabled_tests {
     fn gauge_last_write_wins() {
         gauge_set("gauge.test", 1.0);
         gauge_set("gauge.test", -3.25);
-        assert_eq!(snapshot().gauge("gauge.test"), Some(-3.25));
+        assert_eq!(snapshot().gauges.get("gauge.test").copied(), Some(-3.25));
     }
 
     #[test]

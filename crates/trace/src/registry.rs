@@ -129,13 +129,13 @@ mod tests {
         r.record_span("s", 1_000_000);
         let snap = r.snapshot();
         assert_eq!(snap.counter("c"), 5);
-        assert_eq!(snap.gauge("g"), Some(7.5));
+        assert_eq!(snap.gauges.get("g").copied(), Some(7.5));
         assert_eq!(snap.span("s").unwrap().count, 1);
 
         r.reset();
         let snap = r.snapshot();
         assert_eq!(snap.counter("c"), 0);
-        assert_eq!(snap.gauge("g"), None);
+        assert_eq!(snap.gauges.get("g").copied(), None);
         assert!(snap.spans.is_empty());
     }
 

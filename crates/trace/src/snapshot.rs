@@ -89,11 +89,6 @@ impl Snapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Gauge value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Find a span node by its full `/`-joined path.
     pub fn span(&self, path: &str) -> Option<&SpanNode> {
         self.spans.iter().find_map(|s| s.find(path))
@@ -203,7 +198,7 @@ mod tests {
         };
         assert_eq!(snap.counter("hits"), 3);
         assert_eq!(snap.counter("absent"), 0);
-        assert_eq!(snap.gauge("temp"), Some(1.5));
+        assert_eq!(snap.gauges.get("temp").copied(), Some(1.5));
         assert_eq!(snap.span("x/y").unwrap().count, 1);
         assert!(snap.span("x/z").is_none());
     }

@@ -39,8 +39,10 @@ fi
 cargo clippy --workspace -- -D warnings
 cargo fmt --all -- --check
 # Soundness audit: call-graph lints (transitive arena, lock discipline,
-# panic freedom, config staleness) plus the per-file SAFETY/containment/
-# trace-naming passes (see crates/audit).
+# panic freedom, config staleness), the reachability lint (every library
+# fn reached from a bin, an example or benchmark/src, or on the audit's
+# allow-list: `unreachable` / `test-only`) plus the per-file SAFETY/
+# containment/trace-naming passes (see crates/audit).
 cargo run -q -p gcnn-audit
 # Gate coverage: every benchmark suite that lands in results/ must have
 # a bench_compare gate flag wired in CI — a suite without a gate can
