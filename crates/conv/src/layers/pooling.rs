@@ -83,12 +83,16 @@ impl PoolLayer {
                         let iplane = input.plane(p / s.c, p % s.c);
                         for oy in 0..oh {
                             for ox in 0..ow {
-                                let mut best = f32::NEG_INFINITY;
-                                let mut best_idx = 0usize;
+                                // Start from the window's first element, as
+                                // `max_pool_tile` does, so that the argmax of a
+                                // window with nothing above −∞ stays inside it;
+                                // a NaN is replaced by whatever follows it.
+                                let mut best_idx = oy * st * s.w + ox * st;
+                                let mut best = iplane[best_idx];
                                 for ky in 0..win {
                                     for kx in 0..win {
                                         let idx = (oy * st + ky) * s.w + ox * st + kx;
-                                        if iplane[idx] > best {
+                                        if iplane[idx] > best || best.is_nan() {
                                             best = iplane[idx];
                                             best_idx = idx;
                                         }
@@ -190,6 +194,30 @@ mod tests {
         let fwd = layer.forward(&input);
         assert_eq!(fwd.output.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
         assert_eq!(fwd.argmax, vec![5, 7, 13, 15]);
+    }
+
+    /// A window with no element above −∞ still routes its gradient to
+    /// one of its own elements, never to the plane's first.
+    #[test]
+    fn max_pool_gradient_stays_in_its_window_without_a_finite_max() {
+        let input =
+            Tensor4::from_vec(Shape4::new(1, 1, 4, 4), vec![f32::NEG_INFINITY; 16]).unwrap();
+        let layer = PoolLayer::new(PoolKind::Max, 2, 2);
+        let fwd = layer.forward(&input);
+        assert!(fwd
+            .output
+            .as_slice()
+            .iter()
+            .all(|&v| v == f32::NEG_INFINITY));
+        let ones = Tensor4::from_vec(fwd.output.shape(), vec![1.0; 4]).unwrap();
+        let grad = layer.backward(input.shape(), &fwd, &ones);
+        for (oy, ox) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let window: f32 = (0..2)
+                .flat_map(|ky| (0..2).map(move |kx| (2 * oy + ky) * 4 + 2 * ox + kx))
+                .map(|i| grad.as_slice()[i])
+                .sum();
+            assert_eq!(window, 1.0, "window ({oy}, {ox}) lost its gradient");
+        }
     }
 
     #[test]

@@ -20,14 +20,17 @@
 //!
 //! The loop order is image → filter-block group → input-channel block →
 //! output row → row chunk (`forward_planes`): one channel block's
-//! filter panel (`k²·b²` floats per filter block) is the operand every
-//! tile of the plane re-reads, so it is the one kept L1-resident, and
-//! accumulators pass through the output plane only between channel
+//! filter panel (`k²·pitch·b` floats per filter block) is the operand
+//! every tile of the plane re-reads, so it is the one kept L1-resident,
+//! and accumulators pass through the output plane only between channel
 //! blocks. Spatial padding is baked into the packed input at pack time,
-//! so the hot loops are branch-free. This module is forward/inference
-//! only: `DirectConv::forward` is its planar entry (pack, run
-//! [`fused_conv_relu`] without ReLU, unpack), and training keeps the
-//! planar layouts and their backward kernels.
+//! so the hot loops are branch-free. The input and the filter rows are
+//! packed at the layer's pitch, `min(c, b)`
+//! (`gcnn_tensor::nchwc::pitch`): a 3-channel first layer packs 3
+//! floats a pixel, not `b`, and its filter panels hold 3 rows a tap.
+//! This module is forward/inference only: `DirectConv::forward` is its
+//! planar entry (pack, run [`fused_conv_relu`] without ReLU, unpack),
+//! and training keeps the planar layouts and their backward kernels.
 
 use crate::config::ConvConfig;
 use gcnn_tensor::simd::conv::{ConvKernel, SweepGeom};
@@ -41,6 +44,9 @@ pub struct PackedGeom {
     pub block: usize,
     /// Input channels (the last block may be partly remainder lanes).
     pub channels: usize,
+    /// Floats per packed input position and filter rows per tap,
+    /// `min(channels, block)`.
+    pub pitch: usize,
     /// Input channel blocks, `⌈c/b⌉`.
     pub cblocks: usize,
     /// Output channel blocks, `⌈f/b⌉`.
@@ -63,6 +69,7 @@ impl PackedGeom {
         PackedGeom {
             block,
             channels: cfg.channels,
+            pitch: nchwc::pitch(cfg.channels, block),
             cblocks: cfg.channels.div_ceil(block),
             fblocks: cfg.filters.div_ceil(block),
             o: cfg.output(),
@@ -75,7 +82,7 @@ impl PackedGeom {
 
     /// Elements of one packed input image.
     pub fn image_in_len(&self) -> usize {
-        self.cblocks * self.ihp * self.iwp * self.block
+        self.cblocks * self.ihp * self.iwp * self.pitch
     }
 
     /// Elements of one packed output image.
@@ -89,9 +96,11 @@ impl PackedGeom {
     }
 }
 
-/// Packed-input buffer length for `cfg` (spatial padding included).
+/// Packed-input buffer length for `cfg` (spatial padding included):
+/// `⌈c/b⌉` planes of `min(c, b)` floats a pixel.
 pub fn packed_input_len(cfg: &ConvConfig, block: usize) -> usize {
-    nchwc::packed_len(cfg.input_shape(), block, cfg.pad)
+    let pitch = nchwc::pitch(cfg.channels, block);
+    nchwc::packed_len(cfg.input_shape(), pitch, cfg.pad)
 }
 
 /// Packed-output buffer length for `cfg`.
@@ -110,14 +119,27 @@ pub fn pooled_output(cfg: &ConvConfig, window: usize, stride: usize) -> usize {
     (cfg.output() - window) / stride + 1
 }
 
-/// Pack a planar input for `cfg` (bakes `cfg.pad` zero borders in).
+/// Pack a planar input for `cfg` at its pitch (bakes `cfg.pad` zero
+/// borders in): NCHWc at `block`, or at `c` when `c < block`.
 pub fn pack_input(cfg: &ConvConfig, input: &Tensor4, block: usize, dst: &mut [f32]) {
+    let _span = gcnn_trace::span("conv.nchwc.pack_input");
     assert_eq!(input.shape(), cfg.input_shape(), "pack_input: shape");
-    nchwc::pack_nchwc_into(input.as_slice(), input.shape(), block, cfg.pad, dst);
+    let pitch = nchwc::pitch(cfg.channels, block);
+    nchwc::pack_nchwc_into(input.as_slice(), input.shape(), pitch, cfg.pad, dst);
 }
 
-/// Pack a planar `(f, c, k, k)` filter bank for `cfg`.
+/// Cached `conv.nchwc.filter_packs` counter: one tick per
+/// [`pack_filters`].
+fn filter_packs() -> &'static gcnn_trace::Counter {
+    static C: std::sync::OnceLock<gcnn_trace::Counter> = std::sync::OnceLock::new();
+    C.get_or_init(|| gcnn_trace::counter("conv.nchwc.filter_packs"))
+}
+
+/// Pack a planar `(f, c, k, k)` filter bank for `cfg`, its taps at the
+/// input's pitch.
 pub fn pack_filters(cfg: &ConvConfig, filters: &Tensor4, block: usize, dst: &mut [f32]) {
+    let _span = gcnn_trace::span("conv.nchwc.pack_filters");
+    filter_packs().inc();
     assert_eq!(filters.shape(), cfg.filter_shape(), "pack_filters: shape");
     nchwc::pack_filters_into(filters.as_slice(), filters.shape(), block, dst);
 }
@@ -149,8 +171,8 @@ fn forward_planes(
     planes: &mut [f32],
     relu: bool,
 ) {
-    let panel = g.k * g.k * g.block * g.block;
-    let in_plane = g.ihp * g.iwp * g.block;
+    let panel = g.k * g.k * g.pitch * g.block;
+    let in_plane = g.ihp * g.iwp * g.pitch;
     for cb in 0..g.cblocks {
         let sweep = kernel.sweep(
             SweepGeom {
@@ -158,6 +180,7 @@ fn forward_planes(
                 stride: g.stride,
                 iwp: g.iwp,
                 o: g.o,
+                pitch: g.pitch,
                 lanes: g.block.min(g.channels - cb * g.block),
                 nfb: planes.len() / g.plane_len(),
                 fb_stride: g.cblocks * panel,

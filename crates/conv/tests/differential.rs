@@ -169,6 +169,25 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
             "stride 5 > kernel 1, pad 2",
             padded(2, strided(5, cfg(2, 3, 9, 3, 1))),
         ),
+        // The NCHWc packs' pitch is min(c, block): around both channel
+        // blocks (8 and 16) — one channel, one below, at and one above a
+        // block — the input pixel and the filter tap change width.
+        (
+            "c = 1, stride 3, pad 2",
+            padded(2, strided(3, cfg(2, 1, 8, 9, 3))),
+        ),
+        ("c = 7 = 8 - 1", cfg(2, 7, 6, 9, 3)),
+        (
+            "c = 8, stride 2, pad 1",
+            padded(1, strided(2, cfg(2, 8, 7, 5, 3))),
+        ),
+        ("c = 9 = 8 + 1", cfg(2, 9, 5, 3, 2)),
+        ("c = 15 = 16 - 1, pad 1", padded(1, cfg(1, 15, 5, 17, 3))),
+        ("c = 16", cfg(2, 16, 5, 3, 3)),
+        (
+            "c = 17 = 16 + 1, stride 2, pad 2",
+            padded(2, strided(2, cfg(1, 17, 6, 4, 3))),
+        ),
         // o² = 225 = nr·q + 1 for every `nr` in `kernel::available()`
         // (8, 16, 32): one column past the last full SGEMM tile.
         ("SGEMM edge o = 15", cfg(2, 3, 17, 5, 3)),

@@ -105,7 +105,7 @@ proptest! {
     fn restrictions_exact(cfg in configs()) {
         for imp in all_implementations() {
             let expected_reject = match imp.name() {
-                "cuda-convnet2" => cfg.batch % 32 != 0 || cfg.filters % 16 != 0,
+                "cuda-convnet2" => !cfg.batch.is_multiple_of(32) || !cfg.filters.is_multiple_of(16),
                 "fbfft" | "Theano-fft" => cfg.stride != 1,
                 _ => false,
             };

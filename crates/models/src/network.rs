@@ -23,6 +23,7 @@ use gcnn_conv::nchwc as packed;
 use gcnn_conv::{algorithm_for, ConvConfig, Strategy};
 use gcnn_tensor::workspace::{self, Scratch};
 use gcnn_tensor::{nchwc, Layout, Matrix, Shape4, Tensor4, Workspace};
+use prepared::{Filters, Prepared};
 use serde::Serialize;
 use std::borrow::Cow;
 
@@ -42,16 +43,81 @@ enum Params {
 }
 
 struct ConvParams {
-    /// Filter bank `(f, c, k, k)`.
-    weights: Tensor4,
-    /// Momentum velocity, same shape as `weights`.
+    /// Filter bank and forward layout, with the bank packed once for a
+    /// blocked layout.
+    filters: Prepared,
+    /// Momentum velocity, same shape as the filter bank.
     velocity: Tensor4,
     strategy: Strategy,
-    /// Forward-pass tensor layout. Planar [`Layout::Nchw`] runs the
-    /// strategy's `forward_ws`; a channel-blocked `NCHW{8,16}c` layout
-    /// routes inference through the fused packed path (training always
-    /// runs planar — the blocked path is forward-only).
-    layout: Layout,
+}
+
+/// A conv layer's filters and the one packed copy of them its blocked
+/// forward pass reads.
+mod prepared {
+    use gcnn_conv::nchwc as packed;
+    use gcnn_conv::ConvConfig;
+    use gcnn_tensor::{Layout, Tensor4};
+    use std::sync::OnceLock;
+
+    /// What a conv layer's forward pass reads.
+    pub(super) struct Filters {
+        /// Filter bank `(f, c, k, k)`.
+        pub(super) weights: Tensor4,
+        /// Forward-pass tensor layout. Planar [`Layout::Nchw`] runs the
+        /// strategy's `forward_ws`; a channel-blocked `NCHW{8,16}c`
+        /// layout routes inference through the fused packed path
+        /// (training always runs planar — the blocked path is
+        /// forward-only).
+        pub(super) layout: Layout,
+    }
+
+    /// [`Filters`] and, once a blocked pass has asked for it, the bank
+    /// packed at the layout's block. The filters are reachable mutably
+    /// only through [`Prepared::edit`], which empties the packed bank:
+    /// a `&mut` borrow is a new weight version, so nothing counts
+    /// versions and no pass packs a bank it has packed before.
+    pub(super) struct Prepared {
+        filters: Filters,
+        packed: OnceLock<Vec<f32>>,
+    }
+
+    impl Prepared {
+        pub(super) fn new(filters: Filters) -> Self {
+            Prepared {
+                filters,
+                packed: OnceLock::new(),
+            }
+        }
+
+        pub(super) fn get(&self) -> &Filters {
+            &self.filters
+        }
+
+        /// The filters, mutably; drops the packed bank.
+        pub(super) fn edit(&mut self) -> &mut Filters {
+            self.packed.take();
+            &mut self.filters
+        }
+
+        /// The bank packed for `cfg` at `block`, the layout's channel
+        /// block: packed by the first call after an edit, read after.
+        /// The pack depends on the filter shape only, so any batch or
+        /// input size of the layer shares it.
+        // AUDIT: cold-path — the bank is allocated once per weight
+        // version and held by the layer; warm passes only read it.
+        pub(super) fn packed(&self, cfg: &ConvConfig, block: usize) -> &[f32] {
+            assert_eq!(
+                self.filters.layout.channel_block(),
+                Some(block),
+                "packed filters: the layout's block"
+            );
+            self.packed.get_or_init(|| {
+                let mut bank = vec![0.0; packed::packed_filter_len(cfg, block)];
+                packed::pack_filters(cfg, &self.filters.weights, block, &mut bank);
+                bank
+            })
+        }
+    }
 }
 
 struct FcParams {
@@ -73,13 +139,17 @@ impl Layer {
 }
 
 /// `(what, values)` of the blobs [`Network::save_weights`] writes for
-/// one layer's [`Params`], in file order, viewed through `as_slice` or
-/// `as_mut_slice` — the one enumeration saving and loading share.
+/// one layer's [`Params`], in file order, viewed through `get` and
+/// `as_slice` or through `edit` and `as_mut_slice` — the one
+/// enumeration saving and loading share.
 macro_rules! blobs {
-    ($params:expr, $view:ident) => {
+    ($params:expr, $filters:ident, $view:ident) => {
         match $params {
             Params::None => [None, None],
-            Params::Conv(p) => [Some(("conv filters", p.weights.$view())), None],
+            Params::Conv(p) => [
+                Some(("conv filters", p.filters.$filters().weights.$view())),
+                None,
+            ],
             Params::Fc(p) => [
                 Some(("fc weights", p.layer.weights.$view())),
                 Some(("fc bias", p.layer.bias.$view())),
@@ -357,10 +427,12 @@ impl Network {
                 pad,
             },
             Params::Conv(ConvParams {
-                weights: gcnn_tensor::init::xavier_filters(shape, seed),
+                filters: Prepared::new(Filters {
+                    weights: gcnn_tensor::init::xavier_filters(shape, seed),
+                    layout: Layout::Nchw,
+                }),
                 velocity: Tensor4::zeros(shape),
                 strategy,
-                layout: Layout::Nchw,
             }),
         )
     }
@@ -373,7 +445,7 @@ impl Network {
     /// If `layer_index` is out of range or not a convolution.
     pub fn set_conv_layout(&mut self, layer_index: usize, layout: Layout) {
         match self.layers.get_mut(layer_index).map(|l| &mut l.params) {
-            Some(Params::Conv(p)) => p.layout = layout,
+            Some(Params::Conv(p)) => p.filters.edit().layout = layout,
             _ => panic!("set_conv_layout: layer {layer_index} is not a conv layer"),
         }
     }
@@ -384,7 +456,7 @@ impl Network {
             .iter()
             .enumerate()
             .filter_map(|(i, layer)| match &layer.params {
-                Params::Conv(p) => Some((i, p.layout)),
+                Params::Conv(p) => Some((i, p.filters.get().layout)),
                 _ => None,
             })
             .collect()
@@ -489,7 +561,7 @@ impl Network {
             };
             if let Some(sel) = tuner.select(substrate, cache, &cfg, direction) {
                 p.strategy = sel.strategy;
-                p.layout = sel.layout;
+                p.filters.edit().layout = sel.layout;
                 schedule.push(TunedLayer {
                     layer_index: i,
                     cfg,
@@ -529,11 +601,12 @@ impl Network {
             match (&layer.spec, &layer.params) {
                 (LayerSpec::Conv { .. }, Params::Conv(p)) => {
                     let cfg = conv.expect("the shape rule resolves every conv");
-                    let blocked = p.layout.channel_block().filter(|_| !keeping);
+                    let filters = p.filters.get();
+                    let blocked = filters.layout.channel_block().filter(|_| !keeping);
                     if let Some(block) = blocked {
                         let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv_nchwc"));
-                        let (act, consumed) =
-                            self.fused_packed_chain(i, &cfg, &p.weights, block, x);
+                        let packed_w = p.filters.packed(&cfg, block);
+                        let (act, consumed) = self.fused_packed_chain(i, &cfg, packed_w, block, x);
                         x = act;
                         i += consumed;
                         continue;
@@ -541,7 +614,7 @@ impl Network {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
                     let input = x.into_planar();
                     let algo = algorithm_for(p.strategy);
-                    x = Act::owned(algo.forward_ws(&cfg, &input, &p.weights, ws));
+                    x = Act::owned(algo.forward_ws(&cfg, &input, &filters.weights, ws));
                     keep(Cache::Input { input, conv });
                 }
                 (LayerSpec::Relu, _) => {
@@ -609,17 +682,17 @@ impl Network {
         self.forward_walk(input, ws, None)
     }
 
-    /// Execute one blocked conv starting at layer `i`, fusing a
-    /// directly following ReLU (and max-pool after it) when present.
-    /// Returns the packed output activation and how many layers were
-    /// consumed. All buffers (packed input, packed weights, packed
-    /// output) come from the thread-local arena, so a warm caller
+    /// Execute one blocked conv starting at layer `i` on its packed
+    /// filter bank `packed_w`, fusing a directly following ReLU (and
+    /// max-pool after it) when present. Returns the packed output
+    /// activation and how many layers were consumed. The packed input
+    /// and output come from the thread-local arena, so a warm caller
     /// allocates nothing on this path.
     fn fused_packed_chain(
         &self,
         i: usize,
         cfg: &ConvConfig,
-        weights: &Tensor4,
+        packed_w: &[f32],
         block: usize,
         x: Act<'_>,
     ) -> (Act<'static>, usize) {
@@ -636,13 +709,15 @@ impl Network {
 
         // Bring the activation into packed form with this layer's
         // spatial padding baked in (the zero borders make the conv
-        // loops branch-free).
+        // loops branch-free). A packed activation is `block` floats a
+        // pixel, so a layer with fewer channels than that repacks it
+        // at its pitch through the planar form.
         let pin = match x {
             Act::Packed {
                 buf,
                 shape,
                 block: prev,
-            } if prev == block => {
+            } if prev == block && nchwc::pitch(cfg.channels, block) == block => {
                 if cfg.pad == 0 {
                     buf // already in exactly the form the kernel wants
                 } else {
@@ -664,12 +739,6 @@ impl Network {
                 fresh
             }
         };
-        // Weights are packed per call: the bank is tiny next to the
-        // conv itself, and repacking keeps training updates (which
-        // mutate the planar weights) from invalidating anything.
-        let mut pw = workspace::take_f32(packed::packed_filter_len(cfg, block));
-        packed::pack_filters(cfg, weights, block, pw.as_mut_slice());
-
         let (shape, consumed) = match fuse_pool {
             Some((_, _, pooled)) => (pooled, 3),
             None => (cfg.output_shape(), 1 + usize::from(fuse_relu)),
@@ -682,14 +751,14 @@ impl Network {
                 window,
                 pstride,
                 pin.as_slice(),
-                pw.as_slice(),
+                packed_w,
                 buf.as_mut_slice(),
             ),
             None => packed::fused_conv_relu(
                 cfg,
                 block,
                 pin.as_slice(),
-                pw.as_slice(),
+                packed_w,
                 buf.as_mut_slice(),
                 fuse_relu,
             ),
@@ -752,12 +821,12 @@ impl Network {
                     let algo = algorithm_for(p.strategy);
                     let grad_w = algo.backward_filters_ws(&cfg, &input, &grad, ws);
                     if i > lowest {
-                        grad = algo.backward_data_ws(&cfg, &grad, &p.weights, ws);
+                        grad = algo.backward_data_ws(&cfg, &grad, &p.filters.get().weights, ws);
                     }
                     momentum_step(
                         rate,
                         decay,
-                        p.weights.as_mut_slice(),
+                        p.filters.edit().weights.as_mut_slice(),
                         p.velocity.as_mut_slice(),
                         grad_w.as_slice(),
                     );
@@ -835,7 +904,7 @@ impl Network {
         let blobs: Vec<&[f32]> = self
             .layers
             .iter()
-            .flat_map(|l| blobs!(&l.params, as_slice))
+            .flat_map(|l| blobs!(&l.params, get, as_slice))
             .map(|(_, values)| values)
             .collect();
         crate::persist::encode_blobs(&blobs)
@@ -848,7 +917,7 @@ impl Network {
         let blobs = crate::persist::decode_blobs(bytes)?;
         let mut it = blobs.iter();
         let layers = self.layers.iter_mut();
-        for (what, values) in layers.flat_map(|l| blobs!(&mut l.params, as_mut_slice)) {
+        for (what, values) in layers.flat_map(|l| blobs!(&mut l.params, edit, as_mut_slice)) {
             let blob = it
                 .next()
                 .ok_or_else(|| mismatch(format!("missing blob for {what}")))?;
@@ -1248,6 +1317,89 @@ mod tests {
             })
         });
         assert_eq!(fresh, 0, "warm blocked inference must not miss the arena");
+    }
+
+    /// Every conv layer of `net` in `layout`.
+    fn set_layouts(net: &mut Network, layout: Layout) {
+        for (idx, _) in net.conv_layouts() {
+            net.set_conv_layout(idx, layout);
+        }
+    }
+
+    /// Logits of a LeNet-5 built afresh, holding the weights `bytes`,
+    /// every conv in `layout`: its banks are packed by this pass.
+    fn fresh_logits(bytes: &[u8], layout: Layout, x: &Tensor4) -> Tensor4 {
+        let mut net = Network::lenet5(16, 4, Strategy::Direct, 0);
+        net.load_weights(bytes).unwrap();
+        set_layouts(&mut net, layout);
+        net.forward(x)
+    }
+
+    fn same_bits(a: &Tensor4, b: &Tensor4) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn packed_filters_follow_every_weight_version() {
+        // A blocked pass packs each bank once and keeps it; a training
+        // step, a weight load and a layout change must each drop it, so
+        // that the next pass computes what a network built with the
+        // same weights computes, bit for bit.
+        let (x, labels) = synthetic_digits(8, 16, 4, 41).batch(0, 8);
+        let layout = gcnn_tensor::nchwc::preferred_layout();
+        let mut net = Network::lenet5(16, 4, Strategy::Direct, 43);
+        set_layouts(&mut net, layout);
+        let before = net.forward(&x);
+
+        net.train_batch(&x, &labels);
+        let trained = net.forward(&x);
+        assert!(!same_bits(&before, &trained), "the step moved no logit");
+        let want = fresh_logits(&net.save_weights(), layout, &x);
+        assert!(same_bits(&trained, &want), "after a training step");
+
+        let other = Network::lenet5(16, 4, Strategy::Direct, 44).save_weights();
+        net.load_weights(&other).unwrap();
+        let loaded = net.forward(&x);
+        assert!(
+            same_bits(&loaded, &fresh_logits(&other, layout, &x)),
+            "after load_weights"
+        );
+
+        // The other block: the scalar tile runs any block, so every host
+        // has both.
+        let swapped = match layout {
+            Layout::Nchw16c => Layout::Nchw8c,
+            _ => Layout::Nchw16c,
+        };
+        set_layouts(&mut net, swapped);
+        let relaid = net.forward(&x);
+        assert!(
+            same_bits(&relaid, &fresh_logits(&other, swapped, &x)),
+            "after set_conv_layout"
+        );
+    }
+
+    #[test]
+    fn blocked_inference_between_training_steps_changes_no_weight() {
+        // Filling the packed banks between two steps must leave the
+        // planar weights, velocities and the second step alone.
+        let (x, labels) = synthetic_digits(8, 16, 4, 47).batch(0, 8);
+        let two_steps = |infer_between: bool| {
+            let mut net = Network::lenet5(16, 4, Strategy::Direct, 49);
+            net.momentum = 0.9;
+            set_layouts(&mut net, gcnn_tensor::nchwc::preferred_layout());
+            net.train_batch(&x, &labels);
+            if infer_between {
+                net.forward(&x);
+            }
+            net.train_batch(&x, &labels);
+            net.save_weights()
+        };
+        assert_eq!(two_steps(false), two_steps(true));
     }
 
     #[test]

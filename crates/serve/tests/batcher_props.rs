@@ -73,8 +73,7 @@ fn simulate(
             *worker_free = act + Duration::from_micros(service_us);
         };
 
-    let mut next_id = 0usize;
-    for &arr in arrivals_us {
+    for (next_id, &arr) in arrivals_us.iter().enumerate() {
         let now = at(arr);
         // Let the worker catch up on everything that became ready
         // strictly before this arrival.
@@ -84,7 +83,6 @@ fn simulate(
             Ok(()) => {}
             Err(_) => shed += 1,
         }
-        next_id += 1;
         // A full batch may have just formed; serve it if the worker is
         // free by now.
         worker_pops(&mut batcher, now, false, &mut worker_free);

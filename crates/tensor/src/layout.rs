@@ -50,34 +50,6 @@ impl Layout {
         }
     }
 
-    /// Linear offset of logical element `(n, c, h, w)` in a tensor of
-    /// logical shape `(nn, cc, hh, ww)` stored in this layout.
-    #[inline]
-    pub const fn offset(
-        &self,
-        (nn, cc, hh, ww): (usize, usize, usize, usize),
-        (n, c, h, w): (usize, usize, usize, usize),
-    ) -> usize {
-        match self {
-            Layout::Nchw => ((n * cc + c) * hh + h) * ww + w,
-            Layout::Chwn => ((c * hh + h) * ww + w) * nn + n,
-            Layout::Hwcn => ((h * ww + w) * cc + c) * nn + n,
-            Layout::Nchw8c => Self::blocked_offset(8, (nn, cc, hh, ww), (n, c, h, w)),
-            Layout::Nchw16c => Self::blocked_offset(16, (nn, cc, hh, ww), (n, c, h, w)),
-        }
-    }
-
-    /// `[n][c/b][h][w][c%b]` stride math shared by the blocked variants.
-    #[inline]
-    const fn blocked_offset(
-        b: usize,
-        (_nn, cc, hh, ww): (usize, usize, usize, usize),
-        (n, c, h, w): (usize, usize, usize, usize),
-    ) -> usize {
-        let blocks = cc.div_ceil(b);
-        ((((n * blocks + c / b) * hh + h) * ww + w) * b) + c % b
-    }
-
     /// Short name used in reports.
     pub const fn name(&self) -> &'static str {
         match self {
@@ -97,8 +69,35 @@ impl fmt::Display for Layout {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Linear offset of logical element `(n, c, h, w)` in a tensor of
+    /// logical shape `(nn, cc, hh, ww)` stored in `layout`: the index
+    /// oracle the layout and NCHWc pack tests check buffers against.
+    pub(crate) const fn offset(
+        layout: Layout,
+        (nn, cc, hh, ww): (usize, usize, usize, usize),
+        (n, c, h, w): (usize, usize, usize, usize),
+    ) -> usize {
+        match layout {
+            Layout::Nchw => ((n * cc + c) * hh + h) * ww + w,
+            Layout::Chwn => ((c * hh + h) * ww + w) * nn + n,
+            Layout::Hwcn => ((h * ww + w) * cc + c) * nn + n,
+            Layout::Nchw8c => blocked_offset(8, (cc, hh, ww), (n, c, h, w)),
+            Layout::Nchw16c => blocked_offset(16, (cc, hh, ww), (n, c, h, w)),
+        }
+    }
+
+    /// `[n][c/b][h][w][c%b]` stride math shared by the blocked variants.
+    const fn blocked_offset(
+        b: usize,
+        (cc, hh, ww): (usize, usize, usize),
+        (n, c, h, w): (usize, usize, usize, usize),
+    ) -> usize {
+        let blocks = cc.div_ceil(b);
+        ((((n * blocks + c / b) * hh + h) * ww + w) * b) + c % b
+    }
 
     /// Buffer length (in elements) a tensor of logical shape
     /// `(nn, cc, hh, ww)` occupies in `layout`: blocked layouts round the
@@ -111,26 +110,26 @@ mod tests {
     #[test]
     fn nchw_offsets_are_row_major() {
         let shape = (2, 3, 4, 5);
-        assert_eq!(Layout::Nchw.offset(shape, (0, 0, 0, 0)), 0);
-        assert_eq!(Layout::Nchw.offset(shape, (0, 0, 0, 1)), 1);
-        assert_eq!(Layout::Nchw.offset(shape, (1, 2, 3, 4)), 119);
+        assert_eq!(offset(Layout::Nchw, shape, (0, 0, 0, 0)), 0);
+        assert_eq!(offset(Layout::Nchw, shape, (0, 0, 0, 1)), 1);
+        assert_eq!(offset(Layout::Nchw, shape, (1, 2, 3, 4)), 119);
     }
 
     #[test]
     fn chwn_puts_batch_innermost() {
         let shape = (2, 3, 4, 5);
-        assert_eq!(Layout::Chwn.offset(shape, (0, 0, 0, 0)), 0);
-        assert_eq!(Layout::Chwn.offset(shape, (1, 0, 0, 0)), 1);
-        assert_eq!(Layout::Chwn.offset(shape, (0, 0, 0, 1)), 2);
+        assert_eq!(offset(Layout::Chwn, shape, (0, 0, 0, 0)), 0);
+        assert_eq!(offset(Layout::Chwn, shape, (1, 0, 0, 0)), 1);
+        assert_eq!(offset(Layout::Chwn, shape, (0, 0, 0, 1)), 2);
     }
 
     #[test]
     fn hwcn_puts_spatial_outermost() {
         let shape = (2, 3, 4, 5);
-        assert_eq!(Layout::Hwcn.offset(shape, (0, 0, 0, 0)), 0);
-        assert_eq!(Layout::Hwcn.offset(shape, (1, 0, 0, 0)), 1);
-        assert_eq!(Layout::Hwcn.offset(shape, (0, 1, 0, 0)), 2);
-        assert_eq!(Layout::Hwcn.offset(shape, (0, 0, 1, 0)), 5 * 3 * 2);
+        assert_eq!(offset(Layout::Hwcn, shape, (0, 0, 0, 0)), 0);
+        assert_eq!(offset(Layout::Hwcn, shape, (1, 0, 0, 0)), 1);
+        assert_eq!(offset(Layout::Hwcn, shape, (0, 1, 0, 0)), 2);
+        assert_eq!(offset(Layout::Hwcn, shape, (0, 0, 1, 0)), 5 * 3 * 2);
     }
 
     #[test]
@@ -140,16 +139,16 @@ mod tests {
         let l = Layout::Nchw8c;
         assert_eq!(l.channel_block(), Some(8));
         assert_eq!(buffer_len(l, shape), 2 * 16 * 3 * 4);
-        assert_eq!(l.offset(shape, (0, 0, 0, 0)), 0);
+        assert_eq!(offset(l, shape, (0, 0, 0, 0)), 0);
         // Channels within one block are adjacent...
-        assert_eq!(l.offset(shape, (0, 1, 0, 0)), 1);
-        assert_eq!(l.offset(shape, (0, 7, 0, 0)), 7);
+        assert_eq!(offset(l, shape, (0, 1, 0, 0)), 1);
+        assert_eq!(offset(l, shape, (0, 7, 0, 0)), 7);
         // ...the next spatial position starts a fresh lane group...
-        assert_eq!(l.offset(shape, (0, 0, 0, 1)), 8);
+        assert_eq!(offset(l, shape, (0, 0, 0, 1)), 8);
         // ...and channel 8 lives in the second block plane.
-        assert_eq!(l.offset(shape, (0, 8, 0, 0)), 8 * 3 * 4);
+        assert_eq!(offset(l, shape, (0, 8, 0, 0)), 8 * 3 * 4);
         // Images are buffer_len/n apart.
-        assert_eq!(l.offset(shape, (1, 0, 0, 0)), 16 * 3 * 4);
+        assert_eq!(offset(l, shape, (1, 0, 0, 0)), 16 * 3 * 4);
     }
 
     #[test]
@@ -162,7 +161,7 @@ mod tests {
                 for c in 0..10 {
                     for h in 0..3 {
                         for w in 0..4 {
-                            let off = layout.offset(shape, (n, c, h, w));
+                            let off = offset(layout, shape, (n, c, h, w));
                             assert!(off < len, "{layout}: offset {off} out of bounds");
                             assert!(!seen[off], "{layout}: duplicate offset {off}");
                             seen[off] = true;
@@ -182,7 +181,7 @@ mod tests {
                 for c in 0..3 {
                     for h in 0..4 {
                         for w in 0..5 {
-                            let off = layout.offset(shape, (n, c, h, w));
+                            let off = offset(layout, shape, (n, c, h, w));
                             assert!(!seen[off], "{layout}: duplicate offset {off}");
                             seen[off] = true;
                         }

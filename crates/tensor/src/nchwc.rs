@@ -20,6 +20,15 @@
 //! contiguous, which is exactly the vector the convolution tile
 //! ([`simd::conv`]) broadcasts each input lane against.
 //!
+//! **A convolution's input is packed at its [`pitch`].** Floats per
+//! input pixel and filter rows per tap are `min(c, b)`: at `c ≥ b`
+//! that is the block and nothing above changes, while a layer with
+//! fewer channels than one block (an RGB first layer) packs its input
+//! as `[n][1][h][w][c]` — [`pack_nchwc_into`] at block `c` — and its
+//! filters as `[⌈f/b⌉][1][ky][kx][c][fo]`, instead of carrying
+//! `b − c` zero lanes per pixel and `b − c` zero rows per tap. Outputs
+//! and the activations between blocked layers stay `b` wide.
+//!
 //! The pack kernels zero borders and remainder lanes where they lie,
 //! never by a whole-buffer fill that the payload then overwrites; the
 //! payload, like the unpack's, is a [`simd::transpose`] per row, plane
@@ -44,10 +53,22 @@ pub const fn packed_len(shape: Shape4, block: usize, pad: usize) -> usize {
     shape.n * shape.c.div_ceil(block) * block * (shape.h + 2 * pad) * (shape.w + 2 * pad)
 }
 
+/// Floats per pixel of a packed convolution input with `c` channels,
+/// and rows per tap of its packed filters: `min(c, block)`.
+pub const fn pitch(c: usize, block: usize) -> usize {
+    if c < block {
+        c
+    } else {
+        block
+    }
+}
+
 /// Buffer length of a packed filter bank of logical shape
-/// `(f, c, k, k)`.
+/// `(f, c, k, k)`: `⌈f/b⌉·⌈c/b⌉` panels of `k²` taps × [`pitch`] rows
+/// × `b` output channels.
 pub const fn packed_filter_len(shape: Shape4, block: usize) -> usize {
-    shape.n.div_ceil(block) * shape.c.div_ceil(block) * shape.h * shape.w * block * block
+    let rows = pitch(shape.c, block);
+    shape.n.div_ceil(block) * shape.c.div_ceil(block) * shape.h * shape.w * rows * block
 }
 
 /// Write one padded `[h + 2·pad][w + 2·pad][block]` plane: zero its
@@ -127,7 +148,8 @@ pub fn unpack_nchwc_from(src: &[f32], shape: Shape4, block: usize, dst: &mut [f3
 }
 
 /// Pack a planar `(f, c, k, k)` filter bank into the OIhw8i8o-style
-/// `[⌈f/b⌉][⌈c/b⌉][ky][kx][ci][fo]` arrangement.
+/// `[⌈f/b⌉][⌈c/b⌉][ky][kx][ci][fo]` arrangement, `ci` running over the
+/// [`pitch`] rows of a tap.
 ///
 /// Remainder input *and* output channels are zeroed, so a padded input
 /// lane meets a zero filter lane and padded output lanes accumulate
@@ -141,21 +163,22 @@ pub fn pack_filters_into(src: &[f32], shape: Shape4, block: usize, dst: &mut [f3
     );
     let (ff, cc, taps) = (shape.n, shape.c, shape.h * shape.w);
     let cblocks = cc.div_ceil(block);
-    let bb = block * block;
+    let rows = pitch(cc, block);
+    let tap_len = rows * block;
     // One `[tap][ci][fo]` panel at a time; for each input channel, its
     // `folanes × taps` taps (one run per filter) are transposed into the
     // panel's `taps × block` column of that channel.
-    for (p, panel) in dst.chunks_exact_mut((taps * bb).max(1)).enumerate() {
+    for (p, panel) in dst.chunks_exact_mut((taps * tap_len).max(1)).enumerate() {
         let (fb, cb) = (p / cblocks, p % cblocks);
         let folanes = block.min(ff - fb * block);
         let cilanes = block.min(cc - cb * block);
-        if folanes < block || cilanes < block {
+        if folanes < block || cilanes < rows {
             panel.fill(0.0);
         }
         for ci in 0..cilanes {
             let first = (fb * block * cc + cb * block + ci) * taps;
             let column = &mut panel[ci * block..];
-            simd::transpose(&src[first..], cc * taps, folanes, taps, column, bb);
+            simd::transpose(&src[first..], cc * taps, folanes, taps, column, tap_len);
         }
     }
 }
@@ -191,6 +214,7 @@ pub fn repad_packed(src: &[f32], shape: Shape4, block: usize, pad: usize, dst: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::tests::offset;
 
     fn ramp(len: usize) -> Vec<f32> {
         (0..len).map(|i| i as f32 + 1.0).collect()
@@ -216,9 +240,9 @@ mod tests {
         }
     }
 
-    /// The pack kernel and `Layout::offset` must implement the same
-    /// stride math: every logical element lands where the layout's
-    /// offset function says it lives.
+    /// The pack kernel and the layouts' index oracle must implement the
+    /// same stride math: every logical element lands where the oracle
+    /// says it lives.
     #[test]
     fn pack_agrees_with_layout_offsets() {
         let shape = Shape4::new(2, 10, 3, 4);
@@ -232,8 +256,8 @@ mod tests {
                     for w in 0..shape.w {
                         let idx = (n, c, h, w);
                         assert_eq!(
-                            packed[Layout::Nchw8c.offset(dims, idx)],
-                            src[Layout::Nchw.offset(dims, idx)],
+                            packed[offset(Layout::Nchw8c, dims, idx)],
+                            src[offset(Layout::Nchw, dims, idx)],
                             "mismatch at {idx:?}"
                         );
                     }
@@ -282,17 +306,20 @@ mod tests {
     fn filter_pack_places_taps_and_zeroes_remainders() {
         // f=21, c=19, k=3: remainder lanes on both axes at block 8
         // (3×3 panels) and block 16 (2×2 panels), full panels beside
-        // them, into a NaN-poisoned destination.
-        let shape = Shape4::new(21, 19, 3, 3);
-        let src = ramp(shape.len());
-        for block in [8usize, 16] {
+        // them; c=3 and c=7: one panel row per channel (the pitch) and
+        // no zero rows. Into a NaN-poisoned destination.
+        for (c, block) in [(19usize, 8usize), (19, 16), (3, 8), (3, 16), (7, 8), (8, 8)] {
+            let shape = Shape4::new(21, c, 3, 3);
+            let src = ramp(shape.len());
+            let rows = pitch(c, block);
             let mut packed = vec![f32::NAN; packed_filter_len(shape, block)];
             pack_filters_into(&src, shape, block, &mut packed);
-            let (fblocks, cblocks, kk) = (21usize.div_ceil(block), 19usize.div_ceil(block), 3);
+            let (fblocks, cblocks, kk) = (21usize.div_ceil(block), c.div_ceil(block), 3);
+            assert_eq!(packed.len(), fblocks * cblocks * kk * kk * rows * block);
             for (d, &got) in packed.iter().enumerate() {
-                let (fo, ci) = (d % block, d / block % block);
-                let tap = d / (block * block) % (kk * kk);
-                let panel = d / (block * block * kk * kk);
+                let (fo, ci) = (d % block, d / block % rows);
+                let tap = d / (rows * block) % (kk * kk);
+                let panel = d / (rows * block * kk * kk);
                 let (fb, cb) = (panel / cblocks, panel % cblocks);
                 assert!(fb < fblocks);
                 let (f, c) = (fb * block + fo, cb * block + ci);

@@ -703,8 +703,9 @@ mod tests {
     }
 
     /// Every conv tile body must agree with the scalar oracle at its
-    /// block width — across strides, valid-lane counts, one and two
-    /// filter blocks per tile, every tile width up to `wmax` (row
+    /// block width — across strides, valid-lane counts, input pitches
+    /// of a whole block and of fewer channels, one and two filter
+    /// blocks per tile, every tile width up to `wmax` (row
     /// lengths around it), first/accumulating/ReLU sweeps — and
     /// `max_assign` with its own.
     #[test]
@@ -715,18 +716,26 @@ mod tests {
             assert_eq!(oracle.name(), "scalar");
             for k in conv::ConvKernel::available(block) {
                 for o in [1usize, 5, k.wmax() - 1, k.wmax(), k.wmax() + 1] {
-                    for (stride, kk, lanes) in [(1usize, 3usize, block), (2, 2, 1), (3, 1, 3)] {
+                    // (stride, kernel, valid lanes, pitch)
+                    let cases = [
+                        (1usize, 3usize, block, block),
+                        (2, 2, 1, block),
+                        (3, 1, 3, 3),
+                        (2, 3, 1, 1),
+                    ];
+                    for (stride, kk, lanes, pitch) in cases {
                         for nfb in 1..=k.fb_step() {
                             let iwp = (o - 1) * stride + kk + 1;
-                            let fb_stride = 2 * kk * kk * block * block;
+                            let fb_stride = 2 * kk * kk * pitch * block;
                             let seed = (block * 31 + o * 7 + stride + nfb) as u64;
-                            let x = rand_vec(iwp * iwp * block, seed);
+                            let x = rand_vec(iwp * iwp * pitch, seed);
                             let w = rand_vec(nfb * fb_stride, seed + 1);
                             let mut g = conv::SweepGeom {
                                 k: kk,
                                 stride,
                                 iwp,
                                 o,
+                                pitch,
                                 lanes,
                                 nfb,
                                 fb_stride,
@@ -743,7 +752,7 @@ mod tests {
                                 for (a, b) in got.iter().zip(&want) {
                                     assert!(
                                         (a - b).abs() < 1e-4,
-                                        "{k:?} o={o} s={stride} k={kk} lanes={lanes} nfb={nfb} \
+                                        "{k:?} o={o} s={stride} k={kk} lanes={lanes} pitch={pitch} nfb={nfb} \
                                          first={first} relu={relu}: {a} vs {b}"
                                     );
                                 }

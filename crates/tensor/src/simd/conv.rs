@@ -7,7 +7,10 @@
 //! FMAs, no stores. The output plane is touched only between channel
 //! blocks (the first block zero-initialises, the last may apply ReLU in
 //! register), and `ci` runs over the block's *valid* channels, so
-//! remainder lanes cost nothing.
+//! remainder lanes cost nothing. Input positions and filter taps are
+//! `pitch` floats or rows apart (`min(c, block)`, see
+//! `crate::nchwc::pitch`), so a layer with fewer channels than one
+//! block reads no zero lanes at all.
 //!
 //! | kernel     | vector | block | tile (w × nf) | the `nf` vectors are            |
 //! |------------|--------|-------|---------------|---------------------------------|
@@ -43,12 +46,14 @@ struct RawTile {
     out: *mut f32,
     k: usize,
     block: usize,
-    /// Valid input channels of this channel block (`1..=block`).
+    /// Floats per input position, and filter rows per tap.
+    pitch: usize,
+    /// Valid input channels of this channel block (`1..=pitch`).
     lanes: usize,
-    /// Floats between input rows (`iwp·block`).
+    /// Floats between input rows (`iwp·pitch`).
     in_row: usize,
     /// Floats between the inputs of adjacent output positions
-    /// (`stride·block`).
+    /// (`stride·pitch`).
     in_step: usize,
     /// Floats from one of the `nf` filter vectors to the next.
     w_next: usize,
@@ -111,7 +116,10 @@ pub struct SweepGeom {
     pub iwp: usize,
     /// Output spatial edge.
     pub o: usize,
-    /// Valid input channels of this channel block (`1..=block`): the
+    /// Floats per input position and filter rows per tap,
+    /// `min(c, block)`.
+    pub pitch: usize,
+    /// Valid input channels of this channel block (`1..=pitch`): the
     /// reduction skips the zero remainder lanes.
     pub lanes: usize,
     /// Filter blocks (output planes) each tile covers, `1..=fb_step`.
@@ -161,9 +169,9 @@ impl ConvKernel {
     }
 
     /// Bind `g` to one channel block of one padded packed image
-    /// (`input`, `[rows][g.iwp][block]`) and to the packed filter bank
+    /// (`input`, `[rows][g.iwp][g.pitch]`) and to the packed filter bank
     /// from panel `(fb, cb)` on (`filters`, a panel being
-    /// `[ky][kx][ci][fo]`).
+    /// `[ky][kx][ci < g.pitch][fo]`).
     ///
     /// # Panics
     /// If `g` is degenerate, a tile of the `g.o × g.o` output plane
@@ -172,7 +180,11 @@ impl ConvKernel {
     pub fn sweep<'a>(&self, g: SweepGeom, input: &'a [f32], filters: &'a [f32]) -> ConvSweep<'a> {
         let b = self.block;
         assert!(
-            g.k >= 1 && g.stride >= 1 && g.o >= 1 && (1..=b).contains(&g.lanes),
+            g.k >= 1
+                && g.stride >= 1
+                && g.o >= 1
+                && g.pitch <= b
+                && (1..=g.pitch).contains(&g.lanes),
             "conv sweep: degenerate geometry"
         );
         assert!(
@@ -186,12 +198,12 @@ impl ConvKernel {
             .and_then(|v| v.checked_add(g.k));
         let rows = span
             .filter(|&span| span <= g.iwp)
-            .and_then(|span| span.checked_mul(g.iwp)?.checked_mul(b));
+            .and_then(|span| span.checked_mul(g.iwp)?.checked_mul(g.pitch));
         assert!(
             rows.is_some_and(|len| len <= input.len()),
             "conv sweep: input short"
         );
-        let panel = [g.k, b, b]
+        let panel = [g.k, g.pitch, b]
             .iter()
             .try_fold(g.k, |len, &x| len.checked_mul(x));
         let panels = (g.nfb - 1)
@@ -241,7 +253,7 @@ impl ConvSweep<'_> {
             "conv tile: leaves its output row"
         );
         assert!(out.len() >= g.nfb * self.plane, "conv tile: output short");
-        let in_at = (oy * g.stride * g.iwp + ox * g.stride) * b;
+        let in_at = (oy * g.stride * g.iwp + ox * g.stride) * g.pitch;
         let out_at = (oy * g.o + ox) * b;
         match k.bodies {
             Bodies::Scalar => self.tile_scalar(&mut out[out_at..], in_at, w),
@@ -254,9 +266,10 @@ impl ConvSweep<'_> {
                     out: out[out_at..].as_mut_ptr(),
                     k: g.k,
                     block: b,
+                    pitch: g.pitch,
                     lanes: g.lanes,
-                    in_row: g.iwp * b,
-                    in_step: g.stride * b,
+                    in_row: g.iwp * g.pitch,
+                    in_step: g.stride * g.pitch,
                     w_next: if paired { g.fb_stride } else { k.vec },
                     out_next: if paired { self.plane } else { k.vec },
                     first: g.first,
@@ -267,8 +280,8 @@ impl ConvSweep<'_> {
                 // exist, and the asserts above keep the tile inside the
                 // `nfb` output planes. The body reads input row
                 // `oy·stride + ky`, position `(ox + j)·stride + kx`,
-                // lane `ci < lanes <= b`; filter vector `f < nf` at
-                // `f·w_next + (tap·b + ci)·b`, `vec` floats wide, with
+                // lane `ci < lanes <= pitch`; filter vector `f < nf` at
+                // `f·w_next + (tap·pitch + ci)·b`, `vec` floats wide, with
                 // `tap < k²` — inside the `nfb` panels in both pairings
                 // since `nf·vec = nfb·b`; and output vector `f` of
                 // position `ox + j` at `out_at + f·out_next + j·b`.
@@ -286,7 +299,7 @@ impl ConvSweep<'_> {
     /// starts at the tile's first vector, `in_at` is its first input
     /// position.
     fn tile_scalar(&self, out: &mut [f32], in_at: usize, w: usize) {
-        let (g, b) = (&self.g, self.kernel.block);
+        let (g, b, p) = (&self.g, self.kernel.block, self.g.pitch);
         for f in 0..g.nfb {
             for j in 0..w {
                 let o = &mut out[f * self.plane + j * b..][..b];
@@ -295,9 +308,9 @@ impl ConvSweep<'_> {
                 }
                 for ky in 0..g.k {
                     for kx in 0..g.k {
-                        let x_at = in_at + (ky * g.iwp + j * g.stride + kx) * b;
+                        let x_at = in_at + (ky * g.iwp + j * g.stride + kx) * p;
                         let x = &self.input[x_at..x_at + g.lanes];
-                        let panel = &self.filters[f * g.fb_stride + (ky * g.k + kx) * b * b..];
+                        let panel = &self.filters[f * g.fb_stride + (ky * g.k + kx) * p * b..];
                         for (&xv, wrow) in x.iter().zip(panel.chunks_exact(b)) {
                             for (ov, &wv) in o.iter_mut().zip(wrow) {
                                 *ov += xv * wv;
@@ -320,8 +333,8 @@ impl ConvSweep<'_> {
 /// nest.
 ///
 /// # Safety
-/// With `sb = t.in_step`: reads `t.input[ky·in_row + kx·block + j·sb +
-/// ci]`, `V::N` floats at `t.filters[f·w_next + ((ky·k + kx)·block +
+/// With `sb = t.in_step`: reads `t.input[ky·in_row + kx·pitch + j·sb +
+/// ci]`, `V::N` floats at `t.filters[f·w_next + ((ky·k + kx)·pitch +
 /// ci)·block]`, and reads (unless `t.first`) and writes `V::N` floats
 /// at `t.out[f·out_next + j·block]`, for `ky, kx < k`, `ci < lanes`,
 /// `j < W`, `f < NF`; all of it must be in bounds and the CPU must
@@ -331,7 +344,10 @@ impl ConvSweep<'_> {
 #[inline(always)]
 unsafe fn conv_tile<V: Lanes, const W: usize, const NF: usize>(t: &RawTile) {
     debug_assert!(W >= 1 && (1..=2).contains(&NF), "conv_tile: tile shape");
-    debug_assert!((1..=t.block).contains(&t.lanes), "conv_tile: valid lanes");
+    debug_assert!(
+        t.pitch <= t.block && (1..=t.pitch).contains(&t.lanes),
+        "conv_tile: valid lanes"
+    );
     // SAFETY: exactly the accesses listed in the contract above.
     unsafe {
         let mut acc = [[V::splat(0.0); NF]; W];
@@ -344,8 +360,8 @@ unsafe fn conv_tile<V: Lanes, const W: usize, const NF: usize>(t: &RawTile) {
         }
         for ky in 0..t.k {
             for kx in 0..t.k {
-                let xp = t.input.add(ky * t.in_row + kx * t.block);
-                let wp = t.filters.add((ky * t.k + kx) * t.block * t.block);
+                let xp = t.input.add(ky * t.in_row + kx * t.pitch);
+                let wp = t.filters.add((ky * t.k + kx) * t.pitch * t.block);
                 for ci in 0..t.lanes {
                     let mut wv = [V::splat(0.0); NF];
                     for (f, w) in wv.iter_mut().enumerate() {

@@ -36,7 +36,7 @@ if cargo miri --version >/dev/null 2>&1; then
 else
   echo "verify: SKIPPED the miri pass over the lane transforms (cargo-miri not installed)" >&2
 fi
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 # Soundness audit: call-graph lints (transitive arena, lock discipline,
 # panic freedom, config staleness), the reachability lint (every library
