@@ -14,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use gcnn_autotune::timing::{stats, time_wall, Repeats, Stats};
+use gcnn_bench::timing::{stats, time_wall, Repeats, Stats};
 use gcnn_conv::{ConvAlgorithm, ConvConfig, FftConv, Strategy, UnrollConv};
 use gcnn_models::data::synthetic_digits;
 use gcnn_models::Network;
@@ -32,8 +32,7 @@ struct TraceReport {
     /// round. The zero-allocation hot paths guarantee this is 0.
     steady_fresh_allocs: u64,
     /// Wall-clock summary of the steady conv round, via the shared
-    /// warmup + trimmed-median util (`GCNN_TUNE_WARMUP`/`_REPS`
-    /// override the 1/5 defaults).
+    /// warmup + trimmed-median util (1 warmup, 5 timed rounds).
     steady_round: Stats,
     /// Contents of `results/BENCH_hotpaths.json`, when present.
     hotpaths: Option<Value>,
@@ -85,9 +84,7 @@ fn main() {
 
     // Timed region: the same round through the shared timing util, so
     // this report and perf_smoke summarize wall clock identically.
-    let steady_round = stats(&time_wall(Repeats::from_env(1, 5), || {
-        conv_round(&cfg, &x, &w)
-    }));
+    let steady_round = stats(&time_wall(Repeats::new(1, 5), || conv_round(&cfg, &x, &w)));
 
     // Span coverage: one more training batch per strategy (outside the
     // counted region — training legitimately allocates activations).

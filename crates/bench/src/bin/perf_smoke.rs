@@ -8,10 +8,9 @@
 //! `results/BENCH_hotpaths.json` with mean/p50/p95 per section so the
 //! performance trajectory is comparable across PRs.
 //!
-//! Timing goes through the shared `gcnn_autotune::timing` util (warmup
-//! then trimmed-median aggregation) — the same one `bench_report` and
-//! the autotune harness use — so every number in `results/` is produced
-//! the same way.
+//! Timing goes through the shared `gcnn_bench::timing` util (warmup
+//! then trimmed-median aggregation) — the same one `bench_report` uses —
+//! so every number in `results/` is produced the same way.
 //!
 //! Environment knobs:
 //! * `GCNN_PERF_ITERS` — iterations per section (default 10).
@@ -40,7 +39,7 @@
 
 #![forbid(unsafe_code)]
 
-use gcnn_autotune::timing::{env_usize, stats, time_wall, Repeats};
+use gcnn_bench::timing::{env_usize, stats, time_wall, Repeats};
 use gcnn_conv::{algorithm_for, ConvConfig, Strategy};
 use gcnn_fft::RfftPlan;
 use gcnn_gemm::{gemm_flops, sgemm, Transpose};
@@ -266,7 +265,7 @@ fn bench_batched_fft(cfg: &ConvConfig, repeats: Repeats) -> Section {
 /// Scalar-vs-SIMD micro-bench report (`results/BENCH_simd.json`).
 #[derive(Debug, Serialize)]
 struct SimdReport {
-    /// The natively dispatched ISA ([`gcnn_tensor::simd::isa_name`]).
+    /// The natively dispatched ISA ([`gcnn_tensor::simd::Isa::name`]).
     isa: String,
     /// The SGEMM register-tile kernel the native table selects, e.g.
     /// `avx512f 8x32` — wider than `isa` on an AVX-512 host.
@@ -298,7 +297,7 @@ struct FftEntry {
 /// per-cell floor.
 #[derive(Debug, Serialize)]
 struct FftReport {
-    /// The natively dispatched ISA ([`gcnn_tensor::simd::isa_name`]).
+    /// The natively dispatched ISA ([`gcnn_tensor::simd::Isa::name`]).
     isa: String,
     entries: Vec<FftEntry>,
     /// Geometric mean of the per-entry speedups — the number
@@ -308,7 +307,7 @@ struct FftReport {
 
 /// A/B the batched rfft round-trip over transform sizes × batch counts.
 fn bench_fft_sweep(repeats: Repeats) -> FftReport {
-    let isa = gcnn_tensor::simd::isa_name().to_string();
+    let isa = gcnn_tensor::simd::isa().name().to_string();
     println!("fft A/B sweep: native isa = {isa}");
     let mut entries = Vec::new();
     for n in [16usize, 32, 64, 128] {
@@ -396,7 +395,7 @@ struct LayoutEntry {
 /// The NCHWc layout A/B report (`results/BENCH_layout.json`).
 #[derive(Debug, Serialize)]
 struct LayoutReport {
-    /// The natively dispatched ISA ([`gcnn_tensor::simd::isa_name`]).
+    /// The natively dispatched ISA ([`gcnn_tensor::simd::Isa::name`]).
     isa: String,
     /// Inner channel-block width the packed path ran with.
     block: usize,
@@ -412,7 +411,7 @@ fn bench_layout(repeats: Repeats) -> LayoutReport {
     use gcnn_conv::nchwc;
     use gcnn_tensor::workspace;
 
-    let isa = gcnn_tensor::simd::isa_name().to_string();
+    let isa = gcnn_tensor::simd::isa().name().to_string();
     let block = gcnn_tensor::simd::preferred_block();
     println!("layout A/B sweep: isa = {isa}, channel block = {block}");
 
@@ -596,7 +595,7 @@ fn ab_scalar(
 /// the FFT number is the geomean of the per-size sweep in `fft_report`
 /// (the old single-cell aggregate hid size-dependent regressions).
 fn bench_simd(repeats: Repeats, fft_report: &FftReport) -> SimdReport {
-    let isa = gcnn_tensor::simd::isa_name().to_string();
+    let isa = gcnn_tensor::simd::isa().name().to_string();
     let sgemm_kernel = format!("{:?}", gcnn_gemm::kernel::select());
     println!("simd A/B: native isa = {isa}, sgemm kernel = {sgemm_kernel}");
 

@@ -5,7 +5,7 @@
 
 use std::process::Command;
 
-const BINARIES: [&str; 13] = [
+const BINARIES: [&str; 12] = [
     "table1_configs",
     "table2_resources",
     "fig2_model_breakdown",
@@ -17,7 +17,6 @@ const BINARIES: [&str; 13] = [
     "ablations",
     "device_sensitivity",
     "model_framework_comparison",
-    "autotune_report",
     "export_trace",
 ];
 

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gcnn_autotune::timing::env_usize;
+use gcnn_bench::timing::env_usize;
 use gcnn_conv::Strategy;
 use gcnn_models::Network;
 use gcnn_serve::{BatchPolicy, Client, ServeConfig, Server, Status};

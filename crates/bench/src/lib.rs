@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 pub mod compare;
+pub mod timing;
 
 use std::io::Write;
 use std::path::Path;

@@ -1,22 +1,21 @@
-//! The one timing utility every wall-clock measurement in the workspace
-//! shares: warmup iterations followed by N timed repetitions, summarized
-//! with a **trimmed median** so a single scheduler hiccup cannot move
-//! the reported number.
+//! The one timing utility the harness's wall-clock binaries share:
+//! warmup iterations followed by N timed repetitions, summarized with a
+//! **trimmed median** so a single scheduler hiccup cannot move the
+//! reported number.
 //!
-//! `perf_smoke`, `bench_report` and the autotune measurement harness all
-//! build on these functions instead of hand-rolling mean-of-10 loops;
-//! repetition counts are environment-overridable so CI can trade
-//! stability for wall-clock budget ([`Repeats::from_env`]).
+//! `perf_smoke` and `bench_report` build on these functions instead of
+//! hand-rolling mean-of-10 loops; `perf_smoke` and `serve_bench` read
+//! their repetition counts and windows through [`env_usize`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// Summary statistics of one timed section, in milliseconds.
 ///
 /// `p50_ms` is the [`trimmed_median`] — the median after discarding the
 /// top and bottom quartile of samples — which is the number regression
-/// gates and the tuner compare.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// gates compare.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Stats {
     /// Number of samples summarized.
     pub iters: usize,
@@ -65,7 +64,7 @@ pub fn stats(samples: &[f64]) -> Stats {
 }
 
 /// How many warmup and timed repetitions a measurement runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Repeats {
     /// Untimed warmup iterations (populate pools, plan caches, branch
     /// predictors) before the timed ones.
@@ -78,20 +77,6 @@ impl Repeats {
     /// Construct explicitly.
     pub fn new(warmup: usize, reps: usize) -> Self {
         Repeats { warmup, reps }
-    }
-
-    /// Defaults overridden by `GCNN_TUNE_WARMUP` / `GCNN_TUNE_REPS`.
-    pub fn from_env(default_warmup: usize, default_reps: usize) -> Self {
-        Repeats {
-            warmup: env_usize("GCNN_TUNE_WARMUP", default_warmup),
-            reps: env_usize("GCNN_TUNE_REPS", default_reps),
-        }
-    }
-}
-
-impl Default for Repeats {
-    fn default() -> Self {
-        Repeats::new(1, 5)
     }
 }
 
@@ -166,11 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn repeats_env_fallback() {
-        // Variables unset in the test environment → defaults.
-        let r = Repeats::from_env(2, 7);
-        assert!(r.reps >= 1);
-        let _ = r.warmup;
+    fn env_usize_falls_back_when_unset() {
         assert_eq!(env_usize("GCNN_DEFINITELY_UNSET_VAR", 42), 42);
     }
 }

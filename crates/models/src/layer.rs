@@ -155,8 +155,8 @@ impl LayerSpec {
     /// The shape rule — the only one: what this layer does to an
     /// activation of shape `input`. Returns the resolved convolution
     /// (for `Conv`) and the shape leaving the layer, or why the
-    /// geometry is impossible. [`walk`], `Network::tune_for` and the
-    /// executor all resolve shapes through this function; it allocates
+    /// geometry is impossible. [`walk`] and the executor both resolve
+    /// shapes through this function; it allocates
     /// nothing, so the executor calls it per layer per batch.
     ///
     /// Pooling is ceil-mode, as Caffe/GoogLeNet use (a partial window at

@@ -30,5 +30,5 @@ pub mod zoo;
 
 pub use breakdown::{model_breakdown, BreakdownRow, LayerClass, ModelBreakdown};
 pub use layer::{LayerInstance, LayerSpec, ModelSpec, NamedLayer};
-pub use network::{Network, NotExecutable, TrainReport, TunedLayer};
+pub use network::{Network, NotExecutable, TrainReport};
 pub use zoo::{alexnet, all_models, googlenet, lenet5, lenet5_sized, overfeat, vgg16};

@@ -15,7 +15,6 @@
 
 use crate::data::Dataset;
 use crate::layer::{LayerSpec, ModelSpec};
-use gcnn_autotune::{SelectionSource, Substrate, Tuner, TuningCache};
 use gcnn_conv::layers::{
     softmax_cross_entropy, FcLayer, PoolForward, PoolKind, PoolLayer, ReluLayer,
 };
@@ -24,7 +23,6 @@ use gcnn_conv::{algorithm_for, ConvConfig, Strategy};
 use gcnn_tensor::workspace::{self, Scratch};
 use gcnn_tensor::{nchwc, Layout, Matrix, Shape4, Tensor4, Workspace};
 use prepared::{Filters, Prepared};
-use serde::Serialize;
 use std::borrow::Cow;
 
 /// One executable layer: the spec the shape rule reads, and what
@@ -252,27 +250,6 @@ pub struct TrainReport {
     pub test_accuracy: f32,
 }
 
-/// One conv layer's outcome from a [`Network::tune`] pass.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct TunedLayer {
-    /// Index of the layer within the network.
-    pub layer_index: usize,
-    /// The layer's shape at the tuning batch size.
-    pub cfg: ConvConfig,
-    /// Winning candidate's name on the substrate.
-    pub implementation: String,
-    /// The strategy the layer will execute from now on.
-    pub strategy: Strategy,
-    /// The tensor layout the layer will execute in from now on (planar
-    /// `Nchw`, or a channel-blocked `NCHW{8,16}c` for the fused packed
-    /// forward path).
-    pub layout: Layout,
-    /// The winner's (measured or modeled) time, milliseconds.
-    pub time_ms: f64,
-    /// Where the decision came from (cache / measurement / heuristic).
-    pub source: SelectionSource,
-}
-
 /// Why [`Network::from_spec`] refused a model: `layer` cannot be
 /// executed at exactly the shapes [`crate::layer::walk`] reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -439,7 +416,7 @@ impl Network {
 
     /// Set the forward-pass layout of the conv layer at `layer_index`
     /// (its index within the network, as reported by
-    /// [`TunedLayer::layer_index`] / [`Network::conv_layouts`]).
+    /// [`Network::conv_layouts`]).
     ///
     /// # Panics
     /// If `layer_index` is out of range or not a convolution.
@@ -501,79 +478,6 @@ impl Network {
     pub fn lenet5(size: usize, classes: usize, strategy: Strategy, seed: u64) -> Self {
         Network::from_spec(&crate::zoo::lenet5_sized(size, classes), strategy, seed)
             .unwrap_or_else(|e| panic!("Network::lenet5 at size {size}: {e}"))
-    }
-
-    /// Tune every conv layer's algorithm for inputs of shape `input`:
-    /// walk the network's shapes, ask the [`Tuner`] for each conv
-    /// layer's winner on `substrate` (consulting/filling `cache` as the
-    /// policy dictates), and rebind the layer's strategy to it.
-    ///
-    /// Returns one [`TunedLayer`] record per conv layer the tuner could
-    /// decide. A layer the tuner cannot decide (e.g. no candidate fits
-    /// the memory budget) keeps its current strategy and yields no
-    /// record. Runs under the `autotune.tune_network` span.
-    ///
-    /// Tunes for [`Direction::Training`]; a forward-only deployment
-    /// (e.g. a `gcnn-serve` worker) should use [`Network::tune_for`]
-    /// with [`Direction::Forward`], which can legitimately pick a
-    /// different winner and keys the persistent cache separately.
-    ///
-    /// [`Direction::Training`]: gcnn_autotune::Direction::Training
-    /// [`Direction::Forward`]: gcnn_autotune::Direction::Forward
-    pub fn tune(
-        &mut self,
-        input: Shape4,
-        tuner: &Tuner,
-        substrate: &dyn Substrate,
-        cache: &mut TuningCache,
-    ) -> Vec<TunedLayer> {
-        self.tune_for(
-            input,
-            tuner,
-            substrate,
-            cache,
-            gcnn_autotune::Direction::Training,
-        )
-    }
-
-    /// [`Network::tune`] for an explicit pass [`Direction`]: serving
-    /// workers tune their forward pass only, training loops the full
-    /// iteration. The direction is part of the cache key, so a warm
-    /// tuning cache answers each deployment mode with its own winners.
-    ///
-    /// [`Direction`]: gcnn_autotune::Direction
-    pub fn tune_for(
-        &mut self,
-        input: Shape4,
-        tuner: &Tuner,
-        substrate: &dyn Substrate,
-        cache: &mut TuningCache,
-        direction: gcnn_autotune::Direction,
-    ) -> Vec<TunedLayer> {
-        let _span = gcnn_trace::span("autotune.tune_network");
-        let mut shape = input;
-        let mut schedule = Vec::new();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (conv, out) = layer.apply(i, shape);
-            shape = out;
-            let (Some(cfg), Params::Conv(p)) = (conv, &mut layer.params) else {
-                continue;
-            };
-            if let Some(sel) = tuner.select(substrate, cache, &cfg, direction) {
-                p.strategy = sel.strategy;
-                p.filters.edit().layout = sel.layout;
-                schedule.push(TunedLayer {
-                    layer_index: i,
-                    cfg,
-                    implementation: sel.implementation,
-                    strategy: sel.strategy,
-                    layout: sel.layout,
-                    time_ms: sel.time_ms,
-                    source: sel.source,
-                });
-            }
-        }
-        schedule
     }
 
     /// The forward walker — the only loop that executes the layer list.
@@ -1070,75 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn tune_rebinds_strategies_and_is_cache_stable() {
-        use gcnn_autotune::{Policy, SimSubstrate};
-
-        // Batch 32 so cuda-convnet2 (batch % 32, filters % 16) stays in
-        // play; LeNet-5's filter counts (6, 16) exclude it on layer 0
-        // regardless, which the tuner must tolerate.
-        let sub = SimSubstrate::k40c();
-        let mut cache = gcnn_autotune::TuningCache::new();
-        let tuner = Tuner::new(Policy::Measure).with_params(gcnn_autotune::MeasureParams {
-            repeats: gcnn_autotune::Repeats::new(1, 3),
-            timeout_ms: None,
-        });
-        let input = Shape4::new(32, 1, 28, 28);
-
-        let mut net = Network::lenet5(28, 10, Strategy::Direct, 1);
-        let cold = net.tune(input, &tuner, &sub, &mut cache);
-        assert_eq!(cold.len(), 2, "LeNet-5 has two conv layers");
-        assert_eq!(cold[0].cfg.input, 28);
-        assert_eq!(cold[1].cfg.input, 12, "pool halves 24 → 12");
-        assert!(cold
-            .iter()
-            .all(|l| l.source == gcnn_autotune::SelectionSource::Measured));
-
-        // The tuned strategies must actually run: forward still works.
-        let x = Tensor4::zeros(input);
-        assert_eq!(net.forward(&x).shape(), Shape4::new(32, 10, 1, 1));
-
-        // Warm pass on a fresh network: identical schedule, all hits.
-        let mut net2 = Network::lenet5(28, 10, Strategy::Direct, 1);
-        let warm = net2.tune(input, &tuner, &sub, &mut cache);
-        assert_eq!(warm.len(), cold.len());
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(w.source, gcnn_autotune::SelectionSource::Cache);
-            assert_eq!(c.implementation, w.implementation);
-            assert_eq!(c.strategy, w.strategy);
-            assert_eq!(c.cfg, w.cfg);
-        }
-    }
-
-    #[test]
-    fn tune_heuristic_matches_measured_winner_on_sim() {
-        use gcnn_autotune::{Policy, SimSubstrate};
-
-        let sub = SimSubstrate::k40c();
-        let input = Shape4::new(32, 1, 16, 16);
-        let mut a = Network::lenet5(16, 4, Strategy::Direct, 2);
-        let mut b = Network::lenet5(16, 4, Strategy::Direct, 2);
-        let measured = a.tune(
-            input,
-            &Tuner::new(Policy::Measure).with_params(gcnn_autotune::MeasureParams {
-                repeats: gcnn_autotune::Repeats::new(1, 3),
-                timeout_ms: None,
-            }),
-            &sub,
-            &mut gcnn_autotune::TuningCache::new(),
-        );
-        let heuristic = b.tune(
-            input,
-            &Tuner::new(Policy::Heuristic),
-            &sub,
-            &mut gcnn_autotune::TuningCache::new(),
-        );
-        assert_eq!(measured.len(), heuristic.len());
-        for (m, h) in measured.iter().zip(&heuristic) {
-            assert_eq!(m.implementation, h.implementation);
-        }
-    }
-
-    #[test]
     fn infer_ws_matches_cached_forward() {
         // The one walker serves both entry points, with and without
         // caches: a training step that cannot move the weights computes
@@ -1403,42 +1238,42 @@ mod tests {
     }
 
     #[test]
-    fn tune_rebinds_layouts_consistently() {
-        // Whatever the tuner picks, the network's per-layer layouts
-        // must mirror the schedule — and an "nchwc" winner must carry a
-        // blocked layout.
-        use gcnn_autotune::{CpuSubstrate, Direction, Policy};
-
-        let sub = CpuSubstrate::new();
-        let mut cache = gcnn_autotune::TuningCache::new();
-        let tuner = Tuner::new(Policy::Measure).with_params(gcnn_autotune::MeasureParams {
-            repeats: gcnn_autotune::Repeats::new(1, 2),
-            timeout_ms: None,
-        });
-        let mut net = Network::lenet5(16, 4, Strategy::Direct, 1);
-        let schedule = net.tune_for(
-            Shape4::new(4, 1, 16, 16),
-            &tuner,
-            &sub,
-            &mut cache,
-            Direction::Forward,
-        );
-        assert_eq!(schedule.len(), 2);
-        let layouts = net.conv_layouts();
-        for (t, (idx, layout)) in schedule.iter().zip(&layouts) {
-            assert_eq!(t.layer_index, *idx);
-            assert_eq!(t.layout, *layout);
-            assert_eq!(
-                t.implementation == "nchwc",
-                t.layout.channel_block().is_some(),
-                "only the nchwc candidate runs blocked"
-            );
-        }
-        // The rebound network must still infer correctly.
+    fn mixed_layout_networks_match_planar() {
+        // Every planar/blocked choice per conv layer, at both blocks (the
+        // scalar tile runs any block, so every host has both): a blocked
+        // conv next to a planar one, or next to one of the other block,
+        // must agree with the all-planar network, and a second pass must
+        // repeat the first bit for bit. Both LeNet-5 convs have fewer
+        // input channels than either block, so a blocked → blocked
+        // boundary unpacks and repacks at the next conv's channel pitch.
         let x = synthetic_digits(4, 16, 4, 3).images;
         let reference = Network::lenet5(16, 4, Strategy::Direct, 1).forward(&x);
-        let tuned = net.forward(&x);
-        assert!(reference.max_abs_diff(&tuned).unwrap() < 1e-4);
+        let choices = [
+            Layout::Nchw,
+            gcnn_tensor::nchwc::preferred_layout(),
+            match gcnn_tensor::nchwc::preferred_layout() {
+                Layout::Nchw16c => Layout::Nchw8c,
+                _ => Layout::Nchw16c,
+            },
+        ];
+        for first in choices {
+            for second in choices {
+                let mut net = Network::lenet5(16, 4, Strategy::Direct, 1);
+                let convs = net.conv_layouts();
+                assert_eq!(convs.len(), 2, "LeNet-5 has two conv layers");
+                net.set_conv_layout(convs[0].0, first);
+                net.set_conv_layout(convs[1].0, second);
+                let got = net.forward(&x);
+                assert!(
+                    reference.max_abs_diff(&got).unwrap() < 1e-4,
+                    "{first:?} then {second:?} diverged from planar"
+                );
+                assert!(
+                    same_bits(&got, &net.forward(&x)),
+                    "{first:?} then {second:?}: the second pass differs"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1448,43 +1283,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Network>();
         assert_send::<Workspace>();
-    }
-
-    #[test]
-    fn tune_for_forward_keys_cache_separately() {
-        // The simulator substrate only models full training iterations,
-        // so forward-only tuning — what a serving worker wants — runs on
-        // the wall-clock CPU substrate.
-        use gcnn_autotune::{CpuSubstrate, Direction, Policy};
-
-        let sub = CpuSubstrate::new();
-        let mut cache = gcnn_autotune::TuningCache::new();
-        let tuner = Tuner::new(Policy::Measure).with_params(gcnn_autotune::MeasureParams {
-            repeats: gcnn_autotune::Repeats::new(1, 2),
-            timeout_ms: None,
-        });
-        let input = Shape4::new(8, 1, 16, 16);
-
-        let mut net = Network::lenet5(16, 4, Strategy::Direct, 1);
-        let fwd = net.tune_for(input, &tuner, &sub, &mut cache, Direction::Forward);
-        assert_eq!(fwd.len(), 2, "LeNet-5 has two conv layers");
-        assert!(fwd
-            .iter()
-            .all(|l| l.source == gcnn_autotune::SelectionSource::Measured));
-        // A training-direction pass afterwards must measure again (its
-        // cache key differs), not answer from the forward entries.
-        let mut net2 = Network::lenet5(16, 4, Strategy::Direct, 1);
-        let train = net2.tune(input, &tuner, &sub, &mut cache);
-        assert!(train
-            .iter()
-            .all(|l| l.source == gcnn_autotune::SelectionSource::Measured));
-        // And a second forward pass is a pure warm-cache hit.
-        let mut net3 = Network::lenet5(16, 4, Strategy::Direct, 1);
-        let warm = net3.tune_for(input, &tuner, &sub, &mut cache, Direction::Forward);
-        assert_eq!(warm.len(), fwd.len());
-        assert!(warm
-            .iter()
-            .all(|l| l.source == gcnn_autotune::SelectionSource::Cache));
     }
 
     #[test]

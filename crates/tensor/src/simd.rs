@@ -55,8 +55,7 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Stable lowercase name — used in the autotune device fingerprint
-    /// and the `BENCH_simd.json` report.
+    /// Stable lowercase name — used in the `BENCH_*.json` reports.
     pub const fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -154,11 +153,6 @@ pub fn isa() -> Isa {
     } else {
         detected()
     }
-}
-
-/// [`Isa::name`] of the current dispatch selection.
-pub fn isa_name() -> &'static str {
-    isa().name()
 }
 
 /// Whether kernels with a 512-bit body may run it: AVX-512F was
@@ -595,7 +589,7 @@ mod tests {
     fn isa_is_stable_and_named() {
         let a = isa();
         assert_eq!(a, isa());
-        assert!(!isa_name().is_empty());
+        assert!(!isa().name().is_empty());
         assert_eq!(Isa::Scalar.name(), "scalar");
         assert_eq!(Isa::Scalar.level(), 0);
     }
@@ -630,7 +624,7 @@ mod tests {
         if std::arch::is_x86_feature_detected!("avx512f") {
             assert!(avx512f());
             assert_eq!(isa(), Isa::Avx2Fma);
-            assert_eq!(isa_name(), "avx2+fma");
+            assert_eq!(isa().name(), "avx2+fma");
         }
         assert_eq!(preferred_block(), if avx512f() { 16 } else { 8 });
         assert_eq!(

@@ -34,21 +34,9 @@ const BIG_QUANTUM: usize = 1 << 20;
 /// since process start. Monotonic.
 static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Bytes companion of [`FRESH_ALLOCS`]: capacity × element size of every
-/// pool-miss allocation. The autotune harness differences this around a
-/// candidate run to account its peak-workspace demand.
-static FRESH_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
 /// Total fresh buffer allocations made by all workspace pools so far.
 pub fn fresh_allocs() -> u64 {
     FRESH_ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total bytes of fresh (pool-miss) buffer allocations so far.
-/// Monotonic; difference across a region to bound the scratch the region
-/// demanded beyond what the pools already held.
-pub fn fresh_alloc_bytes() -> u64 {
-    FRESH_ALLOC_BYTES.load(Ordering::Relaxed)
 }
 
 /// Registry mirror of [`FRESH_ALLOCS`] (`workspace.fresh_allocs`), so
@@ -146,7 +134,6 @@ impl<T> Pool<T> {
         drop(smaller.iter_mut().rev().find_map(|(_, shelf)| shelf.pop()));
         THREAD_FRESH_ALLOCS.set(THREAD_FRESH_ALLOCS.get() + 1);
         FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        FRESH_ALLOC_BYTES.fetch_add((class * std::mem::size_of::<T>()) as u64, Ordering::Relaxed);
         fresh_alloc_counter().inc();
         Vec::with_capacity(class)
     }
@@ -377,19 +364,6 @@ mod tests {
         assert!(after - before >= 1, "registry must mirror FRESH_ALLOCS");
         let checkouts = gcnn_trace::snapshot().counter("workspace.checkouts");
         assert!(checkouts >= 1, "checkouts counter must tick");
-    }
-
-    #[test]
-    fn fresh_alloc_bytes_tracks_misses() {
-        let before = fresh_alloc_bytes();
-        // A size class no other test uses: guaranteed a miss, and the
-        // byte counter must advance by at least the f32 payload.
-        let s = take_f32(333_333);
-        assert!(fresh_alloc_bytes() - before >= (333_333 * std::mem::size_of::<f32>()) as u64);
-        drop(s);
-        let pooled = fresh_alloc_bytes();
-        drop(take_f32(333_333));
-        assert_eq!(fresh_alloc_bytes(), pooled, "pool hit must not add bytes");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Span and counter names follow the `subsystem.verb` convention
 //! enforced by `gcnn-audit` (lowercase dot-separated segments, e.g.
-//! `gemm.sgemm`, `tensor.im2col`, `autotune.cache.hits`):
+//! `gemm.sgemm`, `tensor.im2col`, `conv.nchwc.filter_packs`):
 //!
 //! ```
 //! let _outer = gcnn_trace::span("network.layer");

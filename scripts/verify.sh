@@ -63,7 +63,7 @@ done
 # vendored crates' defaults.
 cargo test -q --no-default-features \
   -p gcnn-trace -p gcnn-tensor -p gcnn-gemm -p gcnn-fft \
-  -p gcnn-conv -p gcnn-autotune -p gcnn-models -p gcnn-core \
+  -p gcnn-conv -p gcnn-models -p gcnn-core \
   -p gcnn-bench -p gcnn-serve -p gcnn-mtsim
 # Forced-scalar pass over the kernel stack: the slice primitives',
 # lane kernels' and CGEMM's scalar bodies are the only scalar tier
@@ -81,10 +81,6 @@ if rustup target list --installed 2>/dev/null | grep -qx aarch64-unknown-linux-g
 else
   echo "verify: SKIPPED aarch64 check (target not installed)"
 fi
-# Autotune smoke: cold measure → persist → warm reload must reproduce
-# every winner from the cache without re-measuring.
-GCNN_TUNE_WARMUP=1 GCNN_TUNE_REPS=3 \
-  cargo run -q --release -p gcnn-bench --bin autotune_report -- --smoke
 # Serving smoke: loopback server under concurrent load must answer
 # every request correctly and demonstrably coalesce multi-request
 # batches (non-zero exit otherwise).

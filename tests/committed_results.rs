@@ -1,9 +1,10 @@
-//! Golden test for the modeled figures: the Fig. 3 sweep tables and the
-//! Fig. 2 model breakdowns, rebuilt from the GPU model, must equal the
-//! committed `results/` files value for value. A change meant to speed
+//! Golden test for the modeled figures: the Fig. 3 sweep tables, the
+//! Fig. 2 model breakdowns and the whole-model framework comparison,
+//! rebuilt from the GPU model, must equal the committed `results/` files
+//! value for value. A change meant to speed
 //! the simulator up must leave every modeled number where it was.
 
-use gcnn_core::{paper_sweeps, runtime_comparison};
+use gcnn_core::{compare_model, paper_sweeps, runtime_comparison};
 use gcnn_frameworks::cudnn::CuDnn;
 use gcnn_gpusim::DeviceSpec;
 use gcnn_models::{all_models, model_breakdown};
@@ -48,5 +49,21 @@ fn fig2_model_breakdown_matches_committed() {
         &breakdowns,
         include_str!("../results/fig2_model_breakdown.json"),
         "fig2_model_breakdown.json",
+    );
+}
+
+/// The per-layer oracle: `compare_model` over the four models at batch
+/// 32, as `model_framework_comparison` writes it.
+#[test]
+fn model_framework_comparison_matches_committed() {
+    let dev = DeviceSpec::k40c();
+    let comparisons: Vec<_> = all_models()
+        .iter()
+        .map(|model| compare_model(model, 32, &dev))
+        .collect();
+    assert_matches_committed(
+        &comparisons,
+        include_str!("../results/model_framework_comparison.json"),
+        "model_framework_comparison.json",
     );
 }

@@ -1,11 +1,12 @@
 //! Cross-crate consistency: the framework models, the analysis harness
 //! and the numeric substrates must tell one coherent story.
 
-use gcnn_autotune::{Direction, Policy, SimSubstrate, Tuner, TuningCache};
 use gcnn_conv::{reference, ConvConfig};
-use gcnn_core::{advise, Scenario};
+use gcnn_core::{advise, compare_model, Scenario};
 use gcnn_frameworks::all_implementations;
 use gcnn_gpusim::DeviceSpec;
+use gcnn_models::all_models;
+use gcnn_models::layer::{walk, InstanceKind};
 use gcnn_tensor::init::uniform_tensor;
 use proptest::prelude::*;
 
@@ -61,22 +62,35 @@ fn advisor_matches_brute_force() {
     }
 }
 
-/// Measurement-driven tuning on the simulator substrate recovers the
-/// advisor's analytic verdict on every Table I configuration: both
-/// rank candidates by the same modeled cost, so `Policy::Measure` and
-/// `Scenario::Speed` must name the same winner.
+/// One implementation picker: `compare_model`'s per-layer oracle on
+/// every zoo model names, for each conv layer, exactly what `advise`
+/// names for that layer's configuration under `Scenario::Speed`.
 #[test]
-fn autotune_measure_agrees_with_advisor_on_table1() {
+fn model_oracle_is_the_speed_advice_per_layer() {
     let dev = DeviceSpec::k40c();
-    let sub = SimSubstrate::k40c();
-    let tuner = Tuner::new(Policy::Measure);
-    let mut cache = TuningCache::new();
-    for cfg in gcnn_conv::config::table1_configs() {
-        let advice = advise(&cfg, Scenario::Speed, &dev).unwrap();
-        let sel = tuner
-            .select(&sub, &mut cache, &cfg, Direction::Training)
-            .unwrap();
-        assert_eq!(sel.implementation, advice.implementation, "at {cfg}");
+    let batch = 32;
+    for model in all_models() {
+        let cmp = compare_model(&model, batch, &dev);
+        let convs: Vec<_> = walk(&model, batch)
+            .into_iter()
+            .filter(|inst| inst.kind == InstanceKind::Conv)
+            .collect();
+        assert_eq!(cmp.oracle.len(), convs.len(), "{}", model.name);
+        for (choice, inst) in cmp.oracle.iter().zip(&convs) {
+            assert_eq!(choice.layer, inst.name);
+            let cfg = inst.conv.expect("conv instance");
+            let advice = advise(&cfg, Scenario::Speed, &dev).expect("some implementation fits");
+            assert_eq!(
+                choice.implementation, advice.implementation,
+                "{} {} at {cfg}",
+                model.name, inst.name
+            );
+            assert_eq!(
+                choice.time_ms, advice.time_ms,
+                "{} {}",
+                model.name, inst.name
+            );
+        }
     }
 }
 
