@@ -252,6 +252,14 @@ impl Default for AuditConfig {
                     ]),
                 },
                 HotPath {
+                    file_suffix: "conv/src/layers/relu.rs".into(),
+                    functions: s(&["ReluLayer::forward_in_place"]),
+                },
+                HotPath {
+                    file_suffix: "conv/src/layers/pooling.rs".into(),
+                    functions: s(&["PoolLayer::forward_values", "PoolLayer::pool"]),
+                },
+                HotPath {
                     file_suffix: "serve/src/batcher.rs".into(),
                     functions: s(&["offer", "pop_batch_into"]),
                 },

@@ -60,49 +60,62 @@ impl PoolLayer {
     /// Forward pass.
     pub fn forward(&self, input: &Tensor4) -> PoolForward {
         let s = input.shape();
-        let (oh, ow) = (self.out_size(s.h), self.out_size(s.w));
-        let out_shape = Shape4::new(s.n, s.c, oh, ow);
-        let mut output = Tensor4::zeros(out_shape);
-        let mut argmax = if self.kind == PoolKind::Max {
-            vec![0u32; out_shape.len()]
-        } else {
-            Vec::new()
-        };
+        let len = s.n * s.c * self.out_size(s.h) * self.out_size(s.w);
+        let mut argmax = vec![0u32; if self.kind == PoolKind::Max { len } else { 0 }];
+        PoolForward {
+            input_shape: s,
+            output: self.pool::<true>(input, &mut argmax),
+            argmax,
+        }
+    }
 
+    /// Forward pass for inference: the pooled output, no argmax.
+    pub fn forward_values(&self, input: &Tensor4) -> Tensor4 {
+        self.pool::<false>(input, &mut [])
+    }
+
+    /// The forward pass, filling `argmax` for max pooling when `ARGMAX`.
+    fn pool<const ARGMAX: bool>(&self, input: &Tensor4, argmax: &mut [u32]) -> Tensor4 {
+        let s = input.shape();
+        let (oh, ow) = (self.out_size(s.h), self.out_size(s.w));
+        let mut output = Tensor4::zeros(Shape4::new(s.n, s.c, oh, ow));
         let plane_out = oh * ow;
         let (win, st) = (self.window, self.stride);
 
         match self.kind {
             PoolKind::Max => {
-                output
-                    .as_mut_slice()
-                    .par_chunks_mut(plane_out)
-                    .zip(argmax.par_chunks_mut(plane_out))
-                    .enumerate()
-                    .for_each(|(p, (oplane, aplane))| {
-                        let iplane = input.plane(p / s.c, p % s.c);
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                // Start from the window's first element, as
-                                // `max_pool_tile` does, so that the argmax of a
-                                // window with nothing above −∞ stays inside it;
-                                // a NaN is replaced by whatever follows it.
-                                let mut best_idx = oy * st * s.w + ox * st;
-                                let mut best = iplane[best_idx];
-                                for ky in 0..win {
-                                    for kx in 0..win {
-                                        let idx = (oy * st + ky) * s.w + ox * st + kx;
-                                        if iplane[idx] > best || best.is_nan() {
-                                            best = iplane[idx];
-                                            best_idx = idx;
-                                        }
-                                    }
+                let maxes = |p: usize, oplane: &mut [f32], aplane: &mut [u32]| {
+                    let iplane = input.plane(p / s.c, p % s.c);
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            // Start from the window's first element, as
+                            // `max_pool_tile` does, so that the argmax of a
+                            // window with nothing above −∞ stays inside it;
+                            // a NaN is replaced by whatever follows it.
+                            let mut best_idx = oy * st * s.w + ox * st;
+                            let mut best = iplane[best_idx];
+                            for ky in 0..win {
+                                for kx in 0..win {
+                                    let idx = (oy * st + ky) * s.w + ox * st + kx;
+                                    let take = iplane[idx] > best || best.is_nan();
+                                    best = if take { iplane[idx] } else { best };
+                                    best_idx = if take { idx } else { best_idx };
                                 }
-                                oplane[oy * ow + ox] = best;
+                            }
+                            oplane[oy * ow + ox] = best;
+                            if ARGMAX {
                                 aplane[oy * ow + ox] = best_idx as u32;
                             }
                         }
-                    });
+                    }
+                };
+                let oplanes = output.as_mut_slice().par_chunks_mut(plane_out);
+                if ARGMAX {
+                    let planes = oplanes.zip(argmax.par_chunks_mut(plane_out)).enumerate();
+                    planes.for_each(|(p, (o, a))| maxes(p, o, a));
+                } else {
+                    oplanes.enumerate().for_each(|(p, o)| maxes(p, o, &mut []));
+                }
             }
             PoolKind::Average => {
                 let inv = 1.0 / (win * win) as f32;
@@ -126,12 +139,7 @@ impl PoolLayer {
                     });
             }
         }
-
-        PoolForward {
-            input_shape: s,
-            output,
-            argmax,
-        }
+        output
     }
 
     /// Backward pass: route `grad_out` back to the input positions.
@@ -217,6 +225,55 @@ mod tests {
                 .map(|i| grad.as_slice()[i])
                 .sum();
             assert_eq!(window, 1.0, "window ({oy}, {ox}) lost its gradient");
+        }
+    }
+
+    /// Both instantiations of the max-pool body give the branchy loop's
+    /// values bit for bit (and `forward` its argmax) on windows holding
+    /// NaN, ±0 and ±Inf, overlapping and not.
+    #[test]
+    fn max_pool_values_match_the_branchy_loop() {
+        let palette = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -1.0,
+        ];
+        let shape = Shape4::new(2, 3, 7, 7);
+        let data = (0..shape.len())
+            .map(|i| palette[i * 7919 % 11 % 7])
+            .collect();
+        let input = Tensor4::from_vec(shape, data).unwrap();
+        for (win, st) in [(2, 2), (3, 2), (3, 1)] {
+            let layer = PoolLayer::new(PoolKind::Max, win, st);
+            let o = layer.out_size(7);
+            let (mut want, mut want_idx) = (Vec::new(), Vec::new());
+            for p in 0..shape.n * shape.c {
+                let plane = input.plane(p / shape.c, p % shape.c);
+                for (oy, ox) in (0..o).flat_map(|oy| (0..o).map(move |ox| (oy, ox))) {
+                    let mut best_idx = oy * st * 7 + ox * st;
+                    for (ky, kx) in (0..win).flat_map(|ky| (0..win).map(move |kx| (ky, kx))) {
+                        let idx = (oy * st + ky) * 7 + ox * st + kx;
+                        if plane[idx] > plane[best_idx] || plane[best_idx].is_nan() {
+                            best_idx = idx;
+                        }
+                    }
+                    want.push(plane[best_idx].to_bits());
+                    want_idx.push(best_idx as u32);
+                }
+            }
+            let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let fwd = layer.forward(&input);
+            assert_eq!(bits(&fwd.output), want, "forward {win}/{st}");
+            assert_eq!(fwd.argmax, want_idx, "argmax {win}/{st}");
+            assert_eq!(
+                bits(&layer.forward_values(&input)),
+                want,
+                "values {win}/{st}"
+            );
         }
     }
 

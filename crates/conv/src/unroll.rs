@@ -9,20 +9,22 @@
 //! * backward-data:     `cols       = Wᵀ · G`, then `col2im`
 //! * backward-weights:  `ΔW        += G · colsᵀ`, image after image
 //!
-//! At stride 1 without padding, forward and backward-weights write no
-//! column matrix, as cuDNN's fused unroll does not: row `(c, ky, kx)`
-//! of `cols` is the image itself from `c·i² + ky·i + kx` on, taken at
-//! the image's row pitch, so the GEMM packs it straight from the image
-//! ([`OperandView::windows`]). That product has `(o − 1)·i + o` columns:
-//! the outputs, plus `i − o` positions per output row that no output
-//! uses. The forward pass drops those columns from its result. The
-//! weight gradient widens `G` to the same pitch with zeros there, so an
-//! Inf or NaN input pixel that no output reads still reaches `ΔW`
-//! (`0 · Inf` is NaN). Padded or strided layers unroll with `im2col` as
-//! before: a window over a zero-padded copy multiplies more padding than
-//! `im2col` costs. Backward-data keeps `cols` and `col2im`: the
-//! transposed product scatters into overlapping windows, which a view
-//! cannot sum.
+//! The forward pass writes no column matrix, as cuDNN's fused unroll
+//! does not. At stride 1 without padding, row `(c, ky, kx)` of `cols`
+//! is the image itself from `c·i² + ky·i + kx` on, taken at the image's
+//! row pitch, so the forward and weight-gradient GEMMs pack it straight
+//! from the image ([`OperandView::windows`]). That product has `(o −
+//! 1)·i + o` columns: the outputs, plus `i − o` positions per output row
+//! that no output uses. The forward pass drops those columns from its
+//! result. The weight gradient widens `G` to the same pitch with zeros
+//! there, so an Inf or NaN input pixel that no output reads still
+//! reaches `ΔW` (`0 · Inf` is NaN). A padded or strided forward pass
+//! gathers each packed strip of `cols` from the image at the output
+//! pitch ([`OperandView::gathered`]); at LeNet-5's unpadded stride-1
+//! shapes that gather took 1.8–2.2× as long as the windows. Padded or
+//! strided weight gradients unroll with `im2col`. Backward-data keeps
+//! `cols` and `col2im`: the transposed product scatters into
+//! overlapping windows, which a view cannot sum.
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy};
@@ -85,7 +87,7 @@ impl ConvAlgorithm for UnrollConv {
             .for_each(|(n, oimg)| {
                 let image = input.image(n);
                 // Scratch from the thread-local arena, not zeroed: the
-                // product (beta = 0) or im2col writes every element.
+                // product (beta = 0) writes every element.
                 if let Some(span) = window_span(cfg) {
                     let mut wide = workspace::take_f32(cfg.filters * span);
                     let cols = OperandView::windows(image, i, cfg.kernel, false);
@@ -97,10 +99,9 @@ impl ConvAlgorithm for UnrollConv {
                     }
                 } else {
                     // The `im2col_gpu_kernel` workspace the paper's Fig. 5
-                    // memory analysis charges to Caffe/Torch/Theano-CorrMM.
-                    let mut cols = workspace::take_f32(ckk * o2);
-                    im2col_into(image, &geom, &mut cols);
-                    let cols = OperandView::new(&cols, o2, false);
+                    // charges to Caffe/Torch/Theano-CorrMM, never written:
+                    // the GEMM gathers each packed strip from the image.
+                    let cols = OperandView::gathered(image, &geom);
                     gemm(cfg.filters, o2, ckk, &w, &cols, 0.0, oimg);
                 }
             });

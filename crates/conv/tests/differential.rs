@@ -247,8 +247,8 @@ fn poison_arena() {
 
 /// `run` out of a poisoned arena, twice: no scratch from anywhere else,
 /// within [`TOL`] of `want`, and the same bits both times — and at every
-/// pool width.
-fn check(what: &str, want: &Tensor4, run: impl Fn() -> Tensor4) {
+/// pool width. Returns the poisoned run's output.
+fn check(what: &str, want: &Tensor4, run: impl Fn() -> Tensor4) -> Tensor4 {
     // Width 1: the poison is in this thread's arena and `alloc_scope`
     // counts this thread's misses, so this thread must run every piece.
     let poisoned = || {
@@ -269,6 +269,7 @@ fn check(what: &str, want: &Tensor4, run: impl Fn() -> Tensor4) {
         let wide = pool.build().expect("pool").install(&run);
         assert_eq!(bits(&got), bits(&wide), "{what}: differs at width {width}");
     }
+    got
 }
 
 /// The [`PATHS`] that run `cfg`.
@@ -301,15 +302,13 @@ fn forward_matches_reference() {
     }
 }
 
-/// At stride 1 without padding `UnrollConv::forward` packs its columns
-/// straight from the image; it must give the bits of the written-out
-/// `im2col_into` + `sgemm` it replaces.
+/// `UnrollConv::forward` packs its columns straight from the image —
+/// as windows at stride 1 without padding, gathered otherwise; on every
+/// row it must give the bits of the written-out `im2col_into` + `sgemm`
+/// it replaces, from the poisoned arena and at every pool width.
 #[test]
 fn windowed_forward_matches_im2col_bit_for_bit() {
-    for (row, cfg) in rows()
-        .into_iter()
-        .filter(|(_, cfg)| cfg.stride == 1 && cfg.pad == 0)
-    {
+    for (row, cfg) in rows() {
         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 30);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 31);
         let (o2, ckk) = (
@@ -340,9 +339,10 @@ fn windowed_forward_matches_im2col_bit_for_bit() {
                 o2,
             );
         }
-        let got = UnrollConv.forward(&cfg, &x, &w);
+        let what = format!("unroll forward against im2col, {row} ({cfg})");
+        let got = check(&what, &want, || UnrollConv.forward(&cfg, &x, &w));
         let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert!(bits(&got) == bits(&want), "{row} ({cfg})");
+        assert!(bits(&got) == bits(&want), "{what}");
     }
 }
 

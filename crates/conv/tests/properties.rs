@@ -129,7 +129,8 @@ proptest! {
 
 /// Repeating a forward+backward pass with unchanged shapes must be
 /// steady-state allocation-free: the second round draws every scratch
-/// buffer (im2col columns, GEMM packs, FFT spectra) from the arena.
+/// buffer (the backward passes' column matrices, GEMM packs, FFT
+/// spectra) from the arena; the forward pass writes no column matrix.
 #[test]
 fn repeated_conv_is_steady_state_allocation_free() {
     let mut cfg = ConvConfig::with_channels(2, 3, 16, 4, 3, 1);

@@ -22,7 +22,9 @@
 //! ([`OperandView::windows`]): consecutive `kx` taps are rows one float
 //! apart, so each group packed as stored is one contiguous read, and
 //! each run of taps packed transposed is one overlapping-row block.
+//! A padded or strided one is gathered as it is packed, by output row ([`OperandView::gathered`]).
 
+use gcnn_tensor::im2col::{tap_range, ConvGeometry};
 use gcnn_tensor::simd;
 
 /// A read-only view of a (possibly transposed) row-major operand whose
@@ -37,6 +39,8 @@ pub struct OperandView<'a> {
     taps: usize,
     pitch: usize,
     plane: usize,
+    /// The convolution a gathered view unrolls ([`OperandView::gathered`]).
+    gather: Option<ConvGeometry>,
 }
 
 impl<'a> OperandView<'a> {
@@ -49,6 +53,7 @@ impl<'a> OperandView<'a> {
             taps: 1,
             pitch: ld,
             plane: ld,
+            gather: None,
         }
     }
 
@@ -64,11 +69,24 @@ impl<'a> OperandView<'a> {
     pub fn windows(image: &'a [f32], input: usize, kernel: usize, transposed: bool) -> Self {
         assert!((1..=input).contains(&kernel), "windows: kernel {kernel}");
         OperandView {
-            data: image,
-            transposed,
             taps: kernel,
             pitch: input,
             plane: input * input,
+            ..Self::new(image, input, transposed)
+        }
+    }
+
+    /// The `c·k² × oh·ow` column matrix `im2col` writes for `geom`, read
+    /// in place: stored row `(c, ky, kx)`, column `oy·ow + ox` is image
+    /// `(c, oy·s + ky − p, ox·s + kx − p)`, or zero in the padding. It
+    /// packs only as stored (B of `W · cols`).
+    pub fn gathered(image: &'a [f32], geom: &ConvGeometry) -> Self {
+        OperandView {
+            taps: geom.kernel,
+            pitch: geom.in_w,
+            plane: geom.in_h * geom.in_w,
+            gather: Some(*geom),
+            ..Self::new(image, geom.in_w, false)
         }
     }
 
@@ -82,14 +100,14 @@ impl<'a> OperandView<'a> {
         (t / (k * k)) * self.plane + (t / k % k) * self.pitch + t % k
     }
 
-    /// Offsets of stored rows `t, t + 1, …`, one addition each.
-    fn row_origins(&self, t: usize) -> impl Iterator<Item = usize> {
+    /// Offsets and `(ky, kx)` taps of stored rows `t, t + 1, …`, one addition each.
+    fn row_origins(&self, t: usize) -> impl Iterator<Item = [usize; 3]> {
         let Self {
             taps, pitch, plane, ..
         } = *self;
         let (mut kx, mut ky, mut at) = (t % taps, t / taps % taps, self.row_origin(t));
         std::iter::from_fn(move || {
-            let here = at;
+            let here = [at, ky, kx];
             (kx, at) = (kx + 1, at + 1);
             if kx == taps {
                 (kx, ky, at) = (0, ky + 1, at + pitch - taps);
@@ -121,7 +139,10 @@ impl<'a> OperandView<'a> {
     /// Panic unless `rows` stored rows of `cols` floats lie inside the
     /// data (row `rows − 1` ends last).
     pub(crate) fn check(&self, name: &str, rows: usize, cols: usize) {
-        let fits = rows == 0 || cols == 0 || self.row_origin(rows - 1) + cols <= self.data.len();
+        let fits = match self.gather {
+            Some(g) => rows <= g.col_rows() && g.channels * self.plane <= self.data.len(),
+            None => rows == 0 || cols == 0 || self.row_origin(rows - 1) + cols <= self.data.len(),
+        };
         assert!(fits, "sgemm: {name} short for {rows} stored rows of {cols}");
     }
 }
@@ -187,6 +208,7 @@ fn pack_strips(
             strip.fill(0.0);
         }
         if along_k {
+            debug_assert!(src.gather.is_none(), "pack: a gathered view, transposed");
             // One block per run of evenly spaced stored rows.
             let mut r = 0;
             while r < w_eff {
@@ -195,12 +217,49 @@ fn pack_strips(
                 simd::transpose(from, step, run, kc, &mut strip[r..], w);
                 r += run;
             }
+        } else if let Some(g) = &src.gather {
+            // The strip's first output position: one division per strip.
+            let first = [x / g.out_w(), x % g.out_w()];
+            for (group, tap) in strip.chunks_exact_mut(w).zip(src.row_origins(p0)) {
+                gather_row(src.data, g, tap, first, &mut group[..w_eff]);
+            }
         } else {
             let rows = src.row_origins(p0);
-            for (group, at) in strip.chunks_exact_mut(w).zip(rows) {
+            for (group, [at, ..]) in strip.chunks_exact_mut(w).zip(rows) {
                 group[..w_eff].copy_from_slice(&src.data[at + x..][..w_eff]);
             }
         }
+    }
+}
+
+/// Fill `out` with gathered row `tap = [offset, ky, kx]` from output
+/// `pos = [oy, ox]` on: per output row, the tap's valid range copied at
+/// stride `s`, zeros either side.
+fn gather_row(data: &[f32], g: &ConvGeometry, tap: [usize; 3], pos: [usize; 2], out: &mut [f32]) {
+    let ([at, ky, kx], [mut oy, mut ox], mut out) = (tap, pos, out);
+    let (s, p, ow) = (g.stride, g.pad, g.out_w());
+    let (y_lo, y_hi) = tap_range(g.out_h(), g.in_h, ky, s, p);
+    let (x_lo, x_hi) = tap_range(ow, g.in_w, kx, s, p);
+    while !out.is_empty() {
+        let len = out.len().min(ow - ox);
+        let (seg, rest) = std::mem::take(&mut out).split_at_mut(len);
+        let valid = (y_lo..y_hi).contains(&oy);
+        let hi = if valid { x_hi.clamp(ox, ox + len) } else { ox };
+        let lo = x_lo.clamp(ox, hi);
+        seg[..lo - ox].fill(0.0);
+        seg[hi - ox..].fill(0.0);
+        if lo < hi {
+            // Image (c, oy·s + ky − p, lo·s + kx − p), inside the image.
+            let from = &data[at + oy * s * g.in_w + lo * s - p * g.in_w - p..];
+            let dst = &mut seg[lo - ox..hi - ox];
+            if s == 1 {
+                dst.copy_from_slice(&from[..dst.len()]);
+            } else {
+                let src = from.iter().step_by(s);
+                dst.iter_mut().zip(src).for_each(|(d, v)| *d = *v);
+            }
+        }
+        (out, oy, ox) = (rest, oy + 1, 0);
     }
 }
 
@@ -380,6 +439,52 @@ mod tests {
                         "{} c={c} i={i} k={taps} t={transposed}",
                         k.name()
                     );
+                }
+            }
+        }
+    }
+
+    /// A gathered view packs as the `im2col_into` matrix it stands for,
+    /// written out: every kernel's strip width, stride 1–5, padding from
+    /// none to above the kernel (taps that never leave it), a non-square
+    /// image, strips that straddle output rows, panels whose last strip
+    /// has `w_eff ∈ {1, w − 1, w}` columns, from a non-zero tap and
+    /// column, into NaN-poisoned buffers.
+    #[test]
+    fn gathered_packs_as_the_im2col_matrix() {
+        use gcnn_tensor::im2col::im2col_into;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (channels, kernel, in_h, in_w) in
+            [(2, 3, 23, 21), (3, 1, 7, 7), (2, 6, 1, 2), (1, 5, 9, 13)]
+        {
+            for (stride, pad) in (1..=5).flat_map(|s| [0, 1, 2, 3, 4, 7].map(|p| (s, p))) {
+                #[rustfmt::skip]
+                let geom = ConvGeometry { in_h, in_w, channels, kernel, stride, pad };
+                if !geom.is_valid() {
+                    continue;
+                }
+                let image: Vec<f32> = (0..channels * in_h * in_w)
+                    .map(|v| v as f32 + 1.0)
+                    .collect();
+                let (rows, n) = (geom.col_rows(), geom.col_cols());
+                let mut cols = vec![f32::NAN; rows * n];
+                im2col_into(&image, &geom, &mut cols);
+                let gathered = OperandView::gathered(&image, &geom);
+                let dense = OperandView::new(&cols, n, false);
+                let (p0, j0) = (rows.min(1), n.min(3) - 1);
+                let kc = rows - p0;
+                for k in crate::kernel::available() {
+                    let w = k.nr();
+                    for nc in [1, w - 1, w, w + 1, 2 * w - 1, 2 * w, n - j0] {
+                        if nc > n - j0 {
+                            continue;
+                        }
+                        let mut got = vec![f32::NAN; nc.div_ceil(w) * w * kc];
+                        let mut want = vec![f32::NAN; got.len()];
+                        pack_b(&gathered, p0, j0, kc, nc, w, &mut got);
+                        pack_b(&dense, p0, j0, kc, nc, w, &mut want);
+                        assert_eq!(bits(&got), bits(&want), "{} {geom:?} nc={nc}", k.name());
+                    }
                 }
             }
         }

@@ -524,25 +524,30 @@ impl Network {
                 (LayerSpec::Relu, _) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
                     let input = x.into_planar();
-                    x = Act::owned(ReluLayer.forward(&input));
-                    keep(Cache::Input { input, conv: None });
+                    if keeping {
+                        x = Act::owned(ReluLayer.forward(&input));
+                        keep(Cache::Input { input, conv: None });
+                    } else {
+                        x = Act::owned(ReluLayer.forward_in_place(input.into_owned()));
+                    }
                 }
                 (LayerSpec::MaxPool { window, stride, .. }, _) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
                     let input = x.into_planar();
-                    let fwd = PoolLayer::new(PoolKind::Max, *window, *stride).forward(&input);
-                    assert_eq!(
-                        fwd.output.shape(),
-                        out_shape,
-                        "layer{i}: pooling leaves a partial border window"
-                    );
+                    let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
                     x = Act::owned(if keeping {
+                        let fwd = pool.forward(&input);
                         let output = fwd.output.clone();
                         keep(Cache::MaxPool { fwd });
                         output
                     } else {
-                        fwd.output
+                        pool.forward_values(&input)
                     });
+                    assert_eq!(
+                        x.shape(),
+                        out_shape,
+                        "layer{i}: pooling leaves a partial border window"
+                    );
                 }
                 (LayerSpec::Fc { .. }, Params::Fc(p)) => {
                     let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));
@@ -567,10 +572,10 @@ impl Network {
     /// per-layer caches: the input of each layer is dropped as soon as
     /// the next activation exists.
     ///
-    /// This is the serving entry point: a long-lived worker (e.g. in
-    /// `gcnn-serve`) owns one workspace, so after the first batch every
-    /// conv layer's scratch (im2col columns, GEMM pack buffers, FFT
-    /// spectra) is recycled from the arena rather than reallocated.
+    /// This is the serving entry point. `ws` is a zero-sized token: the
+    /// thread-local arena recycles every conv's scratch (GEMM packs, FFT
+    /// spectra) after the first batch. Inference writes no im2col column
+    /// matrix at any geometry; training does ([`Network::train_batch_ws`]).
     /// `input.shape().n` is the mini-batch size — the paper's first
     /// sweep axis — and any size may be used from call to call; the
     /// arena's size-classed pools absorb the variation.
@@ -690,9 +695,9 @@ impl Network {
 
     /// [`Network::train_batch`] with an explicit [`Workspace`].
     ///
-    /// [`Network::train`] owns one workspace for the whole run, so after
-    /// the first batch every conv layer's scratch (im2col columns, GEMM
-    /// pack buffers, FFT spectra) is recycled rather than reallocated.
+    /// `ws` is a zero-sized token: the thread-local arena recycles every
+    /// conv's scratch after the first batch — GEMM packs, FFT spectra, ΔW's
+    /// im2col at padded or strided layers, backward-data's `col2im` input.
     ///
     /// The backward walk stops at the lowest layer with parameters, and a
     /// conv layer there (LeNet's conv1) computes no input gradient.

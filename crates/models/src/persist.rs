@@ -79,7 +79,9 @@ pub fn decode_blobs(bytes: &[u8]) -> Result<Vec<Vec<f32>>, PersistError> {
     }
     let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
 
-    let mut blobs = Vec::with_capacity(count);
+    // Every blob takes at least its 4-byte length: a count the remaining
+    // bytes cannot hold reserves no more than they can.
+    let mut blobs = Vec::with_capacity(count.min((bytes.len() - pos) / 4));
     for _ in 0..count {
         let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
         let raw = take(&mut pos, 4 * len)?;
@@ -142,6 +144,16 @@ mod tests {
             decode_blobs(&bytes[..bytes.len() - 2]),
             Err(PersistError::Truncated)
         );
+    }
+
+    /// A header claiming `u32::MAX` blobs over no payload is a truncated
+    /// file, not a request for ≈ 100 GB of blob headers.
+    #[test]
+    fn rejects_huge_blob_count() {
+        let mut bytes = encode_blobs(&[]);
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 12);
+        assert_eq!(decode_blobs(&bytes), Err(PersistError::Truncated));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The training walker on LeNet-5 at its benchmark shape (32×32 digits,
 //! batch 32, every conv on `UnrollConv`): its weights do not depend on
 //! the pool width, its backward walk ends at conv1's filter gradient, and
-//! only conv2's input gradient writes a column matrix.
+//! only conv2's input gradient writes a column matrix. Inference writes
+//! none even at padded, strided convs.
 
 use gcnn_conv::Strategy;
 use gcnn_models::data::synthetic_digits;
 use gcnn_models::Network;
-use gcnn_tensor::Workspace;
+use gcnn_tensor::{Shape4, Tensor4, Workspace};
 use gcnn_trace::SpanNode;
 
 const SIZE: usize = 32;
@@ -61,6 +62,14 @@ fn conv1_computes_no_input_gradient() {
     assert!(pass("backward_data").is_none());
 }
 
+/// Every span named `name` that ran, anywhere under `node`.
+fn named<'a>(node: &'a SpanNode, name: &str, out: &mut Vec<&'a SpanNode>) {
+    if node.name == name && node.count > 0 {
+        out.push(node);
+    }
+    node.children.iter().for_each(|c| named(c, name, out));
+}
+
 /// Both convs are stride 1 and unpadded, so their forward and
 /// filter-gradient products read the image in place: a step runs no
 /// `im2col`. Conv2's input gradient still sums its columns with `col2im`.
@@ -70,12 +79,6 @@ fn only_the_input_gradient_unrolls() {
     at_width(1, || trained(1));
     if !gcnn_trace::enabled() {
         return;
-    }
-    fn named<'a>(node: &'a SpanNode, name: &str, out: &mut Vec<&'a SpanNode>) {
-        if node.name == name && node.count > 0 {
-            out.push(node);
-        }
-        node.children.iter().for_each(|c| named(c, name, out));
     }
     let snap = gcnn_trace::snapshot();
     let (mut im2col, mut col2im) = (Vec::new(), Vec::new());
@@ -91,5 +94,39 @@ fn only_the_input_gradient_unrolls() {
             .ends_with("conv.unrolling.backward_data/tensor.col2im")),
         "{:?}",
         paths(&col2im)
+    );
+}
+
+/// A padded, strided conv's forward pass gathers its columns from the
+/// image as the GEMM packs them: a warm inference pass opens no
+/// `tensor.im2col` span under `conv.unrolling.forward`.
+#[test]
+fn padded_strided_inference_unrolls_nothing() {
+    let net = Network::new(0.01)
+        .conv(3, 8, 5, 2, 2, Strategy::Unrolling, 1)
+        .relu()
+        .max_pool(2, 2)
+        .conv(8, 8, 3, 1, 1, Strategy::Unrolling, 2)
+        .fc(8 * 5 * 5, 10, 3);
+    let input = Tensor4::full(Shape4::new(2, 3, 19, 19), 0.5);
+    at_width(1, || {
+        let mut ws = Workspace::new();
+        (0..2).for_each(|_| drop(net.infer_ws(&input, &mut ws)));
+    });
+    if !gcnn_trace::enabled() {
+        return;
+    }
+    let snap = gcnn_trace::snapshot();
+    let (mut forward, mut im2col) = (Vec::new(), Vec::new());
+    for root in &snap.spans {
+        named(root, "conv.unrolling.forward", &mut forward);
+        named(root, "tensor.im2col", &mut im2col);
+    }
+    let conv1 = "network.infer/layer0.conv/conv.unrolling.forward";
+    assert!(forward.iter().any(|s| s.path == conv1 && s.count == 2));
+    let paths: Vec<_> = im2col.iter().map(|s| s.path.clone()).collect();
+    assert!(
+        !paths.iter().any(|p| p.contains("conv.unrolling.forward")),
+        "{paths:?}"
     );
 }

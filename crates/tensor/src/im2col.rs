@@ -62,17 +62,17 @@ impl ConvGeometry {
     }
 }
 
-/// Valid output range `[lo, hi)` along one axis for kernel tap `kt`:
-/// the outputs whose input coordinate `o·s + kt − p` lands inside
-/// `[0, in_dim)`. Empty ranges come back as `(0, 0)`.
-const fn tap_range(out_dim: usize, in_dim: usize, kt: usize, s: usize, p: usize) -> (usize, usize) {
+/// Valid output range `[lo, hi)` along one axis of `o` outputs over `i`
+/// inputs for kernel tap `kt`: the outputs `x` whose input coordinate
+/// `x·s + kt − p` lands inside `[0, i)`. Empty ranges come back as `(0, 0)`.
+pub const fn tap_range(o: usize, i: usize, kt: usize, s: usize, p: usize) -> (usize, usize) {
     let lo = if kt >= p { 0 } else { (p - kt).div_ceil(s) };
-    let hi = if in_dim + p > kt {
-        let h = (in_dim + p - 1 - kt) / s + 1;
-        if h < out_dim {
+    let hi = if i + p > kt {
+        let h = (i + p - 1 - kt) / s + 1;
+        if h < o {
             h
         } else {
-            out_dim
+            o
         }
     } else {
         0
