@@ -28,6 +28,7 @@
 //!   receivers), so the lint config can never silently rot.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 
 use crate::items::{call_sites, parse_fns, CallSite, FnItem};
 use crate::lexer::{lex, Tok, TokKind};
@@ -147,7 +148,10 @@ impl WorkspaceIndex {
 /// whole workspace. A narrower tier with a candidate hides the wider
 /// ones, so a call can miss its real callee in another crate; the
 /// transitive-arena pass accepts that, the reachability lint does not
-/// use these edges.
+/// use these edges. A bare `name(…)` calls no method (Rust has no bare
+/// method call): it goes to the free fns and the fns nested in the
+/// caller's body, or nowhere when an earlier `let` of the caller binds
+/// `name` (a closure or fn value).
 fn resolve(
     c: &CallSite,
     caller: &FnItem,
@@ -158,6 +162,7 @@ fn resolve(
     let Some(cands) = by_name.get(c.name.as_str()) else {
         return Vec::new();
     };
+    let mut cands = cands.clone();
     if let Some(q) = &c.qualifier {
         let owned: Vec<usize> = cands
             .iter()
@@ -167,8 +172,29 @@ fn resolve(
         if !owned.is_empty() {
             return owned;
         }
+    } else if !c.is_method {
+        let body = caller.body.map_or(0..0, |(s, e)| s..e);
+        if let_bound(&files[caller.file].toks, body.start..c.tok, &c.name) {
+            return Vec::new();
+        }
+        let nested = |f: &FnItem| f.file == caller.file && body.contains(&f.fn_tok);
+        cands.retain(|&t| {
+            let f = &fns[t];
+            (f.owner.is_none() && f.trait_name.is_none()) || nested(f)
+        });
     }
-    narrowest(cands.clone(), fns, files, caller.file)
+    narrowest(cands, fns, files, caller.file)
+}
+
+/// A `let` statement that ends inside `span` binds `name`.
+fn let_bound(toks: &[Tok], span: Range<usize>, name: &str) -> bool {
+    span.clone().any(|i| {
+        let j = i + 1 + usize::from(toks.get(i + 1).is_some_and(|t| t.is_ident("mut")));
+        toks[i].is_ident("let")
+            && j < span.end
+            && toks[j].is_ident(name)
+            && toks[j..span.end].iter().any(|t| t.is_punct(';'))
+    })
 }
 
 /// The `cands` in the narrowest non-empty tier around `file`: the same

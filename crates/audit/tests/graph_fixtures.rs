@@ -126,6 +126,29 @@ fn transitive_pass_spans_files() {
     assert_eq!(arena[0].file, "crates/fix/src/util.rs");
 }
 
+#[test]
+fn bare_call_reaches_free_fns_not_closures_or_methods() {
+    let cfg = hot_root_cfg("fix/src/hot.rs");
+    let fixture = sf("crates/fix/src/hot.rs", "transitive_closure_name.rs");
+    let messages = |src: String| {
+        let mut file = fixture.clone();
+        file.src = src;
+        let (diags, _, _) = analyze_sources(&[file], &cfg);
+        diags.into_iter().map(|d| d.message).collect::<Vec<_>>()
+    };
+    let clean = messages(fixture.src.clone());
+    assert!(clean.is_empty(), "{clean:?}");
+    // Without the `let`, `run(x)` is the free fn, still never the method.
+    let unbound = messages(fixture.src.replace("let run =", "let zero ="));
+    assert_eq!(unbound.len(), 1, "{unbound:?}");
+    assert!(unbound[0].contains("hot_root -> run"));
+    // A fn nested in a method's body is callable by its bare name.
+    let nested = "impl P { fn hot_root(&self) { fn widen() { vec![0]; } widen(); } }";
+    let nested = messages(nested.into());
+    assert_eq!(nested.len(), 1, "{nested:?}");
+    assert!(nested[0].contains("hot_root -> P::widen"));
+}
+
 // ---------------------------------------------------------------------------
 // lock-discipline
 // ---------------------------------------------------------------------------

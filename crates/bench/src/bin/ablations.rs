@@ -7,12 +7,11 @@
 //! 2. cuda-convnet2's 128-image tiling (the Fig. 3a batch dips).
 //! 3. Theano-CorrMM's host-staged panels (the Fig. 7 Conv2 spike).
 //! 4. What-if: Winograd-accelerated cuDNN at 3×3 (the post-paper
-//!    optimization the conclusion points toward), including the real CPU
-//!    algorithm from `gcnn-conv::winograd`.
+//!    optimization the conclusion points toward).
 
 #![forbid(unsafe_code)]
 
-use gcnn_conv::{table1_configs, ConvConfig, WinogradConv};
+use gcnn_conv::{table1_configs, ConvConfig};
 use gcnn_core::report::text_table;
 use gcnn_frameworks::cuda_convnet2::CudaConvnet2;
 use gcnn_frameworks::cudnn::CuDnn;
@@ -133,6 +132,11 @@ fn ablation_host_staging(dev: &DeviceSpec) {
     println!("Fig. 7 anomaly entirely.\n");
 }
 
+/// Winograd F(2×2, 3×3)'s multiply saving: a 2×2 output tile of a 3×3
+/// filter takes 4·9 = 36 multiplies directly and 16 as the elementwise
+/// product of two 4×4 transformed tiles, 36 / 16 = 2.25.
+const WINOGRAD_MULTIPLY_REDUCTION: f64 = 36.0 / 16.0;
+
 /// Ablation 4 — what-if: cuDNN with Winograd F(2,3) forward arithmetic
 /// at the 3×3 layers (2.25× fewer multiplies), vs stock cuDNN and fbfft.
 fn ablation_winograd(dev: &DeviceSpec) {
@@ -152,7 +156,7 @@ fn ablation_winograd(dev: &DeviceSpec) {
         let mut wino_plan = CuDnn.plan(&cfg);
         for pk in &mut wino_plan.kernels {
             if pk.desc.name != "precomputed_convolve_sgemm" {
-                pk.desc.flops = (pk.desc.flops as f64 / WinogradConv::MULTIPLY_REDUCTION) as u64;
+                pk.desc.flops = (pk.desc.flops as f64 / WINOGRAD_MULTIPLY_REDUCTION) as u64;
                 pk.desc.name = format!("winograd_{}", pk.desc.name);
             }
         }
@@ -171,7 +175,5 @@ fn ablation_winograd(dev: &DeviceSpec) {
     }
     println!("{}", text_table("", &header, &rows));
     println!("Winograd widens cuDNN's small-kernel lead over fbfft — the direction");
-    println!("the field actually took after this paper (cuDNN v5, 2016). The real");
-    println!("algorithm lives in gcnn-conv::winograd and is tested against the");
-    println!("reference convolution.");
+    println!("the field actually took after this paper (cuDNN v5, 2016).");
 }

@@ -633,13 +633,11 @@ fn bench_simd(repeats: Repeats, fft_report: &FftReport) -> SimdReport {
     }
 }
 
-/// One forward + full backward (data + filters) for one algorithm.
-fn bench_algo(
-    cfg: &ConvConfig,
-    algo: &dyn gcnn_conv::ConvAlgorithm,
-    tag: &str,
-    repeats: Repeats,
-) -> Vec<Section> {
+/// One forward + full backward (data + filters) for one strategy, as
+/// `conv_<strategy>_{fwd,bwd}`.
+fn bench_algo(cfg: &ConvConfig, strat: Strategy, repeats: Repeats) -> Vec<Section> {
+    let algo = algorithm_for(strat);
+    let tag = format!("{strat:?}").to_lowercase();
     if let Err(err) = algo.supports(cfg) {
         return vec![skipped(&format!("conv_{tag}"), format!("{err:?}"))];
     }
@@ -690,20 +688,13 @@ fn main() {
     sections.extend(bench_sgemm_alexnet(repeats));
     sections.extend(bench_nchwc_alexnet(repeats));
     sections.push(bench_batched_fft(&cfg, repeats));
-    for strat in [Strategy::Unrolling, Strategy::Fft] {
-        let algo = algorithm_for(strat);
-        let tag = format!("{strat:?}").to_lowercase();
-        sections.extend(bench_algo(&cfg, algo, &tag, repeats));
-    }
-    // Winograd has no `Strategy` slot of its own (it rides the
-    // transform-domain family) and F(2x2,3x3) needs k = 3, so it is
-    // tracked at the 3x3 variant of the base config.
-    let wcfg = ConvConfig { kernel: 3, ..cfg };
-    let winograd = gcnn_conv::WinogradConv::new();
-    sections.extend(bench_algo(&wcfg, &winograd, "winograd_3x3", repeats));
-    {
-        let algo = algorithm_for(Strategy::Direct);
-        sections.extend(bench_algo(&cfg, algo, "direct", direct_repeats));
+    for strat in [Strategy::Unrolling, Strategy::Fft, Strategy::Direct] {
+        let reps = if strat == Strategy::Direct {
+            direct_repeats
+        } else {
+            repeats
+        };
+        sections.extend(bench_algo(&cfg, strat, reps));
     }
 
     let report = Report {

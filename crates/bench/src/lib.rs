@@ -1,7 +1,7 @@
 //! # gcnn-bench
 //!
 //! The benchmark harness: one binary per table/figure of Li et al.
-//! (ICPP 2016), plus Criterion benches of the real CPU substrates.
+//! (ICPP 2016), plus the timing binaries of the real CPU substrates.
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -15,10 +15,11 @@
 //! | `table2_resources` | Table II — registers/shared memory + occupancy consequences |
 //! | `run_all` | everything above, plus a JSON dump for EXPERIMENTS.md |
 //!
-//! Criterion benches (`cargo bench`) measure the *real* CPU substrates
-//! (SGEMM, FFT, im2col, the three convolution strategies) — wall-clock
-//! numbers for this repository's own kernels, complementing the modeled
-//! GPU numbers the figure binaries report.
+//! `perf_smoke` times the *real* CPU substrates (SGEMM, FFT, the NCHWc
+//! tile, the three convolution strategies) and writes the gated
+//! `results/BENCH_*.json` — wall-clock numbers for this repository's own
+//! kernels, complementing the modeled GPU numbers the figure binaries
+//! report.
 
 #![forbid(unsafe_code)]
 

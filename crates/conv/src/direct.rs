@@ -29,13 +29,6 @@ fn check(t: &Tensor4, want: Shape4, what: &str) {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectConv;
 
-impl DirectConv {
-    /// Create a new instance.
-    pub fn new() -> Self {
-        DirectConv
-    }
-}
-
 impl ConvAlgorithm for DirectConv {
     fn strategy(&self) -> Strategy {
         Strategy::Direct

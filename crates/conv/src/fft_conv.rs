@@ -69,13 +69,6 @@ use gcnn_tensor::{Shape4, Tensor4};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FftConv;
 
-impl FftConv {
-    /// Create a new instance.
-    pub fn new() -> Self {
-        FftConv
-    }
-}
-
 /// The `size×size` window, `offset` rows and columns in, that each
 /// inverse-transformed `n×n` plane is cropped to.
 #[derive(Debug, Clone, Copy)]

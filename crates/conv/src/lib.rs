@@ -31,14 +31,12 @@ pub mod nchwc;
 pub mod reference;
 pub mod strategy;
 pub mod unroll;
-pub mod winograd;
 
 pub use config::{table1_configs, ConvConfig, TABLE1_NAMES};
 pub use direct::DirectConv;
 pub use fft_conv::FftConv;
 pub use strategy::{ConvAlgorithm, Strategy, Unsupported};
 pub use unroll::UnrollConv;
-pub use winograd::WinogradConv;
 
 /// All three strategies behind one selector, for callers that pick at
 /// runtime. The strategies are stateless unit structs, so selection

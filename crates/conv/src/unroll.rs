@@ -57,13 +57,6 @@ fn gemm(m: usize, n: usize, k: usize, a: &OperandView, b: &OperandView, beta: f3
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnrollConv;
 
-impl UnrollConv {
-    /// Create a new instance.
-    pub fn new() -> Self {
-        UnrollConv
-    }
-}
-
 impl ConvAlgorithm for UnrollConv {
     fn strategy(&self) -> Strategy {
         Strategy::Unrolling

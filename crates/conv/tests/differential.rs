@@ -20,7 +20,6 @@
 
 use gcnn_conv::{
     nchwc, reference, ConvAlgorithm, ConvConfig, DirectConv, FftConv, Strategy, UnrollConv,
-    WinogradConv,
 };
 use gcnn_fft::rfft::BLOCK_LANES;
 use gcnn_gemm::{sgemm, Transpose};
@@ -32,12 +31,11 @@ use gcnn_tensor::workspace::{alloc_scope, on_calling_thread, take_f32};
 use gcnn_tensor::Tensor4;
 
 /// The paths under test. A path whose `supports` refuses a row skips it.
-const PATHS: [(&str, &dyn ConvAlgorithm); 5] = [
+const PATHS: [(&str, &dyn ConvAlgorithm); 4] = [
     ("direct", &DirectConv),
     ("nchwc-other-block", &OtherBlock),
     ("fft", &FftConv),
     ("unroll", &UnrollConv),
-    ("winograd", &WinogradConv),
 ];
 
 /// `DirectConv`'s forward — pack, `fused_conv_relu` without ReLU, unpack
@@ -155,7 +153,7 @@ fn rows() -> Vec<(&'static str, ConvConfig)> {
         // Every pass's output is past the size below which the pool keeps
         // a region on its caller: the one row whose regions are shared.
         ("outputs the pool shares", cfg(5, 16, 24, 16, 3)),
-        // Strides above 1 (FFT and Winograd refuse them), at and above
+        // Strides above 1 (FFT refuses them), at and above
         // the kernel edge, with and without padding.
         ("stride 2", strided(2, cfg(3, 2, 9, 5, 3))),
         ("stride 2, even kernel", strided(2, cfg(2, 3, 10, 6, 4))),

@@ -10,7 +10,7 @@
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvAlgorithm, ConvConfig, Strategy, UnrollConv, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy, Unsupported};
 use gcnn_gpusim::{AccessPattern, Transfer, TransferDirection};
 
 /// Parameters distinguishing the three explicit-unrolling frameworks.
@@ -170,10 +170,6 @@ impl ConvImplementation for Caffe {
         )];
         unrolling_plan(cfg, &Self::style(), transfers, Vec::new())
     }
-
-    fn algorithm(&self) -> Box<dyn ConvAlgorithm> {
-        Box::new(UnrollConv::new())
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +209,8 @@ mod tests {
 
     #[test]
     fn numerics_delegate_to_unrolling() {
-        assert_eq!(Caffe.algorithm().strategy(), Strategy::Unrolling);
+        let algo = gcnn_conv::algorithm_for(Caffe.strategy());
+        assert_eq!(algo.strategy(), Strategy::Unrolling);
     }
 
     #[test]

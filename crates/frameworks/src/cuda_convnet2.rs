@@ -14,7 +14,7 @@
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvAlgorithm, ConvConfig, DirectConv, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy, Unsupported};
 use gcnn_gpusim::{
     AccessPattern, KernelDesc, LaunchConfig, SharedAccessDesc, Transfer, TransferDirection,
 };
@@ -140,10 +140,6 @@ impl ConvImplementation for CudaConvnet2 {
                 PlannedKernel::once(bwd_filters),
             ],
         }
-    }
-
-    fn algorithm(&self) -> Box<dyn ConvAlgorithm> {
-        Box::new(DirectConv::new())
     }
 }
 

@@ -21,7 +21,7 @@
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvAlgorithm, ConvConfig, FftConv, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy, Unsupported};
 use gcnn_gpusim::{
     AccessPattern, KernelDesc, LaunchConfig, SharedAccessDesc, Transfer, TransferDirection,
 };
@@ -202,10 +202,6 @@ impl ConvImplementation for Fbfft {
                 PlannedKernel::once(difi),
             ],
         }
-    }
-
-    fn algorithm(&self) -> Box<dyn ConvAlgorithm> {
-        Box::new(FftConv::new())
     }
 }
 

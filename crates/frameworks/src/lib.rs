@@ -41,7 +41,7 @@ pub mod torch_cunn;
 pub use plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 pub use registry::{all_implementations, implementation_by_name};
 
-use gcnn_conv::{ConvAlgorithm, ConvConfig, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy, Unsupported};
 
 /// One of the paper's seven implementations.
 pub trait ConvImplementation: Send + Sync {
@@ -60,9 +60,6 @@ pub trait ConvImplementation: Send + Sync {
     /// Kernel-level execution plan for one training iteration
     /// (forward + backward-data + backward-weights).
     fn plan(&self, cfg: &ConvConfig) -> ExecutionPlan;
-
-    /// The real CPU algorithm computing this implementation's numerics.
-    fn algorithm(&self) -> Box<dyn ConvAlgorithm>;
 }
 
 #[cfg(test)]

@@ -108,7 +108,7 @@ mod tests {
         for imp in all_implementations() {
             imp.supports(&cfg)
                 .unwrap_or_else(|e| panic!("{}: {e}", imp.name()));
-            let out = imp.algorithm().forward(&cfg, &x, &w);
+            let out = gcnn_conv::algorithm_for(imp.strategy()).forward(&cfg, &x, &w);
             let dist = out.rel_l2_dist(&reference).unwrap();
             assert!(dist < 1e-3, "{}: rel l2 {dist}", imp.name());
         }

@@ -15,7 +15,7 @@ use crate::caffe::{unrolling_plan, UnrollingStyle};
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvAlgorithm, ConvConfig, Strategy, UnrollConv, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy, Unsupported};
 use gcnn_gpusim::{AccessPattern, Transfer, TransferDirection};
 
 /// Batched-column-matrix size above which the model host-stages GEMM
@@ -100,10 +100,6 @@ impl ConvImplementation for TheanoCorrMM {
             }
         }
         unrolling_plan(cfg, &Self::style(), transfers, Vec::new())
-    }
-
-    fn algorithm(&self) -> Box<dyn ConvAlgorithm> {
-        Box::new(UnrollConv::new())
     }
 }
 

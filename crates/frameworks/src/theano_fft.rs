@@ -19,7 +19,7 @@
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvAlgorithm, ConvConfig, FftConv, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy, Unsupported};
 use gcnn_gpusim::{
     AccessPattern, KernelDesc, LaunchConfig, SharedAccessDesc, Transfer, TransferDirection,
 };
@@ -200,10 +200,6 @@ impl ConvImplementation for TheanoFft {
                 PlannedKernel::once(pw),
             ],
         }
-    }
-
-    fn algorithm(&self) -> Box<dyn ConvAlgorithm> {
-        Box::new(FftConv::new())
     }
 }
 

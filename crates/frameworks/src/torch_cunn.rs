@@ -11,7 +11,7 @@ use crate::caffe::{unrolling_plan, UnrollingStyle};
 use crate::common::Sizes;
 use crate::plan::{ExecutionPlan, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvAlgorithm, ConvConfig, Strategy, UnrollConv, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy, Unsupported};
 use gcnn_gpusim::{AccessPattern, Transfer, TransferDirection};
 
 /// The Torch-cunn implementation model.
@@ -67,10 +67,6 @@ impl ConvImplementation for TorchCunn {
             overlap: 0.0,
         }];
         unrolling_plan(cfg, &Self::style(), transfers, Vec::new())
-    }
-
-    fn algorithm(&self) -> Box<dyn ConvAlgorithm> {
-        Box::new(UnrollConv::new())
     }
 }
 

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use gcnn_conv::ConvConfig;
+use gcnn_conv::{algorithm_for, ConvConfig};
 use gcnn_core::{advise, Scenario};
 use gcnn_frameworks::all_implementations;
 use gcnn_gpusim::DeviceSpec;
@@ -52,7 +52,7 @@ fn main() {
     let reference = gcnn_conv::reference::forward_ref(&small, &x, &w);
     println!("\nnumerical agreement on {small}:");
     for imp in all_implementations() {
-        let out = imp.algorithm().forward(&small, &x, &w);
+        let out = algorithm_for(imp.strategy()).forward(&small, &x, &w);
         let dist = out.rel_l2_dist(&reference).expect("same shape");
         println!("  {:<15} rel-L2 vs reference = {dist:.2e}", imp.name());
         assert!(dist < 1e-3);

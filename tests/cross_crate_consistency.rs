@@ -1,7 +1,7 @@
 //! Cross-crate consistency: the framework models, the analysis harness
 //! and the numeric substrates must tell one coherent story.
 
-use gcnn_conv::{reference, ConvConfig};
+use gcnn_conv::{algorithm_for, reference, ConvConfig};
 use gcnn_core::{advise, compare_model, Scenario};
 use gcnn_frameworks::all_implementations;
 use gcnn_gpusim::DeviceSpec;
@@ -28,7 +28,7 @@ fn all_frameworks_numerically_correct_on_assorted_shapes() {
             if imp.supports(&cfg).is_err() {
                 continue;
             }
-            let got = imp.algorithm().forward(&cfg, &x, &w);
+            let got = algorithm_for(imp.strategy()).forward(&cfg, &x, &w);
             let dist = got.rel_l2_dist(&want).unwrap();
             assert!(dist < 1e-3, "{} at {cfg}: rel l2 {dist}", imp.name());
         }
