@@ -1,8 +1,8 @@
 //! bench_report — run an instrumented workload and write
 //! `results/BENCH_trace.json`: the span tree and counters from the
-//! metrics registry, the steady-state fresh-allocation count of the
-//! arena-backed convolution round, and the most recent hotpath timings
-//! (when `results/BENCH_hotpaths.json` exists).
+//! metrics registry and the steady-state fresh-allocation count and
+//! wall clock of the arena-backed convolution round. Hot-path timings
+//! live in `results/BENCH_hotpaths.json` alone.
 //!
 //! The workload is deliberately small — it exists to exercise every
 //! instrumented path (network forward/backward per layer, all
@@ -21,7 +21,6 @@ use gcnn_models::Network;
 use gcnn_tensor::init::uniform_tensor;
 use gcnn_tensor::workspace;
 use serde::Serialize;
-use serde_json::Value;
 
 #[derive(Serialize)]
 struct TraceReport {
@@ -34,8 +33,6 @@ struct TraceReport {
     /// Wall-clock summary of the steady conv round, via the shared
     /// warmup + trimmed-median util (1 warmup, 5 timed rounds).
     steady_round: Stats,
-    /// Contents of `results/BENCH_hotpaths.json`, when present.
-    hotpaths: Option<Value>,
     snapshot: gcnn_trace::Snapshot,
 }
 
@@ -97,13 +94,6 @@ fn main() {
     print!("{}", gcnn_core::report::render_trace(&snapshot));
     println!("steady-state fresh allocations: {steady}");
 
-    let hotpaths = std::fs::read_to_string("results/BENCH_hotpaths.json")
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
-    if hotpaths.is_none() {
-        eprintln!("note: results/BENCH_hotpaths.json not found — run perf_smoke to embed timings");
-    }
-
     let report = TraceReport {
         schema_version: 1,
         workload: format!(
@@ -112,7 +102,6 @@ fn main() {
         ),
         steady_fresh_allocs: steady,
         steady_round,
-        hotpaths,
         snapshot,
     };
     let path = gcnn_bench::write_json("BENCH_trace", &report).expect("write BENCH_trace.json");

@@ -9,16 +9,13 @@
 //! hardware mechanisms; this crate implements those mechanisms as
 //! deterministic, unit-testable models:
 //!
-//! * [`device`] — the machine description ([`DeviceSpec::k40c`] carries
-//!   the paper's §III-A numbers: 15 SMs × 192 cores @ 745 MHz,
-//!   4.29 TFLOP/s, 12 GB @ 288 GB/s, 64 K registers + 48 KB shared per
-//!   SM), plus [`DeviceSpec::validate`], the invariant checker every
-//!   parsed descriptor passes through.
-//! * [`descriptor`] — data-driven device construction: a TOML-ish text
-//!   format parsed with std only, the shipped `k40c`/`gm204` device
-//!   table, and the golden-file contract tying the `k40c` descriptor
-//!   to [`DeviceSpec::k40c`] field-for-field. The Maxwell entry is
-//!   validated against maxDNN's published occupancy figures.
+//! * [`device`] — the machine description: four presets, each a
+//!   constructor. [`DeviceSpec::k40c`] carries the paper's §III-A
+//!   numbers (15 SMs × 192 cores @ 745 MHz, 4.29 TFLOP/s, 12 GB @
+//!   288 GB/s, 64 K registers + 48 KB shared per SM);
+//!   [`DeviceSpec::gm204`] is validated against maxDNN's published
+//!   occupancy figures; `k80_single_die` and `titan_x_maxwell` feed
+//!   the device-sensitivity sweep.
 //! * [`occupancy`] — the CUDA occupancy calculation (warp, register,
 //!   shared-memory and block limits with Kepler allocation
 //!   granularities); reproduces §V-C-1's "116 registers/thread → ~17
@@ -42,7 +39,6 @@
 
 pub mod banks;
 pub mod coalescing;
-pub mod descriptor;
 pub mod device;
 pub mod kernel;
 pub mod memory;
@@ -53,7 +49,6 @@ pub mod timeline;
 pub mod timing;
 pub mod transfer;
 
-pub use descriptor::{parse_descriptor, DescriptorError};
 pub use device::DeviceSpec;
 pub use kernel::{AccessPattern, KernelDesc, LaunchConfig, SharedAccessDesc};
 pub use memory::{MemoryTracker, OomError};

@@ -164,11 +164,10 @@ fn framework_plans_share_the_device() {
     }
 }
 
-/// The Maxwell descriptor drives the simulator exactly like the
-/// hard-coded K40c — descriptors are a full substitute for
-/// constructors.
+/// The Maxwell preset drives the simulator like the K40c: a sole
+/// tenant completes every job at no slowdown.
 #[test]
-fn descriptor_built_device_drives_the_simulator() {
+fn gm204_drives_the_simulator() {
     let gm204 = DeviceSpec::gm204();
     let spec = closed_tenant("m", saturating_kernel("k", 3_000_000_000), 3, 4);
     let r = simulate(&gm204, &[spec], SimConfig::new(SchedPolicy::Fifo));
