@@ -54,6 +54,9 @@ pub(crate) struct FileData {
     /// Whole file is outside the library: test, bench, example or
     /// benchmark-harness code.
     pub test_file: bool,
+    /// Library code: neither a test file nor a bin (`src/bin/`,
+    /// `src/main.rs`).
+    pub library: bool,
 }
 
 /// The pass-1 product: parsed files, the fn item table, the resolved
@@ -67,6 +70,10 @@ pub struct WorkspaceIndex {
     /// receivers or declared as `Mutex`/`RwLock`/`Condvar` fields.
     pub lock_names_seen: BTreeSet<String>,
     pub call_edge_count: usize,
+}
+
+fn rel_is_bin(rel: &str) -> bool {
+    rel.contains("/src/bin/") || rel.ends_with("/src/main.rs")
 }
 
 fn is_test_path(rel: &str) -> bool {
@@ -95,6 +102,7 @@ impl WorkspaceIndex {
                 lines: s.src.lines().map(|l| l.to_string()).collect(),
                 regions,
                 test_file,
+                library: !test_file && !rel_is_bin(&s.rel),
             });
         }
 
@@ -148,10 +156,7 @@ impl WorkspaceIndex {
 /// whole workspace. A narrower tier with a candidate hides the wider
 /// ones, so a call can miss its real callee in another crate; the
 /// transitive-arena pass accepts that, the reachability lint does not
-/// use these edges. A bare `name(…)` calls no method (Rust has no bare
-/// method call): it goes to the free fns and the fns nested in the
-/// caller's body, or nowhere when an earlier `let` of the caller binds
-/// `name` (a closure or fn value).
+/// use these edges. Both graphs share [`scoped`].
 fn resolve(
     c: &CallSite,
     caller: &FnItem,
@@ -162,7 +167,8 @@ fn resolve(
     let Some(cands) = by_name.get(c.name.as_str()) else {
         return Vec::new();
     };
-    let mut cands = cands.clone();
+    let body = caller.body.map(|(s, e)| s..e);
+    let cands = scoped(c, caller.file, body, cands.clone(), fns, files);
     if let Some(q) = &c.qualifier {
         let owned: Vec<usize> = cands
             .iter()
@@ -172,28 +178,53 @@ fn resolve(
         if !owned.is_empty() {
             return owned;
         }
-    } else if !c.is_method {
-        let body = caller.body.map_or(0..0, |(s, e)| s..e);
-        if let_bound(&files[caller.file].toks, body.start..c.tok, &c.name) {
-            return Vec::new();
-        }
-        let nested = |f: &FnItem| f.file == caller.file && body.contains(&f.fn_tok);
-        cands.retain(|&t| {
-            let f = &fns[t];
-            (f.owner.is_none() && f.trait_name.is_none()) || nested(f)
-        });
     }
     narrowest(cands, fns, files, caller.file)
 }
 
-/// A `let` statement that ends inside `span` binds `name`.
+/// The `cands` named like the site `c` in `file` that it may mean, by
+/// the rules both call graphs share. Library code never names a fn of a
+/// bin, test, example or benchmark file (those are other crates). A bare
+/// `name` names no method (Rust has no bare method call): it goes to the
+/// free fns and the fns nested in `body`, the enclosing fn's body (none
+/// for a name outside any fn), or nowhere when an earlier `let` in
+/// `body` binds `name` (a closure or fn value).
+pub(crate) fn scoped(
+    c: &CallSite,
+    file: usize,
+    body: Option<Range<usize>>,
+    mut cands: Vec<usize>,
+    fns: &[FnItem],
+    files: &[FileData],
+) -> Vec<usize> {
+    if files[file].library {
+        cands.retain(|&t| files[fns[t].file].library);
+    }
+    if c.qualifier.is_some() || c.is_method {
+        return cands;
+    }
+    let body = body.unwrap_or_default();
+    if !body.is_empty() && let_bound(&files[file].toks, body.start..c.tok, &c.name) {
+        return Vec::new();
+    }
+    let nested = |f: &FnItem| f.file == file && body.contains(&f.fn_tok);
+    cands.retain(|&t| {
+        let f = &fns[t];
+        (f.owner.is_none() && f.trait_name.is_none()) || nested(f)
+    });
+    cands
+}
+
+/// The site `name` at `span.end` is bound by a `let` in `span`: it is
+/// the binding itself, or that `let` statement ends before it.
 fn let_bound(toks: &[Tok], span: Range<usize>, name: &str) -> bool {
     span.clone().any(|i| {
         let j = i + 1 + usize::from(toks.get(i + 1).is_some_and(|t| t.is_ident("mut")));
         toks[i].is_ident("let")
-            && j < span.end
-            && toks[j].is_ident(name)
-            && toks[j..span.end].iter().any(|t| t.is_punct(';'))
+            && (j == span.end
+                || j < span.end
+                    && toks[j].is_ident(name)
+                    && toks[j..span.end].iter().any(|t| t.is_punct(';')))
     })
 }
 

@@ -27,21 +27,28 @@
 //!   invocation) is referenced by the file, as a root;
 //! * `.name(…)`, and `T::name` where no `impl` is for a type `T` (a
 //!   generic, a trait, a module, `Self`), reach every fn of that name;
-//! * a bare `name` reaches the free fns of that name in the narrowest
-//!   scope that has one (same file → same crate → workspace), and all of
-//!   them when the file imports the name with `use`; `Type::name` reaches
-//!   `Type`'s methods of that name, else resolves as a bare name;
-//!   `std::`/`core::`/`alloc::` paths reach nothing;
+//! * a bare `name` reaches the free fns of that name, and the fns nested
+//!   in its fn, in the narrowest scope that has one (same file → same
+//!   crate → workspace), and all of them when the file imports the name
+//!   with `use`; nothing when a `let` before it in its fn binds the name;
+//!   `Type::name` reaches `Type`'s methods of that name, else the free
+//!   fns as a bare name would; `std::`/`core::`/`alloc::` paths reach
+//!   nothing;
+//! * a library file's names reach no fn of a bin or root file (the `let`
+//!   and bin rules are `analysis::scoped`, which the arena graph
+//!   applies too);
 //! * an impl's method reaches its trait's declaration of that method.
 //!
 //! What it cannot see: a call through a re-export under another name
 //! and a fn only a doc test uses (both read as dead: a false diagnostic),
-//! and a bare name shadowed by a nearer fn of that name (which can hide a
-//! dead one).
+//! a bare name shadowed by a nearer fn of that name, and a local bound
+//! other than by `let` (a closure or fn parameter, a `match` or `for`
+//! binding) named like a library fn (both can hide a dead one).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 
-use crate::analysis::{narrowest, WorkspaceIndex, CONFIG_FILE};
+use crate::analysis::{narrowest, scoped, WorkspaceIndex, CONFIG_FILE};
 use crate::items::{item_spans, ref_sites, CallSite};
 use crate::lexer::{Tok, TokKind};
 use crate::{AuditConfig, Diagnostic, Lint};
@@ -97,10 +104,16 @@ struct Resolver<'a> {
 }
 
 impl Resolver<'_> {
-    /// The fns a site in `file` may name. Library code reaches library
-    /// code only; test and consumer code (`in_test`) also the test
-    /// helpers of its own crate.
-    fn resolve(&self, c: &CallSite, file: usize, in_test: bool) -> Vec<usize> {
+    /// The fns a site in `file`, inside the fn body `body` if any, may
+    /// name. Library code reaches library code only; test and consumer
+    /// code (`in_test`) also the test helpers of its own crate.
+    fn resolve(
+        &self,
+        c: &CallSite,
+        file: usize,
+        body: Option<Range<usize>>,
+        in_test: bool,
+    ) -> Vec<usize> {
         let ix = self.ix;
         let krate = &ix.files[file].crate_name;
         let fns = &ix.fns;
@@ -112,6 +125,7 @@ impl Resolver<'_> {
                 })
                 .collect()
         });
+        let mut cands = scoped(c, file, body, cands, fns, &ix.files);
         if c.is_method {
             return cands;
         }
@@ -125,14 +139,12 @@ impl Resolver<'_> {
             if !owned.is_empty() {
                 return owned;
             }
+            cands.retain(|&t| fns[t].owner.is_none() && fns[t].trait_name.is_none());
         }
-        let free: Vec<usize> = (cands.into_iter())
-            .filter(|&t| fns[t].owner.is_none() && fns[t].trait_name.is_none())
-            .collect();
         if self.uses[file].contains(c.name.as_str()) {
-            return free;
+            return cands;
         }
-        narrowest(free, &ix.fns, &ix.files, file)
+        narrowest(cands, &ix.fns, &ix.files, file)
     }
 }
 
@@ -177,7 +189,7 @@ fn verdicts(ix: &WorkspaceIndex, cfg: &AuditConfig) -> (Vec<Reach>, Vec<Option<u
         .map(|f| {
             let mut out: Vec<usize> = f.body.map_or(Vec::new(), |(s, e)| {
                 (ref_sites(&ix.files[f.file].toks, s + 1..e).iter())
-                    .flat_map(|c| r.resolve(c, f.file, f.in_test))
+                    .flat_map(|c| r.resolve(c, f.file, Some(s..e), f.in_test))
                     .collect()
             });
             if f.owner.is_some() && f.trait_name.is_some() {
@@ -215,7 +227,7 @@ fn verdicts(ix: &WorkspaceIndex, cfg: &AuditConfig) -> (Vec<Reach>, Vec<Option<u
                 };
                 let in_test = level == Reach::Test || fd.test_file;
                 roots.extend(
-                    r.resolve(&c, file, in_test)
+                    r.resolve(&c, file, None, in_test)
                         .into_iter()
                         .map(|t| (t, level, None)),
                 );

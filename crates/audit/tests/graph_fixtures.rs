@@ -410,6 +410,47 @@ fn a_measuring_bin_is_a_test_root() {
     assert!(by_lint(&diags, Lint::Unreachable).is_empty(), "{diags:?}");
 }
 
+/// Library names resolve as in the arena graph: a `let` hides the free
+/// fn of its name, and no library name reaches a bin's fn, so the
+/// measuring bin is all that reaches `clear` and `only_measured`.
+#[test]
+fn library_locals_reach_no_bin_and_no_shadowed_fn() {
+    let bin = |rel: &str, src: &str| SourceFile {
+        rel: rel.to_string(),
+        crate_name: "gcnn-fix".to_string(),
+        is_root: true,
+        src: src.to_string(),
+    };
+    let test_only = |lib: SourceFile| {
+        let ws = [
+            lib,
+            bin(
+                "crates/fix/src/bin/main.rs",
+                "fn main() {\n    let _ = gcnn_fix::live_entry(&mut [0.0; 4]);\n}\n",
+            ),
+            bin(
+                "crates/fix/src/bin/measure.rs",
+                "fn main() {\n    gcnn_fix::clear(&mut []);\n    \
+                 let _ = gcnn_fix::only_measured();\n}\n",
+            ),
+        ];
+        let (diags, _, _) = analyze_sources(&ws, &reach_cfg(&[]));
+        assert!(by_lint(&diags, Lint::Unreachable).is_empty(), "{diags:?}");
+        let mut names: Vec<String> = by_lint(&diags, Lint::TestOnly)
+            .iter()
+            .map(|d| d.message.split('`').nth(1).unwrap_or_default().to_string())
+            .collect();
+        names.sort();
+        names
+    };
+    let lib = sf("crates/fix/src/lib.rs", "reach_local_names.rs");
+    assert_eq!(test_only(lib.clone()), ["fn clear", "fn only_measured"]);
+    // Without the `let`, `clear(x)` is the free fn again.
+    let mut unbound = lib;
+    unbound.src = unbound.src.replace("let clear =", "let zero =");
+    assert_eq!(test_only(unbound), ["fn only_measured"]);
+}
+
 #[test]
 fn names_without_call_syntax_are_references() {
     // A static initializer, a const table and a macro argument each

@@ -47,10 +47,6 @@ fn conv_round(cfg: &ConvConfig, x: &gcnn_tensor::Tensor4, w: &gcnn_tensor::Tenso
 }
 
 fn main() {
-    if !gcnn_trace::enabled() {
-        eprintln!("warning: trace feature disabled — snapshot will be empty");
-    }
-
     let mut cfg = ConvConfig::with_channels(2, 3, 16, 4, 3, 1);
     cfg.pad = 1;
     let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 21);

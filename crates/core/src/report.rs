@@ -85,8 +85,8 @@ pub fn render_memory(t: &MemoryTable) -> String {
 }
 
 /// Render a [`gcnn_trace::Snapshot`] as an indented span tree followed
-/// by the counter and gauge tables. Empty sections are omitted, so the
-/// disabled-trace build renders an empty string.
+/// by the counter and gauge tables. Empty sections are omitted, so an
+/// empty snapshot renders an empty string.
 pub fn render_trace(snap: &gcnn_trace::Snapshot) -> String {
     fn walk(node: &gcnn_trace::SpanNode, depth: usize, out: &mut String) {
         out.push_str(&format!(

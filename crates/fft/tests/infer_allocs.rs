@@ -7,7 +7,7 @@
 //!
 //! A pass allocates its layers' outputs and nothing else: each conv, pool
 //! and FC layer one tensor, each ReLU none (it clamps the activation it
-//! was handed), and, with tracing compiled in, one span name per layer.
+//! was handed), and one span name per layer.
 //! Every conv's scratch — pack buffers; no column matrix, at any
 //! geometry — comes out of the thread-local arena.
 
@@ -71,17 +71,17 @@ fn warm_inference_allocates_only_layer_outputs() {
         .relu()
         .fc(8 * 5 * 5, 10, 3);
     let small_in = tensor(Shape4::new(4, 3, 19, 19), 0.61);
-    // With tracing compiled in, each layer's span names itself per pass.
-    let names = |layers: u64| if gcnn_trace::enabled() { layers } else { 0 };
     for width in [1, 2] {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
         pool.build().expect("pool").install(|| {
-            // 11 layers: conv ×2, pool ×2 and FC ×3 outputs; ReLU ×4 none.
+            // 11 layers: conv ×2, pool ×2 and FC ×3 outputs; ReLU ×4 none;
+            // one span name each.
             let allocs = warm_pass(&lenet, &lenet_in);
-            assert_eq!(allocs, 7 + names(11), "LeNet-5 at width {width}");
-            // 6 layers: conv ×2, pool and FC outputs; ReLU ×2 none.
+            assert_eq!(allocs, 7 + 11, "LeNet-5 at width {width}");
+            // 6 layers: conv ×2, pool and FC outputs; ReLU ×2 none; one
+            // span name each.
             let allocs = warm_pass(&small, &small_in);
-            assert_eq!(allocs, 4 + names(6), "padded, strided net at width {width}");
+            assert_eq!(allocs, 4 + 6, "padded, strided net at width {width}");
         });
     }
 }

@@ -195,11 +195,6 @@ impl ProfilerSession {
         self.memory.alloc(label, bytes)
     }
 
-    /// Free a device allocation.
-    pub fn free(&mut self, id: crate::memory::AllocationId) {
-        self.memory.free(id);
-    }
-
     /// Render the report.
     pub fn report(&self) -> ProfileReport {
         let mut kernels = self.kernels.clone();
@@ -322,9 +317,8 @@ mod tests {
     #[test]
     fn memory_peak_tracked_through_session() {
         let mut s = ProfilerSession::new(DeviceSpec::k40c());
-        let a = s.alloc("input", 1 << 30).unwrap();
+        s.alloc("input", 1 << 30).unwrap();
         s.alloc("workspace", 2 << 30).unwrap();
-        s.free(a);
         assert_eq!(s.report().peak_mem_bytes, 3 << 30);
     }
 

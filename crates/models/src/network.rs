@@ -820,13 +820,15 @@ impl Network {
     }
 
     /// Load parameters previously produced by [`Network::save_weights`]
-    /// into a network of the same architecture.
+    /// into a network of the same architecture. Every blob's length is
+    /// checked before any is copied, so a refused file leaves the
+    /// network (and its packed filter banks) as it was.
     pub fn load_weights(&mut self, bytes: &[u8]) -> Result<(), crate::persist::PersistError> {
         let mismatch = |detail| crate::persist::PersistError::ShapeMismatch { detail };
         let blobs = crate::persist::decode_blobs(bytes)?;
         let mut it = blobs.iter();
-        let layers = self.layers.iter_mut();
-        for (what, values) in layers.flat_map(|l| blobs!(&mut l.params, edit, as_mut_slice)) {
+        let layers = self.layers.iter();
+        for (what, values) in layers.flat_map(|l| blobs!(&l.params, get, as_slice)) {
             let blob = it
                 .next()
                 .ok_or_else(|| mismatch(format!("missing blob for {what}")))?;
@@ -837,12 +839,16 @@ impl Network {
                     blob.len()
                 )));
             }
+        }
+        if it.next().is_some() {
+            return Err(mismatch("extra parameter blobs".into()));
+        }
+        let layers = self.layers.iter_mut();
+        let params = layers.flat_map(|l| blobs!(&mut l.params, edit, as_mut_slice));
+        for ((_, values), blob) in params.zip(&blobs) {
             values.copy_from_slice(blob);
         }
-        match it.next() {
-            None => Ok(()),
-            Some(_) => Err(mismatch("extra parameter blobs".into())),
-        }
+        Ok(())
     }
 
     /// Classification accuracy over a dataset.
@@ -929,9 +935,56 @@ mod tests {
 
     #[test]
     fn load_rejects_wrong_architecture() {
-        let small = Network::lenet5(16, 4, Strategy::Unrolling, 1).save_weights();
+        let small = Network::lenet5(16, 4, Strategy::Unrolling, 2).save_weights();
         let mut other = Network::lenet5(16, 8, Strategy::Unrolling, 1); // 8 classes
+        let before = other.save_weights();
         assert!(other.load_weights(&small).is_err());
+        // The conv and early FC blobs fit; the refusal must still take none.
+        assert!(
+            other.save_weights() == before,
+            "a refused file changed the weights"
+        );
+    }
+
+    /// Truncations and byte flips of a saved LeNet-5 are refused without
+    /// a panic and leave the receiving network's weights as they were.
+    #[test]
+    fn corrupt_weight_files_are_refused_untouched() {
+        let saved = Network::lenet5(16, 4, Strategy::Unrolling, 7).save_weights();
+        let mut net = Network::lenet5(16, 4, Strategy::Unrolling, 8);
+        let before = net.save_weights();
+        let refuses = |net: &mut Network, bytes: &[u8], case: &str| {
+            assert!(net.load_weights(bytes).is_err(), "{case} was accepted");
+            assert!(net.save_weights() == before, "{case} changed the weights");
+        };
+
+        // Offsets of each blob's length prefix, after the 12-byte header
+        // (magic, version, count).
+        let u32_at = |at: usize| u32::from_le_bytes(saved[at..at + 4].try_into().unwrap());
+        let mut prefixes = vec![12];
+        for _ in 1..u32_at(8) {
+            let last = *prefixes.last().unwrap();
+            prefixes.push(last + 4 + 4 * u32_at(last) as usize);
+        }
+        let mut cuts: Vec<usize> = (0..=12).collect();
+        for &p in &prefixes {
+            cuts.extend([p - 1, p, p + 1, p + 4]);
+        }
+        cuts.extend((12..saved.len()).step_by(997));
+        cuts.push(saved.len() - 1);
+        for cut in cuts {
+            refuses(&mut net, &saved[..cut], &format!("a cut at byte {cut}"));
+        }
+
+        // The magic, the version, the count and every length prefix.
+        let mut fields = vec![0, 1, 2, 3, 4, 8];
+        fields.extend(&prefixes);
+        for at in fields {
+            let mut bytes = saved.clone();
+            bytes[at] ^= 0x01;
+            refuses(&mut net, &bytes, &format!("a flip at byte {at}"));
+        }
+        net.load_weights(&saved).expect("the file itself loads");
     }
 
     #[test]

@@ -14,9 +14,6 @@ fn filter_packs() -> u64 {
 
 #[test]
 fn warm_blocked_inference_packs_no_filter_bank() {
-    if !gcnn_trace::enabled() {
-        return; // counters read 0 with tracing compiled out
-    }
     // Unrolling: the planar passes of the training step pack nothing
     // (`DirectConv::forward` packs its filters per call).
     let mut net = Network::lenet5(16, 4, Strategy::Unrolling, 5);

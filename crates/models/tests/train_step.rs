@@ -52,9 +52,6 @@ fn two_steps_give_the_same_weights_at_every_width() {
 #[test]
 fn conv1_computes_no_input_gradient() {
     trained(1);
-    if !gcnn_trace::enabled() {
-        return;
-    }
     let snap = gcnn_trace::snapshot();
     let layer0 = "network.train_batch/network.backward/layer0.conv";
     let pass = |name: &str| snap.span(&format!("{layer0}/conv.unrolling.{name}"));
@@ -77,9 +74,6 @@ fn named<'a>(node: &'a SpanNode, name: &str, out: &mut Vec<&'a SpanNode>) {
 fn only_the_input_gradient_unrolls() {
     // Width 1: every per-image pass nests under its layer's span.
     at_width(1, || trained(1));
-    if !gcnn_trace::enabled() {
-        return;
-    }
     let snap = gcnn_trace::snapshot();
     let (mut im2col, mut col2im) = (Vec::new(), Vec::new());
     for root in &snap.spans {
@@ -113,9 +107,6 @@ fn padded_strided_inference_unrolls_nothing() {
         let mut ws = Workspace::new();
         (0..2).for_each(|_| drop(net.infer_ws(&input, &mut ws)));
     });
-    if !gcnn_trace::enabled() {
-        return;
-    }
     let snap = gcnn_trace::snapshot();
     let (mut forward, mut im2col) = (Vec::new(), Vec::new());
     for root in &snap.spans {

@@ -204,13 +204,6 @@ pub fn col2im_from(cols: &[f32], geom: &ConvGeometry, image: &mut [f32]) {
     }
 }
 
-/// [`col2im_from`] reading from a [`Matrix`].
-pub fn col2im(cols: &Matrix, geom: &ConvGeometry, image: &mut [f32]) {
-    debug_assert_eq!(cols.rows(), geom.col_rows());
-    debug_assert_eq!(cols.cols(), geom.col_cols());
-    col2im_from(cols.as_slice(), geom, image);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +288,7 @@ mod tests {
                 ((r * 13 + c * 7) % 9) as f32 - 4.0
             });
             let mut folded = vec![0.0f32; xlen];
-            col2im(&y, &g, &mut folded);
+            col2im_from(y.as_slice(), &g, &mut folded);
 
             let lhs: f32 = cols
                 .as_slice()

@@ -132,8 +132,7 @@ fn detected() -> Isa {
     *DETECTED.get_or_init(detect)
 }
 
-/// Publish the effective ISA as the `simd.isa_level` gauge (a no-op in
-/// trace-disabled builds).
+/// Publish the effective ISA as the `simd.isa_level` gauge.
 fn publish_isa() {
     let effective = if FORCE_SCALAR.load(Ordering::Relaxed) == 1 {
         Isa::Scalar

@@ -351,7 +351,6 @@ mod tests {
         std::thread::spawn(check).join().expect("arena thread");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn registry_mirrors_fresh_allocs() {
         let before = gcnn_trace::snapshot().counter("workspace.fresh_allocs");

@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use gcnn_tensor::im2col::{col2im, im2col, ConvGeometry};
+use gcnn_tensor::im2col::{col2im_from, im2col, ConvGeometry};
 use gcnn_tensor::{Matrix, Shape4};
 use proptest::prelude::*;
 
@@ -84,7 +84,7 @@ proptest! {
         im2col(x.as_slice(), &geom, &mut cols);
         let y = gcnn_tensor::init::uniform_matrix(geom.col_rows(), geom.col_cols(), -1.0, 1.0, seed + 1);
         let mut folded = vec![0.0f32; xlen];
-        col2im(&y, &geom, &mut folded);
+        col2im_from(y.as_slice(), &geom, &mut folded);
 
         let lhs: f32 = cols.as_slice().iter().zip(y.as_slice()).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.as_slice().iter().zip(&folded).map(|(a, b)| a * b).sum();

@@ -45,11 +45,9 @@ fn spans_do_not_allocate_after_warm_up() {
     let before = ALLOCS.load(Ordering::Relaxed);
     (0..1000).for_each(|_| nested());
     assert_eq!(ALLOCS.load(Ordering::Relaxed) - before, 0);
-    if gcnn_trace::enabled() {
-        let inner = "alloc_test.outer/alloc_test.middle/alloc_test.inner";
-        assert_eq!(
-            gcnn_trace::snapshot().span(inner).expect("recorded").count,
-            1001
-        );
-    }
+    let inner = "alloc_test.outer/alloc_test.middle/alloc_test.inner";
+    assert_eq!(
+        gcnn_trace::snapshot().span(inner).expect("recorded").count,
+        1001
+    );
 }

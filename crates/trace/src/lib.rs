@@ -7,15 +7,10 @@
 //! reproduction's *own* hot paths (arena GEMM, plan-cached FFT, the
 //! three convolution strategies).
 //!
-//! ## Feature flag
-//!
-//! The whole crate sits behind the `enabled` feature (on by default).
-//! With `--no-default-features` every entry point below still exists
-//! but compiles to a no-op: spans take no timestamps, counters touch no
-//! atomics, [`snapshot`] returns an empty [`Snapshot`]. Consumer crates
-//! expose their own `trace` feature forwarding to `gcnn-trace/enabled`,
-//! so `cargo test --no-default-features` proves the disabled mode
-//! compiles everywhere.
+//! There is one build: every entry point below records. A span costs two
+//! clock reads and one registry merge at its end, and a cached
+//! [`Counter`] one relaxed atomic add, so a breakdown read from
+//! [`snapshot`] comes from the same code that is timed.
 //!
 //! ## Use
 //!
@@ -30,51 +25,36 @@
 //!     let _inner = gcnn_trace::span("gemm.sgemm");
 //!     gcnn_trace::counter_add("gemm.calls", 1);
 //! }
-//! let snap = gcnn_trace::snapshot();
-//! if gcnn_trace::enabled() {
-//!     assert!(snap.counter("gemm.calls") >= 1);
-//! }
+//! assert!(gcnn_trace::snapshot().counter("gemm.calls") >= 1);
 //! ```
 
 #![forbid(unsafe_code)]
 
-mod snapshot;
-
-pub use snapshot::{Snapshot, SpanNode, SpanStat};
-
-#[cfg(feature = "enabled")]
 mod registry;
-#[cfg(feature = "enabled")]
+mod snapshot;
 mod span;
 
-#[cfg(feature = "enabled")]
 pub use registry::{registry, MetricsRegistry};
+pub use snapshot::{Snapshot, SpanNode, SpanStat};
+/// RAII guard for one open span; see [`span`].
+pub use span::SpanGuard;
 
-/// Whether the `enabled` feature was compiled in.
-#[inline]
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A cached handle to one counter's atomic cell. Cloning is cheap;
 /// incrementing through a handle skips the registry lookup entirely,
 /// which is what the hot paths (workspace checkouts, GEMM tiles) use.
-/// In disabled mode the handle is a ZST and every method is a no-op.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
-    cell: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
     /// Add `delta`.
     #[inline]
     pub fn add(&self, delta: u64) {
-        #[cfg(feature = "enabled")]
-        self.cell
-            .fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = delta;
+        self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Add 1.
@@ -83,43 +63,25 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (always 0 in disabled mode).
+    /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.cell.load(std::sync::atomic::Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// Obtain a [`Counter`] handle, registering the counter on first use.
 #[inline]
 pub fn counter(name: &str) -> Counter {
-    #[cfg(feature = "enabled")]
-    {
-        Counter {
-            cell: registry().counter_cell(name),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        Counter {}
+    Counter {
+        cell: registry().counter_cell(name),
     }
 }
 
 /// Add `delta` to the named counter.
 #[inline]
 pub fn counter_add(name: &str, delta: u64) {
-    #[cfg(feature = "enabled")]
     registry().counter_add(name, delta);
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, delta);
 }
 
 /// Add 1 to the named counter.
@@ -131,74 +93,35 @@ pub fn counter_inc(name: &str) {
 /// Set the named gauge (last write wins).
 #[inline]
 pub fn gauge_set(name: &str, value: f64) {
-    #[cfg(feature = "enabled")]
     registry().gauge_set(name, value);
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, value);
-}
-
-/// RAII guard for one open span; see [`span`].
-#[cfg(feature = "enabled")]
-pub use span::SpanGuard;
-
-/// Inert stand-in for [`SpanGuard`] in disabled builds.
-#[cfg(not(feature = "enabled"))]
-#[must_use = "a span measures nothing unless the guard lives across the timed region"]
-pub struct SpanGuard {
-    _private: (),
 }
 
 /// Open a span with a static name, nested under the innermost open
 /// span of the current thread. Time is recorded when the guard drops.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(feature = "enabled")]
-    {
-        span::span_named(name)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        SpanGuard { _private: () }
-    }
+    span::span_named(name)
 }
 
-/// Open a span whose name is built lazily — the closure never runs in
-/// disabled mode, so dynamic names (per-layer indices, shapes) cost
-/// nothing when tracing is off.
+/// Open a span whose name is built at run time (per-layer indices,
+/// shapes) by `make_name`.
 #[inline]
 pub fn span_owned<F: FnOnce() -> String>(make_name: F) -> SpanGuard {
-    #[cfg(feature = "enabled")]
-    {
-        span::span_named(&make_name())
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = make_name;
-        SpanGuard { _private: () }
-    }
+    span::span_named(&make_name())
 }
 
-/// Snapshot the global registry (empty in disabled mode).
+/// Snapshot the global registry.
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "enabled")]
-    {
-        registry().snapshot()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Snapshot::default()
-    }
+    registry().snapshot()
 }
 
-/// Clear the global registry (no-op in disabled mode). Reset only
-/// between workloads — see [`MetricsRegistry::reset`].
+/// Clear the global registry. Reset only between workloads — see
+/// [`MetricsRegistry::reset`].
 pub fn reset() {
-    #[cfg(feature = "enabled")]
     registry().reset();
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod enabled_tests {
     use super::*;
     use std::time::Duration;
@@ -276,28 +199,5 @@ mod enabled_tests {
             let _g = span_owned(|| format!("dyn{}", 7));
         }
         assert!(snapshot().span("dyn7").is_some());
-    }
-}
-
-#[cfg(all(test, not(feature = "enabled")))]
-mod disabled_tests {
-    use super::*;
-
-    #[test]
-    fn everything_is_a_no_op() {
-        assert!(!enabled());
-        counter_add("disabled.c", 5);
-        counter("disabled.h").add(7);
-        gauge_set("disabled.g", 1.0);
-        {
-            let _s = span("disabled.span");
-            let _o = span_owned(|| unreachable!("name closure must not run when disabled"));
-        }
-        reset();
-        let snap = snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-        assert!(snap.spans.is_empty());
-        assert_eq!(counter("disabled.h").get(), 0);
     }
 }

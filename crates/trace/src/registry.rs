@@ -1,4 +1,4 @@
-//! The live (enabled-mode) metrics registry.
+//! The process-wide metrics registry.
 
 use crate::snapshot::{build_tree, Snapshot, SpanStat};
 use std::collections::{BTreeMap, HashMap};

@@ -1,7 +1,6 @@
 //! Serializable views of the registry: counter/gauge maps and the
-//! nested span tree. These types exist in both the enabled and the
-//! disabled build, so consumers (the bench binaries, `gcnn-core`'s
-//! renderer) compile unconditionally.
+//! nested span tree, as the bench binaries and `gcnn-core`'s renderer
+//! read them.
 
 use serde::Serialize;
 use std::collections::BTreeMap;

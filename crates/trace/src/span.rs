@@ -1,4 +1,4 @@
-//! RAII span timers with thread-local nesting (enabled mode).
+//! RAII span timers with thread-local nesting.
 //!
 //! Each thread keeps the path of its innermost open span in one growing
 //! `String`. Opening a span appends `"/" + name` to it; dropping the guard

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full test suite, lint-clean clippy,
-# canonical formatting, and a trace-disabled test pass (the observability
-# layer must compile out without breaking anything).
+# canonical formatting, the audit, forced-scalar and width-1 passes,
+# smokes and the benchmark's check run.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,12 +59,6 @@ for f in results/BENCH_*.json; do
     exit 1
   fi
 done
-# Explicit -p list: plain --no-default-features would also strip the
-# vendored crates' defaults.
-cargo test -q --no-default-features \
-  -p gcnn-trace -p gcnn-tensor -p gcnn-gemm -p gcnn-fft \
-  -p gcnn-conv -p gcnn-models -p gcnn-core \
-  -p gcnn-bench -p gcnn-serve -p gcnn-mtsim
 # Forced-scalar pass over the kernel stack: the slice primitives',
 # lane kernels' and CGEMM's scalar bodies are the only scalar tier
 # (there is no second engine behind them), and CI's force-scalar job
