@@ -276,14 +276,7 @@ impl Default for AuditConfig {
                     functions: s(&["Engine::step", "Engine::dispatch"]),
                 },
             ],
-            trace_fns: s(&[
-                "span",
-                "span_owned",
-                "counter",
-                "counter_add",
-                "counter_inc",
-                "gauge_set",
-            ]),
+            trace_fns: s(&["span", "counter", "counter_add", "counter_inc", "gauge_set"]),
             // Outermost first. The batcher mutex is the serving layer's
             // outer lock; the trace registry's maps come next (counters
             // are bumped while the batcher is held); the latency ring is

@@ -15,10 +15,6 @@
 //! Environment knobs:
 //! * `GCNN_PERF_ITERS` — iterations per section (default 10).
 //! * `GCNN_PERF_WARMUP` — untimed warmup iterations (default 1).
-//! * `GCNN_PERF_DIRECT_ITERS` — iterations for the `Direct` strategy
-//!   (default 2: its backward passes are still scalar loops and cost
-//!   tens of seconds per iteration at the base config; it also gets no
-//!   warmup).
 //!
 //! A second report, `results/BENCH_simd.json`, records scalar-vs-SIMD
 //! throughput of the GEMM and FFT micro-kernels: each micro-bench runs
@@ -641,9 +637,6 @@ fn bench_algo(cfg: &ConvConfig, strat: Strategy, repeats: Repeats) -> Vec<Sectio
     if let Err(err) = algo.supports(cfg) {
         return vec![skipped(&format!("conv_{tag}"), format!("{err:?}"))];
     }
-    if repeats.reps == 0 {
-        return vec![skipped(&format!("conv_{tag}"), "iters = 0".to_string())];
-    }
     let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 21);
     let w = xavier_filters(cfg.filter_shape(), 22);
     let y = algo.forward(cfg, &x, &w);
@@ -671,9 +664,6 @@ fn main() {
         env_usize("GCNN_PERF_WARMUP", 1),
         env_usize("GCNN_PERF_ITERS", 10),
     );
-    // Direct's scalar backward passes take tens of seconds: no warmup,
-    // few reps.
-    let direct_repeats = Repeats::new(0, env_usize("GCNN_PERF_DIRECT_ITERS", 2));
     let cfg = ConvConfig::paper_base();
     println!(
         "perf_smoke: base config {:?} (output {}), {} iters after {} warmup",
@@ -689,12 +679,7 @@ fn main() {
     sections.extend(bench_nchwc_alexnet(repeats));
     sections.push(bench_batched_fft(&cfg, repeats));
     for strat in [Strategy::Unrolling, Strategy::Fft, Strategy::Direct] {
-        let reps = if strat == Strategy::Direct {
-            direct_repeats
-        } else {
-            repeats
-        };
-        sections.extend(bench_algo(&cfg, strat, reps));
+        sections.extend(bench_algo(&cfg, strat, repeats));
     }
 
     let report = Report {

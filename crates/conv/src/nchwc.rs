@@ -28,9 +28,9 @@
 //! packed at the layer's pitch, `min(c, b)`
 //! (`gcnn_tensor::nchwc::pitch`): a 3-channel first layer packs 3
 //! floats a pixel, not `b`, and its filter panels hold 3 rows a tap.
-//! This module is forward/inference only: `DirectConv::forward` is its
-//! planar entry (pack, run [`fused_conv_relu`] without ReLU, unpack),
-//! and training keeps the planar layouts and their backward kernels.
+//! `DirectConv::forward` is its planar entry (pack, run [`fused_conv_relu`]
+//! without ReLU, unpack), and both of `DirectConv`'s gradients are that
+//! entry over rearranged operands; training keeps planar activations.
 
 use crate::config::ConvConfig;
 use gcnn_tensor::simd::conv::{ConvKernel, SweepGeom};

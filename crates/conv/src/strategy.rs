@@ -5,9 +5,15 @@
 //! FFT-based convolution."* Each strategy is a [`ConvAlgorithm`]; the
 //! seven framework models in `gcnn-frameworks` each delegate their
 //! numerics to one of them.
+//!
+//! Both backward passes have defaults that are one stride-1 call of the
+//! strategy's own forward pass over rearranged operands, the way fbfft
+//! (arXiv:1412.7580) computes bprop and accGradParameters as
+//! convolutions: a strategy with only a forward kernel ([`crate::DirectConv`])
+//! trains on it, and one with faster gradients of its own overrides them.
 
 use crate::config::ConvConfig;
-use gcnn_tensor::{Tensor4, Workspace};
+use gcnn_tensor::{Shape4, Tensor4, Workspace};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -96,6 +102,30 @@ impl fmt::Display for Unsupported {
 
 impl std::error::Error for Unsupported {}
 
+/// Panic, naming `what` (`"<pass>: <operand>"`), unless `t` is `want`-shaped.
+#[track_caller]
+pub(crate) fn check(t: &Tensor4, want: Shape4, what: &str) {
+    assert_eq!(t.shape(), want, "{what}");
+}
+
+/// `(ry, rx, c)` of plane `rc` of a `(ry, rx, c)`-major phase stack.
+fn phase(rc: usize, c: usize, s: usize) -> (usize, usize, usize) {
+    (rc / c / s, rc / c % s, rc % c)
+}
+
+/// The spans `conv.<strategy>.backward_{data,filters}` the default
+/// backward passes open.
+fn backward_spans(strategy: Strategy) -> [&'static str; 2] {
+    match strategy {
+        Strategy::Direct => ["conv.direct.backward_data", "conv.direct.backward_filters"],
+        Strategy::Unrolling => [
+            "conv.unrolling.backward_data",
+            "conv.unrolling.backward_filters",
+        ],
+        Strategy::Fft => ["conv.fft.backward_data", "conv.fft.backward_filters"],
+    }
+}
+
 /// A convolution algorithm: forward plus both backward passes.
 ///
 /// Implementations must produce results matching
@@ -118,11 +148,82 @@ pub trait ConvAlgorithm: Send + Sync {
     /// Forward pass: `(b,c,i,i) ⊛ (f,c,k,k) → (b,f,o,o)`.
     fn forward(&self, cfg: &ConvConfig, input: &Tensor4, filters: &Tensor4) -> Tensor4;
 
-    /// Gradient w.r.t. the input.
-    fn backward_data(&self, cfg: &ConvConfig, grad_out: &Tensor4, filters: &Tensor4) -> Tensor4;
+    /// Gradient w.r.t. the input, as one stride-1 forward pass.
+    ///
+    /// Padded input row `y + p = q·s + ry` meets only the taps
+    /// `ky = ry + j·s`, `j < K = ⌈k/s⌉`, of output row `q − j`. So each of
+    /// the `s²` phases `(ry, rx)` is a `K`-tap sub-filter (zero past `k`),
+    /// rotated 180° and with `c`/`f` swapped, correlated with the gradient
+    /// padded by `K − 1`. The phases stack as `c·s²` output channels of one
+    /// forward pass, and input pixel `(y, x)` reads its phase plane at
+    /// `(q_y, q_x)`: pad above the kernel is a crop, a phase without taps
+    /// stays zero, and a pixel past the last window (`q` beyond the planes)
+    /// gets 0.
+    fn backward_data(&self, cfg: &ConvConfig, grad_out: &Tensor4, filters: &Tensor4) -> Tensor4 {
+        let _span = gcnn_trace::span(backward_spans(self.strategy())[0]);
+        check(grad_out, cfg.output_shape(), "backward_data: grad");
+        check(filters, cfg.filter_shape(), "backward_data: filters");
+        let (c, k, s, p) = (cfg.channels, cfg.kernel, cfg.stride, cfg.pad);
+        let taps = k.div_ceil(s);
+        let phases = ConvConfig {
+            pad: taps - 1,
+            ..ConvConfig::with_channels(cfg.batch, cfg.filters, cfg.output(), c * s * s, taps, 1)
+        };
+        let bank = Tensor4::from_fn(phases.filter_shape(), |rc, f, ty, tx| {
+            let (ry, rx, ci) = phase(rc, c, s);
+            let (ky, kx) = (ry + (taps - 1 - ty) * s, rx + (taps - 1 - tx) * s);
+            if ky < k && kx < k {
+                filters.get(f, ci, ky, kx)
+            } else {
+                0.0
+            }
+        });
+        let planes = self.forward(&phases, grad_out, &bank);
+        let q = phases.output();
+        Tensor4::from_fn(cfg.input_shape(), |n, ci, y, x| {
+            let ((qy, ry), (qx, rx)) = (((y + p) / s, (y + p) % s), ((x + p) / s, (x + p) % s));
+            if qy < q && qx < q {
+                planes.get(n, (ry * s + rx) * c + ci, qy, qx)
+            } else {
+                0.0
+            }
+        })
+    }
 
-    /// Gradient w.r.t. the filter bank.
-    fn backward_filters(&self, cfg: &ConvConfig, input: &Tensor4, grad_out: &Tensor4) -> Tensor4;
+    /// Gradient w.r.t. the filter bank, as one stride-1 forward pass.
+    ///
+    /// Tap `ky = ry + j·s` reads padded input row `(oy + j)·s + ry`, which
+    /// is row `oy + j` of the phase image `x_r[u] = x_padded[u·s + ry]`.
+    /// The `s²·c` phase images (each `⌈(i + 2p)/s⌉` square, zero past the
+    /// edge) stack along the batch axis `(ry, rx, c)`-major with the images
+    /// as channels, and the gradient transposed to `(f, n, o, o)` is the
+    /// filter bank of one pad-0 forward pass; each phase plane holds its
+    /// taps at `(j_y, j_x)`.
+    fn backward_filters(&self, cfg: &ConvConfig, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
+        let _span = gcnn_trace::span(backward_spans(self.strategy())[1]);
+        check(input, cfg.input_shape(), "backward_filters: input");
+        check(grad_out, cfg.output_shape(), "backward_filters: grad");
+        let (c, s, p, i) = (cfg.channels, cfg.stride, cfg.pad, cfg.input);
+        let edge = (i + 2 * p).div_ceil(s);
+        let phases =
+            ConvConfig::with_channels(c * s * s, cfg.batch, edge, cfg.filters, cfg.output(), 1);
+        let images = Tensor4::from_fn(phases.input_shape(), |rc, n, u, v| {
+            let (ry, rx, ci) = phase(rc, c, s);
+            let (y, x) = (u * s + ry, v * s + rx);
+            if (p..p + i).contains(&y) && (p..p + i).contains(&x) {
+                input.get(n, ci, y - p, x - p)
+            } else {
+                0.0
+            }
+        });
+        let bank = Tensor4::from_fn(phases.filter_shape(), |f, n, oy, ox| {
+            grad_out.get(n, f, oy, ox)
+        });
+        let planes = self.forward(&phases, &images, &bank);
+        Tensor4::from_fn(cfg.filter_shape(), |f, ci, ky, kx| {
+            planes.get((ky % s * s + kx % s) * c + ci, f, ky / s, kx / s)
+        })
+    }
 
     /// [`ConvAlgorithm::forward`] with an explicit [`Workspace`].
     ///

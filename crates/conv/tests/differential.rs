@@ -41,7 +41,8 @@ const PATHS: [(&str, &dyn ConvAlgorithm); 4] = [
 /// `DirectConv`'s forward — pack, `fused_conv_relu` without ReLU, unpack
 /// — at the channel block `preferred_block()` does *not* pick (8 on an
 /// AVX-512 host, 16 elsewhere), so both blocks' tiles meet every row.
-/// Its backward passes are `DirectConv`'s, so the backward tests skip it.
+/// Its backward passes are `ConvAlgorithm`'s defaults, `DirectConv`'s
+/// own: forward passes of this tile over rearranged operands.
 struct OtherBlock;
 
 impl ConvAlgorithm for OtherBlock {
@@ -60,14 +61,6 @@ impl ConvAlgorithm for OtherBlock {
         let mut out = Tensor4::zeros(cfg.output_shape());
         unpack_nchwc_from(&pout, out.shape(), block, out.as_mut_slice());
         out
-    }
-
-    fn backward_data(&self, cfg: &ConvConfig, grad_out: &Tensor4, filters: &Tensor4) -> Tensor4 {
-        DirectConv.backward_data(cfg, grad_out, filters)
-    }
-
-    fn backward_filters(&self, cfg: &ConvConfig, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
-        DirectConv.backward_filters(cfg, input, grad_out)
     }
 }
 
@@ -279,13 +272,6 @@ fn paths(
         .filter(|(_, algo)| algo.supports(cfg).is_ok())
 }
 
-/// The [`PATHS`] with backward passes of their own that run `cfg`.
-fn backward_paths(
-    cfg: &ConvConfig,
-) -> impl Iterator<Item = (&'static str, &'static dyn ConvAlgorithm)> + '_ {
-    paths(cfg).filter(|(path, _)| *path != "nchwc-other-block")
-}
-
 #[test]
 fn forward_matches_reference() {
     for (row, cfg) in rows() {
@@ -350,7 +336,7 @@ fn backward_data_matches_reference() {
         let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 32);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, 33);
         let want = reference::backward_data_ref(&cfg, &g, &w);
-        for (path, algo) in backward_paths(&cfg) {
+        for (path, algo) in paths(&cfg) {
             check(
                 &format!("{path} backward-data, {row} ({cfg})"),
                 &want,
@@ -366,7 +352,7 @@ fn backward_filters_matches_reference() {
         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, 34);
         let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, 35);
         let want = reference::backward_filters_ref(&cfg, &x, &g);
-        for (path, algo) in backward_paths(&cfg) {
+        for (path, algo) in paths(&cfg) {
             check(
                 &format!("{path} backward-filters, {row} ({cfg})"),
                 &want,

@@ -83,9 +83,11 @@ proptest! {
     fn backward_data_consistent_across_strategies(cfg in small_config(), seed in 0u64..1000) {
         let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, seed);
         let w = uniform_tensor(cfg.filter_shape(), -1.0, 1.0, seed + 4);
-        let a = DirectConv.backward_data(&cfg, &g, &w);
-        let b = UnrollConv.backward_data(&cfg, &g, &w);
-        prop_assert!(a.max_abs_diff(&b).unwrap() < 1e-3, "at {cfg}");
+        let a = reference::backward_data_ref(&cfg, &g, &w);
+        for algo in [&DirectConv as &dyn ConvAlgorithm, &UnrollConv] {
+            let b = algo.backward_data(&cfg, &g, &w);
+            prop_assert!(a.max_abs_diff(&b).unwrap() < 1e-3, "{} at {cfg}", algo.strategy());
+        }
         if FftConv.supports(&cfg).is_ok() {
             let c = FftConv.backward_data(&cfg, &g, &w);
             prop_assert!(a.rel_l2_dist(&c).unwrap() < 1e-3, "fft at {cfg}");
@@ -96,9 +98,11 @@ proptest! {
     fn backward_filters_consistent_across_strategies(cfg in small_config(), seed in 0u64..1000) {
         let x = uniform_tensor(cfg.input_shape(), -1.0, 1.0, seed);
         let g = uniform_tensor(cfg.output_shape(), -1.0, 1.0, seed + 5);
-        let a = DirectConv.backward_filters(&cfg, &x, &g);
-        let b = UnrollConv.backward_filters(&cfg, &x, &g);
-        prop_assert!(a.max_abs_diff(&b).unwrap() < 1e-2, "at {cfg}");
+        let a = reference::backward_filters_ref(&cfg, &x, &g);
+        for algo in [&DirectConv as &dyn ConvAlgorithm, &UnrollConv] {
+            let b = algo.backward_filters(&cfg, &x, &g);
+            prop_assert!(a.max_abs_diff(&b).unwrap() < 1e-2, "{} at {cfg}", algo.strategy());
+        }
         if FftConv.supports(&cfg).is_ok() {
             let c = FftConv.backward_filters(&cfg, &x, &g);
             prop_assert!(a.rel_l2_dist(&c).unwrap() < 1e-3, "fft at {cfg}");

@@ -7,7 +7,7 @@
 //!
 //! A pass allocates its layers' outputs and nothing else: each conv, pool
 //! and FC layer one tensor, each ReLU none (it clamps the activation it
-//! was handed), and one span name per layer.
+//! was handed); its span names were built with the network.
 //! Every conv's scratch — pack buffers; no column matrix, at any
 //! geometry — comes out of the thread-local arena.
 
@@ -74,14 +74,12 @@ fn warm_inference_allocates_only_layer_outputs() {
     for width in [1, 2] {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
         pool.build().expect("pool").install(|| {
-            // 11 layers: conv ×2, pool ×2 and FC ×3 outputs; ReLU ×4 none;
-            // one span name each.
+            // 11 layers: conv ×2, pool ×2 and FC ×3 outputs; ReLU ×4 none.
             let allocs = warm_pass(&lenet, &lenet_in);
-            assert_eq!(allocs, 7 + 11, "LeNet-5 at width {width}");
-            // 6 layers: conv ×2, pool and FC outputs; ReLU ×2 none; one
-            // span name each.
+            assert_eq!(allocs, 7, "LeNet-5 at width {width}");
+            // 6 layers: conv ×2, pool and FC outputs; ReLU ×2 none.
             let allocs = warm_pass(&small, &small_in);
-            assert_eq!(allocs, 4 + 6, "padded, strided net at width {width}");
+            assert_eq!(allocs, 4, "padded, strided net at width {width}");
         });
     }
 }

@@ -30,6 +30,8 @@ use std::borrow::Cow;
 struct Layer {
     spec: LayerSpec,
     params: Params,
+    /// Its span, `layer{i}.<kind>`, named once when the layer is pushed.
+    span: String,
 }
 
 /// A layer's trainable state.
@@ -47,6 +49,8 @@ struct ConvParams {
     /// Momentum velocity, same shape as the filter bank.
     velocity: Tensor4,
     strategy: Strategy,
+    /// The span of a blocked inference pass, `layer{i}.conv_nchwc`.
+    nchwc_span: String,
 }
 
 /// A conv layer's filters and the one packed copy of them its blocked
@@ -378,8 +382,9 @@ impl Network {
         Ok(net)
     }
 
-    fn push(mut self, spec: LayerSpec, params: Params) -> Self {
-        self.layers.push(Layer { spec, params });
+    fn push(mut self, kind: &str, spec: LayerSpec, params: Params) -> Self {
+        let span = format!("layer{}.{kind}", self.layers.len());
+        self.layers.push(Layer { spec, params, span });
         self
     }
 
@@ -396,7 +401,9 @@ impl Network {
         seed: u64,
     ) -> Self {
         let shape = Shape4::new(out_channels, in_channels, kernel, kernel);
+        let nchwc_span = format!("layer{}.conv_nchwc", self.layers.len());
         self.push(
+            "conv",
             LayerSpec::Conv {
                 out: out_channels,
                 kernel,
@@ -410,6 +417,7 @@ impl Network {
                 }),
                 velocity: Tensor4::zeros(shape),
                 strategy,
+                nchwc_span,
             }),
         )
     }
@@ -441,12 +449,13 @@ impl Network {
 
     /// Append a ReLU.
     pub fn relu(self) -> Self {
-        self.push(LayerSpec::Relu, Params::None)
+        self.push("relu", LayerSpec::Relu, Params::None)
     }
 
     /// Append a max-pooling layer.
     pub fn max_pool(self, window: usize, stride: usize) -> Self {
         self.push(
+            "max_pool",
             LayerSpec::MaxPool {
                 window,
                 stride,
@@ -459,6 +468,7 @@ impl Network {
     /// Append a fully-connected layer.
     pub fn fc(self, in_features: usize, out_features: usize, seed: u64) -> Self {
         self.push(
+            "fc",
             LayerSpec::Fc { out: out_features },
             Params::Fc(FcParams {
                 layer: FcLayer::xavier(out_features, in_features, seed),
@@ -508,21 +518,21 @@ impl Network {
                     let filters = p.filters.get();
                     let blocked = filters.layout.channel_block().filter(|_| !keeping);
                     if let Some(block) = blocked {
-                        let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv_nchwc"));
+                        let _layer = gcnn_trace::span(&p.nchwc_span);
                         let packed_w = p.filters.packed(&cfg, block);
                         let (act, consumed) = self.fused_packed_chain(i, &cfg, packed_w, block, x);
                         x = act;
                         i += consumed;
                         continue;
                     }
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
+                    let _layer = gcnn_trace::span(&layer.span);
                     let input = x.into_planar();
                     let algo = algorithm_for(p.strategy);
                     x = Act::owned(algo.forward_ws(&cfg, &input, &filters.weights, ws));
                     keep(Cache::Input { input, conv });
                 }
                 (LayerSpec::Relu, _) => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
+                    let _layer = gcnn_trace::span(&layer.span);
                     let input = x.into_planar();
                     if keeping {
                         x = Act::owned(ReluLayer.forward(&input));
@@ -532,7 +542,7 @@ impl Network {
                     }
                 }
                 (LayerSpec::MaxPool { window, stride, .. }, _) => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
+                    let _layer = gcnn_trace::span(&layer.span);
                     let input = x.into_planar();
                     let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
                     x = Act::owned(if keeping {
@@ -550,7 +560,7 @@ impl Network {
                     );
                 }
                 (LayerSpec::Fc { .. }, Params::Fc(p)) => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));
+                    let _layer = gcnn_trace::span(&layer.span);
                     let input = x.into_planar();
                     x = Act::owned(p.layer.forward(&input));
                     keep(Cache::Input { input, conv: None });
@@ -725,7 +735,7 @@ impl Network {
         for (i, (layer, cache)) in layers.rev() {
             match (&layer.spec, &mut layer.params, cache) {
                 (_, Params::Conv(p), Cache::Input { input, conv }) => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.conv"));
+                    let _layer = gcnn_trace::span(&layer.span);
                     let cfg = conv.expect("a conv layer caches its config");
                     let algo = algorithm_for(p.strategy);
                     let grad_w = algo.backward_filters_ws(&cfg, &input, &grad, ws);
@@ -741,16 +751,16 @@ impl Network {
                     );
                 }
                 (LayerSpec::Relu, _, Cache::Input { input, .. }) => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.relu"));
+                    let _layer = gcnn_trace::span(&layer.span);
                     grad = ReluLayer.backward(&input, &grad);
                 }
                 (LayerSpec::MaxPool { window, stride, .. }, _, Cache::MaxPool { fwd }) => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.max_pool"));
+                    let _layer = gcnn_trace::span(&layer.span);
                     let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
                     grad = pool.backward(fwd.input_shape, &fwd, &grad);
                 }
                 (_, Params::Fc(p), Cache::Input { input, .. }) => {
-                    let _layer = gcnn_trace::span_owned(|| format!("layer{i}.fc"));
+                    let _layer = gcnn_trace::span(&layer.span);
                     // FC expects (b, features, 1, 1) gradients.
                     let grads = p.layer.backward(&input, &grad);
                     momentum_step(

@@ -96,18 +96,13 @@ pub fn gauge_set(name: &str, value: f64) {
     registry().gauge_set(name, value);
 }
 
-/// Open a span with a static name, nested under the innermost open
-/// span of the current thread. Time is recorded when the guard drops.
+/// Open a span named `name`, nested under the innermost open span of
+/// the current thread. Time is recorded when the guard drops; the guard
+/// keeps no copy of the name, so a name built at run time (per-layer
+/// indices) can be built once and lent to every pass.
 #[inline]
-pub fn span(name: &'static str) -> SpanGuard {
+pub fn span(name: &str) -> SpanGuard {
     span::span_named(name)
-}
-
-/// Open a span whose name is built at run time (per-layer indices,
-/// shapes) by `make_name`.
-#[inline]
-pub fn span_owned<F: FnOnce() -> String>(make_name: F) -> SpanGuard {
-    span::span_named(&make_name())
 }
 
 /// Snapshot the global registry.
@@ -191,13 +186,5 @@ mod enabled_tests {
         gauge_set("gauge.test", 1.0);
         gauge_set("gauge.test", -3.25);
         assert_eq!(snapshot().gauges.get("gauge.test").copied(), Some(-3.25));
-    }
-
-    #[test]
-    fn span_owned_builds_dynamic_names() {
-        {
-            let _g = span_owned(|| format!("dyn{}", 7));
-        }
-        assert!(snapshot().span("dyn7").is_some());
     }
 }
