@@ -5,11 +5,11 @@
 //! bench_compare --baseline <hotpaths baseline json> [--trace results/BENCH_trace.json]
 //!               [--simd results/BENCH_simd.json] [--fft results/BENCH_fft.json]
 //!               [--layout results/BENCH_layout.json]
-//!               [--serve <serve baseline json>] [--mtsim <mtsim baseline json>]
+//!               [--serve <serve baseline json>]
 //! ```
 //!
 //! Each flag runs one gate of `gcnn_bench::compare`, in the order above.
-//! `--baseline`, `--serve` and `--mtsim` name a committed baseline, held
+//! `--baseline` and `--serve` name a committed baseline, held
 //! against the fresh report at its fixed path under `results/`; the
 //! other flags name the report itself. The bounds are the constants in
 //! `compare.rs`. Every gate prints one line per gated number.
@@ -18,8 +18,7 @@
 #![forbid(unsafe_code)]
 
 use gcnn_bench::compare::{
-    failed, fft_gate, hotpaths_gate, layout_gate, mtsim_gate, render, serve_gate, simd_gate,
-    trace_gate, Check,
+    failed, fft_gate, hotpaths_gate, layout_gate, render, serve_gate, simd_gate, trace_gate, Check,
 };
 use serde_json::Value;
 use std::process::exit;
@@ -29,7 +28,7 @@ type Gate = fn(&Value, &Value) -> Result<Vec<Check>, String>;
 /// Every gate: its flag, the fresh report a baseline flag is held against
 /// (`None`: the flag names the report itself), and the gate, called with
 /// the flag's report and the fresh one.
-const GATES: [(&str, Option<&str>, Gate); 7] = [
+const GATES: [(&str, Option<&str>, Gate); 6] = [
     (
         "--baseline",
         Some("results/BENCH_hotpaths.json"),
@@ -40,14 +39,12 @@ const GATES: [(&str, Option<&str>, Gate); 7] = [
     ("--fft", None, |_, r| fft_gate(r)),
     ("--layout", None, |_, r| layout_gate(r)),
     ("--serve", Some("results/BENCH_serve.json"), serve_gate),
-    ("--mtsim", Some("results/BENCH_mtsim.json"), mtsim_gate),
 ];
 
 fn usage() -> ! {
     eprintln!(
         "usage: bench_compare --baseline <json> [--trace <json>] [--simd <json>] \
-         [--fft <json>] [--layout <json>] [--serve <baseline json>] \
-         [--mtsim <baseline json>]"
+         [--fft <json>] [--layout <json>] [--serve <baseline json>]"
     );
     exit(2);
 }

@@ -1,13 +1,13 @@
 //! The CI bench regression gates: one row type, one pass rule, one
-//! renderer, and seven gate functions that read `BENCH_*.json` reports
+//! renderer, and six gate functions that read `BENCH_*.json` reports
 //! into rows.
 //!
 //! A gate parses its report completely — a malformed report is an
 //! `Err`, never a pass — and then returns one [`Check`] per gated
 //! number. Every number comes from one of two helpers: a field of the
 //! current report held to an absolute bound, or `current / baseline`
-//! over keyed lists (hot-path section p50s, mtsim cells, serve's peak
-//! throughput and headline p50). A key the baseline has and the current
+//! over keyed lists (hot-path section p50s, serve's peak throughput and
+//! headline p50). A key the baseline has and the current
 //! report lacks is a row with no value, and it fails. The SIMD-relative
 //! gates (simd, fft, layout) return no rows on a scalar-only host, where
 //! there is no vector path to regress.
@@ -45,20 +45,6 @@ pub const SERVE_MIN_BATCHED_SPEEDUP: f64 = 1.0;
 /// headline p50 at most `1 + SERVE_TOLERANCE` of the baseline. Wider than
 /// the kernel gates: the numbers come from a threaded closed loop.
 pub const SERVE_TOLERANCE: f64 = 0.35;
-/// mtsim: each of two closed-loop FIFO tenants sees at least this
-/// multiple of its dedicated latency (contention is modelled).
-pub const MTSIM_MIN_FIFO2_SLOWDOWN: f64 = 1.8;
-/// mtsim: partition over round-robin aggregate throughput on the
-/// occupancy-limited workload.
-pub const MTSIM_MIN_PARTITION_OVER_RR: f64 = 1.15;
-/// mtsim: relative error of the GM204 occupancy model against maxDNN's
-/// published figure.
-pub const MTSIM_MAX_MAXWELL_REL_ERR: f64 = 0.05;
-/// mtsim: per-cell aggregate throughput at least `1 − MTSIM_TOLERANCE` of
-/// the baseline. Tight: the simulator is deterministic, so drift means
-/// the model changed — refresh the baseline deliberately (EXPERIMENTS.md).
-pub const MTSIM_TOLERANCE: f64 = 0.10;
-
 /// The side of a threshold a value must be on; the threshold passes.
 #[derive(Debug, Clone, Copy)]
 pub enum Bound {
@@ -335,63 +321,6 @@ pub fn serve_gate(baseline: &Value, current: &Value) -> Result<Vec<Check>, Strin
         &base_p50,
         &cur_p50,
         Bound::AtMost(1.0 + SERVE_TOLERANCE),
-    )?);
-    Ok(rows)
-}
-
-/// `(workload/policy/tenants, aggregate throughput)` of every mtsim cell.
-fn mtsim_cells(report: &Value) -> Result<Vec<(String, f64)>, String> {
-    get(report, "cells", Value::as_array, "mtsim report")?
-        .iter()
-        .map(|c| {
-            let workload = get(c, "workload", Value::as_str, "mtsim cell")?;
-            let policy = get(c, "policy", Value::as_str, "mtsim cell")?;
-            let tenants = get(c, "tenants", Value::as_u64, "mtsim cell")?;
-            let thru = get(
-                c,
-                "aggregate_throughput_jobs_per_s",
-                Value::as_f64,
-                "mtsim cell",
-            )?;
-            Ok((format!("{workload}/{policy}/{tenants}"), thru))
-        })
-        .collect()
-}
-
-/// Hold a current `BENCH_mtsim.json` against the baseline: the three
-/// headline floors ([`MTSIM_MIN_FIFO2_SLOWDOWN`],
-/// [`MTSIM_MIN_PARTITION_OVER_RR`], [`MTSIM_MAX_MAXWELL_REL_ERR`]) and
-/// every baseline cell's throughput within [`MTSIM_TOLERANCE`].
-pub fn mtsim_gate(baseline: &Value, current: &Value) -> Result<Vec<Check>, String> {
-    let mut rows = vec![
-        absolute(
-            "mtsim",
-            current,
-            "fifo2_slowdown",
-            "2-tenant FIFO slowdown",
-            Bound::AtLeast(MTSIM_MIN_FIFO2_SLOWDOWN),
-        )?,
-        absolute(
-            "mtsim",
-            current,
-            "partition_over_rr_occlimited",
-            "partition/rr aggregate, occupancy-limited",
-            Bound::AtLeast(MTSIM_MIN_PARTITION_OVER_RR),
-        )?,
-        absolute(
-            "mtsim",
-            current,
-            "maxwell.rel_err",
-            "GM204 occupancy error vs maxDNN",
-            Bound::AtMost(MTSIM_MAX_MAXWELL_REL_ERR),
-        )?,
-    ];
-    let floor = Bound::AtLeast(1.0 - MTSIM_TOLERANCE);
-    rows.extend(ratios(
-        "mtsim",
-        &mtsim_cells(baseline)?,
-        &mtsim_cells(current)?,
-        floor,
     )?);
     Ok(rows)
 }
@@ -766,124 +695,6 @@ mod tests {
         assert!(outside.iter().all(|c| !c.passed()), "{}", render(&outside));
     }
 
-    fn mtsim_report(
-        fifo2: f64,
-        part_rr: f64,
-        rel_err: f64,
-        cells: &[(&str, &str, u64, f64)],
-    ) -> Value {
-        let cells = cells
-            .iter()
-            .map(|(w, p, n, thru)| {
-                format!(
-                    r#"{{"workload":"{w}","policy":"{p}","tenants":{n},
-                        "aggregate_throughput_jobs_per_s":{thru}}}"#
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        serde_json::from_str(&format!(
-            r#"{{"fifo2_slowdown":{fifo2},"partition_over_rr_occlimited":{part_rr},
-                 "maxwell":{{"rel_err":{rel_err}}},"cells":[{cells}]}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn mtsim_gate_passes_healthy_report() {
-        let rep = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 100.0)]);
-        let rows = mtsim_gate(&rep, &rep).unwrap();
-        assert_eq!(rows.len(), 4);
-        assert!(!failed(&rows), "{}", render(&rows));
-        assert!(render(&rows).contains("ok"));
-    }
-
-    #[test]
-    fn mtsim_gate_fails_weak_interference() {
-        let base = mtsim_report(2.0, 1.8, 0.0, &[]);
-        let cur = mtsim_report(1.4, 1.8, 0.0, &[]);
-        let rows = mtsim_gate(&base, &cur).unwrap();
-        assert!(failed(&rows));
-        assert!(failures(&rows).contains("FIFO slowdown"));
-    }
-
-    #[test]
-    fn mtsim_gate_fails_when_partition_stops_winning() {
-        let base = mtsim_report(2.0, 1.8, 0.0, &[]);
-        let cur = mtsim_report(2.0, 1.0, 0.0, &[]);
-        let rows = mtsim_gate(&base, &cur).unwrap();
-        assert!(failed(&rows));
-        assert!(failures(&rows).contains("partition/rr"));
-    }
-
-    #[test]
-    fn mtsim_gate_fails_maxwell_drift() {
-        let base = mtsim_report(2.0, 1.8, 0.0, &[]);
-        let cur = mtsim_report(2.0, 1.8, 0.08, &[]);
-        let rows = mtsim_gate(&base, &cur).unwrap();
-        assert!(failed(&rows));
-        assert!(failures(&rows).contains("maxDNN"));
-    }
-
-    #[test]
-    fn mtsim_gate_fails_cell_throughput_drift_and_missing_cells() {
-        let base = mtsim_report(
-            2.0,
-            1.8,
-            0.0,
-            &[("occ", "fifo", 2, 100.0), ("occ", "rr", 2, 90.0)],
-        );
-        let slow = mtsim_report(
-            2.0,
-            1.8,
-            0.0,
-            &[("occ", "fifo", 2, 80.0), ("occ", "rr", 2, 90.0)],
-        );
-        let rows = mtsim_gate(&base, &slow).unwrap();
-        assert!(failed(&rows));
-        assert!(failures(&rows).contains("occ/fifo/2"));
-        assert!(!failures(&rows).contains("occ/rr/2"));
-
-        let missing = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 100.0)]);
-        let rows = mtsim_gate(&base, &missing).unwrap();
-        assert!(failed(&rows));
-        assert!(failures(&rows).contains("occ/rr/2"));
-        assert!(failures(&rows).contains("missing"));
-    }
-
-    #[test]
-    fn mtsim_gate_tolerance_is_honored() {
-        // `past` > 0 puts every number that far past its bound; < 0 inside.
-        let base = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 100.0)]);
-        let probe = |past: f64| {
-            mtsim_report(
-                MTSIM_MIN_FIFO2_SLOWDOWN - past,
-                MTSIM_MIN_PARTITION_OVER_RR - past,
-                MTSIM_MAX_MAXWELL_REL_ERR + past,
-                &[("occ", "fifo", 2, 100.0 * (1.0 - MTSIM_TOLERANCE - past))],
-            )
-        };
-        let inside = mtsim_gate(&base, &probe(-1e-3)).unwrap();
-        assert_eq!(inside.len(), 4);
-        assert!(!failed(&inside), "{}", render(&inside));
-        let outside = mtsim_gate(&base, &probe(1e-3)).unwrap();
-        assert!(outside.iter().all(|c| !c.passed()), "{}", render(&outside));
-    }
-
-    #[test]
-    fn mtsim_gate_rejects_malformed_reports() {
-        let good = mtsim_report(2.0, 1.8, 0.0, &[("occ", "fifo", 2, 100.0)]);
-        let no_headline: Value =
-            serde_json::from_str(r#"{"partition_over_rr_occlimited":1.8}"#).unwrap();
-        assert!(mtsim_gate(&good, &no_headline).is_err());
-        let no_cells: Value = serde_json::from_str(
-            r#"{"fifo2_slowdown":2.0,"partition_over_rr_occlimited":1.8,
-                "maxwell":{"rel_err":0.0}}"#,
-        )
-        .unwrap();
-        assert!(mtsim_gate(&no_cells, &good).is_err());
-    }
-
     #[test]
     fn serve_gate_rejects_malformed_reports() {
         let good = serve_report(1.5, 20_000.0, &[(8, 16, 0.5)]);
@@ -906,7 +717,7 @@ mod tests {
             );
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap()
         };
-        let (hot, serve, mtsim) = (load("hotpaths"), load("serve"), load("mtsim"));
+        let (hot, serve) = (load("hotpaths"), load("serve"));
         for rows in [
             hotpaths_gate(&hot, &hot),
             trace_gate(&load("trace")),
@@ -914,7 +725,6 @@ mod tests {
             fft_gate(&load("fft")),
             layout_gate(&load("layout")),
             serve_gate(&serve, &serve),
-            mtsim_gate(&mtsim, &mtsim),
         ] {
             let rows = rows.unwrap();
             assert!(!rows.is_empty());

@@ -10,7 +10,7 @@
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvConfig, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy};
 use gcnn_gpusim::{AccessPattern, Transfer, TransferDirection};
 
 /// Parameters distinguishing the three explicit-unrolling frameworks.
@@ -22,10 +22,8 @@ pub(crate) struct UnrollingStyle {
     pub gemm_load_pattern: AccessPattern,
     /// im2col store pattern (the k²-expanded column-matrix writes).
     pub im2col_store_pattern: AccessPattern,
-    /// Registers per thread of the hotspot kernels (Table II).
-    pub registers: u32,
-    /// Shared memory per block of the hotspot kernels (Table II).
-    pub shared_kb: f32,
+    /// Registers and shared memory of the hotspot kernels (Table II).
+    pub resources: ResourceProfile,
     /// Number of im2col workspace buffers held live (forward + backward
     /// paths that keep separate buffers).
     pub col_buffers: u32,
@@ -54,8 +52,8 @@ pub(crate) fn unrolling_plan(
     allocations.extend(extra_allocations);
 
     let gemm_spec = |tile_m: u64, tile_n: u64, lane: f32| common::GemmKernelSpec {
-        regs: style.registers,
-        smem: (style.shared_kb * 1024.0) as u32,
+        regs: style.resources.registers,
+        smem: style.resources.shared_bytes(),
         block: 256,
         tile_m,
         tile_n,
@@ -85,7 +83,7 @@ pub(crate) fn unrolling_plan(
         "im2col_gpu_kernel",
         image_bytes,
         col_bytes,
-        style.registers / 3,
+        style.resources.registers / 3,
         AccessPattern::Strided { stride_words: 8 },
     );
     im2col.store_pattern = style.im2col_store_pattern;
@@ -93,7 +91,7 @@ pub(crate) fn unrolling_plan(
         "col2im_gpu_kernel",
         col_bytes,
         image_bytes,
-        style.registers / 3,
+        style.resources.registers / 3,
         AccessPattern::Coalesced,
     );
     col2im.load_cached_fraction = 0.3;
@@ -126,8 +124,10 @@ impl Caffe {
             gemm_efficiency: 0.40,
             gemm_load_pattern: AccessPattern::Strided { stride_words: 6 },
             im2col_store_pattern: AccessPattern::Coalesced,
-            registers: 86,
-            shared_kb: 8.5,
+            resources: ResourceProfile {
+                registers: 86,
+                shared_kb: 8.5,
+            },
             col_buffers: 1,
             share_activation_grads: false,
         }
@@ -144,21 +144,7 @@ impl ConvImplementation for Caffe {
     }
 
     fn resources(&self) -> ResourceProfile {
-        ResourceProfile {
-            registers: 86,
-            shared_kb: 8.5,
-        }
-    }
-
-    fn supports(&self, cfg: &ConvConfig) -> Result<(), Unsupported> {
-        // "Unrolling-based implementations are most flexible in
-        // configuration selection as they support any possible shapes."
-        if !cfg.is_valid() {
-            return Err(Unsupported::InvalidGeometry {
-                reason: format!("{cfg}"),
-            });
-        }
-        Ok(())
+        Self::style().resources
     }
 
     fn plan(&self, cfg: &ConvConfig) -> ExecutionPlan {

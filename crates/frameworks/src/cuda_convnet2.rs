@@ -88,11 +88,7 @@ impl ConvImplementation for CudaConvnet2 {
         // images and square kernels, its mini-batch size must be a
         // multiple of 32 and its filter number must be a multiple of
         // 16." (Inputs/kernels are square by construction here.)
-        if !cfg.is_valid() {
-            return Err(Unsupported::InvalidGeometry {
-                reason: format!("{cfg}"),
-            });
-        }
+        gcnn_conv::algorithm_for(self.strategy()).supports(cfg)?;
         if !cfg.batch.is_multiple_of(32) {
             return Err(Unsupported::BatchNotMultipleOf {
                 multiple: 32,

@@ -19,7 +19,7 @@
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvConfig, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy};
 use gcnn_gpusim::{
     AccessPattern, KernelDesc, LaunchConfig, SharedAccessDesc, Transfer, TransferDirection,
 };
@@ -97,15 +97,6 @@ impl ConvImplementation for CuDnn {
             registers: 80,
             shared_kb: 8.4,
         }
-    }
-
-    fn supports(&self, cfg: &ConvConfig) -> Result<(), Unsupported> {
-        if !cfg.is_valid() {
-            return Err(Unsupported::InvalidGeometry {
-                reason: format!("{cfg}"),
-            });
-        }
-        Ok(())
     }
 
     fn plan(&self, cfg: &ConvConfig) -> ExecutionPlan {

@@ -21,7 +21,7 @@
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvConfig, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy};
 use gcnn_gpusim::{
     AccessPattern, KernelDesc, LaunchConfig, SharedAccessDesc, Transfer, TransferDirection,
 };
@@ -71,20 +71,6 @@ impl ConvImplementation for Fbfft {
             registers: 106,
             shared_kb: 10.0,
         }
-    }
-
-    fn supports(&self, cfg: &ConvConfig) -> Result<(), Unsupported> {
-        if !cfg.is_valid() {
-            return Err(Unsupported::InvalidGeometry {
-                reason: format!("{cfg}"),
-            });
-        }
-        // Paper §IV-B: "fbfft and Theano-conv2d_fft only support stride
-        // size of 1".
-        if cfg.stride != 1 {
-            return Err(Unsupported::StrideNotOne { stride: cfg.stride });
-        }
-        Ok(())
     }
 
     fn plan(&self, cfg: &ConvConfig) -> ExecutionPlan {
@@ -212,6 +198,7 @@ mod tests {
     use crate::cuda_convnet2::CudaConvnet2;
     use crate::cudnn::CuDnn;
     use crate::torch_cunn::TorchCunn;
+    use gcnn_conv::Unsupported;
     use gcnn_gpusim::DeviceSpec;
 
     fn time_of(imp: &dyn ConvImplementation, cfg: &ConvConfig) -> f64 {

@@ -54,8 +54,13 @@ pub trait ConvImplementation: Send + Sync {
     /// The paper's Table II resource profile of its hotspot kernels.
     fn resources(&self) -> ResourceProfile;
 
-    /// Shape restrictions (paper §IV-B).
-    fn supports(&self, cfg: &ConvConfig) -> Result<(), Unsupported>;
+    /// Shape restrictions (paper §IV-B). The default is the rule of the
+    /// strategy's `gcnn-conv` algorithm: any valid geometry, and stride 1
+    /// for FFT. An implementation with restrictions of its own applies
+    /// them after that rule.
+    fn supports(&self, cfg: &ConvConfig) -> Result<(), Unsupported> {
+        gcnn_conv::algorithm_for(self.strategy()).supports(cfg)
+    }
 
     /// Kernel-level execution plan for one training iteration
     /// (forward + backward-data + backward-weights).

@@ -15,7 +15,7 @@ use crate::caffe::{unrolling_plan, UnrollingStyle};
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvConfig, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy};
 use gcnn_gpusim::{AccessPattern, Transfer, TransferDirection};
 
 /// Batched-column-matrix size above which the model host-stages GEMM
@@ -37,8 +37,10 @@ impl TheanoCorrMM {
             gemm_efficiency: 0.44,
             gemm_load_pattern: AccessPattern::Strided { stride_words: 8 },
             im2col_store_pattern: AccessPattern::Strided { stride_words: 2 },
-            registers: 72,
-            shared_kb: 7.0,
+            resources: ResourceProfile {
+                registers: 72,
+                shared_kb: 7.0,
+            },
             col_buffers: 2,
             share_activation_grads: false,
         }
@@ -62,19 +64,7 @@ impl ConvImplementation for TheanoCorrMM {
     }
 
     fn resources(&self) -> ResourceProfile {
-        ResourceProfile {
-            registers: 72,
-            shared_kb: 7.0,
-        }
-    }
-
-    fn supports(&self, cfg: &ConvConfig) -> Result<(), Unsupported> {
-        if !cfg.is_valid() {
-            return Err(Unsupported::InvalidGeometry {
-                reason: format!("{cfg}"),
-            });
-        }
-        Ok(())
+        Self::style().resources
     }
 
     fn plan(&self, cfg: &ConvConfig) -> ExecutionPlan {

@@ -19,7 +19,7 @@
 use crate::common::{self, Sizes};
 use crate::plan::{ExecutionPlan, PlannedKernel, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvConfig, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy};
 use gcnn_gpusim::{
     AccessPattern, KernelDesc, LaunchConfig, SharedAccessDesc, Transfer, TransferDirection,
 };
@@ -91,18 +91,6 @@ impl ConvImplementation for TheanoFft {
             registers: 2,
             shared_kb: 4.5,
         }
-    }
-
-    fn supports(&self, cfg: &ConvConfig) -> Result<(), Unsupported> {
-        if !cfg.is_valid() {
-            return Err(Unsupported::InvalidGeometry {
-                reason: format!("{cfg}"),
-            });
-        }
-        if cfg.stride != 1 {
-            return Err(Unsupported::StrideNotOne { stride: cfg.stride });
-        }
-        Ok(())
     }
 
     fn plan(&self, cfg: &ConvConfig) -> ExecutionPlan {

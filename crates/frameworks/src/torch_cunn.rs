@@ -11,7 +11,7 @@ use crate::caffe::{unrolling_plan, UnrollingStyle};
 use crate::common::Sizes;
 use crate::plan::{ExecutionPlan, ResourceProfile};
 use crate::ConvImplementation;
-use gcnn_conv::{ConvConfig, Strategy, Unsupported};
+use gcnn_conv::{ConvConfig, Strategy};
 use gcnn_gpusim::{AccessPattern, Transfer, TransferDirection};
 
 /// The Torch-cunn implementation model.
@@ -24,8 +24,10 @@ impl TorchCunn {
             gemm_efficiency: 0.42,
             gemm_load_pattern: AccessPattern::Strided { stride_words: 6 },
             im2col_store_pattern: AccessPattern::Coalesced,
-            registers: 84,
-            shared_kb: 8.1,
+            resources: ResourceProfile {
+                registers: 84,
+                shared_kb: 8.1,
+            },
             col_buffers: 1,
             share_activation_grads: true,
         }
@@ -42,19 +44,7 @@ impl ConvImplementation for TorchCunn {
     }
 
     fn resources(&self) -> ResourceProfile {
-        ResourceProfile {
-            registers: 84,
-            shared_kb: 8.1,
-        }
-    }
-
-    fn supports(&self, cfg: &ConvConfig) -> Result<(), Unsupported> {
-        if !cfg.is_valid() {
-            return Err(Unsupported::InvalidGeometry {
-                reason: format!("{cfg}"),
-            });
-        }
-        Ok(())
+        Self::style().resources
     }
 
     fn plan(&self, cfg: &ConvConfig) -> ExecutionPlan {

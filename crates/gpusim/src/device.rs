@@ -113,19 +113,16 @@ impl DeviceSpec {
         }
     }
 
-    /// GeForce GTX Titan X (Maxwell GM200): more, smaller SMs at a
-    /// higher clock, 96 KB shared per SM (48 KB per block), 336 GB/s.
+    /// GeForce GTX Titan X (Maxwell GM200): the GM204's SMM (below),
+    /// 24 of them at a lower clock, with 12 GB at 336 GB/s.
     pub fn titan_x_maxwell() -> Self {
         DeviceSpec {
             name: "GTX Titan X (Maxwell)".to_string(),
             sm_count: 24,
-            cores_per_sm: 128,
             clock_mhz: 1000,
-            max_blocks_per_sm: 32,
-            shared_mem_per_sm: 96 * 1024,
             global_mem_bytes: 12 * 1024 * 1024 * 1024,
             mem_bandwidth_gbs: 336.0,
-            ..Self::k40c()
+            ..Self::gm204()
         }
     }
 

@@ -1,45 +1,36 @@
 //! # gcnn-mtsim
 //!
-//! A discrete-event multi-tenant GPU simulator: N client streams —
-//! each replaying the kernel schedule of a [`gcnn_frameworks`]
-//! execution plan — time-share one simulated device under a pluggable
-//! scheduling policy.
+//! A discrete-event replay of N client streams — each repeating the
+//! kernel schedule of a [`gcnn_frameworks`] execution plan — that
+//! time-share one simulated device under round-robin slicing. Its one
+//! caller is the benchmark's `paper_sim` workload, which adds the
+//! simulated makespan of four Table I tenants to the modeled total it
+//! checks bit for bit every iteration; `tests/pinned.rs` pins that
+//! makespan.
 //!
-//! The paper measures frameworks *alone* on a dedicated K40c; real
-//! deployments co-locate training and inference streams on shared
-//! devices. This crate extends the analytical machinery of
-//! [`gcnn_gpusim`] to that regime and answers scheduling questions the
-//! paper's single-tenant methodology cannot: what latency does a
-//! tenant see under contention, and which sharing discipline wins for
-//! a given kernel population?
+//! The paper measures each framework alone on a dedicated K40c, and no
+//! figure reads this crate. It is the analytical model of
+//! [`gcnn_gpusim`] driven by an event loop, no more:
 //!
 //! * [`stream`] — tenant specs: a job (one plan iteration's kernel
-//!   sequence) plus an arrival process (closed-loop or open/periodic).
-//! * [`policy`] — [`SchedPolicy::Fifo`] (stream-interleaved, kernel
-//!   granularity), [`SchedPolicy::RoundRobin`] (service-time quantum +
-//!   context-switch penalty) and [`SchedPolicy::SmPartition`]
-//!   (MPS-style spatial shares re-timed via the occupancy model).
+//!   sequence) plus an arrival process (closed-loop or open/periodic);
+//! * [`SchedPolicy::RoundRobin`] — a service-time quantum plus a
+//!   context-switch penalty on every rotation;
 //! * [`engine`] — the integer-nanosecond event loop. Kernels are
 //!   non-preemptible (pre-Pascal), so all decisions happen at kernel
 //!   boundaries; per-kernel service times are precomputed with
 //!   [`gcnn_gpusim::timing::time_kernel`] and the loop itself is
-//!   allocation-free and bit-for-bit deterministic.
-//! * [`metrics`] — per-stream achieved throughput, p50/p99 queueing
-//!   and service latency, occupancy-weighted SM utilization, and the
-//!   interference slowdown against a dedicated-device baseline.
+//!   allocation-free and bit-for-bit deterministic;
+//! * [`SimReport`] — the makespan, the preemption count and each
+//!   stream's completed jobs and mean latency.
 //!
-//! The headline phenomenon the model reproduces: *occupancy-limited*
-//! kernels (small grids that cannot fill 15 SMs) lose nothing when
-//! confined to an SM partition, so spatial sharing beats time slicing
-//! on aggregate throughput exactly where the paper's occupancy chapter
-//! predicts — while large-grid kernels prefer the full device and
-//! time slicing. See DESIGN.md §9.
+//! See DESIGN.md §9.
 
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod metrics;
-pub mod policy;
+mod metrics;
+mod policy;
 pub mod stream;
 
 pub use engine::{simulate, Engine};

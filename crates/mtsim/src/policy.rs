@@ -1,20 +1,12 @@
-//! Scheduling policies for the shared device.
+//! The scheduling policy of the shared device.
 //!
-//! Pre-Pascal GPUs cannot preempt a running kernel, so every policy
-//! here makes decisions at *kernel boundaries* — the quantum of a
-//! time-slicing scheduler is therefore a service-time budget, not a
-//! hardware timer.
-
-use serde::{Deserialize, Serialize};
+//! Pre-Pascal GPUs cannot preempt a running kernel, so the scheduler
+//! makes decisions at *kernel boundaries* — its quantum is therefore a
+//! service-time budget, not a hardware timer.
 
 /// How the simulated device is shared between tenant streams.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedPolicy {
-    /// One queue, earliest-ready stream first. Kernels from different
-    /// streams interleave at kernel granularity with no switch cost —
-    /// the behaviour of concurrent CUDA streams serializing onto one
-    /// compute engine.
-    Fifo,
     /// Round-robin time slicing: the device stays with one stream until
     /// `quantum_us` of service time is consumed (or the stream runs
     /// dry), then rotates, paying the engine's context-switch penalty.
@@ -23,63 +15,54 @@ pub enum SchedPolicy {
         /// Service-time budget per turn, microseconds.
         quantum_us: f64,
     },
-    /// Static SM partitioning: each of the N streams owns
-    /// `sm_count / N` SMs (and a proportional slice of memory
-    /// bandwidth) and runs concurrently with the others. Models
-    /// MPS-style spatial sharing; kernel times are recomputed against
-    /// the smaller partition via the occupancy model.
-    SmPartition,
 }
 
-impl SchedPolicy {
-    /// Short stable label for reports and bench JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedPolicy::Fifo => "fifo",
-            SchedPolicy::RoundRobin { .. } => "rr",
-            SchedPolicy::SmPartition => "partition",
-        }
-    }
-}
-
-/// Engine-level knobs shared by all policies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Engine-level settings.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// The scheduling policy.
     pub policy: SchedPolicy,
-    /// Cost of switching the device between streams (pipeline drain +
-    /// context restore), microseconds. Charged by [`SchedPolicy::RoundRobin`]
-    /// on every involuntary rotation; FIFO stream interleaving and SM
-    /// partitioning are free by construction.
-    pub ctx_switch_us: f64,
 }
 
 impl SimConfig {
-    /// A config with the default 25 µs context-switch penalty
-    /// (same order as the K40c's kernel launch overhead ×5, the cost
-    /// of a full pipeline drain on a pre-emption-free part).
+    /// A config for `policy`. Every rotation to a different stream costs
+    /// the engine's fixed context-switch penalty.
     pub fn new(policy: SchedPolicy) -> Self {
-        SimConfig {
-            policy,
-            ctx_switch_us: 25.0,
-        }
+        SimConfig { policy }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(SchedPolicy::Fifo.label(), "fifo");
-        assert_eq!(SchedPolicy::RoundRobin { quantum_us: 100.0 }.label(), "rr");
-        assert_eq!(SchedPolicy::SmPartition.label(), "partition");
-    }
+    use crate::{simulate, Arrival, TenantSpec};
+    use gcnn_frameworks::PlannedKernel;
+    use gcnn_gpusim::{DeviceSpec, KernelDesc, LaunchConfig};
 
     #[test]
     fn default_config_charges_context_switches() {
-        let cfg = SimConfig::new(SchedPolicy::Fifo);
-        assert!(cfg.ctx_switch_us > 0.0);
+        let one_job = |name: &str, flops: u64| {
+            let mut k = KernelDesc::new(name, LaunchConfig::new(4096, 256));
+            k.flops = flops;
+            TenantSpec {
+                name: name.to_string(),
+                kernels: vec![PlannedKernel::once(k)],
+                arrival: Arrival::ClosedLoop,
+                jobs: 1,
+            }
+        };
+        let (a, b) = (one_job("a", 1_000_000_000), one_job("b", 3_000_000_000));
+        let (dev, cfg) = (
+            DeviceSpec::k40c(),
+            SimConfig::new(SchedPolicy::RoundRobin { quantum_us: 500.0 }),
+        );
+        let alone = |t: &TenantSpec| simulate(&dev, std::slice::from_ref(t), cfg).makespan_ms;
+        let shared = simulate(&dev, &[a.clone(), b.clone()], cfg);
+        // `a` runs, then one rotation hands the device to `b` for 25 µs
+        // more than the two kernels alone; `a` had no work left, so the
+        // rotation is not a preemption.
+        let switch_ms = shared.makespan_ms - alone(&a) - alone(&b);
+        assert!((switch_ms - 0.025).abs() < 1e-9, "{switch_ms} ms");
+        assert_eq!(shared.preemptions, 0);
     }
 }

@@ -2,10 +2,9 @@
 //! and when jobs arrive.
 
 use gcnn_frameworks::{ExecutionPlan, PlannedKernel};
-use serde::{Deserialize, Serialize};
 
 /// When a stream's jobs arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrival {
     /// The next job is submitted the instant the previous one
     /// completes (a training loop, or a saturating load generator).
@@ -26,7 +25,7 @@ pub enum Arrival {
 /// device-side portion of an [`ExecutionPlan`]. Host↔device transfers
 /// are excluded: the simulator arbitrates the compute engine, and on
 /// the modeled parts copies ride a separate DMA engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Stream name (appears in reports).
     pub name: String,
@@ -46,21 +45,6 @@ impl TenantSpec {
         TenantSpec {
             name: name.to_string(),
             kernels: plan.kernels.clone(),
-            arrival,
-            jobs,
-        }
-    }
-
-    /// A stream over an explicit kernel list.
-    pub fn from_kernels(
-        name: &str,
-        kernels: Vec<PlannedKernel>,
-        arrival: Arrival,
-        jobs: u32,
-    ) -> Self {
-        TenantSpec {
-            name: name.to_string(),
-            kernels,
             arrival,
             jobs,
         }

@@ -1,20 +1,16 @@
-//! Property suite for the multi-tenant simulator — the acceptance
-//! gates of the mtsim subsystem:
+//! Property suite for the round-robin simulator:
 //!
-//! * conservation: every submitted job completes, under every policy;
+//! * conservation: every submitted job completes, at every quantum;
 //! * determinism: identical inputs → bit-identical reports;
-//! * single-tenant parity: one stream on FIFO sees exactly its
-//!   dedicated latency (slowdown 1.0, zero queueing);
-//! * FIFO interference: two identical closed-loop tenants each see
-//!   ≥ 1.8× their dedicated latency;
-//! * partition vs time-slicing: for occupancy-limited kernel
-//!   populations, SM partitioning beats round-robin on aggregate
-//!   throughput.
+//! * single-tenant parity: a sole stream is never preempted and each of
+//!   its jobs takes exactly its kernels' modeled service time;
+//! * open arrivals spaced wider than a job never queue.
 
 use gcnn_conv::ConvConfig;
 use gcnn_frameworks::{implementation_by_name, PlannedKernel};
+use gcnn_gpusim::timing::time_kernel;
 use gcnn_gpusim::{DeviceSpec, KernelDesc, LaunchConfig};
-use gcnn_mtsim::{simulate, Arrival, SchedPolicy, SimConfig, TenantSpec};
+use gcnn_mtsim::{simulate, Arrival, SchedPolicy, SimConfig, SimReport, TenantSpec};
 use proptest::prelude::*;
 
 /// A compute-heavy kernel whose grid fills the device.
@@ -26,9 +22,7 @@ fn saturating_kernel(name: &str, flops: u64) -> KernelDesc {
     k
 }
 
-/// An occupancy-limited kernel: a grid too small to fill even half the
-/// K40c's SMs, so achieved occupancy — not ALU throughput — bounds it.
-/// Confining it to an SM partition costs (almost) nothing.
+/// A kernel whose grid is too small to fill even half the K40c's SMs.
 fn occupancy_limited_kernel(name: &str) -> KernelDesc {
     let mut k = KernelDesc::new(name, LaunchConfig::new(16, 256));
     k.regs_per_thread = 64;
@@ -39,105 +33,59 @@ fn occupancy_limited_kernel(name: &str) -> KernelDesc {
 }
 
 fn closed_tenant(name: &str, kernel: KernelDesc, launches: u32, jobs: u32) -> TenantSpec {
-    TenantSpec::from_kernels(
-        name,
-        vec![PlannedKernel::times(kernel, launches)],
-        Arrival::ClosedLoop,
+    TenantSpec {
+        name: name.to_string(),
+        kernels: vec![PlannedKernel::times(kernel, launches)],
+        arrival: Arrival::ClosedLoop,
         jobs,
-    )
+    }
+}
+
+fn rr(quantum_us: f64) -> SimConfig {
+    SimConfig::new(SchedPolicy::RoundRobin { quantum_us })
+}
+
+/// One job of `kernel × launches` alone on `dev`, in the engine's
+/// integer nanoseconds, as milliseconds.
+fn dedicated_job_ms(dev: &DeviceSpec, kernel: &KernelDesc, launches: u32) -> f64 {
+    let ns = (time_kernel(dev, kernel).time_ms * 1e6).round().max(1.0);
+    ns * f64::from(launches) * 1e-6
+}
+
+/// A sole closed-loop tenant owns the device: no preemption, and every
+/// job's latency is its dedicated service time.
+fn assert_dedicated(r: &SimReport, job_ms: f64, jobs: u32) {
+    let s = &r.streams[0];
+    assert_eq!(s.jobs_completed, jobs);
+    assert_eq!(r.preemptions, 0, "{r:?}");
+    assert!(
+        (s.latency_mean_ms - job_ms).abs() < 1e-9,
+        "{s:?} vs {job_ms}"
+    );
+    assert!(
+        (r.makespan_ms - job_ms * f64::from(jobs)).abs() < 1e-9,
+        "{r:?}"
+    );
 }
 
 #[test]
 fn single_tenant_parity_with_dedicated_baseline() {
-    let spec = closed_tenant("solo", saturating_kernel("k", 3_000_000_000), 4, 6);
-    let r = simulate(
-        &DeviceSpec::k40c(),
-        &[spec],
-        SimConfig::new(SchedPolicy::Fifo),
-    );
-    let s = &r.streams[0];
-    assert_eq!(s.jobs_completed, 6);
-    assert!((s.slowdown - 1.0).abs() < 1e-6, "{s:?}");
-    assert!(s.queue_p99_ms < 1e-9, "{s:?}");
-    assert!((s.service_p50_ms - s.dedicated_latency_ms).abs() < 1e-6);
-}
-
-/// The headline FIFO gate: two identical closed-loop tenants sharing
-/// one device each see at least 1.8× their dedicated job latency.
-#[test]
-fn fifo_two_tenant_slowdown_at_least_1_8x() {
-    for launches in [3u32, 8] {
-        let a = closed_tenant("a", saturating_kernel("k", 2_000_000_000), launches, 8);
-        let b = closed_tenant("b", saturating_kernel("k", 2_000_000_000), launches, 8);
+    let dev = DeviceSpec::k40c();
+    let kernel = saturating_kernel("k", 3_000_000_000);
+    let job_ms = dedicated_job_ms(&dev, &kernel, 4);
+    for quantum_us in [50.0, 500.0, 5_000.0] {
         let r = simulate(
-            &DeviceSpec::k40c(),
-            &[a, b],
-            SimConfig::new(SchedPolicy::Fifo),
+            &dev,
+            &[closed_tenant("solo", kernel.clone(), 4, 6)],
+            rr(quantum_us),
         );
-        for s in &r.streams {
-            assert!(
-                s.slowdown >= 1.8,
-                "launches={launches}: {:?} slowdown {}",
-                s.name,
-                s.slowdown
-            );
-        }
+        assert_dedicated(&r, job_ms, 6);
     }
 }
 
-/// The partition-vs-time-slicing gate: when the kernel population is
-/// occupancy-limited, spatial sharing wins on aggregate throughput.
-#[test]
-fn partition_beats_round_robin_for_occupancy_limited_kernels() {
-    let specs = [
-        closed_tenant("a", occupancy_limited_kernel("small_a"), 6, 10),
-        closed_tenant("b", occupancy_limited_kernel("small_b"), 6, 10),
-    ];
-    let rr = simulate(
-        &DeviceSpec::k40c(),
-        &specs,
-        SimConfig::new(SchedPolicy::RoundRobin { quantum_us: 200.0 }),
-    );
-    let part = simulate(
-        &DeviceSpec::k40c(),
-        &specs,
-        SimConfig::new(SchedPolicy::SmPartition),
-    );
-    assert!(
-        part.aggregate_throughput_jobs_per_s > 1.15 * rr.aggregate_throughput_jobs_per_s,
-        "partition {} vs rr {}",
-        part.aggregate_throughput_jobs_per_s,
-        rr.aggregate_throughput_jobs_per_s
-    );
-}
-
-/// The converse sanity check: a device-filling kernel population does
-/// NOT gain from partitioning — its big grids want all 15 SMs, and a
-/// half-device roughly halves per-stream speed.
-#[test]
-fn partition_does_not_help_saturating_kernels() {
-    let specs = [
-        closed_tenant("a", saturating_kernel("big_a", 5_000_000_000), 4, 6),
-        closed_tenant("b", saturating_kernel("big_b", 5_000_000_000), 4, 6),
-    ];
-    let rr = simulate(
-        &DeviceSpec::k40c(),
-        &specs,
-        SimConfig::new(SchedPolicy::RoundRobin { quantum_us: 500.0 }),
-    );
-    let part = simulate(
-        &DeviceSpec::k40c(),
-        &specs,
-        SimConfig::new(SchedPolicy::SmPartition),
-    );
-    // No more than a few percent apart either way.
-    let ratio = part.aggregate_throughput_jobs_per_s / rr.aggregate_throughput_jobs_per_s;
-    assert!(ratio < 1.15, "partitioning should not win here: {ratio}");
-}
-
 /// Real framework plans (Caffe vs cuDNN from the paper's seven) share
-/// the device: conservation and interference hold on realistic kernel
-/// populations, not just synthetic ones.
+/// the device: conservation holds on realistic kernel populations, not
+/// just synthetic ones.
 #[test]
 fn framework_plans_share_the_device() {
     let cfg = ConvConfig::paper_base();
@@ -149,36 +97,31 @@ fn framework_plans_share_the_device() {
         TenantSpec::from_plan("caffe", &caffe.plan(&cfg), Arrival::ClosedLoop, 3),
         TenantSpec::from_plan("cudnn", &cudnn.plan(&cfg), Arrival::ClosedLoop, 3),
     ];
-    for policy in [
-        SchedPolicy::Fifo,
-        SchedPolicy::RoundRobin { quantum_us: 500.0 },
-        SchedPolicy::SmPartition,
-    ] {
-        let r = simulate(&DeviceSpec::k40c(), &specs, SimConfig::new(policy));
+    for quantum_us in [50.0, 500.0, 5_000.0] {
+        let r = simulate(&DeviceSpec::k40c(), &specs, rr(quantum_us));
         for s in &r.streams {
-            assert_eq!(s.jobs_completed, 3, "{policy:?} {s:?}");
-            assert!(s.slowdown >= 1.0 - 1e-9, "{policy:?} {s:?}");
-            assert!(s.sm_utilization > 0.0 && s.sm_utilization <= 1.0);
+            assert_eq!(s.jobs_completed, 3, "{quantum_us} µs {s:?}");
+            assert!(s.latency_mean_ms > 0.0);
         }
         assert!(r.makespan_ms > 0.0);
     }
 }
 
 /// The Maxwell preset drives the simulator like the K40c: a sole
-/// tenant completes every job at no slowdown.
+/// tenant completes every job in its dedicated time.
 #[test]
 fn gm204_drives_the_simulator() {
     let gm204 = DeviceSpec::gm204();
-    let spec = closed_tenant("m", saturating_kernel("k", 3_000_000_000), 3, 4);
-    let r = simulate(&gm204, &[spec], SimConfig::new(SchedPolicy::Fifo));
-    assert_eq!(r.streams[0].jobs_completed, 4);
-    assert!((r.streams[0].slowdown - 1.0).abs() < 1e-6);
+    let kernel = saturating_kernel("k", 3_000_000_000);
+    let job_ms = dedicated_job_ms(&gm204, &kernel, 3);
+    let r = simulate(&gm204, &[closed_tenant("m", kernel, 3, 4)], rr(500.0));
+    assert_dedicated(&r, job_ms, 4);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Conservation: every submitted job completes under every policy,
+    /// Conservation: every submitted job completes at every quantum,
     /// for arbitrary tenant counts, job counts and kernel shapes.
     #[test]
     fn all_jobs_complete_under_every_policy(
@@ -186,13 +129,8 @@ proptest! {
         jobs in 1u32..6,
         launches in 1u32..4,
         grid_pick in 0usize..4,
-        policy_pick in 0usize..3,
+        quantum_us in 20.0f64..5_000.0,
     ) {
-        let policy = [
-            SchedPolicy::Fifo,
-            SchedPolicy::RoundRobin { quantum_us: 100.0 },
-            SchedPolicy::SmPartition,
-        ][policy_pick];
         let grid = [8u32, 64, 512, 4096][grid_pick];
         let mut specs = Vec::new();
         for i in 0..n_tenants {
@@ -201,12 +139,10 @@ proptest! {
             k.compute_efficiency = 0.5;
             specs.push(closed_tenant(&format!("t{i}"), k, launches, jobs));
         }
-        let r = simulate(&DeviceSpec::k40c(), &specs, SimConfig::new(policy));
+        let r = simulate(&DeviceSpec::k40c(), &specs, rr(quantum_us));
         let total: u32 = r.streams.iter().map(|s| s.jobs_completed).sum();
         prop_assert_eq!(total, n_tenants as u32 * jobs);
         for s in &r.streams {
-            // Shared never beats dedicated.
-            prop_assert!(s.slowdown >= 1.0 - 1e-9, "{:?}", s);
             prop_assert!(s.latency_mean_ms > 0.0);
         }
     }
@@ -216,43 +152,28 @@ proptest! {
     fn reports_are_deterministic(
         jobs_a in 1u32..6,
         jobs_b in 1u32..6,
-        policy_pick in 0usize..3,
+        quantum_us in 20.0f64..5_000.0,
     ) {
-        let policy = [
-            SchedPolicy::Fifo,
-            SchedPolicy::RoundRobin { quantum_us: 150.0 },
-            SchedPolicy::SmPartition,
-        ][policy_pick];
         let specs = [
             closed_tenant("a", saturating_kernel("x", 1_500_000_000), 2, jobs_a),
             closed_tenant("b", occupancy_limited_kernel("y"), 3, jobs_b),
         ];
-        let r1 = simulate(&DeviceSpec::k40c(), &specs, SimConfig::new(policy));
-        let r2 = simulate(&DeviceSpec::k40c(), &specs, SimConfig::new(policy));
+        let r1 = simulate(&DeviceSpec::k40c(), &specs, rr(quantum_us));
+        let r2 = simulate(&DeviceSpec::k40c(), &specs, rr(quantum_us));
         prop_assert_eq!(r1, r2);
     }
 
-    /// Open arrivals below saturation keep queues bounded; the mean
-    /// latency stays within an order of magnitude of dedicated.
+    /// Open arrivals spaced wider than one job's service never queue:
+    /// each job's latency is its dedicated service time.
     #[test]
     fn open_arrivals_below_saturation_stay_stable(slack in 2.0f64..6.0) {
-        let base = closed_tenant("probe", saturating_kernel("k", 1_000_000_000), 2, 1);
-        let dedicated = simulate(
-            &DeviceSpec::k40c(),
-            &[base],
-            SimConfig::new(SchedPolicy::Fifo),
-        );
-        let job_ms = dedicated.streams[0].dedicated_latency_ms;
-        let mut spec =
-            closed_tenant("open", saturating_kernel("k", 1_000_000_000), 2, 12);
+        let dev = DeviceSpec::k40c();
+        let kernel = saturating_kernel("k", 1_000_000_000);
+        let job_ms = dedicated_job_ms(&dev, &kernel, 2);
+        let mut spec = closed_tenant("open", kernel, 2, 12);
         spec.arrival = Arrival::Open { period_us: job_ms * 1e3 * slack };
-        let r = simulate(
-            &DeviceSpec::k40c(),
-            &[spec],
-            SimConfig::new(SchedPolicy::Fifo),
-        );
+        let r = simulate(&dev, &[spec], rr(500.0));
         prop_assert_eq!(r.streams[0].jobs_completed, 12);
-        // Arrivals are spaced wider than service: no queueing at all.
-        prop_assert!(r.streams[0].queue_p99_ms < 1e-9, "{:?}", r.streams[0]);
+        prop_assert!((r.streams[0].latency_mean_ms - job_ms).abs() < 1e-9, "{:?}", r.streams[0]);
     }
 }

@@ -80,11 +80,6 @@ fi
 # batches (non-zero exit otherwise).
 GCNN_SERVE_MS=150 \
   cargo run -q --release -p gcnn-bench --bin serve_bench -- --smoke
-# Multi-tenant simulator smoke: 2-tenant cells must conserve jobs,
-# model contention (FIFO slowdown >= 1.8x), show partitioning beating
-# round-robin on the occupancy-limited workload, and reproduce maxDNN's
-# GM204 occupancy within 5% (non-zero exit otherwise).
-cargo run -q --release -p gcnn-bench --bin mtsim_report -- --smoke
 # The repo benchmark is its own cargo workspace, so nothing above links
 # it: build it against the crates and run every workload for 1 s with
 # all output checks on (its walker compares bit for bit with
