@@ -227,7 +227,7 @@ impl Default for AuditConfig {
                 },
                 HotPath {
                     file_suffix: "gemm/src/sgemm.rs".into(),
-                    functions: s(&["sgemm_blocked"]),
+                    functions: s(&["sgemm_blocked", "sgemm_blocked_cols"]),
                 },
                 HotPath {
                     file_suffix: "tensor/src/im2col.rs".into(),
@@ -253,7 +253,10 @@ impl Default for AuditConfig {
                 },
                 HotPath {
                     file_suffix: "conv/src/layers/relu.rs".into(),
-                    functions: s(&["ReluLayer::forward_in_place"]),
+                    functions: s(&[
+                        "ReluLayer::forward_in_place",
+                        "ReluLayer::backward_in_place",
+                    ]),
                 },
                 HotPath {
                     file_suffix: "conv/src/layers/pooling.rs".into(),

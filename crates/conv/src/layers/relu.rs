@@ -25,6 +25,23 @@ impl ReluLayer {
         x
     }
 
+    /// Backward pass in place: `grad_out` passes where the *output* is
+    /// positive. `y = max(0, x)` is positive exactly where `x` is (NaN
+    /// clamps to 0), so this is [`ReluLayer::backward`] bit for bit for a
+    /// caller that kept the output and not the input.
+    pub fn backward_in_place(&self, output: &Tensor4, mut grad_out: Tensor4) -> Tensor4 {
+        assert_eq!(
+            output.shape(),
+            grad_out.shape(),
+            "ReluLayer::backward_in_place: shapes"
+        );
+        // On the caller: a memory stream gains nothing from a second core.
+        for (g, &y) in grad_out.as_mut_slice().iter_mut().zip(output.as_slice()) {
+            *g = if y > 0.0 { *g } else { 0.0 };
+        }
+        grad_out
+    }
+
     /// Backward pass: gradient passes where the *input* was positive.
     pub fn backward(&self, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
         assert_eq!(
@@ -80,6 +97,34 @@ mod tests {
         let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&ReluLayer.forward(&x)), want);
         assert_eq!(bits(&ReluLayer.forward_in_place(x)), want);
+    }
+
+    /// Masking by the output's sign in place gives the bits of masking by
+    /// the input's, on NaN, ±0, ±Inf, negative and positive inputs.
+    #[test]
+    fn in_place_mask_matches_the_input_mask_bit_for_bit() {
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -2.5,
+            3.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+        ];
+        let shape = Shape4::new(1, special.len(), 1, special.len());
+        // Each input against a gradient of each kind, NaN and -0 included.
+        let x: Vec<f32> = special.iter().flat_map(|&v| [v; 10]).collect();
+        let g: Vec<f32> = (0..10).flat_map(|_| special).collect();
+        let x = Tensor4::from_vec(shape, x).unwrap();
+        let g = Tensor4::from_vec(shape, g).unwrap();
+        let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = bits(&ReluLayer.backward(&x, &g));
+        let y = ReluLayer.forward(&x);
+        assert_eq!(bits(&ReluLayer.backward_in_place(&y, g)), want);
     }
 
     #[test]

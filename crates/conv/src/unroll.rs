@@ -22,18 +22,25 @@
 //! gathers each packed strip of `cols` from the image at the output
 //! pitch ([`OperandView::gathered`]); at LeNet-5's unpadded stride-1
 //! shapes that gather took 1.8–2.2× as long as the windows. Padded or
-//! strided weight gradients unroll with `im2col`. Backward-data keeps
-//! `cols` and `col2im`: the transposed product scatters into
-//! overlapping windows, which a view cannot sum.
+//! strided weight gradients unroll with `im2col`, on the calling core.
+//! Backward-data keeps `cols` and `col2im`: the transposed product
+//! scatters into overlapping windows, which a view cannot sum.
+//!
+//! `ΔW`'s `f ≤ 128` rows are one SGEMM row block, so the window weight
+//! gradient runs on both cores by columns instead: two participants
+//! ([`rayon::join`]) each own a group of `ΔW`'s columns, cut at
+//! [`column_grain`], and sum the whole batch into it in image order with
+//! `beta = 1`. Every element gets the bits of one accumulator.
 
 use crate::config::ConvConfig;
 use crate::strategy::{ConvAlgorithm, Strategy};
 use gcnn_gemm::pack::OperandView;
-use gcnn_gemm::sgemm::sgemm_blocked;
+use gcnn_gemm::sgemm::{column_grain, sgemm_blocked, sgemm_blocked_cols};
 use gcnn_gemm::{sgemm, BlockSizes, Transpose};
 use gcnn_tensor::im2col::{col2im_from, im2col_into};
 use gcnn_tensor::{workspace, Shape4, Tensor4};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Panic, naming `what` (`"<pass>: <operand>"`), unless `t` is `want`-shaped.
 #[track_caller]
@@ -147,30 +154,57 @@ impl ConvAlgorithm for UnrollConv {
         let o2 = o * o;
         let ckk = cfg.channels * cfg.kernel * cfg.kernel;
 
-        // One accumulator, images in batch order with `beta = 1`: the
-        // order of the sum, and so every bit of ΔW, is the same at any
-        // pool width. ΔW's f ≤ 128 rows are one SGEMM row block, so the
-        // pass runs on one core. Summing image groups on both cores trained
-        // LeNet-5 faster, but its step time then depended on how busy a
-        // shared host kept the second core, run to run (EXPERIMENTS
-        // "LeNet-5's filter gradient back on one core").
+        // Every ΔW element is summed over the images in batch order with
+        // `beta = 1`, as one accumulator would, so its bits are the same at
+        // any pool width. ΔW's f ≤ 128 rows are one SGEMM row block, so
+        // the parallel axis is its columns: each of two participants owns
+        // a group of them, cut at SGEMM's column grain, and walks the
+        // whole batch into its own accumulator.
         let mut grad_w = Tensor4::zeros(cfg.filter_shape());
         let dw = grad_w.as_mut_slice();
         if let Some(span) = window_span(cfg) {
-            // G at the image's row pitch: the positions no output uses
-            // are zeroed once here and never written.
-            let mut wide = workspace::take_f32(cfg.filters * span);
-            wide.fill(0.0);
-            for n in 0..cfg.batch {
-                let g = grad_out.image(n);
-                for (wplane, gplane) in wide.chunks_exact_mut(span).zip(g.chunks_exact(o2)) {
-                    for (wrow, grow) in wplane.chunks_mut(i).zip(gplane.chunks_exact(o)) {
-                        wrow[..o].copy_from_slice(grow);
+            // Columns `cols` of ΔW into `acc` (`f × cols.len()`, zeroed).
+            let part = |cols: Range<usize>, acc: &mut [f32]| {
+                // G at the image's row pitch: the positions no output
+                // uses are zeroed once here and never written.
+                let mut wide = workspace::take_f32(cfg.filters * span);
+                wide.fill(0.0);
+                for n in 0..cfg.batch {
+                    let g = grad_out.image(n);
+                    for (wplane, gplane) in wide.chunks_exact_mut(span).zip(g.chunks_exact(o2)) {
+                        for (wrow, grow) in wplane.chunks_mut(i).zip(gplane.chunks_exact(o)) {
+                            wrow[..o].copy_from_slice(grow);
+                        }
                     }
+                    let g = OperandView::new(&wide, span, false);
+                    let x = OperandView::windows(input.image(n), i, cfg.kernel, true);
+                    let (f, ld) = (cfg.filters, cols.len());
+                    let blocks = BlockSizes::default();
+                    sgemm_blocked_cols(f, cols.clone(), span, 1.0, &g, &x, 1.0, acc, ld, blocks);
                 }
-                let g = OperandView::new(&wide, span, false);
-                let cols = OperandView::windows(input.image(n), i, cfg.kernel, true);
-                gemm(cfg.filters, ckk, span, &g, &cols, 1.0, dw);
+            };
+            // G as stored, the windows transposed: all the grain reads.
+            let (g, x) = (
+                OperandView::new(&[], span, false),
+                OperandView::new(&[], span, true),
+            );
+            let grain = column_grain(cfg.filters, &g, &x);
+            let mid = ckk / 2 / grain * grain;
+            if mid == 0 {
+                part(0..ckk, dw);
+            } else {
+                let mut left = workspace::take_f32(cfg.filters * mid);
+                let mut right = workspace::take_f32(cfg.filters * (ckk - mid));
+                left.fill(0.0);
+                right.fill(0.0);
+                // The caller starts the first closure at once and the other
+                // participant wakes first: the caller takes the larger group.
+                rayon::join(|| part(mid..ckk, &mut right), || part(0..mid, &mut left));
+                let halves = left.chunks_exact(mid).zip(right.chunks_exact(ckk - mid));
+                for (row, (l, r)) in dw.chunks_exact_mut(ckk).zip(halves) {
+                    row[..mid].copy_from_slice(l);
+                    row[mid..].copy_from_slice(r);
+                }
             }
         } else {
             let mut cols = workspace::take_f32(ckk * o2);
@@ -223,5 +257,62 @@ mod tests {
     #[test]
     fn strategy_tag() {
         assert_eq!(UnrollConv.strategy(), Strategy::Unrolling);
+    }
+
+    fn noise(shape: Shape4, seed: u32) -> Tensor4 {
+        let data = (0..shape.len() as u32)
+            .map(|v| ((v.wrapping_mul(2_654_435_761) ^ seed) % 2001) as f32 / 1000.0 - 1.0)
+            .collect();
+        Tensor4::from_vec(shape, data).expect("sized to its shape")
+    }
+
+    /// ΔW as one accumulator sums it: one SGEMM over all of ΔW per
+    /// image, in batch order, with `beta = 1`.
+    fn one_accumulator(cfg: &ConvConfig, input: &Tensor4, grad: &Tensor4) -> Vec<f32> {
+        let (i, o, f) = (cfg.input, cfg.output(), cfg.filters);
+        let ckk = cfg.channels * cfg.kernel * cfg.kernel;
+        let span = window_span(cfg).expect("a stride-1, unpadded layer");
+        let mut dw = vec![0.0; f * ckk];
+        let mut wide = vec![0.0; f * span];
+        for n in 0..cfg.batch {
+            for (row, grow) in grad.image(n).chunks_exact(o).enumerate() {
+                let at = row / o * span + row % o * i;
+                wide[at..at + o].copy_from_slice(grow);
+            }
+            let g = OperandView::new(&wide, span, false);
+            let x = OperandView::windows(input.image(n), i, cfg.kernel, true);
+            let blocks = BlockSizes::default();
+            sgemm_blocked(f, ckk, span, 1.0, &g, &x, 1.0, &mut dw, ckk, blocks);
+        }
+        dw
+    }
+
+    /// The column groups give every ΔW element the bits of one
+    /// accumulator at pool widths 1–4: LeNet-5's conv1 (`f = 6`, the dot
+    /// path), its conv2 (`f = 16`, `c·k² = 150`: packed strips and an
+    /// edge strip) and a layer whose `c·k²` fits in one strip.
+    #[test]
+    fn column_groups_keep_one_accumulators_bits() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (seed, cfg) in [
+            ConvConfig::with_channels(32, 1, 32, 6, 5, 1),
+            ConvConfig::with_channels(32, 6, 14, 16, 5, 1),
+            ConvConfig::with_channels(5, 1, 9, 16, 2, 1),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let input = noise(cfg.input_shape(), seed as u32);
+            let grad = noise(cfg.output_shape(), 7 + seed as u32);
+            let want = bits(&one_accumulator(&cfg, &input, &grad));
+            for width in 1..=4 {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(width);
+                let got = pool
+                    .build()
+                    .expect("pool")
+                    .install(|| UnrollConv.backward_filters(&cfg, &input, &grad));
+                assert!(bits(got.as_slice()) == want, "{cfg} at width {width}");
+            }
+        }
     }
 }

@@ -26,12 +26,19 @@
 //! along `k` (`C = A·Bᵀ`, the FC-forward shape) skip packing entirely:
 //! [`small_m_dots`] streams each stored B row once through a multi-row
 //! dot kernel. That choice keys only on shape and storage order.
+//!
+//! The loop nest computes a range of C's columns ([`sgemm_blocked_cols`]):
+//! callers whose C is one row block (a convolution's weight gradient)
+//! split it by columns instead, each range into its own buffer. Cut at
+//! [`column_grain`], the ranges give every element the bits of the whole
+//! product.
 
 use crate::blocking::BlockSizes;
-use crate::kernel::{self, dot_tile};
+use crate::kernel::{self, dot_tile, MicroKernel};
 use crate::pack::{pack_a, pack_b, OperandView};
 use gcnn_tensor::workspace;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Transpose flag for a GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,9 +169,62 @@ pub fn sgemm_blocked(
     ldc: usize,
     blocks: BlockSizes,
 ) {
+    sgemm_blocked_cols(m, 0..n, k, alpha, av, bv, beta, c, ldc, blocks);
+}
+
+/// Whether the product takes [`small_m_dots`]: at most one register
+/// strip of rows, both operands stored along `k`.
+fn takes_dots(m: usize, av: &OperandView<'_>, bv: &OperandView<'_>, kernel: &MicroKernel) -> bool {
+    !av.transposed && bv.transposed && m <= kernel.mr()
+}
+
+/// The column grain of an `m`-row product over `av` and `bv`: C's
+/// columns cut at multiples of it into [`sgemm_blocked_cols`] ranges
+/// give every element the bits the whole product gives it. That is a
+/// whole `nr` strip of the selected kernel on the packed path, so full
+/// strips and the edge strip stay what they were, and a column pair on
+/// the dot path, so the pairs stay the same.
+pub fn column_grain(m: usize, av: &OperandView<'_>, bv: &OperandView<'_>) -> usize {
+    let kernel = kernel::select();
+    if takes_dots(m, av, bv, &kernel) {
+        2
+    } else {
+        kernel.nr()
+    }
+}
+
+/// [`sgemm_blocked`] for the columns `cols` of C only: `c` holds just
+/// those columns, element `(i, j)` at `c[i·ldc + j − cols.start]`, and
+/// `op(B)` is read from column `cols.start` on. Strips and dot pairs are
+/// cut from `cols.start`, so a range whose ends are multiples of
+/// [`column_grain`] (or the last column) computes each of its elements
+/// as the whole product does. This is the one blocked loop nest;
+/// callers that own disjoint column groups run it side by side.
+///
+/// # Panics
+/// As [`sgemm_blocked`] with `n = cols.end` for B and `n = cols.len()`
+/// for C.
+#[allow(clippy::too_many_arguments)] // BLAS-style signature
+pub fn sgemm_blocked_cols(
+    m: usize,
+    cols: Range<usize>,
+    k: usize,
+    alpha: f32,
+    av: &OperandView<'_>,
+    bv: &OperandView<'_>,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+    blocks: BlockSizes,
+) {
     assert!(blocks.validate(), "sgemm: invalid block sizes {blocks:?}");
+    let n = cols.len();
     let (a_rows, a_cols) = if av.transposed { (k, m) } else { (m, k) };
-    let (b_rows, b_cols) = if bv.transposed { (n, k) } else { (k, n) };
+    let (b_rows, b_cols) = if bv.transposed {
+        (cols.end, k)
+    } else {
+        (k, cols.end)
+    };
     av.check("a", a_rows, a_cols);
     bv.check("b", b_rows, b_cols);
     check_operand("sgemm", "c", c, m, n, ldc);
@@ -184,8 +244,8 @@ pub fn sgemm_blocked(
     }
     let kernel = kernel::select();
     let (mr, nr) = (kernel.mr(), kernel.nr());
-    if !av.transposed && bv.transposed && m <= mr {
-        small_m_dots(m, n, k, alpha, av, bv, beta, c, ldc);
+    if takes_dots(m, av, bv, &kernel) {
+        small_m_dots(m, cols, k, alpha, av, bv, beta, c, ldc);
         return;
     }
 
@@ -195,8 +255,8 @@ pub fn sgemm_blocked(
     let a_len = mc.min(m.next_multiple_of(mr)) * kc.min(k);
     let mut bbuf = workspace::take_f32(nc.min(n.next_multiple_of(nr)) * kc.min(k));
 
-    for j0 in (0..n).step_by(nc) {
-        let nc_eff = nc.min(n - j0);
+    for j0 in cols.clone().step_by(nc) {
+        let nc_eff = nc.min(cols.end - j0);
         for p0 in (0..k).step_by(kc) {
             let kc_eff = kc.min(k - p0);
             let bpanel = &mut bbuf[..nc_eff.next_multiple_of(nr) * kc_eff];
@@ -222,7 +282,7 @@ pub fn sgemm_blocked(
                         for (sa, astrip) in apanel.chunks_exact(mr * kc_eff).enumerate() {
                             let row = sa * mr;
                             let m_eff = mr.min(mc_eff - row);
-                            let ctile = &mut crows[row * ldc + j0 + col..];
+                            let ctile = &mut crows[row * ldc + j0 - cols.start + col..];
                             if m_eff == mr && n_eff == nr {
                                 kernel.run(kc_eff, alpha, astrip, bstrip, beta, ctile, ldc);
                             } else {
@@ -241,11 +301,11 @@ pub fn sgemm_blocked(
 /// consumed in pairs).
 const SMALL_M_ROWS_PER_TASK: usize = 64;
 
-/// `C ← alpha·A·Bᵀ + beta·C` for a handful of A rows, with no packing:
-/// both operands are stored along `k`, so `C[i][j]` is the dot product
-/// of stored row `i` of A and stored row `j` of B. B rows stream from
-/// memory once, two at a time, against four A rows at a time
-/// ([`dot_tile`]).
+/// `C ← alpha·A·Bᵀ + beta·C` over the columns `cols` for a handful of A
+/// rows, with no packing: both operands are stored along `k`, so
+/// `C[i][j]` is the dot product of stored row `i` of A and stored row
+/// `j` of B. B rows stream from memory once, two at a time from
+/// `cols.start`, against four A rows at a time ([`dot_tile`]).
 ///
 /// The dots land in an arena buffer laid out `[j][i]` so that a
 /// contiguous chunk belongs to one task (columns of the row-major C do
@@ -253,7 +313,7 @@ const SMALL_M_ROWS_PER_TASK: usize = 64;
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 fn small_m_dots(
     m: usize,
-    n: usize,
+    cols: Range<usize>,
     k: usize,
     alpha: f32,
     av: &OperandView<'_>,
@@ -262,8 +322,9 @@ fn small_m_dots(
     c: &mut [f32],
     ldc: usize,
 ) {
+    let n = cols.len();
     let arow = |i: usize| av.stored_row(i, k);
-    let brow = |j: usize| bv.stored_row(j, k);
+    let brow = |j: usize| bv.stored_row(cols.start + j, k);
     let mut dots = workspace::take_f32(n * m);
     dots.par_chunks_mut(SMALL_M_ROWS_PER_TASK * m)
         .enumerate()
@@ -313,7 +374,7 @@ fn dots_against<'a, const Q: usize>(
     }
 }
 
-/// Cached `gemm.sgemm_calls` counter: one tick per [`sgemm_blocked`].
+/// Cached `gemm.sgemm_calls` counter: one tick per [`sgemm_blocked_cols`].
 fn sgemm_calls() -> &'static gcnn_trace::Counter {
     static C: std::sync::OnceLock<gcnn_trace::Counter> = std::sync::OnceLock::new();
     C.get_or_init(|| gcnn_trace::counter("gemm.sgemm_calls"))
@@ -539,6 +600,52 @@ mod tests {
                 0.0,
                 BlockSizes::default_sizes(),
             );
+        }
+    }
+
+    /// Column ranges cut at the grain, each into its own buffer, give
+    /// the whole product's bits on the dot path and on the packed path
+    /// (full strips and an edge strip), with `beta = 1` as ΔW sums.
+    #[test]
+    fn column_ranges_at_the_grain_match_the_whole_product() {
+        let (n, k) = (150, 37);
+        for m in [6, 16] {
+            let a = rand_vec(m * k, 4);
+            let b = rand_vec(n * k, 5);
+            let c0 = rand_vec(m * n, 6);
+            let (av, bv) = (
+                OperandView::new(&a, k, false),
+                OperandView::new(&b, k, true),
+            );
+            let blocks = BlockSizes::default();
+            let mut whole = c0.clone();
+            sgemm_blocked(m, n, k, 1.0, &av, &bv, 1.0, &mut whole, n, blocks);
+            let grain = column_grain(m, &av, &bv);
+            let cuts = [0, grain, 3 * grain, n];
+            for cols in cuts.windows(2).map(|w| w[0]..w[1]) {
+                let mut part: Vec<f32> = c0
+                    .chunks_exact(n)
+                    .flat_map(|row| &row[cols.clone()])
+                    .copied()
+                    .collect();
+                let ld = cols.len();
+                sgemm_blocked_cols(
+                    m,
+                    cols.clone(),
+                    k,
+                    1.0,
+                    &av,
+                    &bv,
+                    1.0,
+                    &mut part,
+                    ld,
+                    blocks,
+                );
+                for (got, want) in part.chunks_exact(ld).zip(whole.chunks_exact(n)) {
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(&want[cols.clone()]), "m {m}, {cols:?}");
+                }
+            }
         }
     }
 

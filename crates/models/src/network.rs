@@ -163,17 +163,24 @@ macro_rules! blobs {
 }
 
 /// What the backward pass needs from one layer's forward pass.
+///
+/// Conv, max-pool and FC keep the input they consumed — moved in, and
+/// still the caller's borrow for the first layer. That input is the
+/// output of the layer below, so a ReLU keeps nothing: it clamps in
+/// place, and its backward pass masks by the input the layer above kept
+/// (the logits, for a ReLU at the top).
 enum Cache<'a> {
-    /// Conv (with its resolved config), ReLU and FC keep the input they
-    /// consumed — moved in, and still the caller's borrow for the first
-    /// layer.
+    /// Conv (with its resolved config) and FC.
     Input {
         input: Cow<'a, Tensor4>,
         conv: Option<ConvConfig>,
     },
+    /// Max-pool, with where each output came from.
     MaxPool {
+        input: Cow<'a, Tensor4>,
         fwd: PoolForward,
     },
+    Relu,
 }
 
 /// An activation flowing through the forward walker: planar (the
@@ -492,9 +499,10 @@ impl Network {
 
     /// The forward walker — the only loop that executes the layer list.
     /// With `caches`, every layer runs planar and moves what its
-    /// backward pass needs (its input, mostly) into the vector; without,
-    /// each input is dropped as soon as the next activation exists and
-    /// blocked conv layers take the fused packed path.
+    /// backward pass needs (its input, but a ReLU nothing) into the
+    /// vector; without, each input is dropped as soon as the next
+    /// activation exists and blocked conv layers take the fused packed
+    /// path. A ReLU clamps in place either way.
     fn forward_walk<'a>(
         &self,
         input: &'a Tensor4,
@@ -533,13 +541,8 @@ impl Network {
                 }
                 (LayerSpec::Relu, _) => {
                     let _layer = gcnn_trace::span(&layer.span);
-                    let input = x.into_planar();
-                    if keeping {
-                        x = Act::owned(ReluLayer.forward(&input));
-                        keep(Cache::Input { input, conv: None });
-                    } else {
-                        x = Act::owned(ReluLayer.forward_in_place(input.into_owned()));
-                    }
+                    x = Act::owned(ReluLayer.forward_in_place(x.into_planar().into_owned()));
+                    keep(Cache::Relu);
                 }
                 (LayerSpec::MaxPool { window, stride, .. }, _) => {
                     let _layer = gcnn_trace::span(&layer.span);
@@ -548,7 +551,7 @@ impl Network {
                     x = Act::owned(if keeping {
                         let fwd = pool.forward(&input);
                         let output = fwd.output.clone();
-                        keep(Cache::MaxPool { fwd });
+                        keep(Cache::MaxPool { input, fwd });
                         output
                     } else {
                         pool.forward_values(&input)
@@ -705,12 +708,16 @@ impl Network {
 
     /// [`Network::train_batch`] with an explicit [`Workspace`].
     ///
-    /// `ws` is a zero-sized token: the thread-local arena recycles every
+    /// `ws` is a zero-sized token: the thread-local arenas recycle every
     /// conv's scratch after the first batch — GEMM packs, FFT spectra, ΔW's
-    /// im2col at padded or strided layers, backward-data's `col2im` input.
+    /// column groups and im2col at padded or strided layers, backward-data's
+    /// `col2im` input.
     ///
-    /// The backward walk stops at the lowest layer with parameters, and a
-    /// conv layer there (LeNet's conv1) computes no input gradient.
+    /// Each ReLU clamps in place, as in inference, and masks the gradient
+    /// in place by the input the layer above kept (its own output), so
+    /// it allocates in neither direction. The backward walk stops at the
+    /// lowest layer with parameters, and a conv layer there (LeNet's
+    /// conv1) computes no input gradient.
     pub fn train_batch_ws(
         &mut self,
         images: &Tensor4,
@@ -732,6 +739,10 @@ impl Network {
         let learns = |l: &Layer| !matches!(l.params, Params::None);
         let lowest = self.layers.iter().position(learns).unwrap_or(0);
         let layers = self.layers.iter_mut().zip(caches).enumerate().skip(lowest);
+        // The output of the layer being walked: the input the layer above
+        // kept, or the logits. A ReLU leaves it as it is, since its input
+        // is positive exactly where its output is.
+        let mut output = Cow::Borrowed(&logits);
         for (i, (layer, cache)) in layers.rev() {
             match (&layer.spec, &mut layer.params, cache) {
                 (_, Params::Conv(p), Cache::Input { input, conv }) => {
@@ -749,15 +760,17 @@ impl Network {
                         p.velocity.as_mut_slice(),
                         grad_w.as_slice(),
                     );
+                    output = input;
                 }
-                (LayerSpec::Relu, _, Cache::Input { input, .. }) => {
+                (LayerSpec::Relu, _, Cache::Relu) => {
                     let _layer = gcnn_trace::span(&layer.span);
-                    grad = ReluLayer.backward(&input, &grad);
+                    grad = ReluLayer.backward_in_place(&output, grad);
                 }
-                (LayerSpec::MaxPool { window, stride, .. }, _, Cache::MaxPool { fwd }) => {
+                (LayerSpec::MaxPool { window, stride, .. }, _, Cache::MaxPool { input, fwd }) => {
                     let _layer = gcnn_trace::span(&layer.span);
                     let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
                     grad = pool.backward(fwd.input_shape, &fwd, &grad);
+                    output = input;
                 }
                 (_, Params::Fc(p), Cache::Input { input, .. }) => {
                     let _layer = gcnn_trace::span(&layer.span);
@@ -778,6 +791,7 @@ impl Network {
                         &grads.grad_bias,
                     );
                     grad = grads.grad_input;
+                    output = input;
                 }
                 _ => unreachable!("layer/cache mismatch"),
             }

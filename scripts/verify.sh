@@ -12,9 +12,10 @@ cargo test -q
 # environment variable), so one core is how width 1 is exercised: the
 # pool itself and the three crates whose kernels open its regions —
 # gcnn-fft's suite includes `conv_allocs`, the heap count of each warmed-up
-# `FftConv` pass (its output tensor only), here with both of its pool
-# widths on one core — and gcnn-models, so the training walker's tests
-# run at width 1 too.
+# `FftConv` pass (its output tensor only), and `train_allocs`, that of a
+# warm LeNet-5 training step (ΔW's two column groups out of the arenas),
+# here with both of their pool widths on one core — and gcnn-models, so
+# the training walker's tests run at width 1 too.
 if command -v taskset >/dev/null; then
   taskset -c 0 cargo test -q -p rayon -p gcnn-fft -p gcnn-gemm -p gcnn-conv -p gcnn-models
 else
