@@ -152,38 +152,53 @@ impl PoolLayer {
         assert_eq!(s, fwd.input_shape, "PoolLayer::backward: input");
         let go = grad_out.shape();
         assert_eq!(go, fwd.output.shape(), "PoolLayer::backward: grad shape");
+        if self.kind == PoolKind::Max {
+            return Self::route_max(s, &fwd.argmax, grad_out);
+        }
         let mut grad_in = Tensor4::zeros(s);
         let plane_in = s.h * s.w;
         let plane_out = go.h * go.w;
         let (win, st) = (self.window, self.stride);
-
-        match self.kind {
-            PoolKind::Max => {
-                for p in 0..s.n * s.c {
-                    let gslice = &grad_out.as_slice()[p * plane_out..(p + 1) * plane_out];
-                    let aslice = &fwd.argmax[p * plane_out..(p + 1) * plane_out];
-                    let gin = &mut grad_in.as_mut_slice()[p * plane_in..(p + 1) * plane_in];
-                    for (g, &a) in gslice.iter().zip(aslice) {
-                        gin[a as usize] += g;
-                    }
-                }
-            }
-            PoolKind::Average => {
-                let inv = 1.0 / (win * win) as f32;
-                for p in 0..s.n * s.c {
-                    let gslice = &grad_out.as_slice()[p * plane_out..(p + 1) * plane_out];
-                    let gin = &mut grad_in.as_mut_slice()[p * plane_in..(p + 1) * plane_in];
-                    for oy in 0..go.h {
-                        for ox in 0..go.w {
-                            let g = gslice[oy * go.w + ox] * inv;
-                            for ky in 0..win {
-                                for kx in 0..win {
-                                    gin[(oy * st + ky) * s.w + ox * st + kx] += g;
-                                }
-                            }
+        let inv = 1.0 / (win * win) as f32;
+        for p in 0..s.n * s.c {
+            let gslice = &grad_out.as_slice()[p * plane_out..(p + 1) * plane_out];
+            let gin = &mut grad_in.as_mut_slice()[p * plane_in..(p + 1) * plane_in];
+            for oy in 0..go.h {
+                for ox in 0..go.w {
+                    let g = gslice[oy * go.w + ox] * inv;
+                    for ky in 0..win {
+                        for kx in 0..win {
+                            gin[(oy * st + ky) * s.w + ox * st + kx] += g;
                         }
                     }
                 }
+            }
+        }
+        grad_in
+    }
+
+    /// Max pooling's backward pass from the forward pass's `argmax`
+    /// alone: each element of `grad_out` is added to the input position
+    /// its output was taken from.
+    ///
+    /// # Panics
+    /// Unless `grad_out` has `input_shape`'s images and channels and one
+    /// element per `argmax` entry.
+    pub fn route_max(input_shape: Shape4, argmax: &[u32], grad_out: &Tensor4) -> Tensor4 {
+        let (s, go) = (input_shape, grad_out.shape());
+        assert!(
+            (go.n, go.c, go.len()) == (s.n, s.c, argmax.len()),
+            "PoolLayer::route_max: grad shape"
+        );
+        let mut grad_in = Tensor4::zeros(s);
+        let plane_in = s.h * s.w;
+        let plane_out = go.h * go.w;
+        for p in 0..s.n * s.c {
+            let gslice = &grad_out.as_slice()[p * plane_out..(p + 1) * plane_out];
+            let aslice = &argmax[p * plane_out..(p + 1) * plane_out];
+            let gin = &mut grad_in.as_mut_slice()[p * plane_in..(p + 1) * plane_in];
+            for (g, &a) in gslice.iter().zip(aslice) {
+                gin[a as usize] += g;
             }
         }
         grad_in
@@ -371,6 +386,16 @@ mod tests {
     #[should_panic(expected = "PoolLayer::backward: input")]
     fn avg_backward_checks_input_shape() {
         backward_for_another_input(PoolKind::Average);
+    }
+
+    #[test]
+    #[should_panic(expected = "PoolLayer::route_max: grad shape")]
+    fn route_max_checks_grad_against_argmax() {
+        let layer = PoolLayer::new(PoolKind::Max, 2, 2);
+        let input = Tensor4::full(Shape4::new(1, 2, 4, 4), 1.0);
+        let fwd = layer.forward(&input);
+        let one_channel = Tensor4::full(Shape4::new(1, 1, 2, 2), 1.0);
+        PoolLayer::route_max(input.shape(), &fwd.argmax[..4], &one_channel);
     }
 
     #[test]

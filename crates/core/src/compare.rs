@@ -69,8 +69,8 @@ pub fn evaluate(
     if let Err(e) = imp.supports(cfg) {
         return ComparisonCell::Unsupported(e.to_string());
     }
-    match imp.plan(cfg).execute(dev, 1) {
-        Ok(report) => ComparisonCell::Time(report.total_ms()),
+    match imp.plan(cfg).modeled_ms(dev) {
+        Ok(ms) => ComparisonCell::Time(ms),
         Err(_) => ComparisonCell::OutOfMemory,
     }
 }

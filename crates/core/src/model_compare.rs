@@ -72,7 +72,7 @@ fn layer_time(
     dev: &DeviceSpec,
 ) -> Option<f64> {
     imp.supports(cfg).ok()?;
-    imp.plan(cfg).execute(dev, 1).ok().map(|r| r.total_ms())
+    imp.plan(cfg).modeled_ms(dev).ok()
 }
 
 /// Compare all implementations over every conv layer of `model`.

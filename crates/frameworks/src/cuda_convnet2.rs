@@ -145,15 +145,9 @@ mod tests {
     use crate::caffe::Caffe;
     use crate::cudnn::CuDnn;
     use crate::theano_corrmm::TheanoCorrMM;
+    use crate::time_of;
     use crate::torch_cunn::TorchCunn;
     use gcnn_gpusim::DeviceSpec;
-
-    fn time_of(imp: &dyn ConvImplementation, cfg: &ConvConfig) -> f64 {
-        imp.plan(cfg)
-            .execute(&DeviceSpec::k40c(), 1)
-            .unwrap()
-            .total_ms()
-    }
 
     #[test]
     fn shape_restrictions_match_paper() {

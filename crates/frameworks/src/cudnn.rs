@@ -153,15 +153,9 @@ mod tests {
     use super::*;
     use crate::caffe::Caffe;
     use crate::theano_corrmm::TheanoCorrMM;
+    use crate::time_of;
     use crate::torch_cunn::TorchCunn;
     use gcnn_gpusim::DeviceSpec;
-
-    fn time_of(imp: &dyn ConvImplementation, cfg: &ConvConfig) -> f64 {
-        imp.plan(cfg)
-            .execute(&DeviceSpec::k40c(), 1)
-            .unwrap()
-            .total_ms()
-    }
 
     #[test]
     fn fastest_unrolling_implementation_at_base_config() {

@@ -197,16 +197,10 @@ mod tests {
     use crate::caffe::Caffe;
     use crate::cuda_convnet2::CudaConvnet2;
     use crate::cudnn::CuDnn;
+    use crate::time_of;
     use crate::torch_cunn::TorchCunn;
     use gcnn_conv::Unsupported;
     use gcnn_gpusim::DeviceSpec;
-
-    fn time_of(imp: &dyn ConvImplementation, cfg: &ConvConfig) -> f64 {
-        imp.plan(cfg)
-            .execute(&DeviceSpec::k40c(), 1)
-            .unwrap()
-            .total_ms()
-    }
 
     #[test]
     fn rejects_stride_above_one() {

@@ -67,6 +67,15 @@ pub trait ConvImplementation: Send + Sync {
     fn plan(&self, cfg: &ConvConfig) -> ExecutionPlan;
 }
 
+/// One training iteration's modeled time on the K40c, for the unit
+/// tests that rank implementations against each other.
+#[cfg(test)]
+fn time_of(imp: &dyn ConvImplementation, cfg: &ConvConfig) -> f64 {
+    imp.plan(cfg)
+        .modeled_ms(&gcnn_gpusim::DeviceSpec::k40c())
+        .expect("fits on the K40c")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,10 @@
 //! Execution plans: the kernel-level schedule an implementation runs for
 //! one training iteration.
 
+use gcnn_gpusim::profiler::{add_launches, sorted_kernel_ms};
 use gcnn_gpusim::{
-    DeviceSpec, KernelDesc, OomError, ProfileReport, ProfilerSession, SpanKind, Timeline, Transfer,
-    TransferDirection,
+    timing::time_kernel, DeviceSpec, KernelDesc, MemoryTracker, OomError, ProfileReport,
+    ProfilerSession, SpanKind, Timeline, Transfer, TransferDirection,
 };
 use serde::{Deserialize, Serialize};
 
@@ -73,6 +74,33 @@ impl ExecutionPlan {
             .iter()
             .map(|p| p.desc.flops * p.count as u64)
             .sum()
+    }
+
+    /// One iteration's modeled time, without building a profile: the bits
+    /// of `execute(dev, 1)?.total_ms()`, and its `Err` when an allocation
+    /// does not fit. The launches are totalled per kernel name by the
+    /// session's own rule, so the only heap allocation is that table.
+    pub fn modeled_ms(&self, dev: &DeviceSpec) -> Result<f64, OomError> {
+        let mut memory = MemoryTracker::new(dev.global_mem_bytes);
+        for (label, bytes) in &self.allocations {
+            memory.reserve(label, *bytes)?;
+        }
+        let mut transfer_ms = 0.0;
+        for t in &self.transfers {
+            transfer_ms += t.visible_time_ms(dev);
+        }
+        let mut totals: Vec<(&str, f64)> = Vec::with_capacity(self.kernels.len());
+        for pk in &self.kernels {
+            let t = (pk.desc.name.as_str(), time_kernel(dev, &pk.desc).time_ms);
+            add_launches(
+                &mut totals,
+                |e| (e.0, &mut e.1),
+                (t.0, t.1, pk.count),
+                || t,
+                |_, _| {},
+            );
+        }
+        Ok(sorted_kernel_ms(&mut totals, |t| t.1) + transfer_ms)
     }
 
     /// Execute the plan on a fresh profiler session over `dev` for

@@ -199,15 +199,9 @@ mod tests {
     use crate::cudnn::CuDnn;
     use crate::fbfft::Fbfft;
     use crate::theano_corrmm::TheanoCorrMM;
+    use crate::time_of;
     use crate::torch_cunn::TorchCunn;
     use gcnn_gpusim::DeviceSpec;
-
-    fn time_of(imp: &dyn ConvImplementation, cfg: &ConvConfig) -> f64 {
-        imp.plan(cfg)
-            .execute(&DeviceSpec::k40c(), 1)
-            .unwrap()
-            .total_ms()
-    }
 
     #[test]
     fn slowest_of_all_seven_at_base() {

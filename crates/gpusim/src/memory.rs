@@ -67,6 +67,14 @@ impl MemoryTracker {
         bytes: u64,
     ) -> Result<AllocationId, OomError> {
         let label = label.into();
+        self.reserve(&label, bytes)?;
+        self.live.push(Some((label, bytes)));
+        Ok(AllocationId(self.live.len() - 1))
+    }
+
+    /// Count `bytes` under `label` toward the peak, as [`MemoryTracker::alloc`]
+    /// does, but keep no handle: the bytes stay in use for good.
+    pub fn reserve(&mut self, label: &str, bytes: u64) -> Result<(), OomError> {
         let Some(in_use) = self
             .in_use
             .checked_add(bytes)
@@ -76,13 +84,12 @@ impl MemoryTracker {
                 requested: bytes,
                 in_use: self.in_use,
                 capacity: self.capacity,
-                label,
+                label: label.to_owned(),
             });
         };
         self.in_use = in_use;
         self.peak = self.peak.max(self.in_use);
-        self.live.push(Some((label, bytes)));
-        Ok(AllocationId(self.live.len() - 1))
+        Ok(())
     }
 
     /// Release an allocation. Double frees are rejected.

@@ -103,6 +103,45 @@ impl ProfileReport {
     }
 }
 
+/// Add `count` launches of `time_ms` each to `name`'s entry of `totals`,
+/// one launch at a time (`count as f64 * time_ms` rounds differently).
+/// Entries keep first-seen order; a new name's first launch is the entry
+/// `first` builds, and `count == 0` adds nothing, not even the entry.
+/// `entry` gives an entry's name and the total to add to; `each` runs
+/// after every further launch, with the total before it. A session's
+/// [`KernelRecord`]s and `ExecutionPlan::modeled_ms`'s bare
+/// `(name, total)` pairs both go through here and [`sorted_kernel_ms`],
+/// so the two agree bit for bit.
+pub fn add_launches<T>(
+    totals: &mut Vec<T>,
+    entry: impl Fn(&mut T) -> (&str, &mut f64),
+    (name, time_ms, count): (&str, f64, u32),
+    first: impl FnOnce() -> T,
+    mut each: impl FnMut(&mut T, f64),
+) {
+    let (rec, adds) = match totals.iter_mut().position(|t| entry(t).0 == name) {
+        Some(i) => (&mut totals[i], count),
+        None if count == 0 => return,
+        None => {
+            totals.push(first());
+            (totals.last_mut().expect("just pushed"), count - 1)
+        }
+    };
+    for _ in 0..adds {
+        let total = entry(rec).1;
+        let before = *total;
+        *total += time_ms;
+        each(rec, before);
+    }
+}
+
+/// Sort `totals` by `total_ms`, largest first (stably, so ties keep
+/// first-seen order), and sum them in that order: a report's `kernel_ms`.
+pub fn sorted_kernel_ms<T>(totals: &mut [T], total_ms: impl Fn(&T) -> f64) -> f64 {
+    totals.sort_by(|a, b| total_ms(b).total_cmp(&total_ms(a)));
+    totals.iter().map(total_ms).sum()
+}
+
 /// A recording session over one device.
 ///
 /// ```
@@ -149,34 +188,31 @@ impl ProfilerSession {
     /// `count == 0` records nothing.
     pub fn launch_times(&mut self, kernel: &KernelDesc, count: u32) -> TimingResult {
         let result = time_kernel(&self.dev, kernel);
-        let mut merges = count;
-        let rec = match self.kernels.iter().position(|r| r.name == kernel.name) {
-            Some(i) => &mut self.kernels[i],
-            None if count == 0 => return result,
-            None => {
-                merges -= 1;
-                self.kernels.push(KernelRecord {
-                    name: kernel.name.clone(),
-                    launches: 1,
-                    total_ms: result.time_ms,
-                    metrics: result.metrics,
-                });
-                self.kernels.last_mut().expect("just pushed")
-            }
+        let first = || KernelRecord {
+            name: kernel.name.clone(),
+            launches: 1,
+            total_ms: result.time_ms,
+            metrics: result.metrics,
         };
-        for _ in 0..merges {
-            // Merge metrics runtime-weighted.
-            let merged = KernelMetrics::weighted_average(&[
-                (rec.total_ms, rec.metrics),
-                (result.time_ms, result.metrics),
-            ]);
-            rec.launches += 1;
-            rec.total_ms += result.time_ms;
-            rec.metrics = KernelMetrics {
-                runtime_ms: rec.total_ms,
-                ..merged
-            };
-        }
+        let launches = (kernel.name.as_str(), result.time_ms, count);
+        add_launches(
+            &mut self.kernels,
+            |r| (&r.name, &mut r.total_ms),
+            launches,
+            first,
+            |rec, before| {
+                // Merge metrics runtime-weighted.
+                let merged = KernelMetrics::weighted_average(&[
+                    (before, rec.metrics),
+                    (result.time_ms, result.metrics),
+                ]);
+                rec.launches += 1;
+                rec.metrics = KernelMetrics {
+                    runtime_ms: rec.total_ms,
+                    ..merged
+                };
+            },
+        );
         result
     }
 
@@ -198,8 +234,7 @@ impl ProfilerSession {
     /// Render the report.
     pub fn report(&self) -> ProfileReport {
         let mut kernels = self.kernels.clone();
-        kernels.sort_by(|a, b| b.total_ms.total_cmp(&a.total_ms));
-        let kernel_ms = kernels.iter().map(|k| k.total_ms).sum();
+        let kernel_ms = sorted_kernel_ms(&mut kernels, |k| k.total_ms);
         ProfileReport {
             device: self.dev.name.clone(),
             kernels,

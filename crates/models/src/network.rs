@@ -178,7 +178,7 @@ enum Cache<'a> {
     /// Max-pool, with where each output came from.
     MaxPool {
         input: Cow<'a, Tensor4>,
-        fwd: PoolForward,
+        argmax: Vec<u32>,
     },
     Relu,
 }
@@ -549,9 +549,8 @@ impl Network {
                     let input = x.into_planar();
                     let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
                     x = Act::owned(if keeping {
-                        let fwd = pool.forward(&input);
-                        let output = fwd.output.clone();
-                        keep(Cache::MaxPool { input, fwd });
+                        let PoolForward { output, argmax, .. } = pool.forward(&input);
+                        keep(Cache::MaxPool { input, argmax });
                         output
                     } else {
                         pool.forward_values(&input)
@@ -766,10 +765,9 @@ impl Network {
                     let _layer = gcnn_trace::span(&layer.span);
                     grad = ReluLayer.backward_in_place(&output, grad);
                 }
-                (LayerSpec::MaxPool { window, stride, .. }, _, Cache::MaxPool { input, fwd }) => {
+                (LayerSpec::MaxPool { .. }, _, Cache::MaxPool { input, argmax }) => {
                     let _layer = gcnn_trace::span(&layer.span);
-                    let pool = PoolLayer::new(PoolKind::Max, *window, *stride);
-                    grad = pool.backward(fwd.input_shape, &fwd, &grad);
+                    grad = PoolLayer::route_max(input.shape(), &argmax, &grad);
                     output = input;
                 }
                 (_, Params::Fc(p), Cache::Input { input, .. }) => {
